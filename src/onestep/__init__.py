@@ -30,8 +30,9 @@ from .cme import (DegenerateDistributionError, Distribution, StateBox,
                   reaction_channels)
 from .sim import (ComparisonReport, Engine, MomentReport, NegativePolicy,
                   NegativeRateError, NotPsdError, NotSymmetricError,
-                  SimConfig, SimulationError, TooFewTrajectoriesError,
-                  TrajectoryEnsemble, compare_engines, compare_reports,
+                  SimConfig, SimConfigError, SimulationError,
+                  TooFewTrajectoriesError, TrajectoryEnsemble,
+                  compare_engines, compare_reports,
                   ensemble_moments, euler_maruyama, gillespie_ssa,
                   matrix_sqrt_psd, mean_band_svg, moments_to_csv,
                   trajectories_to_csv, trajectory_rng)

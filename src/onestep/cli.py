@@ -34,7 +34,8 @@ from .poly import (ExpressionSyntaxError, MissingSymbolError, SymbolId,
                    bind_values, as_function, canonical_string)
 from .scheme import (InteractionScheme, SchemeError, format_scheme,
                      parse_scheme)
-from .sim import (Engine, NegativePolicy, SimConfig, compare_engines,
+from .sim import (Engine, NegativePolicy, SimConfig, SimConfigError,
+                  TooFewTrajectoriesError, compare_engines,
                   ensemble_moments, euler_maruyama, gillespie_ssa,
                   mean_band_svg, moments_to_csv, trajectories_to_csv)
 
@@ -48,6 +49,10 @@ class InitialStateError(ValueError):
 
 
 class ManifestError(ValueError):
+    pass
+
+
+class BoxError(ValueError):
     pass
 
 
@@ -121,6 +126,26 @@ def parse_initial(text: str, species) -> tuple[float, ...]:
         raise InitialStateError("initial state missing species: "
                                 + ", ".join(missing))
     return tuple(values[n] for n in names)
+
+
+def parse_box(text: str, species) -> StateBox:
+    """One nonnegative integer bound for every species, or one bound per
+    species, comma-separated."""
+    parts = text.split(",")
+    try:
+        bounds = [int(p) for p in parts]
+    except ValueError:
+        raise BoxError(f"bad --box {text!r}; expected nonnegative integer "
+                       "bounds") from None
+    if any(b < 0 for b in bounds):
+        raise BoxError(f"bad --box {text!r}; bounds must be nonnegative")
+    if len(bounds) == 1:
+        bounds = bounds * len(species)
+    elif len(bounds) != len(species):
+        raise BoxError(f"--box has {len(bounds)} bounds for "
+                       f"{len(species)} species; give one bound or one "
+                       "per species")
+    return StateBox(tuple(bounds))
 
 
 def _load_text(path: str) -> str:
@@ -416,48 +441,48 @@ def cmd_check(args) -> int:
         else None
 
     if args.box:
-        parts = [int(p) for p in args.box.split(",")]
-        if len(parts) == 1:
-            parts = parts * len(scheme.species)
-        box = StateBox(tuple(parts))
+        box = parse_box(args.box, scheme.species)
     else:
         box = default_box(scheme, rates, initial)
+    # validated before the exact checks run, so a bad setting costs nothing
+    config = None if initial is None else SimConfig(
+        rates=rates, initial_state=initial, t_final=args.t_final,
+        dt=args.dt, trajectories=args.trajectories, base_seed=args.seed,
+        grid_points=args.grid_points)
 
     reversible = any(ia.reversible for ia in scheme.interactions)
     mismatch_expected = (sign is DiffusionSign.DIFFERENCE) and reversible
     results = []  # (status, name, detail); status PASS | FAIL | ADVISORY
 
     states = _sample_states(box, args.seed)
-    drift_exact = drift_vector(scheme, RateMode.EXACT)
-    diff_checked = diffusion_matrix(scheme, RateMode.EXACT, sign)
+    drift_exact = [bind_values(p, rates)
+                   for p in drift_vector(scheme, RateMode.EXACT)]
+    diff_checked = [[bind_values(p, rates) for p in row]
+                    for row in diffusion_matrix(scheme, RateMode.EXACT, sign)]
     n = len(scheme.species)
 
-    # enumerated jump moments vs the symbolic derivation, exact arithmetic
+    # enumerated jump moments vs the symbolic derivation, exact arithmetic;
+    # one pass finds the first state where each moment disagrees
     first_bad = None
     second_bad = None
     for state in states:
+        if first_bad is not None and second_bad is not None:
+            break
         point = dict(zip(scheme.species, state))
-        point.update(rates)
         first, second = jump_moments(scheme, rates, state)
-        for i in range(n):
-            if drift_exact[i].evaluate(point) != first[i]:
-                first_bad = (state, i)
-                break
-        if first_bad:
-            break
-    for state in states:
-        point = dict(zip(scheme.species, state))
-        point.update(rates)
-        _, second = jump_moments(scheme, rates, state)
-        for i in range(n):
-            for j in range(n):
-                if diff_checked[i][j].evaluate(point) != second[i][j]:
-                    second_bad = (state, i, j)
+        if first_bad is None:
+            for i in range(n):
+                if drift_exact[i].evaluate(point) != first[i]:
+                    first_bad = (state, i)
                     break
-            if second_bad:
-                break
-        if second_bad:
-            break
+        if second_bad is None:
+            for i in range(n):
+                for j in range(n):
+                    if diff_checked[i][j].evaluate(point) != second[i][j]:
+                        second_bad = (state, i, j)
+                        break
+                if second_bad:
+                    break
 
     if first_bad is None:
         results.append(("PASS", "first-jump-moment",
@@ -497,15 +522,19 @@ def cmd_check(args) -> int:
     funcs = [[as_function(bind_values(requested_diff[i][j], rates),
                           scheme.species) for j in range(n)]
              for i in range(n)]
+    columns = np.array(states, dtype=np.float64).T
+    b = np.empty((len(states), n, n))
+    for i in range(n):
+        for j in range(n):
+            b[:, i, j] = funcs[i][j](*columns)
+    lowest = np.linalg.eigvalsh(b).min(axis=1).tolist()
+    largest = np.abs(b).max(axis=(1, 2)).tolist()
     min_eig = np.inf
     bad_state = None
-    for state in states:
-        b = np.array([[funcs[i][j](*map(float, state)) for j in range(n)]
-                      for i in range(n)])
-        w = float(np.linalg.eigvalsh(b).min())
+    for state, w, scale in zip(states, lowest, largest):
         if w < min_eig:
             min_eig = w
-            if w < -1e-9 * (1.0 + abs(b).max()) and bad_state is None:
+            if w < -1e-9 * (1.0 + scale) and bad_state is None:
                 bad_state = state
     if bad_state is None:
         results.append(("PASS", "psd-sampling",
@@ -528,11 +557,6 @@ def cmd_check(args) -> int:
         check_model = build_sde_model(scheme, RateMode.EXACT,
                                       DiffusionSign.SUM,
                                       NoiseStrategy.MATRIX_SQRT)
-        config = SimConfig(rates=rates, initial_state=initial,
-                           t_final=args.t_final, dt=args.dt,
-                           trajectories=args.trajectories,
-                           base_seed=args.seed,
-                           grid_points=args.grid_points)
         report = compare_engines(check_model, config,
                                  threshold=args.threshold)
         status = "PASS" if report.passed else "FAIL"
@@ -650,7 +674,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SchemeError, ExpressionSyntaxError, ModelFormatError,
-            ManifestError, IncompatibleNoiseError) as exc:
+            ManifestError, IncompatibleNoiseError, BoxError, SimConfigError,
+            TooFewTrajectoriesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (UnboundRateError, MissingSymbolError, RatesFileError,

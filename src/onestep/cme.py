@@ -280,7 +280,11 @@ def default_box(scheme: InteractionScheme, rates: Mapping[SymbolId, object],
     """Heuristic truncation box: four times the largest excursion of the
     deterministic drift flow (a proxy for the fixed point it settles at),
     32 where the flow gives no finite guidance, always at least covering
-    the initial state."""
+    the initial state.
+
+    The flow takes up to 50,000 Euler steps of 0.002 and stops early once
+    a step leaves the state exactly unchanged: every later step would
+    repeat that state, so the box is the same as after all the steps."""
     from .derive import RateMode, drift_vector
 
     n = len(scheme.species)
@@ -294,10 +298,13 @@ def default_box(scheme: InteractionScheme, rates: Mapping[SymbolId, object],
     dt = 0.002
     for _ in range(50_000):
         a = [f(*x) for f in drift]
-        x = [max(0.0, xi + dt * ai) for xi, ai in zip(x, a)]
-        if any(not np.isfinite(xi) or xi > 1e7 for xi in x):
+        x_new = [max(0.0, xi + dt * ai) for xi, ai in zip(x, a)]
+        if any(not np.isfinite(xi) or xi > 1e7 for xi in x_new):
             finite = False
             break
+        if x_new == x:
+            break
+        x = x_new
         for i in range(n):
             if x[i] > peak[i]:
                 peak[i] = x[i]

@@ -10,6 +10,7 @@ and printing treat the two vocabularies differently.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,7 +91,7 @@ Number = Union[int, Fraction]
 class Polynomial:
     """Immutable polynomial in canonical form (merged, sorted terms)."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_integer")
 
     def __init__(self, terms: Iterable[Monomial] = ()):
         acc: dict[Exponents, Fraction] = {}
@@ -196,7 +197,38 @@ class Polynomial:
         rational value out; floats in, float out.  Powers are expanded as
         repeated multiplication.  Raises MissingSymbolError for any symbol
         of the polynomial absent from the point.
+
+        When every value is an int or a Fraction, the sum is taken in
+        Python ints over the coefficients scaled to a common denominator
+        (computed once per polynomial), and the exact rational comes back
+        as one Fraction.
         """
+        den, degrees, terms = self._integer_form()
+        nums = []
+        dens = []
+        for sym in degrees:
+            try:
+                x = point[sym]
+            except KeyError:
+                raise MissingSymbolError(sym) from None
+            if not isinstance(x, (int, Fraction)):
+                return self._evaluate_termwise(point)
+            nums.append(x.numerator)
+            dens.append(x.denominator)
+        scale = 1
+        for d, q in zip(degrees.values(), dens):
+            if q != 1:
+                scale *= q ** d
+        total = 0
+        for c, powers in terms:
+            t = c * scale
+            for i, e in powers:
+                q = dens[i]
+                t = t * nums[i] ** e if q == 1 else t * nums[i] ** e // q ** e
+            total += t
+        return Fraction(total, den * scale)
+
+    def _evaluate_termwise(self, point: Mapping[SymbolId, object]):
         total = None
         for m in self._terms:
             v = m.coefficient
@@ -209,6 +241,29 @@ class Polynomial:
                     v = v * x
             total = v if total is None else total + v
         return Fraction(0) if total is None else total
+
+    def _integer_form(self):
+        """(den, degrees, terms): den is the least common denominator of
+        the coefficients; degrees maps each symbol, in the order the terms
+        first read it, to its highest power; terms holds (den * coefficient,
+        ((symbol position in degrees, power), ...)) per term."""
+        try:
+            return self._integer
+        except AttributeError:
+            pass
+        den = 1
+        degrees: dict[SymbolId, int] = {}
+        for m in self._terms:
+            den = math.lcm(den, m.coefficient.denominator)
+            for sym, e in m.exponents:
+                degrees[sym] = max(degrees.get(sym, 0), e)
+        position = {sym: i for i, sym in enumerate(degrees)}
+        terms = tuple(
+            (m.coefficient.numerator * (den // m.coefficient.denominator),
+             tuple((position[sym], e) for sym, e in m.exponents))
+            for m in self._terms)
+        self._integer = (den, degrees, terms)
+        return self._integer
 
     def substitute(self, env: Mapping[SymbolId, object]) -> "Polynomial":
         """Replace symbols with polynomials or exact numbers.

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cme import UnboundRateError, channel_rate, reaction_channels
+from .cme import UnboundRateError, reaction_channels
 from .derive import (DiffusionSign, NoiseStrategy, RateMode, SdeModel,
                      transition_rates)
 from .poly import Polynomial, SymbolId, as_function, bind_values
@@ -61,6 +61,10 @@ class TooFewTrajectoriesError(ValueError):
     pass
 
 
+class SimConfigError(ValueError):
+    """A simulation setting out of its allowed range."""
+
+
 @dataclass(frozen=True)
 class SimConfig:
     rates: Mapping[SymbolId, object]
@@ -74,17 +78,17 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         if self.t_final <= 0:
-            raise ValueError("t_final must be positive")
+            raise SimConfigError("t_final must be positive")
         if self.dt <= 0 or self.dt > self.t_final:
-            raise ValueError("dt must lie in (0, t_final]")
+            raise SimConfigError("dt must lie in (0, t_final]")
         if self.trajectories < 1:
-            raise ValueError("need at least one trajectory")
+            raise SimConfigError("need at least one trajectory")
         if self.grid_points < 2:
-            raise ValueError("need at least two grid points")
+            raise SimConfigError("need at least two grid points")
         if any(x < 0 for x in self.initial_state):
-            raise ValueError("initial state must be nonnegative")
+            raise SimConfigError("initial state must be nonnegative")
         if not 0 <= self.base_seed < 2 ** 64:
-            raise ValueError("base_seed must fit in 64 bits")
+            raise SimConfigError("base_seed must fit in 64 bits")
 
     @property
     def times(self) -> np.ndarray:

@@ -414,6 +414,163 @@ class TestCheck:
         assert "FAIL engine-consistency" in capsys.readouterr().out
 
 
+RING3 = """\
+2 x1 <-> 2 x2 @ a_1, b_1
+2 x2 <-> 2 x3 @ a_2, b_2
+2 x3 <-> 2 x1 @ a_3, b_3
+"""
+
+RING3_RATES_TEXT = """\
+a_1 = 1/3
+b_1 = 1/7
+a_2 = 2/5
+b_2 = 1/11
+a_3 = 3/4
+b_3 = 1/13
+"""
+
+_ENGINE_LINE = ("PASS engine-consistency: max |z| = 0.940 vs threshold 4.0 "
+                "over 6 grid times, 60 trajectories per engine\n")
+
+# check's whole stdout for fixed inputs, byte for byte: it pins the state
+# and entry of each moment mismatch and the eigenvalue text of the PSD scan
+CHECK_GOLDEN = {
+    "verhulst-sum": (
+        "PASS first-jump-moment: drift equals the enumerated first moment "
+        "exactly on 65 states\n"
+        "PASS second-jump-moment: diffusion (sum form) equals the enumerated "
+        "second moment exactly on 65 states\n"
+        "PASS diffusion-symmetry: B is symmetric as polynomials\n"
+        "PASS psd-sampling: min eigenvalue 0 over 65 states\n"
+        + _ENGINE_LINE),
+    "verhulst-difference": (
+        "PASS first-jump-moment: drift equals the enumerated first moment "
+        "exactly on 65 states\n"
+        "FAIL second-jump-moment: diffusion (difference form) differs from "
+        "the enumerated second moment at state (2,), entry (0,0)\n"
+        "PASS diffusion-symmetry: B is symmetric as polynomials\n"
+        "FAIL psd-sampling: B((25,)) has eigenvalue -128 < 0 under the "
+        "difference convention\n"
+        + _ENGINE_LINE),
+    "verhulst-difference-allowed": (
+        "PASS first-jump-moment: drift equals the enumerated first moment "
+        "exactly on 65 states\n"
+        "ADVISORY second-jump-moment: diffusion (difference form) differs "
+        "from the enumerated second moment at state (2,), entry (0,0); "
+        "expected for the difference convention with reversible "
+        "interactions\n"
+        "PASS diffusion-symmetry: B is symmetric as polynomials\n"
+        "ADVISORY psd-sampling: B((25,)) has eigenvalue -128 < 0 under the "
+        "difference convention\n"
+        + _ENGINE_LINE),
+    # a 17^3 box exceeds the 4096-state cap, so 512 states are sampled
+    "ring3-sampled": (
+        "PASS first-jump-moment: drift equals the enumerated first moment "
+        "exactly on 512 states\n"
+        "FAIL second-jump-moment: diffusion (difference form) differs from "
+        "the enumerated second moment at state (0, 0, 2), entry (1,1)\n"
+        "PASS diffusion-symmetry: B is symmetric as polynomials\n"
+        "FAIL psd-sampling: B((0, 0, 2)) has eigenvalue -232.005 < 0 under "
+        "the difference convention\n"
+        "FAIL engine-consistency: needs --initial to start the "
+        "trajectories\n"),
+}
+
+
+class TestCheckGolden:
+    @pytest.mark.parametrize("case, extra, code", [
+        ("verhulst-sum", ("--diffusion-sign", "sum"), 0),
+        ("verhulst-difference", (), 1),
+        ("verhulst-difference-allowed", ("--allow-sign-mismatch",), 0),
+    ])
+    def test_verhulst(self, case, extra, code, verhulst_file, verhulst_rates,
+                      capsys):
+        assert run_check(verhulst_file, verhulst_rates, extra=extra) == code
+        assert capsys.readouterr().out == CHECK_GOLDEN[case]
+
+    def test_sampled_ring(self, tmp_path, capsys):
+        scheme = tmp_path / "ring3.scheme"
+        scheme.write_text(RING3)
+        rates = tmp_path / "ring3.rates"
+        rates.write_text(RING3_RATES_TEXT)
+        code = main(["check", str(scheme), "--rates", str(rates),
+                     "--box", "16"])
+        assert code == 1
+        assert capsys.readouterr().out == CHECK_GOLDEN["ring3-sampled"]
+
+
+def _assert_usage_error(capsys, *needles):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    for needle in needles:
+        assert needle in lines[0]
+
+
+class TestCheckBox:
+    def test_non_integer_bound_exits_2(self, verhulst_file, verhulst_rates,
+                                       capsys):
+        assert run_check(verhulst_file, verhulst_rates,
+                         extra=("--box", "a")) == 2
+        _assert_usage_error(capsys, "--box", "'a'")
+
+    def test_negative_bound_exits_2(self, verhulst_file, verhulst_rates,
+                                    capsys):
+        assert run_check(verhulst_file, verhulst_rates,
+                         extra=("--box", "-1")) == 2
+        _assert_usage_error(capsys, "--box", "nonnegative")
+
+    def test_bound_count_must_match_the_species(self, verhulst_file,
+                                                verhulst_rates, capsys):
+        assert run_check(verhulst_file, verhulst_rates,
+                         extra=("--box", "3,4")) == 2
+        _assert_usage_error(capsys, "2 bounds for 1 species")
+
+    def test_one_bound_per_species_is_accepted(self, lv_file, lv_rates,
+                                               capsys):
+        code = main(["check", str(lv_file), "--rates", str(lv_rates),
+                     "--box", "2,3"])
+        assert code == 1    # only the engine check fails, for --initial
+        assert "on 12 states" in capsys.readouterr().out
+
+
+def _run_command(command, tmp_path, scheme_path, rates_path, extra):
+    argv = [command, str(scheme_path), "--rates", str(rates_path),
+            "--initial", "phi=10", "--t-final", "0.5", "--dt", "0.01",
+            "--trajectories", "5", "--grid-points", "6", *extra]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "o")]
+    else:
+        argv += ["--box", "6"]
+    return main(argv)
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+class TestSimulationSettings:
+    def test_one_trajectory_exits_2(self, command, tmp_path, verhulst_file,
+                                    verhulst_rates, capsys):
+        code = _run_command(command, tmp_path, verhulst_file, verhulst_rates,
+                            ("--trajectories", "1"))
+        assert code == 2
+        _assert_usage_error(capsys, "two trajectories")
+
+    def test_step_longer_than_the_run_exits_2(self, command, tmp_path,
+                                              verhulst_file, verhulst_rates,
+                                              capsys):
+        code = _run_command(command, tmp_path, verhulst_file, verhulst_rates,
+                            ("--dt", "2"))
+        assert code == 2
+        _assert_usage_error(capsys, "dt")
+
+    def test_negative_seed_exits_2(self, command, tmp_path, verhulst_file,
+                                   verhulst_rates, capsys):
+        code = _run_command(command, tmp_path, verhulst_file, verhulst_rates,
+                            ("--seed", "-1"))
+        assert code == 2
+        _assert_usage_error(capsys, "seed")
+
+
 class TestEntryPoint:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onestep import (DegenerateDistributionError, Distribution, StateBox,
-                     UnboundRateError, UnstableStepError, build_generator,
+from onestep import (DegenerateDistributionError, Distribution, RateMode,
+                     StateBox, UnboundRateError, UnstableStepError,
+                     as_function, bind_values, build_generator,
                      channel_rate, default_box, distribution_moments,
-                     distribution_to_csv, evolve_distribution, jump_moments,
-                     parse_scheme, point_mass, rate, reaction_channels)
+                     distribution_to_csv, drift_vector, evolve_distribution,
+                     jump_moments, parse_scheme, point_mass, rate,
+                     reaction_channels)
 from helpers import LOTKA_VOLTERRA, PURE_DEATH, VERHULST, random_scheme_text
 
 BETA = rate("beta")
@@ -266,3 +268,80 @@ class TestDefaultBox:
         box = default_box(s, rates)
         assert len(box.bounds) == len(s.species)
         assert all(4 <= b <= 4096 for b in box.bounds)
+
+
+def reference_default_box(scheme, rates, initial_state=None):
+    """default_box as first written: all 50,000 Euler steps, with no stop
+    at a fixed point."""
+    n = len(scheme.species)
+    start = tuple(initial_state) if initial_state is not None else (1,) * n
+    drift = [as_function(bind_values(p, rates), scheme.species)
+             for p in drift_vector(scheme, RateMode.FOKKER_PLANCK)]
+
+    x = [float(v) for v in start]
+    peak = list(x)
+    finite = True
+    dt = 0.002
+    for _ in range(50_000):
+        a = [f(*x) for f in drift]
+        x = [max(0.0, xi + dt * ai) for xi, ai in zip(x, a)]
+        if any(not np.isfinite(xi) or xi > 1e7 for xi in x):
+            finite = False
+            break
+        for i in range(n):
+            if x[i] > peak[i]:
+                peak[i] = x[i]
+
+    bounds = []
+    for i in range(n):
+        if finite and peak[i] > 0:
+            b = int(np.ceil(4.0 * peak[i]))
+        else:
+            b = 32
+        b = max(b, int(np.ceil(start[i])), 4)
+        bounds.append(min(b, 4096))
+    return StateBox(tuple(bounds))
+
+
+EXPLOSIVE = "x -> 2 x @ k_1\n2 x -> 3 x @ k_2\n"
+RING3 = "x <-> y @ a_1, b_1\ny <-> z @ a_2, b_2\nz <-> x @ a_3, b_3\n"
+
+
+def _rates_for(scheme, values):
+    return {sym: Fraction(values[sym.name]) for sym in scheme.rate_symbols}
+
+
+class TestDefaultBoxFixedPointStop:
+    """The early stop at a fixed point leaves every box unchanged."""
+
+    @pytest.mark.parametrize("text, values, initial", [
+        (VERHULST, {"lambda": 1, "beta": "1/5", "gamma": "1/20"}, (10,)),
+        (LOTKA_VOLTERRA, {"k_1": 1, "k_2": "1/20", "k_3": 1}, (20, 20)),
+        (LOTKA_VOLTERRA, {"k_1": 1, "k_2": "1/20", "k_3": 1}, (5, 30)),
+        (PURE_DEATH, {"beta": 1}, (40,)),
+        (EXPLOSIVE, {"k_1": 1, "k_2": 1}, None),
+        (RING3, {"a_1": 1, "b_1": "1/2", "a_2": "1/3", "b_2": 2,
+                 "a_3": "3/4", "b_3": "1/5"}, (6, 0, 2)),
+    ], ids=["verhulst", "lv-equilibrium", "lv-off-equilibrium",
+            "pure-death", "explosive", "ring3"])
+    def test_matches_the_full_loop(self, text, values, initial):
+        s = parse_scheme(text)
+        rates = _rates_for(s, values)
+        box = default_box(s, rates, initial)
+        assert box == reference_default_box(s, rates, initial)
+        if text == EXPLOSIVE:
+            assert box.bounds == (32,)     # the non-finite fallback
+
+    @given(seed=st.integers(0, 10 ** 6),
+           initial=st.lists(st.integers(0, 20), min_size=2, max_size=2))
+    @settings(max_examples=10)
+    def test_matches_the_full_loop_from_small_states(self, seed, initial):
+        rng = random.Random(seed)
+        s = parse_scheme(random_scheme_text(rng, max_species=2,
+                                            max_interactions=3,
+                                            max_stoich=2))
+        rates = {sym: Fraction(rng.randint(1, 3), 2)
+                 for sym in s.rate_symbols}
+        start = tuple(initial[:len(s.species)])
+        assert default_box(s, rates, start) == \
+            reference_default_box(s, rates, start)

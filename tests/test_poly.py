@@ -292,6 +292,56 @@ class TestAlgebraicLaws:
         assert direct == termwise
 
 
+def _termwise_evaluate(p: Polynomial, point):
+    """Polynomial.evaluate as first written: coefficient times repeated
+    multiplication per term, terms summed left to right."""
+    total = None
+    for m in p.terms:
+        v = m.coefficient
+        for sym, e in m.exponents:
+            for _ in range(e):
+                v = v * point[sym]
+        total = v if total is None else total + v
+    return Fraction(0) if total is None else total
+
+
+_int_values = st.integers(-50, 50)
+_fraction_values = st.fractions(min_value=-3, max_value=3,
+                                max_denominator=9)
+_float_values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+def _points_of(values):
+    return st.fixed_dictionaries({s: values for s in _UNIVERSE})
+
+
+class TestEvaluateAgainstTermwise:
+    """Exact inputs take the integer-scaled path, floats the termwise
+    loop; both give what the termwise loop gives."""
+
+    @given(a=_polys, point=st.one_of(
+        _points_of(_int_values), _points_of(_fraction_values),
+        _points_of(st.one_of(_int_values, _fraction_values))))
+    def test_exact_points_give_the_same_fraction(self, a, point):
+        value = a.evaluate(point)
+        assert type(value) is Fraction
+        assert value == _termwise_evaluate(a, point)
+
+    @given(a=_polys, point=st.one_of(
+        _points_of(_float_values),
+        _points_of(st.one_of(_int_values, _float_values))))
+    def test_float_points_give_the_same_float(self, a, point):
+        value = a.evaluate(point)
+        expected = _termwise_evaluate(a, point)
+        assert type(value) is type(expected)
+        assert value == expected
+
+    def test_rational_coefficients_at_exact_points(self):
+        p = parse_expression("1/6*x^3 - 1/2*x^2 + 1/3*x", SYMS)
+        assert [p.evaluate({X: k}) for k in range(5)] == [0, 0, 0, 1, 4]
+        assert p.evaluate({X: Fraction(1, 2)}) == Fraction(1, 16)
+
+
 class TestNumericCompilation:
     def test_compiled_function_matches_evaluate(self):
         f = as_function(verhulst_drift(), (PHI, LAM, BETA, GAMMA))
