@@ -6,8 +6,8 @@ scheme's derived model against direct enumeration and cross-engine
 statistics), codegen (single-target export).
 
 Exit codes are a stable contract: 0 success, 1 a check failed, 2 parse
-or usage error, 3 binding error (missing rate values or malformed
-bindings).
+or usage error or a simulation the settings cannot carry out, 3 binding
+error (missing rate values or malformed bindings).
 """
 
 from __future__ import annotations
@@ -34,10 +34,12 @@ from .poly import (ExpressionSyntaxError, MissingSymbolError, SymbolId,
                    bind_values, as_function, canonical_string)
 from .scheme import (InteractionScheme, SchemeError, format_scheme,
                      parse_scheme)
-from .sim import (Engine, NegativePolicy, SimConfig, SimConfigError,
-                  TooFewTrajectoriesError, compare_engines,
-                  ensemble_moments, euler_maruyama, gillespie_ssa,
-                  mean_band_svg, moments_to_csv, trajectories_to_csv)
+from .sim import (Engine, NegativePolicy, NegativeRateError, NotPsdError,
+                  SimConfig, SimConfigError, SimulationError,
+                  TooFewTrajectoriesError, check_trajectory_count,
+                  compare_engines, ensemble_moments, euler_maruyama,
+                  gillespie_ssa, mean_band_svg, moments_to_csv,
+                  trajectories_to_csv)
 
 
 class RatesFileError(ValueError):
@@ -60,9 +62,25 @@ class BoxError(ValueError):
 # input helpers
 
 
+def parse_rate_value(text: str) -> Fraction:
+    """One rate value, parsed exactly: a nonnegative decimal or an integer
+    rational p/q."""
+    try:
+        if "/" in text:
+            num, den = text.split("/")
+            value = Fraction(int(num), int(den))
+        else:
+            value = Fraction(text)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise RatesFileError(f"bad value {text!r} ({exc})") from None
+    if value < 0:
+        raise RatesFileError(f"value {text!r} is negative")
+    return value
+
+
 def parse_rates_file(text: str) -> dict[str, Fraction]:
-    """Lines of "symbol = value" with '#' comments; values are decimals
-    or integer rationals p/q, parsed exactly."""
+    """Lines of "symbol = value" with '#' comments; values as in
+    parse_rate_value."""
     out: dict[str, Fraction] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -78,18 +96,10 @@ def parse_rates_file(text: str) -> dict[str, Fraction]:
             raise RatesFileError(f"rates file line {line_no}: duplicate "
                                  f"binding for {name!r}")
         try:
-            if "/" in value:
-                num, den = value.split("/")
-                parsed = Fraction(int(num), int(den))
-            else:
-                parsed = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise RatesFileError(f"rates file line {line_no}: bad value "
-                                 f"{value!r} ({exc})") from None
-        if parsed < 0:
+            out[name] = parse_rate_value(value)
+        except RatesFileError as exc:
             raise RatesFileError(f"rates file line {line_no}: rate "
-                                 f"{name!r} is negative")
-        out[name] = parsed
+                                 f"{name!r}: {exc}") from None
     return out
 
 
@@ -332,11 +342,10 @@ def execute_manifest(manifest: RunManifest, out_dir: Path) -> list[Path]:
                                 NoiseStrategy(manifest.noise_strategy))
     rate_table = {}
     for name, value in manifest.rates.items():
-        if "/" in value:
-            num, den = value.split("/")
-            rate_table[name] = Fraction(int(num), int(den))
-        else:
-            rate_table[name] = Fraction(value)
+        try:
+            rate_table[name] = parse_rate_value(value)
+        except RatesFileError as exc:
+            raise RatesFileError(f"manifest rate {name!r}: {exc}") from None
     rates = bind_rates(model.rate_symbols, rate_table)
     initial = parse_initial(
         ",".join(f"{k}={v!r}" for k, v in manifest.initial.items()),
@@ -348,6 +357,7 @@ def execute_manifest(manifest: RunManifest, out_dir: Path) -> list[Path]:
                        negative_policy=NegativePolicy(
                            manifest.negative_policy),
                        grid_points=manifest.grid_points)
+    check_trajectory_count(config.trajectories)
     if manifest.engine == Engine.SSA.value:
         if scheme is None:
             raise ManifestError("jump-process simulation needs a scheme, "
@@ -449,6 +459,8 @@ def cmd_check(args) -> int:
         rates=rates, initial_state=initial, t_final=args.t_final,
         dt=args.dt, trajectories=args.trajectories, base_seed=args.seed,
         grid_points=args.grid_points)
+    if config is not None:
+        check_trajectory_count(config.trajectories)
 
     reversible = any(ia.reversible for ia in scheme.interactions)
     mismatch_expected = (sign is DiffusionSign.DIFFERENCE) and reversible
@@ -529,19 +541,15 @@ def cmd_check(args) -> int:
             b[:, i, j] = funcs[i][j](*columns)
     lowest = np.linalg.eigvalsh(b).min(axis=1).tolist()
     largest = np.abs(b).max(axis=(1, 2)).tolist()
-    min_eig = np.inf
-    bad_state = None
-    for state, w, scale in zip(states, lowest, largest):
-        if w < min_eig:
-            min_eig = w
-            if w < -1e-9 * (1.0 + scale) and bad_state is None:
-                bad_state = state
-    if bad_state is None:
+    bad = next(((state, w) for state, w, scale
+                in zip(states, lowest, largest) if w < -1e-9 * (1.0 + scale)),
+               None)
+    if bad is None:
         results.append(("PASS", "psd-sampling",
-                        f"min eigenvalue {min_eig:.6g} over {len(states)} "
-                        f"states"))
+                        f"min eigenvalue {min(lowest):.6g} over "
+                        f"{len(states)} states"))
     else:
-        detail = (f"B({bad_state}) has eigenvalue {min_eig:.6g} < 0 under "
+        detail = (f"B({bad[0]}) has eigenvalue {bad[1]:.6g} < 0 under "
                   f"the {sign.value} convention")
         if mismatch_expected and args.allow_sign_mismatch:
             results.append(("ADVISORY", "psd-sampling", detail))
@@ -675,7 +683,8 @@ def main(argv=None) -> int:
         return 2
     except (SchemeError, ExpressionSyntaxError, ModelFormatError,
             ManifestError, IncompatibleNoiseError, BoxError, SimConfigError,
-            TooFewTrajectoriesError) as exc:
+            TooFewTrajectoriesError, SimulationError, NotPsdError,
+            NegativeRateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (UnboundRateError, MissingSymbolError, RatesFileError,

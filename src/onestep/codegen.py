@@ -14,8 +14,9 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .derive import DiffusionSign, NoiseStrategy, RateMode, SdeModel
-from .poly import (Monomial, Polynomial, SymbolId, SymbolKind,
-                   parse_expression, canonical_string, sorted_terms)
+from .poly import (Polynomial, SymbolId, SymbolKind, canonical_string,
+                   parse_expression, rates_then_species, render_terms,
+                   sorted_terms)
 from .scheme import scheme_from_dict, scheme_to_dict
 
 MODEL_FORMAT_VERSION = "1"
@@ -77,38 +78,16 @@ def _latex_coefficient(c: Fraction) -> str:
     return rf"\frac{{{c.numerator}}}{{{c.denominator}}}"
 
 
-def _latex_term_body(m: Monomial,
-                     name_table: Mapping[str, str] | None) -> str:
-    parts = []
-    c = abs(m.coefficient)
-    if c != 1 or not m.exponents:
-        parts.append(_latex_coefficient(c))
-    ordered = sorted((se for se in m.exponents
-                      if se[0].kind is SymbolKind.RATE),
-                     key=lambda se: se[0].name)
-    ordered += sorted((se for se in m.exponents
-                       if se[0].kind is SymbolKind.SPECIES),
-                      key=lambda se: se[0].name)
-    for sym, e in ordered:
-        tex = latex_symbol(sym.name, name_table)
-        parts.append(tex if e == 1 else f"{tex}^{{{e}}}")
-    return " ".join(parts)
-
-
 def latex_expression(p: Polynomial,
                      symbol_order: Sequence[SymbolId] | None = None,
                      name_table: Mapping[str, str] | None = None) -> str:
-    terms = sorted_terms(p, symbol_order)
-    if not terms:
-        return "0"
-    pieces = []
-    for m in terms:
-        body = _latex_term_body(m, name_table)
-        if not pieces:
-            pieces.append("- " + body if m.coefficient < 0 else body)
-        else:
-            pieces.append(("- " if m.coefficient < 0 else "+ ") + body)
-    return " ".join(pieces)
+    def factor(sym: SymbolId, e: int) -> str:
+        tex = latex_symbol(sym.name, name_table)
+        return tex if e == 1 else f"{tex}^{{{e}}}"
+
+    return render_terms(sorted_terms(p, symbol_order), _latex_coefficient,
+                        factor, times=" ", zero="0", lead="- ",
+                        order=rates_then_species)
 
 
 def _pmatrix(entries: Sequence[str]) -> str:
@@ -161,30 +140,10 @@ def c_expression(p: Polynomial, index: Mapping[SymbolId, str],
                  symbol_order: Sequence[SymbolId] | None = None) -> str:
     """Body text in the restricted dialect; index maps each symbol to the
     array reference that stands for it (e.g. species:phi -> "x[0]")."""
-    terms = sorted_terms(p, symbol_order)
-    if not terms:
-        return "0.0"
-    pieces = []
-    for m in terms:
-        parts = []
-        c = abs(m.coefficient)
-        if c != 1 or not m.exponents:
-            parts.append(_c_number(c))
-        ordered = sorted((se for se in m.exponents
-                          if se[0].kind is SymbolKind.RATE),
-                         key=lambda se: se[0].name)
-        ordered += sorted((se for se in m.exponents
-                           if se[0].kind is SymbolKind.SPECIES),
-                          key=lambda se: se[0].name)
-        for sym, e in ordered:
-            ref = index[sym]
-            parts.extend([ref] * e)
-        body = "*".join(parts)
-        if not pieces:
-            pieces.append("-" + body if m.coefficient < 0 else body)
-        else:
-            pieces.append(("- " if m.coefficient < 0 else "+ ") + body)
-    return " ".join(pieces)
+    return render_terms(sorted_terms(p, symbol_order), _c_number,
+                        lambda sym, e: "*".join([index[sym]] * e),
+                        times="*", zero="0.0", lead="-",
+                        order=rates_then_species)
 
 
 def emit_c_source(model: SdeModel, function_name: str = "model") -> str:

@@ -384,33 +384,47 @@ def sorted_terms(p: Polynomial,
     return sorted(p.terms, key=term_key)
 
 
-def _term_body(coeff_abs: Fraction, exponents: Exponents) -> str:
-    parts = []
-    if coeff_abs != 1 or not exponents:
-        parts.append(str(coeff_abs))
-    ordered = sorted((se for se in exponents if se[0].kind is SymbolKind.RATE),
-                     key=lambda se: se[0].name)
-    ordered += sorted((se for se in exponents if se[0].kind is SymbolKind.SPECIES),
-                      key=lambda se: se[0].name)
-    for sym, e in ordered:
-        parts.append(sym.name if e == 1 else f"{sym.name}^{e}")
-    return "*".join(parts)
+def rates_then_species(factor: tuple[SymbolId, int]) -> tuple[bool, str]:
+    """Display order of a term's factors: rate constants first, then
+    species, alphabetically within each kind."""
+    return (factor[0].kind is SymbolKind.SPECIES, factor[0].name)
+
+
+def render_terms(terms: Iterable[Monomial],
+                 number: Callable[[Fraction], str],
+                 factor: Callable[[SymbolId, int], str], *,
+                 times: str, zero: str, lead: str,
+                 order: Callable | None = None) -> str:
+    """Join terms into a signed sum: "t1 - t2 + t3".
+
+    number prints a coefficient's absolute value, left out when it is 1
+    and the term has factors; factor prints one power sym^e; times joins
+    a term's parts.  lead is the sign written before a negative first
+    term, zero the text for no terms.  order, a sort key over (symbol,
+    power) pairs, orders each term's factors; None keeps storage order.
+    """
+    pieces = []
+    for m in terms:
+        c = abs(m.coefficient)
+        parts = [number(c)] if c != 1 or not m.exponents else []
+        exponents = m.exponents if order is None else sorted(m.exponents,
+                                                              key=order)
+        parts += [factor(sym, e) for sym, e in exponents]
+        if m.coefficient < 0:
+            sign = "- " if pieces else lead
+        else:
+            sign = "+ " if pieces else ""
+        pieces.append(sign + times.join(parts))
+    return " ".join(pieces) if pieces else zero
 
 
 def canonical_string(p: Polynomial,
                      symbol_order: Sequence[SymbolId] | None = None) -> str:
     """Deterministic text form; parse_expression inverts it exactly."""
-    terms = sorted_terms(p, symbol_order)
-    if not terms:
-        return "0"
-    pieces = []
-    for m in terms:
-        body = _term_body(abs(m.coefficient), m.exponents)
-        if not pieces:
-            pieces.append("-" + body if m.coefficient < 0 else body)
-        else:
-            pieces.append(("- " if m.coefficient < 0 else "+ ") + body)
-    return " ".join(pieces)
+    return render_terms(
+        sorted_terms(p, symbol_order), str,
+        lambda sym, e: sym.name if e == 1 else f"{sym.name}^{e}",
+        times="*", zero="0", lead="-", order=rates_then_species)
 
 
 # ---------------------------------------------------------------------------
@@ -580,33 +594,36 @@ def bind_values(p: Polynomial, values: Mapping[SymbolId, object]) -> Polynomial:
 # ---------------------------------------------------------------------------
 # numeric compilation
 
+_TERMS_PER_LINE = 256
+
 
 def as_function(p: Polynomial, args: Sequence[SymbolId]) -> Callable:
     """Compile to a float function of positional arguments in args order.
 
     Works elementwise when the arguments are numpy arrays.  All of the
     polynomial's symbols must appear in args.
+
+    The body is generated source over float literals and the argument
+    positions _0, _1, ...: "s = 0.0 + c1*_0*_0 - c2*_1 ...", terms in
+    storage order and powers as repeated products, evaluated left to
+    right.  Long sums continue over several statements, which keeps the
+    expressions shallow enough to compile.
     """
-    index = {s: i for i, s in enumerate(args)}
-    compiled = []
-    for m in p.terms:
-        idx = []
-        for sym, e in m.exponents:
-            if sym not in index:
-                raise MissingSymbolError(sym)
-            idx.append((index[sym], e))
-        compiled.append((float(m.coefficient), tuple(idx)))
-    compiled_t = tuple(compiled)
+    index = {s: f"_{i}" for i, s in enumerate(args)}
 
-    def fn(*values):
-        total = 0.0
-        for c, idx in compiled_t:
-            t = c
-            for i, e in idx:
-                v = values[i]
-                for _ in range(e):
-                    t = t * v
-            total = total + t
-        return total
+    def factor(sym: SymbolId, e: int) -> str:
+        if sym not in index:
+            raise MissingSymbolError(sym)
+        return "*".join([index[sym]] * e)
 
-    return fn
+    params = ", ".join(f"_{i}" for i in range(len(args)))
+    lines = [f"def polynomial({params}):", "    s = 0.0"]
+    for i in range(0, len(p.terms), _TERMS_PER_LINE):
+        body = render_terms(p.terms[i:i + _TERMS_PER_LINE],
+                            lambda c: repr(float(c)), factor,
+                            times="*", zero="0.0", lead="-")
+        lines.append(f"    s = s + {body}")
+    lines.append("    return s")
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["polynomial"]

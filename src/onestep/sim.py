@@ -426,14 +426,20 @@ def gillespie_ssa(scheme: InteractionScheme,
                                                     dtype=np.int64))
 
 
+def check_trajectory_count(count: int) -> None:
+    """Moment estimates, and so every simulate or check run, need at
+    least two trajectories."""
+    if count < 2:
+        raise TooFewTrajectoriesError("moment estimates need at least two "
+                                      "trajectories")
+
+
 def ensemble_moments(ensemble: TrajectoryEnsemble) -> MomentReport:
     """Per-grid-time mean, sample covariance, and standard error of the
     mean across trajectories."""
     paths = ensemble.paths
     t_count = paths.shape[0]
-    if t_count < 2:
-        raise TooFewTrajectoriesError("moment estimates need at least two "
-                                      "trajectories")
+    check_trajectory_count(t_count)
     mean = paths.mean(axis=0)
     centered = paths - mean
     cov = np.einsum("tgi,tgj->gij", centered, centered) / (t_count - 1)

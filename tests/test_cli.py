@@ -82,6 +82,15 @@ class TestRatesFileParsing:
         with pytest.raises(RatesFileError):
             parse_rates_file("a = 1/0\n")
 
+    def test_rate_values_share_one_parser(self):
+        from fractions import Fraction
+        from onestep.cli import RatesFileError, parse_rate_value
+        assert parse_rate_value("0.25") == Fraction(1, 4)
+        assert parse_rate_value("2/6") == Fraction(1, 3)
+        for bad in ("1/0", "abc", "-1", "1/2/3"):
+            with pytest.raises(RatesFileError, match=repr(bad)):
+                parse_rate_value(bad)
+
 
 class TestInitialStateParsing:
     def test_values_follow_species_order(self):
@@ -433,7 +442,9 @@ _ENGINE_LINE = ("PASS engine-consistency: max |z| = 0.940 vs threshold 4.0 "
                 "over 6 grid times, 60 trajectories per engine\n")
 
 # check's whole stdout for fixed inputs, byte for byte: it pins the state
-# and entry of each moment mismatch and the eigenvalue text of the PSD scan
+# and entry of each moment mismatch and the eigenvalue text of the PSD scan,
+# which names the first state below the tolerance and that state's own
+# smallest eigenvalue (B(25) = -5/4 for Verhulst)
 CHECK_GOLDEN = {
     "verhulst-sum": (
         "PASS first-jump-moment: drift equals the enumerated first moment "
@@ -449,7 +460,7 @@ CHECK_GOLDEN = {
         "FAIL second-jump-moment: diffusion (difference form) differs from "
         "the enumerated second moment at state (2,), entry (0,0)\n"
         "PASS diffusion-symmetry: B is symmetric as polynomials\n"
-        "FAIL psd-sampling: B((25,)) has eigenvalue -128 < 0 under the "
+        "FAIL psd-sampling: B((25,)) has eigenvalue -1.25 < 0 under the "
         "difference convention\n"
         + _ENGINE_LINE),
     "verhulst-difference-allowed": (
@@ -460,7 +471,7 @@ CHECK_GOLDEN = {
         "expected for the difference convention with reversible "
         "interactions\n"
         "PASS diffusion-symmetry: B is symmetric as polynomials\n"
-        "ADVISORY psd-sampling: B((25,)) has eigenvalue -128 < 0 under the "
+        "ADVISORY psd-sampling: B((25,)) has eigenvalue -1.25 < 0 under the "
         "difference convention\n"
         + _ENGINE_LINE),
     # a 17^3 box exceeds the 4096-state cap, so 512 states are sampled
@@ -470,7 +481,7 @@ CHECK_GOLDEN = {
         "FAIL second-jump-moment: diffusion (difference form) differs from "
         "the enumerated second moment at state (0, 0, 2), entry (1,1)\n"
         "PASS diffusion-symmetry: B is symmetric as polynomials\n"
-        "FAIL psd-sampling: B((0, 0, 2)) has eigenvalue -232.005 < 0 under "
+        "FAIL psd-sampling: B((0, 0, 2)) has eigenvalue -2.244 < 0 under "
         "the difference convention\n"
         "FAIL engine-consistency: needs --initial to start the "
         "trajectories\n"),
@@ -569,6 +580,98 @@ class TestSimulationSettings:
                             ("--seed", "-1"))
         assert code == 2
         _assert_usage_error(capsys, "seed")
+
+    def test_one_trajectory_is_refused_before_any_work(
+            self, command, tmp_path, verhulst_file, verhulst_rates, capsys,
+            monkeypatch):
+        _refuse_work(monkeypatch)
+        code = _run_command(command, tmp_path, verhulst_file, verhulst_rates,
+                            ("--trajectories", "1"))
+        assert code == 2
+        _assert_usage_error(capsys, "two trajectories")
+
+
+def _refuse_work(monkeypatch):
+    """Make every engine and exact check fail the test if it is called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran although the run was refused")
+    for name in ("euler_maruyama", "gillespie_ssa", "compare_engines",
+                 "jump_moments", "default_box"):
+        monkeypatch.setattr(f"onestep.cli.{name}", refuse)
+
+
+def _edited_manifest(tmp_path, verhulst_file, verhulst_rates, capsys, edit):
+    """A recorded Verhulst manifest with edit(data) applied to it."""
+    _, out = run_simulate(tmp_path, verhulst_file, verhulst_rates, "first")
+    path = out / "verhulst.manifest.json"
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    return path
+
+
+class TestManifestReplay:
+    @pytest.mark.parametrize("value, needle", [
+        ("1/0", "'1/0'"), ("abc", "'abc'"), ("-1", "negative"),
+        (5, "bad value 5")])
+    def test_bad_rate_value_exits_3(self, value, needle, tmp_path,
+                                    verhulst_file, verhulst_rates, capsys):
+        path = _edited_manifest(tmp_path, verhulst_file, verhulst_rates,
+                                capsys,
+                                lambda data: data["rates"].update(beta=value))
+        code = main(["simulate", "--from-manifest", str(path),
+                     "--out", str(tmp_path / "rerun")])
+        assert code == 3
+        _assert_usage_error(capsys, "manifest rate 'beta'", needle)
+
+    def test_one_trajectory_is_refused_before_any_work(
+            self, tmp_path, verhulst_file, verhulst_rates, capsys,
+            monkeypatch):
+        path = _edited_manifest(tmp_path, verhulst_file, verhulst_rates,
+                                capsys,
+                                lambda data: data.update(trajectories=1))
+        _refuse_work(monkeypatch)
+        code = main(["simulate", "--from-manifest", str(path),
+                     "--out", str(tmp_path / "rerun")])
+        assert code == 2
+        _assert_usage_error(capsys, "two trajectories")
+
+
+class TestSimulationFailures:
+    """A simulation the settings cannot carry out exits 2 with one line."""
+
+    def _simulate(self, tmp_path, scheme, rates, *flags):
+        scheme_path = tmp_path / "s.scheme"
+        scheme_path.write_text(scheme)
+        rates_path = tmp_path / "s.rates"
+        rates_path.write_text(rates)
+        return main(["simulate", str(scheme_path), "--rates", str(rates_path),
+                     "--trajectories", "5", "--grid-points", "2",
+                     "--out", str(tmp_path / "o"), *flags])
+
+    def test_diffusion_that_is_not_psd_exits_2(self, tmp_path, capsys):
+        # difference form: B(100) = 100 + 20 - 500 < 0
+        code = self._simulate(tmp_path, VERHULST, VERHULST_RATES_TEXT,
+                              "--initial", "phi=100")
+        assert code == 2
+        _assert_usage_error(capsys, "diffusion value", "negative")
+
+    def test_negative_per_reaction_rate_exits_2(self, tmp_path, capsys):
+        # exact rate k x (x - 1) is -1/4 at x = 1/2
+        code = self._simulate(tmp_path, "2 x -> 0 @ k\n", "k = 1\n",
+                              "--rate-mode", "exact", "--noise",
+                              "per-reaction", "--diffusion-sign", "sum",
+                              "--initial", "x=0.5")
+        assert code == 2
+        _assert_usage_error(capsys, "per-reaction rate", "negative")
+
+    def test_no_nonnegative_step_exits_2(self, tmp_path, capsys):
+        code = self._simulate(tmp_path, "phi -> 0 @ beta\n", "beta = 5\n",
+                              "--initial", "phi=100", "--negative-policy",
+                              "reject", "--dt", "1", "--t-final", "1")
+        assert code == 2
+        _assert_usage_error(capsys, "no nonnegative step")
 
 
 class TestEntryPoint:

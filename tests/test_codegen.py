@@ -3,6 +3,7 @@
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from onestep import (DiffusionSign, EmitTarget, ModelFormatError,
                      emit, emit_c_source, emit_latex, emit_model_json,
                      latex_expression, latex_symbol, model_from_json,
                      parse_expression, parse_scheme, rate, species)
+from onestep.cli import main
 from onestep.poly import Polynomial
 from helpers import LOTKA_VOLTERRA, VERHULST, random_scheme_text
 
@@ -261,3 +263,36 @@ class TestEmitDispatcher:
         model = predator_prey_model()
         for target in EmitTarget:
             assert emit(model, target) == emit(model, target)
+
+
+RING3 = """\
+2 x1 <-> 2 x2 @ a_1, b_1
+2 x2 <-> 2 x3 @ a_2, b_2
+2 x3 <-> 2 x1 @ a_3, b_3
+"""
+
+GOLDEN = Path(__file__).parent / "golden" / "derive"
+
+
+class TestDeriveGolden:
+    """derive's three exports, byte for byte, as recorded before the term
+    renderer was shared between the text forms and the compiler."""
+
+    @pytest.mark.parametrize("variant, flags", [
+        ("default", ()),
+        ("exact-sum", ("--rate-mode", "exact", "--diffusion-sign", "sum")),
+    ])
+    @pytest.mark.parametrize("stem, text", [
+        ("verhulst", VERHULST),
+        ("lotka_volterra", LOTKA_VOLTERRA),
+        ("ring3", RING3),
+    ])
+    def test_exports_are_unchanged(self, variant, flags, stem, text,
+                                   tmp_path, capsys):
+        scheme = tmp_path / f"{stem}.scheme"
+        scheme.write_text(text)
+        out = tmp_path / "out"
+        assert main(["derive", str(scheme), *flags, "--out", str(out)]) == 0
+        for name in (f"{stem}.tex", f"{stem}_model.c", f"{stem}.model.json"):
+            expected = (GOLDEN / variant / name).read_bytes()
+            assert (out / name).read_bytes() == expected, name

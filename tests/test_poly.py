@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onestep import (ExpressionSyntaxError, MissingSymbolError, Polynomial,
@@ -360,3 +360,88 @@ class TestNumericCompilation:
         p = bind_values(parse_expression("gamma*phi^2", SYMS), {GAMMA: 0.2})
         (term,) = p.terms
         assert term.coefficient == Fraction(0.2)
+
+
+def _closure_as_function(p: Polynomial, args):
+    """as_function as first written: one closure per polynomial that
+    interprets the terms in storage order, t = c then t = t * v per power,
+    summed as 0.0 + t1 + t2 + ..."""
+    index = {s: i for i, s in enumerate(args)}
+    compiled = []
+    for m in p.terms:
+        idx = []
+        for sym, e in m.exponents:
+            if sym not in index:
+                raise MissingSymbolError(sym)
+            idx.append((index[sym], e))
+        compiled.append((float(m.coefficient), tuple(idx)))
+    compiled_t = tuple(compiled)
+
+    def fn(*values):
+        total = 0.0
+        for c, idx in compiled_t:
+            t = c
+            for i, e in idx:
+                v = values[i]
+                for _ in range(e):
+                    t = t * v
+            total = total + t
+        return total
+
+    return fn
+
+
+def _same_floats(left, right) -> bool:
+    return (type(left) is type(right)
+            and np.asarray(left).tobytes() == np.asarray(right).tobytes())
+
+
+_unit_or_any = st.one_of(st.sampled_from([Fraction(1), Fraction(-1)]),
+                         _coeffs)
+_compiled_polys = st.lists(st.tuples(_unit_or_any, _powers), max_size=6).map(
+    lambda ts: sum((monomial(c, e) for c, e in ts), Polynomial.zero()))
+_float_args = st.lists(_float_values, min_size=len(_UNIVERSE),
+                       max_size=len(_UNIVERSE))
+_LEADING_NEGATIVE = -parse_expression("x^3*gamma + 2*y", SYMS) \
+    + parse_expression("k_1*y^2", SYMS)
+
+
+class TestAsFunctionAgainstClosure:
+    """The generated function does the closure's float operations in the
+    closure's order, so it returns the same bits."""
+
+    @given(p=_compiled_polys, values=_float_args)
+    @example(p=Polynomial.zero(), values=[1.5, -2.0, 3.0, 0.0])
+    @example(p=Polynomial.constant(-3), values=[1.5, -2.0, 3.0, 0.0])
+    @example(p=_LEADING_NEGATIVE, values=[1.5, -2.0, 3.0, 0.1])
+    @example(p=-parse_expression("x*y", SYMS) + parse_expression("gamma", SYMS),
+             values=[0.0, 0.0, -0.0, 0.0])
+    def test_float_scalars(self, p, values):
+        assert _same_floats(as_function(p, _UNIVERSE)(*values),
+                            _closure_as_function(p, _UNIVERSE)(*values))
+
+    @given(p=_compiled_polys,
+           rows=st.lists(_float_args, min_size=1, max_size=5))
+    @example(p=Polynomial.zero(), rows=[[1.0, 2.0, 3.0, 4.0]])
+    @example(p=_LEADING_NEGATIVE, rows=[[1.5, -2.0, 3.0, 0.1],
+                                        [0.0, 7.0, -1e3, 2.5]])
+    def test_float_arrays(self, p, rows):
+        columns = np.array(rows, dtype=np.float64).T
+        assert _same_floats(as_function(p, _UNIVERSE)(*columns),
+                            _closure_as_function(p, _UNIVERSE)(*columns))
+
+    def test_long_sums_compile(self):
+        # 4096 terms: one expression that long is too deep for Python's
+        # compiler, so the sum runs over several statements
+        p = Polynomial(monomial(Fraction((-1) ** i * (i + 1), 7),
+                                {X: i % 8, Y: i // 8 % 8, K1: i // 64 % 8,
+                                 GAMMA: i // 512}).terms[0]
+                       for i in range(4096))
+        assert len(p.terms) == 4096
+        columns = np.array([[0.5, -1.25, 1.0, 0.75], [1.0, 0.9, -0.3, 1.1]]).T
+        assert _same_floats(as_function(p, _UNIVERSE)(*columns),
+                            _closure_as_function(p, _UNIVERSE)(*columns))
+
+    def test_missing_symbol_is_named_at_compile_time(self):
+        with pytest.raises(MissingSymbolError, match="gamma"):
+            as_function(_LEADING_NEGATIVE, (X, Y, K1))
