@@ -16,7 +16,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,7 +39,7 @@ from .sim import (Engine, NegativePolicy, NegativeRateError, NotPsdError,
                   TooFewTrajectoriesError, check_trajectory_count,
                   compare_engines, ensemble_moments, euler_maruyama,
                   gillespie_ssa, mean_band_svg, moments_to_csv,
-                  trajectories_to_csv)
+                  symmetric_matrices, trajectories_to_csv)
 
 
 class RatesFileError(ValueError):
@@ -316,9 +316,63 @@ class RunManifest:
         except json.JSONDecodeError as exc:
             raise ManifestError(f"malformed manifest JSON: {exc}") from exc
         try:
-            return RunManifest(**data)
+            manifest = RunManifest(**data)
         except TypeError as exc:
             raise ManifestError(f"malformed manifest: {exc}") from exc
+        manifest.validate()
+        return manifest
+
+    def validate(self) -> None:
+        """Raise ManifestError for a field of the wrong type or, where
+        the field names a choice, an unknown value."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds, described = _MANIFEST_TYPES[f.type]
+            if not _json_is(value, kinds):
+                raise ManifestError(
+                    f"malformed manifest: field {f.name!r} must be "
+                    f"{described}, got {json.dumps(value)[:40]}")
+            if f.name in _MANIFEST_CHOICES \
+                    and value not in _MANIFEST_CHOICES[f.name]:
+                raise ManifestError(
+                    f"malformed manifest: {f.name} {value!r} is not one "
+                    f"of {', '.join(_MANIFEST_CHOICES[f.name])}")
+        for name, x in self.initial.items():
+            if not _json_is(x, (int, float)):
+                raise ManifestError(
+                    f"malformed manifest: initial value of {name!r} must "
+                    f"be a number, got {json.dumps(x)[:40]}")
+        # outputs are written to out_dir / (prefix + suffix)
+        if self.prefix in ("", "..") or Path(self.prefix).name != self.prefix:
+            raise ManifestError(f"malformed manifest: prefix {self.prefix!r} "
+                                "must be a plain file name")
+
+
+def _json_is(value, kinds: tuple) -> bool:
+    """isinstance for a JSON value, except that a bool, an int subclass,
+    passes only where kinds lists bool."""
+    return isinstance(value, kinds) and (bool in kinds
+                                         or not isinstance(value, bool))
+
+
+# field annotation -> (accepted JSON value types, their description)
+_MANIFEST_TYPES = {
+    "str": ((str,), "a string"),
+    "dict": ((dict,), "an object"),
+    "list": ((list,), "a list"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "true or false"),
+}
+
+_MANIFEST_CHOICES = {
+    "input_kind": ("scheme", "model"),
+    "engine": tuple(e.value for e in Engine),
+    "rate_mode": tuple(m.value for m in RateMode),
+    "diffusion_sign": tuple(s.value for s in DiffusionSign),
+    "noise_strategy": tuple(s.value for s in NoiseStrategy),
+    "negative_policy": tuple(p.value for p in NegativePolicy),
+}
 
 
 def _manifest_outputs(prefix: str) -> list:
@@ -450,17 +504,18 @@ def cmd_check(args) -> int:
     initial = parse_initial(args.initial, scheme.species) if args.initial \
         else None
 
-    if args.box:
-        box = parse_box(args.box, scheme.species)
-    else:
-        box = default_box(scheme, rates, initial)
-    # validated before the exact checks run, so a bad setting costs nothing
+    # validated before the box and the exact checks, so a bad setting
+    # costs nothing
     config = None if initial is None else SimConfig(
         rates=rates, initial_state=initial, t_final=args.t_final,
         dt=args.dt, trajectories=args.trajectories, base_seed=args.seed,
         grid_points=args.grid_points)
     if config is not None:
         check_trajectory_count(config.trajectories)
+    if args.box:
+        box = parse_box(args.box, scheme.species)
+    else:
+        box = default_box(scheme, rates, initial)
 
     reversible = any(ia.reversible for ia in scheme.interactions)
     mismatch_expected = (sign is DiffusionSign.DIFFERENCE) and reversible
@@ -531,14 +586,11 @@ def cmd_check(args) -> int:
                     else "B is not symmetric"))
 
     # positive semidefiniteness of B over the box, requested convention
-    funcs = [[as_function(bind_values(requested_diff[i][j], rates),
-                          scheme.species) for j in range(n)]
-             for i in range(n)]
+    diffusion = as_function([bind_values(requested_diff[i][j], rates)
+                             for i in range(n) for j in range(i, n)],
+                            scheme.species)
     columns = np.array(states, dtype=np.float64).T
-    b = np.empty((len(states), n, n))
-    for i in range(n):
-        for j in range(n):
-            b[:, i, j] = funcs[i][j](*columns)
+    b = symmetric_matrices(diffusion(*columns), len(states), n)
     lowest = np.linalg.eigvalsh(b).min(axis=1).tolist()
     largest = np.abs(b).max(axis=(1, 2)).tolist()
     bad = next(((state, w) for state, w, scale

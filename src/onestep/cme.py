@@ -289,16 +289,16 @@ def default_box(scheme: InteractionScheme, rates: Mapping[SymbolId, object],
 
     n = len(scheme.species)
     start = tuple(initial_state) if initial_state is not None else (1,) * n
-    drift = [as_function(bind_values(p, rates), scheme.species)
-             for p in drift_vector(scheme, RateMode.FOKKER_PLANCK)]
+    drift = as_function([bind_values(p, rates) for p in
+                         drift_vector(scheme, RateMode.FOKKER_PLANCK)],
+                        scheme.species)
 
     x = [float(v) for v in start]
     peak = list(x)
     finite = True
     dt = 0.002
     for _ in range(50_000):
-        a = [f(*x) for f in drift]
-        x_new = [max(0.0, xi + dt * ai) for xi, ai in zip(x, a)]
+        x_new = [max(0.0, xi + dt * ai) for xi, ai in zip(x, drift(*x))]
         if any(not np.isfinite(xi) or xi > 1e7 for xi in x_new):
             finite = False
             break

@@ -597,17 +597,19 @@ def bind_values(p: Polynomial, values: Mapping[SymbolId, object]) -> Polynomial:
 _TERMS_PER_LINE = 256
 
 
-def as_function(p: Polynomial, args: Sequence[SymbolId]) -> Callable:
-    """Compile to a float function of positional arguments in args order.
+def as_function(polys: Sequence[Polynomial],
+                args: Sequence[SymbolId]) -> Callable:
+    """Compile to one float function of positional arguments in args
+    order that returns the polynomials' values as a tuple, in order.
 
     Works elementwise when the arguments are numpy arrays.  All of the
-    polynomial's symbols must appear in args.
+    polynomials' symbols must appear in args.
 
     The body is generated source over float literals and the argument
-    positions _0, _1, ...: "s = 0.0 + c1*_0*_0 - c2*_1 ...", terms in
+    positions _0, _1, ...: "s0 = 0.0 + c1*_0*_0 - c2*_1 ...", terms in
     storage order and powers as repeated products, evaluated left to
-    right.  Long sums continue over several statements, which keeps the
-    expressions shallow enough to compile.
+    right, for each polynomial.  Long sums continue over several
+    statements, which keeps the expressions shallow enough to compile.
     """
     index = {s: f"_{i}" for i, s in enumerate(args)}
 
@@ -617,13 +619,16 @@ def as_function(p: Polynomial, args: Sequence[SymbolId]) -> Callable:
         return "*".join([index[sym]] * e)
 
     params = ", ".join(f"_{i}" for i in range(len(args)))
-    lines = [f"def polynomial({params}):", "    s = 0.0"]
-    for i in range(0, len(p.terms), _TERMS_PER_LINE):
-        body = render_terms(p.terms[i:i + _TERMS_PER_LINE],
-                            lambda c: repr(float(c)), factor,
-                            times="*", zero="0.0", lead="-")
-        lines.append(f"    s = s + {body}")
-    lines.append("    return s")
+    lines = [f"def polynomials({params}):"]
+    for k, p in enumerate(polys):
+        lines.append(f"    s{k} = 0.0")
+        for i in range(0, len(p.terms), _TERMS_PER_LINE):
+            body = render_terms(p.terms[i:i + _TERMS_PER_LINE],
+                                lambda c: repr(float(c)), factor,
+                                times="*", zero="0.0", lead="-")
+            lines.append(f"    s{k} = s{k} + {body}")
+    lines.append("    return (" + "".join(f"s{k}, " for k in
+                                          range(len(polys))) + ")")
     namespace: dict = {}
     exec("\n".join(lines), namespace)
-    return namespace["polynomial"]
+    return namespace["polynomials"]

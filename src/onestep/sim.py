@@ -21,7 +21,7 @@ import numpy as np
 from .cme import UnboundRateError, reaction_channels
 from .derive import (DiffusionSign, NoiseStrategy, RateMode, SdeModel,
                      transition_rates)
-from .poly import Polynomial, SymbolId, as_function, bind_values
+from .poly import SymbolId, as_function, bind_values
 from .scheme import InteractionScheme
 
 _CHUNK_STEPS = 256      # noise draws are blocked per trajectory in chunks
@@ -77,16 +77,20 @@ class SimConfig:
     grid_points: int = 200
 
     def __post_init__(self) -> None:
-        if self.t_final <= 0:
-            raise SimConfigError("t_final must be positive")
-        if self.dt <= 0 or self.dt > self.t_final:
-            raise SimConfigError("dt must lie in (0, t_final]")
+        # written so that NaN fails each test
+        if not 0 < self.t_final < math.inf:
+            raise SimConfigError(f"t_final must be positive and finite, "
+                                 f"got {self.t_final!r}")
+        if not 0 < self.dt <= self.t_final:
+            raise SimConfigError(f"dt must lie in (0, t_final], "
+                                 f"got {self.dt!r}")
         if self.trajectories < 1:
             raise SimConfigError("need at least one trajectory")
         if self.grid_points < 2:
             raise SimConfigError("need at least two grid points")
-        if any(x < 0 for x in self.initial_state):
-            raise SimConfigError("initial state must be nonnegative")
+        if not all(0 <= x < math.inf for x in self.initial_state):
+            raise SimConfigError(f"initial state must be nonnegative and "
+                                 f"finite, got {self.initial_state!r}")
         if not 0 <= self.base_seed < 2 ** 64:
             raise SimConfigError("base_seed must fit in 64 bits")
 
@@ -158,21 +162,14 @@ def matrix_sqrt_psd(b: np.ndarray, tol: float = _PSD_TOL) -> np.ndarray:
     return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
-def _bound_functions(polys: Sequence[Polynomial], rates, species):
-    out = []
-    for p in polys:
-        bound = bind_values(p, rates)
-        leftovers = {s for s in bound.symbols if s not in set(species)}
-        for s in leftovers:
-            raise UnboundRateError(s)
-        out.append(as_function(bound, species))
-    return out
-
-
-def _eval_columns(funcs, cols, count: int) -> np.ndarray:
-    out = np.empty((count, len(funcs)))
-    for i, f in enumerate(funcs):
-        out[:, i] = f(*cols)
+def symmetric_matrices(values, count: int, n: int) -> np.ndarray:
+    """A (count, n, n) stack of symmetric matrices from the values of
+    their upper triangles' entries (i <= j) in row-major order."""
+    out = np.empty((count, n, n))
+    upper = ((i, j) for i in range(n) for j in range(i, n))
+    for (i, j), v in zip(upper, values):
+        out[:, i, j] = v
+        out[:, j, i] = v
     return out
 
 
@@ -183,59 +180,57 @@ class _EmStepper:
         for r in model.rate_symbols:
             if r not in config.rates:
                 raise UnboundRateError(r)
-        self.species = model.species
+
+        def compile_bound(polys):
+            return as_function([bind_values(p, config.rates) for p in polys],
+                               model.species)
+
         self.n = len(model.species)
-        self.drift_funcs = _bound_functions(model.drift, config.rates,
-                                            model.species)
+        self.drift_fn = compile_bound(model.drift)
         self.strategy = model.noise_strategy
         if self.strategy is NoiseStrategy.MATRIX_SQRT:
-            self.diff_funcs = [
-                [_bound_functions([model.diffusion[i][j]], config.rates,
-                                  model.species)[0]
-                 for j in range(self.n)] for i in range(self.n)]
+            self.diffusion_fn = compile_bound(
+                [model.diffusion[i][j] for i in range(self.n)
+                 for j in range(i, self.n)])
             self.wiener_dim = self.n
         else:
             if model.scheme is None:
                 raise ValueError("per-reaction noise needs the scheme")
             tr = transition_rates(model.scheme, model.rate_mode)
-            amps = [f + g for f, g in zip(tr.forward, tr.backward)]
-            self.amp_funcs = _bound_functions(amps, config.rates,
-                                              model.species)
+            self.amplitude_fn = compile_bound(
+                [f + g for f, g in zip(tr.forward, tr.backward)])
             self.change = np.array(
                 [ia.change for ia in model.scheme.interactions],
                 dtype=np.float64)                       # (s, n)
             self.wiener_dim = len(model.scheme.interactions)
 
     def drift(self, states: np.ndarray) -> np.ndarray:
-        cols = [states[:, i] for i in range(self.n)]
-        return _eval_columns(self.drift_funcs, cols, states.shape[0])
+        out = np.empty(states.shape)
+        for i, v in enumerate(self.drift_fn(*states.T)):
+            out[:, i] = v
+        return out
 
     def noise(self, states: np.ndarray, eps: np.ndarray) -> np.ndarray:
         count = states.shape[0]
-        cols = [states[:, i] for i in range(self.n)]
         if self.strategy is NoiseStrategy.PER_REACTION:
-            amp = _eval_columns(self.amp_funcs, cols, count)    # (T, s)
+            amp = np.empty((count, self.wiener_dim))
+            for i, v in enumerate(self.amplitude_fn(*states.T)):
+                amp[:, i] = v
             low = amp.min(initial=0.0)
             if low < -_RATE_TOL:
                 raise NegativeRateError(
                     f"per-reaction rate {low:.6e} is negative beyond "
                     f"tolerance {_RATE_TOL:.1e}")
             return (np.sqrt(np.clip(amp, 0.0, None)) * eps) @ self.change
+        bmat = symmetric_matrices(self.diffusion_fn(*states.T), count,
+                                  self.n)
         if self.n == 1:
-            b = np.empty((count, 1))
-            b[:, 0] = self.diff_funcs[0][0](*cols)
+            b = bmat[:, 0]
             scale = 1.0 + np.abs(b).max(initial=0.0)
             if b.min(initial=0.0) < -_PSD_TOL * scale:
                 raise NotPsdError(f"diffusion value {b.min():.6e} is "
                                   "negative beyond tolerance")
             return np.sqrt(np.clip(b, 0.0, None)) * eps
-        bmat = np.empty((count, self.n, self.n))
-        for i in range(self.n):
-            bmat[:, i, i] = self.diff_funcs[i][i](*cols)
-            for j in range(i + 1, self.n):
-                v = self.diff_funcs[i][j](*cols)
-                bmat[:, i, j] = v
-                bmat[:, j, i] = v
         root = matrix_sqrt_psd(bmat)
         return np.einsum("tij,tj->ti", root, eps)
 

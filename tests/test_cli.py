@@ -1,5 +1,6 @@
 """Command line driver: subcommands, file outputs, exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -510,6 +511,83 @@ class TestCheckGolden:
         assert capsys.readouterr().out == CHECK_GOLDEN["ring3-sampled"]
 
 
+PURE_DEATH = "phi -> 0 @ beta\n"
+
+# (scheme, rates file, extra simulate flags) per case; every case runs
+# 4 paths from t = 0 to 0.5 in steps of 0.01 unless its flags say otherwise
+SIMULATE_CASES = {
+    "verhulst-em": (VERHULST, VERHULST_RATES_TEXT, ("--initial", "phi=10")),
+    "ring3-em": (RING3, RING3_RATES_TEXT,
+                 ("--initial", "x1=6,x2=4,x3=2", "--rate-mode", "exact",
+                  "--diffusion-sign", "sum")),
+    "lv-per-reaction": (LOTKA_VOLTERRA, LV_RATES_TEXT,
+                        ("--initial", "x=20,y=20", "--noise",
+                         "per-reaction")),
+    # both reject cases redraw: clamping gives different paths
+    "ring3-reject": (RING3, RING3_RATES_TEXT,
+                     ("--initial", "x1=1,x2=0,x3=1", "--diffusion-sign",
+                      "sum", "--dt", "0.05", "--negative-policy", "reject")),
+    "death-reject": (PURE_DEATH, "beta = 2\n",
+                     ("--initial", "phi=1", "--dt", "0.1", "--t-final", "2",
+                      "--negative-policy", "reject")),
+    "lv-ssa": (LOTKA_VOLTERRA, LV_RATES_TEXT,
+               ("--initial", "x=20,y=20", "--engine", "ssa")),
+}
+
+# SHA-256 of (.trajectories.csv, .moments.csv, .mean.svg) per case, recorded
+# before the drift, diffusion and rate vectors were compiled into one
+# function each
+SIMULATE_GOLDEN = {
+    "death-reject": (
+        "7ccf38fcf338962e407ff4ad0a52f67688290f7a2ea16d8b8804e3de9c03ff78",
+        "a4cffdfb4f68ec4176af24dd19fe232ef72f01c68beee099ace9f9c188b820d8",
+        "c4a4a36fe71e59f80c7b3b4bd28efaec0eff22dddd9c40e3a3c0555a2903c589"),
+    "lv-per-reaction": (
+        "a3a0b3528e4a547ed60413e05bde2d0e50f9b6f4bc0e59fc965e343ca54722dd",
+        "4ff4963b085025d486dbe7ed72807c29f0d19a377aa07f8fe516d9b30175ae0e",
+        "a5d465869a4ba62615dd458d228349828f2f4e8d5a3f3ed93b6c8a3aaad1d376"),
+    "lv-ssa": (
+        "090daf4f116020da6d48f2968d44fe19cb78d6880e38a0c1e746029d4238c5e4",
+        "c753b52daeaf8be01bad1923a1b75453128ab639f729a73f610f61014c45bca9",
+        "bce8fc6b98f5e9adecb7866be4c23f1f678695826593ef2435b40122788f3e86"),
+    "ring3-em": (
+        "414e53e0e1a01ca18e2f285c8f0f71980123d2bcfeeba0225ce2cffce548c4f7",
+        "02c2ebd0af03f7227794d284845b329940079ad84cbb64ed301537cb7e2fd690",
+        "f96282d09119290f8b72861be24f4a90894cfd03e313b4e741cfe170714ddb1b"),
+    "ring3-reject": (
+        "c486661de771093f397df49a730f01ec8ffd67d30b6f8d533e228122668d46ec",
+        "0e7716b2e5e4883f52e1023b4f405c6f63e86987b6fe6648c3349208c48c56dd",
+        "2cc6a44cfbf306cd88a494aa9f638d8c5573bdda4cbb88287209e3ba62231a44"),
+    "verhulst-em": (
+        "02791d30a43fb19611be9655c6035cd4e2ad986e24a18d83044faf20c54fadd5",
+        "a0fc208d3f6982a3c4f7f33929d4b0b9525b61b2a90231714bc9a9eac2b79a90",
+        "fe715255de4e1b72cbaabad1f7dc5dafc5fc37fc5c6207f0e3999a7aae61aac2"),
+}
+
+
+class TestSimulateGolden:
+    @pytest.mark.parametrize("case", sorted(SIMULATE_CASES))
+    def test_outputs_and_replay_are_unchanged(self, case, tmp_path, capsys):
+        text, rates_text, flags = SIMULATE_CASES[case]
+        scheme = tmp_path / "s.scheme"
+        scheme.write_text(text)
+        rates = tmp_path / "s.rates"
+        rates.write_text(rates_text)
+        names = ("s.trajectories.csv", "s.moments.csv", "s.mean.svg")
+        argv = ["simulate", str(scheme), "--rates", str(rates),
+                "--t-final", "0.5", "--dt", "0.01", "--trajectories", "4",
+                "--grid-points", "6", "--out", str(tmp_path / "run"), *flags]
+        replay = ["simulate", "--from-manifest",
+                  str(tmp_path / "run" / "s.manifest.json"),
+                  "--out", str(tmp_path / "replay")]
+        for out, command in (("run", argv), ("replay", replay)):
+            assert main(command) == 0
+            digests = tuple(
+                hashlib.sha256((tmp_path / out / name).read_bytes())
+                .hexdigest() for name in names)
+            assert digests == SIMULATE_GOLDEN[case], out
+
+
 def _assert_usage_error(capsys, *needles):
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -581,6 +659,24 @@ class TestSimulationSettings:
         assert code == 2
         _assert_usage_error(capsys, "seed")
 
+    @pytest.mark.parametrize("flags, needles", [
+        (("--initial", "phi=nan"), ("initial state", "finite", "nan")),
+        (("--initial", "phi=inf"), ("initial state", "finite", "inf")),
+        (("--t-final", "nan"), ("t_final", "finite", "nan")),
+        (("--t-final", "inf"), ("t_final", "finite", "inf")),
+        (("--dt", "nan"), ("dt must lie in", "nan")),
+    ])
+    def test_non_finite_setting_exits_2_before_any_work(
+            self, command, flags, needles, tmp_path, verhulst_file,
+            verhulst_rates, capsys, monkeypatch):
+        _refuse_work(monkeypatch)
+        argv = [command, str(verhulst_file), "--rates", str(verhulst_rates),
+                "--initial", "phi=10", "--trajectories", "5", *flags]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        _assert_usage_error(capsys, *needles)
+
     def test_one_trajectory_is_refused_before_any_work(
             self, command, tmp_path, verhulst_file, verhulst_rates, capsys,
             monkeypatch):
@@ -624,6 +720,34 @@ class TestManifestReplay:
                      "--out", str(tmp_path / "rerun")])
         assert code == 3
         _assert_usage_error(capsys, "manifest rate 'beta'", needle)
+
+    @pytest.mark.parametrize("field, value, needle", [
+        ("rates", ["beta"], "'rates' must be an object"),
+        ("trajectories", "3", "'trajectories' must be an integer"),
+        ("seed", True, "'seed' must be an integer"),
+        ("t_final", "0.5", "'t_final' must be a number"),
+        ("allow_shared_rates", 1, "'allow_shared_rates' must be true"),
+        ("initial", {"phi": "10"}, "initial value of 'phi'"),
+        ("rate_mode", "nope", "rate_mode 'nope' is not one of exact, fp"),
+        ("engine", "nope", "engine 'nope' is not one of em, ssa"),
+        ("input_kind", "nope", "input_kind 'nope' is not one of scheme"),
+        ("diffusion_sign", "nope", "diffusion_sign 'nope'"),
+        ("noise_strategy", "nope", "noise_strategy 'nope'"),
+        ("negative_policy", "nope", "negative_policy 'nope'"),
+        ("prefix", "../v", "prefix '../v' must be a plain file name"),
+        ("prefix", "", "prefix '' must be a plain file name"),
+    ])
+    def test_bad_field_exits_2_before_any_work(
+            self, field, value, needle, tmp_path, verhulst_file,
+            verhulst_rates, capsys, monkeypatch):
+        path = _edited_manifest(tmp_path, verhulst_file, verhulst_rates,
+                                capsys, lambda data: data.update({field: value}))
+        _refuse_work(monkeypatch)
+        code = main(["simulate", "--from-manifest", str(path),
+                     "--out", str(tmp_path / "rerun")])
+        assert code == 2
+        _assert_usage_error(capsys, "malformed manifest", needle)
+        assert not (tmp_path / "rerun").exists()
 
     def test_one_trajectory_is_refused_before_any_work(
             self, tmp_path, verhulst_file, verhulst_rates, capsys,

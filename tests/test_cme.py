@@ -275,15 +275,16 @@ def reference_default_box(scheme, rates, initial_state=None):
     at a fixed point."""
     n = len(scheme.species)
     start = tuple(initial_state) if initial_state is not None else (1,) * n
-    drift = [as_function(bind_values(p, rates), scheme.species)
-             for p in drift_vector(scheme, RateMode.FOKKER_PLANCK)]
+    drift = as_function([bind_values(p, rates) for p in
+                         drift_vector(scheme, RateMode.FOKKER_PLANCK)],
+                        scheme.species)
 
     x = [float(v) for v in start]
     peak = list(x)
     finite = True
     dt = 0.002
     for _ in range(50_000):
-        a = [f(*x) for f in drift]
+        a = drift(*x)
         x = [max(0.0, xi + dt * ai) for xi, ai in zip(x, a)]
         if any(not np.isfinite(xi) or xi > 1e7 for xi in x):
             finite = False
@@ -305,6 +306,8 @@ def reference_default_box(scheme, rates, initial_state=None):
 
 EXPLOSIVE = "x -> 2 x @ k_1\n2 x -> 3 x @ k_2\n"
 RING3 = "x <-> y @ a_1, b_1\ny <-> z @ a_2, b_2\nz <-> x @ a_3, b_3\n"
+RING8 = "".join(f"3 x{i} <-> 3 x{i % 8 + 1} @ a_{i}, b_{i}\n"
+                for i in range(1, 9))
 
 
 def _rates_for(scheme, values):
@@ -312,7 +315,9 @@ def _rates_for(scheme, values):
 
 
 class TestDefaultBoxFixedPointStop:
-    """The early stop at a fixed point leaves every box unchanged."""
+    """The early stop at a fixed point leaves every box unchanged.  The
+    verhulst, lv-equilibrium and ring8 cases are the perfbench workloads'
+    schemes, rates and initial states."""
 
     @pytest.mark.parametrize("text, values, initial", [
         (VERHULST, {"lambda": 1, "beta": "1/5", "gamma": "1/20"}, (10,)),
@@ -322,8 +327,11 @@ class TestDefaultBoxFixedPointStop:
         (EXPLOSIVE, {"k_1": 1, "k_2": 1}, None),
         (RING3, {"a_1": 1, "b_1": "1/2", "a_2": "1/3", "b_2": 2,
                  "a_3": "3/4", "b_3": "1/5"}, (6, 0, 2)),
+        (RING8, {f"{k}_{i}": v for i in range(1, 9)
+                 for k, v in (("a", "1/10000"), ("b", "1/20000"))},
+         (100,) * 8),
     ], ids=["verhulst", "lv-equilibrium", "lv-off-equilibrium",
-            "pure-death", "explosive", "ring3"])
+            "pure-death", "explosive", "ring3", "ring8"])
     def test_matches_the_full_loop(self, text, values, initial):
         s = parse_scheme(text)
         rates = _rates_for(s, values)

@@ -344,17 +344,25 @@ class TestEvaluateAgainstTermwise:
 
 class TestNumericCompilation:
     def test_compiled_function_matches_evaluate(self):
-        f = as_function(verhulst_drift(), (PHI, LAM, BETA, GAMMA))
-        assert f(10.0, 1.0, 0.2, 0.05) == pytest.approx(3.0, abs=1e-12)
+        f = as_function([verhulst_drift()], (PHI, LAM, BETA, GAMMA))
+        (value,) = f(10.0, 1.0, 0.2, 0.05)
+        assert value == pytest.approx(3.0, abs=1e-12)
 
     def test_compiled_function_vectorizes(self):
-        f = as_function(parse_expression("x^2 - x"), (X,))
-        out = f(np.array([0.0, 1.0, 4.0]))
-        assert np.allclose(out, [0.0, 0.0, 12.0])
+        f = as_function([parse_expression("x^2 - x"),
+                         parse_expression("2*x")], (X,))
+        first, second = f(np.array([0.0, 1.0, 4.0]))
+        assert np.allclose(first, [0.0, 0.0, 12.0])
+        assert np.allclose(second, [0.0, 2.0, 8.0])
+
+    def test_values_come_back_as_a_tuple_in_order(self):
+        f = as_function([parse_expression("y", SYMS),
+                         parse_expression("x", SYMS)], (X, Y))
+        assert f(1.0, 2.0) == (2.0, 1.0)
 
     def test_unbound_symbol_fails_at_compile_time(self):
         with pytest.raises(MissingSymbolError):
-            as_function(verhulst_drift(), (PHI,))
+            as_function([Polynomial.symbol(PHI), verhulst_drift()], (PHI,))
 
     def test_bind_values_converts_floats_exactly(self):
         p = bind_values(parse_expression("gamma*phi^2", SYMS), {GAMMA: 0.2})
@@ -396,39 +404,56 @@ def _same_floats(left, right) -> bool:
             and np.asarray(left).tobytes() == np.asarray(right).tobytes())
 
 
+def _same_as_closures(polys, values) -> bool:
+    """as_function(polys) returns a tuple whose every entry has the bits
+    of the closure compiled from that polynomial alone."""
+    got = as_function(polys, _UNIVERSE)(*values)
+    want = tuple(_closure_as_function(p, _UNIVERSE)(*values) for p in polys)
+    return (type(got) is tuple and len(got) == len(want)
+            and all(_same_floats(g, w) for g, w in zip(got, want)))
+
+
 _unit_or_any = st.one_of(st.sampled_from([Fraction(1), Fraction(-1)]),
                          _coeffs)
 _compiled_polys = st.lists(st.tuples(_unit_or_any, _powers), max_size=6).map(
     lambda ts: sum((monomial(c, e) for c, e in ts), Polynomial.zero()))
+_compiled_vectors = st.lists(_compiled_polys, max_size=4)
 _float_args = st.lists(_float_values, min_size=len(_UNIVERSE),
                        max_size=len(_UNIVERSE))
 _LEADING_NEGATIVE = -parse_expression("x^3*gamma + 2*y", SYMS) \
     + parse_expression("k_1*y^2", SYMS)
+_MIXED = [Polynomial.constant(Fraction(5, 3)), _LEADING_NEGATIVE,
+          Polynomial.zero(), parse_expression("x*y - 1/7", SYMS),
+          Polynomial.constant(-2)]
 
 
 class TestAsFunctionAgainstClosure:
-    """The generated function does the closure's float operations in the
-    closure's order, so it returns the same bits."""
+    """Each value the generated function returns comes from the closure's
+    float operations in the closure's order, so it has the same bits."""
 
-    @given(p=_compiled_polys, values=_float_args)
-    @example(p=Polynomial.zero(), values=[1.5, -2.0, 3.0, 0.0])
-    @example(p=Polynomial.constant(-3), values=[1.5, -2.0, 3.0, 0.0])
-    @example(p=_LEADING_NEGATIVE, values=[1.5, -2.0, 3.0, 0.1])
-    @example(p=-parse_expression("x*y", SYMS) + parse_expression("gamma", SYMS),
+    @given(polys=_compiled_vectors, values=_float_args)
+    @example(polys=[], values=[1.5, -2.0, 3.0, 0.0])
+    @example(polys=[Polynomial.zero()], values=[1.5, -2.0, 3.0, 0.0])
+    @example(polys=[Polynomial.constant(-3)], values=[1.5, -2.0, 3.0, 0.0])
+    @example(polys=[_LEADING_NEGATIVE], values=[1.5, -2.0, 3.0, 0.1])
+    @example(polys=[-parse_expression("x*y", SYMS)
+                    + parse_expression("gamma", SYMS)],
              values=[0.0, 0.0, -0.0, 0.0])
-    def test_float_scalars(self, p, values):
-        assert _same_floats(as_function(p, _UNIVERSE)(*values),
-                            _closure_as_function(p, _UNIVERSE)(*values))
+    @example(polys=_MIXED, values=[1.5, -2.0, 3.0, 0.1])
+    def test_float_scalars(self, polys, values):
+        assert _same_as_closures(polys, values)
 
-    @given(p=_compiled_polys,
+    @given(polys=_compiled_vectors,
            rows=st.lists(_float_args, min_size=1, max_size=5))
-    @example(p=Polynomial.zero(), rows=[[1.0, 2.0, 3.0, 4.0]])
-    @example(p=_LEADING_NEGATIVE, rows=[[1.5, -2.0, 3.0, 0.1],
-                                        [0.0, 7.0, -1e3, 2.5]])
-    def test_float_arrays(self, p, rows):
-        columns = np.array(rows, dtype=np.float64).T
-        assert _same_floats(as_function(p, _UNIVERSE)(*columns),
-                            _closure_as_function(p, _UNIVERSE)(*columns))
+    @example(polys=[], rows=[[1.0, 2.0, 3.0, 4.0]])
+    @example(polys=[Polynomial.zero()], rows=[[1.0, 2.0, 3.0, 4.0]])
+    @example(polys=[Polynomial.constant(-3)], rows=[[1.0, 2.0, 3.0, 4.0]])
+    @example(polys=[_LEADING_NEGATIVE], rows=[[1.5, -2.0, 3.0, 0.1],
+                                              [0.0, 7.0, -1e3, 2.5]])
+    @example(polys=_MIXED, rows=[[1.5, -2.0, 3.0, 0.1],
+                                 [0.0, 7.0, -1e3, 2.5]])
+    def test_float_arrays(self, polys, rows):
+        assert _same_as_closures(polys, np.array(rows, dtype=np.float64).T)
 
     def test_long_sums_compile(self):
         # 4096 terms: one expression that long is too deep for Python's
@@ -439,9 +464,9 @@ class TestAsFunctionAgainstClosure:
                        for i in range(4096))
         assert len(p.terms) == 4096
         columns = np.array([[0.5, -1.25, 1.0, 0.75], [1.0, 0.9, -0.3, 1.1]]).T
-        assert _same_floats(as_function(p, _UNIVERSE)(*columns),
-                            _closure_as_function(p, _UNIVERSE)(*columns))
+        assert _same_as_closures([p, _LEADING_NEGATIVE, p], columns)
 
     def test_missing_symbol_is_named_at_compile_time(self):
         with pytest.raises(MissingSymbolError, match="gamma"):
-            as_function(_LEADING_NEGATIVE, (X, Y, K1))
+            as_function([parse_expression("x*y", SYMS), _LEADING_NEGATIVE],
+                        (X, Y, K1))

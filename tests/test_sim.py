@@ -8,7 +8,7 @@ import pytest
 from onestep import (ComparisonReport, DiffusionSign, Engine, MomentReport,
                      NegativePolicy, NoiseStrategy, NotPsdError,
                      NotSymmetricError, Polynomial, RateMode, SdeModel,
-                     SimConfig, SimulationError, StateBox,
+                     SimConfig, SimConfigError, SimulationError, StateBox,
                      TooFewTrajectoriesError, TrajectoryEnsemble,
                      UnboundRateError, build_generator, build_sde_model,
                      compare_engines, compare_reports, distribution_moments,
@@ -31,6 +31,18 @@ def decay_model():
                     rate_mode=RateMode.FOKKER_PLANCK,
                     diffusion_sign=DiffusionSign.SUM,
                     noise_strategy=NoiseStrategy.MATRIX_SQRT)
+
+
+class TestSimConfig:
+    @pytest.mark.parametrize("setting", [
+        {"initial_state": (math.nan,)}, {"initial_state": (1.0, math.inf)},
+        {"t_final": math.nan}, {"t_final": math.inf}, {"dt": math.nan},
+        {"t_final": math.inf, "dt": math.inf}])
+    def test_non_finite_settings_are_refused(self, setting):
+        values = {"rates": {}, "initial_state": (1.0,), "t_final": 1.0,
+                  **setting}
+        with pytest.raises(SimConfigError):
+            SimConfig(**values)
 
 
 class TestTrajectoryRng:
