@@ -269,9 +269,8 @@ def distribution_to_csv(dist: Distribution,
                         species: Sequence[SymbolId]) -> str:
     names = ",".join(s.name for s in species)
     lines = [f"{names},probability"]
-    for state, p in zip(dist.box.states(), dist.probabilities):
-        coords = ",".join(str(x) for x in state)
-        lines.append(f"{coords},{float(p)!r}")
+    lines += [f"{','.join(map(str, state))},{p!r}" for state, p
+              in zip(dist.box.states(), dist.probabilities.tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -595,6 +595,7 @@ def bind_values(p: Polynomial, values: Mapping[SymbolId, object]) -> Polynomial:
 # numeric compilation
 
 _TERMS_PER_LINE = 256
+_FACTORS_PER_LINE = 256
 
 
 def as_function(polys: Sequence[Polynomial],
@@ -609,24 +610,52 @@ def as_function(polys: Sequence[Polynomial],
     positions _0, _1, ...: "s0 = 0.0 + c1*_0*_0 - c2*_1 ...", terms in
     storage order and powers as repeated products, evaluated left to
     right, for each polynomial.  Long sums continue over several
-    statements, which keeps the expressions shallow enough to compile.
+    statements, and so does a term of more than _FACTORS_PER_LINE
+    factors ("t = c*_0*...", "t = t*_0*...", then "s0 = s0 - t"), which
+    keeps the expressions shallow enough to compile.
     """
     index = {s: f"_{i}" for i, s in enumerate(args)}
 
-    def factor(sym: SymbolId, e: int) -> str:
+    def factors(sym: SymbolId, e: int) -> list[str]:
         if sym not in index:
             raise MissingSymbolError(sym)
-        return "*".join([index[sym]] * e)
+        return [index[sym]] * e
+
+    def add_terms(k: int, terms: list[Monomial]) -> None:
+        if terms:
+            body = render_terms(terms, lambda c: repr(float(c)),
+                                lambda sym, e: "*".join(factors(sym, e)),
+                                times="*", zero="0.0", lead="-")
+            lines.append(f"    s{k} = s{k} + {body}")
+
+    def add_long_term(k: int, m: Monomial) -> None:
+        c = abs(m.coefficient)
+        parts = [repr(float(c))] if c != 1 else []
+        for sym, e in m.exponents:
+            parts += factors(sym, e)
+        for i in range(0, len(parts), _FACTORS_PER_LINE):
+            product = "*".join(parts[i:i + _FACTORS_PER_LINE])
+            lines.append(f"    t = {product}" if i == 0
+                         else f"    t = t*{product}")
+        sign = "-" if m.coefficient < 0 else "+"
+        lines.append(f"    s{k} = s{k} {sign} t")
 
     params = ", ".join(f"_{i}" for i in range(len(args)))
     lines = [f"def polynomials({params}):"]
     for k, p in enumerate(polys):
         lines.append(f"    s{k} = 0.0")
-        for i in range(0, len(p.terms), _TERMS_PER_LINE):
-            body = render_terms(p.terms[i:i + _TERMS_PER_LINE],
-                                lambda c: repr(float(c)), factor,
-                                times="*", zero="0.0", lead="-")
-            lines.append(f"    s{k} = s{k} + {body}")
+        run: list[Monomial] = []
+        for m in p.terms:
+            if sum(e for _, e in m.exponents) > _FACTORS_PER_LINE:
+                add_terms(k, run)
+                run = []
+                add_long_term(k, m)
+            else:
+                run.append(m)
+                if len(run) == _TERMS_PER_LINE:
+                    add_terms(k, run)
+                    run = []
+        add_terms(k, run)
     lines.append("    return (" + "".join(f"s{k}, " for k in
                                           range(len(polys))) + ")")
     namespace: dict = {}

@@ -239,6 +239,9 @@ def _grid_step_indices(times: np.ndarray, dt: float, nsteps: int) -> np.ndarray:
     return np.minimum(np.round(times / dt).astype(np.int64), nsteps)
 
 
+# overflow is not reported as it happens: it leaves a non-finite state (a
+# NaN stays NaN), which stops the run at the next grid time
+@np.errstate(over="ignore", invalid="ignore")
 def euler_maruyama(model: SdeModel, config: SimConfig) -> TrajectoryEnsemble:
     """Fixed-step Euler-Maruyama: phi += A dt + noise sqrt(dt), with the
     noise increment b(phi) eps for standard normal eps.
@@ -291,11 +294,24 @@ def euler_maruyama(model: SdeModel, config: SimConfig) -> TrajectoryEnsemble:
             states = proposal
             step += 1
             while g < len(times) and grid_at[g] == step:
+                _require_finite(states, times[g])
                 paths[:, g] = states
                 g += 1
     return TrajectoryEnsemble(engine=Engine.EULER_MARUYAMA,
                               species=model.species, times=times,
                               paths=paths, clamp_events=clamps)
+
+
+def _require_finite(states: np.ndarray, t: float) -> None:
+    """Raise SimulationError naming the first trajectory whose state is
+    not finite at grid time t."""
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise SimulationError(
+            f"trajectory {j} is not finite at t = {float(t)!r}: the state "
+            "overflowed; the model may blow up in finite time, or dt may "
+            "be too large")
 
 
 def _retry_step(stepper: _EmStepper, state: np.ndarray,
@@ -483,13 +499,19 @@ def compare_engines(model: SdeModel, config: SimConfig,
 
 
 def trajectories_to_csv(ensemble: TrajectoryEnsemble) -> str:
+    """One row per (trajectory, grid time): "j,t,x_1,...,x_n", every float
+    in its shortest repr.
+
+    The text is built in one chunk per trajectory from plain floats
+    (ndarray.tolist), with each time's text made once, which keeps the
+    writer's peak memory near twice its output."""
     names = ",".join(s.name for s in ensemble.species)
-    lines = [f"trajectory,t,{names}"]
-    for j in range(ensemble.paths.shape[0]):
-        for g, t in enumerate(ensemble.times):
-            row = ",".join(repr(float(v)) for v in ensemble.paths[j, g])
-            lines.append(f"{j},{float(t)!r},{row}")
-    return "\n".join(lines) + "\n"
+    stamps = [f",{t!r}," for t in ensemble.times.tolist()]
+    chunks = [f"trajectory,t,{names}\n"]
+    for j, path in enumerate(ensemble.paths):
+        chunks.append("".join([f"{j}{stamp}{','.join(map(repr, row))}\n"
+                               for stamp, row in zip(stamps, path.tolist())]))
+    return "".join(chunks)
 
 
 def moments_to_csv(report: MomentReport,
@@ -499,13 +521,12 @@ def moments_to_csv(report: MomentReport,
     header += [f"mean_{n}" for n in names]
     header += [f"cov_{a}_{b}" for a in names for b in names]
     header += [f"stderr_{n}" for n in names]
+    rows = zip(report.times.tolist(), report.mean.tolist(),
+               report.covariance.reshape(len(report.times), -1).tolist(),
+               report.standard_error.tolist())
     lines = [",".join(header)]
-    for g, t in enumerate(report.times):
-        row = [repr(float(t))]
-        row += [repr(float(v)) for v in report.mean[g]]
-        row += [repr(float(v)) for v in report.covariance[g].ravel()]
-        row += [repr(float(v)) for v in report.standard_error[g]]
-        lines.append(",".join(row))
+    lines += [",".join(map(repr, [t, *mean, *cov, *stderr]))
+              for t, mean, cov, stderr in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -798,6 +798,26 @@ class TestSimulationFailures:
         _assert_usage_error(capsys, "no nonnegative step")
 
 
+    @pytest.mark.parametrize("command", ["simulate", "check"])
+    def test_state_that_blows_up_exits_2(self, command, tmp_path, capsys):
+        # dx/dt grows like x^2 from x = 5: every path overflows long
+        # before t = 2, and the first grid time after that stops the run
+        scheme_path = tmp_path / "s.scheme"
+        scheme_path.write_text("x -> 2 x @ k_1\n2 x -> 3 x @ k_2\n")
+        rates_path = tmp_path / "s.rates"
+        rates_path.write_text("k_1 = 1\nk_2 = 1\n")
+        argv = [command, str(scheme_path), "--rates", str(rates_path),
+                "--initial", "x=5", "--trajectories", "3", "--t-final", "2",
+                "--grid-points", "4"]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        _assert_usage_error(capsys, "trajectory 0 is not finite",
+                            "t = 0.6666666666666666")
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["s.rates", "s.scheme"]
+
+
 class TestEntryPoint:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -466,6 +466,22 @@ class TestAsFunctionAgainstClosure:
         columns = np.array([[0.5, -1.25, 1.0, 0.75], [1.0, 0.9, -0.3, 1.1]]).T
         assert _same_as_closures([p, _LEADING_NEGATIVE, p], columns)
 
+    @pytest.mark.parametrize("degree", [256, 257, 3000, 10_000])
+    def test_high_degree_terms_compile(self, degree):
+        # one product that long is too deep for Python's compiler, so the
+        # term runs over several statements before it joins the sum
+        alone = monomial(1, {X: degree})
+        mixed = (parse_expression("2*y - k_1", SYMS)
+                 + monomial(Fraction(-3, 7), {X: degree - 2, Y: 1, K1: 1})
+                 + monomial(-1, {GAMMA: degree}) + _LEADING_NEGATIVE)
+        polys = [alone, mixed, -alone]
+        for values in ([1.0001, 0.9999, -1.0, 1.0], [-1.0002, 2.0, 0.5, -1.0]):
+            assert _same_as_closures(polys, values)
+        columns = np.array([[1.0001, 0.9999, -1.0, 1.0],
+                            [0.9995, -1.0003, 1.0, -0.9998],
+                            [0.0, 1e-3, -2.0, 1.0]]).T
+        assert _same_as_closures(polys, columns)
+
     def test_missing_symbol_is_named_at_compile_time(self):
         with pytest.raises(MissingSymbolError, match="gamma"):
             as_function([parse_expression("x*y", SYMS), _LEADING_NEGATIVE],

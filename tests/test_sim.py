@@ -1,21 +1,24 @@
 """Sampling engines: noise factorization, stepping, moments, comparison."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from onestep import (ComparisonReport, DiffusionSign, Engine, MomentReport,
-                     NegativePolicy, NoiseStrategy, NotPsdError,
+from onestep import (ComparisonReport, DiffusionSign, Distribution, Engine,
+                     MomentReport, NegativePolicy, NoiseStrategy, NotPsdError,
                      NotSymmetricError, Polynomial, RateMode, SdeModel,
                      SimConfig, SimConfigError, SimulationError, StateBox,
                      TooFewTrajectoriesError, TrajectoryEnsemble,
                      UnboundRateError, build_generator, build_sde_model,
                      compare_engines, compare_reports, distribution_moments,
-                     ensemble_moments, euler_maruyama, evolve_distribution,
-                     gillespie_ssa, matrix_sqrt_psd, mean_band_svg,
-                     moments_to_csv, parse_scheme, point_mass, rate, species,
-                     trajectories_to_csv, trajectory_rng)
+                     distribution_to_csv, ensemble_moments, euler_maruyama,
+                     evolve_distribution, gillespie_ssa, matrix_sqrt_psd,
+                     mean_band_svg, moments_to_csv, parse_scheme, point_mass,
+                     rate, species, trajectories_to_csv, trajectory_rng)
 from helpers import LOTKA_VOLTERRA, PURE_DEATH, VERHULST
 
 VERHULST_RATES = {rate("lambda"): 1.0, rate("beta"): 0.2, rate("gamma"): 0.05}
@@ -150,6 +153,31 @@ class TestEulerMaruyama:
         with pytest.raises(UnboundRateError) as err:
             euler_maruyama(model, config)
         assert "gamma" in str(err.value)
+
+    @pytest.mark.parametrize("scheme, rates, initial, policy, named", [
+        ("x -> 2 x @ k_1\n2 x -> 3 x @ k_2\n", (1, 1), (5.0,),
+         NegativePolicy.CLAMP_ZERO, "trajectory 0 .* t = 0\\.5:"),
+        ("x -> 2 x @ k_1\n2 x -> 3 x @ k_2\n", (1, 1), (5.0,),
+         NegativePolicy.REJECT_STEP, "trajectory 0 .* t = 0\\.5:"),
+        ("x + y -> 2 x + y @ k_1\nx + y -> x + 2 y @ k_2\n", (1, 1),
+         (5.0, 5.0), NegativePolicy.CLAMP_ZERO,
+         "trajectory 0 .* t = 0\\.5:"),
+        # death competes with the growth from x = 1: trajectory 0 is still
+        # finite when trajectory 1 has overflowed
+        ("x -> 2 x @ k_1\n2 x -> 3 x @ k_2\nx -> 0 @ k_3\n", (1, 1, 3),
+         (1.0,), NegativePolicy.CLAMP_ZERO, "trajectory 1 .* t = 1\\.0:"),
+    ])
+    def test_state_that_blows_up_is_named(self, scheme, rates, initial,
+                                          policy, named):
+        # the drift grows quadratically, so a state overflows to inf and
+        # then NaN before the run ends
+        model = build_sde_model(parse_scheme(scheme))
+        config = SimConfig(rates=dict(zip(model.rate_symbols, rates)),
+                           initial_state=initial, t_final=2.0,
+                           trajectories=8, grid_points=5,
+                           negative_policy=policy)
+        with pytest.raises(SimulationError, match=named):
+            euler_maruyama(model, config)
 
     def test_logistic_mean_agrees_with_the_master_equation(self):
         scheme = parse_scheme(VERHULST)
@@ -423,3 +451,163 @@ class TestOutputFormats:
         assert 'width="640"' in svg
         assert "polyline" in svg
         assert ">phi</text>" in svg
+
+
+# The writers as they were before they built their text in per-trajectory
+# chunks from ndarray.tolist(); the current writers must give the same
+# strings.
+
+
+def _reference_trajectories_to_csv(ensemble):
+    names = ",".join(s.name for s in ensemble.species)
+    lines = [f"trajectory,t,{names}"]
+    for j in range(ensemble.paths.shape[0]):
+        for g, t in enumerate(ensemble.times):
+            row = ",".join(repr(float(v)) for v in ensemble.paths[j, g])
+            lines.append(f"{j},{float(t)!r},{row}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_moments_to_csv(report, species):
+    names = [s.name for s in species]
+    header = ["t"]
+    header += [f"mean_{n}" for n in names]
+    header += [f"cov_{a}_{b}" for a in names for b in names]
+    header += [f"stderr_{n}" for n in names]
+    lines = [",".join(header)]
+    for g, t in enumerate(report.times):
+        row = [repr(float(t))]
+        row += [repr(float(v)) for v in report.mean[g]]
+        row += [repr(float(v)) for v in report.covariance[g].ravel()]
+        row += [repr(float(v)) for v in report.standard_error[g]]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_distribution_to_csv(dist, species):
+    names = ",".join(s.name for s in species)
+    lines = [f"{names},probability"]
+    for state, p in zip(dist.box.states(), dist.probabilities):
+        coords = ",".join(str(x) for x in state)
+        lines.append(f"{coords},{float(p)!r}")
+    return "\n".join(lines) + "\n"
+
+
+# values whose shortest repr takes each of its forms: signed zeros, plain
+# and exponent notation on both sides of the switch, the subnormal
+# minimum, infinities and NaN
+_SPECIAL_VALUES = np.array([-0.0, 0.0, 1e-05, 0.1, 1e16, 1e22, 5e-324,
+                            math.inf, -math.inf, math.nan, 1.0, 2.0, 17.0,
+                            -3.0, 1e15, 123456789012345678.0, 0.0001])
+
+
+def _writer_values(seed: int, shape, kind: str) -> np.ndarray:
+    """Values for the writers: integer-valued floats (as the jump sampler
+    records), floats over many decades, raw bit patterns, or a mix of
+    these with the special values."""
+    rng = np.random.default_rng(seed)
+    size = int(np.prod(shape))
+    if kind == "integer":
+        values = rng.integers(0, 10 ** 6, size).astype(np.float64)
+    elif kind == "decades":
+        values = (rng.standard_normal(size)
+                  * 10.0 ** rng.integers(-320, 300, size))
+    elif kind == "bits":
+        values = rng.integers(0, 2 ** 63, size, dtype=np.uint64) \
+            .view(np.float64)
+        values = np.where(rng.random(size) < 0.5, -values, values)
+    else:
+        values = np.where(rng.random(size) < 0.5,
+                          rng.choice(_SPECIAL_VALUES, size),
+                          rng.standard_normal(size) * 100.0)
+    return values.reshape(shape)
+
+
+_writer_kinds = st.sampled_from(["integer", "decades", "bits", "special"])
+_writer_seeds = st.integers(0, 2 ** 32 - 1)
+
+
+def _writer_species(n: int):
+    return tuple(species(f"x{i}") for i in range(n))
+
+
+def _ensemble(paths: np.ndarray, times: np.ndarray) -> TrajectoryEnsemble:
+    return TrajectoryEnsemble(
+        engine=Engine.EULER_MARUYAMA,
+        species=_writer_species(paths.shape[2]), times=times, paths=paths,
+        clamp_events=np.zeros(paths.shape[0], dtype=np.int64))
+
+
+def _verhulst_ensemble(engine: Engine) -> TrajectoryEnsemble:
+    """An ensemble of benchmark size: Verhulst from phi=10, 500 paths on
+    200 grid points to t=2."""
+    scheme = parse_scheme(VERHULST)
+    config = SimConfig(rates=VERHULST_RATES, initial_state=(10.0,),
+                       t_final=2.0, dt=1e-3, trajectories=500, base_seed=3,
+                       grid_points=200)
+    if engine is Engine.SSA:
+        return gillespie_ssa(scheme, config)
+    return euler_maruyama(build_sde_model(scheme), config)
+
+
+class TestWritersMatchReference:
+    """The writers give exactly the strings of the reference writers."""
+
+    @given(n=st.integers(1, 8), count=st.integers(1, 50),
+           grid=st.integers(2, 20), kind=_writer_kinds, seed=_writer_seeds)
+    @example(n=1, count=1, grid=2, kind="special", seed=0)
+    @example(n=8, count=50, grid=20, kind="bits", seed=1)
+    def test_trajectories(self, n, count, grid, kind, seed):
+        paths = _writer_values(seed, (count, grid, n), kind)
+        times = _writer_values(seed + 1, (grid,), kind)
+        ensemble = _ensemble(paths, times)
+        assert trajectories_to_csv(ensemble) == \
+            _reference_trajectories_to_csv(ensemble)
+
+    @given(n=st.integers(1, 8), grid=st.integers(2, 20), kind=_writer_kinds,
+           seed=_writer_seeds)
+    @example(n=1, grid=2, kind="special", seed=0)
+    def test_moments(self, n, grid, kind, seed):
+        report = MomentReport(
+            times=_writer_values(seed, (grid,), kind),
+            mean=_writer_values(seed + 1, (grid, n), kind),
+            covariance=_writer_values(seed + 2, (grid, n, n), kind),
+            standard_error=_writer_values(seed + 3, (grid, n), kind),
+            trajectories=2)
+        names = _writer_species(n)
+        assert moments_to_csv(report, names) == \
+            _reference_moments_to_csv(report, names)
+
+    @given(bounds=st.lists(st.integers(0, 4), min_size=1, max_size=4),
+           kind=_writer_kinds, seed=_writer_seeds)
+    @example(bounds=[0], kind="special", seed=0)
+    def test_distribution(self, bounds, kind, seed):
+        box = StateBox(tuple(bounds))
+        dist = Distribution(box=box, probabilities=_writer_values(
+            seed, (box.size,), kind))
+        names = _writer_species(len(bounds))
+        assert distribution_to_csv(dist, names) == \
+            _reference_distribution_to_csv(dist, names)
+
+    @pytest.mark.parametrize("engine", [Engine.EULER_MARUYAMA, Engine.SSA])
+    def test_verhulst_benchmark_ensemble(self, engine):
+        ensemble = _verhulst_ensemble(engine)
+        assert trajectories_to_csv(ensemble) == \
+            _reference_trajectories_to_csv(ensemble)
+        report = ensemble_moments(ensemble)
+        assert moments_to_csv(report, ensemble.species) == \
+            _reference_moments_to_csv(report, ensemble.species)
+
+
+class TestWriterMemory:
+    def test_trajectory_csv_peak_stays_near_its_output(self):
+        """The writer holds little beyond the text it returns: its traced
+        peak allocation stays below 2.5 times the output's length."""
+        ensemble = _verhulst_ensemble(Engine.EULER_MARUYAMA)
+        tracemalloc.start()
+        try:
+            text = trajectories_to_csv(ensemble)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * len(text)
