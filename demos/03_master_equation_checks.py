@@ -70,7 +70,7 @@ print()
 # --- spot check: enumerated jump moments are the symbolic coefficients ------
 
 state = (7,)
-first, second = jump_moments(scheme, rates, state)
+[(first, second)] = jump_moments(scheme, rates, [state])
 print(f"jump moments at phi = {state[0]} (exact rationals):")
 print(f"    first  = {first[0]}")
 print(f"    second = {second[0][0]}")

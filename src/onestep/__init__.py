@@ -22,9 +22,9 @@ from .scheme import (DuplicateRateSymbolError, EmptySchemeError, Interaction,
 from .derive import (DiffusionSign, IncompatibleNoiseError, NoiseStrategy,
                      RateMode, SdeModel, TransitionRates, build_sde_model,
                      diffusion_matrix, drift_vector, transition_rates)
-from .cme import (DegenerateDistributionError, Distribution, StateBox,
-                  TruncatedGenerator, UnboundRateError, UnstableStepError,
-                  build_generator, channel_rate, default_box,
+from .cme import (ChannelTable, DegenerateDistributionError, Distribution,
+                  StateBox, TruncatedGenerator, UnboundRateError,
+                  UnstableStepError, build_generator, default_box,
                   distribution_moments, distribution_to_csv,
                   evolve_distribution, jump_moments, point_mass,
                   reaction_channels)

@@ -529,27 +529,18 @@ def cmd_check(args) -> int:
     n = len(scheme.species)
 
     # enumerated jump moments vs the symbolic derivation, exact arithmetic;
-    # one pass finds the first state where each moment disagrees
-    first_bad = None
-    second_bad = None
-    for state in states:
-        if first_bad is not None and second_bad is not None:
-            break
-        point = dict(zip(scheme.species, state))
-        first, second = jump_moments(scheme, rates, state)
-        if first_bad is None:
-            for i in range(n):
-                if drift_exact[i].evaluate(point) != first[i]:
-                    first_bad = (state, i)
-                    break
-        if second_bad is None:
-            for i in range(n):
-                for j in range(n):
-                    if diff_checked[i][j].evaluate(point) != second[i][j]:
-                        second_bad = (state, i, j)
-                        break
-                if second_bad:
-                    break
+    # each scan stops at the first state where its moment disagrees
+    moments = jump_moments(scheme, rates, states)
+    points = [dict(zip(scheme.species, state)) for state in states]
+    first_bad = next(((state, i) for state, point, (first, _)
+                      in zip(states, points, moments) for i in range(n)
+                      if drift_exact[i].evaluate(point) != first[i]), None)
+    second_bad = next(((state, i, j) for state, point, (_, second)
+                       in zip(states, points, moments)
+                       for i in range(n) for j in range(n)
+                       if diff_checked[i][j].evaluate(point)
+                       != second[i][j]), None)
+    del moments, points         # freed before the engines run
 
     if first_bad is None:
         results.append(("PASS", "first-jump-moment",

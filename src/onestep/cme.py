@@ -2,15 +2,16 @@
 
 Both tools work directly from the scheme's integer jump processes and
 never touch the symbolic derivation, so they can serve as independent
-ground truth for it.  The generator is assembled in exact rational
-arithmetic (given exact rate values) and converted to floats only when
-stored; states that would jump outside the truncation box send their
+ground truth for it.  Both evaluate all states at once, in exact integers,
+from one ChannelTable; the generator is converted to floats only when
+stored, and states that would jump outside the truncation box send their
 probability flux into an absorbing loss account instead.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -96,42 +97,62 @@ def reaction_channels(scheme: InteractionScheme,
     return channels
 
 
-def channel_rate(value, stoich: Sequence[int], state: Sequence[int]):
-    """Rate of one channel at an integer state: the rate value times the
-    falling factorial of each consumed species count.  Exact for exact
-    inputs; zero whenever the state cannot supply the complex."""
-    v = value
-    for x, m in zip(state, stoich):
-        for k in range(m):
-            v = v * (x - k)
-            if v == 0:
-                return v
-    return v
+class ChannelTable:
+    """The jump channels of a scheme, flattened once: row c of the (C, n)
+    arrays stoich and change is channel c of reaction_channels, and its
+    rate value is numerators[c] / denominator exactly (a float rate
+    counts as the rational it represents)."""
+
+    def __init__(self, scheme: InteractionScheme,
+                 rates: Mapping[SymbolId, object]):
+        channels = reaction_channels(scheme, rates)
+        values = [Fraction(value) for _, _, value in channels]
+        self.denominator = math.lcm(*(v.denominator for v in values))
+        self.numerators = [v.numerator * (self.denominator // v.denominator)
+                           for v in values]
+        self.stoich = np.array([s for s, _, _ in channels], dtype=np.int64)
+        self.change = np.array([d for _, d, _ in channels], dtype=np.int64)
+
+    def rate_numerators(self, states) -> np.ndarray:
+        """(S, C) object array of Python ints, which never overflow: each
+        channel's numerator times the falling factorials of its consumed
+        counts at each of the (S, n) states, zero where a state cannot
+        supply the complex.  Raises ValueError for a state of another
+        length or with a negative or non-integer entry."""
+        n = self.stoich.shape[1]
+        x = np.asarray(states)
+        if (x.ndim != 2 or x.shape[1] != n or x.dtype.kind not in "iu"
+                or (x < 0).any()):
+            raise ValueError(f"states must be nonnegative integer vectors "
+                             f"of {n} entries, one per species")
+        x = x.astype(object)
+        out = np.tile(np.array(self.numerators, dtype=object), (len(x), 1))
+        for (c, i), m in np.ndenumerate(self.stoich):
+            for k in range(m):
+                out[:, c] *= x[:, i] - k
+        return out
+
+    def exact(self, numerator: int):
+        """The value numerator / denominator: a Fraction, or int 0."""
+        return Fraction(numerator, self.denominator) if numerator else 0
 
 
 def jump_moments(scheme: InteractionScheme, rates: Mapping[SymbolId, object],
-                 state: Sequence[int]):
-    """First and second jump moments at a state, by direct enumeration.
+                 states: Sequence[Sequence[int]]):
+    """First and second jump moments at each of a sequence of states, by
+    direct enumeration.
 
-    Returns (first, second) as nested Python lists so that exact rate
-    values give exact moments.  The second moment sums the directional
-    rates; the first takes their difference.
+    Returns one (first, second) pair per state, a list and a nested list
+    of exact values (ChannelTable.exact).  The second moment sums the
+    directional rates; the first takes their difference.
     """
-    n = len(scheme.species)
-    first = [0] * n
-    second = [[0] * n for _ in range(n)]
-    for stoich, change, value in reaction_channels(scheme, rates):
-        v = channel_rate(value, stoich, state)
-        if v == 0:
-            continue
-        for i in range(n):
-            if not change[i]:
-                continue
-            first[i] = first[i] + change[i] * v
-            for j in range(n):
-                if change[j]:
-                    second[i][j] = second[i][j] + change[i] * change[j] * v
-    return first, second
+    table = ChannelTable(scheme, rates)
+    at = table.rate_numerators(states)                  # (S, C)
+    d = table.change.astype(object)                     # (C, n)
+    first = at.dot(d)                                   # (S, n)
+    second = np.tensordot(at, d[:, :, None] * d[:, None, :], 1)
+    exact = np.vectorize(table.exact, otypes=[object])
+    return list(zip(exact(first).tolist(), exact(second).tolist()))
 
 
 @dataclass(frozen=True)
@@ -141,7 +162,7 @@ class TruncatedGenerator:
     matrix is the float generator Q (columns are source states); applying
     it as dp/dt = Q p conserves probability up to the absorbing loss
     described by lost_rate, the per-state outflow across the boundary.
-    exact_lost retains that outflow in the arithmetic of the rate values.
+    exact_lost retains that outflow exactly.
     """
 
     scheme: InteractionScheme
@@ -160,39 +181,32 @@ def build_generator(scheme: InteractionScheme,
                     box: StateBox) -> TruncatedGenerator:
     if len(box.bounds) != len(scheme.species):
         raise ValueError("box dimension does not match the species count")
-    channels = reaction_channels(scheme, rates)
-    size = box.size
-    entries: dict[tuple[int, int], object] = {}
-    lost = []
-    for col, state in enumerate(box.states()):
-        out_total = 0
-        lost_here = 0
-        for stoich, change, value in channels:
-            v = channel_rate(value, stoich, state)
-            if v == 0:
-                continue
-            out_total = out_total + v
-            target = tuple(x + d for x, d in zip(state, change))
-            if box.contains(target):
-                row = box.index(target)
-                key = (row, col)
-                entries[key] = entries.get(key, 0) + v
-            else:
-                lost_here = lost_here + v
-        if out_total != 0:
-            key = (col, col)
-            entries[key] = entries.get(key, 0) - out_total
-        lost.append(lost_here)
-
-    rows = np.fromiter((k[0] for k in entries), dtype=np.int64, count=len(entries))
-    cols = np.fromiter((k[1] for k in entries), dtype=np.int64, count=len(entries))
-    data = np.fromiter((float(v) for v in entries.values()), dtype=np.float64,
-                       count=len(entries))
-    matrix = scipy.sparse.coo_matrix((data, (rows, cols)),
-                                     shape=(size, size)).tocsr()
-    return TruncatedGenerator(scheme=scheme, box=box, matrix=matrix,
-                              lost_rate=np.array([float(v) for v in lost]),
-                              exact_lost=tuple(lost))
+    table = ChannelTable(scheme, rates)
+    states = box.state_array()
+    at = table.rate_numerators(states)
+    source = np.arange(box.size)
+    parts = [(source, source, -at.sum(axis=1))]
+    lost = np.zeros(box.size, dtype=object)
+    # channels that share a change vector share their entries
+    for change in dict.fromkeys(map(tuple, table.change.tolist())):
+        v = at[:, (table.change == change).all(axis=1)].sum(axis=1)
+        target = states + change
+        inside = ((target >= 0) & (target <= box.bounds)).all(axis=1)
+        lost = lost + np.where(inside, 0, v)
+        parts.append((np.ravel_multi_index(tuple(target[inside].T),
+                                           tuple(b + 1 for b in box.bounds)),
+                      source[inside], v[inside]))
+    rows, cols, values = map(np.concatenate, zip(*parts))
+    keep = values != 0
+    # int / int is correctly rounded, as float(Fraction) is
+    den = table.denominator
+    matrix = scipy.sparse.coo_matrix(
+        ((values[keep] / den).astype(np.float64), (rows[keep], cols[keep])),
+        shape=(box.size, box.size)).tocsr()
+    return TruncatedGenerator(
+        scheme=scheme, box=box, matrix=matrix,
+        lost_rate=(lost / den).astype(np.float64),
+        exact_lost=tuple(map(table.exact, lost.tolist())))
 
 
 @dataclass(frozen=True)

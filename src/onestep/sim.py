@@ -26,6 +26,9 @@ from .scheme import InteractionScheme
 
 _CHUNK_STEPS = 256      # noise draws are blocked per trajectory in chunks
 _SSA_BLOCK = 1024       # random draws per refill of the jump sampler
+# jump events one trajectory may take, checked once per refill; the most
+# any test, demo or benchmark workload takes is 13,412
+_SSA_EVENT_BUDGET = 2048 * _SSA_BLOCK
 _PSD_TOL = 1e-9
 _RATE_TOL = 1e-9
 _REJECT_LIMIT = 100
@@ -330,27 +333,28 @@ def _retry_step(stepper: _EmStepper, state: np.ndarray,
 
 
 def _compile_ssa_rates(channels, n: int):
-    """Generate a state -> (rates...) function for the jump sampler.
+    """Generate a state -> (rates, total) function for the jump sampler.
 
     For nonnegative integer states the plain falling-factorial product
     already vanishes whenever the state cannot supply a channel's complex
     (one factor is exactly zero), so the generated expressions need no
-    feasibility guards.
+    feasibility guards.  The total is written out as r0 + r1 + ..., left
+    to right on every Python: from 3.12 on, the builtin sum of floats is
+    compensated and would draw other waiting times.
     """
     used = sorted({i for stoich, _, _ in channels
                    for i, m in enumerate(stoich) if m})
     lines = ["def channel_rates(state):"]
     for i in used:
         lines.append(f"    x{i} = state[{i}]")
-    exprs = []
-    for stoich, _, value in channels:
+    for c, (stoich, _, value) in enumerate(channels):
         factors = [repr(float(value))]
         for i, m in enumerate(stoich):
             for k in range(m):
                 factors.append(f"x{i}" if k == 0 else f"(x{i}-{k})")
-        exprs.append("*".join(factors))
-    joined = ",\n            ".join(exprs)
-    lines.append(f"    return ({joined},)")
+        lines.append(f"    r{c} = {'*'.join(factors)}")
+    names = [f"r{c}" for c in range(len(channels))]
+    lines.append(f"    return ({', '.join(names)},), {' + '.join(names)}")
     namespace: dict = {}
     exec("\n".join(lines), namespace)
     return namespace["channel_rates"]
@@ -362,7 +366,8 @@ def gillespie_ssa(scheme: InteractionScheme,
 
     States are integer occupation numbers; sampled paths are reported on
     the shared time grid by last-value interpolation.  The initial state
-    must be integral.
+    must be integral.  A trajectory that needs more than
+    _SSA_EVENT_BUDGET events raises SimulationError.
     """
     n = len(scheme.species)
     if len(config.initial_state) != n:
@@ -392,19 +397,25 @@ def gillespie_ssa(scheme: InteractionScheme,
         exp_buf = rng.standard_exponential(_SSA_BLOCK).tolist()
         uni_buf = rng.random(_SSA_BLOCK).tolist()
         ei = ui = 0
+        drawn = _SSA_BLOCK
         state = list(init)
         t = 0.0
         g = 0
         while True:
-            channel_rates = rate_fn(state)
-            total = sum(channel_rates)
+            channel_rates, total = rate_fn(state)
             if total <= 0.0:
                 while g < g_count:            # absorbed: state holds forever
                     paths[j, g] = state
                     g += 1
                 break
             if ei == _SSA_BLOCK:
+                if drawn >= _SSA_EVENT_BUDGET:
+                    raise SimulationError(
+                        f"trajectory {j} used up its budget of "
+                        f"{_SSA_EVENT_BUDGET} jump events at t = {t!r}: "
+                        "the model may blow up in finite time")
                 exp_buf = rng.standard_exponential(_SSA_BLOCK).tolist()
+                drawn += _SSA_BLOCK
                 ei = 0
             t_next = t + exp_buf[ei] / total
             ei += 1

@@ -96,10 +96,11 @@ def test_criterion_4_jump_moment_oracle():
             diffusion = diffusion_matrix(scheme, RateMode.EXACT,
                                          DiffusionSign.SUM)
             n = len(scheme.species)
-            for state in np.ndindex(*(6,) * n):
+            states = list(np.ndindex(*(6,) * n))
+            for state, (first, second) in zip(
+                    states, jump_moments(scheme, rates, states)):
                 point = dict(zip(scheme.species, (int(x) for x in state)))
                 point.update(rates)
-                first, second = jump_moments(scheme, rates, state)
                 for i in range(n):
                     assert drift[i].evaluate(point) == first[i]
                     for j in range(n):

@@ -817,6 +817,33 @@ class TestSimulationFailures:
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["s.rates", "s.scheme"]
 
+    def test_jump_sampler_that_blows_up_exits_2(self, tmp_path, capsys):
+        # the jump rates grow like x^2 from x = 5: a path takes ever more
+        # events and never reaches t = 2
+        code = self._simulate(tmp_path, "x -> 2 x @ k_1\n2 x -> 3 x @ k_2\n",
+                              "k_1 = 1\nk_2 = 1\n", "--engine", "ssa",
+                              "--initial", "x=5", "--t-final", "2")
+        assert code == 2
+        _assert_usage_error(capsys, "trajectory 0 used up its budget",
+                            "jump events at t = 0.")
+        assert not (tmp_path / "o").exists()
+
+    def test_check_stops_at_the_event_budget(self, tmp_path, capsys,
+                                             monkeypatch):
+        # about 2,000 jumps per unit time near x = 1000: one refill of
+        # the jump sampler's buffers is more than this budget allows
+        monkeypatch.setattr("onestep.sim._SSA_EVENT_BUDGET", 1024)
+        scheme_path = tmp_path / "s.scheme"
+        scheme_path.write_text("0 <-> x @ a, b\n")
+        rates_path = tmp_path / "s.rates"
+        rates_path.write_text("a = 1000\nb = 1\n")
+        assert main(["check", str(scheme_path), "--rates", str(rates_path),
+                     "--initial", "x=1000", "--trajectories", "3",
+                     "--t-final", "1", "--dt", "0.01", "--box", "4",
+                     "--grid-points", "4"]) == 2
+        _assert_usage_error(capsys, "trajectory 0 used up its budget of "
+                            "1024 jump events")
+
 
 class TestEntryPoint:
     def test_version_flag(self, capsys):

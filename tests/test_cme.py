@@ -6,16 +6,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onestep import (DegenerateDistributionError, Distribution, RateMode,
-                     StateBox, UnboundRateError, UnstableStepError,
-                     as_function, bind_values, build_generator,
-                     channel_rate, default_box, distribution_moments,
-                     distribution_to_csv, drift_vector, evolve_distribution,
-                     jump_moments, parse_scheme, point_mass, rate,
-                     reaction_channels)
+from onestep import (ChannelTable, DegenerateDistributionError, Distribution,
+                     RateMode, StateBox, TruncatedGenerator,
+                     UnboundRateError, UnstableStepError, as_function,
+                     bind_values, build_generator, default_box,
+                     distribution_moments, distribution_to_csv,
+                     drift_vector, evolve_distribution, jump_moments,
+                     parse_scheme, point_mass, rate, reaction_channels)
 from helpers import LOTKA_VOLTERRA, PURE_DEATH, VERHULST, random_scheme_text
 
 BETA = rate("beta")
@@ -57,10 +58,35 @@ class TestChannels:
             reaction_channels(s, {LAM: 1, BETA: 1})
         assert "gamma" in str(err.value)
 
-    def test_channel_rate_counts_arrangements(self):
-        assert channel_rate(Fraction(1, 2), (2,), (3,)) == 3
-        assert channel_rate(1, (2,), (1,)) == 0
-        assert channel_rate(1, (0,), (5,)) == 1
+
+class TestChannelTable:
+    def test_rates_count_arrangements(self):
+        s = parse_scheme("2 x -> 0 @ a\n0 -> x @ b\n")
+        table = ChannelTable(s, {rate("a"): Fraction(1, 2), rate("b"): 1})
+        assert table.denominator == 2
+        at = table.rate_numerators([(3,), (1,), (5,)])
+        # a x (x - 1) is 3 at x = 3 and 0 at x = 1; b consumes nothing
+        assert at[:, 0].tolist() == [6, 0, 20]
+        assert at[:, 1].tolist() == [2, 2, 2]
+
+    def test_float_rates_count_as_the_rationals_they_represent(self):
+        s = parse_scheme(PURE_DEATH)
+        table = ChannelTable(s, {BETA: 0.1})
+        assert Fraction(table.numerators[0], table.denominator) == \
+            Fraction(0.1)
+
+    @pytest.mark.parametrize("states", [
+        [(2,)],                 # y is missing
+        [(-1, 3)],
+        [(2, 1.5)],
+        [(2, 1), (3,)],
+        (2, 1),                 # one state, not a sequence of them
+    ])
+    def test_malformed_states_are_rejected(self, states):
+        s = parse_scheme(LOTKA_VOLTERRA)
+        ones = {sym: 1 for sym in s.rate_symbols}
+        with pytest.raises(ValueError):
+            jump_moments(s, ones, states)
 
 
 class TestGenerator:
@@ -112,20 +138,21 @@ class TestGenerator:
 class TestJumpMoments:
     def test_logistic_at_three(self):
         s = parse_scheme(VERHULST)
-        first, second = jump_moments(s, VERHULST_RATES, (3,))
+        [(first, second)] = jump_moments(s, VERHULST_RATES, [(3,)])
         assert first == [Fraction(-3, 5)]
         assert second == [[Fraction(33, 5)]]
 
     def test_zero_rates_give_zero_moments(self):
         s = parse_scheme(VERHULST)
-        first, second = jump_moments(s, {LAM: 0, GAMMA: 0, BETA: 0}, (5,))
+        [(first, second)] = jump_moments(s, {LAM: 0, GAMMA: 0, BETA: 0},
+                                         [(5,)])
         assert first == [0]
         assert second == [[0]]
 
     def test_predator_prey_at_a_small_state(self):
         s = parse_scheme(LOTKA_VOLTERRA)
         ones = {sym: 1 for sym in s.rate_symbols}
-        first, second = jump_moments(s, ones, (2, 1))
+        [(first, second)] = jump_moments(s, ones, [(2, 1)])
         assert first == [0, 1]
         assert second == [[4, -2], [-2, 3]]
 
@@ -191,8 +218,9 @@ class TestEvolution:
         mean_behind, _ = distribution_moments(behind)
         slope = (mean_ahead[0] - mean_behind[0]) / (2 * h)
         expectation = sum(
-            float(jump_moments(s, rates, state)[0][0]) * p
-            for state, p in zip(box.states(), at_t.probabilities))
+            float(first[0]) * p for (first, _), p
+            in zip(jump_moments(s, rates, list(box.states())),
+                   at_t.probabilities))
         assert abs(slope - expectation) < 1e-4
 
 
@@ -353,3 +381,129 @@ class TestDefaultBoxFixedPointStop:
         start = tuple(initial[:len(s.species)])
         assert default_box(s, rates, start) == \
             reference_default_box(s, rates, start)
+
+
+# The oracles as they were before the channel table: one state and one
+# channel at a time.  The table must reproduce them exactly.
+
+def reference_channel_rate(value, stoich, state):
+    v = value
+    for x, m in zip(state, stoich):
+        for k in range(m):
+            v = v * (x - k)
+            if v == 0:
+                return v
+    return v
+
+
+def reference_jump_moments(scheme, rates, state):
+    n = len(scheme.species)
+    first = [0] * n
+    second = [[0] * n for _ in range(n)]
+    for stoich, change, value in reaction_channels(scheme, rates):
+        v = reference_channel_rate(value, stoich, state)
+        if v == 0:
+            continue
+        for i in range(n):
+            if not change[i]:
+                continue
+            first[i] = first[i] + change[i] * v
+            for j in range(n):
+                if change[j]:
+                    second[i][j] = second[i][j] + change[i] * change[j] * v
+    return first, second
+
+
+def reference_build_generator(scheme, rates, box):
+    if len(box.bounds) != len(scheme.species):
+        raise ValueError("box dimension does not match the species count")
+    channels = reaction_channels(scheme, rates)
+    size = box.size
+    entries = {}
+    lost = []
+    for col, state in enumerate(box.states()):
+        out_total = 0
+        lost_here = 0
+        for stoich, change, value in channels:
+            v = reference_channel_rate(value, stoich, state)
+            if v == 0:
+                continue
+            out_total = out_total + v
+            target = tuple(x + d for x, d in zip(state, change))
+            if box.contains(target):
+                row = box.index(target)
+                key = (row, col)
+                entries[key] = entries.get(key, 0) + v
+            else:
+                lost_here = lost_here + v
+        if out_total != 0:
+            key = (col, col)
+            entries[key] = entries.get(key, 0) - out_total
+        lost.append(lost_here)
+
+    rows = np.fromiter((k[0] for k in entries), dtype=np.int64, count=len(entries))
+    cols = np.fromiter((k[1] for k in entries), dtype=np.int64, count=len(entries))
+    data = np.fromiter((float(v) for v in entries.values()), dtype=np.float64,
+                       count=len(entries))
+    matrix = scipy.sparse.coo_matrix((data, (rows, cols)),
+                                     shape=(size, size)).tocsr()
+    return TruncatedGenerator(scheme=scheme, box=box, matrix=matrix,
+                              lost_rate=np.array([float(v) for v in lost]),
+                              exact_lost=tuple(lost))
+
+
+def assert_matches_reference(scheme, rates, box):
+    gen = build_generator(scheme, rates, box)
+    ref = reference_build_generator(scheme, rates, box)
+    for name in ("indptr", "indices", "data"):
+        assert getattr(gen.matrix, name).dtype == \
+            getattr(ref.matrix, name).dtype
+        assert getattr(gen.matrix, name).tobytes() == \
+            getattr(ref.matrix, name).tobytes(), name
+    assert gen.lost_rate.tobytes() == ref.lost_rate.tobytes()
+    assert gen.exact_lost == ref.exact_lost
+    states = list(box.states())
+    assert jump_moments(scheme, rates, states) == \
+        [reference_jump_moments(scheme, rates, state) for state in states]
+
+
+class TestOraclesMatchTheReference:
+    @given(seed=st.integers(0, 10 ** 9))
+    @settings(max_examples=60, deadline=None)
+    def test_random_schemes(self, seed):
+        rng = random.Random(seed)
+        s = parse_scheme(random_scheme_text(rng, max_stoich=3))
+        rates = {sym: rng.choice([0, rng.randint(1, 9),
+                                  Fraction(rng.randint(1, 9),
+                                           rng.randint(2, 7))])
+                 for sym in s.rate_symbols}
+        box = StateBox(tuple(rng.choice([0, rng.randint(1, 5)])
+                             for _ in s.species))
+        assert_matches_reference(s, rates, box)
+
+    RING8 = "".join(f"3 x{i} <-> 3 x{i % 8 + 1} @ a_{i}, b_{i}\n"
+                    for i in range(1, 9))
+
+    # the oracle boxes of the perfbench workloads: default_box from their
+    # initial states for verhulst and lotka-volterra, ring8's explicit box
+    @pytest.mark.parametrize("text, values, bounds", [
+        (VERHULST, {"lambda": 1, "beta": "1/5", "gamma": "1/20"}, (64,)),
+        (LOTKA_VOLTERRA, {"k_1": 1, "k_2": "1/20", "k_3": 1}, (80, 80)),
+        (RING8, {f"{k}_{i}": v for i in range(1, 9)
+                 for k, v in (("a", "1/10000"), ("b", "1/20000"))},
+         (3, 3, 0, 0, 0, 0, 0, 3)),
+    ], ids=["verhulst", "lotka-volterra", "ring8"])
+    def test_benchmark_oracle_boxes(self, text, values, bounds):
+        s = parse_scheme(text)
+        rates = {sym: Fraction(values[sym.name]) for sym in s.rate_symbols}
+        assert_matches_reference(s, rates, StateBox(bounds))
+
+    def test_products_beyond_int64(self):
+        # int64 arithmetic would wrap: 2**62 * 3 * 2 at x = 3, and the
+        # falling factorial of 3,000,000 of order 3 is about 2.7e19
+        s = parse_scheme("2 x -> 0 @ a\n3 x -> x @ b\n")
+        rates = {rate("a"): 2 ** 62, rate("b"): Fraction(1, 3)}
+        assert_matches_reference(s, rates, StateBox((4,)))
+        states = [(3_000_000,), (2 ** 40,)]
+        assert jump_moments(s, rates, states) == \
+            [reference_jump_moments(s, rates, state) for state in states]

@@ -209,10 +209,11 @@ class TestDerivationProperties:
         drift = drift_vector(s, RateMode.EXACT)
         second = diffusion_matrix(s, RateMode.EXACT, DiffusionSign.SUM)
         n = len(s.species)
-        for state in itertools.product(range(4), repeat=n):
+        states = list(itertools.product(range(4), repeat=n))
+        for state, (first_enum, second_enum) in zip(
+                states, jump_moments(s, rates, states)):
             point = dict(rates)
             point.update(zip(s.species, state))
-            first_enum, second_enum = jump_moments(s, rates, state)
             for i in range(n):
                 assert drift[i].evaluate(point) == first_enum[i]
                 for j in range(n):

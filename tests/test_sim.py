@@ -293,6 +293,31 @@ class TestGillespie:
         with pytest.raises(ValueError):
             gillespie_ssa(scheme, config)
 
+    def test_total_rate_is_summed_left_to_right(self):
+        # 1.0 + 1e-16 + 1e-16 is 1.0 left to right, but 1 + 2**-52
+        # compensated (math.fsum, and sum() from Python 3.12 on).  The
+        # first waiting time e / 1.0 ends just after t_final, so the path
+        # must not jump; e / (1 + 2**-52) would end on or before it.
+        scheme = parse_scheme("0 -> x @ a\n0 -> 2 x @ b\n0 -> 3 x @ c\n")
+        e = trajectory_rng(0, 0).standard_exponential()
+        t_final = float(np.nextafter(e, 0.0))
+        config = SimConfig(rates={rate("a"): 1.0, rate("b"): 1e-16,
+                                  rate("c"): 1e-16},
+                           initial_state=(0,), t_final=t_final, dt=t_final,
+                           trajectories=1, grid_points=2)
+        assert gillespie_ssa(scheme, config).paths[0, -1, 0] == 0.0
+
+    def test_event_budget_stops_a_blow_up(self):
+        # the jump rates grow like x^2 from x = 5: a path takes ever more
+        # events and never reaches t = 2
+        scheme = parse_scheme("x -> 2 x @ k_1\n2 x -> 3 x @ k_2\n")
+        config = SimConfig(rates={rate("k_1"): 1, rate("k_2"): 1},
+                           initial_state=(5,), t_final=2.0, trajectories=2)
+        with pytest.raises(SimulationError,
+                           match="trajectory 0 used up its budget of "
+                                 "2097152 jump events at t = 0\\.[0-9]"):
+            gillespie_ssa(scheme, config)
+
 
 class TestEngineComparison:
     def test_logistic_engines_agree(self):
