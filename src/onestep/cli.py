@@ -38,8 +38,8 @@ from .sim import (Engine, NegativePolicy, NegativeRateError, NotPsdError,
                   SimConfig, SimConfigError, SimulationError,
                   TooFewTrajectoriesError, check_trajectory_count,
                   compare_engines, ensemble_moments, euler_maruyama,
-                  gillespie_ssa, mean_band_svg, moments_to_csv,
-                  symmetric_matrices, trajectories_to_csv)
+                  gillespie_ssa, integer_initial_state, mean_band_svg,
+                  moments_to_csv, symmetric_matrices, trajectories_to_csv)
 
 
 class RatesFileError(ValueError):
@@ -512,6 +512,7 @@ def cmd_check(args) -> int:
         grid_points=args.grid_points)
     if config is not None:
         check_trajectory_count(config.trajectories)
+        integer_initial_state(config.initial_state)
     if args.box:
         box = parse_box(args.box, scheme.species)
     else:

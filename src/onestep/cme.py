@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.sparse
 
 from .poly import SymbolId, as_function, bind_values
 from .scheme import InteractionScheme
@@ -179,6 +178,8 @@ class TruncatedGenerator:
 def build_generator(scheme: InteractionScheme,
                     rates: Mapping[SymbolId, object],
                     box: StateBox) -> TruncatedGenerator:
+    import scipy.sparse     # here, so that importing onestep needs no scipy
+
     if len(box.bounds) != len(scheme.species):
         raise ValueError("box dimension does not match the species count")
     table = ChannelTable(scheme, rates)

@@ -80,14 +80,15 @@ def transition_rates(scheme: InteractionScheme,
 def drift_vector(scheme: InteractionScheme,
                  mode: RateMode = RateMode.FOKKER_PLANCK) -> list[Polynomial]:
     rates = transition_rates(scheme, mode)
-    n = len(scheme.species)
-    out = [Polynomial.zero() for _ in range(n)]
+    # each entry's terms are collected and merged once: adding term by
+    # term would re-merge the whole sum per interaction
+    terms = [[] for _ in scheme.species]
     for ia, sp, sm in zip(scheme.interactions, rates.forward, rates.backward):
         net = sp - sm
         for i, r in enumerate(ia.change):
             if r:
-                out[i] = out[i] + r * net
-    return out
+                terms[i] += (r * net).terms
+    return [Polynomial(t) for t in terms]
 
 
 def diffusion_matrix(scheme: InteractionScheme,
@@ -96,17 +97,14 @@ def diffusion_matrix(scheme: InteractionScheme,
                      ) -> list[list[Polynomial]]:
     rates = transition_rates(scheme, mode)
     n = len(scheme.species)
-    out = [[Polynomial.zero() for _ in range(n)] for _ in range(n)]
+    terms = [[[] for _ in range(n)] for _ in range(n)]
     for ia, sp, sm in zip(scheme.interactions, rates.forward, rates.backward):
         combined = sp - sm if sign is DiffusionSign.DIFFERENCE else sp + sm
-        r = ia.change
-        for i in range(n):
-            if not r[i]:
-                continue
-            for j in range(n):
-                if r[j]:
-                    out[i][j] = out[i][j] + (r[i] * r[j]) * combined
-    return out
+        moved = [(i, r) for i, r in enumerate(ia.change) if r]
+        for i, ri in moved:
+            for j, rj in moved:
+                terms[i][j] += ((ri * rj) * combined).terms
+    return [[Polynomial(t) for t in row] for row in terms]
 
 
 @dataclass(frozen=True)

@@ -10,16 +10,16 @@ perturbs existing ones.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .cme import UnboundRateError, reaction_channels
-from .derive import (DiffusionSign, NoiseStrategy, RateMode, SdeModel,
+from .derive import (IncompatibleNoiseError, NoiseStrategy, SdeModel,
                      transition_rates)
 from .poly import SymbolId, as_function, bind_values
 from .scheme import InteractionScheme
@@ -177,65 +177,63 @@ def symmetric_matrices(values, count: int, n: int) -> np.ndarray:
 
 
 class _EmStepper:
-    """Evaluates drift and noise increments for a batch of states."""
+    """Evaluates drift and noise increments for a batch of states with
+    one generated function of the drift, then the noise entries."""
 
     def __init__(self, model: SdeModel, config: SimConfig):
         for r in model.rate_symbols:
             if r not in config.rates:
                 raise UnboundRateError(r)
-
-        def compile_bound(polys):
-            return as_function([bind_values(p, config.rates) for p in polys],
-                               model.species)
-
         self.n = len(model.species)
-        self.drift_fn = compile_bound(model.drift)
         self.strategy = model.noise_strategy
         if self.strategy is NoiseStrategy.MATRIX_SQRT:
-            self.diffusion_fn = compile_bound(
-                [model.diffusion[i][j] for i in range(self.n)
-                 for j in range(i, self.n)])
+            noise = [model.diffusion[i][j] for i in range(self.n)
+                     for j in range(i, self.n)]
             self.wiener_dim = self.n
         else:
             if model.scheme is None:
-                raise ValueError("per-reaction noise needs the scheme")
+                raise IncompatibleNoiseError(
+                    "per-reaction noise needs the scheme, but the model "
+                    "input carries none")
             tr = transition_rates(model.scheme, model.rate_mode)
-            self.amplitude_fn = compile_bound(
-                [f + g for f, g in zip(tr.forward, tr.backward)])
+            noise = [f + g for f, g in zip(tr.forward, tr.backward)]
             self.change = np.array(
                 [ia.change for ia in model.scheme.interactions],
                 dtype=np.float64)                       # (s, n)
             self.wiener_dim = len(model.scheme.interactions)
+        self.fn = as_function([bind_values(p, config.rates)
+                               for p in (*model.drift, *noise)],
+                              model.species)
 
-    def drift(self, states: np.ndarray) -> np.ndarray:
-        out = np.empty(states.shape)
-        for i, v in enumerate(self.drift_fn(*states.T)):
-            out[:, i] = v
-        return out
-
-    def noise(self, states: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    def step(self, states: np.ndarray,
+             eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The drift and the noise increment b(phi) eps at each state."""
         count = states.shape[0]
+        values = self.fn(*states.T)
+        drift = np.empty(states.shape)
+        for i, v in enumerate(values[:self.n]):
+            drift[:, i] = v
         if self.strategy is NoiseStrategy.PER_REACTION:
             amp = np.empty((count, self.wiener_dim))
-            for i, v in enumerate(self.amplitude_fn(*states.T)):
+            for i, v in enumerate(values[self.n:]):
                 amp[:, i] = v
             low = amp.min(initial=0.0)
             if low < -_RATE_TOL:
                 raise NegativeRateError(
                     f"per-reaction rate {low:.6e} is negative beyond "
                     f"tolerance {_RATE_TOL:.1e}")
-            return (np.sqrt(np.clip(amp, 0.0, None)) * eps) @ self.change
-        bmat = symmetric_matrices(self.diffusion_fn(*states.T), count,
-                                  self.n)
+            noise = (np.sqrt(np.clip(amp, 0.0, None)) * eps) @ self.change
+            return drift, noise
+        bmat = symmetric_matrices(values[self.n:], count, self.n)
         if self.n == 1:
             b = bmat[:, 0]
             scale = 1.0 + np.abs(b).max(initial=0.0)
             if b.min(initial=0.0) < -_PSD_TOL * scale:
                 raise NotPsdError(f"diffusion value {b.min():.6e} is "
                                   "negative beyond tolerance")
-            return np.sqrt(np.clip(b, 0.0, None)) * eps
+            return drift, np.sqrt(np.clip(b, 0.0, None)) * eps
         root = matrix_sqrt_psd(bmat)
-        return np.einsum("tij,tj->ti", root, eps)
+        return drift, np.einsum("tij,tj->ti", root, eps)
 
 
 def _grid_step_indices(times: np.ndarray, dt: float, nsteps: int) -> np.ndarray:
@@ -282,8 +280,7 @@ def euler_maruyama(model: SdeModel, config: SimConfig) -> TrajectoryEnsemble:
         for j, gen in enumerate(gens):
             eps[j] = gen.standard_normal((k, m))
         for s in range(k):
-            drift = stepper.drift(states)
-            noise = stepper.noise(states, eps[:, s, :])
+            drift, noise = stepper.step(states, eps[:, s, :])
             proposal = states + drift * dt + noise * sqrt_dt
             bad = proposal < 0
             if bad.any():
@@ -321,10 +318,10 @@ def _retry_step(stepper: _EmStepper, state: np.ndarray,
                 gen: np.random.Generator, dt: float,
                 sqrt_dt: float) -> np.ndarray:
     row = state[None, :]
-    drift = stepper.drift(row)
     for _ in range(_REJECT_LIMIT):
-        eps = gen.standard_normal((1, stepper.wiener_dim))
-        proposal = row + drift * dt + stepper.noise(row, eps) * sqrt_dt
+        drift, noise = stepper.step(
+            row, gen.standard_normal((1, stepper.wiener_dim)))
+        proposal = row + drift * dt + noise * sqrt_dt
         if (proposal >= 0).all():
             return proposal[0]
     raise SimulationError(
@@ -332,19 +329,23 @@ def _retry_step(stepper: _EmStepper, state: np.ndarray,
         "the step size is likely too large for this state")
 
 
-def _compile_ssa_rates(channels, n: int):
-    """Generate a state -> (rates, total) function for the jump sampler.
+def _compile_ssa_rates(channels):
+    """Generate a state -> (partial, total) function for the jump sampler:
+    the cumulative rates c0 = r0, c1 = c0 + r1, ..., one statement per
+    channel, with total the last of them and partial the others.  With
+    nonnegative rate values the sums never decrease, as the sampler's
+    bisection needs.
 
     For nonnegative integer states the plain falling-factorial product
     already vanishes whenever the state cannot supply a channel's complex
     (one factor is exactly zero), so the generated expressions need no
-    feasibility guards.  The total is written out as r0 + r1 + ..., left
-    to right on every Python: from 3.12 on, the builtin sum of floats is
-    compensated and would draw other waiting times.
+    feasibility guards.  The total is summed left to right on every
+    Python: from 3.12 on, the builtin sum of floats is compensated and
+    would draw other waiting times.
     """
     used = sorted({i for stoich, _, _ in channels
                    for i, m in enumerate(stoich) if m})
-    lines = ["def channel_rates(state):"]
+    lines = ["def cumulative_rates(state):"]
     for i in used:
         lines.append(f"    x{i} = state[{i}]")
     for c, (stoich, _, value) in enumerate(channels):
@@ -352,17 +353,30 @@ def _compile_ssa_rates(channels, n: int):
         for i, m in enumerate(stoich):
             for k in range(m):
                 factors.append(f"x{i}" if k == 0 else f"(x{i}-{k})")
-        lines.append(f"    r{c} = {'*'.join(factors)}")
-    names = [f"r{c}" for c in range(len(channels))]
-    lines.append(f"    return ({', '.join(names)},), {' + '.join(names)}")
+        before = f"c{c - 1} + " if c else ""
+        lines.append(f"    c{c} = {before}{'*'.join(factors)}")
+    partial = "".join(f"c{c}, " for c in range(len(channels) - 1))
+    lines.append(f"    return ({partial}), c{len(channels) - 1}")
     namespace: dict = {}
     exec("\n".join(lines), namespace)
-    return namespace["channel_rates"]
+    return namespace["cumulative_rates"]
+
+
+def integer_initial_state(initial_state: Sequence[float]) -> list[int]:
+    """The initial state as occupation numbers, which the jump sampler
+    needs; a fractional entry raises SimConfigError."""
+    for x in initial_state:
+        if abs(x - round(x)) > 1e-9:
+            raise SimConfigError("jump-process simulation needs an integer "
+                                 f"initial state, got {x!r}")
+    return [int(round(x)) for x in initial_state]
 
 
 def gillespie_ssa(scheme: InteractionScheme,
                   config: SimConfig) -> TrajectoryEnsemble:
-    """Exact jump-process sampling with exponential waiting times.
+    """Exact jump-process sampling with exponential waiting times: each
+    event fires the first channel whose cumulative rate exceeds u times
+    the total (Gillespie's direct method).
 
     States are integer occupation numbers; sampled paths are reported on
     the shared time grid by last-value interpolation.  The initial state
@@ -372,25 +386,18 @@ def gillespie_ssa(scheme: InteractionScheme,
     n = len(scheme.species)
     if len(config.initial_state) != n:
         raise ValueError("initial state length does not match the scheme")
-    init = []
-    for x in config.initial_state:
-        if abs(x - round(x)) > 1e-9:
-            raise ValueError("jump-process simulation needs an integer "
-                             f"initial state, got {x!r}")
-        init.append(int(round(x)))
+    init = integer_initial_state(config.initial_state)
 
     float_rates = {sym: float(v) for sym, v in config.rates.items()}
     channels = reaction_channels(scheme, float_rates)
     deltas = [tuple((i, d) for i, d in enumerate(change) if d)
               for _, change, _ in channels]
-    rate_fn = _compile_ssa_rates(channels, n)
+    rate_fn = _compile_ssa_rates(channels)
 
     times = config.times
     grid = times.tolist()          # scalar loop below runs on plain floats
     g_count = len(grid)
-    t_final = config.t_final
     paths = np.empty((config.trajectories, g_count, n))
-    n_channels = len(channels)
 
     for j in range(config.trajectories):
         rng = trajectory_rng(config.base_seed, j)
@@ -402,46 +409,35 @@ def gillespie_ssa(scheme: InteractionScheme,
         t = 0.0
         g = 0
         while True:
-            channel_rates, total = rate_fn(state)
+            partial, total = rate_fn(state)
             if total <= 0.0:
-                while g < g_count:            # absorbed: state holds forever
-                    paths[j, g] = state
-                    g += 1
-                break
-            if ei == _SSA_BLOCK:
-                if drawn >= _SSA_EVENT_BUDGET:
-                    raise SimulationError(
-                        f"trajectory {j} used up its budget of "
-                        f"{_SSA_EVENT_BUDGET} jump events at t = {t!r}: "
-                        "the model may blow up in finite time")
-                exp_buf = rng.standard_exponential(_SSA_BLOCK).tolist()
-                drawn += _SSA_BLOCK
-                ei = 0
-            t_next = t + exp_buf[ei] / total
-            ei += 1
-            while g < g_count and grid[g] < t_next:
+                t = math.inf            # absorbed: the state holds forever
+            else:
+                if ei == _SSA_BLOCK:
+                    if drawn >= _SSA_EVENT_BUDGET:
+                        raise SimulationError(
+                            f"trajectory {j} used up its budget of "
+                            f"{_SSA_EVENT_BUDGET} jump events at t = {t!r}: "
+                            "the model may blow up in finite time")
+                    exp_buf = rng.standard_exponential(_SSA_BLOCK).tolist()
+                    drawn += _SSA_BLOCK
+                    ei = 0
+                t += exp_buf[ei] / total
+                ei += 1
+            # the last grid time is t_final, so an event past it ends the path
+            while g < g_count and grid[g] < t:
                 paths[j, g] = state
                 g += 1
-            if t_next > t_final or g >= g_count:
-                while g < g_count:
-                    paths[j, g] = state
-                    g += 1
+            if g == g_count:
                 break
             if ui == _SSA_BLOCK:
                 uni_buf = rng.random(_SSA_BLOCK).tolist()
                 ui = 0
-            u = uni_buf[ui] * total
-            ui += 1
-            acc = 0.0
-            chosen = n_channels - 1
-            for idx in range(n_channels):
-                acc += channel_rates[idx]
-                if u < acc:
-                    chosen = idx
-                    break
-            for i, d in deltas[chosen]:
+            # the first channel whose cumulative rate exceeds u, else the last
+            for i, d in deltas[bisect.bisect_right(partial,
+                                                   uni_buf[ui] * total)]:
                 state[i] += d
-            t = t_next
+            ui += 1
     return TrajectoryEnsemble(engine=Engine.SSA, species=scheme.species,
                               times=times, paths=paths,
                               clamp_events=np.zeros(config.trajectories,

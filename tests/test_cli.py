@@ -225,6 +225,24 @@ class TestCodegen:
         assert exc.value.code == 2
 
 
+def _bare_model_file(tmp_path, noise: str):
+    """A model JSON file without the scheme the model came from."""
+    from onestep import (DiffusionSign, NoiseStrategy, Polynomial, RateMode,
+                         SdeModel, emit_model_json, rate, species)
+    phi = species("phi")
+    bare = SdeModel(species=(phi,), rate_symbols=(rate("beta"),),
+                    drift=(-Polynomial.symbol(rate("beta"))
+                           * Polynomial.symbol(phi),),
+                    diffusion=((Polynomial.symbol(rate("beta"))
+                                * Polynomial.symbol(phi),),),
+                    rate_mode=RateMode.FOKKER_PLANCK,
+                    diffusion_sign=DiffusionSign.SUM,
+                    noise_strategy=NoiseStrategy(noise))
+    path = tmp_path / "bare.model.json"
+    path.write_text(emit_model_json(bare))
+    return path
+
+
 def run_simulate(tmp_path, scheme_path, rates_path, out_name, extra=()):
     out = tmp_path / out_name
     argv = ["simulate", str(scheme_path), "--rates", str(rates_path),
@@ -304,24 +322,19 @@ class TestSimulate:
         assert code == 0
 
     def test_ssa_needs_a_scheme(self, tmp_path, verhulst_rates, capsys):
-        from onestep import (DiffusionSign, NoiseStrategy, Polynomial,
-                             RateMode, SdeModel, emit_model_json, rate,
-                             species)
-        phi = species("phi")
-        bare = SdeModel(species=(phi,), rate_symbols=(rate("beta"),),
-                        drift=(-Polynomial.symbol(rate("beta"))
-                               * Polynomial.symbol(phi),),
-                        diffusion=((Polynomial.symbol(rate("beta"))
-                                    * Polynomial.symbol(phi),),),
-                        rate_mode=RateMode.FOKKER_PLANCK,
-                        diffusion_sign=DiffusionSign.SUM,
-                        noise_strategy=NoiseStrategy.MATRIX_SQRT)
-        path = tmp_path / "bare.model.json"
-        path.write_text(emit_model_json(bare))
+        path = _bare_model_file(tmp_path, "sqrt")
         code, _ = run_simulate(tmp_path, path, verhulst_rates, "run",
                                extra=("--engine", "ssa"))
         assert code == 2
         assert "scheme" in capsys.readouterr().err
+
+    def test_per_reaction_noise_needs_a_scheme(self, tmp_path,
+                                               verhulst_rates, capsys):
+        path = _bare_model_file(tmp_path, "per-reaction")
+        code, out = run_simulate(tmp_path, path, verhulst_rates, "run")
+        assert code == 2
+        _assert_usage_error(capsys, "per-reaction noise needs the scheme")
+        assert not out.exists()
 
     def test_missing_rate_exits_3(self, tmp_path, verhulst_file, capsys):
         rates = tmp_path / "partial.rates"
@@ -685,6 +698,22 @@ class TestSimulationSettings:
                             ("--trajectories", "1"))
         assert code == 2
         _assert_usage_error(capsys, "two trajectories")
+
+    def test_fractional_initial_state_for_the_jump_sampler_exits_2(
+            self, command, tmp_path, verhulst_file, verhulst_rates, capsys,
+            monkeypatch):
+        # check always runs the jump sampler and refuses before any work;
+        # simulate refuses when its engine is the jump sampler
+        if command == "check":
+            _refuse_work(monkeypatch)
+            flags = ("--initial", "phi=2.5")
+        else:
+            flags = ("--initial", "phi=2.5", "--engine", "ssa")
+        code = _run_command(command, tmp_path, verhulst_file, verhulst_rates,
+                            flags)
+        assert code == 2
+        _assert_usage_error(capsys, "integer initial state, got 2.5")
+        assert not (tmp_path / "o").exists()
 
 
 def _refuse_work(monkeypatch):

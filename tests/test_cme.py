@@ -45,6 +45,26 @@ class TestStateBox:
             StateBox((2, -1))
 
 
+def test_importing_onestep_leaves_scipy_unloaded():
+    """Only the master-equation generator needs scipy, and it imports it
+    when called."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import onestep
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(onestep.__file__).resolve().parents[1]),
+        env.get("PYTHONPATH")]))
+    code = "import sys, onestep; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout == "False\n"
+
+
 class TestChannels:
     def test_one_channel_per_direction(self):
         s = parse_scheme(VERHULST)

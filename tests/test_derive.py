@@ -218,3 +218,27 @@ class TestDerivationProperties:
                 assert drift[i].evaluate(point) == first_enum[i]
                 for j in range(n):
                     assert second[i][j].evaluate(point) == second_enum[i][j]
+
+
+class TestLargeSchemes:
+    def test_2000_interaction_cycle_derives(self):
+        """2,000 one-way interactions k_i: s_(i mod 4) -> s_(i+1 mod 4).
+        Each drift entry has 1,000 terms, k_i s_(j-1) in and k_i s_j out;
+        summing them one interaction at a time took half a minute."""
+        count = 4
+        scheme = parse_scheme("".join(
+            f"s{i % count} -> s{(i + 1) % count} @ k_{i}\n"
+            for i in range(2000)))
+        model = build_sde_model(scheme, diffusion_sign=DiffusionSign.SUM)
+        point = {sym: Fraction(i + 1) for i, sym
+                 in enumerate(scheme.species + scheme.rate_symbols)}
+        ks = [point[rate(f"k_{i}")] for i in range(2000)]
+        for j, a in enumerate(model.drift):
+            src = point[species(f"s{(j - 1) % count}")]
+            here = point[species(f"s{j}")]
+            assert len(a.terms) == 1000
+            assert a.evaluate(point) == \
+                sum(ks[(j - 1) % count::count]) * src \
+                - sum(ks[j::count]) * here
+        # the diagonal of B is the same flows with both signs positive
+        assert len(model.diffusion[0][0].terms) == 1000

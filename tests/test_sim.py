@@ -1,6 +1,9 @@
 """Sampling engines: noise factorization, stepping, moments, comparison."""
 
+import itertools
 import math
+import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,7 +22,13 @@ from onestep import (ComparisonReport, DiffusionSign, Distribution, Engine,
                      evolve_distribution, gillespie_ssa, matrix_sqrt_psd,
                      mean_band_svg, moments_to_csv, parse_scheme, point_mass,
                      rate, species, trajectories_to_csv, trajectory_rng)
-from helpers import LOTKA_VOLTERRA, PURE_DEATH, VERHULST
+from onestep import (InteractionScheme, NegativeRateError, as_function,
+                     bind_values, reaction_channels, transition_rates)
+from onestep.sim import (_CHUNK_STEPS, _PSD_TOL, _RATE_TOL, _REJECT_LIMIT,
+                         _SSA_BLOCK, _SSA_EVENT_BUDGET, _compile_ssa_rates,
+                         _grid_step_indices, _require_finite,
+                         symmetric_matrices)
+from helpers import LOTKA_VOLTERRA, PURE_DEATH, VERHULST, random_scheme_text
 
 VERHULST_RATES = {rate("lambda"): 1.0, rate("beta"): 0.2, rate("gamma"): 0.05}
 LV_RATES = {rate("k_1"): 10.0, rate("k_2"): 0.01, rate("k_3"): 10.0}
@@ -636,3 +645,404 @@ class TestWriterMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * len(text)
+
+
+# The engines as they were when the jump sampler summed its channel rates
+# in a Python loop and Euler-Maruyama compiled its drift and its noise as
+# two functions (bodies verbatim, names prefixed); the engines must give
+# the same bits.
+
+
+class _ReferenceEmStepper:
+    """Evaluates drift and noise increments for a batch of states."""
+
+    def __init__(self, model: SdeModel, config: SimConfig):
+        for r in model.rate_symbols:
+            if r not in config.rates:
+                raise UnboundRateError(r)
+
+        def compile_bound(polys):
+            return as_function([bind_values(p, config.rates) for p in polys],
+                               model.species)
+
+        self.n = len(model.species)
+        self.drift_fn = compile_bound(model.drift)
+        self.strategy = model.noise_strategy
+        if self.strategy is NoiseStrategy.MATRIX_SQRT:
+            self.diffusion_fn = compile_bound(
+                [model.diffusion[i][j] for i in range(self.n)
+                 for j in range(i, self.n)])
+            self.wiener_dim = self.n
+        else:
+            if model.scheme is None:
+                raise ValueError("per-reaction noise needs the scheme")
+            tr = transition_rates(model.scheme, model.rate_mode)
+            self.amplitude_fn = compile_bound(
+                [f + g for f, g in zip(tr.forward, tr.backward)])
+            self.change = np.array(
+                [ia.change for ia in model.scheme.interactions],
+                dtype=np.float64)                       # (s, n)
+            self.wiener_dim = len(model.scheme.interactions)
+
+    def drift(self, states: np.ndarray) -> np.ndarray:
+        out = np.empty(states.shape)
+        for i, v in enumerate(self.drift_fn(*states.T)):
+            out[:, i] = v
+        return out
+
+    def noise(self, states: np.ndarray, eps: np.ndarray) -> np.ndarray:
+        count = states.shape[0]
+        if self.strategy is NoiseStrategy.PER_REACTION:
+            amp = np.empty((count, self.wiener_dim))
+            for i, v in enumerate(self.amplitude_fn(*states.T)):
+                amp[:, i] = v
+            low = amp.min(initial=0.0)
+            if low < -_RATE_TOL:
+                raise NegativeRateError(
+                    f"per-reaction rate {low:.6e} is negative beyond "
+                    f"tolerance {_RATE_TOL:.1e}")
+            return (np.sqrt(np.clip(amp, 0.0, None)) * eps) @ self.change
+        bmat = symmetric_matrices(self.diffusion_fn(*states.T), count,
+                                  self.n)
+        if self.n == 1:
+            b = bmat[:, 0]
+            scale = 1.0 + np.abs(b).max(initial=0.0)
+            if b.min(initial=0.0) < -_PSD_TOL * scale:
+                raise NotPsdError(f"diffusion value {b.min():.6e} is "
+                                  "negative beyond tolerance")
+            return np.sqrt(np.clip(b, 0.0, None)) * eps
+        root = matrix_sqrt_psd(bmat)
+        return np.einsum("tij,tj->ti", root, eps)
+
+
+# overflow is not reported as it happens: it leaves a non-finite state (a
+# NaN stays NaN), which stops the run at the next grid time
+@np.errstate(over="ignore", invalid="ignore")
+def _reference_euler_maruyama(model: SdeModel,
+                              config: SimConfig) -> TrajectoryEnsemble:
+    """Fixed-step Euler-Maruyama: phi += A dt + noise sqrt(dt), with the
+    noise increment b(phi) eps for standard normal eps.
+
+    Negative proposals follow config.negative_policy: clamp to zero (and
+    count the event) or redraw the step's noise up to a retry limit.
+    """
+    n = len(model.species)
+    if len(config.initial_state) != n:
+        raise ValueError("initial state length does not match the model")
+    stepper = _ReferenceEmStepper(model, config)
+    t_count = config.trajectories
+    times = config.times
+    nsteps = int(math.ceil(config.t_final / config.dt - 1e-9))
+    grid_at = _grid_step_indices(times, config.dt, nsteps)
+    dt = config.dt
+    sqrt_dt = math.sqrt(dt)
+    reject = config.negative_policy is NegativePolicy.REJECT_STEP
+
+    states = np.tile(np.asarray(config.initial_state, dtype=np.float64),
+                     (t_count, 1))
+    paths = np.empty((t_count, len(times), n))
+    clamps = np.zeros(t_count, dtype=np.int64)
+    gens = [trajectory_rng(config.base_seed, j) for j in range(t_count)]
+
+    g = 0
+    step = 0
+    while g < len(times) and grid_at[g] == 0:
+        paths[:, g] = states
+        g += 1
+    m = stepper.wiener_dim
+    while step < nsteps:
+        k = min(_CHUNK_STEPS, nsteps - step)
+        eps = np.empty((t_count, k, m))
+        for j, gen in enumerate(gens):
+            eps[j] = gen.standard_normal((k, m))
+        for s in range(k):
+            drift = stepper.drift(states)
+            noise = stepper.noise(states, eps[:, s, :])
+            proposal = states + drift * dt + noise * sqrt_dt
+            bad = proposal < 0
+            if bad.any():
+                if reject:
+                    for j in np.nonzero(bad.any(axis=1))[0]:
+                        proposal[j] = _reference_retry_step(stepper, states[j],
+                                                  gens[j], dt, sqrt_dt)
+                else:
+                    clamps += bad.any(axis=1)
+                    np.clip(proposal, 0.0, None, out=proposal)
+            states = proposal
+            step += 1
+            while g < len(times) and grid_at[g] == step:
+                _require_finite(states, times[g])
+                paths[:, g] = states
+                g += 1
+    return TrajectoryEnsemble(engine=Engine.EULER_MARUYAMA,
+                              species=model.species, times=times,
+                              paths=paths, clamp_events=clamps)
+
+
+def _reference_retry_step(stepper: _ReferenceEmStepper, state: np.ndarray,
+                          gen: np.random.Generator, dt: float,
+                          sqrt_dt: float) -> np.ndarray:
+    row = state[None, :]
+    drift = stepper.drift(row)
+    for _ in range(_REJECT_LIMIT):
+        eps = gen.standard_normal((1, stepper.wiener_dim))
+        proposal = row + drift * dt + stepper.noise(row, eps) * sqrt_dt
+        if (proposal >= 0).all():
+            return proposal[0]
+    raise SimulationError(
+        f"no nonnegative step found in {_REJECT_LIMIT} redraws; "
+        "the step size is likely too large for this state")
+
+
+
+def _reference_compile_ssa_rates(channels, n: int):
+    """Generate a state -> (rates, total) function for the jump sampler.
+
+    For nonnegative integer states the plain falling-factorial product
+    already vanishes whenever the state cannot supply a channel's complex
+    (one factor is exactly zero), so the generated expressions need no
+    feasibility guards.  The total is written out as r0 + r1 + ..., left
+    to right on every Python: from 3.12 on, the builtin sum of floats is
+    compensated and would draw other waiting times.
+    """
+    used = sorted({i for stoich, _, _ in channels
+                   for i, m in enumerate(stoich) if m})
+    lines = ["def channel_rates(state):"]
+    for i in used:
+        lines.append(f"    x{i} = state[{i}]")
+    for c, (stoich, _, value) in enumerate(channels):
+        factors = [repr(float(value))]
+        for i, m in enumerate(stoich):
+            for k in range(m):
+                factors.append(f"x{i}" if k == 0 else f"(x{i}-{k})")
+        lines.append(f"    r{c} = {'*'.join(factors)}")
+    names = [f"r{c}" for c in range(len(channels))]
+    lines.append(f"    return ({', '.join(names)},), {' + '.join(names)}")
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["channel_rates"]
+
+
+def _reference_gillespie_ssa(scheme: InteractionScheme,
+                             config: SimConfig) -> TrajectoryEnsemble:
+    """Exact jump-process sampling with exponential waiting times.
+
+    States are integer occupation numbers; sampled paths are reported on
+    the shared time grid by last-value interpolation.  The initial state
+    must be integral.  A trajectory that needs more than
+    _SSA_EVENT_BUDGET events raises SimulationError.
+    """
+    n = len(scheme.species)
+    if len(config.initial_state) != n:
+        raise ValueError("initial state length does not match the scheme")
+    init = []
+    for x in config.initial_state:
+        if abs(x - round(x)) > 1e-9:
+            raise ValueError("jump-process simulation needs an integer "
+                             f"initial state, got {x!r}")
+        init.append(int(round(x)))
+
+    float_rates = {sym: float(v) for sym, v in config.rates.items()}
+    channels = reaction_channels(scheme, float_rates)
+    deltas = [tuple((i, d) for i, d in enumerate(change) if d)
+              for _, change, _ in channels]
+    rate_fn = _reference_compile_ssa_rates(channels, n)
+
+    times = config.times
+    grid = times.tolist()          # scalar loop below runs on plain floats
+    g_count = len(grid)
+    t_final = config.t_final
+    paths = np.empty((config.trajectories, g_count, n))
+    n_channels = len(channels)
+
+    for j in range(config.trajectories):
+        rng = trajectory_rng(config.base_seed, j)
+        exp_buf = rng.standard_exponential(_SSA_BLOCK).tolist()
+        uni_buf = rng.random(_SSA_BLOCK).tolist()
+        ei = ui = 0
+        drawn = _SSA_BLOCK
+        state = list(init)
+        t = 0.0
+        g = 0
+        while True:
+            channel_rates, total = rate_fn(state)
+            if total <= 0.0:
+                while g < g_count:            # absorbed: state holds forever
+                    paths[j, g] = state
+                    g += 1
+                break
+            if ei == _SSA_BLOCK:
+                if drawn >= _SSA_EVENT_BUDGET:
+                    raise SimulationError(
+                        f"trajectory {j} used up its budget of "
+                        f"{_SSA_EVENT_BUDGET} jump events at t = {t!r}: "
+                        "the model may blow up in finite time")
+                exp_buf = rng.standard_exponential(_SSA_BLOCK).tolist()
+                drawn += _SSA_BLOCK
+                ei = 0
+            t_next = t + exp_buf[ei] / total
+            ei += 1
+            while g < g_count and grid[g] < t_next:
+                paths[j, g] = state
+                g += 1
+            if t_next > t_final or g >= g_count:
+                while g < g_count:
+                    paths[j, g] = state
+                    g += 1
+                break
+            if ui == _SSA_BLOCK:
+                uni_buf = rng.random(_SSA_BLOCK).tolist()
+                ui = 0
+            u = uni_buf[ui] * total
+            ui += 1
+            acc = 0.0
+            chosen = n_channels - 1
+            for idx in range(n_channels):
+                acc += channel_rates[idx]
+                if u < acc:
+                    chosen = idx
+                    break
+            for i, d in deltas[chosen]:
+                state[i] += d
+            t = t_next
+    return TrajectoryEnsemble(engine=Engine.SSA, species=scheme.species,
+                              times=times, paths=paths,
+                              clamp_events=np.zeros(config.trajectories,
+                                                    dtype=np.int64))
+
+
+
+def _outcome(engine, *args):
+    """An engine's paths and clamp counts, or the type and message of the
+    error it raised."""
+    try:
+        ensemble = engine(*args)
+    except (ValueError, SimulationError) as exc:
+        return type(exc).__name__, str(exc)
+    return ensemble.paths.tobytes(), ensemble.clamp_events.tobytes()
+
+
+def _random_case(seed: int, rates, initial):
+    """A random scheme (stoichiometry up to 3) with the drawn rates and
+    initial occupation numbers cycled over its symbols and species."""
+    scheme = parse_scheme(random_scheme_text(random.Random(seed),
+                                             max_stoich=3))
+    values = dict(zip(scheme.rate_symbols,
+                      (rates * len(scheme.rate_symbols))))
+    state = tuple(float(initial[i % len(initial)])
+                  for i in range(len(scheme.species)))
+    return scheme, values, state
+
+
+RING8 = "".join(f"3 x{i} <-> 3 x{i % 8 + 1} @ a_{i}, b_{i}\n"
+                for i in range(1, 9))
+
+# zero rates freeze channels; a zero initial state with only consuming
+# channels is absorbed at once
+_rate_values = st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 0.1, 0.3, 0.7,
+                                         1e-16]),
+                        min_size=1, max_size=4)
+_initial_values = st.lists(st.integers(0, 6), min_size=1, max_size=3)
+
+
+class TestEnginesMatchReference:
+    """Both engines give exactly the bits, and raise exactly the errors,
+    of the reference engines."""
+
+    @given(seed=st.integers(0, 10 ** 9), rates=_rate_values,
+           initial=_initial_values, base_seed=st.integers(0, 2 ** 64 - 1),
+           t_final=st.sampled_from([0.05, 0.5, 2.0]))
+    @example(seed=0, rates=[0.0], initial=[3], base_seed=0, t_final=0.5)
+    @example(seed=20, rates=[2.0], initial=[6], base_seed=0,  # budget
+             t_final=2.0)
+    def test_jump_sampler(self, seed, rates, initial, base_seed, t_final):
+        scheme, values, state = _random_case(seed, rates, initial)
+        config = SimConfig(rates=values, initial_state=state,
+                           t_final=t_final, trajectories=3,
+                           base_seed=base_seed, grid_points=7)
+        # a small event budget keeps blow-ups cheap and exercises it
+        with pytest.MonkeyPatch.context() as mp:
+            for module in ("onestep.sim", __name__):
+                mp.setattr(sys.modules[module], "_SSA_EVENT_BUDGET",
+                           4 * _SSA_BLOCK)
+            assert _outcome(gillespie_ssa, scheme, config) == \
+                _outcome(_reference_gillespie_ssa, scheme, config)
+
+    @given(seed=st.integers(0, 10 ** 9), rates=_rate_values,
+           state=st.lists(st.integers(0, 40), min_size=3, max_size=3))
+    def test_cumulative_rates(self, seed, rates, state):
+        """The generated function returns the running sums of the
+        reference rates, and their total, to the bit."""
+        scheme, values, _ = _random_case(seed, rates, [0])
+        channels = reaction_channels(scheme, values)
+        x = state[:len(scheme.species)]
+        ref_rates, ref_total = _reference_compile_ssa_rates(
+            channels, len(x))(x)
+        partial, total = _compile_ssa_rates(channels)(x)
+        assert [*map(float.hex, partial), float.hex(total)] == \
+            [*map(float.hex, itertools.accumulate(ref_rates[:-1])),
+             float.hex(ref_total)]
+
+    @pytest.mark.parametrize("text, values, initial, t_final", [
+        (PURE_DEATH, {"beta": 1.0}, (6,), 2.0),
+        (VERHULST, {"lambda": 1.0, "beta": 0.2, "gamma": 0.05}, (0,), 2.0),
+        (VERHULST, {"lambda": 1.0, "beta": 0.2, "gamma": 0.05}, (10,), 2.0),
+        (LOTKA_VOLTERRA, {"k_1": 1.0, "k_2": 0.05, "k_3": 1.0}, (20, 20),
+         1.0),
+        (RING8, {**{f"a_{i}": 1e-4 for i in range(1, 9)},
+                 **{f"b_{i}": 5e-5 for i in range(1, 9)}}, (100,) * 8, 0.1)])
+    def test_jump_sampler_on_benchmark_schemes(self, text, values, initial,
+                                               t_final):
+        scheme = parse_scheme(text)
+        config = SimConfig(rates={rate(k): v for k, v in values.items()},
+                           initial_state=initial, t_final=t_final,
+                           trajectories=20, base_seed=4, grid_points=50)
+        assert _outcome(gillespie_ssa, scheme, config) == \
+            _outcome(_reference_gillespie_ssa, scheme, config)
+
+    @given(seed=st.integers(0, 10 ** 9), rates=_rate_values,
+           initial=_initial_values, base_seed=st.integers(0, 2 ** 64 - 1),
+           mode=st.sampled_from(list(RateMode)),
+           sign=st.sampled_from(list(DiffusionSign)),
+           noise=st.sampled_from(list(NoiseStrategy)),
+           policy=st.sampled_from(list(NegativePolicy)))
+    def test_euler_maruyama(self, seed, rates, initial, base_seed, mode,
+                            sign, noise, policy):
+        scheme, values, state = _random_case(seed, rates, initial)
+        if noise is NoiseStrategy.PER_REACTION:
+            sign = DiffusionSign.SUM    # the one sign it can realize
+        model = build_sde_model(scheme, mode, sign, noise)
+        config = SimConfig(rates=values, initial_state=state, t_final=0.3,
+                           dt=0.01, trajectories=3, base_seed=base_seed,
+                           negative_policy=policy, grid_points=7)
+        assert _outcome(euler_maruyama, model, config) == \
+            _outcome(_reference_euler_maruyama, model, config)
+
+    @pytest.mark.parametrize("noise", list(NoiseStrategy))
+    @pytest.mark.parametrize("policy", list(NegativePolicy))
+    def test_euler_maruyama_on_predator_prey(self, noise, policy):
+        model = build_sde_model(parse_scheme(LOTKA_VOLTERRA), RateMode.EXACT,
+                                DiffusionSign.SUM, noise)
+        config = SimConfig(rates=LV_RATES, initial_state=(3.0, 3.0),
+                           t_final=1.0, dt=1e-3, trajectories=20,
+                           base_seed=8, negative_policy=policy,
+                           grid_points=11)
+        new = _outcome(euler_maruyama, model, config)
+        assert new == _outcome(_reference_euler_maruyama, model, config)
+        assert isinstance(new[0], bytes)
+
+
+class TestManyChannels:
+    def test_jump_sampler_compiles_4000_channels(self):
+        # the rates of the old sampler summed in one 4,000-term expression,
+        # which overflowed the compiler's recursion limit
+        count = 4000
+        scheme = parse_scheme("".join(f"x -> y @ k_{i}\n"
+                                      for i in range(count)))
+        config = SimConfig(rates={s: 1.0 for s in scheme.rate_symbols},
+                           initial_state=(3.0, 0.0), t_final=1.0,
+                           trajectories=2, grid_points=3)
+        paths = gillespie_ssa(scheme, config).paths
+        assert np.all(paths.sum(axis=2) == 3.0)
+        # at total rate 4,000 per particle every particle has moved by t=1
+        assert np.array_equal(paths[:, -1], [[0.0, 3.0], [0.0, 3.0]])
