@@ -36,7 +36,7 @@ from .scheme import (InteractionScheme, SchemeError, format_scheme,
                      parse_scheme)
 from .sim import (Engine, NegativePolicy, NegativeRateError, NotPsdError,
                   SimConfig, SimConfigError, SimulationError,
-                  TooFewTrajectoriesError, check_trajectory_count,
+                  TooFewTrajectoriesError, check_seed, check_trajectory_count,
                   compare_engines, ensemble_moments, euler_maruyama,
                   gillespie_ssa, integer_initial_state, mean_band_svg,
                   moments_to_csv, symmetric_matrices, trajectories_to_csv)
@@ -505,7 +505,8 @@ def cmd_check(args) -> int:
         else None
 
     # validated before the box and the exact checks, so a bad setting
-    # costs nothing
+    # costs nothing; the seed also draws the sampled states
+    check_seed(args.seed)
     config = None if initial is None else SimConfig(
         rates=rates, initial_state=initial, t_final=args.t_final,
         dt=args.dt, trajectories=args.trajectories, base_seed=args.seed,
@@ -518,56 +519,56 @@ def cmd_check(args) -> int:
     else:
         box = default_box(scheme, rates, initial)
 
-    reversible = any(ia.reversible for ia in scheme.interactions)
-    mismatch_expected = (sign is DiffusionSign.DIFFERENCE) and reversible
+    # a second-moment or PSD failure that the difference convention
+    # predicts for reversible interactions can be downgraded
+    sign_status = ("ADVISORY" if sign is DiffusionSign.DIFFERENCE
+                   and any(ia.reversible for ia in scheme.interactions)
+                   and args.allow_sign_mismatch else "FAIL")
     results = []  # (status, name, detail); status PASS | FAIL | ADVISORY
 
+    # enumerated jump moments vs the symbolic derivation, exact arithmetic:
+    # each polynomial is evaluated once over all states, and the first
+    # mismatch is taken in state order, then entry order
     states = _sample_states(box, args.seed)
-    drift_exact = [bind_values(p, rates)
-                   for p in drift_vector(scheme, RateMode.EXACT)]
-    diff_checked = [[bind_values(p, rates) for p in row]
-                    for row in diffusion_matrix(scheme, RateMode.EXACT, sign)]
+    columns = np.array(states, dtype=object).T
+    point = {**rates, **dict(zip(scheme.species, columns))}
+    first, second = (np.array(m, dtype=object)
+                     for m in zip(*jump_moments(scheme, rates, states)))
+    first_wrong = np.zeros(first.shape, dtype=bool)
+    second_wrong = np.zeros(second.shape, dtype=bool)
+    for i, p in enumerate(drift_vector(scheme, RateMode.EXACT)):
+        first_wrong[:, i] = first[:, i] != p.evaluate(point)
+    for i, row in enumerate(diffusion_matrix(scheme, RateMode.EXACT, sign)):
+        for j, p in enumerate(row):
+            second_wrong[:, i, j] = second[:, i, j] != p.evaluate(point)
+    first_bad, second_bad = (np.argwhere(wrong)[:1].tolist()
+                             for wrong in (first_wrong, second_wrong))
+    del first, second, point        # freed before the engines run
     n = len(scheme.species)
 
-    # enumerated jump moments vs the symbolic derivation, exact arithmetic;
-    # each scan stops at the first state where its moment disagrees
-    moments = jump_moments(scheme, rates, states)
-    points = [dict(zip(scheme.species, state)) for state in states]
-    first_bad = next(((state, i) for state, point, (first, _)
-                      in zip(states, points, moments) for i in range(n)
-                      if drift_exact[i].evaluate(point) != first[i]), None)
-    second_bad = next(((state, i, j) for state, point, (_, second)
-                       in zip(states, points, moments)
-                       for i in range(n) for j in range(n)
-                       if diff_checked[i][j].evaluate(point)
-                       != second[i][j]), None)
-    del moments, points         # freed before the engines run
-
-    if first_bad is None:
+    if not first_bad:
         results.append(("PASS", "first-jump-moment",
                         f"drift equals the enumerated first moment exactly "
                         f"on {len(states)} states"))
     else:
+        s, i = first_bad[0]
         results.append(("FAIL", "first-jump-moment",
-                        f"mismatch at state {first_bad[0]}, "
-                        f"component {first_bad[1]}"))
+                        f"mismatch at state {states[s]}, component {i}"))
 
-    if second_bad is None:
+    if not second_bad:
         results.append(("PASS", "second-jump-moment",
                         f"diffusion ({sign.value} form) equals the "
                         f"enumerated second moment exactly on "
                         f"{len(states)} states"))
     else:
-        state, i, j = second_bad
+        s, i, j = second_bad[0]
         detail = (f"diffusion ({sign.value} form) differs from the "
-                  f"enumerated second moment at state {state}, "
+                  f"enumerated second moment at state {states[s]}, "
                   f"entry ({i},{j})")
-        if mismatch_expected and args.allow_sign_mismatch:
-            results.append(("ADVISORY", "second-jump-moment",
-                            detail + "; expected for the difference "
-                            "convention with reversible interactions"))
-        else:
-            results.append(("FAIL", "second-jump-moment", detail))
+        if sign_status == "ADVISORY":
+            detail += ("; expected for the difference convention with "
+                       "reversible interactions")
+        results.append((sign_status, "second-jump-moment", detail))
 
     # symbolic symmetry of the requested diffusion matrix
     requested_diff = diffusion_matrix(scheme, mode, sign)
@@ -581,8 +582,8 @@ def cmd_check(args) -> int:
     diffusion = as_function([bind_values(requested_diff[i][j], rates)
                              for i in range(n) for j in range(i, n)],
                             scheme.species)
-    columns = np.array(states, dtype=np.float64).T
-    b = symmetric_matrices(diffusion(*columns), len(states), n)
+    b = symmetric_matrices(diffusion(*columns.astype(np.float64)),
+                           len(states), n)
     lowest = np.linalg.eigvalsh(b).min(axis=1).tolist()
     largest = np.abs(b).max(axis=(1, 2)).tolist()
     bad = next(((state, w) for state, w, scale
@@ -593,12 +594,9 @@ def cmd_check(args) -> int:
                         f"min eigenvalue {min(lowest):.6g} over "
                         f"{len(states)} states"))
     else:
-        detail = (f"B({bad[0]}) has eigenvalue {bad[1]:.6g} < 0 under "
-                  f"the {sign.value} convention")
-        if mismatch_expected and args.allow_sign_mismatch:
-            results.append(("ADVISORY", "psd-sampling", detail))
-        else:
-            results.append(("FAIL", "psd-sampling", detail))
+        results.append((sign_status, "psd-sampling",
+                        f"B({bad[0]}) has eigenvalue {bad[1]:.6g} < 0 under "
+                        f"the {sign.value} convention"))
 
     # cross-engine agreement always runs on the exact/sum model, the one
     # convention whose Langevin equation matches the jump process

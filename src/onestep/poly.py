@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
+import numpy as np
+
 
 class SymbolKind(enum.Enum):
     SPECIES = "species"
@@ -201,7 +203,9 @@ class Polynomial:
         When every value is an int or a Fraction, the sum is taken in
         Python ints over the coefficients scaled to a common denominator
         (computed once per polynomial), and the exact rational comes back
-        as one Fraction.
+        as one Fraction.  A value may also be an integer or object ndarray
+        of ints: the sum is then taken elementwise in Python ints and comes
+        back as an object array of Fractions.
         """
         den, degrees, terms = self._integer_form()
         nums = []
@@ -211,10 +215,14 @@ class Polynomial:
                 x = point[sym]
             except KeyError:
                 raise MissingSymbolError(sym) from None
-            if not isinstance(x, (int, Fraction)):
+            if isinstance(x, np.ndarray) and x.dtype.kind in "iuO":
+                nums.append(x.astype(object))   # Python ints: nothing wraps
+                dens.append(1)
+            elif isinstance(x, (int, Fraction)):
+                nums.append(x.numerator)
+                dens.append(x.denominator)
+            else:
                 return self._evaluate_termwise(point)
-            nums.append(x.numerator)
-            dens.append(x.denominator)
         scale = 1
         for d, q in zip(degrees.values(), dens):
             if q != 1:
@@ -226,6 +234,8 @@ class Polynomial:
                 q = dens[i]
                 t = t * nums[i] ** e if q == 1 else t * nums[i] ** e // q ** e
             total += t
+        if isinstance(total, np.ndarray):
+            return np.frompyfunc(Fraction, 2, 1)(total, den * scale)
         return Fraction(total, den * scale)
 
     def _evaluate_termwise(self, point: Mapping[SymbolId, object]):

@@ -68,6 +68,12 @@ class SimConfigError(ValueError):
     """A simulation setting out of its allowed range."""
 
 
+def check_seed(base_seed: int) -> None:
+    """Refuse a base seed that cannot key a 64-bit Philox stream."""
+    if not 0 <= base_seed < 2 ** 64:
+        raise SimConfigError("base_seed must fit in 64 bits")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     rates: Mapping[SymbolId, object]
@@ -94,8 +100,7 @@ class SimConfig:
         if not all(0 <= x < math.inf for x in self.initial_state):
             raise SimConfigError(f"initial state must be nonnegative and "
                                  f"finite, got {self.initial_state!r}")
-        if not 0 <= self.base_seed < 2 ** 64:
-            raise SimConfigError("base_seed must fit in 64 bits")
+        check_seed(self.base_seed)
 
     @property
     def times(self) -> np.ndarray:
@@ -134,8 +139,7 @@ class ComparisonReport:
 def trajectory_rng(base_seed: int, index: int) -> np.random.Generator:
     """The dedicated random stream of one trajectory: counter-based
     Philox (4x64, 10 rounds) keyed by base_seed XOR index."""
-    if not 0 <= base_seed < 2 ** 64:
-        raise ValueError("base_seed must fit in 64 bits")
+    check_seed(base_seed)
     if not 0 <= index < 2 ** 64:
         raise ValueError("trajectory index must fit in 64 bits")
     return np.random.Generator(np.random.Philox(key=base_seed ^ index))

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from onestep import model_from_json
+from onestep import Polynomial, drift_vector, model_from_json
 from onestep.cli import main, parse_initial, parse_rates_file
 from helpers import LOTKA_VOLTERRA, VERHULST
 
@@ -502,6 +502,15 @@ CHECK_GOLDEN = {
 }
 
 
+@pytest.fixture
+def ring3_files(tmp_path):
+    scheme = tmp_path / "ring3.scheme"
+    scheme.write_text(RING3)
+    rates = tmp_path / "ring3.rates"
+    rates.write_text(RING3_RATES_TEXT)
+    return str(scheme), str(rates)
+
+
 class TestCheckGolden:
     @pytest.mark.parametrize("case, extra, code", [
         ("verhulst-sum", ("--diffusion-sign", "sum"), 0),
@@ -513,15 +522,41 @@ class TestCheckGolden:
         assert run_check(verhulst_file, verhulst_rates, extra=extra) == code
         assert capsys.readouterr().out == CHECK_GOLDEN[case]
 
-    def test_sampled_ring(self, tmp_path, capsys):
-        scheme = tmp_path / "ring3.scheme"
-        scheme.write_text(RING3)
-        rates = tmp_path / "ring3.rates"
-        rates.write_text(RING3_RATES_TEXT)
-        code = main(["check", str(scheme), "--rates", str(rates),
-                     "--box", "16"])
+    def test_sampled_ring(self, ring3_files, capsys):
+        scheme, rates = ring3_files
+        code = main(["check", scheme, "--rates", rates, "--box", "16"])
         assert code == 1
         assert capsys.readouterr().out == CHECK_GOLDEN["ring3-sampled"]
+
+    def test_first_moment_mismatch_is_named_by_state_then_component(
+            self, ring3_files, capsys, monkeypatch):
+        # x1*x3 added to component 2 first shows at (1, 0, 1); state order
+        # comes before component order
+        def skewed_drift(scheme, mode):
+            drift = list(drift_vector(scheme, mode))
+            x1, _, x3 = (Polynomial.symbol(s) for s in scheme.species)
+            drift[2] = drift[2] + x1 * x3
+            return drift
+        monkeypatch.setattr("onestep.cli.drift_vector", skewed_drift)
+        scheme, rates = ring3_files
+        code = main(["check", scheme, "--rates", rates, "--box", "2",
+                     "--diffusion-sign", "sum"])
+        assert code == 1
+        assert ("FAIL first-jump-moment: mismatch at state (1, 0, 1), "
+                "component 2\n") in capsys.readouterr().out
+
+
+class TestCheckSeed:
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_outside_64_bits_exits_2_before_any_work(
+            self, seed, ring3_files, capsys, monkeypatch):
+        # a 21^3 box exceeds the sampling cap, so the seed draws the states
+        _refuse_work(monkeypatch)
+        scheme, rates = ring3_files
+        code = main(["check", scheme, "--rates", rates, "--box", "20",
+                     "--seed", seed])
+        assert code == 2
+        _assert_usage_error(capsys, "base_seed must fit in 64 bits")
 
 
 PURE_DEATH = "phi -> 0 @ beta\n"

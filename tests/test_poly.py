@@ -342,6 +342,50 @@ class TestEvaluateAgainstTermwise:
         assert p.evaluate({X: Fraction(1, 2)}) == Fraction(1, 16)
 
 
+# beyond 32 bits, so a square or cube wraps around in int64
+_wide_ints = st.integers(-2 ** 40, 2 ** 40)
+_exact_values = st.one_of(_int_values, _fraction_values)
+
+
+class TestArrayEvaluation:
+    """Integer arrays for x and y take the exact path elementwise."""
+
+    @given(a=_polys, rows=st.lists(st.tuples(_wide_ints, _wide_ints),
+                                   min_size=1, max_size=4),
+           k=_exact_values, g=_exact_values,
+           dtype=st.sampled_from([object, np.int64]))
+    @example(a=monomial(3, {X: 3, Y: 2, K1: 1}),
+             rows=[(2 ** 31 + 1, -2 ** 40), (-2 ** 33, 7)],
+             k=Fraction(2, 3), g=1, dtype=np.int64)
+    def test_each_entry_is_the_fraction_at_its_point(self, a, rows, k, g,
+                                                      dtype):
+        xs, ys = (np.array(column, dtype=dtype) for column in zip(*rows))
+        values = a.evaluate({X: xs, Y: ys, K1: k, GAMMA: g})
+        expected = [a.evaluate({X: x, Y: y, K1: k, GAMMA: g})
+                    for x, y in rows]
+        if a.symbols.isdisjoint({X, Y}):
+            assert type(values) is Fraction
+            assert [values] * len(rows) == expected
+        else:
+            assert values.dtype == object
+            assert all(type(v) is Fraction for v in values)
+            assert values.tolist() == expected
+
+    def test_without_an_array_symbol_the_value_is_one_fraction(self):
+        p = parse_expression("1/2*k_1^2 + 3", SYMS)
+        value = p.evaluate({X: np.arange(4), K1: Fraction(1, 3)})
+        assert type(value) is Fraction and value == Fraction(55, 18)
+
+    def test_float_values_still_give_floats(self):
+        p = parse_expression("1/3*x^2 - 2*x*k_1 + 1", SYMS)
+        xs = np.array([0.5, -1.25, 3.0])
+        values = p.evaluate({X: xs, K1: 0.75})
+        assert [type(v) for v in values] == [float] * 3
+        assert values.tolist() == [p.evaluate({X: x, K1: 0.75})
+                                   for x in xs.tolist()]
+        assert type(p.evaluate({X: 0.5, K1: 1})) is float
+
+
 class TestNumericCompilation:
     def test_compiled_function_matches_evaluate(self):
         f = as_function([verhulst_drift()], (PHI, LAM, BETA, GAMMA))
