@@ -54,8 +54,8 @@ class ManifestError(ValueError):
     pass
 
 
-class BoxError(ValueError):
-    pass
+class UsageError(ValueError):
+    """A command-line value the command cannot use (exit 2)."""
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +121,8 @@ def parse_initial(text: str, species) -> tuple[float, ...]:
         if not eq or not name:
             raise InitialStateError(f"bad initial-state entry {part!r}; "
                                     "expected name=value")
+        if name in values:
+            raise InitialStateError(f"duplicate initial value for {name!r}")
         try:
             values[name] = float(value)
         except ValueError:
@@ -145,16 +147,16 @@ def parse_box(text: str, species) -> StateBox:
     try:
         bounds = [int(p) for p in parts]
     except ValueError:
-        raise BoxError(f"bad --box {text!r}; expected nonnegative integer "
-                       "bounds") from None
+        raise UsageError(f"bad --box {text!r}; expected nonnegative "
+                         "integer bounds") from None
     if any(b < 0 for b in bounds):
-        raise BoxError(f"bad --box {text!r}; bounds must be nonnegative")
+        raise UsageError(f"bad --box {text!r}; bounds must be nonnegative")
     if len(bounds) == 1:
         bounds = bounds * len(species)
     elif len(bounds) != len(species):
-        raise BoxError(f"--box has {len(bounds)} bounds for "
-                       f"{len(species)} species; give one bound or one "
-                       "per species")
+        raise UsageError(f"--box has {len(bounds)} bounds for "
+                         f"{len(species)} species; give one bound or one "
+                         "per species")
     return StateBox(tuple(bounds))
 
 
@@ -268,6 +270,9 @@ def cmd_derive(args) -> int:
 
 
 def cmd_codegen(args) -> int:
+    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", args.function_name):
+        raise UsageError(f"bad --function-name {args.function_name!r}; "
+                         "expected a C identifier")
     model = _load_model_input(args.input, args)
     text = emit(model, EmitTarget(args.target),
                 function_name=args.function_name)
@@ -724,9 +729,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SchemeError, ExpressionSyntaxError, ModelFormatError,
-            ManifestError, IncompatibleNoiseError, BoxError, SimConfigError,
-            TooFewTrajectoriesError, SimulationError, NotPsdError,
-            NegativeRateError) as exc:
+            ManifestError, IncompatibleNoiseError, UsageError,
+            SimConfigError, TooFewTrajectoriesError, SimulationError,
+            NotPsdError, NegativeRateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (UnboundRateError, MissingSymbolError, RatesFileError,

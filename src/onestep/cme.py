@@ -293,8 +293,8 @@ def default_box(scheme: InteractionScheme, rates: Mapping[SymbolId, object],
                 initial_state: Sequence[int] | None = None) -> StateBox:
     """Heuristic truncation box: four times the largest excursion of the
     deterministic drift flow (a proxy for the fixed point it settles at),
-    32 where the flow gives no finite guidance, always at least covering
-    the initial state.
+    32 where the flow gives no finite guidance, at most 4096 per species,
+    always at least covering the initial state.
 
     The flow takes up to 50,000 Euler steps of 0.002 and stops early once
     a step leaves the state exactly unchanged: every later step would
@@ -329,6 +329,5 @@ def default_box(scheme: InteractionScheme, rates: Mapping[SymbolId, object],
             b = int(np.ceil(4.0 * peak[i]))
         else:
             b = 32
-        b = max(b, int(np.ceil(start[i])), 4)
-        bounds.append(min(b, 4096))
+        bounds.append(max(min(b, 4096), int(np.ceil(start[i])), 4))
     return StateBox(tuple(bounds))

@@ -1,8 +1,9 @@
 """Exact multivariate polynomials over named symbols.
 
 Coefficients are rational (fractions.Fraction), so every algebraic
-operation here is exact; floating point only appears when a polynomial
-is evaluated at a numeric point or compiled to a numeric function.
+operation here is exact, evaluation and binding included: a float value
+counts as the rational it represents.  Floating point only appears when
+polynomials are compiled to a numeric function (as_function).
 Symbols carry a kind (species or rate constant) because model assembly
 and printing treat the two vocabularies differently.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -193,19 +195,15 @@ class Polynomial:
         return out
 
     def evaluate(self, point: Mapping[SymbolId, object]):
-        """Evaluate at a point mapping symbols to numbers.
+        """Evaluate exactly at a point mapping symbols to numbers.
 
-        The arithmetic type of the inputs is preserved: rational values in,
-        rational value out; floats in, float out.  Powers are expanded as
-        repeated multiplication.  Raises MissingSymbolError for any symbol
-        of the polynomial absent from the point.
-
-        When every value is an int or a Fraction, the sum is taken in
-        Python ints over the coefficients scaled to a common denominator
-        (computed once per polynomial), and the exact rational comes back
-        as one Fraction.  A value may also be an integer or object ndarray
-        of ints: the sum is then taken elementwise in Python ints and comes
-        back as an object array of Fractions.
+        Scalar values are read by _exact.  The sum is taken in Python ints
+        over the coefficients scaled to a common denominator (computed once
+        per polynomial) and comes back as one Fraction.  A value may also
+        be an integer or object ndarray of ints: the sum is then taken
+        elementwise and comes back as an object array of Fractions.
+        Raises MissingSymbolError for a symbol absent from the point and
+        TypeError for any other value, a float array too.
         """
         den, degrees, terms = self._integer_form()
         nums = []
@@ -218,11 +216,10 @@ class Polynomial:
             if isinstance(x, np.ndarray) and x.dtype.kind in "iuO":
                 nums.append(x.astype(object))   # Python ints: nothing wraps
                 dens.append(1)
-            elif isinstance(x, (int, Fraction)):
+            else:
+                x = _exact(sym, x)
                 nums.append(x.numerator)
                 dens.append(x.denominator)
-            else:
-                return self._evaluate_termwise(point)
         scale = 1
         for d, q in zip(degrees.values(), dens):
             if q != 1:
@@ -237,20 +234,6 @@ class Polynomial:
         if isinstance(total, np.ndarray):
             return np.frompyfunc(Fraction, 2, 1)(total, den * scale)
         return Fraction(total, den * scale)
-
-    def _evaluate_termwise(self, point: Mapping[SymbolId, object]):
-        total = None
-        for m in self._terms:
-            v = m.coefficient
-            for sym, e in m.exponents:
-                try:
-                    x = point[sym]
-                except KeyError:
-                    raise MissingSymbolError(sym) from None
-                for _ in range(e):
-                    v = v * x
-            total = v if total is None else total + v
-        return Fraction(0) if total is None else total
 
     def _integer_form(self):
         """(den, degrees, terms): den is the least common denominator of
@@ -274,24 +257,6 @@ class Polynomial:
             for m in self._terms)
         self._integer = (den, degrees, terms)
         return self._integer
-
-    def substitute(self, env: Mapping[SymbolId, object]) -> "Polynomial":
-        """Replace symbols with polynomials or exact numbers.
-
-        Symbols absent from env pass through unchanged.  Numeric values
-        must be exact (int or Fraction); floats would silently break the
-        exact-arithmetic contract, so they are rejected.
-        """
-        out = Polynomial.zero()
-        for m in self._terms:
-            part = Polynomial.constant(m.coefficient)
-            for sym, e in m.exponents:
-                if sym in env:
-                    part = part * (_coerce_exact(env[sym]) ** e)
-                else:
-                    part = part * (Polynomial.symbol(sym) ** e)
-            out = out + part
-        return out
 
     def __str__(self) -> str:
         return canonical_string(self)
@@ -327,11 +292,20 @@ def _try_coerce(value) -> Polynomial | None:
     return None
 
 
-def _coerce_exact(value) -> Polynomial:
-    p = _try_coerce(value)
-    if p is None:
-        raise TypeError(f"expected Polynomial, int, or Fraction, got {type(value).__name__}")
-    return p
+def _exact(sym: SymbolId, value) -> Fraction:
+    """value, bound to sym, as an exact rational with Python-int parts:
+    ints and numpy integers (through operator.index) and Fractions as they
+    are, floats (np.float64 too) as the rational they represent; anything
+    else, a string too, is a TypeError."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, float):
+        return Fraction(value)
+    try:
+        return Fraction(operator.index(value))
+    except TypeError:
+        raise TypeError(f"value for {sym!r} must be an int, Fraction or "
+                        f"float, got {type(value).__name__}") from None
 
 
 def monomial(coefficient: Number, powers: Mapping[SymbolId, int]) -> Polynomial:
@@ -588,17 +562,21 @@ def parse_expression(text: str, symbols=None) -> Polynomial:
 
 
 def bind_values(p: Polynomial, values: Mapping[SymbolId, object]) -> Polynomial:
-    """Substitute exact numeric values for symbols.
-
-    Accepts int, Fraction, or float values; floats are converted to the
-    exact rational they represent, so binding never rounds.
-    """
-    env = {}
-    for sym, v in values.items():
-        if isinstance(v, float):
-            v = Fraction(v)
-        env[sym] = v
-    return p.substitute(env)
+    """Bind numeric values to symbols term by term, exactly: values are
+    read by _exact, as in Polynomial.evaluate, so a float binds as the
+    rational it represents.  Symbols absent from values stay free."""
+    exact = {sym: _exact(sym, v) for sym, v in values.items()}
+    terms = []
+    for m in p.terms:
+        c = m.coefficient
+        free = []
+        for sym, e in m.exponents:
+            if sym in exact:
+                c *= exact[sym] ** e
+            else:
+                free.append((sym, e))
+        terms.append(Monomial(c, tuple(free)))
+    return Polynomial(terms)
 
 
 # ---------------------------------------------------------------------------

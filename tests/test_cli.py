@@ -224,6 +224,17 @@ class TestCodegen:
             main(["codegen", str(verhulst_file), "--target", "fortran"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("name", ["foo bar", "2fast", "", "a-b",
+                                      "x;y"])
+    def test_function_name_must_be_a_c_identifier(self, name, tmp_path,
+                                                  verhulst_file, capsys):
+        out = tmp_path / "m.c"
+        code = main(["codegen", str(verhulst_file), "--target", "c",
+                     "--function-name", name, "--out", str(out)])
+        assert code == 2
+        _assert_usage_error(capsys, "--function-name", repr(name))
+        assert not out.exists()
+
 
 def _bare_model_file(tmp_path, noise: str):
     """A model JSON file without the scheme the model came from."""
@@ -748,6 +759,16 @@ class TestSimulationSettings:
                             flags)
         assert code == 2
         _assert_usage_error(capsys, "integer initial state, got 2.5")
+        assert not (tmp_path / "o").exists()
+
+    def test_repeated_initial_species_exits_3_before_any_work(
+            self, command, tmp_path, verhulst_file, verhulst_rates, capsys,
+            monkeypatch):
+        _refuse_work(monkeypatch)
+        code = _run_command(command, tmp_path, verhulst_file, verhulst_rates,
+                            ("--initial", "phi=3,phi=10"))
+        assert code == 3
+        _assert_usage_error(capsys, "duplicate", "'phi'")
         assert not (tmp_path / "o").exists()
 
 

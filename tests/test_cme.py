@@ -304,6 +304,14 @@ class TestDefaultBox:
         box = default_box(s, {BETA: 1}, initial_state=(40,))
         assert box.contains((40,))
 
+    def test_box_covers_an_initial_state_beyond_the_cap(self):
+        # the 4096 cap bounds the flow heuristic, never the initial state
+        s = parse_scheme(VERHULST)
+        rates = {LAM: 1, BETA: Fraction(1, 5), GAMMA: Fraction(1, 20)}
+        box = default_box(s, rates, initial_state=(5000,))
+        assert box.bounds == (5000,)
+        assert point_mass(box, (5000,)).probabilities[-1] == 1
+
     @given(seed=st.integers(0, 10 ** 6))
     @settings(max_examples=20)
     def test_box_is_always_usable(self, seed):

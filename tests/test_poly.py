@@ -118,37 +118,47 @@ class TestPower:
             power(GAMMA, 2)
 
 
-class TestSubstitute:
+class TestBindValues:
     def test_binds_one_rate(self):
         p = Polynomial.symbol(LAM) * Polynomial.symbol(PHI)
-        assert p.substitute({LAM: 1}) == Polynomial.symbol(PHI)
+        assert bind_values(p, {LAM: 1}) == Polynomial.symbol(PHI)
 
     def test_binds_rationals_and_merges(self):
-        bound = verhulst_drift().substitute(
-            {LAM: 1, BETA: Fraction(1, 5), GAMMA: Fraction(1, 20)})
+        bound = bind_values(verhulst_drift(), {LAM: 1, BETA: Fraction(1, 5),
+                                               GAMMA: Fraction(1, 20)})
         assert bound == (monomial(Fraction(4, 5), {PHI: 1})
                          + monomial(Fraction(-1, 20), {PHI: 2}))
         assert bound.evaluate({PHI: 10}) == 3
 
-    def test_empty_environment_is_identity(self):
+    def test_empty_binding_is_identity(self):
         x = Polynomial.symbol(X)
-        assert x.substitute({}) == x
-
-    def test_substitutes_polynomials(self):
-        x, y = Polynomial.symbol(X), Polynomial.symbol(Y)
-        assert (x * x).substitute({X: y + 1}) == parse_expression("y^2 + 2*y + 1")
-
-    def test_rejects_floats(self):
-        with pytest.raises(TypeError):
-            Polynomial.symbol(X).substitute({X: 0.5})
+        assert bind_values(x, {}) == x
 
 
 class TestEvaluate:
-    def test_logistic_drift_at_the_reference_point(self):
+    def test_float_point_gives_the_exact_fraction(self):
         v = verhulst_drift().evaluate(
             {LAM: 1.0, BETA: 0.2, GAMMA: 0.05, PHI: 10.0})
-        assert isinstance(v, float)
+        assert type(v) is Fraction
+        assert v == 10 - Fraction(0.2) * 10 - Fraction(0.05) * 100
         assert v == pytest.approx(3.0, abs=1e-12)
+
+    def test_numpy_integer_scalars_are_exact(self):
+        # 2**120 does not fit in int64: numpy arithmetic would wrap
+        v = parse_expression("x^3").evaluate({X: np.int64(2 ** 40)})
+        assert type(v) is Fraction and type(v.numerator) is int
+        assert v == 2 ** 120
+
+    def test_numpy_floats_are_exact(self):
+        v = parse_expression("x^2").evaluate({X: np.float64(0.1)})
+        assert type(v) is Fraction and type(v.numerator) is int
+        assert v == Fraction(0.1) ** 2
+
+    def test_strings_are_refused(self):
+        with pytest.raises(TypeError, match="species:x"):
+            parse_expression("x^2").evaluate({X: "3"})
+        with pytest.raises(TypeError, match="species:x"):
+            bind_values(parse_expression("x^2"), {X: "3"})
 
     def test_constant_one(self):
         assert Polynomial.one().evaluate({}) == 1
@@ -316,8 +326,8 @@ def _points_of(values):
 
 
 class TestEvaluateAgainstTermwise:
-    """Exact inputs take the integer-scaled path, floats the termwise
-    loop; both give what the termwise loop gives."""
+    """Every point takes the integer-scaled path and gives what the
+    termwise loop gives over the exact values."""
 
     @given(a=_polys, point=st.one_of(
         _points_of(_int_values), _points_of(_fraction_values),
@@ -330,11 +340,11 @@ class TestEvaluateAgainstTermwise:
     @given(a=_polys, point=st.one_of(
         _points_of(_float_values),
         _points_of(st.one_of(_int_values, _float_values))))
-    def test_float_points_give_the_same_float(self, a, point):
+    def test_float_points_give_the_exact_fraction(self, a, point):
         value = a.evaluate(point)
-        expected = _termwise_evaluate(a, point)
-        assert type(value) is type(expected)
-        assert value == expected
+        assert type(value) is Fraction
+        assert value == _termwise_evaluate(
+            a, {s: Fraction(v) for s, v in point.items()})
 
     def test_rational_coefficients_at_exact_points(self):
         p = parse_expression("1/6*x^3 - 1/2*x^2 + 1/3*x", SYMS)
@@ -376,14 +386,67 @@ class TestArrayEvaluation:
         value = p.evaluate({X: np.arange(4), K1: Fraction(1, 3)})
         assert type(value) is Fraction and value == Fraction(55, 18)
 
-    def test_float_values_still_give_floats(self):
+    def test_float_arrays_are_refused(self):
         p = parse_expression("1/3*x^2 - 2*x*k_1 + 1", SYMS)
-        xs = np.array([0.5, -1.25, 3.0])
-        values = p.evaluate({X: xs, K1: 0.75})
-        assert [type(v) for v in values] == [float] * 3
-        assert values.tolist() == [p.evaluate({X: x, K1: 0.75})
-                                   for x in xs.tolist()]
-        assert type(p.evaluate({X: 0.5, K1: 1})) is float
+        with pytest.raises(TypeError, match="species:x"):
+            p.evaluate({X: np.array([0.5, -1.25, 3.0]), K1: 0.75})
+
+
+# bind_values as it was before binding term by term: Polynomial.substitute
+# multiplied whole polynomials for every factor of every term.  The term by
+# term binder must reproduce its terms exactly.
+
+def reference_coerce_exact(value) -> Polynomial:
+    if isinstance(value, Polynomial):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return Polynomial.constant(value)
+    raise TypeError(f"expected Polynomial, int, or Fraction, got {type(value).__name__}")
+
+
+def reference_substitute(p, env):
+    out = Polynomial.zero()
+    for m in p.terms:
+        part = Polynomial.constant(m.coefficient)
+        for sym, e in m.exponents:
+            if sym in env:
+                part = part * (reference_coerce_exact(env[sym]) ** e)
+            else:
+                part = part * (Polynomial.symbol(sym) ** e)
+        out = out + part
+    return out
+
+
+def reference_bind_values(p, values):
+    env = {}
+    for sym, v in values.items():
+        if isinstance(v, float):
+            v = Fraction(v)
+        env[sym] = v
+    return reference_substitute(p, env)
+
+
+class TestBindValuesAgainstSubstitute:
+    """Partial bindings leave species free; zeros and values that make
+    terms cancel drop them from the result."""
+
+    @given(a=_polys, values=st.dictionaries(
+        st.sampled_from(_UNIVERSE),
+        st.one_of(_int_values, _fraction_values, _float_values,
+                  st.sampled_from([0, 1, -1, 2, 0.5, Fraction(1, 2)])),
+        max_size=len(_UNIVERSE)))
+    @example(a=parse_expression("k_1*x - 2*x + 3", SYMS), values={K1: 2})
+    @example(a=parse_expression("k_1*x - 1/2*x*y", SYMS),
+             values={K1: 0.5, Y: 1})
+    @example(a=parse_expression("gamma^2*x - x*y^2", SYMS),
+             values={GAMMA: Fraction(-3, 2), Y: 1.5})
+    @example(a=parse_expression("k_1*x^3 + y", SYMS), values={X: 0})
+    def test_same_terms_as_the_substitute_binder(self, a, values):
+        bound = bind_values(a, values)
+        assert bound.terms == reference_bind_values(a, values).terms
+        # a float coefficient would compare equal to its Fraction
+        assert all(type(m.coefficient) is Fraction for m in bound.terms)
+        assert bound.symbols <= a.symbols - values.keys()
 
 
 class TestNumericCompilation:
