@@ -8,7 +8,7 @@ model by Euler-Maruyama or exact jump sampling; and exports LaTeX, C,
 and JSON forms.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .poly import (Monomial, MissingSymbolError, ExpressionSyntaxError,
                    Polynomial, SymbolId, SymbolKind, as_function,

@@ -28,7 +28,9 @@ from .codegen import (EmitTarget, ModelFormatError, emit, emit_c_source,
                       emit_latex, emit_model_json, model_from_json)
 from .derive import (DiffusionSign, IncompatibleNoiseError, NoiseStrategy,
                      RateMode, SdeModel, build_sde_model, diffusion_matrix,
-                     drift_vector, transition_rates)
+                     transition_rates)
+# no longer called here; perfbench's layer hooks still name it in this module
+from .derive import drift_vector  # noqa: F401
 from .cme import StateBox, default_box
 from .poly import (ExpressionSyntaxError, MissingSymbolError, SymbolId,
                    bind_values, as_function, canonical_string)
@@ -288,11 +290,16 @@ def cmd_codegen(args) -> int:
 # simulate
 
 
+# the manifest layout; replay also needs the onestep version that wrote it
+MANIFEST_FORMAT = 1
+
+
 @dataclass
 class RunManifest:
     """Everything needed to reproduce a simulation run byte for byte."""
 
     tool_version: str
+    format_version: int
     input_kind: str                 # "scheme" | "model"
     input_text: str
     rates: dict                     # name -> exact value string
@@ -320,6 +327,20 @@ class RunManifest:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ManifestError(f"malformed manifest JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ManifestError("malformed manifest: expected a JSON object")
+        # another version may draw other bits from the same manifest
+        for name, current in (("tool_version", __version__),
+                              ("format_version", MANIFEST_FORMAT)):
+            if name not in data:
+                raise ManifestError(f"manifest has no {name}; this onestep "
+                                    f"replays only its own manifests "
+                                    f"({__version__}, format "
+                                    f"{MANIFEST_FORMAT})")
+            if data[name] != current:
+                raise ManifestError(f"manifest {name} {data[name]!r} is "
+                                    f"not this onestep's {current!r}; it "
+                                    "would not replay byte for byte")
         try:
             manifest = RunManifest(**data)
         except TypeError as exc:
@@ -463,6 +484,7 @@ def cmd_simulate(args) -> int:
         initial = parse_initial(args.initial, model.species)
         manifest = RunManifest(
             tool_version=__version__,
+            format_version=MANIFEST_FORMAT,
             input_kind=input_kind,
             input_text=input_text,
             rates={sym.name: str(v) for sym, v in bound.items()},
@@ -531,6 +553,16 @@ def cmd_check(args) -> int:
                    and args.allow_sign_mismatch else "FAIL")
     results = []  # (status, name, detail); status PASS | FAIL | ADVISORY
 
+    # each matrix is derived once: the engines always run on the exact/sum
+    # model, whose drift is the exact drift and whose diffusion serves
+    # every check of the exact/sum form
+    check_model = build_sde_model(scheme, RateMode.EXACT, DiffusionSign.SUM,
+                                  NoiseStrategy.MATRIX_SQRT)
+    exact_diff = (check_model.diffusion if sign is DiffusionSign.SUM
+                  else diffusion_matrix(scheme, RateMode.EXACT, sign))
+    requested_diff = (exact_diff if mode is RateMode.EXACT
+                      else diffusion_matrix(scheme, mode, sign))
+
     # enumerated jump moments vs the symbolic derivation, exact arithmetic:
     # each polynomial is evaluated once over all states, and the first
     # mismatch is taken in state order, then entry order
@@ -541,9 +573,9 @@ def cmd_check(args) -> int:
                      for m in zip(*jump_moments(scheme, rates, states)))
     first_wrong = np.zeros(first.shape, dtype=bool)
     second_wrong = np.zeros(second.shape, dtype=bool)
-    for i, p in enumerate(drift_vector(scheme, RateMode.EXACT)):
+    for i, p in enumerate(check_model.drift):
         first_wrong[:, i] = first[:, i] != p.evaluate(point)
-    for i, row in enumerate(diffusion_matrix(scheme, RateMode.EXACT, sign)):
+    for i, row in enumerate(exact_diff):
         for j, p in enumerate(row):
             second_wrong[:, i, j] = second[:, i, j] != p.evaluate(point)
     first_bad, second_bad = (np.argwhere(wrong)[:1].tolist()
@@ -576,7 +608,6 @@ def cmd_check(args) -> int:
         results.append((sign_status, "second-jump-moment", detail))
 
     # symbolic symmetry of the requested diffusion matrix
-    requested_diff = diffusion_matrix(scheme, mode, sign)
     symmetric = all(requested_diff[i][j] == requested_diff[j][i]
                     for i in range(n) for j in range(n))
     results.append(("PASS" if symmetric else "FAIL", "diffusion-symmetry",
@@ -609,9 +640,6 @@ def cmd_check(args) -> int:
         results.append(("FAIL", "engine-consistency",
                         "needs --initial to start the trajectories"))
     else:
-        check_model = build_sde_model(scheme, RateMode.EXACT,
-                                      DiffusionSign.SUM,
-                                      NoiseStrategy.MATRIX_SQRT)
         report = compare_engines(check_model, config,
                                  threshold=args.threshold)
         status = "PASS" if report.passed else "FAIL"

@@ -53,7 +53,12 @@ class NotSymmetricError(ValueError):
 
 
 class NotPsdError(ValueError):
-    pass
+    """A matrix that is not positive semidefinite within tolerance; index
+    is its position in the batch, () for a single matrix."""
+
+    def __init__(self, message: str, index: tuple[int, ...] = ()):
+        super().__init__(message)
+        self.index = index
 
 
 class NegativeRateError(ValueError):
@@ -146,38 +151,97 @@ def trajectory_rng(base_seed: int, index: int) -> np.random.Generator:
 
 
 def matrix_sqrt_psd(b: np.ndarray, tol: float = _PSD_TOL) -> np.ndarray:
-    """Symmetric square root of (a batch of) PSD matrices via eigh.
+    """Lower-triangular noise factor L with L L^T = B of (a batch of) PSD
+    matrices: a Cholesky factorization that lets pivots vanish (Higham,
+    "Analysis of the Cholesky decomposition of a semi-definite matrix",
+    1990), one column at a time over the whole batch.
 
-    Eigenvalues in [-tol * (1 + max|B|), 0) count as rounding noise and
-    clamp to zero; anything lower raises NotPsdError.  Asymmetry beyond
-    the same scaled tolerance raises NotSymmetricError.
+    Each matrix has its own scale 1 + max|B|.  A pivot d <= tol * scale
+    counts as zero: L_kk = sqrt(max(d, 0)) and the column below it is
+    zero, which moves no entry of L L^T from B by more than
+    sqrt(tol) * scale.  A pivot below -tol * scale, or one counted as
+    zero above a column entry beyond sqrt(tol) * scale, which no PSD
+    matrix has, raises NotPsdError for the first such matrix in batch
+    order.  Asymmetry beyond tol * scale raises NotSymmetricError.  For
+    n = 1 the factor is sqrt(max(B, 0)).
     """
     b = np.asarray(b, dtype=np.float64)
     if b.ndim < 2 or b.shape[-1] != b.shape[-2]:
         raise ValueError("expected square matrices on the last two axes")
-    scale = 1.0 + np.abs(b).max(initial=0.0)
-    asym = np.abs(b - np.swapaxes(b, -1, -2)).max(initial=0.0)
-    if asym > tol * scale:
-        raise NotSymmetricError(f"matrix asymmetry {asym:.3e} exceeds "
-                                f"tolerance {tol * scale:.3e}")
-    w, v = np.linalg.eigh(b)
-    floor = -tol * scale
-    if w.min(initial=0.0) < floor:
-        raise NotPsdError(f"eigenvalue {w.min():.6e} below the PSD "
-                          f"tolerance {floor:.3e}")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
+    n = b.shape[-1]
+    wide = []           # (pivot, the matrices whose column fails there)
+    if n == 1:
+        # one pivot and no column below it, which an Euler-Maruyama step
+        # of one species cannot afford to wrap in the loop below.  A pivot
+        # below -tol * (1 + |d|) is below -tol / (1 - tol), a test with no
+        # scale to work out, so the scale waits for a pivot that fails it
+        pivots = b.reshape(1, -1)
+        factor = np.sqrt(np.maximum(pivots, 0.0))
+        if not np.count_nonzero(pivots < -tol / (1.0 - tol)):
+            return factor.reshape(b.shape)
+        floor = tol * (1.0 + np.abs(pivots[0]))
+    else:
+        # entry (i, j) of every matrix is the contiguous row a[i, j], so
+        # each step below is one operation over the batch
+        m = math.prod(b.shape[:-2])
+        a = b.reshape(m, n, n).transpose(1, 2, 0).copy()
+        floor = np.abs(a).max(axis=(0, 1), initial=0.0)
+        floor += 1.0
+        floor *= tol
+        asym = np.abs(a - a.transpose(1, 0, 2)).max(axis=(0, 1),
+                                                   initial=0.0)
+        if np.count_nonzero(asym > floor):
+            i = int(np.argmax(asym > floor))
+            raise NotSymmetricError(f"matrix asymmetry {asym[i]:.3e} "
+                                    f"exceeds tolerance {floor[i]:.3e}")
+        # pivot k ends up in a[k, k]: later steps update only the block
+        # after it
+        pivots = a.reshape(n * n, m)[::n + 1]
+        factor = np.zeros(a.shape)
+        for k in range(n):
+            d = pivots[k]
+            root = np.sqrt(np.maximum(d, 0.0))
+            factor[k, k] = root
+            if k + 1 < n:
+                keep = d > floor
+                col = a[k + 1:, k]
+                # (np.count_nonzero is the cheapest test of a mask)
+                if np.count_nonzero(keep) < m:
+                    # under a pivot counted as zero a PSD matrix has no
+                    # entry beyond sqrt(tol * scale * B_ii), which is at
+                    # most sqrt(tol) * scale
+                    wide.append((k, ~keep & (np.abs(col).max(axis=0)
+                                             > floor / math.sqrt(tol))))
+                col = np.where(keep, col / np.where(keep, root, 1.0), 0.0)
+                factor[k + 1:, k] = col
+                a[k + 1:, k + 1:] -= col[:, None] * col[None, :]
+        factor = factor.transpose(2, 0, 1)
+    bad = pivots < -floor               # (pivot, matrix)
+    for k, fails in wide:
+        bad[k] |= fails
+    if np.count_nonzero(bad):
+        i = int(np.argmax(bad.any(axis=0)))
+        k = int(np.argmax(bad[:, i]))
+        d = pivots[k, i]
+        why = (f"negative beyond tolerance {floor[i]:.3e}" if d < -floor[i]
+               else "too small for the column below it")
+        raise NotPsdError(f"pivot {k} is {d:.6e}, {why}",
+                          tuple(int(j) for j in
+                                np.unravel_index(i, b.shape[:-2])))
+    return factor.reshape(b.shape)
 
 
 def symmetric_matrices(values, count: int, n: int) -> np.ndarray:
     """A (count, n, n) stack of symmetric matrices from the values of
-    their upper triangles' entries (i <= j) in row-major order."""
-    out = np.empty((count, n, n))
+    their upper triangles' entries (i <= j) in row-major order.
+
+    The stack is a view in which entry (i, j) of every matrix is one
+    contiguous row, the layout matrix_sqrt_psd works in."""
+    out = np.empty((n, n, count))
     upper = ((i, j) for i in range(n) for j in range(i, n))
     for (i, j), v in zip(upper, values):
-        out[:, i, j] = v
-        out[:, j, i] = v
-    return out
+        out[i, j] = out[j, i] = v
+    return out.transpose(2, 0, 1)
 
 
 class _EmStepper:
@@ -229,15 +293,14 @@ class _EmStepper:
             noise = (np.sqrt(np.clip(amp, 0.0, None)) * eps) @ self.change
             return drift, noise
         bmat = symmetric_matrices(values[self.n:], count, self.n)
-        if self.n == 1:
-            b = bmat[:, 0]
-            scale = 1.0 + np.abs(b).max(initial=0.0)
-            if b.min(initial=0.0) < -_PSD_TOL * scale:
-                raise NotPsdError(f"diffusion value {b.min():.6e} is "
-                                  "negative beyond tolerance")
-            return drift, np.sqrt(np.clip(b, 0.0, None)) * eps
-        root = matrix_sqrt_psd(bmat)
-        return drift, np.einsum("tij,tj->ti", root, eps)
+        try:
+            factor = matrix_sqrt_psd(bmat)
+        except NotPsdError as exc:
+            state = tuple(states[exc.index].tolist())
+            raise NotPsdError(f"diffusion value B at state {state} is not "
+                              f"positive semidefinite: {exc}",
+                              exc.index) from None
+        return drift, np.einsum("tij,tj->ti", factor, eps)
 
 
 def _grid_step_indices(times: np.ndarray, dt: float, nsteps: int) -> np.ndarray:
@@ -287,7 +350,7 @@ def euler_maruyama(model: SdeModel, config: SimConfig) -> TrajectoryEnsemble:
             drift, noise = stepper.step(states, eps[:, s, :])
             proposal = states + drift * dt + noise * sqrt_dt
             bad = proposal < 0
-            if bad.any():
+            if np.count_nonzero(bad):
                 if reject:
                     for j in np.nonzero(bad.any(axis=1))[0]:
                         proposal[j] = _retry_step(stepper, states[j],

@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from onestep import Polynomial, drift_vector, model_from_json
-from onestep.cli import main, parse_initial, parse_rates_file
+from onestep import (Polynomial, build_sde_model, diffusion_matrix,
+                     model_from_json)
+from onestep import __version__
+from onestep.cli import (MANIFEST_FORMAT, main, parse_initial,
+                         parse_rates_file)
 from helpers import LOTKA_VOLTERRA, VERHULST
 
 VERHULST_RATES_TEXT = """\
@@ -403,6 +407,24 @@ class TestCheck:
         assert "psd-sampling" in out
         assert "engine-consistency" in out
 
+    @pytest.mark.parametrize("flags, derived", [
+        (("--rate-mode", "exact", "--diffusion-sign", "sum"), []),
+        (("--rate-mode", "exact"), [("exact", "difference")]),
+        ((), [("exact", "difference"), ("fp", "difference")])])
+    def test_each_diffusion_matrix_is_derived_once(
+            self, flags, derived, ring3_files, capsys, monkeypatch):
+        # the exact/sum model the engines run on is built once and serves
+        # every check of the exact/sum form
+        calls = []
+
+        def counted(scheme, mode, sign):
+            calls.append((mode.value, sign.value))
+            return diffusion_matrix(scheme, mode, sign)
+        monkeypatch.setattr("onestep.cli.diffusion_matrix", counted)
+        scheme, rates = ring3_files
+        main(["check", scheme, "--rates", rates, "--box", "2", *flags])
+        assert calls == derived
+
     def test_difference_convention_fails_for_reversible(self, verhulst_file,
                                                         verhulst_rates,
                                                         capsys):
@@ -541,14 +563,15 @@ class TestCheckGolden:
 
     def test_first_moment_mismatch_is_named_by_state_then_component(
             self, ring3_files, capsys, monkeypatch):
-        # x1*x3 added to component 2 first shows at (1, 0, 1); state order
-        # comes before component order
-        def skewed_drift(scheme, mode):
-            drift = list(drift_vector(scheme, mode))
+        # x1*x3 added to component 2 of the exact drift first shows at
+        # (1, 0, 1); state order comes before component order
+        def skewed_model(scheme, *args):
+            model = build_sde_model(scheme, *args)
             x1, _, x3 = (Polynomial.symbol(s) for s in scheme.species)
+            drift = list(model.drift)
             drift[2] = drift[2] + x1 * x3
-            return drift
-        monkeypatch.setattr("onestep.cli.drift_vector", skewed_drift)
+            return replace(model, drift=tuple(drift))
+        monkeypatch.setattr("onestep.cli.build_sde_model", skewed_model)
         scheme, rates = ring3_files
         code = main(["check", scheme, "--rates", rates, "--box", "2",
                      "--diffusion-sign", "sum"])
@@ -595,7 +618,9 @@ SIMULATE_CASES = {
 
 # SHA-256 of (.trajectories.csv, .moments.csv, .mean.svg) per case, recorded
 # before the drift, diffusion and rate vectors were compiled into one
-# function each
+# function each; ring3-em and ring3-reject, the cases with matrix noise
+# for n >= 2, re-recorded in 0.2.0, whose noise factor is the lower
+# triangular L with L L^T = B rather than the symmetric square root
 SIMULATE_GOLDEN = {
     "death-reject": (
         "7ccf38fcf338962e407ff4ad0a52f67688290f7a2ea16d8b8804e3de9c03ff78",
@@ -610,13 +635,13 @@ SIMULATE_GOLDEN = {
         "c753b52daeaf8be01bad1923a1b75453128ab639f729a73f610f61014c45bca9",
         "bce8fc6b98f5e9adecb7866be4c23f1f678695826593ef2435b40122788f3e86"),
     "ring3-em": (
-        "414e53e0e1a01ca18e2f285c8f0f71980123d2bcfeeba0225ce2cffce548c4f7",
-        "02c2ebd0af03f7227794d284845b329940079ad84cbb64ed301537cb7e2fd690",
-        "f96282d09119290f8b72861be24f4a90894cfd03e313b4e741cfe170714ddb1b"),
+        "b9850144ec0ce87441935acccdd2597669033a3ad58830903b6a73674f06b644",
+        "701c1a031d60565ff2ea143d16db72b2c1c3ec0244f681fb5f3e7e78a3faf27d",
+        "31cd861a5d195867e732a779431bf3c8fadca9cafa9afc711651c9a50c3257c7"),
     "ring3-reject": (
-        "c486661de771093f397df49a730f01ec8ffd67d30b6f8d533e228122668d46ec",
-        "0e7716b2e5e4883f52e1023b4f405c6f63e86987b6fe6648c3349208c48c56dd",
-        "2cc6a44cfbf306cd88a494aa9f638d8c5573bdda4cbb88287209e3ba62231a44"),
+        "9beb7f9f4e77ae50a6aea075ba9f7a161cf38ed2500a37a4896e2b543151c55b",
+        "84f16cb187fded41559060376f13da11e49c4b91a6e07c4b0a4ca90636b16693",
+        "d15e09642e2e0de83715a7bf161c45ce355f1c92e56113f24d25a010eebc7bc8"),
     "verhulst-em": (
         "02791d30a43fb19611be9655c6035cd4e2ad986e24a18d83044faf20c54fadd5",
         "a0fc208d3f6982a3c4f7f33929d4b0b9525b61b2a90231714bc9a9eac2b79a90",
@@ -834,6 +859,51 @@ class TestManifestReplay:
         _assert_usage_error(capsys, "malformed manifest", needle)
         assert not (tmp_path / "rerun").exists()
 
+    @pytest.mark.parametrize("edit, needle", [
+        # a manifest of 0.1.0, which drew other matrix-noise bits
+        (lambda data: (data.update(tool_version="0.1.0"),
+                       data.pop("format_version")),
+         f"manifest tool_version '0.1.0' is not this onestep's "
+         f"'{__version__}'"),
+        (lambda data: data.update(format_version=MANIFEST_FORMAT + 1),
+         f"manifest format_version {MANIFEST_FORMAT + 1} is not this "
+         f"onestep's {MANIFEST_FORMAT}"),
+        (lambda data: data.update(format_version=str(MANIFEST_FORMAT)),
+         f"manifest format_version '{MANIFEST_FORMAT}' is not"),
+        (lambda data: data.pop("format_version"),
+         "manifest has no format_version"),
+        (lambda data: data.pop("tool_version"),
+         "manifest has no tool_version"),
+    ])
+    def test_manifest_of_another_version_exits_2_before_any_work(
+            self, edit, needle, tmp_path, verhulst_file, verhulst_rates,
+            capsys, monkeypatch):
+        path = _edited_manifest(tmp_path, verhulst_file, verhulst_rates,
+                                capsys, edit)
+        _refuse_work(monkeypatch)
+        code = main(["simulate", "--from-manifest", str(path),
+                     "--out", str(tmp_path / "rerun")])
+        assert code == 2
+        _assert_usage_error(capsys, needle)
+        assert not (tmp_path / "rerun").exists()
+
+    def test_manifest_records_both_versions(self, tmp_path, verhulst_file,
+                                            verhulst_rates, capsys):
+        _, out = run_simulate(tmp_path, verhulst_file, verhulst_rates,
+                              "first")
+        data = json.loads((out / "verhulst.manifest.json").read_text())
+        assert (data["tool_version"], data["format_version"]) == \
+            (__version__, MANIFEST_FORMAT)
+
+    def test_manifest_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text("[]")
+        code = main(["simulate", "--from-manifest", str(path),
+                     "--out", str(tmp_path / "rerun")])
+        assert code == 2
+        _assert_usage_error(capsys, "malformed manifest: expected a JSON "
+                            "object")
+
     def test_one_trajectory_is_refused_before_any_work(
             self, tmp_path, verhulst_file, verhulst_rates, capsys,
             monkeypatch):
@@ -864,7 +934,8 @@ class TestSimulationFailures:
         code = self._simulate(tmp_path, VERHULST, VERHULST_RATES_TEXT,
                               "--initial", "phi=100")
         assert code == 2
-        _assert_usage_error(capsys, "diffusion value", "negative")
+        _assert_usage_error(capsys, "diffusion value B at state (100.0,)",
+                            "negative")
 
     def test_negative_per_reaction_rate_exits_2(self, tmp_path, capsys):
         # exact rate k x (x - 1) is -1/4 at x = 1/2

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import sys
 import tracemalloc
 
@@ -20,12 +21,14 @@ from onestep import (ComparisonReport, DiffusionSign, Distribution, Engine,
                      compare_engines, compare_reports, distribution_moments,
                      distribution_to_csv, ensemble_moments, euler_maruyama,
                      evolve_distribution, gillespie_ssa, matrix_sqrt_psd,
-                     mean_band_svg, moments_to_csv, parse_scheme, point_mass,
+                     mean_band_svg, moments_to_csv, parse_expression,
+                     parse_scheme, point_mass,
                      rate, species, trajectories_to_csv, trajectory_rng)
 from onestep import (InteractionScheme, NegativeRateError, as_function,
                      bind_values, reaction_channels, transition_rates)
 from onestep.sim import (_CHUNK_STEPS, _PSD_TOL, _RATE_TOL, _REJECT_LIMIT,
-                         _SSA_BLOCK, _SSA_EVENT_BUDGET, _compile_ssa_rates,
+                         _SSA_BLOCK, _SSA_EVENT_BUDGET, _EmStepper,
+                         _compile_ssa_rates,
                          _grid_step_indices, _require_finite,
                          symmetric_matrices)
 from helpers import LOTKA_VOLTERRA, PURE_DEATH, VERHULST, random_scheme_text
@@ -73,7 +76,38 @@ class TestTrajectoryRng:
         assert g.standard_normal(2).shape == (2,)
 
 
+def _reconstruction_error(factor, b):
+    """max |L L^T - B| of each matrix over its scale 1 + max|B|."""
+    error = np.abs(factor @ np.swapaxes(factor, -1, -2) - b)
+    return error.max(axis=(-2, -1)) / (1.0 + np.abs(b).max(axis=(-2, -1)))
+
+
+def _is_lower(factor):
+    return np.array_equal(factor, np.tril(factor))
+
+
+# stacks of B = R R^T with R of rank at most n, integer entries times a
+# common magnitude, and some species' rows of R zero (extinct species)
+@st.composite
+def _psd_stacks(draw):
+    n = draw(st.integers(1, 8))
+    rank = draw(st.integers(0, n))
+    count = draw(st.integers(1, 4))
+    entries = st.integers(-20, 20)
+    r = np.array(draw(st.lists(entries, min_size=count * n * rank,
+                               max_size=count * n * rank)), dtype=np.float64)
+    r = r.reshape(count, n, rank)
+    extinct = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    r[:, extinct, :] = 0.0
+    r *= draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    return r @ np.swapaxes(r, 1, 2), np.array(extinct)
+
+
 class TestMatrixSqrt:
+    """The noise factor is lower triangular with L L^T = B: within
+    1e-10 of B's scale for well-conditioned matrices, and within the
+    documented sqrt(tol) of it when pivots are counted as zero."""
+
     def test_identity(self):
         assert np.array_equal(matrix_sqrt_psd(np.eye(3)), np.eye(3))
 
@@ -83,9 +117,12 @@ class TestMatrixSqrt:
 
     def test_dense_reconstruction(self):
         b = np.array([[2.0, -1.0], [-1.0, 2.0]])
-        s = matrix_sqrt_psd(b)
-        assert np.abs(s - s.T).max() < 1e-12
-        assert np.abs(s @ s - b).max() < 1e-12
+        factor = matrix_sqrt_psd(b)
+        assert _is_lower(factor)
+        assert np.allclose(factor, [[math.sqrt(2), 0.0],
+                                    [-math.sqrt(0.5), math.sqrt(1.5)]],
+                           rtol=0, atol=1e-15)
+        assert _reconstruction_error(factor, b) < 1e-15
 
     def test_batched_input(self):
         stack = np.stack([np.eye(2), np.diag([4.0, 9.0])])
@@ -95,26 +132,116 @@ class TestMatrixSqrt:
 
     def test_random_psd_reconstruction(self):
         rng = np.random.default_rng(11)
-        for n in range(1, 7):
-            r = rng.standard_normal((n, n))
-            b = r @ r.T
-            s = matrix_sqrt_psd(b)
-            assert np.abs(s @ s - b).max() <= 1e-10 * (1 + np.abs(b).max())
+        for n in range(1, 9):
+            r = rng.standard_normal((5, n, n))
+            b = r @ np.swapaxes(r, 1, 2)
+            factor = matrix_sqrt_psd(b)
+            assert _is_lower(factor)
+            assert (_reconstruction_error(factor, b) <= 1e-10).all()
 
-    def test_tiny_negative_eigenvalue_is_clamped(self):
+    @given(_psd_stacks())
+    def test_rank_deficient_stacks(self, case):
+        b, extinct = case
+        factor = matrix_sqrt_psd(b)
+        assert _is_lower(factor)
+        assert (_reconstruction_error(factor, b) <= math.sqrt(_PSD_TOL)).all()
+        # an extinct species gets no noise and passes none on
+        assert not factor[:, extinct, :].any()
+        assert not factor[:, :, extinct].any()
+
+    @given(st.lists(st.one_of(st.floats(0.0, 1e6),
+                              st.sampled_from([0.0, -0.0, -1e-13, 1e-300,
+                                               -math.inf])),
+                    min_size=1, max_size=20))
+    def test_one_species_is_the_clipped_root(self, values):
+        b = np.array(values)
+        factor = matrix_sqrt_psd(b[:, None, None])
+        assert np.sqrt(np.clip(b, 0.0, None)).tobytes() == \
+            factor[:, 0, 0].tobytes()
+
+    def test_each_matrix_has_its_own_scale(self):
+        # pivot 0 of small is 1e-8, well above its tolerance but below
+        # the one the large matrix would set: each path's noise must not
+        # depend on the other paths' states
+        small = np.array([[1e-8, 1e-8], [1e-8, 2e-8]])
+        large = np.diag([1e6, 1e6])
+        alone = matrix_sqrt_psd(small)
+        assert alone[1, 0] == pytest.approx(1e-4)
+        assert np.array_equal(matrix_sqrt_psd(np.stack([small, large]))[0],
+                              alone)
+
+    def test_tiny_negative_pivot_is_clamped(self):
         s = matrix_sqrt_psd(np.array([[-1e-13]]))
         assert s[0, 0] == 0.0
+        # pivot 1 is 1 - 1e-12 - 1, rounding noise below zero
+        b = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-12]])
+        assert np.array_equal(matrix_sqrt_psd(b), [[1.0, 0.0], [1.0, 0.0]])
+
+    def test_tiny_pivot_counts_as_zero(self):
+        # eigenvalues 1 and about -1e-12, PSD within tolerance; dividing
+        # the column by the pivot's root would leave pivot 1 at 1 - 1e8
+        b = np.array([[1e-20, 1e-6], [1e-6, 1.0]])
+        factor = matrix_sqrt_psd(b)
+        assert (factor[1, 0], factor[1, 1]) == (0.0, 1.0)
+        assert _reconstruction_error(factor, b) <= math.sqrt(_PSD_TOL)
 
     def test_asymmetric_is_rejected(self):
         with pytest.raises(NotSymmetricError):
             matrix_sqrt_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_indefinite_is_rejected(self):
-        with pytest.raises(NotPsdError):
-            matrix_sqrt_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    @pytest.mark.parametrize("b, pivot, why", [
+        ([[1.0, 2.0], [2.0, 1.0]], "pivot 1 is -3.000000e+00",
+         "negative beyond tolerance"),
+        # a zero pivot above a nonzero entry: the factor would drop it
+        ([[0.0, 1.0], [1.0, 0.0]], "pivot 0 is 0.000000e+00",
+         "too small for the column below it")])
+    def test_indefinite_is_rejected(self, b, pivot, why):
+        with pytest.raises(NotPsdError,
+                           match=re.escape(f"{pivot}, {why}")) as info:
+            matrix_sqrt_psd(np.array(b))
+        assert info.value.index == ()
+
+    def test_first_indefinite_matrix_in_batch_order_is_named(self):
+        # matrix 2 fails at pivot 0, before matrix 1 fails at pivot 1
+        stack = np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]],
+                          [[-1.0, 0.0], [0.0, 1.0]]])
+        with pytest.raises(NotPsdError, match="pivot 1 is -3") as info:
+            matrix_sqrt_psd(stack)
+        assert info.value.index == (1,)
+        with pytest.raises(NotPsdError) as info:
+            matrix_sqrt_psd(stack.reshape(3, 1, 2, 2)[::-1])
+        assert info.value.index == (0, 0)
 
 
 class TestEulerMaruyama:
+    @pytest.mark.parametrize("diffusion, states, named", [
+        # B = 1 - x: the first state past x = 1 is named
+        ((("1 - x",),), [[0.5], [3.0], [2.0]], "(3.0,)"),
+        # B = [[1 - y, x], [x, 1]] fails at pivot 1 at state (3, 0) and
+        # at pivot 0 at state (0, 2); trajectory order wins
+        ((("1 - y", "x"), ("x", "1")), [[0.5, 0.0], [3.0, 0.0], [0.0, 2.0]],
+         "(3.0, 0.0)")])
+    def test_not_psd_names_the_first_offending_state(self, diffusion, states,
+                                                     named):
+        names = ("x", "y")[:len(diffusion)]
+        syms = tuple(species(name) for name in names)
+        model = SdeModel(
+            species=syms, rate_symbols=(),
+            drift=tuple(Polynomial.zero() for _ in syms),
+            diffusion=tuple(tuple(parse_expression(e, syms) for e in row)
+                            for row in diffusion),
+            rate_mode=RateMode.FOKKER_PLANCK,
+            diffusion_sign=DiffusionSign.SUM,
+            noise_strategy=NoiseStrategy.MATRIX_SQRT)
+        config = SimConfig(rates={}, initial_state=(0.0,) * len(syms),
+                           t_final=1.0)
+        stepper = _EmStepper(model, config)
+        with pytest.raises(NotPsdError, match=re.escape(
+                f"diffusion value B at state {named} is not positive "
+                "semidefinite: pivot")) as info:
+            stepper.step(np.array(states), np.zeros((3, len(syms))))
+        assert info.value.index == (1,)
+
     def test_noiseless_decay_tracks_the_flow(self):
         config = SimConfig(rates={}, initial_state=(1.0,), t_final=1.0,
                            dt=1e-4, trajectories=3, grid_points=2)
@@ -704,14 +831,16 @@ class _ReferenceEmStepper:
             return (np.sqrt(np.clip(amp, 0.0, None)) * eps) @ self.change
         bmat = symmetric_matrices(self.diffusion_fn(*states.T), count,
                                   self.n)
+        # the PSD check and its message are those of 0.2.0; the noise of
+        # one species is the scalar root the engine took up to 0.1.0
+        try:
+            root = matrix_sqrt_psd(bmat)
+        except NotPsdError as exc:
+            state = tuple(states[exc.index].tolist())
+            raise NotPsdError(f"diffusion value B at state {state} is not "
+                              f"positive semidefinite: {exc}") from None
         if self.n == 1:
-            b = bmat[:, 0]
-            scale = 1.0 + np.abs(b).max(initial=0.0)
-            if b.min(initial=0.0) < -_PSD_TOL * scale:
-                raise NotPsdError(f"diffusion value {b.min():.6e} is "
-                                  "negative beyond tolerance")
-            return np.sqrt(np.clip(b, 0.0, None)) * eps
-        root = matrix_sqrt_psd(bmat)
+            return np.sqrt(np.clip(bmat[:, 0], 0.0, None)) * eps
         return np.einsum("tij,tj->ti", root, eps)
 
 
