@@ -32,10 +32,9 @@ from .derive import (DiffusionSign, IncompatibleNoiseError, NoiseStrategy,
 # no longer called here; perfbench's layer hooks still name it in this module
 from .derive import drift_vector  # noqa: F401
 from .cme import StateBox, default_box
-from .poly import (ExpressionSyntaxError, MissingSymbolError, SymbolId,
-                   bind_values, as_function, canonical_string)
-from .scheme import (InteractionScheme, SchemeError, format_scheme,
-                     parse_scheme)
+from .poly import (ExpressionSyntaxError, MissingSymbolError, bind_values,
+                   as_function, canonical_string)
+from .scheme import SchemeError, format_scheme, parse_scheme
 from .sim import (Engine, NegativePolicy, NegativeRateError, NotPsdError,
                   SimConfig, SimConfigError, SimulationError,
                   TooFewTrajectoriesError, check_seed, check_trajectory_count,
@@ -166,8 +165,9 @@ def _load_text(path: str) -> str:
     return Path(path).read_text()
 
 
-def _is_model_input(path: str) -> bool:
-    return path.endswith(".json")
+def _input_kind(path: str) -> str:
+    """"model" for a model JSON file, "scheme" for scheme text."""
+    return "model" if path.endswith(".json") else "scheme"
 
 
 def _stem(path: str) -> str:
@@ -177,17 +177,16 @@ def _stem(path: str) -> str:
     return stem
 
 
-def _load_model_input(path: str, args) -> SdeModel:
-    """A model either derived from scheme text or restored from JSON;
-    derivation flags apply only to the scheme route."""
-    text = _load_text(path)
-    if _is_model_input(path):
+def load_model(kind: str, text: str, rate_mode: str, sign: str, noise: str,
+               allow_shared_rates: bool) -> SdeModel:
+    """The model of an input of the given kind: restored from model JSON,
+    or derived from scheme text with the given derivation settings, which
+    a model JSON input ignores."""
+    if kind == "model":
         return model_from_json(text)
-    scheme = parse_scheme(text, getattr(args, "allow_shared_rates", False))
-    return build_sde_model(scheme,
-                           RateMode(args.rate_mode),
-                           DiffusionSign(args.diffusion_sign),
-                           NoiseStrategy(args.noise))
+    return build_sde_model(parse_scheme(text, allow_shared_rates),
+                           RateMode(rate_mode), DiffusionSign(sign),
+                           NoiseStrategy(noise))
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +240,9 @@ def model_report(model: SdeModel) -> str:
 
 
 def cmd_derive(args) -> int:
-    scheme = parse_scheme(_load_text(args.scheme), args.allow_shared_rates)
-    model = build_sde_model(scheme,
-                            RateMode(args.rate_mode),
-                            DiffusionSign(args.diffusion_sign),
-                            NoiseStrategy(args.noise))
+    model = load_model("scheme", _load_text(args.scheme), args.rate_mode,
+                       args.diffusion_sign, args.noise,
+                       args.allow_shared_rates)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = _stem(args.scheme)
@@ -275,7 +272,9 @@ def cmd_codegen(args) -> int:
     if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", args.function_name):
         raise UsageError(f"bad --function-name {args.function_name!r}; "
                          "expected a C identifier")
-    model = _load_model_input(args.input, args)
+    model = load_model(_input_kind(args.input), _load_text(args.input),
+                       args.rate_mode, args.diffusion_sign, args.noise,
+                       args.allow_shared_rates)
     text = emit(model, EmitTarget(args.target),
                 function_name=args.function_name)
     if args.out:
@@ -410,16 +409,10 @@ def execute_manifest(manifest: RunManifest, out_dir: Path) -> list[Path]:
     """Run the simulation a manifest describes and write its outputs.
 
     The same manifest always produces byte-identical files."""
-    if manifest.input_kind == "model":
-        model = model_from_json(manifest.input_text)
-        scheme = model.scheme
-    else:
-        scheme = parse_scheme(manifest.input_text,
-                              manifest.allow_shared_rates)
-        model = build_sde_model(scheme,
-                                RateMode(manifest.rate_mode),
-                                DiffusionSign(manifest.diffusion_sign),
-                                NoiseStrategy(manifest.noise_strategy))
+    model = load_model(manifest.input_kind, manifest.input_text,
+                       manifest.rate_mode, manifest.diffusion_sign,
+                       manifest.noise_strategy, manifest.allow_shared_rates)
+    scheme = model.scheme
     rate_table = {}
     for name, value in manifest.rates.items():
         try:
@@ -477,29 +470,37 @@ def cmd_simulate(args) -> int:
                   file=sys.stderr)
             return 2
         input_text = _load_text(args.input)
-        input_kind = "model" if _is_model_input(args.input) else "scheme"
-        model = _load_model_input(args.input, args)
+        input_kind = _input_kind(args.input)
+        # read here for its vocabulary only: execute_manifest derives the
+        # model, and a model JSON input brings its own derivation settings
+        settings = dict(rate_mode=args.rate_mode,
+                        diffusion_sign=args.diffusion_sign,
+                        noise_strategy=args.noise)
+        if input_kind == "model":
+            source = model_from_json(input_text)
+            settings = {name: getattr(source, name).value
+                        for name in settings}
+        else:
+            source = parse_scheme(input_text, args.allow_shared_rates)
         rate_table = parse_rates_file(_load_text(args.rates))
-        bound = bind_rates(model.rate_symbols, rate_table)
-        initial = parse_initial(args.initial, model.species)
+        bound = bind_rates(source.rate_symbols, rate_table)
+        initial = parse_initial(args.initial, source.species)
         manifest = RunManifest(
             tool_version=__version__,
             format_version=MANIFEST_FORMAT,
             input_kind=input_kind,
             input_text=input_text,
             rates={sym.name: str(v) for sym, v in bound.items()},
-            initial={s.name: x for s, x in zip(model.species, initial)},
+            initial={s.name: x for s, x in zip(source.species, initial)},
             engine=args.engine,
-            rate_mode=(model.rate_mode.value),
-            diffusion_sign=model.diffusion_sign.value,
-            noise_strategy=model.noise_strategy.value,
+            **settings,
             negative_policy=args.negative_policy,
             t_final=args.t_final,
             dt=args.dt,
             trajectories=args.trajectories,
             grid_points=args.grid_points,
             seed=args.seed,
-            allow_shared_rates=getattr(args, "allow_shared_rates", False),
+            allow_shared_rates=args.allow_shared_rates,
             prefix=_stem(args.input))
     written = execute_manifest(manifest, Path(args.out))
     for path in written:

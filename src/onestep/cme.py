@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .poly import SymbolId, as_function, bind_values
+from .poly import SymbolId, _exact, as_function, bind_values
 from .scheme import InteractionScheme
 
 
@@ -99,13 +99,15 @@ def reaction_channels(scheme: InteractionScheme,
 class ChannelTable:
     """The jump channels of a scheme, flattened once: row c of the (C, n)
     arrays stoich and change is channel c of reaction_channels, and its
-    rate value is numerators[c] / denominator exactly (a float rate
-    counts as the rational it represents)."""
+    rate value is numerators[c] / denominator exactly (rate values are
+    read by poly._exact, so a float counts as the rational it represents
+    and a string is a TypeError)."""
 
     def __init__(self, scheme: InteractionScheme,
                  rates: Mapping[SymbolId, object]):
-        channels = reaction_channels(scheme, rates)
-        values = [Fraction(value) for _, _, value in channels]
+        channels = reaction_channels(
+            scheme, {sym: _exact(sym, v) for sym, v in rates.items()})
+        values = [value for _, _, value in channels]
         self.denominator = math.lcm(*(v.denominator for v in values))
         self.numerators = [v.numerator * (self.denominator // v.denominator)
                            for v in values]

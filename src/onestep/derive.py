@@ -17,9 +17,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .poly import (Polynomial, SymbolId, SymbolKind, falling_factorial,
-                   power)
-from .scheme import Interaction, InteractionScheme
+from .poly import Polynomial, SymbolId, falling_factorial, power
+from .scheme import InteractionScheme
 
 
 class RateMode(enum.Enum):

@@ -431,47 +431,38 @@ class ExpressionSyntaxError(ValueError):
 
 
 @dataclass(frozen=True)
-class _Token:
-    kind: str  # "number" | "name" | "op" | "end"
+class Token:
+    kind: str  # a group name of the token pattern, or "end"
     text: str
-    position: int
+    position: int  # 0-based character offset
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ExpressionSyntaxError(f"unexpected character {text[i]!r}", i)
-        kind = m.lastgroup
-        tokens.append(_Token(kind, m.group(), i))
-        i = m.end()
-    tokens.append(_Token("end", "", len(text)))
-    return tokens
+class TokenStream:
+    """The tokens of one text, front to back, for the expression and
+    scheme parsers: pattern's named groups are the token kinds,
+    whitespace is skipped, an "end" token closes the stream, and a
+    character no group matches raises unexpected(character, position)."""
 
-
-def _symbol_table(symbols) -> dict[str, SymbolId]:
-    if symbols is None:
-        return {}
-    if isinstance(symbols, Mapping):
-        return dict(symbols)
-    return {s.name: s for s in symbols}
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token], table: dict[str, SymbolId]):
-        self.tokens = tokens
+    def __init__(self, text: str, pattern: re.Pattern,
+                 unexpected: Callable[[str, int], Exception]):
+        self.tokens = []
+        i = 0
+        while i < len(text):
+            if text[i].isspace():
+                i += 1
+                continue
+            m = pattern.match(text, i)
+            if m is None:
+                raise unexpected(text[i], i)
+            self.tokens.append(Token(m.lastgroup, m.group(), i))
+            i = m.end()
+        self.tokens.append(Token("end", "", len(text)))
         self.pos = 0
-        self.table = table
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self, ahead: int = 0) -> Token:
+        return self.tokens[self.pos + ahead]
 
-    def take(self) -> _Token:
+    def take(self) -> Token:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
@@ -482,6 +473,21 @@ class _Parser:
             self.pos += 1
             return True
         return False
+
+
+def _symbol_table(symbols) -> dict[str, SymbolId]:
+    if symbols is None:
+        return {}
+    if isinstance(symbols, Mapping):
+        return dict(symbols)
+    return {s.name: s for s in symbols}
+
+
+class _Parser(TokenStream):
+    def __init__(self, text: str, table: dict[str, SymbolId]):
+        super().__init__(text, _TOKEN_RE, lambda c, i: ExpressionSyntaxError(
+            f"unexpected character {c!r}", i))
+        self.table = table
 
     def parse_expr(self) -> Polynomial:
         negate = self.accept_op("-")
@@ -555,7 +561,7 @@ def parse_expression(text: str, symbols=None) -> Polynomial:
     subexpression.  symbols maps names to SymbolId (a mapping or iterable);
     unknown names default to species.
     """
-    parser = _Parser(_tokenize(text), _symbol_table(symbols))
+    parser = _Parser(text, _symbol_table(symbols))
     p = parser.parse_expr()
     parser.expect_end()
     return p

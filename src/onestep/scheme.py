@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from .poly import SymbolId, SymbolKind, rate, species
+from .poly import SymbolId, SymbolKind, Token, TokenStream, rate, species
 
 MAX_STOICH = 64
 
@@ -152,60 +152,25 @@ _LINE_TOKEN_RE = re.compile(
     r"|(?P<op>[+@,*])")
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str
-    text: str
-    column: int  # 1-based
-
-
-def _tokenize_line(line: str, line_no: int) -> list[_Tok]:
-    tokens = []
-    i = 0
-    while i < len(line):
-        if line[i].isspace():
-            i += 1
-            continue
-        m = _LINE_TOKEN_RE.match(line, i)
-        if m is None:
-            raise SchemeSyntaxError(f"unexpected character {line[i]!r}",
-                                    line_no, i + 1)
-        tokens.append(_Tok(m.lastgroup, m.group(), i + 1))
-        i = m.end()
-    tokens.append(_Tok("end", "", len(line) + 1))
-    return tokens
-
-
-class _LineParser:
-    def __init__(self, tokens: list[_Tok], line_no: int):
-        self.tokens = tokens
+class _LineParser(TokenStream):
+    def __init__(self, line: str, line_no: int):
+        super().__init__(line, _LINE_TOKEN_RE, lambda c, i: SchemeSyntaxError(
+            f"unexpected character {c!r}", line_no, i + 1))
         self.line_no = line_no
-        self.pos = 0
 
-    def peek(self) -> _Tok:
-        return self.tokens[self.pos]
-
-    def take(self) -> _Tok:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str, expected: str | None = None):
-        tok = self.peek()
-        raise SchemeSyntaxError(message, self.line_no, tok.column, expected)
-
-    def accept_op(self, op: str) -> bool:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == op:
-            self.pos += 1
-            return True
-        return False
+    def fail(self, message: str, expected: str | None = None,
+             at: Token | None = None):
+        """Raise at token at, the next token by default; columns are
+        1-based."""
+        at = at or self.peek()
+        raise SchemeSyntaxError(message, self.line_no, at.position + 1,
+                                expected)
 
     def parse_complex(self, order: list[str]) -> dict[str, int]:
         # empty complex: a lone '0'
         tok = self.peek()
         if tok.kind == "number" and tok.text == "0":
-            after = self.tokens[self.pos + 1]
+            after = self.peek(1)
             if after.kind not in ("name",) and not (after.kind == "op"
                                                     and after.text == "*"):
                 self.take()
@@ -228,12 +193,10 @@ class _LineParser:
             self.take()
             c = int(tok.text)
             if c == 0:
-                raise SchemeSyntaxError("zero stoichiometric coefficient",
-                                        self.line_no, tok.column)
+                self.fail("zero stoichiometric coefficient", at=tok)
             if c > MAX_STOICH:
-                raise SchemeSyntaxError(
-                    f"stoichiometric coefficient exceeds {MAX_STOICH}",
-                    self.line_no, tok.column)
+                self.fail(f"stoichiometric coefficient exceeds {MAX_STOICH}",
+                          at=tok)
             self.accept_op("*")
         name_tok = self.peek()
         if name_tok.kind != "name":
@@ -258,8 +221,8 @@ class _LineParser:
             self.fail("a reversible reaction needs two rate symbols",
                       expected="', <backward rate>'")
         if not reversible and second is not None:
-            raise SchemeSyntaxError("an irreversible reaction takes one rate "
-                                    "symbol", self.line_no, first.column)
+            self.fail("an irreversible reaction takes one rate symbol",
+                      at=first)
         return first.text, second
 
 
@@ -271,14 +234,14 @@ def parse_scheme(text: str, allow_shared_rates: bool = False) -> InteractionSche
     with species names are always errors.
     """
     order: list[str] = []
-    parsed = []  # (line_no, lhs, rhs, fwd_name, bwd_name)
+    parsed = []  # (lhs, rhs, fwd_name, bwd_name)
     rate_first_use: dict[str, int] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
-        p = _LineParser(_tokenize_line(line, line_no), line_no)
+        p = _LineParser(line, line_no)
         lhs = p.parse_complex(order)
         arrow = p.peek()
         if arrow.kind != "arrow":
@@ -304,7 +267,7 @@ def parse_scheme(text: str, allow_shared_rates: bool = False) -> InteractionSche
             raise DuplicateRateSymbolError(
                 fwd, f"rate symbol {fwd!r} used for both directions on "
                      f"line {line_no}")
-        parsed.append((line_no, lhs, rhs, fwd, bwd))
+        parsed.append((lhs, rhs, fwd, bwd))
 
     if not parsed:
         raise EmptySchemeError()
@@ -317,18 +280,13 @@ def parse_scheme(text: str, allow_shared_rates: bool = False) -> InteractionSche
                       "rate symbol")
 
     species_syms = tuple(species(n) for n in order)
-    interactions = []
-    for line_no, lhs, rhs, fwd, bwd in parsed:
-        try:
-            interactions.append(Interaction(
-                initial=tuple(lhs.get(n, 0) for n in order),
-                final=tuple(rhs.get(n, 0) for n in order),
-                forward_rate=rate(fwd),
-                backward_rate=rate(bwd) if bwd else None))
-        except NoOpInteractionError:
-            raise NoOpInteractionError(line_no) from None
-    return InteractionScheme(species=species_syms,
-                             interactions=tuple(interactions))
+    interactions = tuple(
+        Interaction(initial=tuple(lhs.get(n, 0) for n in order),
+                    final=tuple(rhs.get(n, 0) for n in order),
+                    forward_rate=rate(fwd),
+                    backward_rate=rate(bwd) if bwd else None)
+        for lhs, rhs, fwd, bwd in parsed)
+    return InteractionScheme(species=species_syms, interactions=interactions)
 
 
 def _side_text(counts: Iterable[int], names: list[str]) -> str:

@@ -21,7 +21,7 @@ import numpy as np
 from .cme import UnboundRateError, reaction_channels
 from .derive import (IncompatibleNoiseError, NoiseStrategy, SdeModel,
                      transition_rates)
-from .poly import SymbolId, as_function, bind_values
+from .poly import SymbolId, _exact, as_function, bind_values
 from .scheme import InteractionScheme
 
 _CHUNK_STEPS = 256      # noise draws are blocked per trajectory in chunks
@@ -455,7 +455,8 @@ def gillespie_ssa(scheme: InteractionScheme,
         raise ValueError("initial state length does not match the scheme")
     init = integer_initial_state(config.initial_state)
 
-    float_rates = {sym: float(v) for sym, v in config.rates.items()}
+    float_rates = {sym: float(_exact(sym, v))
+                   for sym, v in config.rates.items()}
     channels = reaction_channels(scheme, float_rates)
     deltas = [tuple((i, d) for i, d in enumerate(change) if d)
               for _, change, _ in channels]

@@ -386,6 +386,99 @@ class TestSimulate:
         assert "--rates" in capsys.readouterr().err
 
 
+# SHA-256 of the manifest of a Verhulst run (run_simulate's settings) with
+# --rate-mode exact --diffusion-sign sum --noise per-reaction, recorded
+# while simulate still derived the model once for the manifest and once
+# to run it; from a scheme, and from the model JSON that derive writes
+# under the same flags, simulated with the default flags, which a model
+# input ignores
+DERIVATION_FLAGS = ("--rate-mode", "exact", "--diffusion-sign", "sum",
+                    "--noise", "per-reaction")
+MANIFEST_GOLDEN = {
+    "scheme":
+        "cd15f63ad2bf6e40e8208830c10833557050fd2b58f386a1e9292ee7bdafb5c5",
+    "model":
+        "4863353f79b1aa99f642d31dc32b12a2ffdb398fb396935038bc1f2a9a4371fe",
+}
+
+
+class TestOneDerivation:
+    @pytest.fixture
+    def derivations(self, monkeypatch):
+        """The calls simulate makes to build_sde_model."""
+        calls = []
+        real = build_sde_model
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr("onestep.cli.build_sde_model", counted)
+        return calls
+
+    @staticmethod
+    def manifest_digest(out):
+        return hashlib.sha256(
+            (out / "verhulst.manifest.json").read_bytes()).hexdigest()
+
+    def test_scheme_input_is_derived_once(self, tmp_path, verhulst_file,
+                                          verhulst_rates, derivations):
+        code, out = run_simulate(tmp_path, verhulst_file, verhulst_rates,
+                                 "run", extra=(*DERIVATION_FLAGS,
+                                               "--allow-shared-rates"))
+        assert code == 0
+        assert len(derivations) == 1
+        assert self.manifest_digest(out) == MANIFEST_GOLDEN["scheme"]
+
+    def test_replay_is_derived_once(self, tmp_path, verhulst_file,
+                                    verhulst_rates, derivations):
+        _, out = run_simulate(tmp_path, verhulst_file, verhulst_rates, "run")
+        derivations.clear()
+        assert main(["simulate", "--from-manifest",
+                     str(out / "verhulst.manifest.json"),
+                     "--out", str(tmp_path / "replay")]) == 0
+        assert len(derivations) == 1
+
+    def test_model_input_is_not_derived(self, tmp_path, verhulst_file,
+                                        verhulst_rates, derivations, capsys):
+        assert main(["derive", str(verhulst_file), *DERIVATION_FLAGS,
+                     "--out", str(tmp_path / "o")]) == 0
+        derivations.clear()
+        code, out = run_simulate(tmp_path,
+                                 tmp_path / "o" / "verhulst.model.json",
+                                 verhulst_rates, "run")
+        assert code == 0
+        assert derivations == []
+        assert self.manifest_digest(out) == MANIFEST_GOLDEN["model"]
+
+    def test_incompatible_noise_exits_2_and_writes_nothing(
+            self, tmp_path, verhulst_file, verhulst_rates, capsys):
+        code, out = run_simulate(tmp_path, verhulst_file, verhulst_rates,
+                                 "run", extra=("--noise", "per-reaction"))
+        assert code == 2
+        _assert_usage_error(capsys, "per-reaction noise squares to the "
+                                    "directional sum")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rates_text, initial, needle", [
+        ("lambda = 1\nbeta = 1/5\n", "phi=10", "gamma"),
+        (VERHULST_RATES_TEXT, "psi=10", "psi"),
+    ], ids=["unbound-rate", "unknown-species"])
+    def test_bindings_are_checked_before_the_derivation(
+            self, rates_text, initial, needle, tmp_path, verhulst_file,
+            capsys):
+        # the model is derived only once the run is fully described, so a
+        # binding error (exit 3) comes before an incompatible --noise (2)
+        rates = tmp_path / "v.rates"
+        rates.write_text(rates_text)
+        code = main(["simulate", str(verhulst_file), "--rates", str(rates),
+                     "--initial", initial, "--noise", "per-reaction",
+                     "--out", str(tmp_path / "run")])
+        assert code == 3
+        _assert_usage_error(capsys, needle)
+        assert not (tmp_path / "run").exists()
+
+
 def run_check(scheme_path, rates_path, extra=()):
     return main(["check", str(scheme_path), "--rates", str(rates_path),
                  "--initial", "phi=10", "--t-final", "0.5", "--dt", "0.01",

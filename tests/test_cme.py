@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -11,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onestep import (ChannelTable, DegenerateDistributionError, Distribution,
-                     RateMode, StateBox, TruncatedGenerator,
+                     RateMode, SimConfig, StateBox, TruncatedGenerator,
                      UnboundRateError, UnstableStepError, as_function,
                      bind_values, build_generator, default_box,
                      distribution_moments, distribution_to_csv,
-                     drift_vector, evolve_distribution, jump_moments,
-                     parse_scheme, point_mass, rate, reaction_channels)
+                     drift_vector, evolve_distribution, gillespie_ssa,
+                     jump_moments, parse_scheme, point_mass, rate,
+                     reaction_channels)
 from helpers import LOTKA_VOLTERRA, PURE_DEATH, VERHULST, random_scheme_text
 
 BETA = rate("beta")
@@ -107,6 +109,30 @@ class TestChannelTable:
         ones = {sym: 1 for sym in s.rate_symbols}
         with pytest.raises(ValueError):
             jump_moments(s, ones, states)
+
+
+class TestRateValues:
+    """The oracles and the jump sampler read rate values by the rule of
+    Polynomial.evaluate and bind_values (poly._exact)."""
+
+    CALLS = {
+        "channel-table": lambda s, rates: ChannelTable(s, rates),
+        "jump-moments": lambda s, rates: jump_moments(s, rates, [(3,)]),
+        "generator": lambda s, rates: build_generator(s, rates,
+                                                      StateBox((5,))),
+        "jump-sampler": lambda s, rates: gillespie_ssa(s, SimConfig(
+            rates=rates, initial_state=(3.0,), t_final=0.1,
+            trajectories=2)),
+    }
+
+    @pytest.mark.parametrize("value", ["1/5", Decimal("0.2")],
+                             ids=["string", "decimal"])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_string_and_decimal_rates_are_refused_by_name(self, call,
+                                                          value):
+        rates = {**VERHULST_RATES, BETA: value}
+        with pytest.raises(TypeError, match="value for rate:beta"):
+            self.CALLS[call](parse_scheme(VERHULST), rates)
 
 
 class TestGenerator:
