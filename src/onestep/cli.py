@@ -535,6 +535,9 @@ def cmd_check(args) -> int:
     # validated before the box and the exact checks, so a bad setting
     # costs nothing; the seed also draws the sampled states
     check_seed(args.seed)
+    if not 0.0 < args.threshold < float("inf"):
+        raise UsageError(f"--threshold must be positive and finite, got "
+                         f"{args.threshold!r}")
     config = None if initial is None else SimConfig(
         rates=rates, initial_state=initial, t_final=args.t_final,
         dt=args.dt, trajectories=args.trajectories, base_seed=args.seed,

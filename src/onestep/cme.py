@@ -300,7 +300,9 @@ def default_box(scheme: InteractionScheme, rates: Mapping[SymbolId, object],
 
     The flow takes up to 50,000 Euler steps of 0.002 and stops early once
     a step leaves the state exactly unchanged: every later step would
-    repeat that state, so the box is the same as after all the steps."""
+    repeat that state, so the box is the same as after all the steps.
+    The drift is compiled once with as_function and the steps run in one
+    loop generated for the species count (see _drift_flow)."""
     from .derive import RateMode, drift_vector
 
     n = len(scheme.species)
@@ -308,28 +310,48 @@ def default_box(scheme: InteractionScheme, rates: Mapping[SymbolId, object],
     drift = as_function([bind_values(p, rates) for p in
                          drift_vector(scheme, RateMode.FOKKER_PLANCK)],
                         scheme.species)
-
-    x = [float(v) for v in start]
-    peak = list(x)
-    finite = True
-    dt = 0.002
-    for _ in range(50_000):
-        x_new = [max(0.0, xi + dt * ai) for xi, ai in zip(x, drift(*x))]
-        if any(not np.isfinite(xi) or xi > 1e7 for xi in x_new):
-            finite = False
-            break
-        if x_new == x:
-            break
-        x = x_new
-        for i in range(n):
-            if x[i] > peak[i]:
-                peak[i] = x[i]
+    peak = _drift_flow(drift, n)(*(float(v) for v in start))
 
     bounds = []
     for i in range(n):
-        if finite and peak[i] > 0:
+        if peak is not None and peak[i] > 0:
             b = int(np.ceil(4.0 * peak[i]))
         else:
             b = 32
         bounds.append(max(min(b, 4096), int(np.ceil(start[i])), 4))
     return StateBox(tuple(bounds))
+
+
+def _drift_flow(drift, n: int):
+    """The Euler flow of default_box as one generated function of the n
+    start coordinates: each coordinate and its peak is a local float, and
+    drift is called once per step.  It returns the peak of every
+    coordinate, or None once a coordinate passes 1e7 (which, after the
+    clip, covers inf).
+
+    A step is x_i + 0.002 * a_i clipped at zero by "if not y > 0.0",
+    which maps NaN and -0.0 to 0.0 as max(0.0, y) does; then the 1e7
+    test, then the stop at an unchanged state, then the peak update."""
+    xs = ", ".join(f"x{i}" for i in range(n))
+    lines = [f"def flow({xs}):"]
+    lines += [f"    p{i} = x{i}" for i in range(n)]
+    lines.append("    for _ in range(50000):")
+    lines.append("        " + "".join(f"a{i}, " for i in range(n))
+                 + f"= drift({xs})")
+    for i in range(n):
+        lines += [f"        y{i} = x{i} + 0.002 * a{i}",
+                  f"        if not y{i} > 0.0:",
+                  f"            y{i} = 0.0",
+                  f"        if y{i} > 1e7:",
+                  "            return None"]
+    lines += ["        if " + " and ".join(f"y{i} == x{i}" for i in range(n))
+              + ":",
+              "            break"]
+    for i in range(n):
+        lines += [f"        x{i} = y{i}",
+                  f"        if x{i} > p{i}:",
+                  f"            p{i} = x{i}"]
+    lines.append("    return (" + "".join(f"p{i}, " for i in range(n)) + ")")
+    namespace = {"drift": drift}
+    exec("\n".join(lines), namespace)
+    return namespace["flow"]

@@ -686,6 +686,24 @@ class TestCheckSeed:
         _assert_usage_error(capsys, "base_seed must fit in 64 bits")
 
 
+class TestCheckThreshold:
+    # NaN and negative limits used to fail every run with exit 1, and inf
+    # passed every run
+    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "-inf"])
+    @pytest.mark.parametrize("initial", [True, False])
+    def test_non_positive_or_non_finite_exits_2_before_any_work(
+            self, value, initial, verhulst_file, verhulst_rates, capsys,
+            monkeypatch):
+        _refuse_work(monkeypatch)
+        argv = ["check", str(verhulst_file), "--rates", str(verhulst_rates),
+                f"--threshold={value}"]
+        if initial:
+            argv += ["--initial", "phi=10"]
+        assert main(argv) == 2
+        _assert_usage_error(capsys, "--threshold", "positive and finite",
+                            value)
+
+
 PURE_DEATH = "phi -> 0 @ beta\n"
 
 # (scheme, rates file, extra simulate flags) per case; every case runs

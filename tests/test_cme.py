@@ -19,6 +19,8 @@ from onestep import (ChannelTable, DegenerateDistributionError, Distribution,
                      drift_vector, evolve_distribution, gillespie_ssa,
                      jump_moments, parse_scheme, point_mass, rate,
                      reaction_channels)
+import onestep.cme
+from onestep.cme import _drift_flow
 from helpers import LOTKA_VOLTERRA, PURE_DEATH, VERHULST, random_scheme_text
 
 BETA = rate("beta")
@@ -435,6 +437,113 @@ class TestDefaultBoxFixedPointStop:
         start = tuple(initial[:len(s.species)])
         assert default_box(s, rates, start) == \
             reference_default_box(s, rates, start)
+
+
+def list_loop_default_box(scheme, rates, initial_state=None):
+    """default_box with the fixed-point stop, stepped through Python lists:
+    the box and the number of drift calls the flow made."""
+    n = len(scheme.species)
+    start = tuple(initial_state) if initial_state is not None else (1,) * n
+    drift = as_function([bind_values(p, rates) for p in
+                         drift_vector(scheme, RateMode.FOKKER_PLANCK)],
+                        scheme.species)
+
+    calls = 0
+    x = [float(v) for v in start]
+    peak = list(x)
+    finite = True
+    for _ in range(50_000):
+        calls += 1
+        x_new = [max(0.0, xi + 0.002 * ai) for xi, ai in zip(x, drift(*x))]
+        if any(not np.isfinite(xi) or xi > 1e7 for xi in x_new):
+            finite = False
+            break
+        if x_new == x:
+            break
+        x = x_new
+        for i in range(n):
+            if x[i] > peak[i]:
+                peak[i] = x[i]
+
+    bounds = []
+    for i in range(n):
+        b = int(np.ceil(4.0 * peak[i])) if finite and peak[i] > 0 else 32
+        bounds.append(max(min(b, 4096), int(np.ceil(start[i])), 4))
+    return StateBox(tuple(bounds)), calls
+
+
+def _counting_as_function(monkeypatch):
+    """Replace onestep.cme.as_function, the name perfbench hooks, with a
+    wrapper that counts compilations and calls of the compiled function."""
+    counts = {"compiled": 0, "calls": 0}
+    compile_ = onestep.cme.as_function
+
+    def counting(*args, **kwargs):
+        counts["compiled"] += 1
+        fn = compile_(*args, **kwargs)
+
+        def call(*xs):
+            counts["calls"] += 1
+            return fn(*xs)
+        return call
+    monkeypatch.setattr(onestep.cme, "as_function", counting)
+    return counts
+
+
+class TestDefaultBoxGeneratedFlow:
+    """The flow runs in one loop generated per call and unrolled over the
+    species; it must give the list loop's boxes and drift calls."""
+
+    @pytest.mark.parametrize("text, values, initial", [
+        (VERHULST, {"lambda": 1, "beta": "1/5", "gamma": "1/20"}, (10,)),
+        (RING3, {"a_1": 1, "b_1": "1/2", "a_2": "1/3", "b_2": 2,
+                 "a_3": "3/4", "b_3": "1/5"}, (6, 0, 2)),
+    ], ids=["verhulst", "ring3"])
+    def test_compiles_once_and_calls_the_drift_once_per_step(
+            self, text, values, initial, monkeypatch):
+        s = parse_scheme(text)
+        rates = _rates_for(s, values)
+        box, calls = list_loop_default_box(s, rates, initial)
+        counts = _counting_as_function(monkeypatch)
+        assert default_box(s, rates, initial) == box
+        assert counts == {"compiled": 1, "calls": calls}
+        assert calls > 1000
+
+    @given(seed=st.integers(0, 10 ** 6))
+    @settings(max_examples=5)
+    def test_matches_the_full_loop_on_three_and_four_species(self, seed):
+        rng = random.Random(seed)
+        s = parse_scheme(random_scheme_text(rng, max_species=4))
+        while len(s.species) < 3:
+            s = parse_scheme(random_scheme_text(rng, max_species=4))
+        rates = {sym: Fraction(rng.randint(1, 3), 2)
+                 for sym in s.rate_symbols}
+        start = tuple(rng.randint(0, 20) for _ in s.species)
+        assert default_box(s, rates, start) == \
+            reference_default_box(s, rates, start)
+
+    def test_a_nan_step_clips_to_zero_as_max_does(self):
+        # inf - inf in a drift gives NaN; max(0.0, nan) is 0.0, so the
+        # flow restarts from zero and climbs to 1, where the drift stops it
+        values = iter([math.nan])
+
+        def drift(x):
+            return (next(values, 1.0 if x < 1.0 else 0.0),)
+        (peak,) = _drift_flow(drift, 1)(0.5)
+        assert 1.0 <= peak < 1.002
+
+    def test_thousand_species_ring_stops_on_the_first_step(
+            self, monkeypatch):
+        # equal rates both ways around the ring: the uniform state is a
+        # fixed point of the drift, so the first step changes nothing
+        n = 1000
+        s = parse_scheme("".join(f"x{i} <-> x{i % n + 1} @ a_{i}, b_{i}\n"
+                                 for i in range(1, n + 1)))
+        rates = {sym: Fraction(1) for sym in s.rate_symbols}
+        counts = _counting_as_function(monkeypatch)
+        box = default_box(s, rates, (3,) * n)
+        assert box.bounds == (12,) * n
+        assert counts == {"compiled": 1, "calls": 1}
 
 
 # The oracles as they were before the channel table: one state and one
