@@ -405,13 +405,18 @@ def _manifest_outputs(prefix: str) -> list:
             f"{prefix}.mean.svg"]
 
 
-def execute_manifest(manifest: RunManifest, out_dir: Path) -> list[Path]:
+def execute_manifest(manifest: RunManifest, out_dir: Path,
+                     model: SdeModel | None = None) -> list[Path]:
     """Run the simulation a manifest describes and write its outputs.
 
-    The same manifest always produces byte-identical files."""
-    model = load_model(manifest.input_kind, manifest.input_text,
-                       manifest.rate_mode, manifest.diffusion_sign,
-                       manifest.noise_strategy, manifest.allow_shared_rates)
+    model is the manifest's input already loaded, if the caller has it;
+    otherwise it is loaded here.  The same manifest always produces
+    byte-identical files."""
+    if model is None:
+        model = load_model(manifest.input_kind, manifest.input_text,
+                           manifest.rate_mode, manifest.diffusion_sign,
+                           manifest.noise_strategy,
+                           manifest.allow_shared_rates)
     scheme = model.scheme
     rate_table = {}
     for name, value in manifest.rates.items():
@@ -458,6 +463,7 @@ def execute_manifest(manifest: RunManifest, out_dir: Path) -> list[Path]:
 
 
 def cmd_simulate(args) -> int:
+    model = None
     if args.from_manifest:
         manifest = RunManifest.from_json(_load_text(args.from_manifest))
     else:
@@ -471,13 +477,14 @@ def cmd_simulate(args) -> int:
             return 2
         input_text = _load_text(args.input)
         input_kind = _input_kind(args.input)
-        # read here for its vocabulary only: execute_manifest derives the
-        # model, and a model JSON input brings its own derivation settings
+        # a scheme is read here for its vocabulary only: execute_manifest
+        # derives the model; a model JSON input is loaded once, here, and
+        # brings its own derivation settings
         settings = dict(rate_mode=args.rate_mode,
                         diffusion_sign=args.diffusion_sign,
                         noise_strategy=args.noise)
         if input_kind == "model":
-            source = model_from_json(input_text)
+            source = model = model_from_json(input_text)
             settings = {name: getattr(source, name).value
                         for name in settings}
         else:
@@ -502,7 +509,7 @@ def cmd_simulate(args) -> int:
             seed=args.seed,
             allow_shared_rates=args.allow_shared_rates,
             prefix=_stem(args.input))
-    written = execute_manifest(manifest, Path(args.out))
+    written = execute_manifest(manifest, Path(args.out), model)
     for path in written:
         print(f"wrote {path}")
     return 0

@@ -238,6 +238,17 @@ def evolve_distribution(gen: TruncatedGenerator, dist: Distribution,
 
     Refuses steps with dt * max|diagonal| > 0.5, where the integrator
     would be outside its stability region.
+
+    For a fixed Q one RK4 step of size h is one fixed matrix, the degree-4
+    Taylor polynomial of hQ:
+
+        M(h) = I + hQ(I + (h/2)Q(I + (h/3)Q(I + (h/4)Q)))
+
+    The full steps apply it in one of two orders, chosen from Q's
+    diagonals (see _assembles): M(dt) built once, one sparse product per
+    step, where M stays about as sparse as four products with Q; else
+    Horner on Q, four products per step (_horner_step).  The remainder
+    step always takes the Horner order.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -254,16 +265,68 @@ def evolve_distribution(gen: TruncatedGenerator, dist: Distribution,
     p = np.array(dist.probabilities, dtype=np.float64)
     nfull = int(span / dt + 1e-9)
     rem = span - nfull * dt
-    steps = [dt] * nfull
+    if nfull and _assembles(q):
+        m = _rk4_matrix(q, dt)
+        for _ in range(nfull):
+            p = m @ p
+    else:
+        for _ in range(nfull):
+            p = _horner_step(q, p, dt)
     if rem > 1e-12 * max(dt, 1.0):
-        steps.append(rem)
-    for h in steps:
-        k1 = q @ p
-        k2 = q @ (p + 0.5 * h * k1)
-        k3 = q @ (p + 0.5 * h * k2)
-        k4 = q @ (p + h * k3)
-        p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        p = _horner_step(q, p, rem)
     return Distribution(box=dist.box, probabilities=p, time=t_final)
+
+
+def _assembles(q) -> bool:
+    """Whether M(h) stays about as sparse as four products with Q.
+
+    Every nonzero of Q lies on the diagonal at offset row - col (read
+    from indptr and indices in O(nnz + n)), and M's nonzeros lie on
+    sums of at most four of Q's offsets.  Assemble
+    when there are at most 4 * (number of nonzero offsets + 1) such sums:
+    then M costs no more multiply-adds per step than four products with
+    Q.  The sums grow level by level and the count stops at the limit,
+    so M is never built to decide."""
+    n = q.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(q.indptr))
+    seen = np.zeros(2 * n - 1, dtype=bool)      # offsets 1 - n ... n - 1
+    seen[rows - q.indices + (n - 1)] = True
+    offsets = set((np.flatnonzero(seen) - (n - 1)).tolist()) - {0}
+    limit = 4 * (len(offsets) + 1)
+    sums = {0}
+    frontier = [0]
+    for _ in range(4):
+        grown = set()
+        for s in frontier:
+            for d in offsets:
+                if s + d not in sums:
+                    sums.add(s + d)
+                    grown.add(s + d)
+                    if len(sums) > limit:
+                        return False
+        frontier = grown
+    return True
+
+
+def _rk4_matrix(q, h: float):
+    """M(h) in CSR form, built in the Horner order of the identity."""
+    import scipy.sparse
+
+    eye = scipy.sparse.identity(q.shape[0], format="csr")
+    m = eye
+    for c in (h / 4, h / 3, h / 2, h):
+        m = eye + c * (q @ m)
+    return m
+
+
+def _horner_step(q, p: np.ndarray, h: float) -> np.ndarray:
+    """M(h) p as four products with Q, each scaled and added in place."""
+    v = p
+    for c in (h / 4, h / 3, h / 2, h):
+        v = q @ v
+        v *= c
+        v += p
+    return v
 
 
 def distribution_moments(dist: Distribution):

@@ -570,14 +570,20 @@ def parse_expression(text: str, symbols=None) -> Polynomial:
 def bind_values(p: Polynomial, values: Mapping[SymbolId, object]) -> Polynomial:
     """Bind numeric values to symbols term by term, exactly: values are
     read by _exact, as in Polynomial.evaluate, so a float binds as the
-    rational it represents.  Symbols absent from values stay free."""
-    exact = {sym: _exact(sym, v) for sym, v in values.items()}
+    rational it represents.  Symbols absent from values stay free.
+
+    Only the values of symbols p reads are converted, each once per call:
+    a bad value for such a symbol is a TypeError naming it, and values
+    for symbols p does not read are never looked at."""
+    exact = {}
     terms = []
     for m in p.terms:
         c = m.coefficient
         free = []
         for sym, e in m.exponents:
-            if sym in exact:
+            if sym in values:
+                if sym not in exact:
+                    exact[sym] = _exact(sym, values[sym])
                 c *= exact[sym] ** e
             else:
                 free.append((sym, e))

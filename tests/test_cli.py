@@ -451,6 +451,40 @@ class TestOneDerivation:
         assert derivations == []
         assert self.manifest_digest(out) == MANIFEST_GOLDEN["model"]
 
+    @pytest.fixture
+    def model_loads(self, monkeypatch):
+        """The calls simulate makes to model_from_json."""
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return model_from_json(text)
+
+        monkeypatch.setattr("onestep.cli.model_from_json", counted)
+        return calls
+
+    def test_model_input_is_parsed_once_fresh_and_on_replay(
+            self, tmp_path, verhulst_file, verhulst_rates, model_loads,
+            capsys):
+        assert main(["derive", str(verhulst_file), *DERIVATION_FLAGS,
+                     "--out", str(tmp_path / "o")]) == 0
+        model_loads.clear()
+        code, out = run_simulate(tmp_path,
+                                 tmp_path / "o" / "verhulst.model.json",
+                                 verhulst_rates, "run")
+        assert code == 0
+        assert len(model_loads) == 1
+        assert self.manifest_digest(out) == MANIFEST_GOLDEN["model"]
+
+        model_loads.clear()
+        replay = tmp_path / "replay"
+        assert main(["simulate", "--from-manifest",
+                     str(out / "verhulst.manifest.json"),
+                     "--out", str(replay)]) == 0
+        assert len(model_loads) == 1
+        for path in sorted(out.iterdir()):
+            assert (replay / path.name).read_bytes() == path.read_bytes()
+
     def test_incompatible_noise_exits_2_and_writes_nothing(
             self, tmp_path, verhulst_file, verhulst_rates, capsys):
         code, out = run_simulate(tmp_path, verhulst_file, verhulst_rates,

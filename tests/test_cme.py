@@ -546,6 +546,141 @@ class TestDefaultBoxGeneratedFlow:
         assert counts == {"compiled": 1, "calls": 1}
 
 
+def reference_evolve_distribution(gen, dist, t_final, dt=1e-3):
+    """evolve_distribution as first written: k1 ... k4 with four products
+    with Q and the RK4 sum per step."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    span = t_final - dist.time
+    if span < 0:
+        raise ValueError("t_final lies before the distribution's time")
+    scale = float(np.abs(gen.matrix.diagonal()).max(initial=0.0))
+    if dt * scale > 0.5:
+        raise UnstableStepError(
+            f"dt = {dt} is too large for this generator; need "
+            f"dt <= {0.5 / scale:.3e}")
+
+    q = gen.matrix
+    p = np.array(dist.probabilities, dtype=np.float64)
+    nfull = int(span / dt + 1e-9)
+    rem = span - nfull * dt
+    steps = [dt] * nfull
+    if rem > 1e-12 * max(dt, 1.0):
+        steps.append(rem)
+    for h in steps:
+        k1 = q @ p
+        k2 = q @ (p + 0.5 * h * k1)
+        k3 = q @ (p + 0.5 * h * k2)
+        k4 = q @ (p + h * k3)
+        p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return Distribution(box=dist.box, probabilities=p, time=t_final)
+
+
+def _oracle_generator(text, values, bounds):
+    s = parse_scheme(text)
+    return build_generator(s, _rates_for(s, values), StateBox(bounds))
+
+
+def _counting_rk4_matrix(monkeypatch):
+    """Count the assemblies of M(dt) that evolve_distribution makes."""
+    built = []
+    assemble = onestep.cme._rk4_matrix
+
+    def counting(q, h):
+        built.append(h)
+        return assemble(q, h)
+    monkeypatch.setattr(onestep.cme, "_rk4_matrix", counting)
+    return built
+
+
+class TestRk4Orders:
+    """One RK4 step is the fixed matrix M(h) = I + hQ(I + (h/2)Q(I +
+    (h/3)Q(I + (h/4)Q))), applied assembled or in Horner form on Q; both
+    must agree with the k1 ... k4 loop."""
+
+    @given(seed=st.integers(0, 10 ** 9),
+           steps=st.integers(0, 60),
+           fraction=st.sampled_from([0.0, 1e-13, 0.25, 0.5, 0.999]),
+           start=st.sampled_from([0.0, 0.3]))
+    @settings(max_examples=60)
+    def test_matches_the_k_loop(self, seed, steps, fraction, start):
+        rng = random.Random(seed)
+        s = parse_scheme(random_scheme_text(rng, max_species=2,
+                                            max_interactions=3,
+                                            max_stoich=2))
+        rates = {sym: Fraction(rng.randint(0, 6), rng.randint(1, 4))
+                 for sym in s.rate_symbols}
+        box = StateBox(tuple(rng.randint(0, 8) for _ in s.species))
+        gen = build_generator(s, rates, box)
+        scale = float(np.abs(gen.matrix.diagonal()).max(initial=0.0))
+        dt = rng.choice([1e-3, 0.01, 0.05]) / max(1.0, scale)
+        weights = np.array([rng.random() for _ in range(box.size)])
+        dist = Distribution(box=box, probabilities=weights / weights.sum(),
+                            time=start)
+        t_final = start + (steps + fraction) * dt
+        new = evolve_distribution(gen, dist, t_final, dt)
+        ref = reference_evolve_distribution(gen, dist, t_final, dt)
+        assert new.time == ref.time == t_final
+        assert np.abs(new.probabilities - ref.probabilities).max() <= 1e-12
+
+    @pytest.mark.parametrize("text, values, bounds, assembled", [
+        (VERHULST, {"lambda": 1, "beta": "1/5", "gamma": "1/20"}, (64,),
+         True),
+        (PURE_DEATH, {"beta": 0}, (3,), True),
+        (LOTKA_VOLTERRA, {"k_1": 1, "k_2": "1/20", "k_3": 1}, (80, 80),
+         False),
+        (RING8, {f"{k}_{i}": v for i in range(1, 9)
+                 for k, v in (("a", "1/10000"), ("b", "1/20000"))},
+         (3, 3, 0, 0, 0, 0, 0, 3), False),
+    ], ids=["verhulst", "zero-generator", "lotka-volterra", "ring8"])
+    def test_order_is_chosen_from_the_diagonals(
+            self, text, values, bounds, assembled, monkeypatch):
+        # the perfbench oracle boxes, and the zero generator
+        gen = _oracle_generator(text, values, bounds)
+        assert onestep.cme._assembles(gen.matrix) is assembled
+        built = _counting_rk4_matrix(monkeypatch)
+        p0 = Distribution(box=gen.box,
+                          probabilities=np.full(gen.size, 1 / gen.size))
+        evolve_distribution(gen, p0, 0.0105, dt=1e-3)
+        assert built == ([1e-3] if assembled else [])
+
+    def test_verhulst_offsets_give_nine_sums(self):
+        # offsets +-1: sums of at most four are -4 ... 4, within 4 * 3
+        q = scipy.sparse.diags([np.ones(9), -np.ones(10), np.ones(9)],
+                               [-1, 0, 1], format="csr")
+        assert onestep.cme._assembles(q)
+        m = onestep.cme._rk4_matrix(q, 0.1)
+        rows, cols = m.nonzero()
+        assert set((rows - cols).tolist()) == set(range(-4, 5))
+
+    def test_thousands_of_offsets_are_decided_at_the_second_level(self):
+        # 3,000 scattered offsets: the second level passes the limit of
+        # 12,004 sums after a few of its 4.5 million candidates
+        n = 10 ** 5
+        rows = np.array(random.Random(7).sample(range(1, n), 3000))
+        q = scipy.sparse.csr_matrix((np.ones(len(rows)),
+                                     (rows, np.zeros_like(rows))),
+                                    shape=(n, n))
+        assert not onestep.cme._assembles(q)
+
+    @pytest.mark.parametrize("text, values, bounds, assembled", [
+        (VERHULST, {"lambda": 1, "beta": "1/5", "gamma": "1/20"}, (64,),
+         True),
+        (LOTKA_VOLTERRA, {"k_1": 1, "k_2": "1/20", "k_3": 1}, (8, 8),
+         False),
+    ], ids=["assembled", "horner"])
+    def test_input_distribution_is_not_mutated(self, text, values, bounds,
+                                               assembled):
+        gen = _oracle_generator(text, values, bounds)
+        assert onestep.cme._assembles(gen.matrix) is assembled
+        p0 = point_mass(gen.box, (3,) * len(bounds))
+        before = p0.probabilities.copy()
+        p1 = evolve_distribution(gen, p0, 0.0105, dt=1e-3)
+        assert np.array_equal(p0.probabilities, before)
+        assert p1.probabilities is not p0.probabilities
+        assert p0.time == 0.0
+
+
 # The oracles as they were before the channel table: one state and one
 # channel at a time.  The table must reproduce them exactly.
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import onestep.poly
 from onestep import (ExpressionSyntaxError, MissingSymbolError, Polynomial,
                      SymbolId, SymbolKind, as_function, bind_values,
                      canonical_string, falling_factorial, monomial,
@@ -133,6 +134,35 @@ class TestBindValues:
     def test_empty_binding_is_identity(self):
         x = Polynomial.symbol(X)
         assert bind_values(x, {}) == x
+
+    def test_converts_each_symbol_it_reads_once(self, monkeypatch):
+        calls = []
+        real = onestep.poly._exact
+
+        def counted(sym, value):
+            calls.append(sym)
+            return real(sym, value)
+
+        monkeypatch.setattr(onestep.poly, "_exact", counted)
+        # gamma is read by two terms, k_1 by one; the hundred unread
+        # rates are never converted
+        p = parse_expression("gamma*x + gamma*y^2 + k_1*x*y", SYMS)
+        values = {rate(f"r_{i}"): i for i in range(100)}
+        values.update({GAMMA: 2, K1: 0.5})
+        bound = bind_values(p, values)
+        assert sorted(calls, key=repr) == sorted([GAMMA, K1], key=repr)
+        assert bound == parse_expression("2*x + 2*y^2 + 1/2*x*y", SYMS)
+        assert bound.terms == reference_bind_values(p, values).terms
+
+    def test_a_bad_value_for_a_read_symbol_is_named(self):
+        with pytest.raises(TypeError, match="value for rate:beta"):
+            bind_values(verhulst_drift(), {LAM: 1, BETA: "1/5",
+                                           GAMMA: Fraction(1, 20)})
+
+    def test_a_value_for_an_unread_symbol_is_not_converted(self):
+        p = Polynomial.symbol(LAM) * Polynomial.symbol(PHI)
+        assert bind_values(p, {LAM: 2, GAMMA: "unused"}) == \
+            bind_values(p, {LAM: 2})
 
 
 class TestEvaluate:
