@@ -17,8 +17,7 @@ from .poly import (Monomial, MissingSymbolError, ExpressionSyntaxError,
                    species)
 from .scheme import (DuplicateRateSymbolError, EmptySchemeError, Interaction,
                      InteractionScheme, NoOpInteractionError, SchemeError,
-                     SchemeSyntaxError, change_vectors, format_scheme,
-                     parse_scheme, scheme_from_json, scheme_to_json)
+                     SchemeSyntaxError, format_scheme, parse_scheme)
 from .derive import (DiffusionSign, IncompatibleNoiseError, NoiseStrategy,
                      RateMode, SdeModel, TransitionRates, build_sde_model,
                      diffusion_matrix, drift_vector, transition_rates)
@@ -36,8 +35,8 @@ from .sim import (ComparisonReport, Engine, MomentReport, NegativePolicy,
                   ensemble_moments, euler_maruyama, gillespie_ssa,
                   matrix_sqrt_psd, mean_band_svg, moments_to_csv,
                   trajectories_to_csv, trajectory_rng)
-from .codegen import (EmitTarget, ModelFormatError, c_expression, emit,
-                      emit_c_source, emit_latex, emit_model_json,
-                      latex_expression, latex_symbol, model_from_json)
+from .codegen import (ModelFormatError, c_expression, emit_c_source,
+                      emit_latex, emit_model_json, latex_expression,
+                      latex_symbol, model_from_json)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import __version__
 from .cme import UnboundRateError, jump_moments
-from .codegen import (EmitTarget, ModelFormatError, emit, emit_c_source,
-                      emit_latex, emit_model_json, model_from_json)
+from .codegen import (ModelFormatError, emit_c_source, emit_latex,
+                      emit_model_json, model_from_json)
 from .derive import (DiffusionSign, IncompatibleNoiseError, NoiseStrategy,
                      RateMode, SdeModel, build_sde_model, diffusion_matrix,
                      transition_rates)
@@ -63,9 +63,13 @@ class UsageError(ValueError):
 # input helpers
 
 
+# the largest rate value a float holds: every engine computes in floats
+_LARGEST_RATE = Fraction(sys.float_info.max)
+
+
 def parse_rate_value(text: str) -> Fraction:
     """One rate value, parsed exactly: a nonnegative decimal or an integer
-    rational p/q."""
+    rational p/q no larger than the largest float."""
     try:
         if "/" in text:
             num, den = text.split("/")
@@ -76,6 +80,9 @@ def parse_rate_value(text: str) -> Fraction:
         raise RatesFileError(f"bad value {text!r} ({exc})") from None
     if value < 0:
         raise RatesFileError(f"value {text!r} is negative")
+    if value > _LARGEST_RATE:
+        raise RatesFileError(f"value {text!r} is above the largest float "
+                             f"{sys.float_info.max!r}")
     return value
 
 
@@ -114,6 +121,8 @@ def bind_rates(scheme_rates, table: dict[str, Fraction]):
 
 
 def parse_initial(text: str, species) -> tuple[float, ...]:
+    """The initial state from comma-separated name=value pairs, one per
+    species; see initial_state."""
     values: dict[str, float] = {}
     for part in text.split(","):
         name, eq, value = part.partition("=")
@@ -129,6 +138,12 @@ def parse_initial(text: str, species) -> tuple[float, ...]:
         except ValueError:
             raise InitialStateError(f"bad initial value {value!r} for "
                                     f"{name!r}") from None
+    return initial_state(values, species)
+
+
+def initial_state(values: dict, species) -> tuple[float, ...]:
+    """The values of a name -> number mapping as floats in species order;
+    the mapping must name each species and nothing else."""
     names = [s.name for s in species]
     for name in values:
         if name not in names:
@@ -138,7 +153,7 @@ def parse_initial(text: str, species) -> tuple[float, ...]:
     if missing:
         raise InitialStateError("initial state missing species: "
                                 + ", ".join(missing))
-    return tuple(values[n] for n in names)
+    return tuple(float(values[n]) for n in names)
 
 
 def parse_box(text: str, species) -> StateBox:
@@ -275,8 +290,12 @@ def cmd_codegen(args) -> int:
     model = load_model(_input_kind(args.input), _load_text(args.input),
                        args.rate_mode, args.diffusion_sign, args.noise,
                        args.allow_shared_rates)
-    text = emit(model, EmitTarget(args.target),
-                function_name=args.function_name)
+    if args.target == "latex":
+        text = emit_latex(model)
+    elif args.target == "c":
+        text = emit_c_source(model, function_name=args.function_name)
+    else:
+        text = emit_model_json(model)
     if args.out:
         Path(args.out).write_text(text)
         print(f"wrote {args.out}")
@@ -367,6 +386,9 @@ class RunManifest:
                 raise ManifestError(
                     f"malformed manifest: initial value of {name!r} must "
                     f"be a number, got {json.dumps(x)[:40]}")
+            if isinstance(x, int) and abs(x) > sys.float_info.max:
+                raise ManifestError(f"malformed manifest: initial value of "
+                                    f"{name!r} is beyond the float range")
         # outputs are written to out_dir / (prefix + suffix)
         if self.prefix in ("", "..") or Path(self.prefix).name != self.prefix:
             raise ManifestError(f"malformed manifest: prefix {self.prefix!r} "
@@ -425,9 +447,7 @@ def execute_manifest(manifest: RunManifest, out_dir: Path,
         except RatesFileError as exc:
             raise RatesFileError(f"manifest rate {name!r}: {exc}") from None
     rates = bind_rates(model.rate_symbols, rate_table)
-    initial = parse_initial(
-        ",".join(f"{k}={v!r}" for k, v in manifest.initial.items()),
-        model.species)
+    initial = initial_state(manifest.initial, model.species)
     config = SimConfig(rates=rates, initial_state=initial,
                        t_final=manifest.t_final, dt=manifest.dt,
                        trajectories=manifest.trajectories,
@@ -672,7 +692,8 @@ def cmd_check(args) -> int:
 # parser
 
 
-def _add_derivation_flags(p: argparse.ArgumentParser) -> None:
+def _add_derivation_flags(p: argparse.ArgumentParser,
+                          noise: bool = True) -> None:
     p.add_argument("--rate-mode", choices=[m.value for m in RateMode],
                    default=RateMode.FOKKER_PLANCK.value,
                    help="transition-rate form: falling factorials (exact) "
@@ -682,9 +703,10 @@ def _add_derivation_flags(p: argparse.ArgumentParser) -> None:
                    default=DiffusionSign.DIFFERENCE.value,
                    help="second-moment convention: forward minus backward "
                         "(difference) or forward plus backward (sum)")
-    p.add_argument("--noise", choices=[s.value for s in NoiseStrategy],
-                   default=NoiseStrategy.MATRIX_SQRT.value,
-                   help="how the Langevin noise realizes B")
+    if noise:
+        p.add_argument("--noise", choices=[s.value for s in NoiseStrategy],
+                       default=NoiseStrategy.MATRIX_SQRT.value,
+                       help="how the Langevin noise realizes B")
     p.add_argument("--allow-shared-rates", action="store_true",
                    help="let one rate symbol appear in several interactions")
 
@@ -736,7 +758,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      "engines against each other")
     p.add_argument("scheme", help="scheme text file")
     p.add_argument("--rates", required=True)
-    _add_derivation_flags(p)
+    # the engine check always realizes B by its matrix factor
+    _add_derivation_flags(p, noise=False)
     _add_sim_flags(p)
     p.add_argument("--box", help="truncation box, one bound or "
                                  "comma-separated per-species bounds")
@@ -770,7 +793,7 @@ def main(argv=None) -> int:
     except (SchemeError, ExpressionSyntaxError, ModelFormatError,
             ManifestError, IncompatibleNoiseError, UsageError,
             SimConfigError, TooFewTrajectoriesError, SimulationError,
-            NotPsdError, NegativeRateError) as exc:
+            NotPsdError, NegativeRateError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (UnboundRateError, MissingSymbolError, RatesFileError,

@@ -8,7 +8,6 @@ the bodies verbatim.
 
 from __future__ import annotations
 
-import enum
 import json
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -22,26 +21,8 @@ from .scheme import scheme_from_dict, scheme_to_dict
 MODEL_FORMAT_VERSION = "1"
 
 
-class EmitTarget(enum.Enum):
-    LATEX = "latex"
-    C_SOURCE = "c"
-    JSON = "json"
-
-
 class ModelFormatError(ValueError):
     pass
-
-
-def emit(model: SdeModel, target: EmitTarget, *,
-         function_name: str = "model") -> str:
-    """Render the model for one output target."""
-    if target is EmitTarget.LATEX:
-        return emit_latex(model)
-    if target is EmitTarget.C_SOURCE:
-        return emit_c_source(model, function_name=function_name)
-    if target is EmitTarget.JSON:
-        return emit_model_json(model)
-    raise ValueError(f"unknown emit target {target!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -58,17 +39,13 @@ _GREEK = {
 }
 
 
-def latex_symbol(name: str, name_table: Mapping[str, str] | None = None) -> str:
-    """Map a symbol name to LaTeX: an optional user table wins, Greek
-    names translate, and anything after the first underscore becomes a
-    subscript ("k_1" -> "k_{1}")."""
-    table = dict(_GREEK)
-    if name_table:
-        table.update(name_table)
-    if name in table:
-        return table[name]
+def latex_symbol(name: str) -> str:
+    """Map a symbol name to LaTeX: Greek names translate, and anything
+    after the first underscore becomes a subscript ("k_1" -> "k_{1}")."""
+    if name in _GREEK:
+        return _GREEK[name]
     base, _, sub = name.partition("_")
-    base_tex = table.get(base, base)
+    base_tex = _GREEK.get(base, base)
     return f"{base_tex}_{{{sub}}}" if sub else base_tex
 
 
@@ -79,10 +56,9 @@ def _latex_coefficient(c: Fraction) -> str:
 
 
 def latex_expression(p: Polynomial,
-                     symbol_order: Sequence[SymbolId] | None = None,
-                     name_table: Mapping[str, str] | None = None) -> str:
+                     symbol_order: Sequence[SymbolId] | None = None) -> str:
     def factor(sym: SymbolId, e: int) -> str:
-        tex = latex_symbol(sym.name, name_table)
+        tex = latex_symbol(sym.name)
         return tex if e == 1 else f"{tex}^{{{e}}}"
 
     return render_terms(sorted_terms(p, symbol_order), _latex_coefficient,
@@ -94,15 +70,14 @@ def _pmatrix(entries: Sequence[str]) -> str:
     return r"\begin{pmatrix} " + r" \\ ".join(entries) + r" \end{pmatrix}"
 
 
-def emit_latex(model: SdeModel,
-               name_table: Mapping[str, str] | None = None) -> str:
+def emit_latex(model: SdeModel) -> str:
     """Display equations for the drift, the diffusion matrix, and the
     Langevin equation itself."""
     order = model.display_order
     n = len(model.species)
-    sp_tex = [latex_symbol(s.name, name_table) for s in model.species]
-    drift_tex = [latex_expression(p, order, name_table) for p in model.drift]
-    diff_tex = [[latex_expression(q, order, name_table) for q in row]
+    sp_tex = [latex_symbol(s.name) for s in model.species]
+    drift_tex = [latex_expression(p, order) for p in model.drift]
+    diff_tex = [[latex_expression(q, order) for q in row]
                 for row in model.diffusion]
 
     lines = []

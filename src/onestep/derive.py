@@ -114,6 +114,8 @@ class SdeModel:
     diffusion is B as exact polynomials.  scheme is retained when the
     model was built from one (it is needed for jump-process simulation)
     and may be None for models restored from a serialized form without it.
+    A scheme must have the model's species, in order, and its rate
+    symbols.
     """
 
     species: tuple[SymbolId, ...]
@@ -138,6 +140,13 @@ class SdeModel:
         for p in list(self.drift) + [q for row in self.diffusion for q in row]:
             if not p.symbols <= allowed:
                 raise ValueError("model polynomial uses an undeclared symbol")
+        if self.scheme is not None:
+            if self.scheme.species != self.species:
+                raise ValueError("the scheme's species differ from the "
+                                 "model's")
+            if set(self.scheme.rate_symbols) != set(self.rate_symbols):
+                raise ValueError("the scheme's rate symbols differ from the "
+                                 "model's")
 
     @property
     def display_order(self) -> tuple[SymbolId, ...]:

@@ -132,9 +132,6 @@ class Polynomial:
     def symbols(self) -> frozenset[SymbolId]:
         return frozenset(s for m in self._terms for s, _ in m.exponents)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -604,7 +601,8 @@ def as_function(polys: Sequence[Polynomial],
     order that returns the polynomials' values as a tuple, in order.
 
     Works elementwise when the arguments are numpy arrays.  All of the
-    polynomials' symbols must appear in args.
+    polynomials' symbols must appear in args, and every coefficient must
+    round to a finite float: one that does not raises OverflowError.
 
     The body is generated source over float literals and the argument
     positions _0, _1, ...: "s0 = 0.0 + c1*_0*_0 - c2*_1 ...", terms in
@@ -621,16 +619,23 @@ def as_function(polys: Sequence[Polynomial],
             raise MissingSymbolError(sym)
         return [index[sym]] * e
 
+    def literal(c: Fraction) -> str:
+        try:
+            return repr(float(c))
+        except OverflowError:
+            raise OverflowError("a compiled coefficient is beyond the float "
+                                "range; rescale the rate values") from None
+
     def add_terms(k: int, terms: list[Monomial]) -> None:
         if terms:
-            body = render_terms(terms, lambda c: repr(float(c)),
+            body = render_terms(terms, literal,
                                 lambda sym, e: "*".join(factors(sym, e)),
                                 times="*", zero="0.0", lead="-")
             lines.append(f"    s{k} = s{k} + {body}")
 
     def add_long_term(k: int, m: Monomial) -> None:
         c = abs(m.coefficient)
-        parts = [repr(float(c))] if c != 1 else []
+        parts = [literal(c)] if c != 1 else []
         for sym, e in m.exponents:
             parts += factors(sym, e)
         for i in range(0, len(parts), _FACTORS_PER_LINE):

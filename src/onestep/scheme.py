@@ -15,7 +15,6 @@ complex, and a coefficient may be juxtaposed ("2 phi") or starred
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from typing import Iterable
@@ -137,11 +136,6 @@ class InteractionScheme:
                 out.append(ia.backward_rate)
                 seen.add(ia.backward_rate)
         return tuple(out)
-
-
-def change_vectors(scheme: InteractionScheme) -> list[tuple[int, ...]]:
-    """State-change vector (final minus initial) of each interaction."""
-    return [ia.change for ia in scheme.interactions]
 
 
 # ---------------------------------------------------------------------------
@@ -346,15 +340,3 @@ def scheme_from_dict(data: dict) -> InteractionScheme:
             raise
         raise SchemeError(f"malformed scheme object: {exc}") from exc
     return InteractionScheme(species=species_syms, interactions=interactions)
-
-
-def scheme_to_json(scheme: InteractionScheme) -> str:
-    return json.dumps(scheme_to_dict(scheme), indent=2) + "\n"
-
-
-def scheme_from_json(text: str) -> InteractionScheme:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemeError(f"malformed scheme JSON: {exc}") from exc
-    return scheme_from_dict(data)

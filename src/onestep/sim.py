@@ -30,6 +30,9 @@ _SSA_BLOCK = 1024       # random draws per refill of the jump sampler
 # any test, demo or benchmark workload takes is 13,412
 _SSA_EVENT_BUDGET = 2048 * _SSA_BLOCK
 _PSD_TOL = 1e-9
+# a lone pivot below this is below -_PSD_TOL * (1 + |pivot|)
+_PSD_LONE_FLOOR = -_PSD_TOL / (1.0 - _PSD_TOL)
+_PSD_SQRT_TOL = math.sqrt(_PSD_TOL)
 _RATE_TOL = 1e-9
 _REJECT_LIMIT = 100
 
@@ -150,20 +153,20 @@ def trajectory_rng(base_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=base_seed ^ index))
 
 
-def matrix_sqrt_psd(b: np.ndarray, tol: float = _PSD_TOL) -> np.ndarray:
+def matrix_sqrt_psd(b: np.ndarray) -> np.ndarray:
     """Lower-triangular noise factor L with L L^T = B of (a batch of) PSD
     matrices: a Cholesky factorization that lets pivots vanish (Higham,
     "Analysis of the Cholesky decomposition of a semi-definite matrix",
     1990), one column at a time over the whole batch.
 
-    Each matrix has its own scale 1 + max|B|.  A pivot d <= tol * scale
-    counts as zero: L_kk = sqrt(max(d, 0)) and the column below it is
-    zero, which moves no entry of L L^T from B by more than
-    sqrt(tol) * scale.  A pivot below -tol * scale, or one counted as
-    zero above a column entry beyond sqrt(tol) * scale, which no PSD
-    matrix has, raises NotPsdError for the first such matrix in batch
-    order.  Asymmetry beyond tol * scale raises NotSymmetricError.  For
-    n = 1 the factor is sqrt(max(B, 0)).
+    Each matrix has its own scale 1 + max|B|; tol below is _PSD_TOL.  A
+    pivot d <= tol * scale counts as zero: L_kk = sqrt(max(d, 0)) and
+    the column below it is zero, which moves no entry of L L^T from B by
+    more than sqrt(tol) * scale.  A pivot below -tol * scale, or one
+    counted as zero above a column entry beyond sqrt(tol) * scale, which
+    no PSD matrix has, raises NotPsdError for the first such matrix in
+    batch order.  Asymmetry beyond tol * scale raises NotSymmetricError.
+    For n = 1 the factor is sqrt(max(B, 0)).
     """
     b = np.asarray(b, dtype=np.float64)
     if b.ndim < 2 or b.shape[-1] != b.shape[-2]:
@@ -173,13 +176,13 @@ def matrix_sqrt_psd(b: np.ndarray, tol: float = _PSD_TOL) -> np.ndarray:
     if n == 1:
         # one pivot and no column below it, which an Euler-Maruyama step
         # of one species cannot afford to wrap in the loop below.  A pivot
-        # below -tol * (1 + |d|) is below -tol / (1 - tol), a test with no
+        # below -tol * (1 + |d|) is below _PSD_LONE_FLOOR, a test with no
         # scale to work out, so the scale waits for a pivot that fails it
         pivots = b.reshape(1, -1)
         factor = np.sqrt(np.maximum(pivots, 0.0))
-        if not np.count_nonzero(pivots < -tol / (1.0 - tol)):
+        if not np.count_nonzero(pivots < _PSD_LONE_FLOOR):
             return factor.reshape(b.shape)
-        floor = tol * (1.0 + np.abs(pivots[0]))
+        floor = _PSD_TOL * (1.0 + np.abs(pivots[0]))
     else:
         # entry (i, j) of every matrix is the contiguous row a[i, j], so
         # each step below is one operation over the batch
@@ -187,7 +190,7 @@ def matrix_sqrt_psd(b: np.ndarray, tol: float = _PSD_TOL) -> np.ndarray:
         a = b.reshape(m, n, n).transpose(1, 2, 0).copy()
         floor = np.abs(a).max(axis=(0, 1), initial=0.0)
         floor += 1.0
-        floor *= tol
+        floor *= _PSD_TOL
         asym = np.abs(a - a.transpose(1, 0, 2)).max(axis=(0, 1),
                                                    initial=0.0)
         if np.count_nonzero(asym > floor):
@@ -211,7 +214,7 @@ def matrix_sqrt_psd(b: np.ndarray, tol: float = _PSD_TOL) -> np.ndarray:
                     # entry beyond sqrt(tol * scale * B_ii), which is at
                     # most sqrt(tol) * scale
                     wide.append((k, ~keep & (np.abs(col).max(axis=0)
-                                             > floor / math.sqrt(tol))))
+                                             > floor / _PSD_SQRT_TOL)))
                 col = np.where(keep, col / np.where(keep, root, 1.0), 0.0)
                 factor[k + 1:, k] = col
                 a[k + 1:, k + 1:] -= col[:, None] * col[None, :]
@@ -613,10 +616,10 @@ def _svg_num(x: float) -> str:
     return format(x, ".6g")
 
 
-def mean_band_svg(report: MomentReport, species: Sequence[SymbolId],
-                  width: int = 640, height: int = 400) -> str:
+def mean_band_svg(report: MomentReport, species: Sequence[SymbolId]) -> str:
     """Mean of each species over time with a +/-2 SE band, as a small
-    self-contained SVG document."""
+    self-contained 640 by 400 SVG document."""
+    width, height = 640, 400
     ml, mr, mt, mb = 60.0, 20.0, 20.0, 45.0
     pw, ph = width - ml - mr, height - mt - mb
     times = report.times

@@ -1,7 +1,12 @@
 """Command line driver: subcommands, file outputs, exit codes."""
 
+import argparse
+import ast
 import hashlib
+import inspect
 import json
+import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -10,8 +15,8 @@ import pytest
 from onestep import (Polynomial, build_sde_model, diffusion_matrix,
                      model_from_json)
 from onestep import __version__
-from onestep.cli import (MANIFEST_FORMAT, main, parse_initial,
-                         parse_rates_file)
+from onestep.cli import (MANIFEST_FORMAT, RatesFileError, build_parser,
+                         main, parse_initial, parse_rates_file)
 from helpers import LOTKA_VOLTERRA, VERHULST
 
 VERHULST_RATES_TEXT = """\
@@ -1199,3 +1204,195 @@ class TestEntryPoint:
                                   env=env, cwd=tmp_path)
             assert proc.returncode == 0
             assert r"\varphi" in proc.stdout
+
+
+def unread_options(parser) -> list[tuple[str, str]]:
+    """(subcommand, dest) of every option a subcommand parses but its
+    func never reads as args.<dest>."""
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for name, sub in action.choices.items():
+        source = textwrap.dedent(inspect.getsource(sub.get_default("func")))
+        read = {n.attr for n in ast.walk(ast.parse(source))
+                if isinstance(n, ast.Attribute)
+                and isinstance(n.value, ast.Name) and n.value.id == "args"}
+        unread += [(name, a.dest) for a in sub._actions
+                   if a.dest != "help" and a.dest not in read]
+    return unread
+
+
+class TestEveryOptionIsRead:
+    """The options' counterpart of test_imports' "every import is used":
+    an option its command never reads is a setting with no effect."""
+
+    def test_every_parsed_option_is_read_by_its_command(self):
+        assert unread_options(build_parser()) == []
+
+    def test_the_scan_finds_an_unread_option(self):
+        def command(args):
+            return args.used
+
+        parser = argparse.ArgumentParser()
+        sub = parser.add_subparsers().add_parser("run")
+        sub.add_argument("--used")
+        sub.add_argument("--unused")
+        sub.set_defaults(func=command)
+        assert unread_options(parser) == [("run", "unused")]
+
+    def test_check_takes_no_noise_option(self, verhulst_file, verhulst_rates,
+                                         capsys, monkeypatch):
+        _refuse_work(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(verhulst_file), "--rates", str(verhulst_rates),
+                  "--initial", "phi=10", "--noise", "sqrt"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --noise sqrt" in \
+            capsys.readouterr().err
+
+
+class TestFloatRange:
+    """Rate values and compiled coefficients beyond the float range."""
+
+    HUGE_RATES = VERHULST_RATES_TEXT.replace("lambda = 1\n",
+                                             "lambda = 1e400\n")
+
+    @pytest.mark.parametrize("command", [
+        ("simulate", "--engine", "em"), ("simulate", "--engine", "ssa"),
+        ("check",)], ids=["em", "ssa", "check"])
+    def test_rate_above_the_largest_float_exits_3(
+            self, command, tmp_path, verhulst_file, capsys, monkeypatch):
+        _refuse_work(monkeypatch)
+        rates = tmp_path / "huge.rates"
+        rates.write_text(self.HUGE_RATES)
+        argv = [command[0], str(verhulst_file), "--rates", str(rates),
+                "--initial", "phi=10", *command[1:]]
+        if command[0] == "simulate":
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 3
+        _assert_usage_error(capsys, "rate 'lambda'", "'1e400'",
+                            "above the largest float")
+        assert not (tmp_path / "o").exists()
+
+    def test_replayed_rate_above_the_largest_float_exits_3(
+            self, tmp_path, verhulst_file, verhulst_rates, capsys):
+        path = _edited_manifest(tmp_path, verhulst_file, verhulst_rates,
+                                capsys, lambda data: data["rates"].update(
+                                    {"lambda": "1e400"}))
+        code = main(["simulate", "--from-manifest", str(path),
+                     "--out", str(tmp_path / "rerun")])
+        assert code == 3
+        _assert_usage_error(capsys, "manifest rate 'lambda'",
+                            "above the largest float")
+        assert not (tmp_path / "rerun").exists()
+
+    def test_the_largest_float_itself_is_a_rate(self):
+        largest = int(sys.float_info.max)
+        assert parse_rates_file(f"k = {largest}\n") == {"k": largest}
+        for above in (f"{largest + 1}", f"{2 * largest + 1}/2", "1e309"):
+            with pytest.raises(RatesFileError,
+                               match="above the largest float"):
+                parse_rates_file(f"k = {above}\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "check"])
+    def test_compiled_coefficient_beyond_the_float_range_exits_2(
+            self, command, tmp_path, capsys):
+        # the drift of x is (3 - 1) k x - d x, and 2k overflows a float
+        scheme = tmp_path / "s.scheme"
+        scheme.write_text("x -> 3 x @ k\nx -> 0 @ d\n")
+        rates = tmp_path / "s.rates"
+        rates.write_text("k = 1e308\nd = 1\n")
+        argv = [command, str(scheme), "--rates", str(rates),
+                "--initial", "x=1", "--trajectories", "3"]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        _assert_usage_error(capsys, "compiled coefficient",
+                            "beyond the float range")
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["s.rates", "s.scheme"]
+
+
+def _pad_species(scheme):
+    scheme["species"] = ["phi", "psi"]
+    for ia in scheme["interactions"]:
+        ia["initial"].append(0)
+        ia["final"].append(0)
+
+
+class TestModelSchemeAgreement:
+    """A model JSON whose embedded scheme is not the model's is malformed
+    (exit 2), whichever engine would run it."""
+
+    @pytest.mark.parametrize("engine", ["em", "ssa"])
+    @pytest.mark.parametrize("edit, needle", [
+        (_pad_species, "species"),
+        (lambda scheme: scheme.update(species=["psi"]), "species"),
+        (lambda scheme: scheme["interactions"][1].update(forward_rate="mu"),
+         "rate symbols"),
+    ], ids=["two-species", "renamed-species", "renamed-rate"])
+    def test_disagreeing_scheme_exits_2_and_writes_nothing(
+            self, edit, needle, engine, tmp_path, verhulst_file, capsys):
+        assert main(["derive", str(verhulst_file), "--out",
+                     str(tmp_path / "d")]) == 0
+        path = tmp_path / "d" / "verhulst.model.json"
+        data = json.loads(path.read_text())
+        edit(data["scheme"])
+        path.write_text(json.dumps(data))
+        # every rate either scheme names is bound
+        rates = tmp_path / "v.rates"
+        rates.write_text(VERHULST_RATES_TEXT + "mu = 1\n")
+        capsys.readouterr()
+        code = main(["simulate", str(path), "--rates", str(rates),
+                     "--initial", "phi=10", "--engine", engine,
+                     "--trajectories", "3", "--out", str(tmp_path / "o")])
+        assert code == 2
+        _assert_usage_error(capsys, "malformed model object",
+                            f"scheme's {needle} differ from the model's")
+        assert not (tmp_path / "o").exists()
+
+
+class TestReplayedInitialState:
+    """A replay checks the manifest's initial values as they are: they
+    are never written out as text and parsed again."""
+
+    @pytest.mark.parametrize("initial, needle", [
+        ({}, "initial state missing species: phi"),
+        ({"phi": 10, "psi": 1}, "unknown species 'psi' in initial state"),
+    ])
+    def test_bad_initial_exits_3(self, initial, needle, tmp_path,
+                                 verhulst_file, verhulst_rates, capsys,
+                                 monkeypatch):
+        path = _edited_manifest(tmp_path, verhulst_file, verhulst_rates,
+                                capsys,
+                                lambda data: data.update(initial=initial))
+        _refuse_work(monkeypatch)
+        monkeypatch.setattr("onestep.cli.parse_initial", None)
+        code = main(["simulate", "--from-manifest", str(path),
+                     "--out", str(tmp_path / "rerun")])
+        assert code == 3
+        _assert_usage_error(capsys, needle)
+
+    def test_int_beyond_the_float_range_exits_2_before_any_work(
+            self, tmp_path, verhulst_file, verhulst_rates, capsys,
+            monkeypatch):
+        path = _edited_manifest(tmp_path, verhulst_file, verhulst_rates,
+                                capsys, lambda data: data["initial"].update(
+                                    phi=10 ** 400))
+        _refuse_work(monkeypatch)
+        code = main(["simulate", "--from-manifest", str(path),
+                     "--out", str(tmp_path / "rerun")])
+        assert code == 2
+        _assert_usage_error(capsys, "initial value of 'phi' is beyond the "
+                                    "float range")
+
+    def test_replay_parses_no_text(self, tmp_path, verhulst_file,
+                                   verhulst_rates, capsys, monkeypatch):
+        _, out = run_simulate(tmp_path, verhulst_file, verhulst_rates, "run")
+        monkeypatch.setattr("onestep.cli.parse_initial", None)
+        assert main(["simulate", "--from-manifest",
+                     str(out / "verhulst.manifest.json"),
+                     "--out", str(tmp_path / "replay")]) == 0
+        for path in sorted(out.iterdir()):
+            assert (tmp_path / "replay" / path.name).read_bytes() == \
+                path.read_bytes()

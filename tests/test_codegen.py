@@ -7,11 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from onestep import (DiffusionSign, EmitTarget, ModelFormatError,
-                     NoiseStrategy, RateMode, build_sde_model, c_expression,
-                     emit, emit_c_source, emit_latex, emit_model_json,
-                     latex_expression, latex_symbol, model_from_json,
-                     parse_expression, parse_scheme, rate, species)
+from onestep import (DiffusionSign, ModelFormatError, NoiseStrategy,
+                     RateMode, build_sde_model, c_expression, emit_c_source,
+                     emit_latex, emit_model_json, latex_expression,
+                     latex_symbol, model_from_json, parse_expression,
+                     parse_scheme, rate, species)
 from onestep.cli import main
 from onestep.poly import Polynomial
 from helpers import LOTKA_VOLTERRA, VERHULST, random_scheme_text
@@ -37,9 +37,6 @@ class TestLatexSymbols:
 
     def test_plain_names_pass_through(self):
         assert latex_symbol("x") == "x"
-
-    def test_user_table_wins(self):
-        assert latex_symbol("phi", {"phi": r"\Phi"}) == r"\Phi"
 
 
 class TestLatexExpressions:
@@ -90,11 +87,6 @@ class TestLatexDocuments:
             text = emit_latex(model)
             for name in ("lambda", "beta", "gamma", "phi"):
                 assert not re.search(rf"(?<![\\a-z]){name}", text)
-
-    def test_name_table_reaches_every_equation(self):
-        text = emit_latex(verhulst_model(), name_table={"phi": "n"})
-        assert r"\varphi" not in text
-        assert r"\[ A(n) = " in text
 
 
 class TestCSource:
@@ -251,18 +243,18 @@ class TestJsonModelForm:
             model_from_json(json.dumps(data))
 
 
-class TestEmitDispatcher:
-    def test_targets_match_the_direct_calls(self):
+class TestCodegenTargets:
+    def test_targets_match_the_direct_calls(self, tmp_path, capsys):
+        scheme = tmp_path / "v.scheme"
+        scheme.write_text(VERHULST)
         model = verhulst_model()
-        assert emit(model, EmitTarget.LATEX) == emit_latex(model)
-        assert emit(model, EmitTarget.JSON) == emit_model_json(model)
-        assert emit(model, EmitTarget.C_SOURCE, function_name="f") == \
-            emit_c_source(model, function_name="f")
-
-    def test_every_target_is_byte_stable(self):
-        model = predator_prey_model()
-        for target in EmitTarget:
-            assert emit(model, target) == emit(model, target)
+        for target, expected in (("latex", emit_latex(model)),
+                                 ("json", emit_model_json(model)),
+                                 ("c", emit_c_source(model,
+                                                     function_name="f"))):
+            assert main(["codegen", str(scheme), "--target", target,
+                         "--function-name", "f"]) == 0
+            assert capsys.readouterr().out == expected, target
 
 
 RING3 = """\

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -156,6 +157,17 @@ class TestModelAssembly:
                      rate_mode=model.rate_mode,
                      diffusion_sign=model.diffusion_sign,
                      noise_strategy=model.noise_strategy)
+
+    @pytest.mark.parametrize("old, new, needle", [
+        ("phi", "psi", "species"), ("beta", "mu", "rate symbols")])
+    def test_scheme_must_be_the_models(self, old, new, needle):
+        model = build_sde_model(parse_scheme(VERHULST))
+        other = parse_scheme(VERHULST.replace(old, new))
+        with pytest.raises(ValueError, match=f"scheme's {needle} differ"):
+            replace(model, scheme=other)
+        # the same rate symbols in another order are the same set
+        assert replace(model, rate_symbols=model.rate_symbols[::-1]).scheme \
+            == model.scheme
 
     def test_standalone_model_without_a_scheme(self):
         x = species("x")

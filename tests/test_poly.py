@@ -51,7 +51,7 @@ class TestAddition:
         x = Polynomial.symbol(X)
         total = x + (-x)
         assert total.terms == ()
-        assert total.is_zero()
+        assert not total
 
     def test_unlike_terms_coexist(self):
         p = monomial(1, {K1: 1, X: 1}) + monomial(1, {K2: 1, X: 1, Y: 1})

@@ -1,5 +1,6 @@
 """Scheme parsing, validation, formatting, and serialization."""
 
+import json
 import random
 
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 
 from onestep import (DuplicateRateSymbolError, EmptySchemeError, Interaction,
                      InteractionScheme, NoOpInteractionError, SchemeError,
-                     SchemeSyntaxError, change_vectors, format_scheme,
-                     parse_scheme, rate, scheme_from_json, scheme_to_json,
+                     SchemeSyntaxError, format_scheme, parse_scheme, rate,
                      species)
+from onestep.scheme import scheme_from_dict, scheme_to_dict
 from helpers import LOTKA_VOLTERRA, VERHULST, random_scheme_text
 
 
@@ -121,12 +122,16 @@ class TestParse:
             parse_scheme("65 x -> x @ k")
 
 
+def changes(scheme):
+    return [ia.change for ia in scheme.interactions]
+
+
 class TestChangeVectors:
     def test_logistic(self):
-        assert change_vectors(parse_scheme(VERHULST)) == [(1,), (-1,)]
+        assert changes(parse_scheme(VERHULST)) == [(1,), (-1,)]
 
     def test_predator_prey(self):
-        assert change_vectors(parse_scheme(LOTKA_VOLTERRA)) == \
+        assert changes(parse_scheme(LOTKA_VOLTERRA)) == \
             [(1, 0), (-1, 1), (0, -1)]
 
 
@@ -177,15 +182,16 @@ class TestFormat:
 class TestJson:
     def test_round_trip(self):
         s = parse_scheme(VERHULST)
-        assert scheme_from_json(scheme_to_json(s)) == s
+        assert scheme_from_dict(json.loads(json.dumps(scheme_to_dict(s)))) == s
 
-    def test_malformed_json_is_a_scheme_error(self):
+    @pytest.mark.parametrize("data", ["{not json", ["x"], None])
+    def test_an_object_that_is_not_a_mapping_is_a_scheme_error(self, data):
         with pytest.raises(SchemeError):
-            scheme_from_json("{not json")
+            scheme_from_dict(data)
 
     def test_missing_fields_are_a_scheme_error(self):
         with pytest.raises(SchemeError):
-            scheme_from_json('{"species": ["x"]}')
+            scheme_from_dict({"species": ["x"]})
 
 
 class TestRandomSchemes:
@@ -199,7 +205,7 @@ class TestRandomSchemes:
     @given(seed=st.integers(0, 10 ** 9))
     def test_change_plus_initial_equals_final(self, seed):
         s = parse_scheme(random_scheme_text(random.Random(seed)))
-        for ia, r in zip(s.interactions, change_vectors(s)):
+        for ia, r in zip(s.interactions, changes(s)):
             assert tuple(i + d for i, d in zip(ia.initial, r)) == ia.final
             assert any(r)
 
