@@ -65,15 +65,30 @@ class UsageError(ValueError):
 
 # the largest rate value a float holds: every engine computes in floats
 _LARGEST_RATE = Fraction(sys.float_info.max)
+# a decimal with an exponent: Fraction would expand the exponent into an
+# integer of as many digits before any range check could refuse it
+_SCIENTIFIC = re.compile(r"(\s*[-+]?(?=\.?\d)[\d_]*\.?[\d_]*)"
+                         r"[eE]([-+]?\d+(?:_\d+)*)\s*")
 
 
 def parse_rate_value(text: str) -> Fraction:
     """One rate value, parsed exactly: a nonnegative decimal or an integer
-    rational p/q no larger than the largest float."""
+    rational p/q no larger than the largest float.  A positive value that
+    is 0.0 as a float is refused, since the oracles would see a rate that
+    both engines see as none.
+
+    A decimal's exponent is read apart from its mantissa and clamped
+    before it is applied.  The mantissa lies within 10**-len(text) and
+    10**len(text) in size, so the clamped exponent still takes every
+    value it took out of the float range out of it."""
     try:
         if "/" in text:
             num, den = text.split("/")
             value = Fraction(int(num), int(den))
+        elif scientific := _SCIENTIFIC.fullmatch(text):
+            bound = len(text)
+            exponent = min(max(int(scientific[2]), -bound - 325), bound + 309)
+            value = Fraction(scientific[1]) * Fraction(10) ** exponent
         else:
             value = Fraction(text)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -83,6 +98,9 @@ def parse_rate_value(text: str) -> Fraction:
     if value > _LARGEST_RATE:
         raise RatesFileError(f"value {text!r} is above the largest float "
                              f"{sys.float_info.max!r}")
+    if value and float(value) == 0.0:
+        raise RatesFileError(f"value {text!r} is positive but rounds to 0.0 "
+                             "as a float")
     return value
 
 

@@ -5,12 +5,12 @@ for the Langevin model and an exact jump-process (Gillespie) sampler for
 the underlying scheme.  Trajectory j of any run draws from a dedicated
 counter-based Philox stream keyed by base_seed XOR j, so ensembles are
 reproducible regardless of execution order and adding trajectories never
-perturbs existing ones.
+perturbs existing ones.  The jump sampler runs each path in one function
+generated for the scheme, on one Philox re-keyed to the path's stream.
 """
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 from dataclasses import dataclass, replace
@@ -26,6 +26,8 @@ from .scheme import InteractionScheme
 
 _CHUNK_STEPS = 256      # noise draws are blocked per trajectory in chunks
 _SSA_BLOCK = 1024       # random draws per refill of the jump sampler
+_SSA_CHUNK = 64         # block values turned into floats at once; divides
+                        # _SSA_BLOCK
 # jump events one trajectory may take, checked once per refill; the most
 # any test, demo or benchmark workload takes is 13,412
 _SSA_EVENT_BUDGET = 2048 * _SSA_BLOCK
@@ -144,13 +146,31 @@ class ComparisonReport:
     passed: bool
 
 
-def trajectory_rng(base_seed: int, index: int) -> np.random.Generator:
-    """The dedicated random stream of one trajectory: counter-based
-    Philox (4x64, 10 rounds) keyed by base_seed XOR index."""
+def _stream_key(base_seed: int, index: int) -> int:
+    """The Philox key of trajectory index's random stream."""
     check_seed(base_seed)
     if not 0 <= index < 2 ** 64:
         raise ValueError("trajectory index must fit in 64 bits")
-    return np.random.Generator(np.random.Philox(key=base_seed ^ index))
+    return base_seed ^ index
+
+
+def _rekey(bits: np.random.Philox, base_seed: int, index: int) -> None:
+    """Reset bits to the start of trajectory_rng(base_seed, index)'s
+    stream: its key (in 64-bit words, low word first, as Philox splits
+    an int key), counter 0, an empty buffer and no pending uint32."""
+    key = _stream_key(base_seed, index)
+    bits.state = {"bit_generator": "Philox",
+                  "state": {"counter": [0, 0, 0, 0],
+                            "key": [key & (2 ** 64 - 1), key >> 64]},
+                  "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                  "has_uint32": 0, "uinteger": 0}
+
+
+def trajectory_rng(base_seed: int, index: int) -> np.random.Generator:
+    """The dedicated random stream of one trajectory: counter-based
+    Philox (4x64, 10 rounds) keyed by base_seed XOR index."""
+    return np.random.Generator(
+        np.random.Philox(key=_stream_key(base_seed, index)))
 
 
 def matrix_sqrt_psd(b: np.ndarray) -> np.ndarray:
@@ -399,37 +419,135 @@ def _retry_step(stepper: _EmStepper, state: np.ndarray,
         "the step size is likely too large for this state")
 
 
-def _compile_ssa_rates(channels):
-    """Generate a state -> (partial, total) function for the jump sampler:
-    the cumulative rates c0 = r0, c1 = c0 + r1, ..., one statement per
-    channel, with total the last of them and partial the others.  With
-    nonnegative rate values the sums never decrease, as the sampler's
-    bisection needs.
+def _ssa_rate_lines(channels) -> list[str]:
+    """The jump sampler's rate statements at the state x0, x1, ...: the
+    running sums c0 = r0, c1 = c0 + r1, ..., one statement per channel,
+    so the last sum is the total r0 + r1 + ... added left to right on
+    every Python (from 3.12 on, the builtin sum of floats is compensated
+    and would draw other waiting times).
 
     For nonnegative integer states the plain falling-factorial product
     already vanishes whenever the state cannot supply a channel's complex
-    (one factor is exactly zero), so the generated expressions need no
-    feasibility guards.  The total is summed left to right on every
-    Python: from 3.12 on, the builtin sum of floats is compensated and
-    would draw other waiting times.
+    (one factor is exactly zero), so the rates need no feasibility guards.
     """
-    used = sorted({i for stoich, _, _ in channels
-                   for i, m in enumerate(stoich) if m})
-    lines = ["def cumulative_rates(state):"]
-    for i in used:
-        lines.append(f"    x{i} = state[{i}]")
+    lines = []
     for c, (stoich, _, value) in enumerate(channels):
         factors = [repr(float(value))]
         for i, m in enumerate(stoich):
             for k in range(m):
                 factors.append(f"x{i}" if k == 0 else f"(x{i}-{k})")
         before = f"c{c - 1} + " if c else ""
-        lines.append(f"    c{c} = {before}{'*'.join(factors)}")
-    partial = "".join(f"c{c}, " for c in range(len(channels) - 1))
-    lines.append(f"    return ({partial}), c{len(channels) - 1}")
-    namespace: dict = {}
-    exec("\n".join(lines), namespace)
-    return namespace["cumulative_rates"]
+        lines.append(f"c{c} = {before}{'*'.join(factors)}")
+    return lines
+
+
+def _choice_tree(leaves: Sequence[Sequence[str]], lo: int, hi: int,
+                 pad: str) -> list[str]:
+    """Statements that run leaves[k] for k = bisect.bisect_right(partial,
+    target, lo, hi), partial being the running sums (c0, c1, ...):
+    bisect's halving unrolled into `if target < c_mid` tests.  The tree
+    makes bisect's comparisons with bisect's midpoints, so it picks
+    bisect's leaf for any sums, also unsorted, NaN or inf ones."""
+    if lo == hi:
+        return [pad + line for line in leaves[lo] or ["pass"]]
+    mid = (lo + hi) // 2
+    inner = pad + "    "
+    return [f"{pad}if target < c{mid}:",
+            *_choice_tree(leaves, lo, mid, inner),
+            f"{pad}else:",
+            *_choice_tree(leaves, mid + 1, hi, inner)]
+
+
+# The jump sampler's loop over one path; _compile_ssa_path fills in the
+# state's locals x0, x1, ... (row, store), the channels' running sums
+# (rates, total) and the choice of channel (choice).
+_SSA_PATH = """\
+def sample_path(j, init, grid, exponential, uniform, budget):
+    {row}= init
+    # the blocks of random numbers, the chunk of each turned into floats,
+    # the next value of each chunk (ei, ui) and each chunk's start in its
+    # block (eat, uat)
+    exp_block = exponential({block})
+    uni_block = uniform({block})
+    exp_buf = exp_block[:{chunk}].tolist()
+    uni_buf = uni_block[:{chunk}].tolist()
+    ei = eat = ui = uat = 0
+    drawn = {block}
+    t = 0.0
+    g = 0
+    g_count = len(grid)
+    due = grid[0]
+    rows = []
+    store = rows.append
+    while True:
+{rates}
+        total = {total}
+        if total <= 0.0:
+            t = inf             # absorbed: the state holds forever
+        else:
+            if ei == {chunk}:
+                eat += {chunk}
+                if eat == {block}:
+                    if drawn >= budget:
+                        raise SimulationError(
+                            f"trajectory {{j}} used up its budget of "
+                            f"{{budget}} jump events at t = {{t!r}}: "
+                            "the model may blow up in finite time")
+                    exp_block = exponential({block})
+                    drawn += {block}
+                    eat = 0
+                exp_buf = exp_block[eat:eat + {chunk}].tolist()
+                ei = 0
+            t += exp_buf[ei] / total
+            ei += 1
+        # the last grid time is t_final, so an event past it ends the path
+        while due < t:
+{store}
+            g += 1
+            if g == g_count:
+                return rows
+            due = grid[g]
+        if ui == {chunk}:
+            uat += {chunk}
+            if uat == {block}:
+                uni_block = uniform({block})
+                uat = 0
+            uni_buf = uni_block[uat:uat + {chunk}].tolist()
+            ui = 0
+        target = uni_buf[ui] * total
+        ui += 1
+{choice}
+"""
+
+
+def _compile_ssa_path(channels, n: int):
+    """Generate the jump sampler's loop over one path as one function
+    sample_path(j, init, grid, exponential, uniform, budget) -> rows.
+
+    The state is held in the locals x0, ..., x{n-1}.  Each event computes
+    the running sums of _ssa_rate_lines, waits exponential time over
+    their total, picks its channel with _choice_tree and adds the
+    channel's change to the locals.  At every grid time the path passes,
+    the state's coordinates are appended to rows, one flat list.  Random
+    numbers come in blocks of _SSA_BLOCK from exponential(k) and
+    uniform(k), drawn when the path needs them; each block is turned into
+    floats _SSA_CHUNK values at a time.
+    """
+    pad = " " * 8
+    leaves = [[f"x{i} += {d}" for i, d in enumerate(change) if d]
+              for _, change, _ in channels]
+    source = _SSA_PATH.format(
+        row="".join(f"x{i}, " for i in range(n)),
+        store="\n".join(f"{pad}    store(x{i})" for i in range(n)),
+        rates="\n".join(pad + line for line in _ssa_rate_lines(channels)),
+        total=f"c{len(channels) - 1}",
+        choice="\n".join(_choice_tree(leaves, 0, len(leaves) - 1, pad)),
+        block=_SSA_BLOCK, chunk=_SSA_CHUNK)
+    namespace = {"inf": math.inf, "SimulationError": SimulationError}
+    exec(source, namespace)
+    # popped: a function left in its own globals is a cycle, which only
+    # the garbage collector frees
+    return namespace.pop("sample_path")
 
 
 def integer_initial_state(initial_state: Sequence[float]) -> list[int]:
@@ -460,55 +578,20 @@ def gillespie_ssa(scheme: InteractionScheme,
 
     float_rates = {sym: float(_exact(sym, v))
                    for sym, v in config.rates.items()}
-    channels = reaction_channels(scheme, float_rates)
-    deltas = [tuple((i, d) for i, d in enumerate(change) if d)
-              for _, change, _ in channels]
-    rate_fn = _compile_ssa_rates(channels)
+    sample_path = _compile_ssa_path(reaction_channels(scheme, float_rates),
+                                    n)
 
     times = config.times
-    grid = times.tolist()          # scalar loop below runs on plain floats
-    g_count = len(grid)
-    paths = np.empty((config.trajectories, g_count, n))
-
+    grid = times.tolist()          # the path loop runs on plain floats
+    paths = np.empty((config.trajectories, len(grid), n))
+    rows = paths.reshape(config.trajectories, -1)     # a view
+    bits = np.random.Philox(key=0)      # re-keyed for every path below
+    gen = np.random.Generator(bits)
+    budget = _SSA_EVENT_BUDGET
     for j in range(config.trajectories):
-        rng = trajectory_rng(config.base_seed, j)
-        exp_buf = rng.standard_exponential(_SSA_BLOCK).tolist()
-        uni_buf = rng.random(_SSA_BLOCK).tolist()
-        ei = ui = 0
-        drawn = _SSA_BLOCK
-        state = list(init)
-        t = 0.0
-        g = 0
-        while True:
-            partial, total = rate_fn(state)
-            if total <= 0.0:
-                t = math.inf            # absorbed: the state holds forever
-            else:
-                if ei == _SSA_BLOCK:
-                    if drawn >= _SSA_EVENT_BUDGET:
-                        raise SimulationError(
-                            f"trajectory {j} used up its budget of "
-                            f"{_SSA_EVENT_BUDGET} jump events at t = {t!r}: "
-                            "the model may blow up in finite time")
-                    exp_buf = rng.standard_exponential(_SSA_BLOCK).tolist()
-                    drawn += _SSA_BLOCK
-                    ei = 0
-                t += exp_buf[ei] / total
-                ei += 1
-            # the last grid time is t_final, so an event past it ends the path
-            while g < g_count and grid[g] < t:
-                paths[j, g] = state
-                g += 1
-            if g == g_count:
-                break
-            if ui == _SSA_BLOCK:
-                uni_buf = rng.random(_SSA_BLOCK).tolist()
-                ui = 0
-            # the first channel whose cumulative rate exceeds u, else the last
-            for i, d in deltas[bisect.bisect_right(partial,
-                                                   uni_buf[ui] * total)]:
-                state[i] += d
-            ui += 1
+        _rekey(bits, config.base_seed, j)
+        rows[j] = sample_path(j, init, grid, gen.standard_exponential,
+                              gen.random, budget)
     return TrajectoryEnsemble(engine=Engine.SSA, species=scheme.species,
                               times=times, paths=paths,
                               clamp_events=np.zeros(config.trajectories,

@@ -7,7 +7,9 @@ import inspect
 import json
 import sys
 import textwrap
+import time
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -1293,6 +1295,71 @@ class TestFloatRange:
             with pytest.raises(RatesFileError,
                                match="above the largest float"):
                 parse_rates_file(f"k = {above}\n")
+
+    @pytest.mark.parametrize("value, needle", [
+        ("1e10000000", "above the largest float"),
+        ("-1e10000000", "negative"),
+        ("1e-10000000", "rounds to 0.0 as a float")])
+    @pytest.mark.parametrize("command", ["simulate", "check"])
+    def test_huge_exponent_exits_3_at_once(self, value, needle, command,
+                                           tmp_path, verhulst_file, capsys,
+                                           monkeypatch):
+        # Fraction(value) would build a ten-million-digit power of ten
+        _refuse_work(monkeypatch)
+        rates = tmp_path / "far.rates"
+        rates.write_text(VERHULST_RATES_TEXT.replace("lambda = 1\n",
+                                                     f"lambda = {value}\n"))
+        argv = [command, str(verhulst_file), "--rates", str(rates),
+                "--initial", "phi=10"]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "o")]
+        start = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - start < 1.0
+        _assert_usage_error(capsys, "rate 'lambda'", repr(value), needle)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["1e-400", "2.4e-324",
+                                       "1/1" + "0" * 400],
+                             ids=["1e-400", "2.4e-324", "1/10**400"])
+    def test_rate_that_rounds_to_zero_exits_3(self, value, tmp_path,
+                                              verhulst_file, capsys,
+                                              monkeypatch):
+        # the oracles would see a positive rate, both engines 0.0
+        _refuse_work(monkeypatch)
+        rates = tmp_path / "tiny.rates"
+        rates.write_text(VERHULST_RATES_TEXT.replace("lambda = 1\n",
+                                                     f"lambda = {value}\n"))
+        assert main(["check", str(verhulst_file), "--rates", str(rates),
+                     "--initial", "phi=10"]) == 3
+        _assert_usage_error(capsys, "rate 'lambda'", repr(value),
+                            "is positive but rounds to 0.0 as a float")
+
+    def test_rate_values_at_the_float_range_edges(self):
+        # 2.5e-324 rounds up to the smallest float, 5e-324; a zero
+        # mantissa is 0 whatever its exponent
+        table = parse_rates_file("a = 2.5e-324\nb = 0e1000000\n"
+                                 "c = -0.0e-1000000\nd = 1_0.5e+2\n")
+        assert table == {"a": Fraction(1, 4 * 10 ** 323), "b": 0, "c": 0,
+                         "d": 1050}
+        for bad, needle in (("1__0e5", "bad value"), ("e5", "bad value"),
+                            ("1 e5", "bad value"), ("2e308", "above"),
+                            ("0.1e310", "above"), ("1e-325", "rounds")):
+            with pytest.raises(RatesFileError, match=needle):
+                parse_rates_file(f"k = {bad}\n")
+
+    def test_zero_mantissa_with_a_huge_exponent_is_a_zero_rate(
+            self, tmp_path, verhulst_file, capsys):
+        rates = tmp_path / "zero.rates"
+        rates.write_text(VERHULST_RATES_TEXT.replace("gamma = 1/20\n",
+                                                     "gamma = 0e1000000\n"))
+        assert main(["simulate", str(verhulst_file), "--rates", str(rates),
+                     "--initial", "phi=3", "--engine", "ssa",
+                     "--t-final", "0.1", "--trajectories", "2",
+                     "--out", str(tmp_path / "o")]) == 0
+        manifest = json.loads(
+            (tmp_path / "o" / "verhulst.manifest.json").read_text())
+        assert manifest["rates"]["gamma"] == "0"
 
     @pytest.mark.parametrize("command", ["simulate", "check"])
     def test_compiled_coefficient_beyond_the_float_range_exits_2(

@@ -1,5 +1,6 @@
 """Sampling engines: noise factorization, stepping, moments, comparison."""
 
+import bisect
 import itertools
 import math
 import random
@@ -28,7 +29,7 @@ from onestep import (InteractionScheme, NegativeRateError, as_function,
                      bind_values, reaction_channels, transition_rates)
 from onestep.sim import (_CHUNK_STEPS, _PSD_TOL, _RATE_TOL, _REJECT_LIMIT,
                          _SSA_BLOCK, _SSA_EVENT_BUDGET, _EmStepper,
-                         _compile_ssa_rates,
+                         _choice_tree, _rekey, _ssa_rate_lines,
                          _grid_step_indices, _require_finite,
                          symmetric_matrices)
 from helpers import LOTKA_VOLTERRA, PURE_DEATH, VERHULST, random_scheme_text
@@ -1100,14 +1101,17 @@ class TestEnginesMatchReference:
     @given(seed=st.integers(0, 10 ** 9), rates=_rate_values,
            state=st.lists(st.integers(0, 40), min_size=3, max_size=3))
     def test_cumulative_rates(self, seed, rates, state):
-        """The generated function returns the running sums of the
-        reference rates, and their total, to the bit."""
+        """The jump sampler's rate statements give the running sums of
+        the reference rates, and their total, to the bit."""
         scheme, values, _ = _random_case(seed, rates, [0])
         channels = reaction_channels(scheme, values)
         x = state[:len(scheme.species)]
         ref_rates, ref_total = _reference_compile_ssa_rates(
             channels, len(x))(x)
-        partial, total = _compile_ssa_rates(channels)(x)
+        sums = {f"x{i}": v for i, v in enumerate(x)}
+        exec("\n".join(_ssa_rate_lines(channels)), {}, sums)
+        partial = [sums[f"c{c}"] for c in range(len(channels) - 1)]
+        total = sums[f"c{len(channels) - 1}"]
         assert [*map(float.hex, partial), float.hex(total)] == \
             [*map(float.hex, itertools.accumulate(ref_rates[:-1])),
              float.hex(ref_total)]
@@ -1158,6 +1162,69 @@ class TestEnginesMatchReference:
                            grid_points=11)
         new = _outcome(euler_maruyama, model, config)
         assert new == _outcome(_reference_euler_maruyama, model, config)
+        assert isinstance(new[0], bytes)
+
+
+class TestJumpSamplerParts:
+    """The generated channel choice is bisect's, a re-keyed Philox is the
+    trajectory's own stream, and paths of huge occupation numbers are
+    stored as the reference stores them."""
+
+    @given(partial=st.lists(st.floats(), max_size=39), target=st.floats())
+    @example(partial=[], target=0.5)
+    @example(partial=[1.0, -2.0, math.nan, math.inf, 0.0], target=0.5)
+    @example(partial=[math.nan] * 5, target=math.nan)
+    @example(partial=[-math.inf, math.inf, -1.0], target=math.inf)
+    def test_choice_tree_picks_bisect_right(self, partial, target):
+        # unsorted, negative, NaN and inf sums, 1 to 40 channels; every
+        # third leaf is empty and so a `pass`
+        count = len(partial) + 1
+        leaves = [[f"chosen = {k}"] if k % 3 else [] for k in range(count)]
+        args = "".join(f", c{c}" for c in range(count - 1))
+        source = "\n".join([f"def choose(target{args}):",
+                            "    chosen = None",
+                            *_choice_tree(leaves, 0, count - 1, "    "),
+                            "    return chosen"])
+        namespace = {}
+        exec(source, namespace)
+        k = bisect.bisect_right(partial, target)
+        assert namespace["choose"](target, *partial) == \
+            (k if k % 3 else None)
+
+    @pytest.mark.parametrize("base_seed, index", [
+        (0, 0), (0, 1), (0, 2 ** 64 - 1), (1, 0), (1, 1), (1, 2 ** 64 - 2),
+        (2 ** 64 - 1, 0), (2 ** 64 - 1, 2 ** 64 - 1), (2 ** 64 - 1, 5)])
+    def test_rekeyed_philox_is_the_trajectory_stream(self, base_seed, index):
+        # the keys base_seed ^ index include 0 and 2**64 - 1
+        bits = np.random.Philox(key=12345)
+        gen = np.random.Generator(bits)
+        # the path before leaves a half-used buffer and a pending uint32
+        gen.random(6)                   # six 64-bit words
+        gen.integers(0, 2 ** 32, dtype=np.uint32)
+        assert 0 < bits.state["buffer_pos"] < 4
+        assert bits.state["has_uint32"] == 1
+        _rekey(bits, base_seed, index)
+        ref = trajectory_rng(base_seed, index)
+        for draw in ("standard_exponential", "random", "standard_normal"):
+            got = getattr(gen, draw)(300)
+            assert got.tobytes() == getattr(ref, draw)(300).tobytes()
+        # a 32-bit draw would take a pending uint32 first
+        assert gen.random(3, dtype=np.float32).tobytes() == \
+            ref.random(3, dtype=np.float32).tobytes()
+        assert bits.state["state"]["key"].tolist() == \
+            ref.bit_generator.state["state"]["key"].tolist()
+
+    @pytest.mark.parametrize("initial", [(2.0 ** 60,), (2.0 ** 63,),
+                                         (2.0 ** 64,), (2.0 ** 70,),
+                                         (1e300,)])
+    def test_huge_occupation_numbers_match_the_reference(self, initial):
+        # x +/- 1 beyond 2**53 is rounded where the path is stored
+        scheme = parse_scheme("x -> 2 x @ k\nx -> 0 @ d\n")
+        rates = {rate("k"): 1.0 / initial[0], rate("d"): 1.0 / initial[0]}
+        config = SimConfig(rates=rates, initial_state=initial, t_final=2.0,
+                           trajectories=4, base_seed=3, grid_points=9)
+        new = _outcome(gillespie_ssa, scheme, config)
+        assert new == _outcome(_reference_gillespie_ssa, scheme, config)
         assert isinstance(new[0], bytes)
 
 
