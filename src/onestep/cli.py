@@ -814,6 +814,12 @@ def main(argv=None) -> int:
             NotPsdError, NegativeRateError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy names the array it could not allocate; Python names none
+        detail = str(exc)
+        print(f"error: out of memory{': ' if detail else ''}{detail}",
+              file=sys.stderr)
+        return 2
     except (UnboundRateError, MissingSymbolError, RatesFileError,
             InitialStateError) as exc:
         print(f"error: {exc}", file=sys.stderr)

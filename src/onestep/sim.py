@@ -37,6 +37,7 @@ _PSD_LONE_FLOOR = -_PSD_TOL / (1.0 - _PSD_TOL)
 _PSD_SQRT_TOL = math.sqrt(_PSD_TOL)
 _RATE_TOL = 1e-9
 _REJECT_LIMIT = 100
+_MAX_STEPS = 2 ** 63 - 1
 
 
 class Engine(enum.Enum):
@@ -103,6 +104,12 @@ class SimConfig:
         if not 0 < self.dt <= self.t_final:
             raise SimConfigError(f"dt must lie in (0, t_final], "
                                  f"got {self.dt!r}")
+        # the step count and the grid's step indices are int64
+        steps = self.t_final / self.dt - 1e-9
+        if not steps <= _MAX_STEPS:
+            count = math.ceil(steps) if steps < math.inf else steps
+            raise SimConfigError(f"t_final / dt asks for {count:.6g} steps, "
+                                 f"more than {_MAX_STEPS} (2**63 - 1)")
         if self.trajectories < 1:
             raise SimConfigError("need at least one trajectory")
         if self.grid_points < 2:
@@ -111,6 +118,9 @@ class SimConfig:
             raise SimConfigError(f"initial state must be nonnegative and "
                                  f"finite, got {self.initial_state!r}")
         check_seed(self.base_seed)
+        # -0.0 is read as 0.0, which every engine then writes alike
+        object.__setattr__(self, "initial_state", tuple(
+            0.0 if x == 0 else x for x in self.initial_state))
 
     @property
     def times(self) -> np.ndarray:
@@ -663,15 +673,24 @@ def trajectories_to_csv(ensemble: TrajectoryEnsemble) -> str:
     """One row per (trajectory, grid time): "j,t,x_1,...,x_n", every float
     in its shortest repr.
 
-    The text is built in one chunk per trajectory from plain floats
-    (ndarray.tolist), with each time's text made once, which keeps the
-    writer's peak memory near twice its output."""
+    One template of string slots serves every trajectory: per grid time
+    the slots j, ",t,", x_1, ",", ..., x_n and a newline, with the time
+    stamps and separators filled in once per call.  Each trajectory puts
+    the repr of its values (one pass over ndarray.tolist) and str(j) into
+    their slots by slice assignment and joins the template into one
+    chunk, which keeps the writer's peak memory near twice its output."""
     names = ",".join(s.name for s in ensemble.species)
-    stamps = [f",{t!r}," for t in ensemble.times.tolist()]
+    _, grid, n = ensemble.paths.shape
+    width = 2 * n + 2
+    template = (["", ""] + [","] * (2 * n - 1) + ["\n"]) * grid
+    template[1::width] = [f",{t!r}," for t in ensemble.times.tolist()]
     chunks = [f"trajectory,t,{names}\n"]
     for j, path in enumerate(ensemble.paths):
-        chunks.append("".join([f"{j}{stamp}{','.join(map(repr, row))}\n"
-                               for stamp, row in zip(stamps, path.tolist())]))
+        template[::width] = [str(j)] * grid
+        text = list(map(repr, path.ravel().tolist()))
+        for i in range(n):
+            template[2 + 2 * i::width] = text[i::n]
+        chunks.append("".join(template))
     return "".join(chunks)
 
 

@@ -333,6 +333,20 @@ class TestSimulate:
                   ssa_rows.strip().splitlines()[1:]]
         assert all(float(v) == int(float(v)) for v in values)
 
+    def test_negative_zero_initial_state_is_written_as_zero(
+            self, tmp_path, verhulst_file, verhulst_rates):
+        # phi = 0 absorbs, so every row holds the initial value
+        texts = {}
+        for engine in ("em", "ssa"):
+            code, out = run_simulate(
+                tmp_path, verhulst_file, verhulst_rates, engine,
+                extra=("--engine", engine, "--initial", "phi=-0.0"))
+            assert code == 0
+            texts[engine] = (out / "verhulst.trajectories.csv").read_text()
+        em_rows, ssa_rows = (texts[e].splitlines() for e in ("em", "ssa"))
+        assert em_rows[1] == ssa_rows[1] == "0,0.0,0.0"
+        assert "-0.0" not in texts["em"]
+
     def test_model_json_input_runs_the_sde_engine(self, tmp_path,
                                                   verhulst_file,
                                                   verhulst_rates, capsys):
@@ -921,6 +935,53 @@ class TestSimulationSettings:
                             ("--trajectories", "1"))
         assert code == 2
         _assert_usage_error(capsys, "two trajectories")
+
+    def test_step_count_beyond_int64_exits_2_before_any_work(
+            self, command, tmp_path, verhulst_file, verhulst_rates, capsys,
+            monkeypatch):
+        # 1e300 / 0.01 steps; simulate refuses it for either engine
+        _refuse_work(monkeypatch)
+        engines = ("em", "ssa") if command == "simulate" else (None,)
+        for engine in engines:
+            flags = ("--t-final", "1e300")
+            if engine:
+                flags += ("--engine", engine)
+            code = _run_command(command, tmp_path, verhulst_file,
+                                verhulst_rates, flags)
+            assert code == 2
+            _assert_usage_error(capsys, "1e+302 steps", "2**63 - 1")
+            assert not (tmp_path / "o").exists()
+
+    def test_array_beyond_memory_exits_2(self, command, tmp_path,
+                                         verhulst_file, verhulst_rates,
+                                         capsys):
+        # the first array of 10**14 trajectories takes over 700 TiB, more
+        # than any 64-bit process can map
+        engines = ("em", "ssa") if command == "simulate" else (None,)
+        for engine in engines:
+            flags = ("--trajectories", str(10 ** 14))
+            if engine:
+                flags += ("--engine", engine)
+            code = _run_command(command, tmp_path, verhulst_file,
+                                verhulst_rates, flags)
+            captured = capsys.readouterr()
+            assert code == 2
+            lines = captured.err.splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith("error: out of memory")
+            assert not (tmp_path / "o").exists()
+
+    def test_memory_error_without_a_message_exits_2(
+            self, command, tmp_path, verhulst_file, verhulst_rates, capsys,
+            monkeypatch):
+        def exhaust(*args, **kwargs):
+            raise MemoryError()
+        monkeypatch.setattr("onestep.cli.euler_maruyama", exhaust)
+        monkeypatch.setattr("onestep.cli.compare_engines", exhaust)
+        code = _run_command(command, tmp_path, verhulst_file, verhulst_rates,
+                            ())
+        assert code == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
 
     def test_fractional_initial_state_for_the_jump_sampler_exits_2(
             self, command, tmp_path, verhulst_file, verhulst_rates, capsys,

@@ -60,6 +60,26 @@ class TestSimConfig:
         with pytest.raises(SimConfigError):
             SimConfig(**values)
 
+    @pytest.mark.parametrize("t_final, dt, needle", [
+        (1e300, 1e-3, "1e+303 steps"), (1e300, 1e-300, "inf steps"),
+        (2.0 ** 63, 1.0, "9.22337e+18 steps")])
+    def test_step_count_beyond_int64_is_refused(self, t_final, dt, needle):
+        with pytest.raises(SimConfigError, match=re.escape(needle)):
+            SimConfig(rates={}, initial_state=(1.0,), t_final=t_final, dt=dt)
+
+    def test_largest_step_count_is_accepted(self):
+        # 2**63 - 1024 is the largest float below 2**63
+        config = SimConfig(rates={}, initial_state=(1.0,),
+                           t_final=2.0 ** 63 - 1024, dt=1.0)
+        assert config.t_final / config.dt <= 2 ** 63 - 1
+
+    def test_negative_zero_initial_value_is_read_as_zero(self):
+        config = SimConfig(rates={}, initial_state=(-0.0, 2.0, 0),
+                           t_final=1.0)
+        assert config.initial_state == (0.0, 2.0, 0.0)
+        assert [math.copysign(1.0, x) for x in config.initial_state] == \
+            [1.0, 1.0, 1.0]
+
 
 class TestTrajectoryRng:
     def test_streams_are_reproducible(self):
@@ -712,6 +732,25 @@ def _verhulst_ensemble(engine: Engine) -> TrajectoryEnsemble:
     return euler_maruyama(build_sde_model(scheme), config)
 
 
+RING8 = "".join(f"3 x{i} <-> 3 x{i % 8 + 1} @ a_{i}, b_{i}\n"
+                for i in range(1, 9))
+
+
+def _ring8_ensemble(engine: Engine) -> TrajectoryEnsemble:
+    """An ensemble of the ring8 benchmark's shape: eight species from 100
+    each, 200 paths on 50 grid points to t=0.1."""
+    scheme = parse_scheme(RING8)
+    rates = {**{rate(f"a_{i}"): 1e-4 for i in range(1, 9)},
+             **{rate(f"b_{i}"): 5e-5 for i in range(1, 9)}}
+    config = SimConfig(rates=rates, initial_state=(100.0,) * 8,
+                       t_final=0.1, dt=1e-3, trajectories=200, base_seed=3,
+                       grid_points=50)
+    if engine is Engine.SSA:
+        return gillespie_ssa(scheme, config)
+    return euler_maruyama(build_sde_model(scheme, RateMode.EXACT,
+                                          DiffusionSign.SUM), config)
+
+
 class TestWritersMatchReference:
     """The writers give exactly the strings of the reference writers."""
 
@@ -760,19 +799,39 @@ class TestWritersMatchReference:
         assert moments_to_csv(report, ensemble.species) == \
             _reference_moments_to_csv(report, ensemble.species)
 
+    @pytest.mark.parametrize("engine", [Engine.EULER_MARUYAMA, Engine.SSA])
+    def test_ring8_benchmark_ensemble(self, engine):
+        ensemble = _ring8_ensemble(engine)
+        assert ensemble.paths.shape == (200, 50, 8)
+        assert trajectories_to_csv(ensemble) == \
+            _reference_trajectories_to_csv(ensemble)
+
+
+def _assert_csv_peak_near_output(ensemble: TrajectoryEnsemble) -> None:
+    tracemalloc.start()
+    try:
+        text = trajectories_to_csv(ensemble)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(text)
+
 
 class TestWriterMemory:
     def test_trajectory_csv_peak_stays_near_its_output(self):
         """The writer holds little beyond the text it returns: its traced
         peak allocation stays below 2.5 times the output's length."""
-        ensemble = _verhulst_ensemble(Engine.EULER_MARUYAMA)
-        tracemalloc.start()
-        try:
-            text = trajectories_to_csv(ensemble)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * len(text)
+        _assert_csv_peak_near_output(
+            _verhulst_ensemble(Engine.EULER_MARUYAMA))
+
+    @pytest.mark.parametrize("make, engine", [
+        (_verhulst_ensemble, Engine.SSA),
+        (_ring8_ensemble, Engine.EULER_MARUYAMA),
+        (_ring8_ensemble, Engine.SSA)])
+    def test_peak_on_the_other_benchmark_shapes(self, make, engine):
+        """The same bound on jump-sampler paths, whose values are short,
+        and on eight species per row."""
+        _assert_csv_peak_near_output(make(engine))
 
 
 # The engines as they were when the jump sampler summed its channel rates
@@ -1063,9 +1122,6 @@ def _random_case(seed: int, rates, initial):
                   for i in range(len(scheme.species)))
     return scheme, values, state
 
-
-RING8 = "".join(f"3 x{i} <-> 3 x{i % 8 + 1} @ a_{i}, b_{i}\n"
-                for i in range(1, 9))
 
 # zero rates freeze channels; a zero initial state with only consuming
 # channels is absorbed at once
