@@ -293,10 +293,14 @@ def _exact(sym: SymbolId, value) -> Fraction:
     """value, bound to sym, as an exact rational with Python-int parts:
     ints and numpy integers (through operator.index) and Fractions as they
     are, floats (np.float64 too) as the rational they represent; anything
-    else, a string too, is a TypeError."""
+    else, a string too, is a TypeError, and a NaN or infinite float a
+    ValueError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"value for {sym!r} must be finite, "
+                             f"got {value!r}")
         return Fraction(value)
     try:
         return Fraction(operator.index(value))
@@ -348,8 +352,12 @@ def sorted_terms(p: Polynomial,
 
     The exponent vector of each term is read off against a significance
     list: symbol_order first (most significant first), then any remaining
-    symbols of the polynomial, species before rates, alphabetically.
+    symbols of the polynomial, species before rates, alphabetically.  A
+    polynomial of at most one term is returned as it is, without reading
+    symbol_order.
     """
+    if len(p.terms) <= 1:
+        return list(p.terms)
     present = p.symbols
     if symbol_order is None:
         sig = sorted(present, key=_symbol_key)

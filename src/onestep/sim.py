@@ -6,7 +6,8 @@ the underlying scheme.  Trajectory j of any run draws from a dedicated
 counter-based Philox stream keyed by base_seed XOR j, so ensembles are
 reproducible regardless of execution order and adding trajectories never
 perturbs existing ones.  The jump sampler runs each path in one function
-generated for the scheme, on one Philox re-keyed to the path's stream.
+generated for the scheme, on one Philox re-keyed to the path's stream;
+after each event it recomputes only the rates that the event changed.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ _CHUNK_STEPS = 256      # noise draws are blocked per trajectory in chunks
 _SSA_BLOCK = 1024       # random draws per refill of the jump sampler
 _SSA_CHUNK = 64         # block values turned into floats at once; divides
                         # _SSA_BLOCK
+_SSA_LEAF_RATES = 16    # rates one event may recompute; an event that would
+                        # change more recomputes every rate
 # jump events one trajectory may take, checked once per refill; the most
 # any test, demo or benchmark workload takes is 13,412
 _SSA_EVENT_BUDGET = 2048 * _SSA_BLOCK
@@ -118,6 +121,10 @@ class SimConfig:
             raise SimConfigError(f"initial state must be nonnegative and "
                                  f"finite, got {self.initial_state!r}")
         check_seed(self.base_seed)
+        for sym, value in self.rates.items():
+            if _exact(sym, value) < 0:
+                raise SimConfigError(f"rate value for {sym!r} must be "
+                                     f"nonnegative, got {value!r}")
         # -0.0 is read as 0.0, which every engine then writes alike
         object.__setattr__(self, "initial_state", tuple(
             0.0 if x == 0 else x for x in self.initial_state))
@@ -430,11 +437,12 @@ def _retry_step(stepper: _EmStepper, state: np.ndarray,
 
 
 def _ssa_rate_lines(channels) -> list[str]:
-    """The jump sampler's rate statements at the state x0, x1, ...: the
-    running sums c0 = r0, c1 = c0 + r1, ..., one statement per channel,
-    so the last sum is the total r0 + r1 + ... added left to right on
-    every Python (from 3.12 on, the builtin sum of floats is compensated
-    and would draw other waiting times).
+    """The jump sampler's rate statements at the state x0, x1, ...: first
+    r{c} = <rate product> for each channel c, one statement per channel,
+    then the running sums c0 = r0, c1 = c0 + r1, ..., so the last sum is
+    the total r0 + r1 + ... added left to right on every Python (from
+    3.12 on, the builtin sum of floats is compensated and would draw other
+    waiting times).
 
     For nonnegative integer states the plain falling-factorial product
     already vanishes whenever the state cannot supply a channel's complex
@@ -443,12 +451,38 @@ def _ssa_rate_lines(channels) -> list[str]:
     lines = []
     for c, (stoich, _, value) in enumerate(channels):
         factors = [repr(float(value))]
-        for i, m in enumerate(stoich):
-            for k in range(m):
+        for i in [i for i, m in enumerate(stoich) if m]:
+            for k in range(stoich[i]):
                 factors.append(f"x{i}" if k == 0 else f"(x{i}-{k})")
-        before = f"c{c - 1} + " if c else ""
-        lines.append(f"c{c} = {before}{'*'.join(factors)}")
+        lines.append(f"r{c} = {'*'.join(factors)}")
+    lines += [f"c{c} = c{c - 1} + r{c}" if c else "c0 = r0"
+              for c in range(len(channels))]
     return lines
+
+
+def _ssa_leaves(channels, rate_lines: Sequence[str]) -> list[list[str]]:
+    """Each channel's leaf of the jump sampler's choice tree: its change
+    to the locals x0, x1, ..., then rate_lines[c] for every channel c
+    that consumes a species the change moved, in channel order.  Every
+    other rate reads unchanged locals and so keeps its bits.  A leaf whose
+    moved species have more than _SSA_LEAF_RATES consumers, counted per
+    species, ends with `break` instead, back to the loop that recomputes
+    every rate; so no leaf holds more than _SSA_LEAF_RATES rate lines."""
+    consumers: dict[int, list[int]] = {}
+    for c, (stoich, _, _) in enumerate(channels):
+        for i in [i for i, m in enumerate(stoich) if m]:
+            consumers.setdefault(i, []).append(c)
+    leaves = []
+    for _, change, _ in channels:
+        moved = [i for i, d in enumerate(change) if d]
+        leaf = [f"x{i} += {change[i]}" for i in moved]
+        if sum(len(consumers.get(i, ())) for i in moved) > _SSA_LEAF_RATES:
+            leaf.append("break")
+        else:
+            leaf += [rate_lines[c] for c in sorted(
+                {c for i in moved for c in consumers.get(i, ())})]
+        leaves.append(leaf)
+    return leaves
 
 
 def _choice_tree(leaves: Sequence[Sequence[str]], lo: int, hi: int,
@@ -468,9 +502,11 @@ def _choice_tree(leaves: Sequence[Sequence[str]], lo: int, hi: int,
             *_choice_tree(leaves, mid + 1, hi, inner)]
 
 
-# The jump sampler's loop over one path; _compile_ssa_path fills in the
-# state's locals x0, x1, ... (row, store), the channels' running sums
-# (rates, total) and the choice of channel (choice).
+# The jump sampler's loop over one path; _ssa_path_source fills in the
+# state's locals x0, x1, ... (row, store), the channels' rates (rates),
+# their running sums (sums, total) and the choice of channel (choice).
+# The outer loop computes every rate: at the start of the path and after
+# a leaf that breaks; the other leaves recompute the rates they change.
 _SSA_PATH = """\
 def sample_path(j, init, grid, exponential, uniform, budget):
     {row}= init
@@ -491,70 +527,83 @@ def sample_path(j, init, grid, exponential, uniform, budget):
     store = rows.append
     while True:
 {rates}
-        total = {total}
-        if total <= 0.0:
-            t = inf             # absorbed: the state holds forever
-        else:
-            if ei == {chunk}:
-                eat += {chunk}
-                if eat == {block}:
-                    if drawn >= budget:
-                        raise SimulationError(
-                            f"trajectory {{j}} used up its budget of "
-                            f"{{budget}} jump events at t = {{t!r}}: "
-                            "the model may blow up in finite time")
-                    exp_block = exponential({block})
-                    drawn += {block}
-                    eat = 0
-                exp_buf = exp_block[eat:eat + {chunk}].tolist()
-                ei = 0
-            t += exp_buf[ei] / total
-            ei += 1
-        # the last grid time is t_final, so an event past it ends the path
-        while due < t:
+        while True:
+{sums}
+            total = {total}
+            if total <= 0.0:
+                t = inf             # absorbed: the state holds forever
+            else:
+                if ei == {chunk}:
+                    eat += {chunk}
+                    if eat == {block}:
+                        if drawn >= budget:
+                            raise SimulationError(
+                                f"trajectory {{j}} used up its budget of "
+                                f"{{budget}} jump events at t = {{t!r}}: "
+                                "the model may blow up in finite time")
+                        exp_block = exponential({block})
+                        drawn += {block}
+                        eat = 0
+                    exp_buf = exp_block[eat:eat + {chunk}].tolist()
+                    ei = 0
+                t += exp_buf[ei] / total
+                ei += 1
+            # the last grid time is t_final, so an event past it ends the
+            # path
+            while due < t:
 {store}
-            g += 1
-            if g == g_count:
-                return rows
-            due = grid[g]
-        if ui == {chunk}:
-            uat += {chunk}
-            if uat == {block}:
-                uni_block = uniform({block})
-                uat = 0
-            uni_buf = uni_block[uat:uat + {chunk}].tolist()
-            ui = 0
-        target = uni_buf[ui] * total
-        ui += 1
+                g += 1
+                if g == g_count:
+                    return rows
+                due = grid[g]
+            if ui == {chunk}:
+                uat += {chunk}
+                if uat == {block}:
+                    uni_block = uniform({block})
+                    uat = 0
+                uni_buf = uni_block[uat:uat + {chunk}].tolist()
+                ui = 0
+            target = uni_buf[ui] * total
+            ui += 1
 {choice}
 """
+
+
+def _ssa_path_source(channels, n: int) -> str:
+    """The source of the function that _compile_ssa_path compiles."""
+    lines = _ssa_rate_lines(channels)
+    count = len(channels)
+    leaves = _ssa_leaves(channels, lines)
+    return _SSA_PATH.format(
+        row="".join(f"x{i}, " for i in range(n)),
+        store="\n".join(f"{' ' * 16}store(x{i})" for i in range(n)),
+        rates="\n".join(" " * 8 + line for line in lines[:count]),
+        sums="\n".join(" " * 12 + line for line in lines[count:]),
+        total=f"c{count - 1}",
+        choice="\n".join(_choice_tree(leaves, 0, count - 1, " " * 12)),
+        block=_SSA_BLOCK, chunk=_SSA_CHUNK)
 
 
 def _compile_ssa_path(channels, n: int):
     """Generate the jump sampler's loop over one path as one function
     sample_path(j, init, grid, exponential, uniform, budget) -> rows.
 
-    The state is held in the locals x0, ..., x{n-1}.  Each event computes
-    the running sums of _ssa_rate_lines, waits exponential time over
-    their total, picks its channel with _choice_tree and adds the
-    channel's change to the locals.  At every grid time the path passes,
+    The state is held in the locals x0, ..., x{n-1} and each channel's
+    rate in r0, r1, ... (the statements of _ssa_rate_lines).  Each event
+    computes the running sums, waits exponential time over their total,
+    picks its channel with _choice_tree and runs the channel's leaf from
+    _ssa_leaves: the change to the locals, then the rates of the channels
+    that consume a species it moved, or a `break` to the loop that
+    recomputes every rate.  A rate whose species did not move keeps its
+    bits, so every sum, and so every path, is the one that recomputing
+    every rate at every event gives.  At every grid time the path passes,
     the state's coordinates are appended to rows, one flat list.  Random
     numbers come in blocks of _SSA_BLOCK from exponential(k) and
     uniform(k), drawn when the path needs them; each block is turned into
     floats _SSA_CHUNK values at a time.
     """
-    pad = " " * 8
-    leaves = [[f"x{i} += {d}" for i, d in enumerate(change) if d]
-              for _, change, _ in channels]
-    source = _SSA_PATH.format(
-        row="".join(f"x{i}, " for i in range(n)),
-        store="\n".join(f"{pad}    store(x{i})" for i in range(n)),
-        rates="\n".join(pad + line for line in _ssa_rate_lines(channels)),
-        total=f"c{len(channels) - 1}",
-        choice="\n".join(_choice_tree(leaves, 0, len(leaves) - 1, pad)),
-        block=_SSA_BLOCK, chunk=_SSA_CHUNK)
     namespace = {"inf": math.inf, "SimulationError": SimulationError}
-    exec(source, namespace)
+    exec(_ssa_path_source(channels, n), namespace)
     # popped: a function left in its own globals is a cycle, which only
     # the garbage collector frees
     return namespace.pop("sample_path")

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -134,6 +135,17 @@ class TestRateValues:
                                                           value):
         rates = {**VERHULST_RATES, BETA: value}
         with pytest.raises(TypeError, match="value for rate:beta"):
+            self.CALLS[call](parse_scheme(VERHULST), rates)
+
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_nan_and_infinite_rates_are_refused_by_name(self, call, value):
+        # a ValueError naming the symbol, not Fraction's bare ValueError
+        # or OverflowError
+        rates = {**VERHULST_RATES, BETA: value}
+        with pytest.raises(ValueError, match=re.escape(
+                f"value for rate:beta must be finite, got {value!r}")):
             self.CALLS[call](parse_scheme(VERHULST), rates)
 
 

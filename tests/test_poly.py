@@ -1,6 +1,8 @@
 """Exact polynomial algebra: frozen values plus algebraic laws."""
 
 import math
+import re
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +14,7 @@ import onestep.poly
 from onestep import (ExpressionSyntaxError, MissingSymbolError, Polynomial,
                      SymbolId, SymbolKind, as_function, bind_values,
                      canonical_string, falling_factorial, monomial,
-                     parse_expression, power, rate, species)
+                     parse_expression, power, rate, sorted_terms, species)
 
 PHI = species("phi")
 X = species("x")
@@ -165,6 +167,31 @@ class TestBindValues:
             bind_values(p, {LAM: 2})
 
 
+class _UnreadOrder(Sequence):
+    """A symbol order that fails the test when it is read."""
+
+    def __getitem__(self, index):
+        raise AssertionError("symbol_order was read")
+
+    def __len__(self):
+        raise AssertionError("symbol_order was read")
+
+
+class TestSortedTerms:
+    def test_zero_and_one_term_never_read_the_order(self):
+        one = monomial(Fraction(-3, 2), {X: 2, K1: 1})
+        assert sorted_terms(Polynomial.zero(), _UnreadOrder()) == []
+        assert sorted_terms(one, _UnreadOrder()) == list(one.terms)
+        assert sorted_terms(one, [K1, X]) == list(one.terms)
+
+    def test_two_terms_follow_the_order(self):
+        p = parse_expression("x*k_1 + x^2", SYMS)
+        with pytest.raises(AssertionError, match="symbol_order was read"):
+            sorted_terms(p, _UnreadOrder())
+        assert [m.exponents for m in sorted_terms(p, [K1, X])] == \
+            [((X, 2),), ((X, 1), (K1, 1))]
+
+
 class TestEvaluate:
     def test_float_point_gives_the_exact_fraction(self):
         v = verhulst_drift().evaluate(
@@ -189,6 +216,19 @@ class TestEvaluate:
             parse_expression("x^2").evaluate({X: "3"})
         with pytest.raises(TypeError, match="species:x"):
             bind_values(parse_expression("x^2"), {X: "3"})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       np.float64("nan"), np.float64("-inf")])
+    def test_nan_and_infinite_floats_are_refused_by_name(self, value):
+        # a ValueError naming the symbol, not Fraction's bare ValueError
+        # or OverflowError
+        message = re.escape(f"value for rate:beta must be finite, "
+                            f"got {value!r}")
+        with pytest.raises(ValueError, match=message):
+            verhulst_drift().evaluate({LAM: 1, BETA: value, GAMMA: 1,
+                                       PHI: 2})
+        with pytest.raises(ValueError, match=message):
+            bind_values(verhulst_drift(), {LAM: 1, BETA: value, GAMMA: 1})
 
     def test_constant_one(self):
         assert Polynomial.one().evaluate({}) == 1

@@ -7,6 +7,7 @@ import random
 import re
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,8 +29,9 @@ from onestep import (ComparisonReport, DiffusionSign, Distribution, Engine,
 from onestep import (InteractionScheme, NegativeRateError, as_function,
                      bind_values, reaction_channels, transition_rates)
 from onestep.sim import (_CHUNK_STEPS, _PSD_TOL, _RATE_TOL, _REJECT_LIMIT,
-                         _SSA_BLOCK, _SSA_EVENT_BUDGET, _EmStepper,
-                         _choice_tree, _rekey, _ssa_rate_lines,
+                         _SSA_BLOCK, _SSA_EVENT_BUDGET, _SSA_LEAF_RATES,
+                         _EmStepper, _choice_tree, _rekey, _ssa_leaves,
+                         _ssa_path_source, _ssa_rate_lines,
                          _grid_step_indices, _require_finite,
                          symmetric_matrices)
 from helpers import LOTKA_VOLTERRA, PURE_DEATH, VERHULST, random_scheme_text
@@ -73,12 +75,43 @@ class TestSimConfig:
                            t_final=2.0 ** 63 - 1024, dt=1.0)
         assert config.t_final / config.dt <= 2 ** 63 - 1
 
+    @pytest.mark.parametrize("value", [-1, -0.5, Fraction(-1, 3)])
+    @pytest.mark.parametrize("engine", list(Engine))
+    def test_negative_rate_values_are_refused_by_name(self, engine, value):
+        with pytest.raises(SimConfigError, match=re.escape(
+                f"rate value for rate:beta must be nonnegative, "
+                f"got {value!r}")):
+            _run_verhulst(engine, {**VERHULST_RATES, rate("beta"): value})
+
+    @pytest.mark.parametrize("value", [0, -0.0, Fraction(0)])
+    @pytest.mark.parametrize("engine", list(Engine))
+    def test_zero_rate_values_are_accepted(self, engine, value):
+        _run_verhulst(engine, {**VERHULST_RATES, rate("beta"): value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("engine", list(Engine))
+    def test_non_finite_rate_values_are_refused_by_name(self, engine, value):
+        # a ValueError, not Fraction's OverflowError for an infinity
+        with pytest.raises(ValueError, match=re.escape(
+                f"value for rate:beta must be finite, got {value!r}")):
+            _run_verhulst(engine, {**VERHULST_RATES, rate("beta"): value})
+
     def test_negative_zero_initial_value_is_read_as_zero(self):
         config = SimConfig(rates={}, initial_state=(-0.0, 2.0, 0),
                            t_final=1.0)
         assert config.initial_state == (0.0, 2.0, 0.0)
         assert [math.copysign(1.0, x) for x in config.initial_state] == \
             [1.0, 1.0, 1.0]
+
+
+def _run_verhulst(engine: Engine, rates) -> TrajectoryEnsemble:
+    """A short verhulst run from 10 with the given rate values."""
+    scheme = parse_scheme(VERHULST)
+    config = SimConfig(rates=rates, initial_state=(10.0,), t_final=0.1,
+                       dt=0.01, trajectories=2, grid_points=3)
+    if engine is Engine.SSA:
+        return gillespie_ssa(scheme, config)
+    return euler_maruyama(build_sde_model(scheme), config)
 
 
 class TestTrajectoryRng:
@@ -732,8 +765,13 @@ def _verhulst_ensemble(engine: Engine) -> TrajectoryEnsemble:
     return euler_maruyama(build_sde_model(scheme), config)
 
 
-RING8 = "".join(f"3 x{i} <-> 3 x{i % 8 + 1} @ a_{i}, b_{i}\n"
-                for i in range(1, 9))
+def _ring_text(count: int) -> str:
+    """The ring8 benchmark's scheme on count species."""
+    return "".join(f"3 x{i} <-> 3 x{i % count + 1} @ a_{i}, b_{i}\n"
+                   for i in range(1, count + 1))
+
+
+RING8 = _ring_text(8)
 
 
 def _ring8_ensemble(engine: Engine) -> TrajectoryEnsemble:
@@ -1282,6 +1320,110 @@ class TestJumpSamplerParts:
         new = _outcome(gillespie_ssa, scheme, config)
         assert new == _outcome(_reference_gillespie_ssa, scheme, config)
         assert isinstance(new[0], bytes)
+
+
+# a ring x1 -> x2 -> ... -> x20 -> x1, each step also catalysed by the
+# hub h, which 21 channels consume: the ring's leaves recompute four
+# rates, the hub's birth and death leaves break
+HUB_RING = ("".join(f"x{i} -> x{i % 20 + 1} @ a_{i}\n"
+                    f"h + x{i} -> h + x{i % 20 + 1} @ b_{i}\n"
+                    for i in range(1, 21))
+            + "0 -> h @ k\nh -> 0 @ d\n")
+
+
+def _recomputed(leaf) -> list[int]:
+    """The channels whose rates a leaf recomputes, in its order."""
+    return [int(line[1:line.index(" ")]) for line in leaf
+            if line.startswith("r")]
+
+
+def _channels(text: str):
+    scheme = parse_scheme(text)
+    return reaction_channels(scheme, {s: 1.0 for s in scheme.rate_symbols})
+
+
+class TestDependentRates:
+    """Each leaf of the jump sampler recomputes only the rates its event
+    changes, and the paths keep the bits of the reference, which
+    recomputes every rate at every event."""
+
+    @pytest.mark.parametrize("count", [16, 32])
+    def test_rings_match_the_reference(self, count):
+        scheme = parse_scheme(_ring_text(count))
+        rates = {**{rate(f"a_{i}"): 1e-3 for i in range(1, count + 1)},
+                 **{rate(f"b_{i}"): 5e-4 for i in range(1, count + 1)}}
+        config = SimConfig(rates=rates, initial_state=(20.0,) * count,
+                           t_final=0.5, trajectories=20, base_seed=11,
+                           grid_points=30)
+        new = _outcome(gillespie_ssa, scheme, config)
+        assert isinstance(new[0], bytes)
+        assert new == _outcome(_reference_gillespie_ssa, scheme, config)
+
+    def test_capped_and_uncapped_leaves_match_the_reference(self):
+        scheme = parse_scheme(HUB_RING)
+        channels = _channels(HUB_RING)
+        leaves = _ssa_leaves(channels, _ssa_rate_lines(channels))
+        assert [leaf[-1] == "break" for leaf in leaves] == \
+            [False] * 40 + [True, True]
+        rates = {**{rate(f"a_{i}"): 1.0 for i in range(1, 21)},
+                 **{rate(f"b_{i}"): 0.1 for i in range(1, 21)},
+                 rate("k"): 5.0, rate("d"): 0.5}
+        initial = tuple(10.0 if s.name == "h" else 3.0
+                        for s in scheme.species)
+        config = SimConfig(rates=rates, initial_state=initial, t_final=1.0,
+                           trajectories=20, base_seed=5, grid_points=30)
+        new = _outcome(gillespie_ssa, scheme, config)
+        assert isinstance(new[0], bytes)
+        assert new == _outcome(_reference_gillespie_ssa, scheme, config)
+
+    def test_ring8_leaves_recompute_their_four_dependents(self):
+        channels = _channels(RING8)
+        lines = _ssa_rate_lines(channels)
+        for c, leaf in enumerate(_ssa_leaves(channels, lines)):
+            # channels 2i and 2i+1 move the locals x_i and x_{i+1}; x_i
+            # feeds channels 2i-1 and 2i, x_{i+1} 2i+1 and 2i+2 (mod 16)
+            deps = sorted((c - c % 2 + d) % 16 for d in (-1, 0, 1, 2))
+            assert _recomputed(leaf) == deps
+            assert leaf[2:] == [lines[k] for k in deps]
+            assert len(leaf) == 6 and "break" not in leaf
+
+    def test_verhulst_leaves_recompute_every_rate(self):
+        channels = _channels(VERHULST)
+        lines = _ssa_rate_lines(channels)
+        for leaf in _ssa_leaves(channels, lines):
+            assert leaf[1:] == lines[:3]
+
+    def test_4000_channel_leaves_break(self):
+        channels = _channels("".join(f"x -> y @ k_{i}\n"
+                                     for i in range(4000)))
+        leaves = _ssa_leaves(channels, _ssa_rate_lines(channels))
+        assert all(leaf == ["x0 += -1", "x1 += 1", "break"]
+                   for leaf in leaves)
+
+    def test_no_leaf_holds_more_than_the_cap(self):
+        # the death of a hub that the cap's count of channels consume
+        # recomputes them all; one more consumer caps it
+        for extra, capped in ((0, False), (1, True)):
+            count = _SSA_LEAF_RATES + extra
+            text = ("".join(f"h -> y{i} + h @ k_{i}\n"
+                            for i in range(count - 1)) + "h -> 0 @ d\n")
+            channels = _channels(text)
+            leaves = _ssa_leaves(channels, _ssa_rate_lines(channels))
+            death = leaves[-1]
+            assert (death[-1] == "break") is capped
+            assert _recomputed(death) == ([] if capped else
+                                          list(range(count)))
+            assert all(len(_recomputed(leaf)) <= _SSA_LEAF_RATES
+                       for leaf in leaves)
+
+    def test_source_is_linear_in_the_channel_count(self):
+        # per channel: a rate, a sum, one leaf of 2 moves and 4 rates and
+        # the tree's if/else pair; per species a store
+        sizes = {n: len(_ssa_path_source(_channels(_ring_text(n)),
+                                         n).splitlines())
+                 for n in (250, 500, 1000)}
+        assert sizes[1000] - sizes[500] == 2 * (sizes[500] - sizes[250])
+        assert sizes[1000] - sizes[500] == 21 * 500
 
 
 class TestManyChannels:
