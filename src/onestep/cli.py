@@ -39,8 +39,9 @@ from .sim import (Engine, NegativePolicy, NegativeRateError, NotPsdError,
                   SimConfig, SimConfigError, SimulationError,
                   TooFewTrajectoriesError, check_seed, check_trajectory_count,
                   compare_engines, ensemble_moments, euler_maruyama,
-                  gillespie_ssa, integer_initial_state, mean_band_svg,
-                  moments_to_csv, symmetric_matrices, trajectories_to_csv)
+                  gillespie_ssa, integer_initial_state, matrix_sqrt_psd,
+                  mean_band_svg, moments_to_csv, symmetric_matrices,
+                  trajectories_to_csv)
 
 
 class RatesFileError(ValueError):
@@ -557,13 +558,17 @@ def cmd_simulate(args) -> int:
 # check
 
 
-def _sample_states(box: StateBox, seed: int, cap: int = 4096,
-                   sample: int = 512):
-    if box.size <= cap:
+_WHOLE_BOX = 4096       # check uses every state of a box this small
+_SAMPLED = 512          # and this many distinct states of a larger one
+_LARGEST_BOUND = 2 ** 63 - 1    # the largest bound int64 draws can reach
+
+
+def _sample_states(box: StateBox, seed: int):
+    if box.size <= _WHOLE_BOX:
         return list(box.states())
     rng = np.random.Generator(np.random.Philox(key=seed))
     states = set()
-    while len(states) < sample:
+    while len(states) < _SAMPLED:
         states.add(tuple(int(rng.integers(0, b + 1)) for b in box.bounds))
     return sorted(states)
 
@@ -594,6 +599,11 @@ def cmd_check(args) -> int:
         box = parse_box(args.box, scheme.species)
     else:
         box = default_box(scheme, rates, initial)
+    for sym, b in zip(scheme.species, box.bounds):
+        if b > _LARGEST_BOUND:
+            raise UsageError(f"box bound {b} for species '{sym.name}' is "
+                             f"above {_LARGEST_BOUND}, the largest bound the "
+                             "states can be sampled from")
 
     # a second-moment or PSD failure that the difference convention
     # predicts for reversible interactions can be downgraded
@@ -663,25 +673,25 @@ def cmd_check(args) -> int:
                     "B is symmetric as polynomials" if symmetric
                     else "B is not symmetric"))
 
-    # positive semidefiniteness of B over the box, requested convention
+    # B has the engines' noise factor at every state, requested convention
     diffusion = as_function([bind_values(requested_diff[i][j], rates)
                              for i in range(n) for j in range(i, n)],
                             scheme.species)
-    b = symmetric_matrices(diffusion(*columns.astype(np.float64)),
-                           len(states), n)
-    lowest = np.linalg.eigvalsh(b).min(axis=1).tolist()
-    largest = np.abs(b).max(axis=(1, 2)).tolist()
-    bad = next(((state, w) for state, w, scale
-                in zip(states, lowest, largest) if w < -1e-9 * (1.0 + scale)),
-               None)
-    if bad is None:
-        results.append(("PASS", "psd-sampling",
-                        f"min eigenvalue {min(lowest):.6g} over "
-                        f"{len(states)} states"))
-    else:
-        results.append((sign_status, "psd-sampling",
-                        f"B({bad[0]}) has eigenvalue {bad[1]:.6g} < 0 under "
-                        f"the {sign.value} convention"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = symmetric_matrices(diffusion(*columns.astype(np.float64)),
+                               len(states), n)
+        for s, _, _ in np.argwhere(~np.isfinite(b))[:1]:
+            raise UsageError(f"B({states[s]}) is beyond the float range; "
+                             "rescale the rate values")
+        try:
+            matrix_sqrt_psd(b)
+            results.append(("PASS", "psd-sampling", "B has a semidefinite "
+                            f"factor at all {len(states)} states"))
+        except NotPsdError as exc:
+            results.append((sign_status, "psd-sampling",
+                            f"B({states[exc.index[0]]}) is not positive "
+                            f"semidefinite under the {sign.value} "
+                            f"convention: {exc}"))
 
     # cross-engine agreement always runs on the exact/sum model, the one
     # convention whose Langevin equation matches the jump process

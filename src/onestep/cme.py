@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .poly import SymbolId, _exact, as_function, bind_values
+from .poly import SymbolId, _compile, _exact, as_function, bind_values
 from .scheme import InteractionScheme
 
 
@@ -415,6 +415,4 @@ def _drift_flow(drift, n: int):
                   f"        if x{i} > p{i}:",
                   f"            p{i} = x{i}"]
     lines.append("    return (" + "".join(f"p{i}, " for i in range(n)) + ")")
-    namespace = {"drift": drift}
-    exec("\n".join(lines), namespace)
-    return namespace["flow"]
+    return _compile("\n".join(lines), "flow", {"drift": drift})

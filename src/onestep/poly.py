@@ -603,6 +603,14 @@ _TERMS_PER_LINE = 256
 _FACTORS_PER_LINE = 256
 
 
+def _compile(source: str, name: str, namespace: dict) -> Callable:
+    """Run generated source in namespace and return its function name,
+    popped: a function left in its own globals is a cycle, which only the
+    garbage collector frees."""
+    exec(source, namespace)
+    return namespace.pop(name)
+
+
 def as_function(polys: Sequence[Polynomial],
                 args: Sequence[SymbolId]) -> Callable:
     """Compile to one float function of positional arguments in args
@@ -671,6 +679,4 @@ def as_function(polys: Sequence[Polynomial],
         add_terms(k, run)
     lines.append("    return (" + "".join(f"s{k}, " for k in
                                           range(len(polys))) + ")")
-    namespace: dict = {}
-    exec("\n".join(lines), namespace)
-    return namespace["polynomials"]
+    return _compile("\n".join(lines), "polynomials", {})

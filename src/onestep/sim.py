@@ -22,7 +22,7 @@ import numpy as np
 from .cme import UnboundRateError, reaction_channels
 from .derive import (IncompatibleNoiseError, NoiseStrategy, SdeModel,
                      transition_rates)
-from .poly import SymbolId, _exact, as_function, bind_values
+from .poly import SymbolId, _compile, _exact, as_function, bind_values
 from .scheme import InteractionScheme
 
 _CHUNK_STEPS = 256      # noise draws are blocked per trajectory in chunks
@@ -602,11 +602,8 @@ def _compile_ssa_path(channels, n: int):
     uniform(k), drawn when the path needs them; each block is turned into
     floats _SSA_CHUNK values at a time.
     """
-    namespace = {"inf": math.inf, "SimulationError": SimulationError}
-    exec(_ssa_path_source(channels, n), namespace)
-    # popped: a function left in its own globals is a cycle, which only
-    # the garbage collector frees
-    return namespace.pop("sample_path")
+    return _compile(_ssa_path_source(channels, n), "sample_path",
+                    {"inf": math.inf, "SimulationError": SimulationError})
 
 
 def integer_initial_state(initial_state: Sequence[float]) -> list[int]:

@@ -14,8 +14,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from onestep import (Polynomial, build_sde_model, diffusion_matrix,
-                     model_from_json)
+from onestep import (DiffusionSign, NotPsdError, Polynomial, RateMode,
+                     build_sde_model, default_box, diffusion_matrix,
+                     matrix_sqrt_psd, model_from_json, parse_scheme)
 from onestep import __version__
 from onestep.cli import (MANIFEST_FORMAT, RatesFileError, build_parser,
                          main, parse_initial, parse_rates_file)
@@ -637,9 +638,11 @@ _ENGINE_LINE = ("PASS engine-consistency: max |z| = 0.940 vs threshold 4.0 "
                 "over 6 grid times, 60 trajectories per engine\n")
 
 # check's whole stdout for fixed inputs, byte for byte: it pins the state
-# and entry of each moment mismatch and the eigenvalue text of the PSD scan,
-# which names the first state below the tolerance and that state's own
-# smallest eigenvalue (B(25) = -5/4 for Verhulst)
+# and entry of each moment mismatch, and the first state, in state order,
+# at which the noise factor of B fails, with the factor's own message (the
+# pivot B(25) = -5/4 for Verhulst); the psd-sampling lines were re-recorded
+# when this factor replaced a scan of eigenvalues, which failed at the same
+# states
 CHECK_GOLDEN = {
     "verhulst-sum": (
         "PASS first-jump-moment: drift equals the enumerated first moment "
@@ -647,7 +650,7 @@ CHECK_GOLDEN = {
         "PASS second-jump-moment: diffusion (sum form) equals the enumerated "
         "second moment exactly on 65 states\n"
         "PASS diffusion-symmetry: B is symmetric as polynomials\n"
-        "PASS psd-sampling: min eigenvalue 0 over 65 states\n"
+        "PASS psd-sampling: B has a semidefinite factor at all 65 states\n"
         + _ENGINE_LINE),
     "verhulst-difference": (
         "PASS first-jump-moment: drift equals the enumerated first moment "
@@ -655,8 +658,9 @@ CHECK_GOLDEN = {
         "FAIL second-jump-moment: diffusion (difference form) differs from "
         "the enumerated second moment at state (2,), entry (0,0)\n"
         "PASS diffusion-symmetry: B is symmetric as polynomials\n"
-        "FAIL psd-sampling: B((25,)) has eigenvalue -1.25 < 0 under the "
-        "difference convention\n"
+        "FAIL psd-sampling: B((25,)) is not positive semidefinite under the "
+        "difference convention: pivot 0 is -1.250000e+00, negative beyond "
+        "tolerance 2.250e-09\n"
         + _ENGINE_LINE),
     "verhulst-difference-allowed": (
         "PASS first-jump-moment: drift equals the enumerated first moment "
@@ -666,8 +670,9 @@ CHECK_GOLDEN = {
         "expected for the difference convention with reversible "
         "interactions\n"
         "PASS diffusion-symmetry: B is symmetric as polynomials\n"
-        "ADVISORY psd-sampling: B((25,)) has eigenvalue -1.25 < 0 under the "
-        "difference convention\n"
+        "ADVISORY psd-sampling: B((25,)) is not positive semidefinite under "
+        "the difference convention: pivot 0 is -1.250000e+00, negative "
+        "beyond tolerance 2.250e-09\n"
         + _ENGINE_LINE),
     # a 17^3 box exceeds the 4096-state cap, so 512 states are sampled
     "ring3-sampled": (
@@ -676,8 +681,9 @@ CHECK_GOLDEN = {
         "FAIL second-jump-moment: diffusion (difference form) differs from "
         "the enumerated second moment at state (0, 0, 2), entry (1,1)\n"
         "PASS diffusion-symmetry: B is symmetric as polynomials\n"
-        "FAIL psd-sampling: B((0, 0, 2)) has eigenvalue -2.244 < 0 under "
-        "the difference convention\n"
+        "FAIL psd-sampling: B((0, 0, 2)) is not positive semidefinite under "
+        "the difference convention: pivot 1 is -1.454545e+00, negative "
+        "beyond tolerance 1.300e-08\n"
         "FAIL engine-consistency: needs --initial to start the "
         "trajectories\n"),
 }
@@ -726,6 +732,76 @@ class TestCheckGolden:
         assert code == 1
         assert ("FAIL first-jump-moment: mismatch at state (1, 0, 1), "
                 "component 2\n") in capsys.readouterr().out
+
+
+class TestCheckPsd:
+    """psd-sampling asks the engines' own noise factor, matrix_sqrt_psd,
+    whether B has a factor at every checked state."""
+
+    def test_no_eigenvalues_are_computed(self, ring3_files, capsys,
+                                         monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("check computed eigenvalues")
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        scheme, rates = ring3_files
+        assert main(["check", scheme, "--rates", rates, "--box", "16"]) == 1
+        assert capsys.readouterr().out == CHECK_GOLDEN["ring3-sampled"]
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        """Every batch check hands to the noise factor."""
+        seen = []
+
+        def recorded(b):
+            seen.append(b)
+            return matrix_sqrt_psd(b)
+        monkeypatch.setattr("onestep.cli.matrix_sqrt_psd", recorded)
+        return seen
+
+    @pytest.mark.parametrize("box, count", [("2", 27), ("16", 512)],
+                             ids=["whole-box", "sampled"])
+    def test_the_factor_sees_every_state_in_one_batch(
+            self, box, count, ring3_files, capsys, batches):
+        scheme, rates = ring3_files
+        main(["check", scheme, "--rates", rates, "--box", box])
+        assert [b.shape for b in batches] == [(count, 3, 3)]
+        assert f"on {count} states" in capsys.readouterr().out
+
+    def test_the_named_state_is_the_first_that_fails(
+            self, ring3_files, capsys, batches):
+        scheme, rates = ring3_files
+        main(["check", scheme, "--rates", rates, "--box", "16"])
+        assert "FAIL psd-sampling: B((0, 0, 2))" in capsys.readouterr().out
+        [batch] = batches
+        with pytest.raises(NotPsdError) as failure:
+            matrix_sqrt_psd(batch)
+        [i] = failure.value.index
+        # B(0, 0, 2) from the exact polynomials, fp rates and difference
+        # convention, fails on its own; every state before it factors
+        ring = parse_scheme(RING3)
+        bound = {sym: parse_rates_file(RING3_RATES_TEXT)[sym.name]
+                 for sym in ring.rate_symbols}
+        point = {**bound, **dict(zip(ring.species, (0, 0, 2)))}
+        own = np.array([[[float(p.evaluate(point)) for p in row]
+                         for row in diffusion_matrix(
+                             ring, RateMode.FOKKER_PLANCK,
+                             DiffusionSign.DIFFERENCE)]])
+        assert np.array_equal(batch[i:i + 1], own)
+        with pytest.raises(NotPsdError):
+            matrix_sqrt_psd(own)
+        matrix_sqrt_psd(batch[:i])
+
+    @pytest.mark.filterwarnings("error")
+    def test_b_beyond_the_float_range_exits_2(self, tmp_path, capsys):
+        # B_xx = a x y + b overflows at every state with x, y >= 1
+        scheme = tmp_path / "s.scheme"
+        scheme.write_text("x + y <-> 0 @ a, b\n")
+        rates = tmp_path / "s.rates"
+        rates.write_text("a = 1e308\nb = 1e308\n")
+        assert main(["check", str(scheme), "--rates", str(rates),
+                     "--box", "3000", "--diffusion-sign", "sum"]) == 2
+        _assert_usage_error(capsys, "B((6, 2650)) is beyond the float "
+                                    "range; rescale the rate values")
 
 
 class TestCheckSeed:
@@ -872,6 +948,35 @@ class TestCheckBox:
                      "--box", "2,3"])
         assert code == 1    # only the engine check fails, for --initial
         assert "on 12 states" in capsys.readouterr().out
+
+    # the sampled states are int64 draws, which reach 2**63 - 1 at most
+    def test_bound_beyond_int64_exits_2_before_any_work(
+            self, lv_file, lv_rates, capsys, monkeypatch):
+        _refuse_work(monkeypatch)
+        code = main(["check", str(lv_file), "--rates", str(lv_rates),
+                     "--box", f"3,{2 ** 63}"])
+        assert code == 2
+        _assert_usage_error(capsys, f"box bound {2 ** 63}", "species 'y'")
+
+    def test_initial_state_beyond_int64_exits_2(
+            self, verhulst_file, verhulst_rates, capsys, monkeypatch):
+        # the default box keeps the initial state, so its bound is 10**19
+        _refuse_work(monkeypatch)
+        monkeypatch.setattr("onestep.cli.default_box", default_box)
+        code = main(["check", str(verhulst_file), "--rates",
+                     str(verhulst_rates), "--initial", "phi=1e19"])
+        assert code == 2
+        _assert_usage_error(capsys, f"box bound {10 ** 19}",
+                            "species 'phi'")
+
+    def test_the_largest_int64_bound_is_sampled(self, verhulst_file,
+                                                verhulst_rates, capsys):
+        code = main(["check", str(verhulst_file), "--rates",
+                     str(verhulst_rates), "--box", str(2 ** 63 - 1)])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "on 512 states" in out
+        assert "FAIL engine-consistency: needs --initial" in out
 
 
 def _run_command(command, tmp_path, scheme_path, rates_path, extra):

@@ -1,6 +1,7 @@
 """Sampling engines: noise factorization, stepping, moments, comparison."""
 
 import bisect
+import gc
 import itertools
 import math
 import random
@@ -20,8 +21,9 @@ from onestep import (ComparisonReport, DiffusionSign, Distribution, Engine,
                      SimConfig, SimConfigError, SimulationError, StateBox,
                      TooFewTrajectoriesError, TrajectoryEnsemble,
                      UnboundRateError, build_generator, build_sde_model,
-                     compare_engines, compare_reports, distribution_moments,
-                     distribution_to_csv, ensemble_moments, euler_maruyama,
+                     compare_engines, compare_reports, default_box,
+                     distribution_moments, distribution_to_csv,
+                     ensemble_moments, euler_maruyama,
                      evolve_distribution, gillespie_ssa, matrix_sqrt_psd,
                      mean_band_svg, moments_to_csv, parse_expression,
                      parse_scheme, point_mass,
@@ -1440,3 +1442,36 @@ class TestManyChannels:
         assert np.all(paths.sum(axis=2) == 3.0)
         # at total rate 4,000 per particle every particle has moved by t=1
         assert np.array_equal(paths[:, -1], [[0.0, 3.0], [0.0, 3.0]])
+
+
+class TestNoReferenceCycles:
+    """Generated functions are popped from the namespace they were run
+    in, so compiling and running them leaves nothing for the garbage
+    collector."""
+
+    @pytest.fixture
+    def collector_off(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    def test_compiling_and_sampling_leave_no_cycles(self, collector_off):
+        scheme = parse_scheme(LOTKA_VOLTERRA)
+        model = build_sde_model(scheme, RateMode.EXACT, DiffusionSign.SUM,
+                                NoiseStrategy.MATRIX_SQRT)
+        config = SimConfig(rates=LV_RATES, initial_state=(20.0, 20.0),
+                           t_final=0.1, dt=0.01, trajectories=3,
+                           grid_points=3)
+        calls = {
+            "as_function": lambda: as_function(
+                [bind_values(p, LV_RATES) for p in model.drift],
+                scheme.species),
+            "default_box": lambda: default_box(scheme, LV_RATES, (20, 20)),
+            "euler_maruyama": lambda: euler_maruyama(model, config),
+            "gillespie_ssa": lambda: gillespie_ssa(scheme, config)}
+        left = {}
+        for name, call in calls.items():
+            call()
+            left[name] = gc.collect()
+        assert left == dict.fromkeys(calls, 0)
