@@ -622,18 +622,16 @@ def as_function(polys: Sequence[Polynomial],
 
     The body is generated source over float literals and the argument
     positions _0, _1, ...: "s0 = 0.0 + c1*_0*_0 - c2*_1 ...", terms in
-    storage order and powers as repeated products, evaluated left to
-    right, for each polynomial.  Long sums continue over several
-    statements, and so does a term of more than _FACTORS_PER_LINE
-    factors ("t = c*_0*...", "t = t*_0*...", then "s0 = s0 - t"), which
-    keeps the expressions shallow enough to compile.
+    storage order, each its sign and then |c| times its factors (powers
+    as repeated products) taken left to right, for each polynomial.
+    Each distinct product is computed once for all terms and
+    polynomials: one that two longer products or terms read goes into a
+    local ("p7 = c1*_0", read as "p7*_0"), deleted after its last
+    reader.  Long sums continue over several statements, and a run of
+    _FACTORS_PER_LINE products also goes into a local, which keeps the
+    expressions shallow enough to compile.
     """
     index = {s: f"_{i}" for i, s in enumerate(args)}
-
-    def factors(sym: SymbolId, e: int) -> list[str]:
-        if sym not in index:
-            raise MissingSymbolError(sym)
-        return [index[sym]] * e
 
     def literal(c: Fraction) -> str:
         try:
@@ -642,41 +640,76 @@ def as_function(polys: Sequence[Polynomial],
             raise OverflowError("a compiled coefficient is beyond the float "
                                 "range; rescale the rate values") from None
 
-    def add_terms(k: int, terms: list[Monomial]) -> None:
-        if terms:
-            body = render_terms(terms, literal,
-                                lambda sym, e: "*".join(factors(sym, e)),
-                                times="*", zero="0.0", lead="-")
-            lines.append(f"    s{k} = s{k} + {body}")
-
-    def add_long_term(k: int, m: Monomial) -> None:
+    def parts(m: Monomial) -> list[str]:
         c = abs(m.coefficient)
-        parts = [literal(c)] if c != 1 else []
+        out = [literal(c)] if c != 1 or not m.exponents else []
         for sym, e in m.exponents:
-            parts += factors(sym, e)
-        for i in range(0, len(parts), _FACTORS_PER_LINE):
-            product = "*".join(parts[i:i + _FACTORS_PER_LINE])
-            lines.append(f"    t = {product}" if i == 0
-                         else f"    t = t*{product}")
-        sign = "-" if m.coefficient < 0 else "+"
-        lines.append(f"    s{k} = s{k} {sign} t")
+            if sym not in index:
+                raise MissingSymbolError(sym)
+            out += [index[sym]] * e
+        return out
 
-    params = ", ".join(f"_{i}" for i in range(len(args)))
-    lines = [f"def polynomials({params}):"]
-    for k, p in enumerate(polys):
-        lines.append(f"    s{k} = 0.0")
-        run: list[Monomial] = []
+    # every prefix of a term's parts is a node, keyed by the node before
+    # it and its last part; its readers are the distinct longer nodes and
+    # the terms that end at it
+    nodes: dict[tuple[int | None, str], int] = {}
+    readers: dict[int | None, int] = {}
+    rows = []
+    for p in polys:
+        row = []
         for m in p.terms:
-            if sum(e for _, e in m.exponents) > _FACTORS_PER_LINE:
-                add_terms(k, run)
-                run = []
-                add_long_term(k, m)
-            else:
-                run.append(m)
-                if len(run) == _TERMS_PER_LINE:
-                    add_terms(k, run)
-                    run = []
-        add_terms(k, run)
-    lines.append("    return (" + "".join(f"s{k}, " for k in
-                                          range(len(polys))) + ")")
-    return _compile("\n".join(lines), "polynomials", {})
+            chain, node = [], None
+            for part in parts(m):
+                if (node, part) not in nodes:
+                    nodes[node, part] = len(nodes)
+                    readers[node] = readers.get(node, 0) + 1
+                node = nodes[node, part]
+                chain.append((node, part))
+            readers[node] = readers.get(node, 0) + 1
+            row.append((m.coefficient < 0, chain))
+        rows.append(row)
+
+    lines: list[str] = []
+    # each local's last line, the one that computes it or its last reader
+    last_use: dict[str, int] = {}
+
+    def product(chain: list[tuple[int, str]]) -> tuple[str, str | None]:
+        """The expression of a term's product, and the local it reads."""
+        (_, expr), local, inline = chain[0], None, 0
+        for node, part in chain[1:]:
+            name = f"p{node}"
+            if name not in last_use:            # not computed yet
+                expr, inline = f"{expr}*{part}", inline + 1
+                if readers[node] == 1 and inline < _FACTORS_PER_LINE:
+                    continue
+                if local:
+                    last_use[local] = len(lines)
+                last_use[name] = len(lines)
+                lines.append(f"    {name} = {expr}")
+            expr = local = name
+            inline = 0
+        return expr, local
+
+    for k, row in enumerate(rows):
+        for i in range(0, max(len(row), 1), _TERMS_PER_LINE):
+            run = [(negative, *product(chain))
+                   for negative, chain in row[i:i + _TERMS_PER_LINE]]
+            for _, _, local in run:
+                if local:
+                    last_use[local] = len(lines)
+            head = f"s{k}" if i else "0.0"
+            lines.append(f"    s{k} = {head}" + "".join(
+                f" {'-' if negative else '+'} {expr}"
+                for negative, expr, _ in run))
+    dead: dict[int, list[str]] = {}
+    for local, line in last_use.items():
+        dead.setdefault(line, []).append(local)
+    params = ", ".join(f"_{i}" for i in range(len(args)))
+    body = [f"def polynomials({params}):"]
+    for i, line in enumerate(lines):
+        body.append(line)
+        if i in dead:
+            body.append(f"    del {', '.join(dead[i])}")
+    body.append("    return (" + "".join(f"s{k}, " for k in
+                                         range(len(polys))) + ")")
+    return _compile("\n".join(body), "polynomials", {})

@@ -5,9 +5,11 @@ for the Langevin model and an exact jump-process (Gillespie) sampler for
 the underlying scheme.  Trajectory j of any run draws from a dedicated
 counter-based Philox stream keyed by base_seed XOR j, so ensembles are
 reproducible regardless of execution order and adding trajectories never
-perturbs existing ones.  The jump sampler runs each path in one function
-generated for the scheme, on one Philox re-keyed to the path's stream;
-after each event it recomputes only the rates that the event changed.
+perturbs existing ones.  The Euler-Maruyama engine holds the states as
+one row per species and takes each step in one function generated for
+the model.  The jump sampler runs each path in one function generated
+for the scheme, on one Philox re-keyed to the path's stream; after each
+event it recomputes only the rates that the event changed.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import numpy as np
 from .cme import UnboundRateError, reaction_channels
 from .derive import (IncompatibleNoiseError, NoiseStrategy, SdeModel,
                      transition_rates)
-from .poly import SymbolId, _compile, _exact, as_function, bind_values
+from .poly import (_TERMS_PER_LINE, SymbolId, _compile, _exact,
+                   as_function, bind_values)
 from .scheme import InteractionScheme
 
 _CHUNK_STEPS = 256      # noise draws are blocked per trajectory in chunks
@@ -204,58 +207,83 @@ def matrix_sqrt_psd(b: np.ndarray) -> np.ndarray:
     no PSD matrix has, raises NotPsdError for the first such matrix in
     batch order.  Asymmetry beyond tol * scale raises NotSymmetricError.
     For n = 1 the factor is sqrt(max(B, 0)).
+
+    This checks the shapes and the symmetry, copies the batch into the
+    entry-major layout and runs _semidefinite_factor, the loop that the
+    Euler-Maruyama step runs on its own copy of B.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.ndim < 2 or b.shape[-1] != b.shape[-2]:
         raise ValueError("expected square matrices on the last two axes")
     n = b.shape[-1]
-    wide = []           # (pivot, the matrices whose column fails there)
-    if n == 1:
-        # one pivot and no column below it, which an Euler-Maruyama step
-        # of one species cannot afford to wrap in the loop below.  A pivot
-        # below -tol * (1 + |d|) is below _PSD_LONE_FLOOR, a test with no
-        # scale to work out, so the scale waits for a pivot that fails it
-        pivots = b.reshape(1, -1)
-        factor = np.sqrt(np.maximum(pivots, 0.0))
-        if not np.count_nonzero(pivots < _PSD_LONE_FLOOR):
-            return factor.reshape(b.shape)
-        floor = _PSD_TOL * (1.0 + np.abs(pivots[0]))
-    else:
-        # entry (i, j) of every matrix is the contiguous row a[i, j], so
-        # each step below is one operation over the batch
-        m = math.prod(b.shape[:-2])
-        a = b.reshape(m, n, n).transpose(1, 2, 0).copy()
-        floor = np.abs(a).max(axis=(0, 1), initial=0.0)
-        floor += 1.0
-        floor *= _PSD_TOL
+    m = math.prod(b.shape[:-2])
+    a = b.reshape(m, n, n).transpose(1, 2, 0).copy()
+    if n > 1:
+        floor = _psd_floor(a)
         asym = np.abs(a - a.transpose(1, 0, 2)).max(axis=(0, 1),
                                                    initial=0.0)
         if np.count_nonzero(asym > floor):
             i = int(np.argmax(asym > floor))
             raise NotSymmetricError(f"matrix asymmetry {asym[i]:.3e} "
                                     f"exceeds tolerance {floor[i]:.3e}")
+    factor = _semidefinite_factor(a, b.shape[:-2])
+    return factor.transpose(2, 0, 1).reshape(b.shape)
+
+
+def _psd_floor(a: np.ndarray) -> np.ndarray:
+    """tol * (1 + max|B|) of each matrix of an entry-major (n, n, m)
+    stack: a pivot at or below it counts as zero."""
+    floor = np.abs(a).max(axis=(0, 1), initial=0.0)
+    floor += 1.0
+    floor *= _PSD_TOL
+    return floor
+
+
+def _semidefinite_factor(a: np.ndarray,
+                         batch: tuple[int, ...]) -> np.ndarray:
+    """matrix_sqrt_psd's factor of the symmetric matrices of an
+    entry-major (n, n, m) stack a, whose entry (i, j) of every matrix is
+    the contiguous row a[i, j], so each step below is one operation over
+    the batch.  a is overwritten; L comes back in the same layout.
+    NotPsdError's index is the failing matrix's position in batch, a
+    shape of m entries."""
+    n, _, m = a.shape
+    wide = []           # (pivot, the matrices whose column fails there)
+    if n == 1:
+        # one pivot and no column below it, which an Euler-Maruyama step
+        # of one species cannot afford to wrap in the loop below.  A pivot
+        # below -tol * (1 + |d|) is below _PSD_LONE_FLOOR, a test with no
+        # scale to work out, so the scale waits for a pivot that fails it
+        pivots = a.reshape(1, m)
+        factor = np.sqrt(np.maximum(pivots, 0.0)).reshape(a.shape)
+        if not np.count_nonzero(pivots < _PSD_LONE_FLOOR):
+            return factor
+    floor = _psd_floor(a)
+    if n > 1:
         # pivot k ends up in a[k, k]: later steps update only the block
         # after it
         pivots = a.reshape(n * n, m)[::n + 1]
         factor = np.zeros(a.shape)
         for k in range(n):
             d = pivots[k]
-            root = np.sqrt(np.maximum(d, 0.0))
-            factor[k, k] = root
+            root = factor[k, k]
+            np.sqrt(np.maximum(d, 0.0), out=root)
             if k + 1 < n:
                 keep = d > floor
-                col = a[k + 1:, k]
+                below = a[k + 1:, k]
+                col = factor[k + 1:, k]
                 # (np.count_nonzero is the cheapest test of a mask)
                 if np.count_nonzero(keep) < m:
                     # under a pivot counted as zero a PSD matrix has no
                     # entry beyond sqrt(tol * scale * B_ii), which is at
                     # most sqrt(tol) * scale
-                    wide.append((k, ~keep & (np.abs(col).max(axis=0)
+                    wide.append((k, ~keep & (np.abs(below).max(axis=0)
                                              > floor / _PSD_SQRT_TOL)))
-                col = np.where(keep, col / np.where(keep, root, 1.0), 0.0)
-                factor[k + 1:, k] = col
+                    np.divide(below, np.where(keep, root, 1.0), out=col)
+                    col[:, ~keep] = 0.0
+                else:
+                    np.divide(below, root, out=col)
                 a[k + 1:, k + 1:] -= col[:, None] * col[None, :]
-        factor = factor.transpose(2, 0, 1)
     bad = pivots < -floor               # (pivot, matrix)
     for k, fails in wide:
         bad[k] |= fails
@@ -266,81 +294,140 @@ def matrix_sqrt_psd(b: np.ndarray) -> np.ndarray:
         why = (f"negative beyond tolerance {floor[i]:.3e}" if d < -floor[i]
                else "too small for the column below it")
         raise NotPsdError(f"pivot {k} is {d:.6e}, {why}",
-                          tuple(int(j) for j in
-                                np.unravel_index(i, b.shape[:-2])))
-    return factor.reshape(b.shape)
+                          tuple(int(j) for j in np.unravel_index(i, batch)))
+    return factor
+
+
+def _entry_rows(values, count: int, n: int) -> np.ndarray:
+    """The entry-major (n, n, count) stack of symmetric matrices whose
+    upper triangles' entries (i <= j) take values in row-major order:
+    entry (i, j) of every matrix is the contiguous row out[i, j]."""
+    out = np.empty((n, n, count))
+    upper = ((i, j) for i in range(n) for j in range(i, n))
+    for (i, j), v in zip(upper, values):
+        out[i, j] = out[j, i] = v
+    return out
 
 
 def symmetric_matrices(values, count: int, n: int) -> np.ndarray:
     """A (count, n, n) stack of symmetric matrices from the values of
     their upper triangles' entries (i <= j) in row-major order.
 
-    The stack is a view in which entry (i, j) of every matrix is one
-    contiguous row, the layout matrix_sqrt_psd works in."""
-    out = np.empty((n, n, count))
-    upper = ((i, j) for i in range(n) for j in range(i, n))
-    for (i, j), v in zip(upper, values):
-        out[i, j] = out[j, i] = v
-    return out.transpose(2, 0, 1)
+    The stack is a view of _entry_rows' buffer, so matrix_sqrt_psd's copy
+    into its entry-major layout reads contiguous rows."""
+    return _entry_rows(values, count, n).transpose(2, 0, 1)
+
+
+def _em_step_source(n: int, wiener_dim: int, per_reaction: bool) -> str:
+    """The source of the step that _EmStepper compiles.
+
+    It reads the species rows x0, x1, ... of the states and the rows e0,
+    e1, ... of the normal draws, and writes row i of the proposal as
+    x_i + d_i dt + z_i sqrt_dt.  For --noise sqrt the noise row is
+    z_i = 0.0 + L_i0 e_0 + ... + L_ii e_i, added left to right over
+    statements of at most _TERMS_PER_LINE terms, with L the factor of
+    B's entry-major stack: einsum's sum over row i of L, whose entries
+    above the diagonal would add exact zeros.  The rows hold n(n+1)/2
+    terms, so the source grows as n^2."""
+    xs = "".join(f"x{i}, " for i in range(n))
+    ds = "".join(f"d{i}, " for i in range(n))
+    lines = ["def em_step(x, e):",
+             f"    {xs}= x",
+             f"    {ds}*rest = polynomials({xs})"]
+    if per_reaction:
+        lines.append("    z = per_reaction(rest, e, change)")
+        noise = [f"z[:, {i}]" for i in range(n)]
+    else:
+        lines += [f"    {''.join(f'e{c}, ' for c in range(wiener_dim))}= e",
+                  f"    f = factor(entry_rows(rest, x.shape[1], {n}), "
+                  "x.shape[1:])"]
+        for i in range(n):
+            terms = [f" + f[{i}, {j}]*e{j}" for j in range(i + 1)]
+            for k in range(0, i + 1, _TERMS_PER_LINE):
+                head = f"z{i}" if k else "0.0"
+                lines.append(f"    z{i} = {head}"
+                             + "".join(terms[k:k + _TERMS_PER_LINE]))
+        noise = [f"z{i}" for i in range(n)]
+    lines.append("    out = empty(x.shape)")
+    lines += [f"    out[{i}] = x{i} + d{i}*dt + {z}*sqrt_dt"
+              for i, z in enumerate(noise)]
+    lines.append("    return out")
+    return "\n".join(lines)
+
+
+def _per_reaction_noise(rates, eps: np.ndarray,
+                        change: np.ndarray) -> np.ndarray:
+    """The (T, n) noise increments sum_r sqrt(a_r) eps_r change_r from the
+    channels' rates a_r, the draws eps (one row per channel) and the
+    channels' changes (s, n)."""
+    amp = np.empty((eps.shape[1], len(change)))
+    for i, v in enumerate(rates):
+        amp[:, i] = v
+    low = amp.min(initial=0.0)
+    if low < -_RATE_TOL:
+        raise NegativeRateError(
+            f"per-reaction rate {low:.6e} is negative beyond "
+            f"tolerance {_RATE_TOL:.1e}")
+    root = np.sqrt(np.clip(amp, 0.0, None))
+    return np.multiply(root, eps.T, out=root) @ change
 
 
 class _EmStepper:
-    """Evaluates drift and noise increments for a batch of states with
-    one generated function of the drift, then the noise entries."""
+    """One Euler-Maruyama step over species rows.
+
+    States are held as an (n, T) array, one contiguous row per species,
+    and the normal draws of a step as an (m, T) array, one row per Wiener
+    component.  step(states, eps) returns the proposal as a new (n, T)
+    array from one function generated per model (_em_step_source): the
+    drift and noise polynomials come from one as_function call over the
+    rows, B goes into one entry-major stack (_entry_rows) that
+    _semidefinite_factor factors in place, and each proposal row is
+    formed from its own rows, with no stacked matrices, transposes or
+    einsum.  Per-reaction noise keeps its (T, s) @ change product."""
 
     def __init__(self, model: SdeModel, config: SimConfig):
         for r in model.rate_symbols:
             if r not in config.rates:
                 raise UnboundRateError(r)
-        self.n = len(model.species)
-        self.strategy = model.noise_strategy
-        if self.strategy is NoiseStrategy.MATRIX_SQRT:
-            noise = [model.diffusion[i][j] for i in range(self.n)
-                     for j in range(i, self.n)]
-            self.wiener_dim = self.n
-        else:
+        n = len(model.species)
+        namespace = {"empty": np.empty, "dt": config.dt,
+                     "sqrt_dt": math.sqrt(config.dt)}
+        per_reaction = model.noise_strategy is NoiseStrategy.PER_REACTION
+        if per_reaction:
             if model.scheme is None:
                 raise IncompatibleNoiseError(
                     "per-reaction noise needs the scheme, but the model "
                     "input carries none")
             tr = transition_rates(model.scheme, model.rate_mode)
             noise = [f + g for f, g in zip(tr.forward, tr.backward)]
-            self.change = np.array(
+            namespace["per_reaction"] = _per_reaction_noise
+            namespace["change"] = np.array(
                 [ia.change for ia in model.scheme.interactions],
                 dtype=np.float64)                       # (s, n)
             self.wiener_dim = len(model.scheme.interactions)
-        self.fn = as_function([bind_values(p, config.rates)
-                               for p in (*model.drift, *noise)],
-                              model.species)
+        else:
+            noise = [model.diffusion[i][j] for i in range(n)
+                     for j in range(i, n)]
+            namespace["entry_rows"] = _entry_rows
+            namespace["factor"] = _semidefinite_factor
+            self.wiener_dim = n
+        namespace["polynomials"] = as_function(
+            [bind_values(p, config.rates) for p in (*model.drift, *noise)],
+            model.species)
+        self._step = _compile(
+            _em_step_source(n, self.wiener_dim, per_reaction), "em_step",
+            namespace)
 
-    def step(self, states: np.ndarray,
-             eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The drift and the noise increment b(phi) eps at each state."""
-        count = states.shape[0]
-        values = self.fn(*states.T)
-        drift = np.empty(states.shape)
-        for i, v in enumerate(values[:self.n]):
-            drift[:, i] = v
-        if self.strategy is NoiseStrategy.PER_REACTION:
-            amp = np.empty((count, self.wiener_dim))
-            for i, v in enumerate(values[self.n:]):
-                amp[:, i] = v
-            low = amp.min(initial=0.0)
-            if low < -_RATE_TOL:
-                raise NegativeRateError(
-                    f"per-reaction rate {low:.6e} is negative beyond "
-                    f"tolerance {_RATE_TOL:.1e}")
-            noise = (np.sqrt(np.clip(amp, 0.0, None)) * eps) @ self.change
-            return drift, noise
-        bmat = symmetric_matrices(values[self.n:], count, self.n)
+    def step(self, states: np.ndarray, eps: np.ndarray) -> np.ndarray:
+        """The proposal states + drift dt + b(states) eps sqrt(dt), for
+        states (n, T) and draws eps (m, T)."""
         try:
-            factor = matrix_sqrt_psd(bmat)
+            return self._step(states, eps)
         except NotPsdError as exc:
-            state = tuple(states[exc.index].tolist())
+            state = tuple(states[:, exc.index[0]].tolist())
             raise NotPsdError(f"diffusion value B at state {state} is not "
                               f"positive semidefinite: {exc}",
                               exc.index) from None
-        return drift, np.einsum("tij,tj->ti", factor, eps)
 
 
 def _grid_step_indices(times: np.ndarray, dt: float, nsteps: int) -> np.ndarray:
@@ -365,12 +452,11 @@ def euler_maruyama(model: SdeModel, config: SimConfig) -> TrajectoryEnsemble:
     times = config.times
     nsteps = int(math.ceil(config.t_final / config.dt - 1e-9))
     grid_at = _grid_step_indices(times, config.dt, nsteps)
-    dt = config.dt
-    sqrt_dt = math.sqrt(dt)
     reject = config.negative_policy is NegativePolicy.REJECT_STEP
 
-    states = np.tile(np.asarray(config.initial_state, dtype=np.float64),
-                     (t_count, 1))
+    # one contiguous row per species
+    states = np.empty((n, t_count))
+    states[:] = np.asarray(config.initial_state, dtype=np.float64)[:, None]
     paths = np.empty((t_count, len(times), n))
     clamps = np.zeros(t_count, dtype=np.int64)
     gens = [trajectory_rng(config.base_seed, j) for j in range(t_count)]
@@ -378,31 +464,32 @@ def euler_maruyama(model: SdeModel, config: SimConfig) -> TrajectoryEnsemble:
     g = 0
     step = 0
     while g < len(times) and grid_at[g] == 0:
-        paths[:, g] = states
+        paths[:, g] = states.T
         g += 1
     m = stepper.wiener_dim
     while step < nsteps:
         k = min(_CHUNK_STEPS, nsteps - step)
-        eps = np.empty((t_count, k, m))
+        # path j's draws of the chunk are column j: the draws of one step
+        # are one contiguous row per Wiener component
+        eps = np.empty((k, m, t_count))
         for j, gen in enumerate(gens):
-            eps[j] = gen.standard_normal((k, m))
+            eps[:, :, j] = gen.standard_normal((k, m))
         for s in range(k):
-            drift, noise = stepper.step(states, eps[:, s, :])
-            proposal = states + drift * dt + noise * sqrt_dt
+            proposal = stepper.step(states, eps[s])
             bad = proposal < 0
             if np.count_nonzero(bad):
                 if reject:
-                    for j in np.nonzero(bad.any(axis=1))[0]:
-                        proposal[j] = _retry_step(stepper, states[j],
-                                                  gens[j], dt, sqrt_dt)
+                    for j in np.nonzero(bad.any(axis=0))[0]:
+                        proposal[:, j] = _retry_step(stepper, states[:, j],
+                                                     gens[j])
                 else:
-                    clamps += bad.any(axis=1)
+                    clamps += bad.any(axis=0)
                     np.clip(proposal, 0.0, None, out=proposal)
             states = proposal
             step += 1
             while g < len(times) and grid_at[g] == step:
-                _require_finite(states, times[g])
-                paths[:, g] = states
+                _require_finite(states.T, times[g])
+                paths[:, g] = states.T
                 g += 1
     return TrajectoryEnsemble(engine=Engine.EULER_MARUYAMA,
                               species=model.species, times=times,
@@ -422,15 +509,13 @@ def _require_finite(states: np.ndarray, t: float) -> None:
 
 
 def _retry_step(stepper: _EmStepper, state: np.ndarray,
-                gen: np.random.Generator, dt: float,
-                sqrt_dt: float) -> np.ndarray:
-    row = state[None, :]
+                gen: np.random.Generator) -> np.ndarray:
+    column = state[:, None]
     for _ in range(_REJECT_LIMIT):
-        drift, noise = stepper.step(
-            row, gen.standard_normal((1, stepper.wiener_dim)))
-        proposal = row + drift * dt + noise * sqrt_dt
+        proposal = stepper.step(
+            column, gen.standard_normal((stepper.wiener_dim, 1)))
         if (proposal >= 0).all():
-            return proposal[0]
+            return proposal[:, 0]
     raise SimulationError(
         f"no nonnegative step found in {_REJECT_LIMIT} redraws; "
         "the step size is likely too large for this state")

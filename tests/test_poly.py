@@ -2,7 +2,7 @@
 
 import math
 import re
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +15,7 @@ from onestep import (ExpressionSyntaxError, MissingSymbolError, Polynomial,
                      SymbolId, SymbolKind, as_function, bind_values,
                      canonical_string, falling_factorial, monomial,
                      parse_expression, power, rate, sorted_terms, species)
+from onestep.poly import Monomial, _compile, render_terms
 
 PHI = species("phi")
 X = species("x")
@@ -663,3 +664,139 @@ class TestAsFunctionAgainstClosure:
         with pytest.raises(MissingSymbolError, match="gamma"):
             as_function([parse_expression("x*y", SYMS), _LEADING_NEGATIVE],
                         (X, Y, K1))
+
+
+# as_function before it computed each distinct product once (body
+# verbatim): every term's product written out in its own sum, a term of
+# more than _FACTORS_PER_LINE factors over statements of its own.
+_TERMS_PER_LINE = 256
+_FACTORS_PER_LINE = 256
+
+
+def _line_as_function(polys: Sequence[Polynomial],
+                      args: Sequence[SymbolId]) -> Callable:
+    index = {s: f"_{i}" for i, s in enumerate(args)}
+
+    def factors(sym: SymbolId, e: int) -> list[str]:
+        if sym not in index:
+            raise MissingSymbolError(sym)
+        return [index[sym]] * e
+
+    def literal(c: Fraction) -> str:
+        try:
+            return repr(float(c))
+        except OverflowError:
+            raise OverflowError("a compiled coefficient is beyond the float "
+                                "range; rescale the rate values") from None
+
+    def add_terms(k: int, terms: list[Monomial]) -> None:
+        if terms:
+            body = render_terms(terms, literal,
+                                lambda sym, e: "*".join(factors(sym, e)),
+                                times="*", zero="0.0", lead="-")
+            lines.append(f"    s{k} = s{k} + {body}")
+
+    def add_long_term(k: int, m: Monomial) -> None:
+        c = abs(m.coefficient)
+        parts = [literal(c)] if c != 1 else []
+        for sym, e in m.exponents:
+            parts += factors(sym, e)
+        for i in range(0, len(parts), _FACTORS_PER_LINE):
+            product = "*".join(parts[i:i + _FACTORS_PER_LINE])
+            lines.append(f"    t = {product}" if i == 0
+                         else f"    t = t*{product}")
+        sign = "-" if m.coefficient < 0 else "+"
+        lines.append(f"    s{k} = s{k} {sign} t")
+
+    params = ", ".join(f"_{i}" for i in range(len(args)))
+    lines = [f"def polynomials({params}):"]
+    for k, p in enumerate(polys):
+        lines.append(f"    s{k} = 0.0")
+        run: list[Monomial] = []
+        for m in p.terms:
+            if sum(e for _, e in m.exponents) > _FACTORS_PER_LINE:
+                add_terms(k, run)
+                run = []
+                add_long_term(k, m)
+            else:
+                run.append(m)
+                if len(run) == _TERMS_PER_LINE:
+                    add_terms(k, run)
+                    run = []
+        add_terms(k, run)
+    lines.append("    return (" + "".join(f"s{k}, " for k in
+                                          range(len(polys))) + ")")
+    return _compile("\n".join(lines), "polynomials", {})
+
+
+def _hexes(values) -> list[list[str]]:
+    return [[float.hex(float(v)) for v in np.ravel(value)]
+            for value in values]
+
+
+def _same_hex_as_line_compiler(polys, values) -> bool:
+    with np.errstate(all="ignore"):
+        got = as_function(polys, _UNIVERSE)(*values)
+        want = _line_as_function(polys, _UNIVERSE)(*values)
+    return type(got) is tuple and _hexes(got) == _hexes(want)
+
+
+# few coefficients and low powers, so that terms share their products;
+# some powers beyond _FACTORS_PER_LINE
+_shared_coeffs = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 20),
+                                  Fraction(-1, 20), Fraction(3)])
+_shared_powers = st.dictionaries(st.sampled_from(_UNIVERSE),
+                                 st.integers(1, 3), max_size=3)
+_long_powers = st.dictionaries(st.sampled_from(_UNIVERSE),
+                               st.sampled_from([1, 255, 256, 257]),
+                               min_size=1, max_size=2)
+_shared_polys = st.lists(st.tuples(_shared_coeffs, _shared_powers),
+                         max_size=6).map(
+    lambda ts: sum((monomial(c, e) for c, e in ts), Polynomial.zero()))
+_long_polys = st.tuples(_shared_polys, _shared_coeffs, _long_powers).map(
+    lambda t: t[0] + monomial(t[1], t[2]))
+_shared_vectors = st.lists(st.one_of(_shared_polys, _long_polys),
+                           max_size=4)
+_any_float = st.one_of(st.floats(-2.0, 2.0),
+                       st.sampled_from([0.0, -0.0, 1e3, -1e3, math.inf,
+                                        -math.inf, math.nan]))
+_any_args = st.lists(_any_float, min_size=len(_UNIVERSE),
+                     max_size=len(_UNIVERSE))
+
+
+class TestAsFunctionAgainstLineCompiler:
+    """Computing each distinct product once changes no bits: every value
+    has the float.hex of the value of the compiler that wrote each term's
+    product out, terms beyond _FACTORS_PER_LINE factors included."""
+
+    @given(polys=_shared_vectors, values=_any_args)
+    @example(polys=[_LEADING_NEGATIVE, -_LEADING_NEGATIVE],
+             values=[1.5, -2.0, 3.0, 0.1])
+    @example(polys=[monomial(-3, {X: 300, Y: 1}), monomial(3, {X: 257}),
+                    monomial(1, {X: 256})],
+             values=[1.001, 0.5, 1.0, 1.0])
+    def test_float_scalars(self, polys, values):
+        assert _same_hex_as_line_compiler(polys, values)
+
+    @given(polys=_shared_vectors,
+           rows=st.lists(_any_args, min_size=1, max_size=4))
+    def test_float_arrays(self, polys, rows):
+        assert _same_hex_as_line_compiler(
+            polys, np.array(rows, dtype=np.float64).T)
+
+    def test_each_distinct_product_is_computed_once(self, monkeypatch):
+        sources = []
+        compile_ = onestep.poly._compile
+
+        def recorded(source, name, namespace):
+            sources.append(source)
+            return compile_(source, name, namespace)
+        monkeypatch.setattr(onestep.poly, "_compile", recorded)
+        polys = [parse_expression(text, SYMS) for text in
+                 ("x*y", "y - x*y", "3*x*y^2", "x*y^2 + 3*x")]
+        f = as_function(polys, _UNIVERSE)
+        # x*y, then 3*x, 3*x*y, 3*x*y*y, and x*y*y from x*y: five products
+        # where writing each term out takes eight
+        assert sources[0].count("*") == 5
+        assert _line_as_function(polys, _UNIVERSE)(1.0, 2.0, 0, 0) == \
+            f(1.0, 2.0, 0, 0)

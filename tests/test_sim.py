@@ -30,9 +30,10 @@ from onestep import (ComparisonReport, DiffusionSign, Distribution, Engine,
                      rate, species, trajectories_to_csv, trajectory_rng)
 from onestep import (InteractionScheme, NegativeRateError, as_function,
                      bind_values, reaction_channels, transition_rates)
-from onestep.sim import (_CHUNK_STEPS, _PSD_TOL, _RATE_TOL, _REJECT_LIMIT,
-                         _SSA_BLOCK, _SSA_EVENT_BUDGET, _SSA_LEAF_RATES,
-                         _EmStepper, _choice_tree, _rekey, _ssa_leaves,
+from onestep.sim import (_CHUNK_STEPS, _PSD_LONE_FLOOR, _PSD_SQRT_TOL,
+                         _PSD_TOL, _RATE_TOL, _REJECT_LIMIT, _SSA_BLOCK,
+                         _SSA_EVENT_BUDGET, _SSA_LEAF_RATES, _EmStepper,
+                         _choice_tree, _em_step_source, _rekey, _ssa_leaves,
                          _ssa_path_source, _ssa_rate_lines,
                          _grid_step_indices, _require_finite,
                          symmetric_matrices)
@@ -140,6 +141,84 @@ def _reconstruction_error(factor, b):
 
 def _is_lower(factor):
     return np.array_equal(factor, np.tril(factor))
+
+
+def _reference_matrix_sqrt_psd(b: np.ndarray) -> np.ndarray:
+    """matrix_sqrt_psd as it was before its loop moved into
+    _semidefinite_factor (body verbatim)."""
+    b = np.asarray(b, dtype=np.float64)
+    if b.ndim < 2 or b.shape[-1] != b.shape[-2]:
+        raise ValueError("expected square matrices on the last two axes")
+    n = b.shape[-1]
+    wide = []           # (pivot, the matrices whose column fails there)
+    if n == 1:
+        # one pivot and no column below it, which an Euler-Maruyama step
+        # of one species cannot afford to wrap in the loop below.  A pivot
+        # below -tol * (1 + |d|) is below _PSD_LONE_FLOOR, a test with no
+        # scale to work out, so the scale waits for a pivot that fails it
+        pivots = b.reshape(1, -1)
+        factor = np.sqrt(np.maximum(pivots, 0.0))
+        if not np.count_nonzero(pivots < _PSD_LONE_FLOOR):
+            return factor.reshape(b.shape)
+        floor = _PSD_TOL * (1.0 + np.abs(pivots[0]))
+    else:
+        # entry (i, j) of every matrix is the contiguous row a[i, j], so
+        # each step below is one operation over the batch
+        m = math.prod(b.shape[:-2])
+        a = b.reshape(m, n, n).transpose(1, 2, 0).copy()
+        floor = np.abs(a).max(axis=(0, 1), initial=0.0)
+        floor += 1.0
+        floor *= _PSD_TOL
+        asym = np.abs(a - a.transpose(1, 0, 2)).max(axis=(0, 1),
+                                                   initial=0.0)
+        if np.count_nonzero(asym > floor):
+            i = int(np.argmax(asym > floor))
+            raise NotSymmetricError(f"matrix asymmetry {asym[i]:.3e} "
+                                    f"exceeds tolerance {floor[i]:.3e}")
+        # pivot k ends up in a[k, k]: later steps update only the block
+        # after it
+        pivots = a.reshape(n * n, m)[::n + 1]
+        factor = np.zeros(a.shape)
+        for k in range(n):
+            d = pivots[k]
+            root = np.sqrt(np.maximum(d, 0.0))
+            factor[k, k] = root
+            if k + 1 < n:
+                keep = d > floor
+                col = a[k + 1:, k]
+                # (np.count_nonzero is the cheapest test of a mask)
+                if np.count_nonzero(keep) < m:
+                    # under a pivot counted as zero a PSD matrix has no
+                    # entry beyond sqrt(tol * scale * B_ii), which is at
+                    # most sqrt(tol) * scale
+                    wide.append((k, ~keep & (np.abs(col).max(axis=0)
+                                             > floor / _PSD_SQRT_TOL)))
+                col = np.where(keep, col / np.where(keep, root, 1.0), 0.0)
+                factor[k + 1:, k] = col
+                a[k + 1:, k + 1:] -= col[:, None] * col[None, :]
+        factor = factor.transpose(2, 0, 1)
+    bad = pivots < -floor               # (pivot, matrix)
+    for k, fails in wide:
+        bad[k] |= fails
+    if np.count_nonzero(bad):
+        i = int(np.argmax(bad.any(axis=0)))
+        k = int(np.argmax(bad[:, i]))
+        d = pivots[k, i]
+        why = (f"negative beyond tolerance {floor[i]:.3e}" if d < -floor[i]
+               else "too small for the column below it")
+        raise NotPsdError(f"pivot {k} is {d:.6e}, {why}",
+                          tuple(int(j) for j in
+                                np.unravel_index(i, b.shape[:-2])))
+    return factor.reshape(b.shape)
+
+
+def _sqrt_outcome(sqrt, b):
+    """A noise factor's bits, or the type, message and index of the error
+    it raised."""
+    try:
+        return sqrt(b).tobytes()
+    except (NotPsdError, NotSymmetricError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "index", None)
 
 
 # stacks of B = R R^T with R of rank at most n, integer entries times a
@@ -257,6 +336,20 @@ class TestMatrixSqrt:
             matrix_sqrt_psd(np.array(b))
         assert info.value.index == ()
 
+    @given(_psd_stacks(),
+           st.lists(st.sampled_from([0.0, 0.0, 1e-9, -1e-12, -1e-6, -1.0]),
+                    min_size=8, max_size=8))
+    @example(case=(np.array([[[1.0, 2.0], [2.0, 1.0]]]), np.zeros(2)),
+             shifts=[0.0] * 8)
+    @example(case=(np.array([[[0.0, 1.0], [1.0, 0.0]]]), np.zeros(2)),
+             shifts=[0.0] * 8)
+    @example(case=(np.array([[[0.0, 1.0], [0.0, 0.0]]]), np.zeros(2)),
+             shifts=[0.0] * 8)
+    def test_same_bits_and_errors_as_the_column_loop(self, case, shifts):
+        b = case[0] + np.diag(shifts[:case[0].shape[-1]])
+        assert _sqrt_outcome(matrix_sqrt_psd, b) == \
+            _sqrt_outcome(_reference_matrix_sqrt_psd, b)
+
     def test_first_indefinite_matrix_in_batch_order_is_named(self):
         # matrix 2 fails at pivot 0, before matrix 1 fails at pivot 1
         stack = np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]],
@@ -267,6 +360,43 @@ class TestMatrixSqrt:
         with pytest.raises(NotPsdError) as info:
             matrix_sqrt_psd(stack.reshape(3, 1, 2, 2)[::-1])
         assert info.value.index == (0, 0)
+
+
+class TestEmStepSource:
+    """The generated Euler-Maruyama step sums each noise row as einsum
+    does, and its source grows as the square of the species count."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_noise_rows_have_the_bits_of_einsum(self, n):
+        # the step runs on a factor with zero entries below the diagonal
+        # too; -0.0 states and drift make x + d dt equal -0.0, the identity
+        # of float addition, so each proposal row is the noise row itself
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            count = int(rng.integers(200, 1001))
+            lower = np.tril(rng.standard_normal((count, n, n)))
+            lower[rng.random(lower.shape) < 0.2] = 0.0
+            eps = rng.standard_normal((n, count))
+            namespace = {
+                "polynomials": lambda *x: (-0.0,) * n + (0.0,) * (n * n),
+                "entry_rows": lambda values, count, n: None,
+                "factor": lambda a, batch: lower.transpose(1, 2, 0).copy(),
+                "empty": np.empty, "dt": 0.0, "sqrt_dt": 1.0}
+            exec(_em_step_source(n, n, False), namespace)
+            rows = namespace["em_step"](np.full((n, count), -0.0), eps)
+            want = np.einsum("tij,tj->ti", lower, eps.T)
+            assert rows.tobytes() == np.ascontiguousarray(want.T).tobytes()
+
+    def test_source_is_quadratic_in_the_species_count(self):
+        # per species one noise row and one proposal row; the rows hold
+        # n(n+1)/2 products of the factor and the draws, and the factor
+        # stays one call (unrolled per entry it would grow as n^3)
+        sources = {n: _em_step_source(n, n, False) for n in (16, 32)}
+        lines = {n: len(text.splitlines()) for n, text in sources.items()}
+        terms = {n: text.count("]*e") for n, text in sources.items()}
+        assert lines[32] - lines[16] == 2 * 16
+        assert terms == {16: 16 * 17 // 2, 32: 32 * 33 // 2}
+        assert all(text.count("factor(") == 1 for text in sources.values())
 
 
 class TestEulerMaruyama:
@@ -295,7 +425,8 @@ class TestEulerMaruyama:
         with pytest.raises(NotPsdError, match=re.escape(
                 f"diffusion value B at state {named} is not positive "
                 "semidefinite: pivot")) as info:
-            stepper.step(np.array(states), np.zeros((3, len(syms))))
+            # species rows and Wiener rows, one column per state
+            stepper.step(np.array(states).T, np.zeros((len(syms), 3)))
         assert info.value.index == (1,)
 
     def test_noiseless_decay_tracks_the_flow(self):
@@ -1256,6 +1387,36 @@ class TestEnginesMatchReference:
                            t_final=1.0, dt=1e-3, trajectories=20,
                            base_seed=8, negative_policy=policy,
                            grid_points=11)
+        new = _outcome(euler_maruyama, model, config)
+        assert new == _outcome(_reference_euler_maruyama, model, config)
+        assert isinstance(new[0], bytes)
+
+    @pytest.mark.parametrize("noise", list(NoiseStrategy))
+    @pytest.mark.parametrize("policy", list(NegativePolicy))
+    @pytest.mark.parametrize("text, values, initial, t_final, dt", [
+        (VERHULST, {"lambda": 1.0, "beta": 0.2, "gamma": 0.05}, (10,), 2.0,
+         1e-3),
+        (LOTKA_VOLTERRA, {"k_1": 1.0, "k_2": 0.05, "k_3": 1.0}, (20, 20),
+         1.0, 2e-3),
+        # B vanishes at (0, 0): pivot 0 counts as zero and its column
+        # test runs; from (1, 0) pivot 1 is zero until y grows
+        (LOTKA_VOLTERRA, {"k_1": 1.0, "k_2": 0.05, "k_3": 1.0}, (0, 0),
+         1.0, 2e-3),
+        (LOTKA_VOLTERRA, {"k_1": 1.0, "k_2": 0.05, "k_3": 1.0}, (1, 0),
+         1.0, 2e-3),
+        (RING8, {**{f"a_{i}": 1e-4 for i in range(1, 9)},
+                 **{f"b_{i}": 5e-5 for i in range(1, 9)}}, (100,) * 8, 0.1,
+         1e-3)])
+    def test_euler_maruyama_on_benchmark_schemes(self, text, values, initial,
+                                                 t_final, dt, policy, noise):
+        """The benchmark's schemes, rates and starts, and the predator-prey
+        model from where its B has zero pivots."""
+        model = build_sde_model(parse_scheme(text), RateMode.EXACT,
+                                DiffusionSign.SUM, noise)
+        config = SimConfig(rates={rate(k): v for k, v in values.items()},
+                           initial_state=initial, t_final=t_final, dt=dt,
+                           trajectories=20, base_seed=4,
+                           negative_policy=policy, grid_points=11)
         new = _outcome(euler_maruyama, model, config)
         assert new == _outcome(_reference_euler_maruyama, model, config)
         assert isinstance(new[0], bytes)
