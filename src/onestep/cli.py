@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cme import UnboundRateError, jump_moments
+from .cme import UnboundRateError, jump_moments, moved_together
 from .codegen import (ModelFormatError, emit_c_source, emit_latex,
                       emit_model_json, model_from_json)
 from .derive import (DiffusionSign, IncompatibleNoiseError, NoiseStrategy,
@@ -566,11 +566,28 @@ _LARGEST_BOUND = 2 ** 63 - 1    # the largest bound int64 draws can reach
 def _sample_states(box: StateBox, seed: int):
     if box.size <= _WHOLE_BOX:
         return list(box.states())
+    # each batch draws as many states as are still missing, coordinate by
+    # coordinate in row-major order: the draws of one scalar integers
+    # call per coordinate, so a batch stops where such a loop would
     rng = np.random.Generator(np.random.Philox(key=seed))
+    bounds = np.array(box.bounds, dtype=np.int64)
     states = set()
     while len(states) < _SAMPLED:
-        states.add(tuple(int(rng.integers(0, b + 1)) for b in box.bounds))
+        batch = rng.integers(0, bounds, endpoint=True,
+                             size=(_SAMPLED - len(states), len(bounds)))
+        states.update(map(tuple, batch.tolist()))
     return sorted(states)
+
+
+def _compared_entries(scheme, diffusion) -> list[tuple[int, int]]:
+    """The entries of B that check compares with the enumerated second
+    moment, in row-major order: those where B is not the zero polynomial
+    or that some channel moves (moved_together).  At every other entry
+    both are exactly 0 at every state."""
+    moved = moved_together(np.array([ia.change
+                                      for ia in scheme.interactions]))
+    return sorted({*moved, *((i, j) for i, row in enumerate(diffusion)
+                             for j, p in enumerate(row) if p)})
 
 
 def cmd_check(args) -> int:
@@ -624,22 +641,25 @@ def cmd_check(args) -> int:
 
     # enumerated jump moments vs the symbolic derivation, exact arithmetic:
     # each polynomial is evaluated once over all states, and the first
-    # mismatch is taken in state order, then entry order
+    # mismatch is taken in state order, then entry order.  The second
+    # moment is compared only where B or a channel can make it nonzero
     states = _sample_states(box, args.seed)
     columns = np.array(states, dtype=object).T
     point = {**rates, **dict(zip(scheme.species, columns))}
-    first, second = (np.array(m, dtype=object)
-                     for m in zip(*jump_moments(scheme, rates, states)))
+    moments = jump_moments(scheme, rates, states)
+    first = np.array([f for f, _ in moments], dtype=object)
     first_wrong = np.zeros(first.shape, dtype=bool)
-    second_wrong = np.zeros(second.shape, dtype=bool)
     for i, p in enumerate(check_model.drift):
         first_wrong[:, i] = first[:, i] != p.evaluate(point)
-    for i, row in enumerate(exact_diff):
-        for j, p in enumerate(row):
-            second_wrong[:, i, j] = second[:, i, j] != p.evaluate(point)
-    first_bad, second_bad = (np.argwhere(wrong)[:1].tolist()
-                             for wrong in (first_wrong, second_wrong))
-    del first, second, point        # freed before the engines run
+    entries = _compared_entries(scheme, exact_diff)
+    second_wrong = np.zeros((len(states), len(entries)), dtype=bool)
+    for e, (i, j) in enumerate(entries):
+        second = np.array([s[i][j] for _, s in moments], dtype=object)
+        second_wrong[:, e] = second != exact_diff[i][j].evaluate(point)
+    first_bad = np.argwhere(first_wrong)[:1].tolist()
+    second_bad = [(s, *entries[e])
+                  for s, e in np.argwhere(second_wrong)[:1].tolist()]
+    del moments, first, point       # freed before the engines run
     n = len(scheme.species)
 
     if not first_bad:

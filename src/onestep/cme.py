@@ -138,6 +138,23 @@ class ChannelTable:
         return Fraction(numerator, self.denominator) if numerator else 0
 
 
+def moved_together(change) -> dict[tuple[int, int], tuple[list, list]]:
+    """The entries (i, j) of the second jump moment that a channel can
+    reach: those of supp(d_c) x supp(d_c) for the rows d_c of the (C, n)
+    changes, in row-major order.  Each maps to its channels c and their
+    weights d_c[i] * d_c[j], in channel order; every other entry of the
+    second moment is exactly 0 at every state."""
+    terms: dict[tuple[int, int], tuple[list, list]] = {}
+    for c, d in enumerate(change.tolist()):
+        moved = [i for i, v in enumerate(d) if v]
+        for i in moved:
+            for j in moved:
+                channels, weights = terms.setdefault((i, j), ([], []))
+                channels.append(c)
+                weights.append(d[i] * d[j])
+    return dict(sorted(terms.items()))
+
+
 def jump_moments(scheme: InteractionScheme, rates: Mapping[SymbolId, object],
                  states: Sequence[Sequence[int]]):
     """First and second jump moments at each of a sequence of states, by
@@ -145,15 +162,25 @@ def jump_moments(scheme: InteractionScheme, rates: Mapping[SymbolId, object],
 
     Returns one (first, second) pair per state, a list and a nested list
     of exact values (ChannelTable.exact).  The second moment sums the
-    directional rates; the first takes their difference.
+    directional rates; the first takes their difference.  The second
+    moment is summed only over the entries that some channel moves
+    (moved_together), each over its own channels and once per pair (i, j)
+    and (j, i); every other entry is the int 0, as a sum of zero products
+    is.
     """
     table = ChannelTable(scheme, rates)
     at = table.rate_numerators(states)                  # (S, C)
-    d = table.change.astype(object)                     # (C, n)
-    first = at.dot(d)                                   # (S, n)
-    second = np.tensordot(at, d[:, :, None] * d[:, None, :], 1)
-    exact = np.vectorize(table.exact, otypes=[object])
-    return list(zip(exact(first).tolist(), exact(second).tolist()))
+    first = at.dot(table.change.astype(object))         # (S, n)
+    n = table.change.shape[1]
+    second = np.zeros((len(at), n, n), dtype=object)    # int 0 entries
+    exact = np.frompyfunc(table.exact, 1, 1)
+    for (i, j), (channels, weights) in moved_together(table.change).items():
+        if i > j:           # the same sum as (j, i), which came first
+            second[:, i, j] = second[:, j, i]
+            continue
+        second[:, i, j] = exact(at[:, channels].dot(
+            np.array(weights, dtype=object)))
+    return list(zip(exact(first).tolist(), second.tolist()))
 
 
 @dataclass(frozen=True)

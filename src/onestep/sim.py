@@ -7,9 +7,10 @@ counter-based Philox stream keyed by base_seed XOR j, so ensembles are
 reproducible regardless of execution order and adding trajectories never
 perturbs existing ones.  The Euler-Maruyama engine holds the states as
 one row per species and takes each step in one function generated for
-the model.  The jump sampler runs each path in one function generated
-for the scheme, on one Philox re-keyed to the path's stream; after each
-event it recomputes only the rates that the event changed.
+the model, which factors B only on its pattern and that pattern's fill.
+The jump sampler runs each path in one function generated for the
+scheme, on one Philox re-keyed to the path's stream; after each event it
+recomputes only the rates that the event changed.
 """
 
 from __future__ import annotations
@@ -209,8 +210,9 @@ def matrix_sqrt_psd(b: np.ndarray) -> np.ndarray:
     For n = 1 the factor is sqrt(max(B, 0)).
 
     This checks the shapes and the symmetry, copies the batch into the
-    entry-major layout and runs _semidefinite_factor, the loop that the
-    Euler-Maruyama step runs on its own copy of B.
+    entry-major layout and runs _semidefinite_factor on the dense pattern:
+    every entry of every column, updated a whole trailing block at a time.
+    The Euler-Maruyama step runs the same loop on B's own pattern.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.ndim < 2 or b.shape[-1] != b.shape[-2]:
@@ -226,27 +228,118 @@ def matrix_sqrt_psd(b: np.ndarray) -> np.ndarray:
             i = int(np.argmax(asym > floor))
             raise NotSymmetricError(f"matrix asymmetry {asym[i]:.3e} "
                                     f"exceeds tolerance {floor[i]:.3e}")
-    factor = _semidefinite_factor(a, b.shape[:-2])
+    dense = _FactorPattern([(i, j) for i in range(n) for j in range(i)], n)
+    factor = _semidefinite_factor(a, dense, b.shape[:-2])
     return factor.transpose(2, 0, 1).reshape(b.shape)
 
 
-def _psd_floor(a: np.ndarray) -> np.ndarray:
+class _FactorPattern:
+    """Where B and its noise factor L can be nonzero, read off once from
+    the entries (i, j), i > j, below B's diagonal that can be nonzero.
+
+    entries are those and the diagonal, in row-major order.  columns[k]
+    are the rows below the diagonal of column k of L, ascending: the
+    symbolic fill of B's pattern, the elimination-tree closure of sparse
+    Cholesky (George & Liu, "Computer Solution of Large Sparse Positive
+    Definite Systems", 1981; Liu, SIAM J. Matrix Anal. Appl. 11, 1990).
+    Column k's rows are B's own below (k, k), and those of every column
+    whose first row is k; elimination in the species' own order makes a
+    nonzero nowhere else.
+
+    steps[k] is how _semidefinite_factor reaches column k's rows: None
+    when there are none; else the rows, as a slice when they are
+    contiguous, and the entries that their update changes: None for the
+    whole block of those rows (the upper half too), else (i, j, p, q) for
+    each entry (i, j) on or below the diagonal, with p and q the positions
+    of rows i and j in the column.  floor_at holds the row and column
+    indices of L's pattern on and below the diagonal, which _psd_floor
+    reads, or None for every entry when that pattern is every entry (so
+    matrix_sqrt_psd's floor reads both halves of B, as its symmetry test
+    does)."""
+
+    def __init__(self, below_diagonal, n: int):
+        self.n = n
+        self.entries = tuple(sorted({*below_diagonal,
+                                     *((k, k) for k in range(n))}))
+        below = [set() for _ in range(n)]
+        for i, j in below_diagonal:
+            below[j].add(i)
+        columns = []
+        for rows in below:
+            rows = sorted(rows)
+            columns.append(tuple(rows))
+            if rows:
+                below[rows[0]].update(rows[1:])
+        self.columns = tuple(columns)
+        self.steps = []
+        for rows in self.columns:
+            if not rows:
+                self.steps.append(None)
+            elif rows[-1] - rows[0] == len(rows) - 1:
+                self.steps.append((slice(rows[0], rows[-1] + 1), None))
+            else:
+                self.steps.append((list(rows), tuple(
+                    (i, j, p, q) for p, i in enumerate(rows)
+                    for q, j in enumerate(rows[:p + 1]))))
+        self.floor_at = None
+        if sum(map(len, self.columns)) < n * (n - 1) // 2:
+            lower = [(k, k) for k in range(n)] + [
+                (i, k) for k, rows in enumerate(self.columns) for i in rows]
+            self.floor_at = tuple(np.array(index, dtype=np.intp)
+                                  for index in zip(*lower))
+
+    def rows(self) -> list[list[int]]:
+        """Each row's columns in L's pattern, ascending, the diagonal
+        last."""
+        out = [[] for _ in range(self.n)]
+        for k, rows in enumerate(self.columns):
+            for i in rows:
+                out[i].append(k)
+        for i, row in enumerate(out):
+            row.append(i)
+        return out
+
+
+def _diffusion_pattern(diffusion) -> _FactorPattern:
+    """The pattern of the polynomial matrix B, symmetric as SdeModel
+    keeps it: the diagonal and the entries that are not the zero
+    polynomial."""
+    n = len(diffusion)
+    return _FactorPattern([(i, j) for i in range(n) for j in range(i)
+                           if diffusion[i][j]], n)
+
+
+def _psd_floor(a: np.ndarray, floor_at=None) -> np.ndarray:
     """tol * (1 + max|B|) of each matrix of an entry-major (n, n, m)
-    stack: a pivot at or below it counts as zero."""
-    floor = np.abs(a).max(axis=(0, 1), initial=0.0)
+    stack: a pivot at or below it counts as zero.  It reads every entry,
+    or only the entries at the rows and columns floor_at (a
+    _FactorPattern's)."""
+    if floor_at is None:
+        floor = np.abs(a).max(axis=(0, 1), initial=0.0)
+    else:
+        floor = np.abs(a[floor_at]).max(axis=0, initial=0.0)
     floor += 1.0
     floor *= _PSD_TOL
     return floor
 
 
-def _semidefinite_factor(a: np.ndarray,
+def _semidefinite_factor(a: np.ndarray, pattern: _FactorPattern,
                          batch: tuple[int, ...]) -> np.ndarray:
     """matrix_sqrt_psd's factor of the symmetric matrices of an
     entry-major (n, n, m) stack a, whose entry (i, j) of every matrix is
     the contiguous row a[i, j], so each step below is one operation over
-    the batch.  a is overwritten; L comes back in the same layout.
-    NotPsdError's index is the failing matrix's position in batch, a
-    shape of m entries."""
+    the batch.  It reads and updates only pattern's entries of L on and
+    below the diagonal, and the upper halves of blocks that pattern.steps
+    updates whole; a must hold B there and +0.0 at L's other entries.  a
+    is overwritten; L comes back in the same layout, zero outside pattern.
+    NotPsdError's index is the failing matrix's position in batch, a shape
+    of m entries.
+
+    On B's own pattern the factor is the dense loop's, up to the sign of
+    zero entries: every entry outside L's pattern stays +0.0 there too, as
+    0.0 - (+-0.0) is 0.0, and every update it skips subtracts +-0.0 from
+    an entry, which moves no bits but a zero's sign.  This holds while no
+    product overflows: inf * 0.0 is NaN."""
     n, _, m = a.shape
     wide = []           # (pivot, the matrices whose column fails there)
     if n == 1:
@@ -258,32 +351,39 @@ def _semidefinite_factor(a: np.ndarray,
         factor = np.sqrt(np.maximum(pivots, 0.0)).reshape(a.shape)
         if not np.count_nonzero(pivots < _PSD_LONE_FLOOR):
             return factor
-    floor = _psd_floor(a)
+    floor = _psd_floor(a, pattern.floor_at)
     if n > 1:
-        # pivot k ends up in a[k, k]: later steps update only the block
+        # pivot k ends up in a[k, k]: later steps update only the entries
         # after it
         pivots = a.reshape(n * n, m)[::n + 1]
         factor = np.zeros(a.shape)
-        for k in range(n):
+        for k, step in enumerate(pattern.steps):
             d = pivots[k]
             root = factor[k, k]
             np.sqrt(np.maximum(d, 0.0), out=root)
-            if k + 1 < n:
-                keep = d > floor
-                below = a[k + 1:, k]
-                col = factor[k + 1:, k]
-                # (np.count_nonzero is the cheapest test of a mask)
-                if np.count_nonzero(keep) < m:
-                    # under a pivot counted as zero a PSD matrix has no
-                    # entry beyond sqrt(tol * scale * B_ii), which is at
-                    # most sqrt(tol) * scale
-                    wide.append((k, ~keep & (np.abs(below).max(axis=0)
-                                             > floor / _PSD_SQRT_TOL)))
-                    np.divide(below, np.where(keep, root, 1.0), out=col)
-                    col[:, ~keep] = 0.0
-                else:
-                    np.divide(below, root, out=col)
-                a[k + 1:, k + 1:] -= col[:, None] * col[None, :]
+            if step is None:
+                continue
+            rows, update = step
+            keep = d > floor
+            below = a[rows, k]
+            # (np.count_nonzero is the cheapest test of a mask)
+            if np.count_nonzero(keep) < m:
+                # under a pivot counted as zero a PSD matrix has no
+                # entry beyond sqrt(tol * scale * B_ii), which is at
+                # most sqrt(tol) * scale
+                wide.append((k, ~keep & (np.abs(below).max(axis=0)
+                                         > floor / _PSD_SQRT_TOL)))
+                col = np.divide(below, np.where(keep, root, 1.0))
+                col[:, ~keep] = 0.0
+            else:
+                col = np.divide(below, root)
+            factor[rows, k] = col
+            if update is None:
+                a[rows, rows] -= col[:, None] * col[None, :]
+            else:
+                for i, j, p, q in update:
+                    entry = a[i, j]
+                    entry -= col[p] * col[q]
     bad = pivots < -floor               # (pivot, matrix)
     for k, fails in wide:
         bad[k] |= fails
@@ -298,14 +398,16 @@ def _semidefinite_factor(a: np.ndarray,
     return factor
 
 
-def _entry_rows(values, count: int, n: int) -> np.ndarray:
-    """The entry-major (n, n, count) stack of symmetric matrices whose
-    upper triangles' entries (i <= j) take values in row-major order:
-    entry (i, j) of every matrix is the contiguous row out[i, j]."""
-    out = np.empty((n, n, count))
-    upper = ((i, j) for i in range(n) for j in range(i, n))
-    for (i, j), v in zip(upper, values):
-        out[i, j] = out[j, i] = v
+def _entry_rows(values, count: int, pattern: _FactorPattern) -> np.ndarray:
+    """The entry-major (n, n, count) stack of the matrices whose entries
+    pattern.entries take values, in order: entry (i, j) of every matrix is
+    the contiguous row out[i, j].  Every other entry is +0.0, which is
+    what _semidefinite_factor needs at L's fill and in the upper halves of
+    the blocks it updates whole."""
+    n = pattern.n
+    out = np.zeros((n, n, count))
+    for (i, j), v in zip(pattern.entries, values):
+        out[i, j] = v
     return out
 
 
@@ -313,22 +415,31 @@ def symmetric_matrices(values, count: int, n: int) -> np.ndarray:
     """A (count, n, n) stack of symmetric matrices from the values of
     their upper triangles' entries (i <= j) in row-major order.
 
-    The stack is a view of _entry_rows' buffer, so matrix_sqrt_psd's copy
-    into its entry-major layout reads contiguous rows."""
-    return _entry_rows(values, count, n).transpose(2, 0, 1)
+    The stack is a view of an entry-major (n, n, count) buffer, so
+    matrix_sqrt_psd's copy into its entry-major layout reads contiguous
+    rows."""
+    out = np.empty((n, n, count))
+    upper = ((i, j) for i in range(n) for j in range(i, n))
+    for (i, j), v in zip(upper, values):
+        out[i, j] = out[j, i] = v
+    return out.transpose(2, 0, 1)
 
 
-def _em_step_source(n: int, wiener_dim: int, per_reaction: bool) -> str:
+def _em_step_source(n: int, wiener_dim: int, per_reaction: bool,
+                    rows: Sequence[Sequence[int]] | None) -> str:
     """The source of the step that _EmStepper compiles.
 
     It reads the species rows x0, x1, ... of the states and the rows e0,
     e1, ... of the normal draws, and writes row i of the proposal as
     x_i + d_i dt + z_i sqrt_dt.  For --noise sqrt the noise row is
-    z_i = 0.0 + L_i0 e_0 + ... + L_ii e_i, added left to right over
-    statements of at most _TERMS_PER_LINE terms, with L the factor of
-    B's entry-major stack: einsum's sum over row i of L, whose entries
-    above the diagonal would add exact zeros.  The rows hold n(n+1)/2
-    terms, so the source grows as n^2."""
+    z_i = 0.0 + L_ij e_j + ... over the columns j of rows[i], ascending
+    (rows is None for per-reaction noise), added left to right over
+    statements of at most
+    _TERMS_PER_LINE terms, with L the factor of B's entry-major stack.
+    That is einsum's sum over row i of L: each entry it leaves out is
+    +-0.0, and so is its term, which leaves a sum that starts at 0.0 as
+    it is.  The source holds one term per entry of L's pattern, so it
+    grows with that pattern: as n^2 for a dense B, as n on a ring."""
     xs = "".join(f"x{i}, " for i in range(n))
     ds = "".join(f"d{i}, " for i in range(n))
     lines = ["def em_step(x, e):",
@@ -339,11 +450,11 @@ def _em_step_source(n: int, wiener_dim: int, per_reaction: bool) -> str:
         noise = [f"z[:, {i}]" for i in range(n)]
     else:
         lines += [f"    {''.join(f'e{c}, ' for c in range(wiener_dim))}= e",
-                  f"    f = factor(entry_rows(rest, x.shape[1], {n}), "
-                  "x.shape[1:])"]
-        for i in range(n):
-            terms = [f" + f[{i}, {j}]*e{j}" for j in range(i + 1)]
-            for k in range(0, i + 1, _TERMS_PER_LINE):
+                  "    f = factor(entry_rows(rest, x.shape[1], pattern), "
+                  "pattern, x.shape[1:])"]
+        for i, row in enumerate(rows):
+            terms = [f" + f[{i}, {j}]*e{j}" for j in row]
+            for k in range(0, len(terms), _TERMS_PER_LINE):
                 head = f"z{i}" if k else "0.0"
                 lines.append(f"    z{i} = {head}"
                              + "".join(terms[k:k + _TERMS_PER_LINE]))
@@ -383,7 +494,15 @@ class _EmStepper:
     rows, B goes into one entry-major stack (_entry_rows) that
     _semidefinite_factor factors in place, and each proposal row is
     formed from its own rows, with no stacked matrices, transposes or
-    einsum.  Per-reaction noise keeps its (T, s) @ change product."""
+    einsum.  Per-reaction noise keeps its (T, s) @ change product.
+
+    For --noise sqrt all of it works on B's pattern (_FactorPattern),
+    read once from the model: the diagonal and the entries of
+    model.diffusion that are not the zero polynomial, so a model input
+    with no scheme has one too.  Only those entries are compiled and
+    written, the factor updates only its symbolic fill, and each noise
+    row sums only its row of that fill.  An entry left out is exactly
+    0.0 at every state, so every proposal has the dense step's bits."""
 
     def __init__(self, model: SdeModel, config: SimConfig):
         for r in model.rate_symbols:
@@ -405,18 +524,22 @@ class _EmStepper:
                 [ia.change for ia in model.scheme.interactions],
                 dtype=np.float64)                       # (s, n)
             self.wiener_dim = len(model.scheme.interactions)
+            rows = None
         else:
-            noise = [model.diffusion[i][j] for i in range(n)
-                     for j in range(i, n)]
+            pattern = _diffusion_pattern(model.diffusion)
+            # the upper triangle's polynomials, which equal the lower's
+            noise = [model.diffusion[j][i] for i, j in pattern.entries]
             namespace["entry_rows"] = _entry_rows
             namespace["factor"] = _semidefinite_factor
+            namespace["pattern"] = pattern
+            rows = pattern.rows()
             self.wiener_dim = n
         namespace["polynomials"] = as_function(
             [bind_values(p, config.rates) for p in (*model.drift, *noise)],
             model.species)
         self._step = _compile(
-            _em_step_source(n, self.wiener_dim, per_reaction), "em_step",
-            namespace)
+            _em_step_source(n, self.wiener_dim, per_reaction, rows),
+            "em_step", namespace)
 
     def step(self, states: np.ndarray, eps: np.ndarray) -> np.ndarray:
         """The proposal states + drift dt + b(states) eps sqrt(dt), for

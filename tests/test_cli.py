@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from onestep import (DiffusionSign, NotPsdError, Polynomial, RateMode,
-                     build_sde_model, default_box, diffusion_matrix,
+                     StateBox, build_sde_model, default_box, diffusion_matrix,
                      matrix_sqrt_psd, model_from_json, parse_scheme)
 from onestep import __version__
-from onestep.cli import (MANIFEST_FORMAT, RatesFileError, build_parser,
+from onestep.cli import (_SAMPLED, MANIFEST_FORMAT, RatesFileError,
+                         _compared_entries, _sample_states, build_parser,
                          main, parse_initial, parse_rates_file)
 from helpers import LOTKA_VOLTERRA, VERHULST
 
@@ -734,6 +735,46 @@ class TestCheckGolden:
                 "component 2\n") in capsys.readouterr().out
 
 
+class TestComparedEntries:
+    CHAIN = "2 x1 <-> 2 x2 @ a_1, b_1\n2 x2 <-> 2 x3 @ a_2, b_2\n"
+    CHAIN_RATES = "a_1 = 1/3\nb_1 = 1/7\na_2 = 2/5\nb_2 = 1/11\n"
+
+    def test_entries_are_those_of_b_or_moved_together(self):
+        scheme = parse_scheme(self.CHAIN)
+        b = build_sde_model(scheme, RateMode.EXACT,
+                            DiffusionSign.SUM).diffusion
+        # no channel moves x1 and x3 together, and B_13 is zero
+        moved = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)]
+        assert _compared_entries(scheme, b) == moved
+        x1, _, x3 = (Polynomial.symbol(s) for s in scheme.species)
+        skewed = [list(row) for row in b]
+        skewed[0][2] = skewed[2][0] = x1 * x3
+        assert _compared_entries(scheme, skewed) == sorted(
+            moved + [(0, 2), (2, 0)])
+
+    def test_a_nonzero_entry_no_channel_reaches_is_compared(
+            self, tmp_path, capsys, monkeypatch):
+        # x1*x3 at B_13, which no channel moves: the first state where it
+        # is nonzero is (1, 0, 1)
+        def skewed_model(scheme, *args):
+            model = build_sde_model(scheme, *args)
+            x1, _, x3 = (Polynomial.symbol(s) for s in scheme.species)
+            b = [list(row) for row in model.diffusion]
+            b[0][2] = b[2][0] = x1 * x3
+            return replace(model, diffusion=tuple(map(tuple, b)))
+        monkeypatch.setattr("onestep.cli.build_sde_model", skewed_model)
+        scheme = tmp_path / "chain.scheme"
+        scheme.write_text(self.CHAIN)
+        rates = tmp_path / "chain.rates"
+        rates.write_text(self.CHAIN_RATES)
+        code = main(["check", str(scheme), "--rates", str(rates), "--box",
+                     "2", "--diffusion-sign", "sum"])
+        assert code == 1
+        assert ("FAIL second-jump-moment: diffusion (sum form) differs "
+                "from the enumerated second moment at state (1, 0, 1), "
+                "entry (0,2)\n") in capsys.readouterr().out
+
+
 class TestCheckPsd:
     """psd-sampling asks the engines' own noise factor, matrix_sqrt_psd,
     whether B has a factor at every checked state."""
@@ -802,6 +843,33 @@ class TestCheckPsd:
                      "--box", "3000", "--diffusion-sign", "sum"]) == 2
         _assert_usage_error(capsys, "B((6, 2650)) is beyond the float "
                                     "range; rescale the rate values")
+
+
+def _scalar_sample(box, seed):
+    """_sample_states' draws as one scalar integers call per coordinate."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    states = set()
+    while len(states) < _SAMPLED:
+        states.add(tuple(int(rng.integers(0, b + 1)) for b in box.bounds))
+    return sorted(states)
+
+
+class TestSampledStates:
+    # each batch of states is one integers call with endpoint=True, which
+    # draws what one scalar call per coordinate draws, in the same order
+    @pytest.mark.parametrize("bounds", [
+        (400,) * 8, (80, 80), (2 ** 32, 2 ** 32), (2 ** 32 - 1, 3),
+        (2 ** 63 - 1,), (7, 2 ** 63 - 1, 2 ** 31),
+        # 8,192 states: duplicates take several batches
+        (1,) * 13])
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1])
+    def test_batches_draw_the_scalar_loops_states(self, bounds, seed):
+        box = StateBox(bounds)
+        assert _sample_states(box, seed) == _scalar_sample(box, seed)
+
+    def test_a_small_box_is_taken_whole(self):
+        box = StateBox((63, 63))
+        assert _sample_states(box, 5) == list(box.states())
 
 
 class TestCheckSeed:

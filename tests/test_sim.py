@@ -33,10 +33,13 @@ from onestep import (InteractionScheme, NegativeRateError, as_function,
 from onestep.sim import (_CHUNK_STEPS, _PSD_LONE_FLOOR, _PSD_SQRT_TOL,
                          _PSD_TOL, _RATE_TOL, _REJECT_LIMIT, _SSA_BLOCK,
                          _SSA_EVENT_BUDGET, _SSA_LEAF_RATES, _EmStepper,
-                         _choice_tree, _em_step_source, _rekey, _ssa_leaves,
+                         _FactorPattern, _choice_tree, _diffusion_pattern,
+                         _em_step_source, _entry_rows, _rekey,
+                         _semidefinite_factor, _ssa_leaves,
                          _ssa_path_source, _ssa_rate_lines,
                          _grid_step_indices, _require_finite,
                          symmetric_matrices)
+from onestep.cli import _compared_entries
 from helpers import LOTKA_VOLTERRA, PURE_DEATH, VERHULST, random_scheme_text
 
 VERHULST_RATES = {rate("lambda"): 1.0, rate("beta"): 0.2, rate("gamma"): 0.05}
@@ -362,41 +365,163 @@ class TestMatrixSqrt:
         assert info.value.index == (0, 0)
 
 
+# stacks of B = sum_c w_c d_c d_c^T over sparse integer vectors d_c, the
+# form of a diffusion matrix, summed from +0.0 so that every entry that no
+# d_c reaches is +0.0; each matrix has its own weights, zero among them
+# (zero pivots).  Returned with the entries below the diagonal that some
+# d_c reaches and a few more, which a pattern may hold too
+@st.composite
+def _pattern_stacks(draw):
+    n = draw(st.integers(1, 8))
+    count = draw(st.integers(1, 4))
+    vectors = np.array(draw(st.lists(
+        st.lists(st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3]),
+                 min_size=n, max_size=n), min_size=1, max_size=n + 2)),
+        dtype=np.float64)
+    weights = np.array(draw(st.lists(
+        st.sampled_from([0.0, 0.0, 1e-3, 1.0, 7.0, 1e3]),
+        min_size=count * len(vectors), max_size=count * len(vectors))))
+    b = np.zeros((count, n, n))
+    for d, w in zip(vectors, weights.reshape(count, -1).T):
+        b += w[:, None, None] * np.outer(d, d)
+    lower = {(i, j) for d in vectors for i in range(n) for j in range(i)
+             if d[i] and d[j]}
+    extra = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    lower |= {(i, j) for i in range(n) for j in range(i) if extra[i * n + j]}
+    return b, sorted(lower)
+
+
+def _pattern_sqrt(lower):
+    """The noise factor of a (count, n, n) stack taken as the
+    Euler-Maruyama step takes it: only the pattern of lower is written
+    and factored."""
+    def sqrt(b):
+        count, n, _ = b.shape
+        pattern = _FactorPattern(lower, n)
+        a = _entry_rows([b[:, i, j] for i, j in pattern.entries], count,
+                        pattern)
+        return _semidefinite_factor(a, pattern, (count,)).transpose(2, 0, 1)
+    return sqrt
+
+
+class TestPatternFactor:
+    """The factor restricted to B's pattern and its symbolic fill has the
+    dense loop's bits, and raises its errors."""
+
+    @given(_pattern_stacks(),
+           st.lists(st.sampled_from([0.0, 0.0, 1e-9, -1e-12, -1e-6, -1.0]),
+                    min_size=8, max_size=8))
+    @example(case=(np.array([[[1.0, 2.0], [2.0, 1.0]]]), [(1, 0)]),
+             shifts=[0.0] * 8)
+    @example(case=(np.array([[[0.0, 1.0], [1.0, 0.0]]]), [(1, 0)]),
+             shifts=[0.0] * 8)
+    def test_same_bits_and_errors_as_the_dense_loop(self, case, shifts):
+        b, lower = case
+        b = b + np.diag(shifts[:b.shape[-1]])
+        assert _sqrt_outcome(_pattern_sqrt(lower), b) == \
+            _sqrt_outcome(matrix_sqrt_psd, b)
+
+    @pytest.mark.parametrize("n", [3, 8, 50])
+    def test_ring_fill(self, n):
+        # a ring in its own order fills in the last row only: 3n - 3
+        # entries on and below the diagonal
+        lower = sorted({(max(i, (i + 1) % n), min(i, (i + 1) % n))
+                        for i in range(n)})
+        pattern = _FactorPattern(lower, n)
+        assert pattern.columns == tuple(
+            (k + 1, n - 1) if k < n - 2 else tuple(range(k + 1, n))
+            for k in range(n))
+        assert sum(map(len, pattern.rows())) == 3 * n - 3
+        assert len(pattern.entries) == 2 * n
+
+    def test_dense_pattern_updates_whole_blocks(self):
+        # matrix_sqrt_psd's pattern: every column's rows are one slice,
+        # and the floor reads every entry
+        pattern = _FactorPattern([(i, j) for i in range(4)
+                                  for j in range(i)], 4)
+        assert pattern.floor_at is None
+        assert [step and step[1] for step in pattern.steps] == \
+            [None, None, None, None]
+        assert [step and step[0] for step in pattern.steps[:3]] == \
+            [slice(1, 4), slice(2, 4), slice(3, 4)]
+
+    def test_a_zero_sign_is_all_that_can_differ(self):
+        # B_21 = -0.0 inside the pattern: the dense loop subtracts
+        # L_20 L_10 = +0.0 * -1.0 from it and gets +0.0, the pattern loop
+        # skips that update; the noise rows sum both zeros alike
+        b = np.array([[[1.0, -1.0, 0.0], [-1.0, 2.0, -0.0],
+                       [0.0, -0.0, 1.0]]])
+        dense = matrix_sqrt_psd(b)
+        restricted = _pattern_sqrt([(1, 0), (2, 1)])(b)
+        assert np.array_equal(dense, restricted)
+        assert math.copysign(1.0, dense[0, 2, 1]) == 1.0
+        assert math.copysign(1.0, restricted[0, 2, 1]) == -1.0
+
+
 class TestEmStepSource:
     """The generated Euler-Maruyama step sums each noise row as einsum
-    does, and its source grows as the square of the species count."""
+    does, and its source grows with the factor's pattern."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 8])
-    def test_noise_rows_have_the_bits_of_einsum(self, n):
+    @pytest.mark.parametrize("n, sparse", [(1, False), (2, False),
+                                           (3, False), (8, False),
+                                           (3, True), (8, True)])
+    def test_noise_rows_have_the_bits_of_einsum(self, n, sparse):
         # the step runs on a factor with zero entries below the diagonal
         # too; -0.0 states and drift make x + d dt equal -0.0, the identity
-        # of float addition, so each proposal row is the noise row itself
+        # of float addition, so each proposal row is the noise row itself.
+        # A sparse step sums only its rows' entries: the factor holds
+        # +0.0 or -0.0 at every other entry, which einsum adds
         rng = np.random.default_rng(n)
         for _ in range(20):
             count = int(rng.integers(200, 1001))
             lower = np.tril(rng.standard_normal((count, n, n)))
             lower[rng.random(lower.shape) < 0.2] = 0.0
+            rows = [range(i + 1) for i in range(n)]
+            if sparse:
+                rows = [sorted({*np.flatnonzero(rng.random(i) < 0.5).tolist(),
+                                i}) for i in range(n)]
+                outside = np.tril(np.ones((n, n), dtype=bool))
+                for i, row in enumerate(rows):
+                    outside[i, row] = False
+                signs = np.where(rng.random((count, n, n)) < 0.5, -0.0, 0.0)
+                lower[:, outside] = signs[:, outside]
             eps = rng.standard_normal((n, count))
             namespace = {
                 "polynomials": lambda *x: (-0.0,) * n + (0.0,) * (n * n),
-                "entry_rows": lambda values, count, n: None,
-                "factor": lambda a, batch: lower.transpose(1, 2, 0).copy(),
-                "empty": np.empty, "dt": 0.0, "sqrt_dt": 1.0}
-            exec(_em_step_source(n, n, False), namespace)
-            rows = namespace["em_step"](np.full((n, count), -0.0), eps)
+                "entry_rows": lambda values, count, pattern: None,
+                "factor": lambda a, pattern, batch:
+                    lower.transpose(1, 2, 0).copy(),
+                "pattern": None, "empty": np.empty, "dt": 0.0,
+                "sqrt_dt": 1.0}
+            exec(_em_step_source(n, n, False, rows), namespace)
+            out = namespace["em_step"](np.full((n, count), -0.0), eps)
             want = np.einsum("tij,tj->ti", lower, eps.T)
-            assert rows.tobytes() == np.ascontiguousarray(want.T).tobytes()
+            assert out.tobytes() == np.ascontiguousarray(want.T).tobytes()
 
-    def test_source_is_quadratic_in_the_species_count(self):
-        # per species one noise row and one proposal row; the rows hold
-        # n(n+1)/2 products of the factor and the draws, and the factor
-        # stays one call (unrolled per entry it would grow as n^3)
-        sources = {n: _em_step_source(n, n, False) for n in (16, 32)}
-        lines = {n: len(text.splitlines()) for n, text in sources.items()}
-        terms = {n: text.count("]*e") for n, text in sources.items()}
+    def test_ring_step_and_check_grow_linearly(self):
+        # on a ring the step holds one term per entry of the factor's
+        # pattern, 3n - 3, and compiles the 2n entries of B's; check
+        # compares the n + 2n entries of B that a channel moves.  Dense,
+        # the step held n(n+1)/2 terms and check compared n^2 entries
+        terms, compiled, compared, lines = {}, {}, {}, {}
+        for n in (16, 32):
+            scheme = parse_scheme("".join(
+                f"3 x{i} <-> 3 x{i % n + 1} @ a_{i}, b_{i}\n"
+                for i in range(1, n + 1)))
+            model = build_sde_model(scheme, RateMode.EXACT,
+                                    DiffusionSign.SUM,
+                                    NoiseStrategy.MATRIX_SQRT)
+            pattern = _diffusion_pattern(model.diffusion)
+            source = _em_step_source(n, n, False, pattern.rows())
+            terms[n] = source.count("]*e")
+            compiled[n] = len(pattern.entries)
+            compared[n] = len(_compared_entries(scheme, model.diffusion))
+            lines[n] = len(source.splitlines())
+            assert source.count("factor(") == 1
+        assert terms == {16: 3 * 16 - 3, 32: 3 * 32 - 3}
+        assert compiled == {16: 2 * 16, 32: 2 * 32}
+        assert compared == {16: 3 * 16, 32: 3 * 32}
         assert lines[32] - lines[16] == 2 * 16
-        assert terms == {16: 16 * 17 // 2, 32: 32 * 33 // 2}
-        assert all(text.count("factor(") == 1 for text in sources.values())
 
 
 class TestEulerMaruyama:
