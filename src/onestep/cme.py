@@ -73,7 +73,9 @@ class StateBox:
         return idx
 
     def state_array(self) -> np.ndarray:
-        return np.array(list(self.states()), dtype=np.int64)
+        """The states in row-major order as one (size, n) int64 array."""
+        grid = np.indices(tuple(b + 1 for b in self.bounds), dtype=np.int64)
+        return np.ascontiguousarray(grid.reshape(len(self.bounds), -1).T)
 
 
 def reaction_channels(scheme: InteractionScheme,
@@ -263,20 +265,27 @@ def evolve_distribution(gen: TruncatedGenerator, dist: Distribution,
     """Integrate dp/dt = Q p from dist.time to t_final with classic
     fourth-order Runge-Kutta steps of size dt (plus one remainder step).
 
-    Refuses steps with dt * max|diagonal| > 0.5, where the integrator
-    would be outside its stability region.
+    Refuses a non-finite t_final, dt or dist.time, and steps with
+    dt * L > 0.5, L = max|Q_ii|, where the integrator would be outside
+    its stability region.
 
-    For a fixed Q one RK4 step of size h is one fixed matrix, the degree-4
-    Taylor polynomial of hQ:
-
-        M(h) = I + hQ(I + (h/2)Q(I + (h/3)Q(I + (h/4)Q)))
-
-    The full steps apply it in one of two orders, chosen from Q's
-    diagonals (see _assembles): M(dt) built once, one sparse product per
-    step, where M stays about as sparse as four products with Q; else
-    Horner on Q, four products per step (_horner_step).  The remainder
-    step always takes the Horner order.
+    Q must be a generator (off-diagonals >= 0, column sums <= 0), so
+    that P = I + Q/L is >= 0 with column sums <= 1.  One step is
+    T4(hQ) = T4(hL(P - I)) = sum_j beta_j(hL) P^j, T4 the degree-4
+    Taylor polynomial of exp; beta_j(a) >= 0 for a <= 1 and they sum
+    to T4(0) = 1 (_rk4_coefficients).  So the whole schedule is
+    M(rem) M(dt)^N p = sum_k w_k P^k p with w a probability vector, as
+    in uniformization (Jensen 1953; Fox & Glynn, CACM 31, 1988): about
+    Lt + 9 sqrt(Lt) products, P v = v + (Q/L) v, against 4 per step.
+    Each convolution of _rk4_weights drops tails of mass at most _TRIM,
+    and w is divided by its sum, which is exactly 1 before rounding and
+    trimming; as |P^k p|_1 <= |p|_1, each trim moves the result by at
+    most about _TRIM |p|_1.  Q = 0 returns an exact copy.
     """
+    for name, value in (("t_final", t_final), ("dt", dt),
+                        ("dist.time", dist.time)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if dt <= 0:
         raise ValueError("dt must be positive")
     span = t_final - dist.time
@@ -288,72 +297,56 @@ def evolve_distribution(gen: TruncatedGenerator, dist: Distribution,
             f"dt = {dt} is too large for this generator; need "
             f"dt <= {0.5 / scale:.3e}")
 
-    q = gen.matrix
     p = np.array(dist.probabilities, dtype=np.float64)
-    nfull = int(span / dt + 1e-9)
-    rem = span - nfull * dt
-    if nfull and _assembles(q):
-        m = _rk4_matrix(q, dt)
-        for _ in range(nfull):
-            p = m @ p
-    else:
-        for _ in range(nfull):
-            p = _horner_step(q, p, dt)
-    if rem > 1e-12 * max(dt, 1.0):
-        p = _horner_step(q, p, rem)
+    if scale > 0.0:         # else the generator is Q = 0
+        nfull = int(span / dt + 1e-9)
+        rem = span - nfull * dt
+        first, w = _rk4_weights(dt * scale, nfull, rem * scale
+                                if rem > 1e-12 * max(dt, 1.0) else None)
+        q = gen.matrix / scale
+        v, p = p, (p * w[0] if first == 0 else np.zeros_like(p))
+        for k in range(1, first + len(w)):
+            u = q @ v
+            u += v          # P v, with no rounded 1 + Q_ii / L in it
+            v = u
+            if k >= first:
+                p += w[k - first] * v
     return Distribution(box=dist.box, probabilities=p, time=t_final)
 
 
-def _assembles(q) -> bool:
-    """Whether M(h) stays about as sparse as four products with Q.
-
-    Every nonzero of Q lies on the diagonal at offset row - col (read
-    from indptr and indices in O(nnz + n)), and M's nonzeros lie on
-    sums of at most four of Q's offsets.  Assemble
-    when there are at most 4 * (number of nonzero offsets + 1) such sums:
-    then M costs no more multiply-adds per step than four products with
-    Q.  The sums grow level by level and the count stops at the limit,
-    so M is never built to decide."""
-    n = q.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(q.indptr))
-    seen = np.zeros(2 * n - 1, dtype=bool)      # offsets 1 - n ... n - 1
-    seen[rows - q.indices + (n - 1)] = True
-    offsets = set((np.flatnonzero(seen) - (n - 1)).tolist()) - {0}
-    limit = 4 * (len(offsets) + 1)
-    sums = {0}
-    frontier = [0]
-    for _ in range(4):
-        grown = set()
-        for s in frontier:
-            for d in offsets:
-                if s + d not in sums:
-                    sums.add(s + d)
-                    grown.add(s + d)
-                    if len(sums) > limit:
-                        return False
-        frontier = grown
-    return True
+_TRIM = 1e-20       # the most tail mass one convolution may drop
 
 
-def _rk4_matrix(q, h: float):
-    """M(h) in CSR form, built in the Horner order of the identity."""
-    import scipy.sparse
+def _rk4_coefficients(a: float) -> np.ndarray:
+    """beta_0 ... beta_4, the coefficients of x^0 ... x^4 in
+    T4(a(x - 1)), each in a form that is >= 0 in floats for a <= 1."""
+    return np.array([1.0 - a * (1.0 - a / 2 * (1.0 - a / 3 * (1.0 - a / 4))),
+                     a * (1.0 - a * (1.0 - a / 2 * (1.0 - a / 3))),
+                     a * a / 2 * (1.0 - a * (1.0 - a / 2)),
+                     a ** 3 / 6 * (1.0 - a),
+                     a ** 4 / 24])
 
-    eye = scipy.sparse.identity(q.shape[0], format="csr")
-    m = eye
-    for c in (h / 4, h / 3, h / 2, h):
-        m = eye + c * (q @ m)
-    return m
 
+def _rk4_weights(a: float, steps: int, a_rem: float | None = None):
+    """(first, w): w[i] is the weight of P^(first + i) in M(rem)
+    M(dt)^steps, for a = dt L and a_rem = rem L (None: no remainder
+    step), by binary powering of beta(a), over math.fsum(w)."""
+    def times(x, y):
+        c = np.convolve(x[1], y[1])
+        lo = np.searchsorted(np.cumsum(c), _TRIM, side="right")
+        hi = len(c) - np.searchsorted(np.cumsum(c[::-1]), _TRIM, "right")
+        return x[0] + y[0] + int(lo), c[lo:hi]
 
-def _horner_step(q, p: np.ndarray, h: float) -> np.ndarray:
-    """M(h) p as four products with Q, each scaled and added in place."""
-    v = p
-    for c in (h / 4, h / 3, h / 2, h):
-        v = q @ v
-        v *= c
-        v += p
-    return v
+    out, base = (0, np.ones(1)), (0, _rk4_coefficients(a))
+    while steps:
+        if steps & 1:
+            out = times(out, base)
+        steps >>= 1
+        if steps:
+            base = times(base, base)
+    if a_rem is not None:
+        out = times(out, (0, _rk4_coefficients(a_rem)))
+    return out[0], out[1] / math.fsum(out[1])
 
 
 def distribution_moments(dist: Distribution):

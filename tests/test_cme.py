@@ -1,5 +1,6 @@
 """Truncated master-equation oracle: generator, evolution, moments."""
 
+import itertools
 import math
 import random
 import re
@@ -48,6 +49,21 @@ class TestStateBox:
     def test_rejects_negative_bounds(self):
         with pytest.raises(ValueError):
             StateBox((2, -1))
+
+    @pytest.mark.parametrize("bounds", [
+        (0,), (1,), (7,), (64,), (0, 0), (0, 3), (80, 80),
+        (3, 3, 0, 0, 0, 0, 0, 3)],
+        ids=["zero", "one", "seven", "verhulst", "zeros", "zero-first",
+             "lotka-volterra", "ring8"])
+    def test_state_array_is_the_enumeration(self, bounds):
+        box = StateBox(bounds)
+        array = box.state_array()
+        expected = np.array(list(itertools.product(
+            *(range(b + 1) for b in bounds))), dtype=np.int64)
+        assert array.dtype == np.int64
+        assert array.flags.c_contiguous
+        assert array.shape == (box.size, len(bounds))
+        assert np.array_equal(array, expected)
 
 
 def test_importing_onestep_leaves_scipy_unloaded():
@@ -251,6 +267,19 @@ class TestEvolution:
         p0 = point_mass(StateBox((100,)), (50,))
         with pytest.raises(UnstableStepError):
             evolve_distribution(gen, p0, 1.0, dt=0.1)
+
+    @pytest.mark.parametrize("name", ["t_final", "dt", "dist.time"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arguments_are_refused_by_name(self, name, value):
+        s = parse_scheme(PURE_DEATH)
+        box = StateBox((3,))
+        gen = build_generator(s, {BETA: 1}, box)
+        values = {"t_final": 1.0, "dt": 1e-3, "dist.time": 0.0, name: value}
+        p0 = Distribution(box=box, probabilities=np.full(4, 0.25),
+                          time=values["dist.time"])
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(name)} must be finite"):
+            evolve_distribution(gen, p0, values["t_final"], values["dt"])
 
     def test_half_steps_compose(self):
         s = parse_scheme(VERHULST)
@@ -593,28 +622,71 @@ def _oracle_generator(text, values, bounds):
     return build_generator(s, _rates_for(s, values), StateBox(bounds))
 
 
-def _counting_rk4_matrix(monkeypatch):
-    """Count the assemblies of M(dt) that evolve_distribution makes."""
-    built = []
-    assemble = onestep.cme._rk4_matrix
+def _exact_rk4_coefficients(a):
+    """The coefficients of x^0 ... x^4 in T4(a(x - 1)), T4(z) = sum of
+    z^m / m! for m <= 4, expanded exactly."""
+    beta = [Fraction(0)] * 5
+    for m in range(5):
+        for j in range(m + 1):
+            beta[j] += (a ** m / math.factorial(m) * math.comb(m, j)
+                        * (-1) ** (m - j))
+    return beta
 
-    def counting(q, h):
-        built.append(h)
-        return assemble(q, h)
-    monkeypatch.setattr(onestep.cme, "_rk4_matrix", counting)
-    return built
+
+def _exact_convolution(x, y):
+    out = [Fraction(0)] * (len(x) + len(y) - 1)
+    for i, u in enumerate(x):
+        for j, v in enumerate(y):
+            out[i + j] += u * v
+    return out
 
 
-class TestRk4Orders:
-    """One RK4 step is the fixed matrix M(h) = I + hQ(I + (h/2)Q(I +
-    (h/3)Q(I + (h/4)Q))), applied assembled or in Horner form on Q; both
-    must agree with the k1 ... k4 loop."""
+def _scale(gen):
+    return float(np.abs(gen.matrix.diagonal()).max(initial=0.0))
+
+
+class TestRk4WeightedPowers:
+    """One RK4 step of size h is T4(hQ) = sum_j beta_j(hL) P^j, with
+    L = max|Q_ii| and P = I + Q/L; the whole schedule is one weighted sum
+    of powers of P, which must agree with the k1 ... k4 loop."""
+
+    @pytest.mark.parametrize("a", [0.0, 1e-9, 2.7e-6, 1e-3, 0.1, 1 / 3,
+                                   0.49, 0.5, 0.75, 1.0])
+    def test_coefficients_are_the_exact_expansion(self, a):
+        beta = onestep.cme._rk4_coefficients(a)
+        exact = _exact_rk4_coefficients(Fraction(a))
+        assert (beta >= 0).all()
+        for b, e in zip(beta.tolist(), exact):
+            assert abs(Fraction(b) - e) <= Fraction(1, 10 ** 15) * e
+        assert sum(exact) == 1
+
+    @pytest.mark.parametrize("a", [1e-3, 0.1, 0.49, 0.5])
+    @pytest.mark.parametrize("steps", [0, 1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("a_rem", [None, 0.0, 0.25])
+    def test_weights_are_the_exact_convolution(self, a, steps, a_rem):
+        first, w = onestep.cme._rk4_weights(a, steps, a_rem)
+        exact = [Fraction(1)]
+        for _ in range(steps):
+            exact = _exact_convolution(
+                exact, _exact_rk4_coefficients(Fraction(a)))
+        if a_rem is not None:
+            exact = _exact_convolution(
+                exact, _exact_rk4_coefficients(Fraction(a_rem)))
+        assert (w >= 0).all()
+        assert abs(w.sum() - 1.0) <= 1e-15
+        assert 0 <= first and first + len(w) <= len(exact)
+        # to rounding, plus at most _TRIM per tail of each convolution
+        trimmed = 2 * (2 * steps.bit_length() + 1) * Fraction(
+            onestep.cme._TRIM)
+        for k, e in enumerate(exact):
+            got = Fraction(w[k - first]) if 0 <= k - first < len(w) else 0
+            assert abs(got - e) <= Fraction(1, 10 ** 13) * e + trimmed
 
     @given(seed=st.integers(0, 10 ** 9),
-           steps=st.integers(0, 60),
+           steps=st.integers(0, 3000),
            fraction=st.sampled_from([0.0, 1e-13, 0.25, 0.5, 0.999]),
            start=st.sampled_from([0.0, 0.3]))
-    @settings(max_examples=60)
+    @settings(max_examples=60, deadline=None)
     def test_matches_the_k_loop(self, seed, steps, fraction, start):
         rng = random.Random(seed)
         s = parse_scheme(random_scheme_text(rng, max_species=2,
@@ -624,8 +696,14 @@ class TestRk4Orders:
                  for sym in s.rate_symbols}
         box = StateBox(tuple(rng.randint(0, 8) for _ in s.species))
         gen = build_generator(s, rates, box)
-        scale = float(np.abs(gen.matrix.diagonal()).max(initial=0.0))
-        dt = rng.choice([1e-3, 0.01, 0.05]) / max(1.0, scale)
+        scale = _scale(gen)
+        a = rng.choice([1e-3, 0.01, 0.05, 0.49, 0.5])
+        if a < 0.49 or not scale:
+            dt = a / max(1.0, scale)
+        else:       # dt L = a, up to the guard's limit of 0.5
+            dt = a / scale
+            while dt * scale > 0.5:
+                dt = math.nextafter(dt, 0.0)
         weights = np.array([rng.random() for _ in range(box.size)])
         dist = Distribution(box=box, probabilities=weights / weights.sum(),
                             time=start)
@@ -635,56 +713,45 @@ class TestRk4Orders:
         assert new.time == ref.time == t_final
         assert np.abs(new.probabilities - ref.probabilities).max() <= 1e-12
 
-    @pytest.mark.parametrize("text, values, bounds, assembled", [
-        (VERHULST, {"lambda": 1, "beta": "1/5", "gamma": "1/20"}, (64,),
-         True),
-        (PURE_DEATH, {"beta": 0}, (3,), True),
-        (LOTKA_VOLTERRA, {"k_1": 1, "k_2": "1/20", "k_3": 1}, (80, 80),
-         False),
-        (RING8, {f"{k}_{i}": v for i in range(1, 9)
-                 for k, v in (("a", "1/10000"), ("b", "1/20000"))},
-         (3, 3, 0, 0, 0, 0, 0, 3), False),
-    ], ids=["verhulst", "zero-generator", "lotka-volterra", "ring8"])
-    def test_order_is_chosen_from_the_diagonals(
-            self, text, values, bounds, assembled, monkeypatch):
-        # the perfbench oracle boxes, and the zero generator
+    def test_benchmark_lotka_volterra_box(self):
+        # the perfbench oracle: default_box from (20, 20), to t = 1
+        gen = _oracle_generator(LOTKA_VOLTERRA,
+                                {"k_1": 1, "k_2": "1/20", "k_3": 1},
+                                (80, 80))
+        p0 = point_mass(gen.box, (20, 20))
+        new = evolve_distribution(gen, p0, 1.0)
+        ref = reference_evolve_distribution(gen, p0, 1.0)
+        assert np.abs(new.probabilities - ref.probabilities).max() <= 1e-16
+        assert 4e-8 < ref.leaked < 5e-8
+        assert abs(new.leaked - ref.leaked) <= 1e-15
+        reach = _scale(gen) * 1.0
+        first, w = onestep.cme._rk4_weights(1e-3 * _scale(gen), 1000)
+        assert first + len(w) - 1 <= reach + 10 * math.sqrt(reach) + 5
+
+    @given(seed=st.integers(0, 10 ** 9))
+    @settings(max_examples=60, deadline=None)
+    def test_generator_gives_a_substochastic_power(self, seed):
+        rng = random.Random(seed)
+        s = parse_scheme(random_scheme_text(rng, max_stoich=3))
+        rates = {sym: Fraction(rng.randint(0, 9), rng.randint(1, 7))
+                 for sym in s.rate_symbols}
+        box = StateBox(tuple(rng.randint(0, 6) for _ in s.species))
+        gen = build_generator(s, rates, box)
+        scale = _scale(gen)
+        if not scale:
+            assert not gen.matrix.count_nonzero()
+            return
+        power = np.eye(gen.size) + gen.matrix.toarray() / scale
+        assert (power >= 0).all()
+        assert (power.sum(axis=0) <= 1 + 1e-15).all()
+
+    @pytest.mark.parametrize("text, values, bounds", [
+        (VERHULST, {"lambda": 1, "beta": "1/5", "gamma": "1/20"}, (64,)),
+        (LOTKA_VOLTERRA, {"k_1": 1, "k_2": "1/20", "k_3": 1}, (8, 8)),
+        (PURE_DEATH, {"beta": 0}, (3,)),
+    ], ids=["verhulst", "lotka-volterra", "zero-generator"])
+    def test_input_distribution_is_not_mutated(self, text, values, bounds):
         gen = _oracle_generator(text, values, bounds)
-        assert onestep.cme._assembles(gen.matrix) is assembled
-        built = _counting_rk4_matrix(monkeypatch)
-        p0 = Distribution(box=gen.box,
-                          probabilities=np.full(gen.size, 1 / gen.size))
-        evolve_distribution(gen, p0, 0.0105, dt=1e-3)
-        assert built == ([1e-3] if assembled else [])
-
-    def test_verhulst_offsets_give_nine_sums(self):
-        # offsets +-1: sums of at most four are -4 ... 4, within 4 * 3
-        q = scipy.sparse.diags([np.ones(9), -np.ones(10), np.ones(9)],
-                               [-1, 0, 1], format="csr")
-        assert onestep.cme._assembles(q)
-        m = onestep.cme._rk4_matrix(q, 0.1)
-        rows, cols = m.nonzero()
-        assert set((rows - cols).tolist()) == set(range(-4, 5))
-
-    def test_thousands_of_offsets_are_decided_at_the_second_level(self):
-        # 3,000 scattered offsets: the second level passes the limit of
-        # 12,004 sums after a few of its 4.5 million candidates
-        n = 10 ** 5
-        rows = np.array(random.Random(7).sample(range(1, n), 3000))
-        q = scipy.sparse.csr_matrix((np.ones(len(rows)),
-                                     (rows, np.zeros_like(rows))),
-                                    shape=(n, n))
-        assert not onestep.cme._assembles(q)
-
-    @pytest.mark.parametrize("text, values, bounds, assembled", [
-        (VERHULST, {"lambda": 1, "beta": "1/5", "gamma": "1/20"}, (64,),
-         True),
-        (LOTKA_VOLTERRA, {"k_1": 1, "k_2": "1/20", "k_3": 1}, (8, 8),
-         False),
-    ], ids=["assembled", "horner"])
-    def test_input_distribution_is_not_mutated(self, text, values, bounds,
-                                               assembled):
-        gen = _oracle_generator(text, values, bounds)
-        assert onestep.cme._assembles(gen.matrix) is assembled
         p0 = point_mass(gen.box, (3,) * len(bounds))
         before = p0.probabilities.copy()
         p1 = evolve_distribution(gen, p0, 0.0105, dt=1e-3)
