@@ -70,9 +70,10 @@ print()
 # --- spot check: enumerated jump moments are the symbolic coefficients ------
 
 state = (7,)
-[(first, second)] = jump_moments(scheme, rates, [state])
+moments = jump_moments(scheme, rates, [state])
+den = moments.denominator       # every moment is an int numerator over it
 print(f"jump moments at phi = {state[0]} (exact rationals):")
-print(f"    first  = {first[0]}")
-print(f"    second = {second[0][0]}")
+print(f"    first  = {Fraction(moments.first[0, 0], den)}")
+print(f"    second = {Fraction(moments.second[0, 0][0], den)}")
 print(f"    drift polynomial evaluated there = "
       f"{drift.evaluate({phi: state[0], **rates})}")

@@ -22,7 +22,7 @@ from .derive import (DiffusionSign, IncompatibleNoiseError, NoiseStrategy,
                      RateMode, SdeModel, TransitionRates, build_sde_model,
                      diffusion_matrix, drift_vector, transition_rates)
 from .cme import (ChannelTable, DegenerateDistributionError, Distribution,
-                  StateBox, TruncatedGenerator, UnboundRateError,
+                  JumpMoments, StateBox, TruncatedGenerator, UnboundRateError,
                   UnstableStepError, build_generator, default_box,
                   distribution_moments, distribution_to_csv,
                   evolve_distribution, jump_moments, point_mass,

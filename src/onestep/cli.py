@@ -590,6 +590,29 @@ def _compared_entries(scheme, diffusion) -> list[tuple[int, int]]:
                              for j, p in enumerate(row) if p)})
 
 
+def _moment_mismatches(moments, drift, diffusion, entries, point):
+    """Where the enumerated jump moments differ from the drift and from
+    B's entries at the states of the point: (S, n) and (S, len(entries))
+    boolean arrays.  Each polynomial is evaluated once over all states,
+    and values are compared in Python ints by cross-multiplication: with
+    positive denominators, a / D equals b / d exactly when a*d == b*D."""
+    def differs(numerators, p):
+        value = p.evaluate(point)
+        if isinstance(value, Fraction):         # p reads no species
+            value = (value.numerator, value.denominator)
+        values, denominator = value
+        return numerators * denominator != values * moments.denominator
+
+    first_wrong = np.zeros(moments.first.shape, dtype=bool)
+    for i, p in enumerate(drift):
+        first_wrong[:, i] = differs(moments.first[:, i], p)
+    second_wrong = np.zeros((len(first_wrong), len(entries)), dtype=bool)
+    for e, (i, j) in enumerate(entries):
+        second_wrong[:, e] = differs(moments.second.get((i, j), 0),
+                                     diffusion[i][j])
+    return first_wrong, second_wrong
+
+
 def cmd_check(args) -> int:
     scheme = parse_scheme(_load_text(args.scheme), args.allow_shared_rates)
     rate_table = parse_rates_file(_load_text(args.rates))
@@ -640,26 +663,20 @@ def cmd_check(args) -> int:
                       else diffusion_matrix(scheme, mode, sign))
 
     # enumerated jump moments vs the symbolic derivation, exact arithmetic:
-    # each polynomial is evaluated once over all states, and the first
-    # mismatch is taken in state order, then entry order.  The second
-    # moment is compared only where B or a channel can make it nonzero
+    # the first mismatch is taken in state order, then entry order.  The
+    # second moment is compared only where B or a channel can make it
+    # nonzero
     states = _sample_states(box, args.seed)
-    columns = np.array(states, dtype=object).T
+    columns = np.array(states, dtype=np.int64).T
     point = {**rates, **dict(zip(scheme.species, columns))}
     moments = jump_moments(scheme, rates, states)
-    first = np.array([f for f, _ in moments], dtype=object)
-    first_wrong = np.zeros(first.shape, dtype=bool)
-    for i, p in enumerate(check_model.drift):
-        first_wrong[:, i] = first[:, i] != p.evaluate(point)
     entries = _compared_entries(scheme, exact_diff)
-    second_wrong = np.zeros((len(states), len(entries)), dtype=bool)
-    for e, (i, j) in enumerate(entries):
-        second = np.array([s[i][j] for _, s in moments], dtype=object)
-        second_wrong[:, e] = second != exact_diff[i][j].evaluate(point)
+    first_wrong, second_wrong = _moment_mismatches(
+        moments, check_model.drift, exact_diff, entries, point)
     first_bad = np.argwhere(first_wrong)[:1].tolist()
     second_bad = [(s, *entries[e])
                   for s, e in np.argwhere(second_wrong)[:1].tolist()]
-    del moments, first, point       # freed before the engines run
+    del moments, point              # freed before the engines run
     n = len(scheme.species)
 
     if not first_bad:

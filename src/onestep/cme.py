@@ -129,10 +129,23 @@ class ChannelTable:
             raise ValueError(f"states must be nonnegative integer vectors "
                              f"of {n} entries, one per species")
         x = x.astype(object)
-        out = np.tile(np.array(self.numerators, dtype=object), (len(x), 1))
-        for (c, i), m in np.ndenumerate(self.stoich):
-            for k in range(m):
-                out[:, c] *= x[:, i] - k
+        falling = {}            # (i, m): x_i (x_i - 1) ... (x_i - m + 1)
+
+        def factorial(i: int, m: int):
+            product = falling.setdefault((i, 1), x[:, i])
+            for k in range(2, m + 1):
+                if (i, k) not in falling:
+                    falling[i, k] = product * (x[:, i] - (k - 1))
+                product = falling[i, k]
+            return product
+
+        out = np.empty((len(x), len(self.numerators)), dtype=object)
+        for c, (value, stoich) in enumerate(zip(self.numerators,
+                                                self.stoich.tolist())):
+            for i, m in enumerate(stoich):
+                if m:
+                    value = value * factorial(i, m)
+            out[:, c] = value
         return out
 
     def exact(self, numerator: int):
@@ -157,32 +170,53 @@ def moved_together(change) -> dict[tuple[int, int], tuple[list, list]]:
     return dict(sorted(terms.items()))
 
 
-def jump_moments(scheme: InteractionScheme, rates: Mapping[SymbolId, object],
-                 states: Sequence[Sequence[int]]):
-    """First and second jump moments at each of a sequence of states, by
-    direct enumeration.
+@dataclass(frozen=True, eq=False)
+class JumpMoments:
+    """First and second jump moments at S states over n species, in
+    ChannelTable's integer form: every value is an int numerator over the
+    one positive denominator.
 
-    Returns one (first, second) pair per state, a list and a nested list
-    of exact values (ChannelTable.exact).  The second moment sums the
-    directional rates; the first takes their difference.  The second
-    moment is summed only over the entries that some channel moves
-    (moved_together), each over its own channels and once per pair (i, j)
-    and (j, i); every other entry is the int 0, as a sum of zero products
-    is.
+    first is an (S, n) object array of Python ints.  second maps each
+    entry (i, j) of the second moment that moved_together lists to its
+    (S,) object array of numerators, (j, i) to the same array as (i, j);
+    every other entry is exactly 0 at every state.
+    """
+
+    denominator: int
+    first: np.ndarray
+    second: dict[tuple[int, int], np.ndarray]
+
+
+def _weighted_sum(at: np.ndarray, channels, weights) -> np.ndarray:
+    """sum_k weights[k] * at[:, channels[k]], in Python ints."""
+    return at[:, channels].dot(np.array(weights, dtype=object))
+
+
+def jump_moments(scheme: InteractionScheme, rates: Mapping[SymbolId, object],
+                 states: Sequence[Sequence[int]]) -> JumpMoments:
+    """First and second jump moments at each of a sequence of states, by
+    direct enumeration, as one JumpMoments.
+
+    The second moment sums the directional rates; the first takes their
+    difference.  Both are summed from ChannelTable.rate_numerators in
+    Python ints: first[:, i] over the channels that move species i, and
+    each entry of the second moment over its own channels
+    (moved_together), once per pair (i, j) and (j, i).
     """
     table = ChannelTable(scheme, rates)
     at = table.rate_numerators(states)                  # (S, C)
-    first = at.dot(table.change.astype(object))         # (S, n)
-    n = table.change.shape[1]
-    second = np.zeros((len(at), n, n), dtype=object)    # int 0 entries
-    exact = np.frompyfunc(table.exact, 1, 1)
+    change = table.change.T.tolist()                    # per species
+    first = np.zeros((len(at), len(change)), dtype=object)
+    for i, d in enumerate(change):
+        channels = [c for c, v in enumerate(d) if v]
+        if channels:
+            first[:, i] = _weighted_sum(at, channels, [d[c] for c in channels])
+    second = {}
     for (i, j), (channels, weights) in moved_together(table.change).items():
-        if i > j:           # the same sum as (j, i), which came first
-            second[:, i, j] = second[:, j, i]
-            continue
-        second[:, i, j] = exact(at[:, channels].dot(
-            np.array(weights, dtype=object)))
-    return list(zip(exact(first).tolist(), second.tolist()))
+        # (j, i) sorts before (i, j) for j < i and holds the same sum
+        second[i, j] = second[j, i] if i > j else \
+            _weighted_sum(at, channels, weights)
+    return JumpMoments(table.denominator, first, second)
 
 
 @dataclass(frozen=True)

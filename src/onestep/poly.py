@@ -45,6 +45,12 @@ class SymbolId:
     def __repr__(self) -> str:
         return f"{self.kind.value}:{self.name}"
 
+    def __hash__(self) -> int:
+        # the generated hash would build a tuple and call Enum's hash on
+        # every dict and set lookup; equal ids share a name, and ids that
+        # share only a name are told apart by __eq__
+        return hash(self.name)
+
 
 def species(name: str) -> SymbolId:
     return SymbolId(name, SymbolKind.SPECIES)
@@ -194,43 +200,73 @@ class Polynomial:
     def evaluate(self, point: Mapping[SymbolId, object]):
         """Evaluate exactly at a point mapping symbols to numbers.
 
-        Scalar values are read by _exact.  The sum is taken in Python ints
-        over the coefficients scaled to a common denominator (computed once
-        per polynomial) and comes back as one Fraction.  A value may also
-        be an integer or object ndarray of ints: the sum is then taken
-        elementwise and comes back as an object array of Fractions.
-        Raises MissingSymbolError for a symbol absent from the point and
-        TypeError for any other value, a float array too.
+        Scalar values are read by _exact, and the value comes back as one
+        Fraction.  A value may also be an integer ndarray, or an object
+        ndarray of ints (elements are read by operator.index): the
+        polynomial is then evaluated elementwise and comes back as a pair
+        (numerators, denominator), an object ndarray of Python ints, which
+        never wrap, and one positive int; the value is their quotient, not
+        reduced.  A polynomial that reads no array value comes back as one
+        Fraction, whatever else the point holds.
+
+        The sum is taken in Python ints over the coefficients scaled to a
+        common denominator (computed once per polynomial).  Each power of
+        a value is computed once per call, and the terms that read the
+        same powers of the array values are summed as one int first, so
+        each such product costs one pass over the arrays.  Raises
+        MissingSymbolError for a symbol absent from the point and
+        TypeError for any other value, a float array too, and for an
+        array element that is not an int.
         """
         den, degrees, terms = self._integer_form()
-        nums = []
-        dens = []
-        for sym in degrees:
+        values = []
+        scale = 1
+        for sym, d in degrees.items():
             try:
                 x = point[sym]
             except KeyError:
                 raise MissingSymbolError(sym) from None
             if isinstance(x, np.ndarray) and x.dtype.kind in "iuO":
-                nums.append(x.astype(object))   # Python ints: nothing wraps
-                dens.append(1)
+                values.append(_int_array(sym, x))
             else:
                 x = _exact(sym, x)
-                nums.append(x.numerator)
-                dens.append(x.denominator)
-        scale = 1
-        for d, q in zip(degrees.values(), dens):
-            if q != 1:
-                scale *= q ** d
-        total = 0
-        for c, powers in terms:
+                values.append(x)
+                scale *= x.denominator ** d
+        powers = {}     # (i, e): values[i] ** e, by products, once a call
+
+        def power(i: int, e: int):
+            product = powers.setdefault((i, 1), values[i])
+            for k in range(2, e + 1):
+                if (i, k) not in powers:
+                    powers[i, k] = product * values[i]
+                product = powers[i, k]
+            return product
+
+        # a term's scalar factors go into its int; the powers of array
+        # values it reads key the group whose int it joins
+        groups: dict[tuple, int] = {}
+        for c, factors in terms:
             t = c * scale
-            for i, e in powers:
-                q = dens[i]
-                t = t * nums[i] ** e if q == 1 else t * nums[i] ** e // q ** e
-            total += t
-        if isinstance(total, np.ndarray):
-            return np.frompyfunc(Fraction, 2, 1)(total, den * scale)
-        return Fraction(total, den * scale)
+            key = []
+            for i, e in factors:
+                if isinstance(values[i], Fraction):
+                    x = power(i, e)
+                    t = t * x.numerator // x.denominator
+                else:
+                    key.append((i, e))
+            key = tuple(key)
+            groups[key] = groups.get(key, 0) + t
+        arrays = [x for x in values if not isinstance(x, Fraction)]
+        if not arrays:
+            return Fraction(groups.get((), 0), den * scale)
+        total = np.zeros(np.broadcast_shapes(*(x.shape for x in arrays)),
+                         dtype=object)
+        for key, t in groups.items():
+            if t:
+                for i, e in key:
+                    t = t * power(i, e)
+                total += t
+        return total, den * scale
 
     def _integer_form(self):
         """(den, degrees, terms): den is the least common denominator of
@@ -307,6 +343,23 @@ def _exact(sym: SymbolId, value) -> Fraction:
     except TypeError:
         raise TypeError(f"value for {sym!r} must be an int, Fraction or "
                         f"float, got {type(value).__name__}") from None
+
+
+def _int_array(sym: SymbolId, x: np.ndarray) -> np.ndarray:
+    """x, an integer or object ndarray bound to sym, as an object ndarray
+    of Python ints; an object element that is not an int (operator.index
+    refuses it: a float, Fraction or string) is a TypeError naming sym."""
+    if x.dtype.kind in "iu":
+        return x.astype(object)
+    out = np.empty(x.shape, dtype=object)
+    for k, v in enumerate(x.flat):
+        try:
+            out.flat[k] = operator.index(v)
+        except TypeError:
+            raise TypeError(f"value for {sym!r} must be an int, Fraction or "
+                            f"float, or an array of ints; got an array "
+                            f"element of type {type(v).__name__}") from None
+    return out
 
 
 def monomial(coefficient: Number, powers: Mapping[SymbolId, int]) -> Polynomial:

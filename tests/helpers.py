@@ -1,6 +1,8 @@
-"""Shared test fixtures: reference schemes and a random-scheme generator."""
+"""Shared test fixtures: reference schemes, a random-scheme generator and
+the per-state reading of enumerated jump moments."""
 
 import random
+from fractions import Fraction
 
 VERHULST = """\
 phi <-> 2 phi @ lambda, gamma
@@ -56,3 +58,18 @@ def _side(coeffs, names) -> str:
         elif c > 1:
             parts.append(f"{c} {name}")
     return " + ".join(parts) if parts else "0"
+
+
+def per_state_moments(moments) -> list[tuple[list, list]]:
+    """A JumpMoments read back per state: one (first, second) pair per
+    state, a list and a nested n x n list of exact values, each a Fraction
+    or the int 0 for a zero numerator, as jump_moments returned them
+    before its integer form."""
+    def exact(numerator):
+        return Fraction(numerator, moments.denominator) if numerator else 0
+
+    n = moments.first.shape[1]
+    return [([exact(v) for v in moments.first[s]],
+             [[exact(moments.second[i, j][s]) if (i, j) in moments.second
+               else 0 for j in range(n)] for i in range(n)])
+            for s in range(len(moments.first))]

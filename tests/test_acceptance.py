@@ -23,7 +23,8 @@ from onestep import (DiffusionSign, NoiseStrategy, Polynomial, RateMode,
                      parse_scheme, point_mass, rate, species)
 from onestep.cli import main as cli_main
 from onestep.poly import canonical_string
-from helpers import VERHULST, LOTKA_VOLTERRA, random_scheme_text
+from helpers import (VERHULST, LOTKA_VOLTERRA, per_state_moments,
+                     random_scheme_text)
 
 
 @contextmanager
@@ -98,7 +99,8 @@ def test_criterion_4_jump_moment_oracle():
             n = len(scheme.species)
             states = list(np.ndindex(*(6,) * n))
             for state, (first, second) in zip(
-                    states, jump_moments(scheme, rates, states)):
+                    states,
+                    per_state_moments(jump_moments(scheme, rates, states))):
                 point = dict(zip(scheme.species, (int(x) for x in state)))
                 point.update(rates)
                 for i in range(n):

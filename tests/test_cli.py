@@ -2,9 +2,12 @@
 
 import argparse
 import ast
+import contextlib
 import hashlib
 import inspect
+import io
 import json
+import random
 import sys
 import textwrap
 import time
@@ -13,15 +16,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onestep import (DiffusionSign, NotPsdError, Polynomial, RateMode,
                      StateBox, build_sde_model, default_box, diffusion_matrix,
-                     matrix_sqrt_psd, model_from_json, parse_scheme)
+                     jump_moments, matrix_sqrt_psd, model_from_json, monomial,
+                     parse_scheme)
 from onestep import __version__
 from onestep.cli import (_SAMPLED, MANIFEST_FORMAT, RatesFileError,
-                         _compared_entries, _sample_states, build_parser,
-                         main, parse_initial, parse_rates_file)
-from helpers import LOTKA_VOLTERRA, VERHULST
+                         _compared_entries, _moment_mismatches,
+                         _sample_states, build_parser, main, parse_initial,
+                         parse_rates_file)
+from helpers import (LOTKA_VOLTERRA, VERHULST, per_state_moments,
+                     random_scheme_text)
 
 VERHULST_RATES_TEXT = """\
 # logistic growth bindings
@@ -733,6 +741,101 @@ class TestCheckGolden:
         assert code == 1
         assert ("FAIL first-jump-moment: mismatch at state (1, 0, 1), "
                 "component 2\n") in capsys.readouterr().out
+
+
+class TestIntegerComparison:
+    """check compares the enumerated jump moments with the drift and B as
+    integers over one denominator, by cross-multiplication; it must flag
+    exactly the (state, entry) pairs that a comparison of Fractions,
+    state by state, flags."""
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 10 ** 9))
+    def test_flags_what_fractions_flag(self, seed, tmp_path_factory):
+        rng = random.Random(seed)
+        text = random_scheme_text(rng)
+        scheme = parse_scheme(text)
+        n = len(scheme.species)
+        # rates and states beyond int64, whose products int64 would wrap
+        values = {sym: rng.choice([rng.randint(1, 9), 2 ** 62 + 1,
+                                   Fraction(rng.randint(1, 9),
+                                            rng.randint(2, 7))])
+                  for sym in scheme.rate_symbols}
+        box = StateBox(tuple(rng.choice([1, 3, 2 ** 40]) for _ in range(n)))
+        # one drift component or one entry of B (and its mirror, as B
+        # stays symmetric) plus a monomial, which is zero at the states
+        # where one of its species is
+        powers = {sym: rng.randint(0, 2) for sym in scheme.species}
+        powers[rng.choice(scheme.rate_symbols)] = rng.randint(0, 1)
+        extra = monomial(Fraction(rng.choice([-3, -1, 1, 2]),
+                                  rng.randint(1, 3)), powers)
+        target = (rng.randrange(n), rng.randrange(n),
+                  rng.random() < 0.5)       # (i, j, in B), j only for B
+
+        def skewed_model(scheme, *args):
+            model = build_sde_model(scheme, *args)
+            i, j, in_b = target
+            if in_b:
+                b = [list(row) for row in model.diffusion]
+                b[i][j] = b[j][i] = b[i][j] + extra
+                return replace(model, diffusion=tuple(map(tuple, b)))
+            drift = list(model.drift)
+            drift[i] = drift[i] + extra
+            return replace(model, drift=tuple(drift))
+
+        # the Fraction reference, state by state
+        model = skewed_model(scheme, RateMode.EXACT, DiffusionSign.SUM)
+        states = _sample_states(box, 0)
+        entries = _compared_entries(scheme, model.diffusion)
+        want_first, want_second = [], []
+        for s, (first, second) in enumerate(per_state_moments(
+                jump_moments(scheme, values, states))):
+            point = {**values, **dict(zip(scheme.species, states[s]))}
+            want_first += [(s, i) for i in range(n)
+                           if model.drift[i].evaluate(point) != first[i]]
+            want_second += [
+                (s, e) for e, (i, j) in enumerate(entries)
+                if model.diffusion[i][j].evaluate(point) != second[i][j]]
+
+        columns = np.array(states, dtype=np.int64).T
+        first_wrong, second_wrong = _moment_mismatches(
+            jump_moments(scheme, values, states), model.drift,
+            model.diffusion, entries,
+            {**values, **dict(zip(scheme.species, columns))})
+        assert np.argwhere(first_wrong).tolist() == [list(f)
+                                                     for f in want_first]
+        assert np.argwhere(second_wrong).tolist() == [list(f)
+                                                      for f in want_second]
+
+        # and check's FAIL lines name the first of them
+        directory = tmp_path_factory.mktemp("skewed")
+        (directory / "s.scheme").write_text(text)
+        (directory / "s.rates").write_text("".join(
+            f"{sym.name} = {value}\n" for sym, value in values.items()))
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch, \
+                contextlib.redirect_stdout(out):
+            patch.setattr("onestep.cli.build_sde_model", skewed_model)
+            code = main(["check", str(directory / "s.scheme"),
+                         "--rates", str(directory / "s.rates"),
+                         "--box", ",".join(map(str, box.bounds)),
+                         "--rate-mode", "exact", "--diffusion-sign", "sum"])
+        assert code == 1
+        lines = out.getvalue()
+        if want_first:
+            s, i = want_first[0]
+            assert (f"FAIL first-jump-moment: mismatch at state "
+                    f"{states[s]}, component {i}\n") in lines
+        else:
+            assert "PASS first-jump-moment" in lines
+        if want_second:
+            s, e = want_second[0]
+            assert (f"FAIL second-jump-moment: diffusion (sum form) differs "
+                    f"from the enumerated second moment at state "
+                    f"{states[s]}, entry ({entries[e][0]},{entries[e][1]})"
+                    f"\n") in lines
+        else:
+            assert "PASS second-jump-moment" in lines
 
 
 class TestComparedEntries:

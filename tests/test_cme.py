@@ -23,7 +23,8 @@ from onestep import (ChannelTable, DegenerateDistributionError, Distribution,
                      reaction_channels)
 import onestep.cme
 from onestep.cme import _drift_flow
-from helpers import LOTKA_VOLTERRA, PURE_DEATH, VERHULST, random_scheme_text
+from helpers import (LOTKA_VOLTERRA, PURE_DEATH, VERHULST, per_state_moments,
+                     random_scheme_text)
 
 BETA = rate("beta")
 GAMMA = rate("gamma")
@@ -214,23 +215,50 @@ class TestGenerator:
 class TestJumpMoments:
     def test_logistic_at_three(self):
         s = parse_scheme(VERHULST)
-        [(first, second)] = jump_moments(s, VERHULST_RATES, [(3,)])
+        [(first, second)] = per_state_moments(
+            jump_moments(s, VERHULST_RATES, [(3,)]))
         assert first == [Fraction(-3, 5)]
         assert second == [[Fraction(33, 5)]]
 
     def test_zero_rates_give_zero_moments(self):
         s = parse_scheme(VERHULST)
-        [(first, second)] = jump_moments(s, {LAM: 0, GAMMA: 0, BETA: 0},
-                                         [(5,)])
+        [(first, second)] = per_state_moments(
+            jump_moments(s, {LAM: 0, GAMMA: 0, BETA: 0}, [(5,)]))
         assert first == [0]
         assert second == [[0]]
 
     def test_predator_prey_at_a_small_state(self):
         s = parse_scheme(LOTKA_VOLTERRA)
         ones = {sym: 1 for sym in s.rate_symbols}
-        [(first, second)] = jump_moments(s, ones, [(2, 1)])
+        [(first, second)] = per_state_moments(
+            jump_moments(s, ones, [(2, 1)]))
         assert first == [0, 1]
         assert second == [[4, -2], [-2, 3]]
+
+
+    def test_integer_form(self):
+        # at (2, 1) the channel rates are 1, 2 and 1/3: 6, 12 and 2 sixths
+        s = parse_scheme(LOTKA_VOLTERRA)
+        rates = {rate("k_1"): Fraction(1, 2), rate("k_2"): 1,
+                 rate("k_3"): Fraction(1, 3)}
+        moments = jump_moments(s, rates, [(2, 1), (0, 0)])
+        assert moments.denominator == 6
+        assert moments.first.dtype == object
+        assert moments.first.tolist() == [[-6, 10], [0, 0]]
+        assert all(type(v) is int for v in moments.first.ravel())
+        assert list(moments.second) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert moments.second[0, 0].tolist() == [18, 0]
+        assert moments.second[0, 1].tolist() == [-12, 0]
+        assert moments.second[1, 0] is moments.second[0, 1]
+        assert moments.second[1, 1].tolist() == [14, 0]
+
+    def test_a_species_no_channel_moves_has_no_entries(self):
+        # y only catalyses: its first moment is 0 and no entry reads it
+        s = parse_scheme("x + y -> 2 x + y @ a\n")
+        moments = jump_moments(s, {rate("a"): 3}, [(2, 5)])
+        assert moments.first.tolist() == [[30, 0]]
+        assert list(moments.second) == [(0, 0)]
+        assert moments.second[0, 0].tolist() == [30]
 
 
 class TestEvolution:
@@ -308,8 +336,9 @@ class TestEvolution:
         slope = (mean_ahead[0] - mean_behind[0]) / (2 * h)
         expectation = sum(
             float(first[0]) * p for (first, _), p
-            in zip(jump_moments(s, rates, list(box.states())),
-                   at_t.probabilities))
+            in zip(per_state_moments(
+                jump_moments(s, rates, list(box.states()))),
+                at_t.probabilities))
         assert abs(slope - expectation) < 1e-4
 
 
@@ -840,7 +869,7 @@ def assert_matches_reference(scheme, rates, box):
     assert gen.lost_rate.tobytes() == ref.lost_rate.tobytes()
     assert gen.exact_lost == ref.exact_lost
     states = list(box.states())
-    assert jump_moments(scheme, rates, states) == \
+    assert per_state_moments(jump_moments(scheme, rates, states)) == \
         [reference_jump_moments(scheme, rates, state) for state in states]
 
 
@@ -882,5 +911,5 @@ class TestOraclesMatchTheReference:
         rates = {rate("a"): 2 ** 62, rate("b"): Fraction(1, 3)}
         assert_matches_reference(s, rates, StateBox((4,)))
         states = [(3_000_000,), (2 ** 40,)]
-        assert jump_moments(s, rates, states) == \
+        assert per_state_moments(jump_moments(s, rates, states)) == \
             [reference_jump_moments(s, rates, state) for state in states]

@@ -14,7 +14,8 @@ from onestep import (DiffusionSign, IncompatibleNoiseError, NoiseStrategy,
                      canonical_string, diffusion_matrix, drift_vector,
                      jump_moments, parse_expression, parse_scheme, rate,
                      species, transition_rates)
-from helpers import LOTKA_VOLTERRA, VERHULST, random_scheme_text
+from helpers import (LOTKA_VOLTERRA, VERHULST, per_state_moments,
+                     random_scheme_text)
 
 PHI = species("phi")
 
@@ -223,7 +224,7 @@ class TestDerivationProperties:
         n = len(s.species)
         states = list(itertools.product(range(4), repeat=n))
         for state, (first_enum, second_enum) in zip(
-                states, jump_moments(s, rates, states)):
+                states, per_state_moments(jump_moments(s, rates, states))):
             point = dict(rates)
             point.update(zip(s.species, state))
             for i in range(n):

@@ -41,6 +41,13 @@ class TestSymbolId:
         assert species("x") != rate("x")
         assert rate("x") == SymbolId("x", SymbolKind.RATE)
 
+    def test_hash_keeps_equal_ids_together_and_kinds_apart(self):
+        assert hash(species("x")) == hash(X)
+        table = {X: "species", rate("x"): "rate"}
+        assert table[species("x")] == "species"
+        assert table[SymbolId("x", SymbolKind.RATE)] == "rate"
+        assert len({X, species("x"), rate("x")}) == 2
+
     def test_name_grammar(self):
         for ok in ("x", "_x", "k_1", "Phi2", "_"):
             SymbolId(ok, SymbolKind.SPECIES)
@@ -429,7 +436,8 @@ _exact_values = st.one_of(_int_values, _fraction_values)
 
 
 class TestArrayEvaluation:
-    """Integer arrays for x and y take the exact path elementwise."""
+    """Integer arrays for x and y take the exact path elementwise, which
+    returns the pair (numerators, denominator)."""
 
     @given(a=_polys, rows=st.lists(st.tuples(_wide_ints, _wide_ints),
                                    min_size=1, max_size=4),
@@ -441,26 +449,54 @@ class TestArrayEvaluation:
     def test_each_entry_is_the_fraction_at_its_point(self, a, rows, k, g,
                                                       dtype):
         xs, ys = (np.array(column, dtype=dtype) for column in zip(*rows))
-        values = a.evaluate({X: xs, Y: ys, K1: k, GAMMA: g})
+        value = a.evaluate({X: xs, Y: ys, K1: k, GAMMA: g})
         expected = [a.evaluate({X: x, Y: y, K1: k, GAMMA: g})
                     for x, y in rows]
         if a.symbols.isdisjoint({X, Y}):
-            assert type(values) is Fraction
-            assert [values] * len(rows) == expected
+            assert type(value) is Fraction
+            assert [value] * len(rows) == expected
         else:
-            assert values.dtype == object
-            assert all(type(v) is Fraction for v in values)
-            assert values.tolist() == expected
+            numerators, denominator = value
+            assert numerators.dtype == object
+            assert numerators.shape == (len(rows),)
+            assert all(type(v) is int for v in numerators)
+            assert type(denominator) is int and denominator > 0
+            assert [Fraction(v, denominator) for v in numerators] == expected
 
     def test_without_an_array_symbol_the_value_is_one_fraction(self):
         p = parse_expression("1/2*k_1^2 + 3", SYMS)
         value = p.evaluate({X: np.arange(4), K1: Fraction(1, 3)})
         assert type(value) is Fraction and value == Fraction(55, 18)
 
+    def test_terms_that_cancel_give_zero_numerators(self):
+        # k_1 = gamma, so the one group of terms, those in x, sums to 0
+        p = parse_expression("k_1*x - gamma*x", SYMS)
+        numerators, denominator = p.evaluate(
+            {X: np.arange(3), K1: Fraction(1, 3), GAMMA: Fraction(2, 6)})
+        assert numerators.dtype == object
+        assert numerators.tolist() == [0, 0, 0] and denominator > 0
+
+    def test_numpy_integers_in_object_arrays_do_not_wrap(self):
+        xs = np.array([np.int64(2 ** 40), np.int64(-3)], dtype=object)
+        numerators, denominator = parse_expression("x^3", SYMS).evaluate(
+            {X: xs})
+        assert [Fraction(v, denominator) for v in numerators] == \
+            [2 ** 120, -27]
+
     def test_float_arrays_are_refused(self):
         p = parse_expression("1/3*x^2 - 2*x*k_1 + 1", SYMS)
         with pytest.raises(TypeError, match="species:x"):
             p.evaluate({X: np.array([0.5, -1.25, 3.0]), K1: 0.75})
+
+    @pytest.mark.parametrize("element", [0.5, "3", Fraction(1, 2)],
+                             ids=["float", "str", "Fraction"])
+    def test_object_elements_that_are_not_ints_are_refused_by_name(
+            self, element):
+        p = parse_expression("x^2 + k_1", SYMS)
+        message = (r"value for species:x must be .* array of ints; got an "
+                   rf"array element of type {type(element).__name__}")
+        with pytest.raises(TypeError, match=message):
+            p.evaluate({X: np.array([2, element], dtype=object), K1: 1})
 
 
 # bind_values as it was before binding term by term: Polynomial.substitute
