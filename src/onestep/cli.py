@@ -33,7 +33,7 @@ from .derive import (DiffusionSign, IncompatibleNoiseError, NoiseStrategy,
 from .derive import drift_vector  # noqa: F401
 from .cme import StateBox, default_box
 from .poly import (ExpressionSyntaxError, MissingSymbolError, bind_values,
-                   as_function, canonical_string)
+                   as_function, canonical_string, symbol_ranks)
 from .scheme import SchemeError, format_scheme, parse_scheme
 from .sim import (Engine, NegativePolicy, NegativeRateError, NotPsdError,
                   SimConfig, SimConfigError, SimulationError,
@@ -228,7 +228,7 @@ def load_model(kind: str, text: str, rate_mode: str, sign: str, noise: str,
 
 
 def model_report(model: SdeModel) -> str:
-    order = model.display_order
+    order = symbol_ranks(model.display_order)
     lines = []
     if model.scheme is not None:
         lines.append("scheme:")
@@ -580,14 +580,17 @@ def _sample_states(box: StateBox, seed: int):
 
 
 def _compared_entries(scheme, diffusion) -> list[tuple[int, int]]:
-    """The entries of B that check compares with the enumerated second
-    moment, in row-major order: those where B is not the zero polynomial
-    or that some channel moves (moved_together).  At every other entry
-    both are exactly 0 at every state."""
+    """The entries of B's upper triangle that check compares with the
+    enumerated second moment, in row-major order: those where B is not the
+    zero polynomial or that some channel moves (moved_together).  At every
+    other entry both are exactly 0 at every state.  Both sides are
+    symmetric, so a mismatch at (j, i) is one at (i, j), which comes first
+    in row-major order."""
     moved = moved_together(np.array([ia.change
                                       for ia in scheme.interactions]))
-    return sorted({*moved, *((i, j) for i, row in enumerate(diffusion)
-                             for j, p in enumerate(row) if p)})
+    return sorted({*((i, j) for i, j in moved if i <= j),
+                   *((i, j) for i, row in enumerate(diffusion)
+                     for j, p in enumerate(row[i:], start=i) if p)})
 
 
 def _moment_mismatches(moments, drift, diffusion, entries, point):

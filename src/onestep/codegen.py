@@ -9,13 +9,12 @@ the bodies verbatim.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .derive import DiffusionSign, NoiseStrategy, RateMode, SdeModel
-from .poly import (Polynomial, SymbolId, SymbolKind, canonical_string,
-                   parse_expression, rates_then_species, render_terms,
-                   sorted_terms)
+from .poly import (Number, Polynomial, SymbolId, SymbolKind, SymbolOrder,
+                   canonical_string, parse_expression, rates_then_species,
+                   render_terms, sorted_terms, symbol_ranks)
 from .scheme import scheme_from_dict, scheme_to_dict
 
 MODEL_FORMAT_VERSION = "1"
@@ -49,14 +48,14 @@ def latex_symbol(name: str) -> str:
     return f"{base_tex}_{{{sub}}}" if sub else base_tex
 
 
-def _latex_coefficient(c: Fraction) -> str:
+def _latex_coefficient(c: Number) -> str:
     if c.denominator == 1:
         return str(c.numerator)
     return rf"\frac{{{c.numerator}}}{{{c.denominator}}}"
 
 
 def latex_expression(p: Polynomial,
-                     symbol_order: Sequence[SymbolId] | None = None) -> str:
+                     symbol_order: SymbolOrder | None = None) -> str:
     def factor(sym: SymbolId, e: int) -> str:
         tex = latex_symbol(sym.name)
         return tex if e == 1 else f"{tex}^{{{e}}}"
@@ -73,7 +72,7 @@ def _pmatrix(entries: Sequence[str]) -> str:
 def emit_latex(model: SdeModel) -> str:
     """Display equations for the drift, the diffusion matrix, and the
     Langevin equation itself."""
-    order = model.display_order
+    order = symbol_ranks(model.display_order)
     n = len(model.species)
     sp_tex = [latex_symbol(s.name) for s in model.species]
     drift_tex = [latex_expression(p, order) for p in model.drift]
@@ -102,7 +101,7 @@ def emit_latex(model: SdeModel) -> str:
 # ---------------------------------------------------------------------------
 # C dialect
 
-def _c_number(c: Fraction) -> str:
+def _c_number(c: Number) -> str:
     if c.denominator == 1:
         return str(c.numerator)
     # nearest double, printed positionally so the restricted grammar
@@ -112,7 +111,7 @@ def _c_number(c: Fraction) -> str:
 
 
 def c_expression(p: Polynomial, index: Mapping[SymbolId, str],
-                 symbol_order: Sequence[SymbolId] | None = None) -> str:
+                 symbol_order: SymbolOrder | None = None) -> str:
     """Body text in the restricted dialect; index maps each symbol to the
     array reference that stands for it (e.g. species:phi -> "x[0]")."""
     return render_terms(sorted_terms(p, symbol_order), _c_number,
@@ -125,7 +124,7 @@ def emit_c_source(model: SdeModel, function_name: str = "model") -> str:
     """Two pure functions over (state array x, rate array k): one filling
     the drift vector, one filling the diffusion matrix row-major."""
     n = len(model.species)
-    order = model.display_order
+    order = symbol_ranks(model.display_order)
     index: dict[SymbolId, str] = {}
     header = [f"/* one-step model: {function_name}", " *"]
     for i, s in enumerate(model.species):
@@ -161,7 +160,7 @@ def emit_c_source(model: SdeModel, function_name: str = "model") -> str:
 
 
 def emit_model_json(model: SdeModel) -> str:
-    order = model.display_order
+    order = symbol_ranks(model.display_order)
     data = {
         "version": MODEL_FORMAT_VERSION,
         "species": [s.name for s in model.species],

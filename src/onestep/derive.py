@@ -15,6 +15,7 @@ silently corrected here.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 from .poly import Polynomial, SymbolId, falling_factorial, power
@@ -49,36 +50,35 @@ class TransitionRates:
     backward: tuple[Polynomial, ...]
 
 
-def _complex_rate(rate_sym: SymbolId, stoich: tuple[int, ...],
-                  species_syms: tuple[SymbolId, ...],
-                  mode: RateMode) -> Polynomial:
-    p = Polynomial.symbol(rate_sym)
-    for sym, m in zip(species_syms, stoich):
-        if m:
-            factor = (falling_factorial(sym, m) if mode is RateMode.EXACT
-                      else power(sym, m))
-            p = p * factor
-    return p
-
-
 def transition_rates(scheme: InteractionScheme,
                      mode: RateMode = RateMode.EXACT) -> TransitionRates:
-    fwd = []
-    bwd = []
-    for ia in scheme.interactions:
-        fwd.append(_complex_rate(ia.forward_rate, ia.initial,
-                                 scheme.species, mode))
-        if ia.backward_rate is not None:
-            bwd.append(_complex_rate(ia.backward_rate, ia.final,
-                                     scheme.species, mode))
-        else:
-            bwd.append(Polynomial.zero())
-    return TransitionRates(forward=tuple(fwd), backward=tuple(bwd))
+    # each falling factorial or power is built once per call
+    factor = functools.cache(falling_factorial if mode is RateMode.EXACT
+                             else power)
+
+    def complex_rate(rate_sym: SymbolId,
+                     stoich: tuple[int, ...]) -> Polynomial:
+        p = Polynomial.symbol(rate_sym)
+        for sym, m in zip(scheme.species, stoich):
+            if m:
+                p = p * factor(sym, m)
+        return p
+
+    return TransitionRates(
+        forward=tuple(complex_rate(ia.forward_rate, ia.initial)
+                      for ia in scheme.interactions),
+        backward=tuple(Polynomial.zero() if ia.backward_rate is None
+                       else complex_rate(ia.backward_rate, ia.final)
+                       for ia in scheme.interactions))
 
 
 def drift_vector(scheme: InteractionScheme,
                  mode: RateMode = RateMode.FOKKER_PLANCK) -> list[Polynomial]:
-    rates = transition_rates(scheme, mode)
+    return _drift(scheme, transition_rates(scheme, mode))
+
+
+def _drift(scheme: InteractionScheme,
+           rates: TransitionRates) -> list[Polynomial]:
     # each entry's terms are collected and merged once: adding term by
     # term would re-merge the whole sum per interaction
     terms = [[] for _ in scheme.species]
@@ -94,16 +94,24 @@ def diffusion_matrix(scheme: InteractionScheme,
                      mode: RateMode = RateMode.FOKKER_PLANCK,
                      sign: DiffusionSign = DiffusionSign.DIFFERENCE
                      ) -> list[list[Polynomial]]:
-    rates = transition_rates(scheme, mode)
+    return _diffusion(scheme, transition_rates(scheme, mode), sign)
+
+
+def _diffusion(scheme: InteractionScheme, rates: TransitionRates,
+               sign: DiffusionSign) -> list[list[Polynomial]]:
+    # the upper triangle is derived, and entry (j, i) is entry (i, j)
     n = len(scheme.species)
     terms = [[[] for _ in range(n)] for _ in range(n)]
     for ia, sp, sm in zip(scheme.interactions, rates.forward, rates.backward):
         combined = sp - sm if sign is DiffusionSign.DIFFERENCE else sp + sm
         moved = [(i, r) for i, r in enumerate(ia.change) if r]
-        for i, ri in moved:
-            for j, rj in moved:
+        for k, (i, ri) in enumerate(moved):
+            for j, rj in moved[k:]:
                 terms[i][j] += ((ri * rj) * combined).terms
-    return [[Polynomial(t) for t in row] for row in terms]
+    for i in range(n):
+        for j in range(i, n):
+            terms[i][j] = terms[j][i] = Polynomial(terms[i][j])
+    return terms
 
 
 @dataclass(frozen=True)
@@ -160,7 +168,8 @@ def build_sde_model(scheme: InteractionScheme,
                     diffusion_sign: DiffusionSign = DiffusionSign.DIFFERENCE,
                     noise_strategy: NoiseStrategy = NoiseStrategy.MATRIX_SQRT
                     ) -> SdeModel:
-    """Assemble the Langevin model for a scheme.
+    """Assemble the Langevin model for a scheme: the transition rates are
+    derived once, and the drift and B both come from them.
 
     Per-reaction noise reproduces B only when B is the directional sum,
     so requesting it together with the difference sign is rejected for
@@ -172,12 +181,12 @@ def build_sde_model(scheme: InteractionScheme,
         raise IncompatibleNoiseError(
             "per-reaction noise squares to the directional sum; with a "
             "reversible interaction it cannot realize the difference form")
+    rates = transition_rates(scheme, rate_mode)
     return SdeModel(
         species=scheme.species,
         rate_symbols=scheme.rate_symbols,
-        drift=tuple(drift_vector(scheme, rate_mode)),
-        diffusion=tuple(tuple(row) for row in
-                        diffusion_matrix(scheme, rate_mode, diffusion_sign)),
+        drift=tuple(_drift(scheme, rates)),
+        diffusion=tuple(map(tuple, _diffusion(scheme, rates, diffusion_sign))),
         rate_mode=rate_mode,
         diffusion_sign=diffusion_sign,
         noise_strategy=noise_strategy,

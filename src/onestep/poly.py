@@ -1,8 +1,9 @@
 """Exact multivariate polynomials over named symbols.
 
-Coefficients are rational (fractions.Fraction), so every algebraic
-operation here is exact, evaluation and binding included: a float value
-counts as the rational it represents.  Floating point only appears when
+Coefficients are rational: an integral one is a Python int, any other a
+fractions.Fraction with denominator > 1.  Every algebraic operation here
+is exact, evaluation and binding included: a float value counts as the
+rational it represents.  Floating point only appears when
 polynomials are compiled to a numeric function (as_function).
 Symbols carry a kind (species or rate constant) because model assembly
 and printing treat the two vocabularies differently.
@@ -79,15 +80,20 @@ class MissingSymbolError(KeyError):
 Exponents = tuple[tuple[SymbolId, int], ...]
 
 
+Number = Union[int, Fraction]
+
+
 @dataclass(frozen=True)
 class Monomial:
     """One term: a nonzero rational coefficient times a product of powers.
 
-    exponents is sorted by symbol and holds strictly positive powers only,
-    so equal monomials compare equal structurally.
+    In a Polynomial the coefficient is an int when it is integral and a
+    Fraction otherwise (_canonical), and exponents is sorted by symbol and
+    holds strictly positive powers only, so equal monomials compare equal
+    structurally.
     """
 
-    coefficient: Fraction
+    coefficient: Number
     exponents: Exponents
 
 
@@ -95,7 +101,17 @@ def _storage_key(exponents: Exponents) -> tuple:
     return tuple((_symbol_key(s), e) for s, e in exponents)
 
 
-Number = Union[int, Fraction]
+def _canonical(c: Number) -> Number:
+    """c as an int when it is integral, else as the Fraction it is."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _accumulate(acc: dict[Exponents, Number], terms) -> dict:
+    """acc with each (exponents, coefficient) of terms added in."""
+    for e, c in terms:
+        old = acc.get(e)
+        acc[e] = c if old is None else old + c
+    return acc
 
 
 class Polynomial:
@@ -104,10 +120,8 @@ class Polynomial:
     __slots__ = ("_terms", "_integer")
 
     def __init__(self, terms: Iterable[Monomial] = ()):
-        acc: dict[Exponents, Fraction] = {}
-        for m in terms:
-            acc[m.exponents] = acc.get(m.exponents, Fraction(0)) + m.coefficient
-        self._terms = _from_dict(acc)
+        self._terms = _from_dict(_accumulate(
+            {}, ((m.exponents, m.coefficient) for m in terms)))
 
     @staticmethod
     def zero() -> "Polynomial":
@@ -119,16 +133,12 @@ class Polynomial:
 
     @staticmethod
     def constant(value: Number) -> "Polynomial":
-        p = Polynomial.__new__(Polynomial)
-        c = Fraction(value)
-        p._terms = () if c == 0 else (Monomial(c, ()),)
-        return p
+        c = value if type(value) is int else _canonical(Fraction(value))
+        return _wrap((Monomial(c, ()),) if c else ())
 
     @staticmethod
     def symbol(sym: SymbolId) -> "Polynomial":
-        p = Polynomial.__new__(Polynomial)
-        p._terms = (Monomial(Fraction(1), ((sym, 1),)),)
-        return p
+        return _wrap((Monomial(1, ((sym, 1),)),))
 
     @property
     def terms(self) -> tuple[Monomial, ...]:
@@ -154,10 +164,9 @@ class Polynomial:
         other_p = _try_coerce(other)
         if other_p is None:
             return NotImplemented
-        acc = {m.exponents: m.coefficient for m in self._terms}
-        for m in other_p._terms:
-            acc[m.exponents] = acc.get(m.exponents, Fraction(0)) + m.coefficient
-        return _wrap(_from_dict(acc))
+        return _wrap(_from_dict(_accumulate(
+            {m.exponents: m.coefficient for m in self._terms},
+            ((m.exponents, m.coefficient) for m in other_p._terms))))
 
     __radd__ = __add__
 
@@ -177,15 +186,18 @@ class Polynomial:
         return other_p + (-self)
 
     def __mul__(self, other) -> "Polynomial":
-        other_p = _try_coerce(other)
-        if other_p is None:
+        if isinstance(other, (int, Fraction)):
+            # a scalar scales each coefficient in place: the exponents and
+            # the order of the terms stay, and 0 gives the zero polynomial
+            return _wrap(tuple(Monomial(_canonical(m.coefficient * other),
+                                        m.exponents)
+                               for m in self._terms) if other else ())
+        if not isinstance(other, Polynomial):
             return NotImplemented
-        acc: dict[Exponents, Fraction] = {}
-        for a in self._terms:
-            for b in other_p._terms:
-                exps = _merge_exponents(a.exponents, b.exponents)
-                acc[exps] = acc.get(exps, Fraction(0)) + a.coefficient * b.coefficient
-        return _wrap(_from_dict(acc))
+        return _wrap(_from_dict(_accumulate({}, (
+            (_merge_exponents(a.exponents, b.exponents),
+             a.coefficient * b.coefficient)
+            for a in self._terms for b in other._terms))))
 
     __rmul__ = __mul__
 
@@ -304,10 +316,10 @@ def _wrap(terms: tuple[Monomial, ...]) -> Polynomial:
     return p
 
 
-def _from_dict(acc: Mapping[Exponents, Fraction]) -> tuple[Monomial, ...]:
-    items = [(e, c) for e, c in acc.items() if c != 0]
+def _from_dict(acc: Mapping[Exponents, Number]) -> tuple[Monomial, ...]:
+    items = [(e, c) for e, c in acc.items() if c]
     items.sort(key=lambda ec: _storage_key(ec[0]))
-    return tuple(Monomial(c, e) for e, c in items)
+    return tuple(Monomial(_canonical(c), e) for e, c in items)
 
 
 def _merge_exponents(a: Exponents, b: Exponents) -> Exponents:
@@ -369,8 +381,8 @@ def monomial(coefficient: Number, powers: Mapping[SymbolId, int]) -> Polynomial:
     for _, e in exps:
         if e < 0:
             raise ValueError("exponents must be nonnegative")
-    c = Fraction(coefficient)
-    return _wrap(() if c == 0 else (Monomial(c, exps),))
+    c = _canonical(Fraction(coefficient))
+    return _wrap((Monomial(c, exps),) if c else ())
 
 
 def falling_factorial(sym: SymbolId, n: int) -> Polynomial:
@@ -399,29 +411,42 @@ def power(sym: SymbolId, n: int) -> Polynomial:
 # printing
 
 
+# symbols, most significant first, or their rank table from symbol_ranks
+SymbolOrder = Union[Sequence[SymbolId], Mapping[SymbolId, int]]
+
+
+def symbol_ranks(symbol_order: Sequence[SymbolId]) -> dict[SymbolId, int]:
+    """Each symbol's first position in symbol_order: a renderer builds
+    this once for all the polynomials it prints."""
+    ranks: dict[SymbolId, int] = {}
+    for i, sym in enumerate(symbol_order):
+        ranks.setdefault(sym, i)
+    return ranks
+
+
 def sorted_terms(p: Polynomial,
-                 symbol_order: Sequence[SymbolId] | None = None) -> list[Monomial]:
+                 symbol_order: SymbolOrder | None = None) -> list[Monomial]:
     """Terms in display order: ascending lexicographic on exponent vectors.
 
     The exponent vector of each term is read off against a significance
-    list: symbol_order first (most significant first), then any remaining
-    symbols of the polynomial, species before rates, alphabetically.  A
-    polynomial of at most one term is returned as it is, without reading
-    symbol_order.
+    list: the polynomial's symbols by rank in symbol_order (a rank table
+    is only looked up), then those it does not rank, species before
+    rates, alphabetically.  A polynomial of at most one term is returned
+    as it is, without reading symbol_order.
     """
     if len(p.terms) <= 1:
         return list(p.terms)
-    present = p.symbols
-    if symbol_order is None:
-        sig = sorted(present, key=_symbol_key)
-    else:
-        sig = [s for s in symbol_order if s in present]
-        seen = set(sig)
-        sig += sorted((s for s in present if s not in seen), key=_symbol_key)
+    ranks = (symbol_order if isinstance(symbol_order, Mapping)
+             else symbol_ranks(symbol_order or ()))
+    sig = sorted(p.symbols, key=lambda s: (0, ranks[s]) if s in ranks
+                 else (1, _symbol_key(s)))
+    column = {sym: k for k, sym in enumerate(sig)}
 
-    def term_key(m: Monomial) -> tuple[int, ...]:
-        e = dict(m.exponents)
-        return tuple(e.get(s, 0) for s in sig)
+    def term_key(m: Monomial) -> list[int]:
+        vector = [0] * len(column)
+        for sym, e in m.exponents:
+            vector[column[sym]] = e
+        return vector
 
     return sorted(p.terms, key=term_key)
 
@@ -433,7 +458,7 @@ def rates_then_species(factor: tuple[SymbolId, int]) -> tuple[bool, str]:
 
 
 def render_terms(terms: Iterable[Monomial],
-                 number: Callable[[Fraction], str],
+                 number: Callable[[Number], str],
                  factor: Callable[[SymbolId, int], str], *,
                  times: str, zero: str, lead: str,
                  order: Callable | None = None) -> str:
@@ -461,7 +486,7 @@ def render_terms(terms: Iterable[Monomial],
 
 
 def canonical_string(p: Polynomial,
-                     symbol_order: Sequence[SymbolId] | None = None) -> str:
+                     symbol_order: SymbolOrder | None = None) -> str:
     """Deterministic text form; parse_expression inverts it exactly."""
     return render_terms(
         sorted_terms(p, symbol_order), str,
@@ -471,6 +496,10 @@ def canonical_string(p: Polynomial,
 
 # ---------------------------------------------------------------------------
 # parsing
+
+# the largest stoichiometric coefficient of a scheme, so the largest power
+# of a derived model, and the largest exponent parse_expression reads
+MAX_STOICH = 64
 
 _TOKEN_RE = re.compile(
     r"(?P<number>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()])")
@@ -590,6 +619,11 @@ class _Parser(TokenStream):
                     raise ExpressionSyntaxError("bad exponent", exp.position,
                                                 expected="a nonnegative integer")
                 self.take()
+                digits = exp.text.lstrip("0") or "0"   # int() of no long text
+                if len(digits) > 2 or int(digits) > MAX_STOICH:
+                    raise ExpressionSyntaxError(
+                        f"exponent {exp.text} exceeds {MAX_STOICH}",
+                        exp.position)
                 return p ** int(exp.text)
             return p
         if tok.kind == "op" and tok.text == "(":
@@ -686,7 +720,7 @@ def as_function(polys: Sequence[Polynomial],
     """
     index = {s: f"_{i}" for i, s in enumerate(args)}
 
-    def literal(c: Fraction) -> str:
+    def literal(c: Number) -> str:
         try:
             return repr(float(c))
         except OverflowError:

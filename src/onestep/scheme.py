@@ -19,9 +19,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from .poly import SymbolId, SymbolKind, Token, TokenStream, rate, species
-
-MAX_STOICH = 64
+from .poly import (MAX_STOICH, SymbolId, SymbolKind, Token, TokenStream,
+                   rate, species)
 
 
 class SchemeError(ValueError):

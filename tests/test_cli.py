@@ -257,6 +257,38 @@ class TestCodegen:
         assert not out.exists()
 
 
+class TestExponentLimit:
+    """A model JSON power above the largest stoichiometry is refused
+    before the exports would write it out factor by factor."""
+
+    @pytest.mark.parametrize("command", [
+        ["codegen", "--target", "c"],
+        ["simulate", "--initial", "phi=10", "--trajectories", "3"],
+    ], ids=["codegen", "simulate"])
+    def test_exponent_above_64_exits_2(self, command, tmp_path,
+                                       verhulst_rates, capsys):
+        path = _bare_model_file(tmp_path, "sqrt")
+        data = json.loads(path.read_text())
+        data["drift"] = ["-beta*phi^200000"]
+        path.write_text(json.dumps(data))
+        name, *flags = command
+        if name == "simulate":
+            flags += ["--rates", str(verhulst_rates)]
+        out = tmp_path / "out"
+        assert main([name, str(path), *flags, "--out", str(out)]) == 2
+        _assert_usage_error(capsys, "exponent 200000 exceeds 64",
+                            "position 10")
+        assert not out.exists()
+
+    def test_exponent_64_is_read(self, tmp_path, capsys):
+        path = _bare_model_file(tmp_path, "sqrt")
+        data = json.loads(path.read_text())
+        data["drift"] = ["-beta*phi^64"]
+        path.write_text(json.dumps(data))
+        assert main(["codegen", str(path), "--target", "c"]) == 0
+        assert "*".join(["x[0]"] * 64) in capsys.readouterr().out
+
+
 def _bare_model_file(tmp_path, noise: str):
     """A model JSON file without the scheme the model came from."""
     from onestep import (DiffusionSign, NoiseStrategy, Polynomial, RateMode,
@@ -846,14 +878,14 @@ class TestComparedEntries:
         scheme = parse_scheme(self.CHAIN)
         b = build_sde_model(scheme, RateMode.EXACT,
                             DiffusionSign.SUM).diffusion
-        # no channel moves x1 and x3 together, and B_13 is zero
-        moved = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)]
+        # no channel moves x1 and x3 together, and B_13 is zero; of each
+        # mirror pair only the upper entry is compared
+        moved = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)]
         assert _compared_entries(scheme, b) == moved
         x1, _, x3 = (Polynomial.symbol(s) for s in scheme.species)
         skewed = [list(row) for row in b]
         skewed[0][2] = skewed[2][0] = x1 * x3
-        assert _compared_entries(scheme, skewed) == sorted(
-            moved + [(0, 2), (2, 0)])
+        assert _compared_entries(scheme, skewed) == sorted(moved + [(0, 2)])
 
     def test_a_nonzero_entry_no_channel_reaches_is_compared(
             self, tmp_path, capsys, monkeypatch):

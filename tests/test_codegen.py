@@ -1,18 +1,23 @@
 """Exporters: LaTeX, the restricted C dialect, and the JSON model form."""
 
+import hashlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import onestep
 from onestep import (DiffusionSign, ModelFormatError, NoiseStrategy,
-                     RateMode, build_sde_model, c_expression, emit_c_source,
-                     emit_latex, emit_model_json, latex_expression,
-                     latex_symbol, model_from_json, parse_expression,
-                     parse_scheme, rate, species)
-from onestep.cli import main
+                     RateMode, SymbolId, build_sde_model, c_expression,
+                     emit_c_source, emit_latex, emit_model_json,
+                     latex_expression, latex_symbol, model_from_json,
+                     parse_expression, parse_scheme, rate, species)
+from onestep.cli import main, model_report
 from onestep.poly import Polynomial
 from helpers import LOTKA_VOLTERRA, VERHULST, random_scheme_text
 
@@ -266,9 +271,34 @@ RING3 = """\
 GOLDEN = Path(__file__).parent / "golden" / "derive"
 
 
+def ring(n: int) -> str:
+    """The cyclic ring of perfbench's ring8 workload, on n species."""
+    return "".join(f"3 x{i} <-> 3 x{i % n + 1} @ a_{i}, b_{i}\n"
+                   for i in range(1, n + 1))
+
+
+# derive's four files on the 50-species ring under the benchmark's flags,
+# recorded before the coefficients became ints; its multi-digit names
+# (x1, x10, x2, ...) make the rank order of the display matter
+RING50_SHA256 = {
+    "ring50.tex":
+        "219bdf152198fb8e2014446991383ce8cc1a5bc75fadcbabf708d68e5161bb5e",
+    "ring50_model.c":
+        "0bbb1d86cad19b07c5437bd0b42154afa3c15a5f5e9ef4c8583a2a496a96781f",
+    "ring50.model.json":
+        "886f7c0e38511974357ee97d27c806b11f3908f3d31d60f303e98ab4e23e3f89",
+    "ring50.report.txt":
+        "4a5751f73dc37b8dc07ee6b1fb2389cca2bd74573936b19bdbf16105e298e5bb",
+}
+
+DERIVE_FILES = ("{}.tex", "{}_model.c", "{}.model.json", "{}.report.txt")
+
+
 class TestDeriveGolden:
-    """derive's three exports, byte for byte, as recorded before the term
-    renderer was shared between the text forms and the compiler."""
+    """derive's four files, byte for byte: the three exports as recorded
+    before the term renderer was shared between the text forms and the
+    compiler, and the report as recorded before the coefficients became
+    ints."""
 
     @pytest.mark.parametrize("variant, flags", [
         ("default", ()),
@@ -285,6 +315,60 @@ class TestDeriveGolden:
         scheme.write_text(text)
         out = tmp_path / "out"
         assert main(["derive", str(scheme), *flags, "--out", str(out)]) == 0
-        for name in (f"{stem}.tex", f"{stem}_model.c", f"{stem}.model.json"):
+        for name in (form.format(stem) for form in DERIVE_FILES):
             expected = (GOLDEN / variant / name).read_bytes()
             assert (out / name).read_bytes() == expected, name
+
+    def test_ring_of_50_species(self, tmp_path, capsys):
+        scheme = tmp_path / "ring50.scheme"
+        scheme.write_text(ring(50))
+        out = tmp_path / "out"
+        assert main(["derive", str(scheme), "--rate-mode", "exact",
+                     "--diffusion-sign", "sum", "--out", str(out)]) == 0
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in RING50_SHA256} == RING50_SHA256
+
+    def test_same_bytes_under_any_hash_seed(self, tmp_path):
+        # symbols hash by name, so dict and set order may follow the
+        # interpreter's string hash seed; no output may
+        scheme = tmp_path / "ring3.scheme"
+        scheme.write_text(RING3)
+        src = Path(onestep.__file__).parent.parent
+        files = {}
+        for seed in ("0", "1"):
+            out = tmp_path / seed
+            subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from onestep.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))",
+                 "derive", str(scheme), "--out", str(out)],
+                env={**os.environ, "PYTHONHASHSEED": seed,
+                     "PYTHONPATH": str(src)},
+                check=True, capture_output=True)
+            files[seed] = {form.format("ring3"):
+                           (out / form.format("ring3")).read_bytes()
+                           for form in DERIVE_FILES}
+        assert files["0"] == files["1"]
+
+
+class TestRenderingScales:
+    @pytest.mark.parametrize("render", [
+        model_report, emit_latex, emit_c_source, emit_model_json])
+    def test_linear_in_the_species_count(self, render, monkeypatch):
+        # a ring of n species has O(n) nonzero terms; scanning the whole
+        # display order for each polynomial made rendering grow as n^2
+        # (symbol hashes from 16 to 32 species: 2.6 to 3.1 times)
+        models = [build_sde_model(parse_scheme(ring(n))) for n in (16, 32)]
+        plain = SymbolId.__hash__
+        hashes = []
+
+        def counting(sym):
+            hashes[-1] += 1
+            return plain(sym)
+
+        monkeypatch.setattr(SymbolId, "__hash__", counting)
+        for model in models:
+            hashes.append(0)
+            render(model)
+        small, large = hashes
+        assert large <= 2.5 * small

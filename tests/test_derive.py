@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from onestep import (DiffusionSign, IncompatibleNoiseError, NoiseStrategy,
                      Polynomial, RateMode, SdeModel, build_sde_model,
                      canonical_string, diffusion_matrix, drift_vector,
-                     jump_moments, parse_expression, parse_scheme, rate,
-                     species, transition_rates)
+                     falling_factorial, jump_moments, parse_expression,
+                     parse_scheme, rate, species, transition_rates)
 from helpers import (LOTKA_VOLTERRA, VERHULST, per_state_moments,
                      random_scheme_text)
 
@@ -29,6 +29,35 @@ def expr(text, scheme):
 
 
 class TestTransitionRates:
+    @pytest.mark.parametrize("mode", list(RateMode))
+    @pytest.mark.parametrize("sign", list(DiffusionSign))
+    def test_one_rate_pass_per_model(self, mode, sign, monkeypatch):
+        calls = []
+
+        def counted(scheme, mode):
+            calls.append(mode)
+            return transition_rates(scheme, mode)
+
+        monkeypatch.setattr("onestep.derive.transition_rates", counted)
+        model = build_sde_model(parse_scheme(VERHULST), mode, sign)
+        assert calls == [mode]
+        scheme = model.scheme
+        assert model.drift == tuple(drift_vector(scheme, mode))
+        assert model.diffusion == tuple(map(tuple, diffusion_matrix(
+            scheme, mode, sign)))
+
+    def test_each_factor_is_built_once_per_call(self, monkeypatch):
+        built = []
+
+        def counted(sym, n):
+            built.append((sym.name, n))
+            return falling_factorial(sym, n)
+
+        monkeypatch.setattr("onestep.derive.falling_factorial", counted)
+        transition_rates(parse_scheme("2 x <-> 2 y @ a, b\n2 x -> 0 @ c\n"
+                                      "2 y -> x @ d\ny -> 0 @ e\n"))
+        assert sorted(built) == [("x", 2), ("y", 1), ("y", 2)]
+
     def test_logistic_power_form(self):
         s = parse_scheme(VERHULST)
         tr = transition_rates(s, RateMode.FOKKER_PLANCK)

@@ -71,6 +71,8 @@ EXPRESSION_ERRORS = [
     ("x^", 2, "bad exponent at position 2 (expected a nonnegative integer)"),
     ("k^-1", 2,
      "bad exponent at position 2 (expected a nonnegative integer)"),
+    ("x^65", 2, "exponent 65 exceeds 64 at position 2"),
+    ("k_1*x^200000", 6, "exponent 200000 exceeds 64 at position 6"),
     ("(x + y", 6, "unbalanced parenthesis at position 6 (expected ')')"),
     ("((x)", 4, "unbalanced parenthesis at position 4 (expected ')')"),
     ("-(-x", 4, "unbalanced parenthesis at position 4 (expected ')')"),

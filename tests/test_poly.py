@@ -11,11 +11,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import onestep.poly
+import onestep.scheme
 from onestep import (ExpressionSyntaxError, MissingSymbolError, Polynomial,
                      SymbolId, SymbolKind, as_function, bind_values,
                      canonical_string, falling_factorial, monomial,
                      parse_expression, power, rate, sorted_terms, species)
-from onestep.poly import Monomial, _compile, render_terms
+from onestep.poly import Monomial, _compile, _symbol_key, render_terms
+from helpers import (FractionPolynomial, fraction_bind_values,
+                     fraction_monomial, fraction_parse_expression,
+                     is_canonical_coefficient)
 
 PHI = species("phi")
 X = species("x")
@@ -296,6 +300,18 @@ class TestParseExpression:
         with pytest.raises(ExpressionSyntaxError):
             parse_expression("x^1.5")
 
+    def test_exponents_up_to_the_largest_stoichiometry(self):
+        assert onestep.poly.MAX_STOICH == onestep.scheme.MAX_STOICH == 64
+        assert parse_expression("x^64") == power(X, 64)
+        assert parse_expression("x^0064") == power(X, 64)
+        with pytest.raises(ExpressionSyntaxError, match="exponent 65 "):
+            parse_expression("x^65")
+        with pytest.raises(ExpressionSyntaxError, match="exponent 00065 "):
+            parse_expression("x^00065")
+        # refused by its length: int() would refuse 5,000 digits itself
+        with pytest.raises(ExpressionSyntaxError, match="at position 2"):
+            parse_expression("x^" + "9" * 5000)
+
 
 class TestCanonicalString:
     def test_zero(self):
@@ -552,8 +568,102 @@ class TestBindValuesAgainstSubstitute:
         bound = bind_values(a, values)
         assert bound.terms == reference_bind_values(a, values).terms
         # a float coefficient would compare equal to its Fraction
-        assert all(type(m.coefficient) is Fraction for m in bound.terms)
+        assert all(is_canonical_coefficient(m.coefficient)
+                   for m in bound.terms)
         assert bound.symbols <= a.symbols - values.keys()
+
+
+# (coefficient, powers) lists with integral Fractions, zeros and repeated
+# exponents, which Polynomial(terms) merges and drops
+_raw_terms = st.lists(st.tuples(
+    st.one_of(_coeffs, st.integers(-5, 5),
+              st.integers(-3, 3).map(lambda n: Fraction(2 * n, 2))),
+    _powers), max_size=6)
+_scalars = st.one_of(st.integers(-6, 6), _fraction_values,
+                     st.sampled_from([0, Fraction(0), 2, Fraction(1, 2),
+                                      Fraction(-6, 3)]))
+_atoms = st.one_of(
+    st.integers(0, 12).map(str),
+    st.tuples(st.integers(0, 12), st.integers(1, 6)).map(
+        lambda t: f"{t[0]}/{t[1]}"),
+    st.sampled_from(["0.5", "1.25", "2.0", "0.1"]),
+    st.sampled_from(["x", "y", "k_1", "gamma"]),
+    st.tuples(st.sampled_from(["x", "y", "k_1"]), st.integers(0, 4)).map(
+        lambda t: f"{t[0]}^{t[1]}"))
+_expressions = st.recursive(_atoms, lambda inner: st.one_of(
+    st.tuples(inner, st.sampled_from(["+", "-", "*"]), inner).map(" ".join),
+    inner.map(lambda e: f"({e})"),
+    inner.map(lambda e: f"(-{e})")), max_leaves=8)
+
+
+def _both(raw) -> tuple[Polynomial, FractionPolynomial]:
+    """raw (coefficient, powers) pairs through Polynomial(terms) and
+    through the all-Fraction reference."""
+    terms = [Monomial(c, tuple(sorted(e.items(),
+                                      key=lambda se: _symbol_key(se[0]))))
+             for c, e in raw]
+    return Polynomial(terms), FractionPolynomial(terms)
+
+
+def _assert_same_terms(p: Polynomial, reference: FractionPolynomial):
+    assert p.terms == reference.terms
+    assert all(is_canonical_coefficient(m.coefficient) for m in p.terms)
+
+
+class TestIntegerCoefficientsAgainstFractions:
+    """Each operation gives the terms of the arithmetic in which every
+    coefficient was a Fraction, with each coefficient an int when it is
+    integral and a Fraction with denominator > 1 otherwise."""
+
+    @given(a=_raw_terms, b=_raw_terms, k=_scalars)
+    def test_sums_differences_and_negation(self, a, b, k):
+        (p, rp), (q, rq) = _both(a), _both(b)
+        _assert_same_terms(p, rp)
+        _assert_same_terms(p + q, rp + rq)
+        _assert_same_terms(p - q, rp - rq)
+        _assert_same_terms(-p, -rp)
+        _assert_same_terms(p + k, rp + k)
+        _assert_same_terms(k - p, k - rp)
+
+    @given(a=_raw_terms, b=_raw_terms, n=st.integers(0, 4))
+    @settings(max_examples=60)
+    def test_products_and_powers(self, a, b, n):
+        (p, rp), (q, rq) = _both(a), _both(b)
+        _assert_same_terms(p * q, rp * rq)
+        _assert_same_terms(p ** n, rp ** n)
+
+    @given(a=_raw_terms, k=_scalars)
+    @example(a=[(Fraction(1, 2), {X: 1}), (Fraction(3, 2), {Y: 1})], k=2)
+    @example(a=[(3, {X: 1})], k=Fraction(1, 3))
+    @example(a=[(3, {X: 1})], k=0)
+    def test_scalar_products(self, a, k):
+        p, rp = _both(a)
+        _assert_same_terms(p * k, rp * k)
+        _assert_same_terms(k * p, k * rp)
+
+    @given(c=st.one_of(_scalars, _float_values), powers=_powers)
+    def test_constant_symbol_and_monomial(self, c, powers):
+        _assert_same_terms(Polynomial.constant(c),
+                           FractionPolynomial.constant(c))
+        _assert_same_terms(monomial(c, powers), fraction_monomial(c, powers))
+        _assert_same_terms(Polynomial.symbol(K1),
+                           FractionPolynomial.symbol(K1))
+
+    @given(text=_expressions)
+    @example(text="1/2*x*2 + 4/2 - 0.5*y*2.0")
+    def test_parse_expression(self, text):
+        _assert_same_terms(parse_expression(text, SYMS),
+                           fraction_parse_expression(text, SYMS))
+
+    @given(a=_raw_terms, values=st.dictionaries(
+        st.sampled_from(_UNIVERSE),
+        st.one_of(_int_values, _fraction_values, _float_values),
+        max_size=len(_UNIVERSE)))
+    @example(a=[(Fraction(1, 2), {K1: 1, X: 1})], values={K1: 2})
+    def test_bind_values(self, a, values):
+        p, rp = _both(a)
+        _assert_same_terms(bind_values(p, values),
+                           fraction_bind_values(rp, values))
 
 
 class TestNumericCompilation:

@@ -501,8 +501,9 @@ class TestEmStepSource:
     def test_ring_step_and_check_grow_linearly(self):
         # on a ring the step holds one term per entry of the factor's
         # pattern, 3n - 3, and compiles the 2n entries of B's; check
-        # compares the n + 2n entries of B that a channel moves.  Dense,
-        # the step held n(n+1)/2 terms and check compared n^2 entries
+        # compares the n + n entries of B's upper triangle that a channel
+        # moves.  Dense, the step held n(n+1)/2 terms and check compared
+        # n^2 entries
         terms, compiled, compared, lines = {}, {}, {}, {}
         for n in (16, 32):
             scheme = parse_scheme("".join(
@@ -520,7 +521,7 @@ class TestEmStepSource:
             assert source.count("factor(") == 1
         assert terms == {16: 3 * 16 - 3, 32: 3 * 32 - 3}
         assert compiled == {16: 2 * 16, 32: 2 * 32}
-        assert compared == {16: 3 * 16, 32: 3 * 32}
+        assert compared == {16: 2 * 16, 32: 2 * 32}
         assert lines[32] - lines[16] == 2 * 16
 
 
