@@ -33,7 +33,8 @@ from .derive import (DiffusionSign, IncompatibleNoiseError, NoiseStrategy,
 from .derive import drift_vector  # noqa: F401
 from .cme import StateBox, default_box
 from .poly import (ExpressionSyntaxError, MissingSymbolError, bind_values,
-                   as_function, canonical_string, symbol_ranks)
+                   as_function, canonical_string, symbol_ranks,
+                   _fractions_differ)
 from .scheme import SchemeError, format_scheme, parse_scheme
 from .sim import (Engine, NegativePolicy, NegativeRateError, NotPsdError,
                   SimConfig, SimConfigError, SimulationError,
@@ -597,14 +598,15 @@ def _moment_mismatches(moments, drift, diffusion, entries, point):
     """Where the enumerated jump moments differ from the drift and from
     B's entries at the states of the point: (S, n) and (S, len(entries))
     boolean arrays.  Each polynomial is evaluated once over all states,
-    and values are compared in Python ints by cross-multiplication: with
-    positive denominators, a / D equals b / d exactly when a*d == b*D."""
+    and values are compared exactly by cross-multiplication
+    (poly._fractions_differ)."""
     def differs(numerators, p):
         value = p.evaluate(point)
         if isinstance(value, Fraction):         # p reads no species
             value = (value.numerator, value.denominator)
         values, denominator = value
-        return numerators * denominator != values * moments.denominator
+        return _fractions_differ(numerators, moments.denominator,
+                                 values, denominator)
 
     first_wrong = np.zeros(moments.first.shape, dtype=bool)
     for i, p in enumerate(drift):

@@ -18,7 +18,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .poly import SymbolId, _compile, _exact, as_function, bind_values
+from .poly import (SymbolId, _compile, _exact, _int_dtype, as_function,
+                   bind_values)
 from .scheme import InteractionScheme
 
 
@@ -116,19 +117,38 @@ class ChannelTable:
         self.stoich = np.array([s for s, _, _ in channels], dtype=np.int64)
         self.change = np.array([d for _, d, _ in channels], dtype=np.int64)
 
-    def rate_numerators(self, states) -> np.ndarray:
-        """(S, C) object array of Python ints, which never overflow: each
-        channel's numerator times the falling factorials of its consumed
-        counts at each of the (S, n) states, zero where a state cannot
-        supply the complex.  Raises ValueError for a state of another
-        length or with a negative or non-integer entry."""
+    def rate_numerators(self, states, scale: int = 1) -> np.ndarray:
+        """(S, C) integer array that never wraps: each channel's numerator
+        times the falling factorials of its consumed counts at each of the
+        (S, n) states, zero where a state cannot supply the complex.
+
+        scale is the caller's promise: every value it forms from the
+        result is a sum of at most one term per channel, that channel's
+        column times an int of magnitude at most scale.  The array is
+        int64 when such sums, the products that form each column and the
+        denominator all stay below 2**53 (poly._int_dtype), else an object
+        array of Python ints.  The bound, taken before any array
+        arithmetic, is scale times the sum over the channels of
+        |numerator| * prod_i max(1, largest x_i, m_i - 1) ** m_i, as each
+        factor x_i - k of a falling factorial of order m_i is at most
+        max(x_i, m_i - 1) in magnitude.  Raises ValueError for a state of
+        another length or with a negative or non-integer entry."""
         n = self.stoich.shape[1]
         x = np.asarray(states)
         if (x.ndim != 2 or x.shape[1] != n or x.dtype.kind not in "iu"
                 or (x < 0).any()):
             raise ValueError(f"states must be nonnegative integer vectors "
                              f"of {n} entries, one per species")
-        x = x.astype(object)
+        stoich = self.stoich.tolist()
+        largest = x.max(axis=0).tolist() if len(x) else [0] * n
+        bound = 0
+        for value, ms in zip(self.numerators, stoich):
+            product = abs(value)
+            for top, m in zip(largest, ms):
+                product *= max(1, top, m - 1) ** m
+            bound += product
+        dtype = _int_dtype(max(scale * bound, self.denominator))
+        x = x.astype(dtype)
         falling = {}            # (i, m): x_i (x_i - 1) ... (x_i - m + 1)
 
         def factorial(i: int, m: int):
@@ -139,10 +159,9 @@ class ChannelTable:
                 product = falling[i, k]
             return product
 
-        out = np.empty((len(x), len(self.numerators)), dtype=object)
-        for c, (value, stoich) in enumerate(zip(self.numerators,
-                                                self.stoich.tolist())):
-            for i, m in enumerate(stoich):
+        out = np.empty((len(x), len(self.numerators)), dtype=dtype)
+        for c, (value, ms) in enumerate(zip(self.numerators, stoich)):
+            for i, m in enumerate(ms):
                 if m:
                     value = value * factorial(i, m)
             out[:, c] = value
@@ -176,10 +195,11 @@ class JumpMoments:
     ChannelTable's integer form: every value is an int numerator over the
     one positive denominator.
 
-    first is an (S, n) object array of Python ints.  second maps each
+    first is an (S, n) integer array that never wraps, int64 or object as
+    ChannelTable.rate_numerators chooses for its sums.  second maps each
     entry (i, j) of the second moment that moved_together lists to its
-    (S,) object array of numerators, (j, i) to the same array as (i, j);
-    every other entry is exactly 0 at every state.
+    (S,) array of numerators, of the same dtype, (j, i) to the same array
+    as (i, j); every other entry is exactly 0 at every state.
     """
 
     denominator: int
@@ -188,8 +208,9 @@ class JumpMoments:
 
 
 def _weighted_sum(at: np.ndarray, channels, weights) -> np.ndarray:
-    """sum_k weights[k] * at[:, channels[k]], in Python ints."""
-    return at[:, channels].dot(np.array(weights, dtype=object))
+    """sum_k weights[k] * at[:, channels[k]], in at's dtype: it cannot wrap
+    when rate_numerators' scale bounds every |weights[k]|."""
+    return at[:, channels].dot(np.array(weights, dtype=at.dtype))
 
 
 def jump_moments(scheme: InteractionScheme, rates: Mapping[SymbolId, object],
@@ -198,15 +219,16 @@ def jump_moments(scheme: InteractionScheme, rates: Mapping[SymbolId, object],
     direct enumeration, as one JumpMoments.
 
     The second moment sums the directional rates; the first takes their
-    difference.  Both are summed from ChannelTable.rate_numerators in
-    Python ints: first[:, i] over the channels that move species i, and
-    each entry of the second moment over its own channels
-    (moved_together), once per pair (i, j) and (j, i).
+    difference.  Both are summed from ChannelTable.rate_numerators, whose
+    scale is the largest d_c[i] * d_c[j]: first[:, i] over the channels
+    that move species i, and each entry of the second moment over its own
+    channels (moved_together), once per pair (i, j) and (j, i).
     """
     table = ChannelTable(scheme, rates)
-    at = table.rate_numerators(states)                  # (S, C)
+    at = table.rate_numerators(
+        states, int(np.abs(table.change).max(initial=1)) ** 2)   # (S, C)
     change = table.change.T.tolist()                    # per species
-    first = np.zeros((len(at), len(change)), dtype=object)
+    first = np.zeros((len(at), len(change)), dtype=at.dtype)
     for i, d in enumerate(change):
         channels = [c for c, v in enumerate(d) if v]
         if channels:
@@ -252,7 +274,7 @@ def build_generator(scheme: InteractionScheme,
     at = table.rate_numerators(states)
     source = np.arange(box.size)
     parts = [(source, source, -at.sum(axis=1))]
-    lost = np.zeros(box.size, dtype=object)
+    lost = np.zeros(box.size, dtype=at.dtype)
     # channels that share a change vector share their entries
     for change in dict.fromkeys(map(tuple, table.change.tolist())):
         v = at[:, (table.change == change).all(axis=1)].sum(axis=1)
@@ -264,15 +286,20 @@ def build_generator(scheme: InteractionScheme,
                       source[inside], v[inside]))
     rows, cols, values = map(np.concatenate, zip(*parts))
     keep = values != 0
-    # int / int is correctly rounded, as float(Fraction) is
+    # int / int is correctly rounded, as float(Fraction) is, and so is
+    # int64 / int: both are below 2**53 there, so exact as floats
     den = table.denominator
     matrix = scipy.sparse.coo_matrix(
         ((values[keep] / den).astype(np.float64), (rows[keep], cols[keep])),
         shape=(box.size, box.size)).tocsr()
+    exact_lost = [0] * box.size
+    leaving = np.flatnonzero(lost)
+    for s, v in zip(leaving.tolist(), lost[leaving].tolist()):
+        exact_lost[s] = table.exact(v)
     return TruncatedGenerator(
         scheme=scheme, box=box, matrix=matrix,
         lost_rate=(lost / den).astype(np.float64),
-        exact_lost=tuple(map(table.exact, lost.tolist())))
+        exact_lost=tuple(exact_lost))
 
 
 @dataclass(frozen=True)

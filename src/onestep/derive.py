@@ -144,8 +144,10 @@ class SdeModel:
             for j in range(i + 1, n):
                 if self.diffusion[i][j] != self.diffusion[j][i]:
                     raise ValueError("diffusion matrix is not symmetric")
+        # B is symmetric now, so its upper triangle holds all its symbols
         allowed = set(self.species) | set(self.rate_symbols)
-        for p in list(self.drift) + [q for row in self.diffusion for q in row]:
+        for p in list(self.drift) + [q for i, row in enumerate(self.diffusion)
+                                     for q in row[i:]]:
             if not p.symbols <= allowed:
                 raise ValueError("model polynomial uses an undeclared symbol")
         if self.scheme is not None:

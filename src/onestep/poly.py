@@ -216,16 +216,19 @@ class Polynomial:
         Fraction.  A value may also be an integer ndarray, or an object
         ndarray of ints (elements are read by operator.index): the
         polynomial is then evaluated elementwise and comes back as a pair
-        (numerators, denominator), an object ndarray of Python ints, which
-        never wrap, and one positive int; the value is their quotient, not
-        reduced.  A polynomial that reads no array value comes back as one
-        Fraction, whatever else the point holds.
+        (numerators, denominator), an integer ndarray that never wraps and
+        one positive int; the value is their quotient, not reduced.  The
+        numerators are int64 when a bound shows that no power, partial
+        product or sum reaches 2**53 in magnitude, else Python ints in an
+        object array (_int_dtype).  A polynomial that reads no array value
+        comes back as one Fraction, whatever else the point holds.
 
-        The sum is taken in Python ints over the coefficients scaled to a
-        common denominator (computed once per polynomial).  Each power of
-        a value is computed once per call, and the terms that read the
-        same powers of the array values are summed as one int first, so
-        each such product costs one pass over the arrays.  Raises
+        The scalar values fold into one reduced rational coefficient per
+        group of terms that read the same powers of the array values
+        (computed over the coefficients scaled to a common denominator,
+        once per polynomial), and the denominator is the lcm of those
+        coefficients' denominators.  Each power of a value is computed once
+        per call, so each group costs one pass over the arrays.  Raises
         MissingSymbolError for a symbol absent from the point and
         TypeError for any other value, a float array too, and for an
         array element that is not an int.
@@ -268,17 +271,35 @@ class Polynomial:
                     key.append((i, e))
             key = tuple(key)
             groups[key] = groups.get(key, 0) + t
-        arrays = [x for x in values if not isinstance(x, Fraction)]
+        arrays = [i for i, x in enumerate(values)
+                  if not isinstance(x, Fraction)]
         if not arrays:
             return Fraction(groups.get((), 0), den * scale)
-        total = np.zeros(np.broadcast_shapes(*(x.shape for x in arrays)),
-                         dtype=object)
-        for key, t in groups.items():
-            if t:
-                for i, e in key:
-                    t = t * power(i, e)
-                total += t
-        return total, den * scale
+        coefficients = {key: Fraction(t, den * scale)
+                        for key, t in groups.items() if t}
+        common = math.lcm(*(c.denominator for c in coefficients.values()))
+        # with |x_i| <= top[i], a group's |numerator| times its powers of
+        # top bounds each of its powers and partial products, and their
+        # sum bounds the running total
+        top = {i: max(1, _largest(values[i])) for i in arrays}
+        numerators, bound = {}, 0
+        for key, c in coefficients.items():
+            numerators[key] = c.numerator * (common // c.denominator)
+            product = abs(numerators[key])
+            for i, e in key:
+                product *= top[i] ** e
+            bound += product
+        dtype = _int_dtype(bound)
+        for i in arrays:
+            values[i] = values[i].astype(dtype)
+        total = np.zeros(np.broadcast_shapes(*(values[i].shape
+                                               for i in arrays)),
+                         dtype=dtype)
+        for key, t in numerators.items():
+            for i, e in key:
+                t = t * power(i, e)
+            total += t
+        return total, common
 
     def _integer_form(self):
         """(den, degrees, terms): den is the least common denominator of
@@ -358,11 +379,12 @@ def _exact(sym: SymbolId, value) -> Fraction:
 
 
 def _int_array(sym: SymbolId, x: np.ndarray) -> np.ndarray:
-    """x, an integer or object ndarray bound to sym, as an object ndarray
-    of Python ints; an object element that is not an int (operator.index
-    refuses it: a float, Fraction or string) is a TypeError naming sym."""
+    """x, an integer or object ndarray bound to sym: an integer ndarray as
+    it is, an object one as an object ndarray of Python ints; an object
+    element that is not an int (operator.index refuses it: a float,
+    Fraction or string) is a TypeError naming sym."""
     if x.dtype.kind in "iu":
-        return x.astype(object)
+        return x
     out = np.empty(x.shape, dtype=object)
     for k, v in enumerate(x.flat):
         try:
@@ -372,6 +394,36 @@ def _int_array(sym: SymbolId, x: np.ndarray) -> np.ndarray:
                             f"float, or an array of ints; got an array "
                             f"element of type {type(v).__name__}") from None
     return out
+
+
+def _largest(x) -> int:
+    """The largest magnitude in x, an int or an integer ndarray of any
+    dtype, as a Python int; 0 for an empty array."""
+    if not isinstance(x, np.ndarray):
+        return abs(x)
+    if not x.size:
+        return 0
+    return max(abs(int(x.min())), abs(int(x.max())))
+
+
+def _int_dtype(bound: int):
+    """The dtype of an exact integer array whose values, and every partial
+    product and sum formed from them, are at most bound in magnitude:
+    int64 below 2**53, else object, whose Python ints never wrap.  Below
+    2**53 each value is also exact as a float64, so dividing by a
+    denominator below 2**53 is one correctly rounded float division, as
+    int / int is."""
+    return np.int64 if bound < 2 ** 53 else object
+
+
+def _fractions_differ(a, a_den: int, b, b_den: int):
+    """a / a_den != b / b_den elementwise, for a and b ints or integer
+    ndarrays of any dtype over positive int denominators, by
+    cross-multiplication: a * b_den != b * a_den.  The products are taken
+    in int64 when they are provably below 2**63, else in Python ints."""
+    dtype = (np.int64 if max(1, _largest(a)) * b_den < 2 ** 63
+             and max(1, _largest(b)) * a_den < 2 ** 63 else object)
+    return np.asarray(a, dtype) * b_den != np.asarray(b, dtype) * a_den
 
 
 def monomial(coefficient: Number, powers: Mapping[SymbolId, int]) -> Polynomial:

@@ -1,13 +1,20 @@
 """Shared test fixtures: reference schemes, a random-scheme generator,
-the per-state reading of enumerated jump moments, and the polynomial
-arithmetic of the all-Fraction coefficients as a reference."""
+the per-state reading of enumerated jump moments, and two references:
+the polynomial arithmetic of the all-Fraction coefficients, and the exact
+integer arrays of the oracles and of check on Python ints alone."""
 
+import operator
 import random
 from fractions import Fraction
 
-from onestep.poly import (ExpressionSyntaxError, Monomial, SymbolId,
-                          SymbolKind, TokenStream, _exact, _symbol_table,
-                          _TOKEN_RE)
+import numpy as np
+import scipy.sparse
+
+from onestep.cme import (ChannelTable, JumpMoments, TruncatedGenerator,
+                         moved_together)
+from onestep.poly import (ExpressionSyntaxError, MissingSymbolError,
+                          Monomial, SymbolId, SymbolKind, TokenStream,
+                          _exact, _symbol_table, _TOKEN_RE)
 
 VERHULST = """\
 phi <-> 2 phi @ lambda, gamma
@@ -328,3 +335,177 @@ def fraction_bind_values(p, values):
                 free.append((sym, e))
         terms.append(Monomial(c, tuple(free)))
     return FractionPolynomial(terms)
+
+
+# ---------------------------------------------------------------------------
+# The exact oracles, array evaluation and check's comparison as they were
+# when every exact integer array held Python ints (dtype object): verbatim
+# copies of ChannelTable.rate_numerators (taking the table as an
+# argument), jump_moments, build_generator, Polynomial.evaluate (taking
+# the polynomial as an argument) with its _int_array, and
+# cli._moment_mismatches.  The int64 path must give the same values.
+
+
+def object_rate_numerators(table, states):
+    n = table.stoich.shape[1]
+    x = np.asarray(states)
+    if (x.ndim != 2 or x.shape[1] != n or x.dtype.kind not in "iu"
+            or (x < 0).any()):
+        raise ValueError(f"states must be nonnegative integer vectors "
+                         f"of {n} entries, one per species")
+    x = x.astype(object)
+    falling = {}            # (i, m): x_i (x_i - 1) ... (x_i - m + 1)
+
+    def factorial(i, m):
+        product = falling.setdefault((i, 1), x[:, i])
+        for k in range(2, m + 1):
+            if (i, k) not in falling:
+                falling[i, k] = product * (x[:, i] - (k - 1))
+            product = falling[i, k]
+        return product
+
+    out = np.empty((len(x), len(table.numerators)), dtype=object)
+    for c, (value, stoich) in enumerate(zip(table.numerators,
+                                            table.stoich.tolist())):
+        for i, m in enumerate(stoich):
+            if m:
+                value = value * factorial(i, m)
+        out[:, c] = value
+    return out
+
+
+def _object_weighted_sum(at, channels, weights):
+    return at[:, channels].dot(np.array(weights, dtype=object))
+
+
+def object_jump_moments(scheme, rates, states):
+    table = ChannelTable(scheme, rates)
+    at = object_rate_numerators(table, states)          # (S, C)
+    change = table.change.T.tolist()                    # per species
+    first = np.zeros((len(at), len(change)), dtype=object)
+    for i, d in enumerate(change):
+        channels = [c for c, v in enumerate(d) if v]
+        if channels:
+            first[:, i] = _object_weighted_sum(at, channels,
+                                               [d[c] for c in channels])
+    second = {}
+    for (i, j), (channels, weights) in moved_together(table.change).items():
+        # (j, i) sorts before (i, j) for j < i and holds the same sum
+        second[i, j] = second[j, i] if i > j else \
+            _object_weighted_sum(at, channels, weights)
+    return JumpMoments(table.denominator, first, second)
+
+
+def object_build_generator(scheme, rates, box):
+    if len(box.bounds) != len(scheme.species):
+        raise ValueError("box dimension does not match the species count")
+    table = ChannelTable(scheme, rates)
+    states = box.state_array()
+    at = object_rate_numerators(table, states)
+    source = np.arange(box.size)
+    parts = [(source, source, -at.sum(axis=1))]
+    lost = np.zeros(box.size, dtype=object)
+    # channels that share a change vector share their entries
+    for change in dict.fromkeys(map(tuple, table.change.tolist())):
+        v = at[:, (table.change == change).all(axis=1)].sum(axis=1)
+        target = states + change
+        inside = ((target >= 0) & (target <= box.bounds)).all(axis=1)
+        lost = lost + np.where(inside, 0, v)
+        parts.append((np.ravel_multi_index(tuple(target[inside].T),
+                                           tuple(b + 1 for b in box.bounds)),
+                      source[inside], v[inside]))
+    rows, cols, values = map(np.concatenate, zip(*parts))
+    keep = values != 0
+    # int / int is correctly rounded, as float(Fraction) is
+    den = table.denominator
+    matrix = scipy.sparse.coo_matrix(
+        ((values[keep] / den).astype(np.float64), (rows[keep], cols[keep])),
+        shape=(box.size, box.size)).tocsr()
+    return TruncatedGenerator(
+        scheme=scheme, box=box, matrix=matrix,
+        lost_rate=(lost / den).astype(np.float64),
+        exact_lost=tuple(map(table.exact, lost.tolist())))
+
+
+def _object_int_array(sym, x):
+    if x.dtype.kind in "iu":
+        return x.astype(object)
+    out = np.empty(x.shape, dtype=object)
+    for k, v in enumerate(x.flat):
+        try:
+            out.flat[k] = operator.index(v)
+        except TypeError:
+            raise TypeError(f"value for {sym!r} must be an int, Fraction or "
+                            f"float, or an array of ints; got an array "
+                            f"element of type {type(v).__name__}") from None
+    return out
+
+
+def object_evaluate(p, point):
+    den, degrees, terms = p._integer_form()
+    values = []
+    scale = 1
+    for sym, d in degrees.items():
+        try:
+            x = point[sym]
+        except KeyError:
+            raise MissingSymbolError(sym) from None
+        if isinstance(x, np.ndarray) and x.dtype.kind in "iuO":
+            values.append(_object_int_array(sym, x))
+        else:
+            x = _exact(sym, x)
+            values.append(x)
+            scale *= x.denominator ** d
+    powers = {}     # (i, e): values[i] ** e, by products, once a call
+
+    def power(i, e):
+        product = powers.setdefault((i, 1), values[i])
+        for k in range(2, e + 1):
+            if (i, k) not in powers:
+                powers[i, k] = product * values[i]
+            product = powers[i, k]
+        return product
+
+    # a term's scalar factors go into its int; the powers of array
+    # values it reads key the group whose int it joins
+    groups = {}
+    for c, factors in terms:
+        t = c * scale
+        key = []
+        for i, e in factors:
+            if isinstance(values[i], Fraction):
+                x = power(i, e)
+                t = t * x.numerator // x.denominator
+            else:
+                key.append((i, e))
+        key = tuple(key)
+        groups[key] = groups.get(key, 0) + t
+    arrays = [x for x in values if not isinstance(x, Fraction)]
+    if not arrays:
+        return Fraction(groups.get((), 0), den * scale)
+    total = np.zeros(np.broadcast_shapes(*(x.shape for x in arrays)),
+                     dtype=object)
+    for key, t in groups.items():
+        if t:
+            for i, e in key:
+                t = t * power(i, e)
+            total += t
+    return total, den * scale
+
+
+def object_moment_mismatches(moments, drift, diffusion, entries, point):
+    def differs(numerators, p):
+        value = object_evaluate(p, point)
+        if isinstance(value, Fraction):         # p reads no species
+            value = (value.numerator, value.denominator)
+        values, denominator = value
+        return numerators * denominator != values * moments.denominator
+
+    first_wrong = np.zeros(moments.first.shape, dtype=bool)
+    for i, p in enumerate(drift):
+        first_wrong[:, i] = differs(moments.first[:, i], p)
+    second_wrong = np.zeros((len(first_wrong), len(entries)), dtype=bool)
+    for e, (i, j) in enumerate(entries):
+        second_wrong[:, e] = differs(moments.second.get((i, j), 0),
+                                     diffusion[i][j])
+    return first_wrong, second_wrong

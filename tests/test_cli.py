@@ -28,7 +28,8 @@ from onestep.cli import (_SAMPLED, MANIFEST_FORMAT, RatesFileError,
                          _compared_entries, _moment_mismatches,
                          _sample_states, build_parser, main, parse_initial,
                          parse_rates_file)
-from helpers import (LOTKA_VOLTERRA, VERHULST, per_state_moments,
+from helpers import (LOTKA_VOLTERRA, VERHULST, object_jump_moments,
+                     object_moment_mismatches, per_state_moments,
                      random_scheme_text)
 
 VERHULST_RATES_TEXT = """\
@@ -868,6 +869,40 @@ class TestIntegerComparison:
                     f"\n") in lines
         else:
             assert "PASS second-jump-moment" in lines
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10 ** 9))
+    def test_flags_what_the_object_arrays_flag(self, seed):
+        # rates and states where the moments, the evaluated numerators and
+        # their cross products fall on either side of int64's bounds
+        rng = random.Random(seed)
+        scheme = parse_scheme(random_scheme_text(rng))
+        n = len(scheme.species)
+        values = {sym: rng.choice([0, rng.randint(1, 9), 2 ** 20,
+                                   Fraction(rng.randint(1, 9),
+                                            rng.randint(2, 7)),
+                                   Fraction(1, 2 ** 30)])
+                  for sym in scheme.rate_symbols}
+        model = build_sde_model(scheme, RateMode.EXACT, DiffusionSign.SUM)
+        i, j = rng.randrange(n), rng.randrange(n)
+        extra = monomial(Fraction(rng.choice([-3, 1, 2]), rng.randint(1, 3)),
+                         {scheme.species[i]: rng.randint(0, 2)})
+        drift = list(model.drift)
+        drift[i] = drift[i] + extra
+        diffusion = [list(row) for row in model.diffusion]
+        diffusion[i][j] = diffusion[j][i] = diffusion[i][j] + extra
+        box = StateBox(tuple(rng.choice([1, 3, 2 ** 12, 2 ** 17])
+                             for _ in range(n)))
+        states = _sample_states(box, rng.randrange(100))
+        entries = _compared_entries(scheme, diffusion)
+        point = {**values, **dict(zip(scheme.species,
+                                      np.array(states, dtype=np.int64).T))}
+        got = _moment_mismatches(jump_moments(scheme, values, states), drift,
+                                 diffusion, entries, point)
+        want = object_moment_mismatches(
+            object_jump_moments(scheme, values, states), drift, diffusion,
+            entries, point)
+        assert [w.tolist() for w in got] == [w.tolist() for w in want]
 
 
 class TestComparedEntries:

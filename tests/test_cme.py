@@ -23,7 +23,9 @@ from onestep import (ChannelTable, DegenerateDistributionError, Distribution,
                      reaction_channels)
 import onestep.cme
 from onestep.cme import _drift_flow
-from helpers import (LOTKA_VOLTERRA, PURE_DEATH, VERHULST, per_state_moments,
+from helpers import (LOTKA_VOLTERRA, PURE_DEATH, VERHULST,
+                     object_build_generator, object_jump_moments,
+                     object_rate_numerators, per_state_moments,
                      random_scheme_text)
 
 BETA = rate("beta")
@@ -243,9 +245,10 @@ class TestJumpMoments:
                  rate("k_3"): Fraction(1, 3)}
         moments = jump_moments(s, rates, [(2, 1), (0, 0)])
         assert moments.denominator == 6
-        assert moments.first.dtype == object
+        # every sum is at most 3 * 2 + 6 * 2 * 1 + 2 * 1 = 20 in magnitude
+        assert moments.first.dtype == np.int64
         assert moments.first.tolist() == [[-6, 10], [0, 0]]
-        assert all(type(v) is int for v in moments.first.ravel())
+        assert all(v.dtype == np.int64 for v in moments.second.values())
         assert list(moments.second) == [(0, 0), (0, 1), (1, 0), (1, 1)]
         assert moments.second[0, 0].tolist() == [18, 0]
         assert moments.second[0, 1].tolist() == [-12, 0]
@@ -913,3 +916,149 @@ class TestOraclesMatchTheReference:
         states = [(3_000_000,), (2 ** 40,)]
         assert per_state_moments(jump_moments(s, rates, states)) == \
             [reference_jump_moments(s, rates, state) for state in states]
+
+
+def predicted_rate_dtype(table, states, scale=1):
+    """The dtype rate_numerators' bound predicts: int64 when scale times
+    the sum over the channels of |numerator| * prod max(1, largest x_i,
+    m_i - 1) ** m_i, and the denominator, are both below 2**53."""
+    largest = [max(column, default=0) for column in zip(*states)]
+    bound = 0
+    for value, stoich in zip(table.numerators, table.stoich.tolist()):
+        product = abs(value)
+        for top, m in zip(largest, stoich):
+            product *= max(1, top, m - 1) ** m
+        bound += product
+    return (np.int64 if scale * bound < 2 ** 53 and table.denominator
+            < 2 ** 53 else object)
+
+
+def assert_same_as_object_arrays(scheme, rates, states, box):
+    """rate_numerators, jump_moments and build_generator give the values
+    of their object-array copies in helpers, in the dtype the bound
+    predicts: the same numerators and ratios, and the same bytes."""
+    table = ChannelTable(scheme, rates)
+    at = table.rate_numerators(states)
+    assert at.dtype == predicted_rate_dtype(table, states)
+    assert at.tolist() == object_rate_numerators(table, states).tolist()
+
+    moments = jump_moments(scheme, rates, states)
+    reference = object_jump_moments(scheme, rates, states)
+    assert moments.first.dtype == predicted_rate_dtype(
+        table, states, int(np.abs(table.change).max()) ** 2)
+    assert moments.denominator == reference.denominator
+    assert moments.first.tolist() == reference.first.tolist()
+    assert list(moments.second) == list(reference.second)
+    for entry, numerators in moments.second.items():
+        assert numerators.dtype == moments.first.dtype
+        assert numerators.tolist() == reference.second[entry].tolist()
+    assert per_state_moments(moments) == per_state_moments(reference)
+
+    gen = build_generator(scheme, rates, box)
+    ref = object_build_generator(scheme, rates, box)
+    for name in ("indptr", "indices", "data"):
+        assert getattr(gen.matrix, name).dtype == \
+            getattr(ref.matrix, name).dtype
+        assert getattr(gen.matrix, name).tobytes() == \
+            getattr(ref.matrix, name).tobytes(), name
+    assert gen.lost_rate.tobytes() == ref.lost_rate.tobytes()
+    assert gen.exact_lost == ref.exact_lost
+    assert list(map(type, gen.exact_lost)) == \
+        list(map(type, ref.exact_lost))
+
+
+class TestIntegerWidth:
+    """Exact integer arrays are int64 exactly when the bound shows that no
+    value reaches 2**53; otherwise they hold Python ints.  Either way they
+    hold the values of the object-array code."""
+
+    @pytest.mark.parametrize("text, rate_value, count, scale, dtype", [
+        ("x -> 0 @ a\n", 1, 2 ** 53 - 1, 1, np.int64),
+        ("x -> 0 @ a\n", 1, 2 ** 53, 1, object),
+        ("x -> 0 @ a\n", 3, (2 ** 53 - 1) // 3, 1, np.int64),
+        ("x -> 0 @ a\n", 3, (2 ** 53 - 1) // 3 + 1, 1, object),
+        # the bound reads x ** 2 for x (x - 1): 94906265 ** 2 < 2 ** 53
+        ("2 x -> 0 @ a\n", 1, 94_906_265, 1, np.int64),
+        ("2 x -> 0 @ a\n", 1, 94_906_266, 1, object),
+        # the caller's sums count: twice 2 ** 52 reaches 2 ** 53
+        ("x -> 0 @ a\n", 1, 2 ** 52 - 1, 2, np.int64),
+        ("x -> 0 @ a\n", 1, 2 ** 52, 2, object),
+        # so does the denominator, which int64 / int must hold exactly
+        ("x -> 0 @ a\n", Fraction(1, 2 ** 53 - 1), 1, 1, np.int64),
+        ("x -> 0 @ a\n", Fraction(1, 2 ** 53), 1, 1, object),
+    ])
+    def test_rate_numerators_at_the_edge(self, text, rate_value, count,
+                                         scale, dtype):
+        s = parse_scheme(text)
+        table = ChannelTable(s, {rate("a"): rate_value})
+        states = [(0,), (count,), (count - 1,)]
+        at = table.rate_numerators(states, scale)
+        assert at.dtype == dtype == predicted_rate_dtype(table, states, scale)
+        assert at.tolist() == object_rate_numerators(table, states).tolist()
+
+    def test_the_second_moment_weights_count(self):
+        # the rate fits below 2 ** 53, but 64 ** 2 times it is beyond
+        # 2 ** 63, where int64 would wrap
+        s = parse_scheme("0 -> 64 x @ a\n")
+        a = 2 ** 53 - 1
+        assert ChannelTable(s, {rate("a"): a}).rate_numerators(
+            [(0,)]).dtype == np.int64
+        moments = jump_moments(s, {rate("a"): a}, [(0,), (7,)])
+        assert moments.first.dtype == object
+        assert moments.first.tolist() == [[64 * a], [64 * a]]
+        assert moments.second[0, 0].tolist() == [4096 * a, 4096 * a]
+
+    def test_counts_below_the_order(self):
+        # a falling factorial of order 5 is 0 below x = 5; the bound reads
+        # max(x, 4) per factor, and a numerator of 2 ** 44 puts 4 ** 5
+        # times it at 2 ** 54
+        s = parse_scheme("5 x -> 0 @ a\n")
+        states = [(x,) for x in range(7)]
+        table = ChannelTable(s, {rate("a"): 1})
+        at = table.rate_numerators(states)
+        assert at.dtype == np.int64
+        assert at[:, 0].tolist() == [0, 0, 0, 0, 0, 120, 720]
+        table = ChannelTable(s, {rate("a"): 2 ** 44})
+        at = table.rate_numerators(states[:3])
+        assert at.dtype == object
+        assert at[:, 0].tolist() == [0, 0, 0]
+        assert_same_as_object_arrays(s, {rate("a"): 2 ** 44}, states[:4],
+                                     StateBox((3,)))
+
+    def test_float_rate_with_denominator_2_55_takes_the_object_path(self):
+        # 2 ** -55 is the rational 1 / 2 ** 55, so the table's denominator
+        # is beyond 2 ** 53 and the generator comes from Python ints
+        s = parse_scheme(LOTKA_VOLTERRA)
+        rates = {rate("k_1"): 1, rate("k_2"): 2.0 ** -55, rate("k_3"): 1}
+        table = ChannelTable(s, rates)
+        assert table.denominator == 2 ** 55
+        box = StateBox((6, 5))
+        assert table.rate_numerators(box.state_array()).dtype == object
+        assert_same_as_object_arrays(s, rates, list(box.states()), box)
+
+    def test_benchmark_boxes_take_the_int64_path(self):
+        s = parse_scheme(LOTKA_VOLTERRA)
+        rates = {rate("k_1"): 1, rate("k_2"): Fraction(1, 20),
+                 rate("k_3"): 1}
+        box = StateBox((80, 80))
+        assert ChannelTable(s, rates).rate_numerators(
+            box.state_array()).dtype == np.int64
+        assert_same_as_object_arrays(s, rates, [(80, 80), (0, 3)], box)
+
+    @given(seed=st.integers(0, 10 ** 9))
+    @settings(max_examples=60, deadline=None)
+    def test_random_schemes_match_the_object_arrays(self, seed):
+        rng = random.Random(seed)
+        s = parse_scheme(random_scheme_text(rng, max_stoich=3))
+        rates = {sym: rng.choice([0, rng.randint(1, 9), 2 ** 40, 2 ** 52,
+                                  Fraction(rng.randint(1, 9),
+                                           rng.randint(2, 7)),
+                                  Fraction(1, 2 ** 52), 0.1])
+                 for sym in s.rate_symbols}
+        n = len(s.species)
+        states = [tuple(rng.choice([0, 1, 2, rng.randint(0, 2 ** 17),
+                                    rng.randint(0, 2 ** 26)])
+                        for _ in range(n)) for _ in range(rng.randint(1, 6))]
+        box = StateBox(tuple(rng.choice([0, rng.randint(1, 5)])
+                             for _ in range(n)))
+        assert_same_as_object_arrays(s, rates, states, box)

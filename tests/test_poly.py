@@ -16,10 +16,11 @@ from onestep import (ExpressionSyntaxError, MissingSymbolError, Polynomial,
                      SymbolId, SymbolKind, as_function, bind_values,
                      canonical_string, falling_factorial, monomial,
                      parse_expression, power, rate, sorted_terms, species)
-from onestep.poly import Monomial, _compile, _symbol_key, render_terms
+from onestep.poly import (Monomial, _compile, _fractions_differ,
+                          _symbol_key, render_terms)
 from helpers import (FractionPolynomial, fraction_bind_values,
                      fraction_monomial, fraction_parse_expression,
-                     is_canonical_coefficient)
+                     is_canonical_coefficient, object_evaluate)
 
 PHI = species("phi")
 X = species("x")
@@ -451,6 +452,32 @@ _wide_ints = st.integers(-2 ** 40, 2 ** 40)
 _exact_values = st.one_of(_int_values, _fraction_values)
 
 
+def predicted_dtype(p, point):
+    """The dtype that the bound of Polynomial.evaluate predicts for its
+    numerators at point: the terms' coefficients times their scalar
+    factors, summed per set of array powers they read, over the lcm of
+    those sums' denominators; int64 when the sum over the sets of
+    |numerator| * prod max(1, largest |x|) ** e is below 2**53."""
+    groups = {}
+    for m in p.terms:
+        c, key = Fraction(m.coefficient), []
+        for sym, e in m.exponents:
+            if isinstance(point[sym], np.ndarray):
+                key.append((sym, e))
+            else:
+                c *= Fraction(point[sym]) ** e
+        groups[tuple(key)] = groups.get(tuple(key), 0) + c
+    groups = {key: c for key, c in groups.items() if c}
+    common = math.lcm(*(c.denominator for c in groups.values()))
+    bound = 0
+    for key, c in groups.items():
+        product = abs(c * common)
+        for sym, e in key:
+            product *= max(1, *(abs(int(v)) for v in point[sym].flat)) ** e
+        bound += product
+    return np.int64 if bound < 2 ** 53 else object
+
+
 class TestArrayEvaluation:
     """Integer arrays for x and y take the exact path elementwise, which
     returns the pair (numerators, denominator)."""
@@ -473,9 +500,9 @@ class TestArrayEvaluation:
             assert [value] * len(rows) == expected
         else:
             numerators, denominator = value
-            assert numerators.dtype == object
+            assert numerators.dtype == predicted_dtype(
+                a, {X: xs, Y: ys, K1: k, GAMMA: g})
             assert numerators.shape == (len(rows),)
-            assert all(type(v) is int for v in numerators)
             assert type(denominator) is int and denominator > 0
             assert [Fraction(v, denominator) for v in numerators] == expected
 
@@ -489,7 +516,7 @@ class TestArrayEvaluation:
         p = parse_expression("k_1*x - gamma*x", SYMS)
         numerators, denominator = p.evaluate(
             {X: np.arange(3), K1: Fraction(1, 3), GAMMA: Fraction(2, 6)})
-        assert numerators.dtype == object
+        assert numerators.dtype == np.int64     # a bound of 0
         assert numerators.tolist() == [0, 0, 0] and denominator > 0
 
     def test_numpy_integers_in_object_arrays_do_not_wrap(self):
@@ -513,6 +540,101 @@ class TestArrayEvaluation:
                    rf"array element of type {type(element).__name__}")
         with pytest.raises(TypeError, match=message):
             p.evaluate({X: np.array([2, element], dtype=object), K1: 1})
+
+
+    @pytest.mark.parametrize("text, xs, ys, dtype", [
+        ("x", [2 ** 53 - 1, 0], [0, 0], np.int64),
+        ("x", [2 ** 53, 0], [0, 0], object),
+        ("x", [-(2 ** 53 - 1), 5], [0, 0], np.int64),
+        ("x", [-2 ** 53, 5], [0, 0], object),
+        ("3*x", [(2 ** 53 - 1) // 3, 1], [0, 0], np.int64),
+        ("3*x", [(2 ** 53 - 1) // 3 + 1, 1], [0, 0], object),
+        ("x^2", [94_906_265, -3], [0, 0], np.int64),
+        ("x^2", [94_906_266, -3], [0, 0], object),
+        # the running total: 2 ** 52 + (2 ** 52 - 1) stays below 2 ** 53
+        ("x + y", [2 ** 52, 1], [2 ** 52 - 1, 1], np.int64),
+        ("x + y", [2 ** 52, 1], [2 ** 52, 1], object),
+        # a scalar folds into the coefficient: 1/3 x over 3 reads |x| once
+        ("k_1*x", [2 ** 53 - 1, 3], [0, 0], np.int64),
+        ("k_1*x - k_1*y", [2 ** 52, 3], [2 ** 52, 3], object),
+    ])
+    @pytest.mark.parametrize("array_dtype", [np.int64, object])
+    def test_numerators_at_the_edge(self, text, xs, ys, dtype, array_dtype):
+        p = parse_expression(text, SYMS)
+        point = {X: np.array(xs, dtype=array_dtype),
+                 Y: np.array(ys, dtype=array_dtype), K1: Fraction(1, 3)}
+        numerators, denominator = p.evaluate(point)
+        assert numerators.dtype == dtype == predicted_dtype(p, point)
+        assert [Fraction(v, denominator) for v in numerators.tolist()] == \
+            [p.evaluate({X: x, Y: y, K1: Fraction(1, 3)})
+             for x, y in zip(xs, ys)]
+
+    def test_the_denominator_is_the_lcm_of_the_group_coefficients(self):
+        # 1/6 x^2 + 1/4 x: over 12, where den * 6 * 4 would be 24
+        p = parse_expression("k_1*x^2 + gamma*x", SYMS)
+        numerators, denominator = p.evaluate(
+            {X: np.arange(4), K1: Fraction(1, 6), GAMMA: Fraction(1, 4)})
+        assert denominator == 12
+        assert numerators.tolist() == [0, 5, 14, 27]
+
+    @given(a=_polys, rows=st.lists(st.tuples(_wide_ints, _wide_ints),
+                                   min_size=1, max_size=4),
+           k=_exact_values, g=_exact_values,
+           dtype=st.sampled_from([object, np.int64]))
+    def test_matches_the_object_arrays(self, a, rows, k, g, dtype):
+        # the object-array code returned the same values over den times
+        # the scalars' denominators to their degrees, a multiple of the
+        # lcm of the reduced group coefficients' denominators
+        xs, ys = (np.array(column, dtype=dtype) for column in zip(*rows))
+        point = {X: xs, Y: ys, K1: k, GAMMA: g}
+        value, reference = a.evaluate(point), object_evaluate(a, point)
+        if isinstance(reference, Fraction):
+            assert type(value) is Fraction and value == reference
+            return
+        (numerators, denominator), (old, old_denominator) = value, reference
+        assert old_denominator % denominator == 0
+        assert (numerators.astype(object)
+                * (old_denominator // denominator)).tolist() == old.tolist()
+
+
+class TestFractionsDiffer:
+    """_fractions_differ cross-multiplies in int64 only where no product
+    reaches 2**63; a wrapped product could turn a mismatch into "equal"."""
+
+    @pytest.mark.parametrize("a, a_den, b, b_den, want", [
+        # 2 ** 53 + 1 and 2 ** 53 are one float apart from each other
+        ([2 ** 53 + 1, 2 ** 53 - 1], 1, [2 ** 53, 2 ** 53 - 1], 1,
+         [True, False]),
+        ([2 ** 53 + 1, 7], 3, [2 ** 53, 7], 3, [True, False]),
+        # a * 4 = 2 ** 64 wraps to 0 in int64, as b * 4 is
+        ([2 ** 62, 2], 4, [0, 2], 4, [True, False]),
+        ([2 ** 61 - 1, 2], 4, [2 ** 61 - 1, 3], 4, [False, True]),
+        ([2 ** 61, 2], 4, [2 ** 61, 2], 4, [False, False]),
+        ([2 ** 62 - 1, 1], 2, [2 ** 63 - 2, 2], 4, [False, False]),
+        ([2 ** 62, 1], 2, [2 ** 63 - 1, 2], 4, [True, False]),
+        # a denominator at 2 ** 63 with zero numerators
+        ([0, 0], 1, [0, 1], 2 ** 63, [False, True]),
+    ])
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_products_at_the_edge(self, a, a_den, b, b_den, want, dtype):
+        for x, y, x_den, y_den in ((a, b, a_den, b_den),
+                                   (b, a, b_den, a_den)):
+            got = _fractions_differ(np.array(x, dtype), x_den,
+                                    np.array(y, dtype), y_den)
+            assert got.dtype == bool
+            assert got.tolist() == want == [
+                Fraction(u, x_den) != Fraction(v, y_den)
+                for u, v in zip(x, y)]
+
+    def test_ints_beyond_int64_on_either_side(self):
+        ones = np.array([1, 2, -1])
+        assert _fractions_differ(2 ** 70, 2 ** 70, ones, 1).tolist() == \
+            [False, True, True]
+        assert _fractions_differ(ones, 1, -2 ** 70, 2 ** 70).tolist() == \
+            [True, True, False]
+        assert _fractions_differ(0, 1, ones * 0, 3).tolist() == \
+            [False, False, False]
+        assert not _fractions_differ(3, 6, 1, 2)
 
 
 # bind_values as it was before binding term by term: Polynomial.substitute
