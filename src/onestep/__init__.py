@@ -8,7 +8,7 @@ model by Euler-Maruyama or exact jump sampling; and exports LaTeX, C,
 and JSON forms.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .poly import (Monomial, MissingSymbolError, ExpressionSyntaxError,
                    Polynomial, SymbolId, SymbolKind, as_function,
@@ -29,7 +29,7 @@ from .cme import (ChannelTable, DegenerateDistributionError, Distribution,
                   reaction_channels)
 from .sim import (ComparisonReport, Engine, MomentReport, NegativePolicy,
                   NegativeRateError, NotPsdError, NotSymmetricError,
-                  SimConfig, SimConfigError, SimulationError,
+                  SimConfig, SimConfigError, SimulationError, Stream,
                   TooFewTrajectoriesError, TrajectoryEnsemble,
                   compare_engines, compare_reports,
                   ensemble_moments, euler_maruyama, gillespie_ssa,

@@ -37,12 +37,12 @@ from .poly import (ExpressionSyntaxError, MissingSymbolError, bind_values,
                    _fractions_differ)
 from .scheme import SchemeError, format_scheme, parse_scheme
 from .sim import (Engine, NegativePolicy, NegativeRateError, NotPsdError,
-                  SimConfig, SimConfigError, SimulationError,
+                  SimConfig, SimConfigError, SimulationError, Stream,
                   TooFewTrajectoriesError, check_seed, check_trajectory_count,
                   compare_engines, ensemble_moments, euler_maruyama,
                   gillespie_ssa, integer_initial_state, matrix_sqrt_psd,
                   mean_band_svg, moments_to_csv, symmetric_matrices,
-                  trajectories_to_csv)
+                  trajectories_to_csv, trajectory_rng)
 
 
 class RatesFileError(ValueError):
@@ -570,7 +570,7 @@ def _sample_states(box: StateBox, seed: int):
     # each batch draws as many states as are still missing, coordinate by
     # coordinate in row-major order: the draws of one scalar integers
     # call per coordinate, so a batch stops where such a loop would
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = trajectory_rng(seed, 0, Stream.CHECK_STATES)
     bounds = np.array(box.bounds, dtype=np.int64)
     states = set()
     while len(states) < _SAMPLED:

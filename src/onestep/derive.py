@@ -140,9 +140,10 @@ class SdeModel:
         if len(self.drift) != n or len(self.diffusion) != n or any(
                 len(row) != n for row in self.diffusion):
             raise ValueError("drift/diffusion shape does not match species")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.diffusion[i][j] != self.diffusion[j][i]:
+        b = self.diffusion
+        for i, row in enumerate(b):
+            for j in range(i + 1, n):   # canonical terms, as Polynomial.__eq__
+                if row[j]._terms != b[j][i]._terms:
                     raise ValueError("diffusion matrix is not symmetric")
         # B is symmetric now, so its upper triangle holds all its symbols
         allowed = set(self.species) | set(self.rate_symbols)

@@ -2,22 +2,23 @@
 
 Two engines over a shared configuration: an Euler-Maruyama integrator
 for the Langevin model and an exact jump-process (Gillespie) sampler for
-the underlying scheme.  Trajectory j of any run draws from a dedicated
-counter-based Philox stream keyed by base_seed XOR j, so ensembles are
-reproducible regardless of execution order and adding trajectories never
-perturbs existing ones.  The Euler-Maruyama engine holds the states as
-one row per species and takes each step in one function generated for
-the model, which factors B only on its pattern and that pattern's fill.
-The jump sampler runs each path in one function generated for the
-scheme, on one Philox re-keyed to the path's stream; after each event it
-recomputes only the rates that the event changed.
+the underlying scheme.  Each consumer of draws (Stream) of trajectory j
+reads its own counter-based Philox stream keyed by (base_seed, j), so
+runs are reproducible in any order and no draw depends on another's.
+The Euler-Maruyama engine holds the states as one row per species and
+takes each step in one function generated for the model, which factors
+B only on its pattern and that pattern's fill.  The jump sampler runs
+each path in one function generated for the scheme, on two Philox
+re-keyed to the path's streams; after each event it recomputes only the
+rates that the event changed.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -30,14 +31,11 @@ from .poly import (_TERMS_PER_LINE, SymbolId, _compile, _exact,
 from .scheme import InteractionScheme
 
 _CHUNK_STEPS = 256      # noise draws are blocked per trajectory in chunks
-_SSA_BLOCK = 1024       # random draws per refill of the jump sampler
-_SSA_CHUNK = 64         # block values turned into floats at once; divides
-                        # _SSA_BLOCK
+_SSA_CHUNK = 64         # jump-sampler draws taken at once, per stream
 _SSA_LEAF_RATES = 16    # rates one event may recompute; an event that would
                         # change more recomputes every rate
-# jump events one trajectory may take, checked once per refill; the most
-# any test, demo or benchmark workload takes is 13,412
-_SSA_EVENT_BUDGET = 2048 * _SSA_BLOCK
+_SSA_EVENT_BUDGET = 2 ** 21    # jump events of one path; the most any test,
+                               # demo or benchmark workload takes is 13,412
 _PSD_TOL = 1e-9
 # a lone pivot below this is below -_PSD_TOL * (1 + |pivot|)
 _PSD_LONE_FLOOR = -_PSD_TOL / (1.0 - _PSD_TOL)
@@ -167,31 +165,43 @@ class ComparisonReport:
     passed: bool
 
 
-def _stream_key(base_seed: int, index: int) -> int:
-    """The Philox key of trajectory index's random stream."""
-    check_seed(base_seed)
-    if not 0 <= index < 2 ** 64:
-        raise ValueError("trajectory index must fit in 64 bits")
-    return base_seed ^ index
+class Stream(enum.IntEnum):
+    """A random stream's domain: the last word of its counter's start."""
+    EM_NORMALS = 0      # Euler-Maruyama noise
+    EM_REDRAWS = 1      # its redrawn noise under NegativePolicy.REJECT_STEP
+    SSA_WAITS = 2       # the jump sampler's waiting times
+    SSA_CHOICES = 3     # its choices of channel
+    CHECK_STATES = 4    # check's sampled states, at index 0
 
 
-def _rekey(bits: np.random.Philox, base_seed: int, index: int) -> None:
-    """Reset bits to the start of trajectory_rng(base_seed, index)'s
-    stream: its key (in 64-bit words, low word first, as Philox splits
-    an int key), counter 0, an empty buffer and no pending uint32."""
-    key = _stream_key(base_seed, index)
+@functools.cache     # at first use: importing numpy.random takes ~15 ms
+def _fixed_seed() -> np.random.SeedSequence:
+    """Each Philox's seed, which _rekey overrides; it reads no OS entropy."""
+    return np.random.SeedSequence(0)
+
+
+def _rekey(bits: np.random.Philox, base_seed: int, index: int,
+           domain: Stream) -> None:
+    """Reset bits to the start of trajectory_rng(base_seed, index,
+    domain), for arguments that it accepts."""
     bits.state = {"bit_generator": "Philox",
-                  "state": {"counter": [0, 0, 0, 0],
-                            "key": [key & (2 ** 64 - 1), key >> 64]},
+                  "state": {"counter": [0, 0, 0, int(domain)],
+                            "key": [base_seed, index]},
                   "buffer": [0, 0, 0, 0], "buffer_pos": 4,
                   "has_uint32": 0, "uinteger": 0}
 
 
-def trajectory_rng(base_seed: int, index: int) -> np.random.Generator:
-    """The dedicated random stream of one trajectory: counter-based
-    Philox (4x64, 10 rounds) keyed by base_seed XOR index."""
-    return np.random.Generator(
-        np.random.Philox(key=_stream_key(base_seed, index)))
+def trajectory_rng(base_seed: int, index: int,
+                   domain: Stream) -> np.random.Generator:
+    """The random stream of one consumer (domain) of trajectory index:
+    Philox (4x64, 10 rounds; Salmon et al., SC 2011) with the 128-bit key
+    base_seed | index << 64 and its counter starting at domain << 192."""
+    check_seed(base_seed)
+    if not 0 <= index < 2 ** 64:
+        raise ValueError("trajectory index must fit in 64 bits")
+    bits = np.random.Philox(_fixed_seed())
+    _rekey(bits, base_seed, index, domain)
+    return np.random.Generator(bits)
 
 
 def matrix_sqrt_psd(b: np.ndarray) -> np.ndarray:
@@ -434,12 +444,12 @@ def _em_step_source(n: int, wiener_dim: int, per_reaction: bool,
     x_i + d_i dt + z_i sqrt_dt.  For --noise sqrt the noise row is
     z_i = 0.0 + L_ij e_j + ... over the columns j of rows[i], ascending
     (rows is None for per-reaction noise), added left to right over
-    statements of at most
-    _TERMS_PER_LINE terms, with L the factor of B's entry-major stack.
-    That is einsum's sum over row i of L: each entry it leaves out is
-    +-0.0, and so is its term, which leaves a sum that starts at 0.0 as
-    it is.  The source holds one term per entry of L's pattern, so it
-    grows with that pattern: as n^2 for a dense B, as n on a ring."""
+    statements of at most _TERMS_PER_LINE terms, with L the factor of B's
+    entry-major stack.  That is einsum's sum over row i of L: each entry
+    it leaves out is +-0.0, and so is its term, which leaves a sum that
+    starts at 0.0 as it is.  The source holds one term per entry of L's
+    pattern, so it grows with that pattern: as n^2 for a dense B, as n on
+    a ring."""
     xs = "".join(f"x{i}, " for i in range(n))
     ds = "".join(f"d{i}, " for i in range(n))
     lines = ["def em_step(x, e):",
@@ -582,7 +592,9 @@ def euler_maruyama(model: SdeModel, config: SimConfig) -> TrajectoryEnsemble:
     states[:] = np.asarray(config.initial_state, dtype=np.float64)[:, None]
     paths = np.empty((t_count, len(times), n))
     clamps = np.zeros(t_count, dtype=np.int64)
-    gens = [trajectory_rng(config.base_seed, j) for j in range(t_count)]
+    seed = config.base_seed
+    gens = [trajectory_rng(seed, j, Stream.EM_NORMALS) for j in range(t_count)]
+    redraws = {}        # path j's redraw stream, from its first redraw on
 
     g = 0
     step = 0
@@ -602,9 +614,11 @@ def euler_maruyama(model: SdeModel, config: SimConfig) -> TrajectoryEnsemble:
             bad = proposal < 0
             if np.count_nonzero(bad):
                 if reject:
-                    for j in np.nonzero(bad.any(axis=0))[0]:
+                    for j in np.nonzero(bad.any(axis=0))[0].tolist():
+                        gen = redraws.get(j) or redraws.setdefault(
+                            j, trajectory_rng(seed, j, Stream.EM_REDRAWS))
                         proposal[:, j] = _retry_step(stepper, states[:, j],
-                                                     gens[j])
+                                                     gen)
                 else:
                     clamps += bad.any(axis=0)
                     np.clip(proposal, 0.0, None, out=proposal)
@@ -718,15 +732,10 @@ def _choice_tree(leaves: Sequence[Sequence[str]], lo: int, hi: int,
 _SSA_PATH = """\
 def sample_path(j, init, grid, exponential, uniform, budget):
     {row}= init
-    # the blocks of random numbers, the chunk of each turned into floats,
-    # the next value of each chunk (ei, ui) and each chunk's start in its
-    # block (eat, uat)
-    exp_block = exponential({block})
-    uni_block = uniform({block})
-    exp_buf = exp_block[:{chunk}].tolist()
-    uni_buf = uni_block[:{chunk}].tolist()
-    ei = eat = ui = uat = 0
-    drawn = {block}
+    # the next value (ei, ui) of each chunk of draws; drawn counts the
+    # waiting times drawn, ecount those of the last chunk
+    ei = ecount = drawn = 0
+    ui = {chunk}
     t = 0.0
     g = 0
     g_count = len(grid)
@@ -741,18 +750,15 @@ def sample_path(j, init, grid, exponential, uniform, budget):
             if total <= 0.0:
                 t = inf             # absorbed: the state holds forever
             else:
-                if ei == {chunk}:
-                    eat += {chunk}
-                    if eat == {block}:
-                        if drawn >= budget:
-                            raise SimulationError(
-                                f"trajectory {{j}} used up its budget of "
-                                f"{{budget}} jump events at t = {{t!r}}: "
-                                "the model may blow up in finite time")
-                        exp_block = exponential({block})
-                        drawn += {block}
-                        eat = 0
-                    exp_buf = exp_block[eat:eat + {chunk}].tolist()
+                if ei == ecount:
+                    if drawn >= budget:
+                        raise SimulationError(
+                            f"trajectory {{j}} used up its budget of "
+                            f"{{budget}} jump events at t = {{t!r}}: "
+                            "the model may blow up in finite time")
+                    ecount = min({chunk}, budget - drawn)
+                    exp_buf = exponential(ecount).tolist()
+                    drawn += ecount
                     ei = 0
                 t += exp_buf[ei] / total
                 ei += 1
@@ -765,11 +771,7 @@ def sample_path(j, init, grid, exponential, uniform, budget):
                     return rows
                 due = grid[g]
             if ui == {chunk}:
-                uat += {chunk}
-                if uat == {block}:
-                    uni_block = uniform({block})
-                    uat = 0
-                uni_buf = uni_block[uat:uat + {chunk}].tolist()
+                uni_buf = uniform({chunk}).tolist()
                 ui = 0
             target = uni_buf[ui] * total
             ui += 1
@@ -789,7 +791,7 @@ def _ssa_path_source(channels, n: int) -> str:
         sums="\n".join(" " * 12 + line for line in lines[count:]),
         total=f"c{count - 1}",
         choice="\n".join(_choice_tree(leaves, 0, count - 1, " " * 12)),
-        block=_SSA_BLOCK, chunk=_SSA_CHUNK)
+        chunk=_SSA_CHUNK)
 
 
 def _compile_ssa_path(channels, n: int):
@@ -805,10 +807,10 @@ def _compile_ssa_path(channels, n: int):
     recomputes every rate.  A rate whose species did not move keeps its
     bits, so every sum, and so every path, is the one that recomputing
     every rate at every event gives.  At every grid time the path passes,
-    the state's coordinates are appended to rows, one flat list.  Random
-    numbers come in blocks of _SSA_BLOCK from exponential(k) and
-    uniform(k), drawn when the path needs them; each block is turned into
-    floats _SSA_CHUNK values at a time.
+    the state's coordinates are appended to rows, one flat list.  Waiting
+    times come from exponential(k) and choices from uniform(k), in chunks
+    of _SSA_CHUNK drawn when the path needs the next one (no value depends
+    on the chunk size); waiting time budget + 1 raises SimulationError.
     """
     return _compile(_ssa_path_source(channels, n), "sample_path",
                     {"inf": math.inf, "SimulationError": SimulationError})
@@ -849,13 +851,15 @@ def gillespie_ssa(scheme: InteractionScheme,
     grid = times.tolist()          # the path loop runs on plain floats
     paths = np.empty((config.trajectories, len(grid), n))
     rows = paths.reshape(config.trajectories, -1)     # a view
-    bits = np.random.Philox(key=0)      # re-keyed for every path below
-    gen = np.random.Generator(bits)
+    seed = config.base_seed
+    waits = trajectory_rng(seed, 0, Stream.SSA_WAITS)  # re-keyed every path
+    choices = trajectory_rng(seed, 0, Stream.SSA_CHOICES)
     budget = _SSA_EVENT_BUDGET
     for j in range(config.trajectories):
-        _rekey(bits, config.base_seed, j)
-        rows[j] = sample_path(j, init, grid, gen.standard_exponential,
-                              gen.random, budget)
+        _rekey(waits.bit_generator, seed, j, Stream.SSA_WAITS)
+        _rekey(choices.bit_generator, seed, j, Stream.SSA_CHOICES)
+        rows[j] = sample_path(j, init, grid, waits.standard_exponential,
+                              choices.random, budget)
     return TrajectoryEnsemble(engine=Engine.SSA, species=scheme.species,
                               times=times, paths=paths,
                               clamp_events=np.zeros(config.trajectories,
@@ -907,15 +911,11 @@ def compare_reports(a: MomentReport, b: MomentReport,
 def compare_engines(model: SdeModel, config: SimConfig,
                     threshold: float = 4.0) -> ComparisonReport:
     """Run both engines on the same model and standardize the difference
-    of their mean estimates.
-
-    The jump sampler gets a seed offset into a disjoint key range so the
-    two engines never share a random stream."""
+    of their mean estimates; the engines share no random stream."""
     if model.scheme is None:
         raise ValueError("engine comparison needs a model built from a scheme")
     em = ensemble_moments(euler_maruyama(model, config))
-    ssa_config = replace(config, base_seed=config.base_seed ^ (1 << 63))
-    ssa = ensemble_moments(gillespie_ssa(model.scheme, ssa_config))
+    ssa = ensemble_moments(gillespie_ssa(model.scheme, config))
     return compare_reports(em, ssa, threshold)
 
 

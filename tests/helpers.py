@@ -1,7 +1,8 @@
 """Shared test fixtures: reference schemes, a random-scheme generator,
-the per-state reading of enumerated jump moments, and two references:
-the polynomial arithmetic of the all-Fraction coefficients, and the exact
-integer arrays of the oracles and of check on Python ints alone."""
+the per-state reading of enumerated jump moments, the random streams'
+construction, and two references: the polynomial arithmetic of the
+all-Fraction coefficients, and the exact integer arrays of the oracles
+and of check on Python ints alone."""
 
 import operator
 import random
@@ -28,6 +29,20 @@ y -> 0 @ k_3
 """
 
 PURE_DEATH = "phi -> 0 @ beta\n"
+
+# the random-stream contract of onestep.sim restated: the domain of each
+# consumer of draws (the last word of its Philox counter's start)
+EM_NORMALS, EM_REDRAWS, SSA_WAITS, SSA_CHOICES, CHECK_STATES = range(5)
+
+
+def reference_stream(base_seed: int, index: int,
+                     domain: int) -> np.random.Generator:
+    """The stream of one consumer of trajectory index, built from Philox's
+    own key and counter arguments: the key words (base_seed, index), the
+    counter words (0, 0, 0, domain), low word first in both."""
+    return np.random.Generator(np.random.Philox(
+        counter=domain << 192, key=base_seed | index << 64))
+
 
 _SPECIES_POOL = ("x", "y", "z", "w")
 

@@ -28,9 +28,9 @@ from onestep.cli import (_SAMPLED, MANIFEST_FORMAT, RatesFileError,
                          _compared_entries, _moment_mismatches,
                          _sample_states, build_parser, main, parse_initial,
                          parse_rates_file)
-from helpers import (LOTKA_VOLTERRA, VERHULST, object_jump_moments,
-                     object_moment_mismatches, per_state_moments,
-                     random_scheme_text)
+from helpers import (CHECK_STATES, EM_NORMALS, LOTKA_VOLTERRA, VERHULST,
+                     object_jump_moments, object_moment_mismatches,
+                     per_state_moments, random_scheme_text, reference_stream)
 
 VERHULST_RATES_TEXT = """\
 # logistic growth bindings
@@ -455,14 +455,14 @@ class TestSimulate:
 # while simulate still derived the model once for the manifest and once
 # to run it; from a scheme, and from the model JSON that derive writes
 # under the same flags, simulated with the default flags, which a model
-# input ignores
+# input ignores; re-recorded for tool_version 0.3.0, its only change
 DERIVATION_FLAGS = ("--rate-mode", "exact", "--diffusion-sign", "sum",
                     "--noise", "per-reaction")
 MANIFEST_GOLDEN = {
     "scheme":
-        "cd15f63ad2bf6e40e8208830c10833557050fd2b58f386a1e9292ee7bdafb5c5",
+        "671b0f2a484b59ed9a99e3c637b72257582d82bc0b2dbb625051b0e95ed098eb",
     "model":
-        "4863353f79b1aa99f642d31dc32b12a2ffdb398fb396935038bc1f2a9a4371fe",
+        "1c4fe66720732100e63fc9509aacbb25120202fc25721c0fccf295a45712e0b7",
 }
 
 
@@ -676,7 +676,7 @@ a_3 = 3/4
 b_3 = 1/13
 """
 
-_ENGINE_LINE = ("PASS engine-consistency: max |z| = 0.940 vs threshold 4.0 "
+_ENGINE_LINE = ("PASS engine-consistency: max |z| = 0.404 vs threshold 4.0 "
                 "over 6 grid times, 60 trajectories per engine\n")
 
 # check's whole stdout for fixed inputs, byte for byte: it pins the state
@@ -684,7 +684,9 @@ _ENGINE_LINE = ("PASS engine-consistency: max |z| = 0.940 vs threshold 4.0 "
 # at which the noise factor of B fails, with the factor's own message (the
 # pivot B(25) = -5/4 for Verhulst); the psd-sampling lines were re-recorded
 # when this factor replaced a scan of eigenvalues, which failed at the same
-# states
+# states.  The engine-consistency line and ring3-sampled's states were
+# re-recorded in 0.3.0, whose random streams are keyed by (seed,
+# trajectory) and a domain per consumer of draws
 CHECK_GOLDEN = {
     "verhulst-sum": (
         "PASS first-jump-moment: drift equals the enumerated first moment "
@@ -721,11 +723,11 @@ CHECK_GOLDEN = {
         "PASS first-jump-moment: drift equals the enumerated first moment "
         "exactly on 512 states\n"
         "FAIL second-jump-moment: diffusion (difference form) differs from "
-        "the enumerated second moment at state (0, 0, 2), entry (1,1)\n"
+        "the enumerated second moment at state (0, 0, 4), entry (1,1)\n"
         "PASS diffusion-symmetry: B is symmetric as polynomials\n"
-        "FAIL psd-sampling: B((0, 0, 2)) is not positive semidefinite under "
-        "the difference convention: pivot 1 is -1.454545e+00, negative "
-        "beyond tolerance 1.300e-08\n"
+        "FAIL psd-sampling: B((0, 0, 4)) is not positive semidefinite under "
+        "the difference convention: pivot 1 is -5.818182e+00, negative "
+        "beyond tolerance 4.900e-08\n"
         "FAIL engine-consistency: needs --initial to start the "
         "trajectories\n"),
 }
@@ -982,17 +984,17 @@ class TestCheckPsd:
             self, ring3_files, capsys, batches):
         scheme, rates = ring3_files
         main(["check", scheme, "--rates", rates, "--box", "16"])
-        assert "FAIL psd-sampling: B((0, 0, 2))" in capsys.readouterr().out
+        assert "FAIL psd-sampling: B((0, 0, 4))" in capsys.readouterr().out
         [batch] = batches
         with pytest.raises(NotPsdError) as failure:
             matrix_sqrt_psd(batch)
         [i] = failure.value.index
-        # B(0, 0, 2) from the exact polynomials, fp rates and difference
+        # B(0, 0, 4) from the exact polynomials, fp rates and difference
         # convention, fails on its own; every state before it factors
         ring = parse_scheme(RING3)
         bound = {sym: parse_rates_file(RING3_RATES_TEXT)[sym.name]
                  for sym in ring.rate_symbols}
-        point = {**bound, **dict(zip(ring.species, (0, 0, 2)))}
+        point = {**bound, **dict(zip(ring.species, (0, 0, 4)))}
         own = np.array([[[float(p.evaluate(point)) for p in row]
                          for row in diffusion_matrix(
                              ring, RateMode.FOKKER_PLANCK,
@@ -1011,13 +1013,14 @@ class TestCheckPsd:
         rates.write_text("a = 1e308\nb = 1e308\n")
         assert main(["check", str(scheme), "--rates", str(rates),
                      "--box", "3000", "--diffusion-sign", "sum"]) == 2
-        _assert_usage_error(capsys, "B((6, 2650)) is beyond the float "
+        _assert_usage_error(capsys, "B((1, 1722)) is beyond the float "
                                     "range; rescale the rate values")
 
 
-def _scalar_sample(box, seed):
-    """_sample_states' draws as one scalar integers call per coordinate."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
+def _scalar_sample(box, seed, domain=CHECK_STATES):
+    """_sample_states' draws as one scalar integers call per coordinate,
+    from the stream of index 0 and the given domain."""
+    rng = reference_stream(seed, 0, domain)
     states = set()
     while len(states) < _SAMPLED:
         states.add(tuple(int(rng.integers(0, b + 1)) for b in box.bounds))
@@ -1036,6 +1039,13 @@ class TestSampledStates:
     def test_batches_draw_the_scalar_loops_states(self, bounds, seed):
         box = StateBox(bounds)
         assert _sample_states(box, seed) == _scalar_sample(box, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1])
+    def test_states_are_not_euler_maruyamas_draws(self, seed):
+        # a stream of their own, not trajectory 0's noise
+        box = StateBox((400,) * 8)
+        assert _sample_states(box, seed) != \
+            _scalar_sample(box, seed, EM_NORMALS)
 
     def test_a_small_box_is_taken_whole(self):
         box = StateBox((63, 63))
@@ -1096,36 +1106,34 @@ SIMULATE_CASES = {
                ("--initial", "x=20,y=20", "--engine", "ssa")),
 }
 
-# SHA-256 of (.trajectories.csv, .moments.csv, .mean.svg) per case, recorded
-# before the drift, diffusion and rate vectors were compiled into one
-# function each; ring3-em and ring3-reject, the cases with matrix noise
-# for n >= 2, re-recorded in 0.2.0, whose noise factor is the lower
-# triangular L with L L^T = B rather than the symmetric square root
+# SHA-256 of (.trajectories.csv, .moments.csv, .mean.svg) per case,
+# re-recorded in 0.3.0, whose random streams are keyed by (seed,
+# trajectory) and a domain per consumer of draws
 SIMULATE_GOLDEN = {
     "death-reject": (
-        "7ccf38fcf338962e407ff4ad0a52f67688290f7a2ea16d8b8804e3de9c03ff78",
-        "a4cffdfb4f68ec4176af24dd19fe232ef72f01c68beee099ace9f9c188b820d8",
-        "c4a4a36fe71e59f80c7b3b4bd28efaec0eff22dddd9c40e3a3c0555a2903c589"),
+        "902c47e65de6bef11093c327add9e838cfbc87db9a1927a69925a489abe091fc",
+        "fdb16cf32b0653ddc5275f03083f7cc365e614bb90b8c5557165f841372d7b89",
+        "1fcdc9fae3b78c6b13286520dc627002ba212c41905880a665a83cefc80859ce"),
     "lv-per-reaction": (
-        "a3a0b3528e4a547ed60413e05bde2d0e50f9b6f4bc0e59fc965e343ca54722dd",
-        "4ff4963b085025d486dbe7ed72807c29f0d19a377aa07f8fe516d9b30175ae0e",
-        "a5d465869a4ba62615dd458d228349828f2f4e8d5a3f3ed93b6c8a3aaad1d376"),
+        "14b7a8db1ce8e4f481e23f30878ddf68b562fdf77b076a26ddcfa6386569fc31",
+        "5b38274e412944afb83435902a325852d4ed6c3961ac03789e9020776c168dc8",
+        "382d15098c1824405ab1052f906dff41ad9a089e9fca8aececcc661facb55030"),
     "lv-ssa": (
-        "090daf4f116020da6d48f2968d44fe19cb78d6880e38a0c1e746029d4238c5e4",
-        "c753b52daeaf8be01bad1923a1b75453128ab639f729a73f610f61014c45bca9",
-        "bce8fc6b98f5e9adecb7866be4c23f1f678695826593ef2435b40122788f3e86"),
+        "d19a30141a5c1a9aae42c8428a943b4141b639bb89f56d9888c516875c34d04b",
+        "9483f95472e11c3723e49dcd29b6b86a532130647b2150e0053eb81788c07887",
+        "03bfe897258d2df954e9c842e31599e62dd9e6df3f07c7fff8ccf30c8156c527"),
     "ring3-em": (
-        "b9850144ec0ce87441935acccdd2597669033a3ad58830903b6a73674f06b644",
-        "701c1a031d60565ff2ea143d16db72b2c1c3ec0244f681fb5f3e7e78a3faf27d",
-        "31cd861a5d195867e732a779431bf3c8fadca9cafa9afc711651c9a50c3257c7"),
+        "12639602e8d78fa1d394c6f46ec4a51b676e5aa9eb69938417ffaff09abf322f",
+        "b68b05f739441eaed7f321ca01409742699d7eefb162de7640b187d5b36fa85f",
+        "ddc3921153659d0a518b29d12ed58f47b0a49c194eef955ed3a3f2fabe708a4b"),
     "ring3-reject": (
-        "9beb7f9f4e77ae50a6aea075ba9f7a161cf38ed2500a37a4896e2b543151c55b",
-        "84f16cb187fded41559060376f13da11e49c4b91a6e07c4b0a4ca90636b16693",
-        "d15e09642e2e0de83715a7bf161c45ce355f1c92e56113f24d25a010eebc7bc8"),
+        "6afd037c09cbe82bb71f3e881410c9a9d6cd640dba92f887fda24bc200a00b30",
+        "667d8b97b7c51addc06992f876d04d1602c178ad98dcba0446d2477ad0e8c487",
+        "d9fe2abbd19d09ec6499c9cc2f522cd0299e7203ec47ab2c418cc15b0976d34b"),
     "verhulst-em": (
-        "02791d30a43fb19611be9655c6035cd4e2ad986e24a18d83044faf20c54fadd5",
-        "a0fc208d3f6982a3c4f7f33929d4b0b9525b61b2a90231714bc9a9eac2b79a90",
-        "fe715255de4e1b72cbaabad1f7dc5dafc5fc37fc5c6207f0e3999a7aae61aac2"),
+        "fdebdc507551f12970da0c49eb300ff9e51782593608497df1baf00cb326a4a6",
+        "ae75d455a1a8d988f65f42804e3f2e5303b887a543b9aabceb156b331eacee44",
+        "e88e743d616f4a9c9e6f566c3322420c39915da35207a043b3af5948220f561e"),
 }
 
 
@@ -1542,8 +1550,8 @@ class TestSimulationFailures:
 
     def test_check_stops_at_the_event_budget(self, tmp_path, capsys,
                                              monkeypatch):
-        # about 2,000 jumps per unit time near x = 1000: one refill of
-        # the jump sampler's buffers is more than this budget allows
+        # about 2,000 jumps per unit time near x = 1000: the path needs
+        # more events than this budget allows
         monkeypatch.setattr("onestep.sim._SSA_EVENT_BUDGET", 1024)
         scheme_path = tmp_path / "s.scheme"
         scheme_path.write_text("0 <-> x @ a, b\n")

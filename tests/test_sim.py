@@ -19,7 +19,7 @@ from onestep import (ComparisonReport, DiffusionSign, Distribution, Engine,
                      MomentReport, NegativePolicy, NoiseStrategy, NotPsdError,
                      NotSymmetricError, Polynomial, RateMode, SdeModel,
                      SimConfig, SimConfigError, SimulationError, StateBox,
-                     TooFewTrajectoriesError, TrajectoryEnsemble,
+                     Stream, TooFewTrajectoriesError, TrajectoryEnsemble,
                      UnboundRateError, build_generator, build_sde_model,
                      compare_engines, compare_reports, default_box,
                      distribution_moments, distribution_to_csv,
@@ -30,9 +30,9 @@ from onestep import (ComparisonReport, DiffusionSign, Distribution, Engine,
                      rate, species, trajectories_to_csv, trajectory_rng)
 from onestep import (InteractionScheme, NegativeRateError, as_function,
                      bind_values, reaction_channels, transition_rates)
-from onestep.sim import (_CHUNK_STEPS, _PSD_LONE_FLOOR, _PSD_SQRT_TOL,
-                         _PSD_TOL, _RATE_TOL, _REJECT_LIMIT, _SSA_BLOCK,
-                         _SSA_EVENT_BUDGET, _SSA_LEAF_RATES, _EmStepper,
+from onestep.sim import (_PSD_LONE_FLOOR, _PSD_SQRT_TOL, _PSD_TOL,
+                         _RATE_TOL, _REJECT_LIMIT, _SSA_EVENT_BUDGET,
+                         _SSA_LEAF_RATES, _EmStepper,
                          _FactorPattern, _choice_tree, _diffusion_pattern,
                          _em_step_source, _entry_rows, _rekey,
                          _semidefinite_factor, _ssa_leaves,
@@ -40,7 +40,9 @@ from onestep.sim import (_CHUNK_STEPS, _PSD_LONE_FLOOR, _PSD_SQRT_TOL,
                          _grid_step_indices, _require_finite,
                          symmetric_matrices)
 from onestep.cli import _compared_entries
-from helpers import LOTKA_VOLTERRA, PURE_DEATH, VERHULST, random_scheme_text
+from helpers import (CHECK_STATES, EM_NORMALS, EM_REDRAWS, LOTKA_VOLTERRA,
+                     PURE_DEATH, SSA_CHOICES, SSA_WAITS, VERHULST,
+                     random_scheme_text, reference_stream)
 
 VERHULST_RATES = {rate("lambda"): 1.0, rate("beta"): 0.2, rate("gamma"): 0.05}
 LV_RATES = {rate("k_1"): 10.0, rate("k_2"): 0.01, rate("k_3"): 10.0}
@@ -120,20 +122,73 @@ def _run_verhulst(engine: Engine, rates) -> TrajectoryEnsemble:
     return euler_maruyama(build_sde_model(scheme), config)
 
 
+_DOMAINS = [(Stream.EM_NORMALS, EM_NORMALS), (Stream.EM_REDRAWS, EM_REDRAWS),
+            (Stream.SSA_WAITS, SSA_WAITS), (Stream.SSA_CHOICES, SSA_CHOICES),
+            (Stream.CHECK_STATES, CHECK_STATES)]
+
+
+def _plain(state):
+    """A bit generator's state with its arrays as lists."""
+    if isinstance(state, dict):
+        return {k: _plain(v) for k, v in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
 class TestTrajectoryRng:
     def test_streams_are_reproducible(self):
-        a = trajectory_rng(5, 3).standard_normal(4)
-        b = trajectory_rng(5, 3).standard_normal(4)
+        a = trajectory_rng(5, 3, Stream.EM_NORMALS).standard_normal(4)
+        b = trajectory_rng(5, 3, Stream.EM_NORMALS).standard_normal(4)
         assert np.array_equal(a, b)
 
     def test_indices_get_distinct_streams(self):
-        a = trajectory_rng(5, 3).standard_normal(4)
-        b = trajectory_rng(5, 4).standard_normal(4)
+        a = trajectory_rng(5, 3, Stream.EM_NORMALS).standard_normal(4)
+        b = trajectory_rng(5, 4, Stream.EM_NORMALS).standard_normal(4)
         assert not np.array_equal(a, b)
 
-    def test_offset_seed_space_is_usable(self):
-        g = trajectory_rng(7 ^ (1 << 63), 0)
+    def test_every_domain_is_listed(self):
+        assert sorted(Stream) == [stream for stream, _ in _DOMAINS]
+
+    @pytest.mark.parametrize("stream, domain", _DOMAINS)
+    @pytest.mark.parametrize("base_seed, index", [
+        (0, 0), (0, 1), (1, 0), (7, 2 ** 64 - 1), (2 ** 64 - 1, 0),
+        (2 ** 64 - 1, 2 ** 64 - 1), (2 ** 63, 12345)])
+    def test_known_answer(self, base_seed, index, stream, domain):
+        """Each domain's draws are those of Philox built from its key and
+        counter arguments: the key words (base_seed, index) and the
+        counter words (0, 0, 0, domain)."""
+        got = trajectory_rng(base_seed, index, stream)
+        ref = reference_stream(base_seed, index, domain)
+        assert _plain(got.bit_generator.state) == \
+            _plain(ref.bit_generator.state)
+        assert got.integers(0, 2 ** 64, 9, dtype=np.uint64).tobytes() == \
+            ref.integers(0, 2 ** 64, 9, dtype=np.uint64).tobytes()
+        for draw in ("standard_normal", "standard_exponential", "random"):
+            assert getattr(got, draw)(5).tobytes() == \
+                getattr(ref, draw)(5).tobytes()
+
+    @pytest.mark.parametrize("stream", list(Stream))
+    @pytest.mark.parametrize("base_seed", [0, 1, 2718, 2 ** 64 - 2])
+    def test_neighbouring_pairs_get_distinct_streams(self, base_seed,
+                                                     stream):
+        # base_seed XOR index keyed (s, 1) and (s + 1, 0) alike for even s
+        a = trajectory_rng(base_seed, 1, stream).random(4)
+        b = trajectory_rng(base_seed + 1, 0, stream).random(4)
+        assert not np.array_equal(a, b)
+
+    def test_domains_get_distinct_streams(self):
+        draws = {trajectory_rng(3, 2, stream).random(4).tobytes()
+                 for stream in Stream}
+        assert len(draws) == len(Stream)
+
+    def test_largest_seed_and_index_are_usable(self):
+        g = trajectory_rng(2 ** 64 - 1, 2 ** 64 - 1, Stream.CHECK_STATES)
         assert g.standard_normal(2).shape == (2,)
+
+    @pytest.mark.parametrize("base_seed, index", [(-1, 0), (2 ** 64, 0),
+                                                  (0, -1), (0, 2 ** 64)])
+    def test_out_of_range_keys_are_refused(self, base_seed, index):
+        with pytest.raises(ValueError, match="fit in 64 bits"):
+            trajectory_rng(base_seed, index, Stream.EM_NORMALS)
 
 
 def _reconstruction_error(factor, b):
@@ -611,10 +666,10 @@ class TestEulerMaruyama:
         ("x + y -> 2 x + y @ k_1\nx + y -> x + 2 y @ k_2\n", (1, 1),
          (5.0, 5.0), NegativePolicy.CLAMP_ZERO,
          "trajectory 0 .* t = 0\\.5:"),
-        # death competes with the growth from x = 1: trajectory 0 is still
-        # finite when trajectory 1 has overflowed
+        # death competes with the growth from x = 1: trajectories 0 to 6
+        # are still finite when trajectory 7 has overflowed
         ("x -> 2 x @ k_1\n2 x -> 3 x @ k_2\nx -> 0 @ k_3\n", (1, 1, 3),
-         (1.0,), NegativePolicy.CLAMP_ZERO, "trajectory 1 .* t = 1\\.0:"),
+         (1.0,), NegativePolicy.CLAMP_ZERO, "trajectory 7 .* t = 0\\.5:"),
     ])
     def test_state_that_blows_up_is_named(self, scheme, rates, initial,
                                           policy, named):
@@ -748,7 +803,7 @@ class TestGillespie:
         # first waiting time e / 1.0 ends just after t_final, so the path
         # must not jump; e / (1 + 2**-52) would end on or before it.
         scheme = parse_scheme("0 -> x @ a\n0 -> 2 x @ b\n0 -> 3 x @ c\n")
-        e = trajectory_rng(0, 0).standard_exponential()
+        e = trajectory_rng(0, 0, Stream.SSA_WAITS).standard_exponential()
         t_final = float(np.nextafter(e, 0.0))
         config = SimConfig(rates={rate("a"): 1.0, rate("b"): 1e-16,
                                   rate("c"): 1e-16},
@@ -1211,6 +1266,8 @@ def _reference_euler_maruyama(model: SdeModel,
 
     Negative proposals follow config.negative_policy: clamp to zero (and
     count the event) or redraw the step's noise up to a retry limit.
+    Path j draws each step's noise from its EM_NORMALS stream and each
+    redraw from its EM_REDRAWS stream.
     """
     n = len(model.species)
     if len(config.initial_state) != n:
@@ -1228,7 +1285,10 @@ def _reference_euler_maruyama(model: SdeModel,
                      (t_count, 1))
     paths = np.empty((t_count, len(times), n))
     clamps = np.zeros(t_count, dtype=np.int64)
-    gens = [trajectory_rng(config.base_seed, j) for j in range(t_count)]
+    gens = [reference_stream(config.base_seed, j, EM_NORMALS)
+            for j in range(t_count)]
+    redraws = [reference_stream(config.base_seed, j, EM_REDRAWS)
+               for j in range(t_count)]
 
     g = 0
     step = 0
@@ -1237,29 +1297,25 @@ def _reference_euler_maruyama(model: SdeModel,
         g += 1
     m = stepper.wiener_dim
     while step < nsteps:
-        k = min(_CHUNK_STEPS, nsteps - step)
-        eps = np.empty((t_count, k, m))
-        for j, gen in enumerate(gens):
-            eps[j] = gen.standard_normal((k, m))
-        for s in range(k):
-            drift = stepper.drift(states)
-            noise = stepper.noise(states, eps[:, s, :])
-            proposal = states + drift * dt + noise * sqrt_dt
-            bad = proposal < 0
-            if bad.any():
-                if reject:
-                    for j in np.nonzero(bad.any(axis=1))[0]:
-                        proposal[j] = _reference_retry_step(stepper, states[j],
-                                                  gens[j], dt, sqrt_dt)
-                else:
-                    clamps += bad.any(axis=1)
-                    np.clip(proposal, 0.0, None, out=proposal)
-            states = proposal
-            step += 1
-            while g < len(times) and grid_at[g] == step:
-                _require_finite(states, times[g])
-                paths[:, g] = states
-                g += 1
+        eps = np.array([gen.standard_normal(m) for gen in gens])
+        drift = stepper.drift(states)
+        noise = stepper.noise(states, eps)
+        proposal = states + drift * dt + noise * sqrt_dt
+        bad = proposal < 0
+        if bad.any():
+            if reject:
+                for j in np.nonzero(bad.any(axis=1))[0]:
+                    proposal[j] = _reference_retry_step(
+                        stepper, states[j], redraws[j], dt, sqrt_dt)
+            else:
+                clamps += bad.any(axis=1)
+                np.clip(proposal, 0.0, None, out=proposal)
+        states = proposal
+        step += 1
+        while g < len(times) and grid_at[g] == step:
+            _require_finite(states, times[g])
+            paths[:, g] = states
+            g += 1
     return TrajectoryEnsemble(engine=Engine.EULER_MARUYAMA,
                               species=model.species, times=times,
                               paths=paths, clamp_events=clamps)
@@ -1315,8 +1371,10 @@ def _reference_gillespie_ssa(scheme: InteractionScheme,
 
     States are integer occupation numbers; sampled paths are reported on
     the shared time grid by last-value interpolation.  The initial state
-    must be integral.  A trajectory that needs more than
-    _SSA_EVENT_BUDGET events raises SimulationError.
+    must be integral.  Path j draws its waiting times, one at a time, from
+    its SSA_WAITS stream and its channel choices from its SSA_CHOICES
+    stream.  A trajectory that needs more than _SSA_EVENT_BUDGET events
+    raises SimulationError.
     """
     n = len(scheme.species)
     if len(config.initial_state) != n:
@@ -1342,11 +1400,9 @@ def _reference_gillespie_ssa(scheme: InteractionScheme,
     n_channels = len(channels)
 
     for j in range(config.trajectories):
-        rng = trajectory_rng(config.base_seed, j)
-        exp_buf = rng.standard_exponential(_SSA_BLOCK).tolist()
-        uni_buf = rng.random(_SSA_BLOCK).tolist()
-        ei = ui = 0
-        drawn = _SSA_BLOCK
+        waits = reference_stream(config.base_seed, j, SSA_WAITS)
+        choices = reference_stream(config.base_seed, j, SSA_CHOICES)
+        events = 0
         state = list(init)
         t = 0.0
         g = 0
@@ -1357,17 +1413,13 @@ def _reference_gillespie_ssa(scheme: InteractionScheme,
                     paths[j, g] = state
                     g += 1
                 break
-            if ei == _SSA_BLOCK:
-                if drawn >= _SSA_EVENT_BUDGET:
-                    raise SimulationError(
-                        f"trajectory {j} used up its budget of "
-                        f"{_SSA_EVENT_BUDGET} jump events at t = {t!r}: "
-                        "the model may blow up in finite time")
-                exp_buf = rng.standard_exponential(_SSA_BLOCK).tolist()
-                drawn += _SSA_BLOCK
-                ei = 0
-            t_next = t + exp_buf[ei] / total
-            ei += 1
+            if events == _SSA_EVENT_BUDGET:
+                raise SimulationError(
+                    f"trajectory {j} used up its budget of "
+                    f"{_SSA_EVENT_BUDGET} jump events at t = {t!r}: "
+                    "the model may blow up in finite time")
+            events += 1
+            t_next = t + waits.standard_exponential() / total
             while g < g_count and grid[g] < t_next:
                 paths[j, g] = state
                 g += 1
@@ -1376,11 +1428,7 @@ def _reference_gillespie_ssa(scheme: InteractionScheme,
                     paths[j, g] = state
                     g += 1
                 break
-            if ui == _SSA_BLOCK:
-                uni_buf = rng.random(_SSA_BLOCK).tolist()
-                ui = 0
-            u = uni_buf[ui] * total
-            ui += 1
+            u = choices.random() * total
             acc = 0.0
             chosen = n_channels - 1
             for idx in range(n_channels):
@@ -1443,11 +1491,11 @@ class TestEnginesMatchReference:
         config = SimConfig(rates=values, initial_state=state,
                            t_final=t_final, trajectories=3,
                            base_seed=base_seed, grid_points=7)
-        # a small event budget keeps blow-ups cheap and exercises it
+        # a small event budget, not a multiple of the sampler's chunk,
+        # keeps blow-ups cheap and exercises it
         with pytest.MonkeyPatch.context() as mp:
             for module in ("onestep.sim", __name__):
-                mp.setattr(sys.modules[module], "_SSA_EVENT_BUDGET",
-                           4 * _SSA_BLOCK)
+                mp.setattr(sys.modules[module], "_SSA_EVENT_BUDGET", 4001)
             assert _outcome(gillespie_ssa, scheme, config) == \
                 _outcome(_reference_gillespie_ssa, scheme, config)
 
@@ -1574,11 +1622,13 @@ class TestJumpSamplerParts:
         assert namespace["choose"](target, *partial) == \
             (k if k % 3 else None)
 
+    @pytest.mark.parametrize("stream", list(Stream))
     @pytest.mark.parametrize("base_seed, index", [
         (0, 0), (0, 1), (0, 2 ** 64 - 1), (1, 0), (1, 1), (1, 2 ** 64 - 2),
         (2 ** 64 - 1, 0), (2 ** 64 - 1, 2 ** 64 - 1), (2 ** 64 - 1, 5)])
-    def test_rekeyed_philox_is_the_trajectory_stream(self, base_seed, index):
-        # the keys base_seed ^ index include 0 and 2**64 - 1
+    def test_rekeyed_philox_is_the_trajectory_stream(self, base_seed, index,
+                                                     stream):
+        # key words 0 and 2**64 - 1, in both places
         bits = np.random.Philox(key=12345)
         gen = np.random.Generator(bits)
         # the path before leaves a half-used buffer and a pending uint32
@@ -1586,16 +1636,15 @@ class TestJumpSamplerParts:
         gen.integers(0, 2 ** 32, dtype=np.uint32)
         assert 0 < bits.state["buffer_pos"] < 4
         assert bits.state["has_uint32"] == 1
-        _rekey(bits, base_seed, index)
-        ref = trajectory_rng(base_seed, index)
+        _rekey(bits, base_seed, index, stream)
+        ref = trajectory_rng(base_seed, index, stream)
         for draw in ("standard_exponential", "random", "standard_normal"):
             got = getattr(gen, draw)(300)
             assert got.tobytes() == getattr(ref, draw)(300).tobytes()
         # a 32-bit draw would take a pending uint32 first
         assert gen.random(3, dtype=np.float32).tobytes() == \
             ref.random(3, dtype=np.float32).tobytes()
-        assert bits.state["state"]["key"].tolist() == \
-            ref.bit_generator.state["state"]["key"].tolist()
+        assert _plain(bits.state) == _plain(ref.bit_generator.state)
 
     @pytest.mark.parametrize("initial", [(2.0 ** 60,), (2.0 ** 63,),
                                          (2.0 ** 64,), (2.0 ** 70,),
@@ -1629,6 +1678,77 @@ def _recomputed(leaf) -> list[int]:
 def _channels(text: str):
     scheme = parse_scheme(text)
     return reaction_channels(scheme, {s: 1.0 for s in scheme.rate_symbols})
+
+
+class TestDrawsDoNotDependOnChunks:
+    """Each consumer of draws reads its own stream in order, so no output
+    bit depends on how many steps' noise Euler-Maruyama draws at once
+    (_CHUNK_STEPS) or how many values the jump sampler draws at once
+    (_SSA_CHUNK), and the event budget trips at its own count."""
+
+    @pytest.mark.parametrize("noise", list(NoiseStrategy))
+    @pytest.mark.parametrize("policy", list(NegativePolicy))
+    def test_euler_maruyama(self, monkeypatch, policy, noise):
+        model = build_sde_model(parse_scheme(LOTKA_VOLTERRA), RateMode.EXACT,
+                                DiffusionSign.SUM, noise)
+        config = SimConfig(rates=LV_RATES, initial_state=(3.0, 3.0),
+                           t_final=1.0, dt=1e-3, trajectories=6,
+                           base_seed=8, negative_policy=policy,
+                           grid_points=11)
+        # steps go negative, so the reject runs redraw
+        clamped = euler_maruyama(model, SimConfig(
+            rates=LV_RATES, initial_state=(3.0, 3.0), t_final=1.0, dt=1e-3,
+            trajectories=6, base_seed=8, grid_points=11))
+        assert clamped.clamp_events.all()
+        expected = _outcome(euler_maruyama, model, config)
+        assert isinstance(expected[0], bytes)
+        for chunk in (1, 7, 1000):
+            monkeypatch.setattr("onestep.sim._CHUNK_STEPS", chunk)
+            assert _outcome(euler_maruyama, model, config) == expected
+
+    @pytest.mark.parametrize("text, values, initial, t_final", [
+        (LOTKA_VOLTERRA, {"k_1": 1.0, "k_2": 0.05, "k_3": 1.0}, (20, 20),
+         1.0),
+        (RING8, {**{f"a_{i}": 1e-4 for i in range(1, 9)},
+                 **{f"b_{i}": 5e-5 for i in range(1, 9)}}, (100,) * 8, 0.1)])
+    def test_jump_sampler(self, monkeypatch, text, values, initial, t_final):
+        scheme = parse_scheme(text)
+        config = SimConfig(rates={rate(k): v for k, v in values.items()},
+                           initial_state=initial, t_final=t_final,
+                           trajectories=10, base_seed=4, grid_points=11)
+        expected = _outcome(gillespie_ssa, scheme, config)
+        assert isinstance(expected[0], bytes)
+        for chunk in (1, 3, 65, 1000):
+            monkeypatch.setattr("onestep.sim._SSA_CHUNK", chunk)
+            assert _outcome(gillespie_ssa, scheme, config) == expected
+
+    @pytest.mark.parametrize("chunk", [64, 7])
+    @pytest.mark.parametrize("budget", [1, 63, 64, 65, 200])
+    def test_event_budget_trips_at_its_count(self, monkeypatch, budget,
+                                             chunk):
+        """At the constant total rate 1000, a path may take budget events
+        and raises when it needs waiting time budget + 1: at the time of
+        its last event, the sum of budget waiting times."""
+        monkeypatch.setattr("onestep.sim._SSA_EVENT_BUDGET", budget)
+        monkeypatch.setattr("onestep.sim._SSA_CHUNK", chunk)
+        scheme = parse_scheme("0 -> x @ k\n")
+        t = 0.0
+        for e in reference_stream(5, 0, SSA_WAITS).standard_exponential(
+                budget).tolist():
+            t += e / 1000.0
+        config = SimConfig(rates={rate("k"): 1000.0}, initial_state=(0,),
+                           t_final=10.0, trajectories=1, base_seed=5)
+        with pytest.raises(SimulationError, match=re.escape(
+                f"trajectory 0 used up its budget of {budget} jump events "
+                f"at t = {t!r}:")):
+            gillespie_ssa(scheme, config)
+        # when waiting time budget ends just past t_final, the path takes
+        # budget - 1 events and stays within its budget
+        t_final = float(np.nextafter(t, 0.0))
+        config = SimConfig(rates={rate("k"): 1000.0}, initial_state=(0,),
+                           t_final=t_final, dt=t_final, trajectories=1,
+                           base_seed=5, grid_points=2)
+        assert gillespie_ssa(scheme, config).paths[0, -1, 0] == budget - 1
 
 
 class TestDependentRates:
