@@ -38,11 +38,11 @@ from .poly import (ExpressionSyntaxError, MissingSymbolError, bind_values,
 from .scheme import SchemeError, format_scheme, parse_scheme
 from .sim import (Engine, NegativePolicy, NegativeRateError, NotPsdError,
                   SimConfig, SimConfigError, SimulationError, Stream,
-                  TooFewTrajectoriesError, check_seed, check_trajectory_count,
+                  TooFewTrajectoriesError, _diffusion_pattern, _entry_rows,
+                  _semidefinite_factor, check_seed, check_trajectory_count,
                   compare_engines, ensemble_moments, euler_maruyama,
-                  gillespie_ssa, integer_initial_state, matrix_sqrt_psd,
-                  mean_band_svg, moments_to_csv, symmetric_matrices,
-                  trajectories_to_csv, trajectory_rng)
+                  gillespie_ssa, integer_initial_state, mean_band_svg,
+                  moments_to_csv, trajectories_to_csv, trajectory_rng)
 
 
 class RatesFileError(ValueError):
@@ -715,18 +715,21 @@ def cmd_check(args) -> int:
                     "B is symmetric as polynomials" if symmetric
                     else "B is not symmetric"))
 
-    # B has the engines' noise factor at every state, requested convention
-    diffusion = as_function([bind_values(requested_diff[i][j], rates)
-                             for i in range(n) for j in range(i, n)],
-                            scheme.species)
+    # B has the engines' noise factor at every state, requested convention:
+    # the Euler-Maruyama step's factor on B's pattern (_diffusion_pattern),
+    # whose verdict, state and pivot are the dense loop's, as every entry
+    # left out is 0.0 at every state
+    pattern = _diffusion_pattern(requested_diff)
+    diffusion = as_function([bind_values(requested_diff[j][i], rates)
+                             for i, j in pattern.entries], scheme.species)
     with np.errstate(over="ignore", invalid="ignore"):
-        b = symmetric_matrices(diffusion(*columns.astype(np.float64)),
-                               len(states), n)
-        for s, _, _ in np.argwhere(~np.isfinite(b))[:1]:
+        b = _entry_rows(diffusion(*columns.astype(np.float64)),
+                        len(states), pattern)
+        for s in np.flatnonzero(~np.isfinite(b).all(axis=(0, 1)))[:1]:
             raise UsageError(f"B({states[s]}) is beyond the float range; "
                              "rescale the rate values")
         try:
-            matrix_sqrt_psd(b)
+            _semidefinite_factor(b, pattern, (len(states),))
             results.append(("PASS", "psd-sampling", "B has a semidefinite "
                             f"factor at all {len(states)} states"))
         except NotPsdError as exc:

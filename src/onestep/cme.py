@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -167,10 +166,6 @@ class ChannelTable:
             out[:, c] = value
         return out
 
-    def exact(self, numerator: int):
-        """The value numerator / denominator: a Fraction, or int 0."""
-        return Fraction(numerator, self.denominator) if numerator else 0
-
 
 def moved_together(change) -> dict[tuple[int, int], tuple[list, list]]:
     """The entries (i, j) of the second jump moment that a channel can
@@ -248,14 +243,12 @@ class TruncatedGenerator:
     matrix is the float generator Q (columns are source states); applying
     it as dp/dt = Q p conserves probability up to the absorbing loss
     described by lost_rate, the per-state outflow across the boundary.
-    exact_lost retains that outflow exactly.
     """
 
     scheme: InteractionScheme
     box: StateBox
     matrix: scipy.sparse.csr_matrix
     lost_rate: np.ndarray
-    exact_lost: tuple
 
     @property
     def size(self) -> int:
@@ -292,14 +285,9 @@ def build_generator(scheme: InteractionScheme,
     matrix = scipy.sparse.coo_matrix(
         ((values[keep] / den).astype(np.float64), (rows[keep], cols[keep])),
         shape=(box.size, box.size)).tocsr()
-    exact_lost = [0] * box.size
-    leaving = np.flatnonzero(lost)
-    for s, v in zip(leaving.tolist(), lost[leaving].tolist()):
-        exact_lost[s] = table.exact(v)
     return TruncatedGenerator(
         scheme=scheme, box=box, matrix=matrix,
-        lost_rate=(lost / den).astype(np.float64),
-        exact_lost=tuple(exact_lost))
+        lost_rate=(lost / den).astype(np.float64))
 
 
 @dataclass(frozen=True)

@@ -222,7 +222,8 @@ def matrix_sqrt_psd(b: np.ndarray) -> np.ndarray:
     This checks the shapes and the symmetry, copies the batch into the
     entry-major layout and runs _semidefinite_factor on the dense pattern:
     every entry of every column, updated a whole trailing block at a time.
-    The Euler-Maruyama step runs the same loop on B's own pattern.
+    The Euler-Maruyama step and check's psd-sampling run the same loop on
+    B's own pattern.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.ndim < 2 or b.shape[-1] != b.shape[-2]:
@@ -419,20 +420,6 @@ def _entry_rows(values, count: int, pattern: _FactorPattern) -> np.ndarray:
     for (i, j), v in zip(pattern.entries, values):
         out[i, j] = v
     return out
-
-
-def symmetric_matrices(values, count: int, n: int) -> np.ndarray:
-    """A (count, n, n) stack of symmetric matrices from the values of
-    their upper triangles' entries (i <= j) in row-major order.
-
-    The stack is a view of an entry-major (n, n, count) buffer, so
-    matrix_sqrt_psd's copy into its entry-major layout reads contiguous
-    rows."""
-    out = np.empty((n, n, count))
-    upper = ((i, j) for i in range(n) for j in range(i, n))
-    for (i, j), v in zip(upper, values):
-        out[i, j] = out[j, i] = v
-    return out.transpose(2, 0, 1)
 
 
 def _em_step_source(n: int, wiener_dim: int, per_reaction: bool,

@@ -438,8 +438,7 @@ def object_build_generator(scheme, rates, box):
         shape=(box.size, box.size)).tocsr()
     return TruncatedGenerator(
         scheme=scheme, box=box, matrix=matrix,
-        lost_rate=(lost / den).astype(np.float64),
-        exact_lost=tuple(map(table.exact, lost.tolist())))
+        lost_rate=(lost / den).astype(np.float64))
 
 
 def _object_int_array(sym, x):

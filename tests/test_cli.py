@@ -20,14 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onestep import (DiffusionSign, NotPsdError, Polynomial, RateMode,
-                     StateBox, build_sde_model, default_box, diffusion_matrix,
-                     jump_moments, matrix_sqrt_psd, model_from_json, monomial,
+                     StateBox, as_function, bind_values, build_sde_model,
+                     default_box, diffusion_matrix, jump_moments,
+                     matrix_sqrt_psd, model_from_json, monomial,
                      parse_scheme)
 from onestep import __version__
 from onestep.cli import (_SAMPLED, MANIFEST_FORMAT, RatesFileError,
                          _compared_entries, _moment_mismatches,
                          _sample_states, build_parser, main, parse_initial,
                          parse_rates_file)
+from onestep.sim import _diffusion_pattern, _semidefinite_factor
 from helpers import (CHECK_STATES, EM_NORMALS, LOTKA_VOLTERRA, VERHULST,
                      object_jump_moments, object_moment_mismatches,
                      per_state_moments, random_scheme_text, reference_stream)
@@ -948,8 +950,10 @@ class TestComparedEntries:
 
 
 class TestCheckPsd:
-    """psd-sampling asks the engines' own noise factor, matrix_sqrt_psd,
-    whether B has a factor at every checked state."""
+    """psd-sampling asks the engines' own noise factor whether B has a
+    factor at every checked state: _semidefinite_factor on B's pattern and
+    its fill, as the Euler-Maruyama step runs it.  The dense
+    matrix_sqrt_psd is the reference."""
 
     def test_no_eigenvalues_are_computed(self, ring3_files, capsys,
                                          monkeypatch):
@@ -962,13 +966,14 @@ class TestCheckPsd:
 
     @pytest.fixture
     def batches(self, monkeypatch):
-        """Every batch check hands to the noise factor."""
+        """Every entry-major (n, n, S) stack check hands to the noise
+        factor, as it was handed over (the factor overwrites it)."""
         seen = []
 
-        def recorded(b):
-            seen.append(b)
-            return matrix_sqrt_psd(b)
-        monkeypatch.setattr("onestep.cli.matrix_sqrt_psd", recorded)
+        def recorded(a, pattern, batch):
+            seen.append(a.copy())
+            return _semidefinite_factor(a, pattern, batch)
+        monkeypatch.setattr("onestep.cli._semidefinite_factor", recorded)
         return seen
 
     @pytest.mark.parametrize("box, count", [("2", 27), ("16", 512)],
@@ -977,7 +982,7 @@ class TestCheckPsd:
             self, box, count, ring3_files, capsys, batches):
         scheme, rates = ring3_files
         main(["check", scheme, "--rates", rates, "--box", box])
-        assert [b.shape for b in batches] == [(count, 3, 3)]
+        assert [b.shape for b in batches] == [(3, 3, count)]
         assert f"on {count} states" in capsys.readouterr().out
 
     def test_the_named_state_is_the_first_that_fails(
@@ -985,7 +990,8 @@ class TestCheckPsd:
         scheme, rates = ring3_files
         main(["check", scheme, "--rates", rates, "--box", "16"])
         assert "FAIL psd-sampling: B((0, 0, 4))" in capsys.readouterr().out
-        [batch] = batches
+        [stack] = batches
+        batch = _dense_stack(stack)
         with pytest.raises(NotPsdError) as failure:
             matrix_sqrt_psd(batch)
         [i] = failure.value.index
@@ -1004,6 +1010,64 @@ class TestCheckPsd:
             matrix_sqrt_psd(own)
         matrix_sqrt_psd(batch[:i])
 
+    @pytest.mark.parametrize("flags, passes", [
+        (("--diffusion-sign", "sum"), True), ((), False)],
+        ids=["sum", "difference"])
+    def test_a_filling_ring_gets_the_dense_loops_line(
+            self, flags, passes, tmp_path, capsys, batches, monkeypatch):
+        # a ring of ten species fills the last row of the factor: 17
+        # entries below L's diagonal where B has 10.  check compiles and
+        # factors B's 20 entries on and below the diagonal; the dense loop
+        # takes all 55 and names the same state and pivot
+        compiled = []
+
+        def counted(polys, args):
+            compiled.append(len(polys))
+            return as_function(polys, args)
+        monkeypatch.setattr("onestep.cli.as_function", counted)
+        scheme, rates = tmp_path / "ring10.scheme", tmp_path / "ring10.rates"
+        scheme.write_text(RING10)
+        rates.write_text(RING10_RATES_TEXT)
+        assert main(["check", str(scheme), "--rates", str(rates),
+                     "--box", "4", *flags]) == 1
+        [line] = [line for line in capsys.readouterr().out.splitlines()
+                  if "psd-sampling" in line]
+
+        ring = parse_scheme(RING10)
+        sign = DiffusionSign.SUM if passes else DiffusionSign.DIFFERENCE
+        diffusion = diffusion_matrix(ring, RateMode.FOKKER_PLANCK, sign)
+        pattern = _diffusion_pattern(diffusion)
+        assert sum(map(len, pattern.columns)) == 17
+        assert compiled == [len(pattern.entries)] == [20]
+        states = _sample_states(StateBox((4,) * 10), 0)
+        bound = {sym: parse_rates_file(RING10_RATES_TEXT)[sym.name]
+                 for sym in ring.rate_symbols}
+        upper = as_function([bind_values(diffusion[i][j], bound)
+                             for i in range(10) for j in range(i, 10)],
+                            ring.species)(*np.array(states, dtype=float).T)
+        dense = np.empty((len(states), 10, 10))
+        values = iter(upper)
+        for i in range(10):
+            for j in range(i, 10):
+                dense[:, i, j] = dense[:, j, i] = next(values)
+        [stack] = batches
+        assert np.array_equal(_dense_stack(stack), dense)
+        try:
+            factor = matrix_sqrt_psd(dense)
+        except NotPsdError as exc:
+            want = (f"FAIL psd-sampling: B({states[exc.index[0]]}) is not "
+                    f"positive semidefinite under the difference "
+                    f"convention: {exc}")
+        else:
+            want = ("PASS psd-sampling: B has a semidefinite factor at all "
+                    "512 states")
+            # equal up to the sign of zeros
+            assert np.array_equal(
+                _semidefinite_factor(stack, pattern, (len(states),)),
+                factor.transpose(1, 2, 0))
+        assert line == want
+        assert line.startswith("PASS") == passes
+
     @pytest.mark.filterwarnings("error")
     def test_b_beyond_the_float_range_exits_2(self, tmp_path, capsys):
         # B_xx = a x y + b overflows at every state with x, y >= 1
@@ -1015,6 +1079,19 @@ class TestCheckPsd:
                      "--box", "3000", "--diffusion-sign", "sum"]) == 2
         _assert_usage_error(capsys, "B((1, 1722)) is beyond the float "
                                     "range; rescale the rate values")
+
+
+def _dense_stack(stack):
+    """The (S, n, n) symmetric matrices of an entry-major (n, n, S) stack
+    that holds B on and below the diagonal."""
+    lower = stack.transpose(2, 0, 1)
+    return np.tril(lower) + np.tril(lower, -1).transpose(0, 2, 1)
+
+
+RING10 = "".join(f"3 x{i} <-> 3 x{i % 10 + 1} @ a_{i}, b_{i}\n"
+                 for i in range(1, 11))
+RING10_RATES_TEXT = "".join(f"a_{i} = 1/{i + 2}\nb_{i} = 1/{2 * i + 5}\n"
+                            for i in range(1, 11))
 
 
 def _scalar_sample(box, seed, domain=CHECK_STATES):

@@ -204,8 +204,7 @@ class TestGenerator:
         s = parse_scheme(VERHULST)
         gen = build_generator(s, VERHULST_RATES, StateBox((4,)))
         # only reproduction at the boundary state leaves the box
-        assert gen.exact_lost[4] == 4
-        assert gen.exact_lost[:4] == (0, 0, 0, 0)
+        assert gen.lost_rate.tolist() == [0.0, 0.0, 0.0, 0.0, 4.0]
 
     def test_dimension_mismatch_is_rejected(self):
         s = parse_scheme(LOTKA_VOLTERRA)
@@ -857,8 +856,7 @@ def reference_build_generator(scheme, rates, box):
     matrix = scipy.sparse.coo_matrix((data, (rows, cols)),
                                      shape=(size, size)).tocsr()
     return TruncatedGenerator(scheme=scheme, box=box, matrix=matrix,
-                              lost_rate=np.array([float(v) for v in lost]),
-                              exact_lost=tuple(lost))
+                              lost_rate=np.array([float(v) for v in lost]))
 
 
 def assert_matches_reference(scheme, rates, box):
@@ -870,7 +868,6 @@ def assert_matches_reference(scheme, rates, box):
         assert getattr(gen.matrix, name).tobytes() == \
             getattr(ref.matrix, name).tobytes(), name
     assert gen.lost_rate.tobytes() == ref.lost_rate.tobytes()
-    assert gen.exact_lost == ref.exact_lost
     states = list(box.states())
     assert per_state_moments(jump_moments(scheme, rates, states)) == \
         [reference_jump_moments(scheme, rates, state) for state in states]
@@ -962,9 +959,6 @@ def assert_same_as_object_arrays(scheme, rates, states, box):
         assert getattr(gen.matrix, name).tobytes() == \
             getattr(ref.matrix, name).tobytes(), name
     assert gen.lost_rate.tobytes() == ref.lost_rate.tobytes()
-    assert gen.exact_lost == ref.exact_lost
-    assert list(map(type, gen.exact_lost)) == \
-        list(map(type, ref.exact_lost))
 
 
 class TestIntegerWidth:

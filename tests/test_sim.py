@@ -37,8 +37,7 @@ from onestep.sim import (_PSD_LONE_FLOOR, _PSD_SQRT_TOL, _PSD_TOL,
                          _em_step_source, _entry_rows, _rekey,
                          _semidefinite_factor, _ssa_leaves,
                          _ssa_path_source, _ssa_rate_lines,
-                         _grid_step_indices, _require_finite,
-                         symmetric_matrices)
+                         _grid_step_indices, _require_finite)
 from onestep.cli import _compared_entries
 from helpers import (CHECK_STATES, EM_NORMALS, EM_REDRAWS, LOTKA_VOLTERRA,
                      PURE_DEATH, SSA_CHOICES, SSA_WAITS, VERHULST,
@@ -1188,8 +1187,22 @@ class TestWriterMemory:
 
 # The engines as they were when the jump sampler summed its channel rates
 # in a Python loop and Euler-Maruyama compiled its drift and its noise as
-# two functions (bodies verbatim, names prefixed); the engines must give
-# the same bits.
+# two functions, with sim.symmetric_matrices as it was before it went
+# (bodies verbatim, names prefixed); the engines must give the same bits.
+
+
+def _reference_symmetric_matrices(values, count: int, n: int) -> np.ndarray:
+    """A (count, n, n) stack of symmetric matrices from the values of
+    their upper triangles' entries (i <= j) in row-major order.
+
+    The stack is a view of an entry-major (n, n, count) buffer, so
+    matrix_sqrt_psd's copy into its entry-major layout reads contiguous
+    rows."""
+    out = np.empty((n, n, count))
+    upper = ((i, j) for i in range(n) for j in range(i, n))
+    for (i, j), v in zip(upper, values):
+        out[i, j] = out[j, i] = v
+    return out.transpose(2, 0, 1)
 
 
 class _ReferenceEmStepper:
@@ -1241,8 +1254,8 @@ class _ReferenceEmStepper:
                     f"per-reaction rate {low:.6e} is negative beyond "
                     f"tolerance {_RATE_TOL:.1e}")
             return (np.sqrt(np.clip(amp, 0.0, None)) * eps) @ self.change
-        bmat = symmetric_matrices(self.diffusion_fn(*states.T), count,
-                                  self.n)
+        bmat = _reference_symmetric_matrices(self.diffusion_fn(*states.T),
+                                             count, self.n)
         # the PSD check and its message are those of 0.2.0; the noise of
         # one species is the scalar root the engine took up to 0.1.0
         try:
