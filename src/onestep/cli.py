@@ -241,7 +241,9 @@ def model_report(model: SdeModel) -> str:
     lines.append(f"diffusion sign: {model.diffusion_sign.value}")
     lines.append(f"noise strategy: {model.noise_strategy.value}")
     if model.scheme is not None:
-        tr = transition_rates(model.scheme, model.rate_mode)
+        tr = model.transition_rates
+        if tr is None:              # a model restored from JSON
+            tr = transition_rates(model.scheme, model.rate_mode)
         lines.append("stoichiometry (one row per interaction):")
         for i, ia in enumerate(model.scheme.interactions, start=1):
             init = ", ".join(str(c) for c in ia.initial)

@@ -123,7 +123,8 @@ class SdeModel:
     model was built from one (it is needed for jump-process simulation)
     and may be None for models restored from a serialized form without it.
     A scheme must have the model's species, in order, and its rate
-    symbols.
+    symbols.  transition_rates keeps the scheme's transition rates when
+    build_sde_model made the model, so that no caller derives them again.
     """
 
     species: tuple[SymbolId, ...]
@@ -134,6 +135,10 @@ class SdeModel:
     diffusion_sign: DiffusionSign
     noise_strategy: NoiseStrategy
     scheme: InteractionScheme | None = field(default=None)
+    # the scheme's rates when build_sde_model derived them; no part of
+    # the model's value or exports, and None after dataclasses.replace
+    transition_rates: TransitionRates | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.species)
@@ -185,7 +190,7 @@ def build_sde_model(scheme: InteractionScheme,
             "per-reaction noise squares to the directional sum; with a "
             "reversible interaction it cannot realize the difference form")
     rates = transition_rates(scheme, rate_mode)
-    return SdeModel(
+    model = SdeModel(
         species=scheme.species,
         rate_symbols=scheme.rate_symbols,
         drift=tuple(_drift(scheme, rates)),
@@ -194,3 +199,5 @@ def build_sde_model(scheme: InteractionScheme,
         diffusion_sign=diffusion_sign,
         noise_strategy=noise_strategy,
         scheme=scheme)
+    object.__setattr__(model, "transition_rates", rates)
+    return model

@@ -7,10 +7,13 @@ reads its own counter-based Philox stream keyed by (base_seed, j), so
 runs are reproducible in any order and no draw depends on another's.
 The Euler-Maruyama engine holds the states as one row per species and
 takes each step in one function generated for the model, which factors
-B only on its pattern and that pattern's fill.  The jump sampler runs
-each path in one function generated for the scheme, on two Philox
-re-keyed to the path's streams; after each event it recomputes only the
-rates that the event changed.
+B only on its pattern and that pattern's fill.  The jump sampler
+advances all paths together, one event each per numpy step, through
+their first chunk of draws while enough of them are left; each path
+that is left then finishes in one function generated for the scheme, on
+two Philox re-keyed to the path's streams, which after each event
+recomputes only the rates that the event changed.  Both give every path
+the same bits.
 """
 
 from __future__ import annotations
@@ -36,6 +39,10 @@ _SSA_LEAF_RATES = 16    # rates one event may recompute; an event that would
                         # change more recomputes every rate
 _SSA_EVENT_BUDGET = 2 ** 21    # jump events of one path; the most any test,
                                # demo or benchmark workload takes is 13,412
+_LOCKSTEP_MIN = 96      # active paths below which the jump sampler's
+                        # lockstep head hands its paths to the path loop: on
+                        # three channels a head iteration costs about what
+                        # 90 events of the path loop cost
 _PSD_TOL = 1e-9
 # a lone pivot below this is below -_PSD_TOL * (1 + |pivot|)
 _PSD_LONE_FLOOR = -_PSD_TOL / (1.0 - _PSD_TOL)
@@ -175,9 +182,13 @@ class Stream(enum.IntEnum):
 
 
 @functools.cache     # at first use: importing numpy.random takes ~15 ms
-def _fixed_seed() -> np.random.SeedSequence:
-    """Each Philox's seed, which _rekey overrides; it reads no OS entropy."""
-    return np.random.SeedSequence(0)
+def _fixed_seed():
+    """Each Philox's seed, which _rekey overrides: a seed sequence whose
+    state is all zeros, so it reads no OS entropy and hashes nothing."""
+    class ZeroSeed(np.random.bit_generator.ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype=dtype)
+    return ZeroSeed()
 
 
 def _rekey(bits: np.random.Philox, base_seed: int, index: int,
@@ -514,7 +525,9 @@ class _EmStepper:
                 raise IncompatibleNoiseError(
                     "per-reaction noise needs the scheme, but the model "
                     "input carries none")
-            tr = transition_rates(model.scheme, model.rate_mode)
+            tr = model.transition_rates
+            if tr is None:          # a model restored from JSON
+                tr = transition_rates(model.scheme, model.rate_mode)
             noise = [f + g for f, g in zip(tr.forward, tr.backward)]
             namespace["per_reaction"] = _per_reaction_noise
             namespace["change"] = np.array(
@@ -717,16 +730,15 @@ def _choice_tree(leaves: Sequence[Sequence[str]], lo: int, hi: int,
 # The outer loop computes every rate: at the start of the path and after
 # a leaf that breaks; the other leaves recompute the rates they change.
 _SSA_PATH = """\
-def sample_path(j, init, grid, exponential, uniform, budget):
-    {row}= init
+def sample_path(j, state, t, g, k, exp_buf, uni_buf, grid, exponential,
+                uniform, budget):
+    {row}= state
     # the next value (ei, ui) of each chunk of draws; drawn counts the
     # waiting times drawn, ecount those of the last chunk
-    ei = ecount = drawn = 0
-    ui = {chunk}
-    t = 0.0
-    g = 0
+    ei = ui = k
+    ecount = drawn = len(exp_buf)
     g_count = len(grid)
-    due = grid[0]
+    due = grid[g]
     rows = []
     store = rows.append
     while True:
@@ -783,7 +795,9 @@ def _ssa_path_source(channels, n: int) -> str:
 
 def _compile_ssa_path(channels, n: int):
     """Generate the jump sampler's loop over one path as one function
-    sample_path(j, init, grid, exponential, uniform, budget) -> rows.
+    sample_path(j, state, t, g, k, exp_buf, uni_buf, grid, exponential,
+    uniform, budget) -> rows, which finishes path j from its k-th event
+    on: at time t, in state (Python ints), with grid times g on stored.
 
     The state is held in the locals x0, ..., x{n-1} and each channel's
     rate in r0, r1, ... (the statements of _ssa_rate_lines).  Each event
@@ -795,12 +809,111 @@ def _compile_ssa_path(channels, n: int):
     bits, so every sum, and so every path, is the one that recomputing
     every rate at every event gives.  At every grid time the path passes,
     the state's coordinates are appended to rows, one flat list.  Waiting
-    times come from exponential(k) and choices from uniform(k), in chunks
-    of _SSA_CHUNK drawn when the path needs the next one (no value depends
-    on the chunk size); waiting time budget + 1 raises SimulationError.
+    times and choices are read from the path's first chunks, exp_buf and
+    uni_buf, from value k on; later chunks of _SSA_CHUNK come from
+    exponential(c) and uniform(c) when the path needs the next value (no
+    value depends on the chunk size); waiting time budget + 1 raises
+    SimulationError.
     """
     return _compile(_ssa_path_source(channels, n), "sample_path",
                     {"inf": math.inf, "SimulationError": SimulationError})
+
+
+def _compile_ssa_sums(channels, n: int):
+    """The running sums of _ssa_rate_lines as one function ssa_sums(x0,
+    x1, ...) -> [c0, c1, ...], which the lockstep head calls on rows of
+    states: each statement acts elementwise, in the same order, so every
+    sum has the bits the path loop's sum has at that state."""
+    count = len(channels)
+    source = "\n".join([
+        f"def ssa_sums({''.join(f'x{i}, ' for i in range(n))}):",
+        *("    " + line for line in _ssa_rate_lines(channels)),
+        f"    return [{', '.join(f'c{c}' for c in range(count))}]"])
+    return _compile(source, "ssa_sums", {})
+
+
+def _lockstep_choice(target: np.ndarray, sums, lo: int, hi: int):
+    """_choice_tree's leaf for each path: the tree's own comparisons
+    target < c_mid, taken over all paths at once."""
+    if lo == hi:
+        return lo
+    mid = (lo + hi) // 2
+    return np.where(target < sums[mid],
+                    _lockstep_choice(target, sums, lo, mid),
+                    _lockstep_choice(target, sums, mid + 1, hi))
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _lockstep_head(ssa_sums, change: np.ndarray, init, times: np.ndarray,
+                   exps: np.ndarray, unis: np.ndarray,
+                   flat: np.ndarray) -> list[tuple]:
+    """Advance every path through its first chunk of draws together, one
+    event per path and iteration, as the path loop would: the rates and
+    sums of ssa_sums, the waiting time exps[j, k] / total (inf where the
+    total is <= 0: absorbed), the grid rows the path passes, filled with
+    its state, and the channel of _lockstep_choice at unis[j, k] * total.
+
+    The states are float64 rows (n, active), which hold the path loop's
+    ints exactly while every count stays below 2**53.  flat is the
+    (trajectories * G, n) view of the paths.  A path leaves once it passes
+    the last grid time; one whose total is not finite leaves at that
+    event for the path loop, as do all paths left when the chunk is used
+    up or fewer than _LOCKSTEP_MIN remain.  Returns each of those as (j,
+    state, t, g, k): its state as Python ints, time, next grid row and
+    count of events taken, in trajectory order."""
+    grid_count = len(times)
+    ids = np.arange(len(exps))
+    x = np.repeat(np.asarray(init, dtype=np.float64)[:, None], len(ids), 1)
+    t = np.zeros(len(ids))
+    g = np.zeros(len(ids), dtype=np.intp)
+    at = ids * grid_count           # each path's next row of flat
+    tails = []
+
+    def leave(out, k):
+        tails.extend(zip(ids[out].tolist(), x[:, out].T.astype(np.int64)
+                         .tolist(), t[out].tolist(), g[out].tolist(),
+                         [k] * len(out)))
+
+    for k in range(exps.shape[1]):
+        if len(ids) < max(_LOCKSTEP_MIN, 1):
+            break
+        # a sum of channels that consume nothing is a float, not a row
+        sums = ssa_sums(*x)
+        total = sums[-1]
+        odd = ~np.isfinite(total)
+        if np.count_nonzero(odd):
+            odd = np.broadcast_to(odd, ids.shape)
+            leave(np.flatnonzero(odd), k)
+            keep = ~odd
+            ids, x, t, g, at = ids[keep], x[:, keep], t[keep], g[keep], \
+                at[keep]
+            sums = [c[keep] if np.ndim(c) else c for c in sums]
+            total = sums[-1]
+        t = np.where(total > 0.0, t + exps[ids, k] / total, math.inf)
+        passed = times.searchsorted(t)
+        # each path that passed grid times fills rows g ... passed - 1
+        step = passed - g
+        moved = np.flatnonzero(step)
+        if len(moved):
+            count = step[moved]
+            ends = np.cumsum(count)
+            flat[np.repeat(at[moved] + count - ends, count)
+                 + np.arange(ends[-1])] = np.repeat(x.T[moved], count, 0)
+            at += step
+        g = passed
+        live = passed < grid_count
+        chosen = _lockstep_choice(unis[ids, k] * total, sums, 0,
+                                  len(sums) - 1)
+        # with one channel, chosen is the int 0
+        x += change[:, chosen].reshape(len(x), -1)
+        if np.count_nonzero(live) < len(ids):
+            ids, x, t, g, at = ids[live], x[:, live], t[live], g[live], \
+                at[live]
+    else:
+        k = exps.shape[1]
+    leave(np.arange(len(ids)), k)
+    tails.sort()
+    return tails
 
 
 def integer_initial_state(initial_state: Sequence[float]) -> list[int]:
@@ -823,6 +936,14 @@ def gillespie_ssa(scheme: InteractionScheme,
     the shared time grid by last-value interpolation.  The initial state
     must be integral.  A trajectory that needs more than
     _SSA_EVENT_BUDGET events raises SimulationError.
+
+    With at least _LOCKSTEP_MIN trajectories, and counts that cannot
+    reach 2**53 within a chunk, every path's first chunk of draws is
+    drawn up front and _lockstep_head runs them together; the paths it
+    hands over, or all of them, finish in sample_path in trajectory
+    order, after their streams are re-keyed and the first chunk drawn
+    again.  Only the number of active paths and that bound choose
+    between the two, and no bit of any path depends on the choice.
     """
     n = len(scheme.species)
     if len(config.initial_state) != n:
@@ -831,8 +952,8 @@ def gillespie_ssa(scheme: InteractionScheme,
 
     float_rates = {sym: float(_exact(sym, v))
                    for sym, v in config.rates.items()}
-    sample_path = _compile_ssa_path(reaction_channels(scheme, float_rates),
-                                    n)
+    channels = reaction_channels(scheme, float_rates)
+    sample_path = _compile_ssa_path(channels, n)
 
     times = config.times
     grid = times.tolist()          # the path loop runs on plain floats
@@ -842,11 +963,34 @@ def gillespie_ssa(scheme: InteractionScheme,
     waits = trajectory_rng(seed, 0, Stream.SSA_WAITS)  # re-keyed every path
     choices = trajectory_rng(seed, 0, Stream.SSA_CHOICES)
     budget = _SSA_EVENT_BUDGET
-    for j in range(config.trajectories):
+    first = min(_SSA_CHUNK, budget)     # waiting times of the first chunk
+    # the head's floats hold the path loop's ints while no count, nor a
+    # rate's factor count - k, can reach 2**53 within the first chunk
+    moves = max(abs(d) for _, change, _ in channels for d in change)
+    reach = max(init) + first * moves + max(
+        max(stoich) for stoich, _, _ in channels)
+    count = config.trajectories
+    tails = [(j, init, 0.0, 0, 0) for j in range(count)]
+    if count >= _LOCKSTEP_MIN and reach < 2 ** 53:
+        exps = np.empty((count, first))
+        unis = np.empty((count, first))
+        for j in range(count):
+            _rekey(waits.bit_generator, seed, j, Stream.SSA_WAITS)
+            _rekey(choices.bit_generator, seed, j, Stream.SSA_CHOICES)
+            waits.standard_exponential(out=exps[j])
+            choices.random(out=unis[j])
+        tails = _lockstep_head(
+            _compile_ssa_sums(channels, n),
+            np.array([change for _, change, _ in channels],
+                     dtype=np.float64).T, init, times, exps, unis,
+            paths.reshape(-1, n))
+    for j, state, t, g, k in tails:
         _rekey(waits.bit_generator, seed, j, Stream.SSA_WAITS)
         _rekey(choices.bit_generator, seed, j, Stream.SSA_CHOICES)
-        rows[j] = sample_path(j, init, grid, waits.standard_exponential,
-                              choices.random, budget)
+        rows[j, g * n:] = sample_path(
+            j, state, t, g, k, waits.standard_exponential(first).tolist(),
+            choices.random(_SSA_CHUNK).tolist(), grid,
+            waits.standard_exponential, choices.random, budget)
     return TrajectoryEnsemble(engine=Engine.SSA, species=scheme.species,
                               times=times, paths=paths,
                               clamp_events=np.zeros(config.trajectories,

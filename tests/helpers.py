@@ -1,9 +1,11 @@
 """Shared test fixtures: reference schemes, a random-scheme generator,
 the per-state reading of enumerated jump moments, the random streams'
-construction, and two references: the polynomial arithmetic of the
-all-Fraction coefficients, and the exact integer arrays of the oracles
-and of check on Python ints alone."""
+construction, and three references: the polynomial arithmetic of the
+all-Fraction coefficients, the exact integer arrays of the oracles and
+of check on Python ints alone, and the jump sampler that runs every path
+in its generated per-path loop."""
 
+import math
 import operator
 import random
 from fractions import Fraction
@@ -13,9 +15,15 @@ import scipy.sparse
 
 from onestep.cme import (ChannelTable, JumpMoments, TruncatedGenerator,
                          moved_together)
+from onestep.cme import reaction_channels
 from onestep.poly import (ExpressionSyntaxError, MissingSymbolError,
                           Monomial, SymbolId, SymbolKind, TokenStream,
-                          _exact, _symbol_table, _TOKEN_RE)
+                          _compile, _exact, _symbol_table, _TOKEN_RE)
+from onestep.scheme import InteractionScheme
+from onestep.sim import (_SSA_CHUNK, _SSA_EVENT_BUDGET, Engine, SimConfig,
+                         SimulationError, Stream, TrajectoryEnsemble,
+                         _choice_tree, _rekey, _ssa_leaves, _ssa_rate_lines,
+                         integer_initial_state, trajectory_rng)
 
 VERHULST = """\
 phi <-> 2 phi @ lambda, gamma
@@ -523,3 +531,141 @@ def object_moment_mismatches(moments, drift, diffusion, entries, point):
         second_wrong[:, e] = differs(moments.second.get((i, j), 0),
                                      diffusion[i][j])
     return first_wrong, second_wrong
+
+
+# ---------------------------------------------------------------------------
+# The jump sampler before its lockstep head, copied verbatim: every path
+# runs from its start in the generated per-path loop.  Tests compare
+# onestep.sim.gillespie_ssa with scalar_gillespie_ssa bit for bit; a test
+# that lowers the event budget sets _SSA_EVENT_BUDGET here too.
+
+# The jump sampler's loop over one path; _ssa_path_source fills in the
+# state's locals x0, x1, ... (row, store), the channels' rates (rates),
+# their running sums (sums, total) and the choice of channel (choice).
+# The outer loop computes every rate: at the start of the path and after
+# a leaf that breaks; the other leaves recompute the rates they change.
+_SSA_PATH = """\
+def sample_path(j, init, grid, exponential, uniform, budget):
+    {row}= init
+    # the next value (ei, ui) of each chunk of draws; drawn counts the
+    # waiting times drawn, ecount those of the last chunk
+    ei = ecount = drawn = 0
+    ui = {chunk}
+    t = 0.0
+    g = 0
+    g_count = len(grid)
+    due = grid[0]
+    rows = []
+    store = rows.append
+    while True:
+{rates}
+        while True:
+{sums}
+            total = {total}
+            if total <= 0.0:
+                t = inf             # absorbed: the state holds forever
+            else:
+                if ei == ecount:
+                    if drawn >= budget:
+                        raise SimulationError(
+                            f"trajectory {{j}} used up its budget of "
+                            f"{{budget}} jump events at t = {{t!r}}: "
+                            "the model may blow up in finite time")
+                    ecount = min({chunk}, budget - drawn)
+                    exp_buf = exponential(ecount).tolist()
+                    drawn += ecount
+                    ei = 0
+                t += exp_buf[ei] / total
+                ei += 1
+            # the last grid time is t_final, so an event past it ends the
+            # path
+            while due < t:
+{store}
+                g += 1
+                if g == g_count:
+                    return rows
+                due = grid[g]
+            if ui == {chunk}:
+                uni_buf = uniform({chunk}).tolist()
+                ui = 0
+            target = uni_buf[ui] * total
+            ui += 1
+{choice}
+"""
+
+
+def _ssa_path_source(channels, n: int) -> str:
+    """The source of the function that _compile_ssa_path compiles."""
+    lines = _ssa_rate_lines(channels)
+    count = len(channels)
+    leaves = _ssa_leaves(channels, lines)
+    return _SSA_PATH.format(
+        row="".join(f"x{i}, " for i in range(n)),
+        store="\n".join(f"{' ' * 16}store(x{i})" for i in range(n)),
+        rates="\n".join(" " * 8 + line for line in lines[:count]),
+        sums="\n".join(" " * 12 + line for line in lines[count:]),
+        total=f"c{count - 1}",
+        choice="\n".join(_choice_tree(leaves, 0, count - 1, " " * 12)),
+        chunk=_SSA_CHUNK)
+
+
+def _compile_ssa_path(channels, n: int):
+    """Generate the jump sampler's loop over one path as one function
+    sample_path(j, init, grid, exponential, uniform, budget) -> rows.
+
+    The state is held in the locals x0, ..., x{n-1} and each channel's
+    rate in r0, r1, ... (the statements of _ssa_rate_lines).  Each event
+    computes the running sums, waits exponential time over their total,
+    picks its channel with _choice_tree and runs the channel's leaf from
+    _ssa_leaves: the change to the locals, then the rates of the channels
+    that consume a species it moved, or a `break` to the loop that
+    recomputes every rate.  A rate whose species did not move keeps its
+    bits, so every sum, and so every path, is the one that recomputing
+    every rate at every event gives.  At every grid time the path passes,
+    the state's coordinates are appended to rows, one flat list.  Waiting
+    times come from exponential(k) and choices from uniform(k), in chunks
+    of _SSA_CHUNK drawn when the path needs the next one (no value depends
+    on the chunk size); waiting time budget + 1 raises SimulationError.
+    """
+    return _compile(_ssa_path_source(channels, n), "sample_path",
+                    {"inf": math.inf, "SimulationError": SimulationError})
+
+
+def scalar_gillespie_ssa(scheme: InteractionScheme,
+                         config: SimConfig) -> TrajectoryEnsemble:
+    """Exact jump-process sampling with exponential waiting times: each
+    event fires the first channel whose cumulative rate exceeds u times
+    the total (Gillespie's direct method).
+
+    States are integer occupation numbers; sampled paths are reported on
+    the shared time grid by last-value interpolation.  The initial state
+    must be integral.  A trajectory that needs more than
+    _SSA_EVENT_BUDGET events raises SimulationError.
+    """
+    n = len(scheme.species)
+    if len(config.initial_state) != n:
+        raise ValueError("initial state length does not match the scheme")
+    init = integer_initial_state(config.initial_state)
+
+    float_rates = {sym: float(_exact(sym, v))
+                   for sym, v in config.rates.items()}
+    sample_path = _compile_ssa_path(reaction_channels(scheme, float_rates),
+                                    n)
+
+    times = config.times
+    grid = times.tolist()          # the path loop runs on plain floats
+    paths = np.empty((config.trajectories, len(grid), n))
+    rows = paths.reshape(config.trajectories, -1)     # a view
+    seed = config.base_seed
+    waits = trajectory_rng(seed, 0, Stream.SSA_WAITS)  # re-keyed every path
+    choices = trajectory_rng(seed, 0, Stream.SSA_CHOICES)
+    budget = _SSA_EVENT_BUDGET
+    for j in range(config.trajectories):
+        _rekey(waits.bit_generator, seed, j, Stream.SSA_WAITS)
+        _rekey(choices.bit_generator, seed, j, Stream.SSA_CHOICES)
+        rows[j] = sample_path(j, init, grid, waits.standard_exponential,
+                              choices.random, budget)
+    return TrajectoryEnsemble(engine=Engine.SSA, species=scheme.species,
+                              times=times, paths=paths,
+                              clamp_events=np.zeros(config.trajectories,
+                                                    dtype=np.int64))

@@ -27,8 +27,8 @@ from onestep import (DiffusionSign, NotPsdError, Polynomial, RateMode,
 from onestep import __version__
 from onestep.cli import (_SAMPLED, MANIFEST_FORMAT, RatesFileError,
                          _compared_entries, _moment_mismatches,
-                         _sample_states, build_parser, main, parse_initial,
-                         parse_rates_file)
+                         _sample_states, build_parser, main, model_report,
+                         parse_initial, parse_rates_file, transition_rates)
 from onestep.sim import _diffusion_pattern, _semidefinite_factor
 from helpers import (CHECK_STATES, EM_NORMALS, LOTKA_VOLTERRA, VERHULST,
                      object_jump_moments, object_moment_mismatches,
@@ -173,6 +173,26 @@ class TestDerive:
         main(["derive", str(verhulst_file), "--out", str(out)])
         restored = model_from_json((out / "verhulst.model.json").read_text())
         assert restored == build_sde_model(parse_scheme(VERHULST))
+
+    def test_the_report_reads_the_models_rates(self, tmp_path, lv_file,
+                                               monkeypatch):
+        """derive reports the transition rates that build_sde_model kept;
+        only a model restored from JSON, which carries none, derives them
+        for its report, and gets the same text."""
+        calls = []
+
+        def counted(scheme, mode):
+            calls.append(mode)
+            return transition_rates(scheme, mode)
+
+        monkeypatch.setattr("onestep.cli.transition_rates", counted)
+        out = tmp_path / "o"
+        main(["derive", str(lv_file), "--rate-mode", "exact", "--out",
+              str(out)])
+        assert calls == []
+        restored = model_from_json((out / "lv.model.json").read_text())
+        assert model_report(restored) == (out / "lv.report.txt").read_text()
+        assert calls == [RateMode.EXACT]
 
     def test_predator_prey_report(self, tmp_path, lv_file, capsys):
         main(["derive", str(lv_file), "--out", str(tmp_path / "o")])

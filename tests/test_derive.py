@@ -174,6 +174,17 @@ class TestModelAssembly:
                      diffusion_sign=model.diffusion_sign,
                      noise_strategy=model.noise_strategy)
 
+    def test_the_model_keeps_its_rates_outside_its_value(self):
+        scheme = parse_scheme(LOTKA_VOLTERRA)
+        model = build_sde_model(scheme, RateMode.EXACT)
+        assert model.transition_rates == transition_rates(scheme,
+                                                          RateMode.EXACT)
+        # a replaced model has none, so none can belong to another scheme
+        copy = replace(model)
+        assert copy.transition_rates is None
+        assert copy == model and hash(copy) == hash(model)
+        assert repr(copy) == repr(model)
+
     def test_asymmetric_diffusion_is_rejected(self):
         s = parse_scheme(LOTKA_VOLTERRA)
         model = build_sde_model(s)

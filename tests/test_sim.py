@@ -37,11 +37,14 @@ from onestep.sim import (_PSD_LONE_FLOOR, _PSD_SQRT_TOL, _PSD_TOL,
                          _em_step_source, _entry_rows, _rekey,
                          _semidefinite_factor, _ssa_leaves,
                          _ssa_path_source, _ssa_rate_lines,
-                         _grid_step_indices, _require_finite)
+                         _grid_step_indices, _lockstep_choice,
+                         _require_finite)
 from onestep.cli import _compared_entries
+import onestep.sim as sim_module
 from helpers import (CHECK_STATES, EM_NORMALS, EM_REDRAWS, LOTKA_VOLTERRA,
                      PURE_DEATH, SSA_CHOICES, SSA_WAITS, VERHULST,
-                     random_scheme_text, reference_stream)
+                     random_scheme_text, reference_stream,
+                     scalar_gillespie_ssa)
 
 VERHULST_RATES = {rate("lambda"): 1.0, rate("beta"): 0.2, rate("gamma"): 0.05}
 LV_RATES = {rate("k_1"): 10.0, rate("k_2"): 0.01, rate("k_3"): 10.0}
@@ -1610,9 +1613,9 @@ class TestEnginesMatchReference:
 
 
 class TestJumpSamplerParts:
-    """The generated channel choice is bisect's, a re-keyed Philox is the
-    trajectory's own stream, and paths of huge occupation numbers are
-    stored as the reference stores them."""
+    """The generated channel choice and the lockstep head's are bisect's,
+    a re-keyed Philox is the trajectory's own stream, and paths of huge
+    occupation numbers are stored as the reference stores them."""
 
     @given(partial=st.lists(st.floats(), max_size=39), target=st.floats())
     @example(partial=[], target=0.5)
@@ -1634,6 +1637,12 @@ class TestJumpSamplerParts:
         k = bisect.bisect_right(partial, target)
         assert namespace["choose"](target, *partial) == \
             (k if k % 3 else None)
+        # the lockstep head's choice, for three paths at once (one
+        # channel: the leaf 0 for every path); the last sum, the total,
+        # is never compared
+        sums = [np.full(3, c) for c in partial] + [np.zeros(3)]
+        chosen = _lockstep_choice(np.full(3, target), sums, 0, count - 1)
+        assert np.array_equal(np.broadcast_to(chosen, 3), np.full(3, k))
 
     @pytest.mark.parametrize("stream", list(Stream))
     @pytest.mark.parametrize("base_seed, index", [
@@ -1762,6 +1771,181 @@ class TestDrawsDoNotDependOnChunks:
                            t_final=t_final, dt=t_final, trajectories=1,
                            base_seed=5, grid_points=2)
         assert gillespie_ssa(scheme, config).paths[0, -1, 0] == budget - 1
+
+
+# the perfbench workloads: scheme, rates, initial state, t_final,
+# trajectories and grid points
+_PERFBENCH = {
+    "verhulst": (VERHULST, {"lambda": 1, "beta": Fraction(1, 5),
+                            "gamma": Fraction(1, 20)}, (10,), 2.0, 500, 200),
+    "lotka-volterra": (LOTKA_VOLTERRA, {"k_1": 1, "k_2": Fraction(1, 20),
+                                       "k_3": 1}, (20, 20), 1.0, 1000, 10),
+    "ring8": (RING8, {**{f"a_{i}": Fraction(1, 10000) for i in range(1, 9)},
+                      **{f"b_{i}": Fraction(1, 20000) for i in range(1, 9)}},
+              (100,) * 8, 0.1, 200, 50)}
+
+
+def _perfbench_case(name: str, base_seed: int = 5):
+    text, values, initial, t_final, count, grid = _PERFBENCH[name]
+    return parse_scheme(text), SimConfig(
+        rates={rate(k): v for k, v in values.items()},
+        initial_state=initial, t_final=t_final, trajectories=count,
+        base_seed=base_seed, grid_points=grid)
+
+
+def _bits(engine, scheme, config):
+    """An engine's paths as bit patterns, or the type and message of the
+    SimulationError it raised."""
+    try:
+        return engine(scheme, config).paths.view(np.uint64)
+    except SimulationError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _same_bits(scheme, config) -> bool:
+    new = _bits(gillespie_ssa, scheme, config)
+    old = _bits(scalar_gillespie_ssa, scheme, config)
+    if isinstance(new, tuple) or isinstance(old, tuple):
+        return new == old
+    return np.array_equal(new, old)
+
+
+def _head_stop(tails):
+    """Why a lockstep head that handed every path over at one event
+    stopped: the count of events in its chunk, or too few active paths."""
+    [k] = {k for *_, k in tails}
+    if len(tails) < sim_module._LOCKSTEP_MIN:
+        return "too few paths"
+    return k
+
+
+@pytest.fixture
+def heads(monkeypatch):
+    """The tails each lockstep head handed to the path loop: (j, state, t,
+    g, k) per path that did not finish in the head."""
+    calls = []
+    head = sim_module._lockstep_head
+
+    def spy(*args):
+        calls.append(head(*args))
+        return calls[-1]
+    monkeypatch.setattr(sim_module, "_lockstep_head", spy)
+    return calls
+
+
+class TestLockstepHead:
+    """The lockstep head advances all paths through their first chunk of
+    draws together and hands the rest to the path loop; every path keeps
+    the bits of the path loop alone (scalar_gillespie_ssa), and every
+    error its message."""
+
+    @pytest.mark.parametrize("least", [None, 0, "more"])
+    @pytest.mark.parametrize("name", list(_PERFBENCH))
+    def test_perfbench_workloads(self, monkeypatch, heads, name, least):
+        scheme, config = _perfbench_case(name)
+        if least is not None:
+            monkeypatch.setattr(
+                sim_module, "_LOCKSTEP_MIN",
+                config.trajectories + 1 if least == "more" else least)
+        assert _same_bits(scheme, config)
+        if least == "more":
+            assert heads == []
+        else:
+            # the head took events: some paths finished in it, or left it
+            # with events taken
+            [tails] = heads
+            assert len(tails) < config.trajectories or \
+                any(k for *_, k in tails)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64, 1000])
+    @pytest.mark.parametrize("name", list(_PERFBENCH))
+    def test_chunk_sizes(self, monkeypatch, heads, name, chunk):
+        monkeypatch.setattr(sim_module, "_SSA_CHUNK", chunk)
+        scheme, config = _perfbench_case(name, base_seed=6)
+        assert _same_bits(scheme, config)
+        [tails] = heads
+        assert _head_stop(tails) in (chunk, "too few paths")
+
+    def test_absorbed_in_the_head(self, monkeypatch, heads):
+        monkeypatch.setattr(sim_module, "_LOCKSTEP_MIN", 0)
+        scheme = parse_scheme(PURE_DEATH)
+        config = SimConfig(rates={rate("beta"): 1.0}, initial_state=(6,),
+                           t_final=50.0, trajectories=100, base_seed=2,
+                           grid_points=30)
+        assert _same_bits(scheme, config)
+        assert heads == [[]]        # every path was absorbed in the head
+        assert not gillespie_ssa(scheme, config).paths[:, -1].any()
+
+    @pytest.mark.parametrize("text, values, initial, taken", [
+        # at x = 2 the second rate is 1e308 * 2 * 1 = inf
+        ("x -> 2 x @ k\n2 x -> 3 x @ h\n", {"k": 1.0, "h": 1e308}, (1,), 1),
+        # at x = 2 the second rate is 1e308 * 2 * 1 * 0 = nan
+        ("x -> 2 x @ k\n3 x -> 0 @ h\n", {"k": 1.0, "h": 1e308}, (1,), 1),
+        # rates that consume nothing are floats, and their sum is inf
+        ("0 -> x @ k\n0 -> y @ h\n", {"k": 1e308, "h": 1e308}, (0, 0), 0)])
+    def test_rates_that_overflow(self, monkeypatch, heads, text, values,
+                                 initial, taken):
+        """A path whose total is not finite leaves the head at that
+        event; after it the path loop never moves t (inf) or stores NaN
+        times (nan), and runs into its budget or absorbs."""
+        for module in (sim_module, sys.modules["helpers"]):
+            monkeypatch.setattr(module, "_SSA_EVENT_BUDGET", 300)
+        monkeypatch.setattr(sim_module, "_LOCKSTEP_MIN", 0)
+        scheme = parse_scheme(text)
+        config = SimConfig(rates={rate(k): v for k, v in values.items()},
+                           initial_state=initial, t_final=1.0,
+                           trajectories=8, base_seed=3, grid_points=20)
+        assert _same_bits(scheme, config)
+        [tails] = heads
+        assert {k for *_, k in tails} == {taken}
+
+    def test_counts_near_2_53_skip_the_head(self, monkeypatch, heads):
+        """Beyond 2**53 the path loop's ints and float64 part: x + 1 from
+        2**53 stays 2**53 in floats, and the head runs no iteration."""
+        monkeypatch.setattr(sim_module, "_LOCKSTEP_MIN", 0)
+        scheme = parse_scheme("x -> 2 x @ k\n")
+        config = SimConfig(rates={rate("k"): 2.0 ** -53},
+                           initial_state=(2 ** 53 - 1,), t_final=5.0,
+                           trajectories=70, base_seed=4, grid_points=11)
+        assert _same_bits(scheme, config)
+        assert heads == []
+        assert gillespie_ssa(scheme, config).paths[:, -1].max() > 2 ** 53
+
+    def test_two_trajectories(self, monkeypatch, heads):
+        # both paths leave the head together, with states of two species
+        monkeypatch.setattr(sim_module, "_LOCKSTEP_MIN", 0)
+        scheme, config = _perfbench_case("lotka-volterra")
+        config = SimConfig(rates=config.rates, initial_state=(20, 20),
+                           t_final=5.0, trajectories=2, base_seed=7,
+                           grid_points=10)
+        assert _same_bits(scheme, config)
+        [tails] = heads
+        assert [(j, k) for j, *_, k in tails] == [(0, 64), (1, 64)]
+
+    @pytest.mark.parametrize("budget", [1, 10, 63])
+    def test_budget_below_the_chunk(self, monkeypatch, heads, budget):
+        """The head takes at most budget events, and the path loop raises
+        for the same trajectory at the same t."""
+        for module in (sim_module, sys.modules["helpers"]):
+            monkeypatch.setattr(module, "_SSA_EVENT_BUDGET", budget)
+        scheme, config = _perfbench_case("verhulst")
+        new = _bits(gillespie_ssa, scheme, config)
+        assert new[0] == "SimulationError"
+        assert new == _bits(scalar_gillespie_ssa, scheme, config)
+        [tails] = heads
+        assert _head_stop(tails) in (budget, "too few paths")
+
+    def test_event_at_the_last_grid_time(self, monkeypatch, heads):
+        """An event at exactly a grid time is not stored there (due < t
+        fails); the state after it is."""
+        monkeypatch.setattr(sim_module, "_LOCKSTEP_MIN", 0)
+        scheme = parse_scheme("0 -> x @ k\n")
+        wait = reference_stream(9, 0, SSA_WAITS).standard_exponential()
+        config = SimConfig(rates={rate("k"): 1.0}, initial_state=(0,),
+                           t_final=wait, dt=wait, trajectories=3,
+                           base_seed=9, grid_points=2)
+        assert _same_bits(scheme, config)
+        assert gillespie_ssa(scheme, config).paths[0, -1, 0] == 1.0
 
 
 class TestDependentRates:
