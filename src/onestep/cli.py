@@ -727,7 +727,7 @@ def cmd_check(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         b = _entry_rows(diffusion(*columns.astype(np.float64)),
                         len(states), pattern)
-        for s in np.flatnonzero(~np.isfinite(b).all(axis=(0, 1)))[:1]:
+        for s in np.flatnonzero(~np.isfinite(b).all(axis=0))[:1]:
             raise UsageError(f"B({states[s]}) is beyond the float range; "
                              "rescale the rate values")
         try:

@@ -183,7 +183,7 @@ class Stream(enum.IntEnum):
 
 @functools.cache     # at first use: importing numpy.random takes ~15 ms
 def _fixed_seed():
-    """Each Philox's seed, which _rekey overrides: a seed sequence whose
+    """Each Philox's seed, which rekeying overrides: a seed sequence whose
     state is all zeros, so it reads no OS entropy and hashes nothing."""
     class ZeroSeed(np.random.bit_generator.ISeedSequence):
         def generate_state(self, n_words, dtype=np.uint32):
@@ -191,15 +191,26 @@ def _fixed_seed():
     return ZeroSeed()
 
 
+def _rekeyer(domain: Stream):
+    """_rekey for one domain as rekey(bits, base_seed, index), which sets
+    the key of one state dict built here and assigns it: half the cost of
+    building the dict per call.  Each caller keeps its own."""
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, int(domain)], "key": [0, 0]},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+
+    def rekey(bits: np.random.Philox, base_seed: int, index: int) -> None:
+        state["state"]["key"] = [base_seed, index]
+        bits.state = state
+    return rekey
+
+
 def _rekey(bits: np.random.Philox, base_seed: int, index: int,
            domain: Stream) -> None:
     """Reset bits to the start of trajectory_rng(base_seed, index,
     domain), for arguments that it accepts."""
-    bits.state = {"bit_generator": "Philox",
-                  "state": {"counter": [0, 0, 0, int(domain)],
-                            "key": [base_seed, index]},
-                  "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-                  "has_uint32": 0, "uinteger": 0}
+    _rekeyer(domain)(bits, base_seed, index)
 
 
 def trajectory_rng(base_seed: int, index: int,
@@ -230,29 +241,41 @@ def matrix_sqrt_psd(b: np.ndarray) -> np.ndarray:
     batch order.  Asymmetry beyond tol * scale raises NotSymmetricError.
     For n = 1 the factor is sqrt(max(B, 0)).
 
-    This checks the shapes and the symmetry, copies the batch into the
-    entry-major layout and runs _semidefinite_factor on the dense pattern:
-    every entry of every column, updated a whole trailing block at a time.
-    The Euler-Maruyama step and check's psd-sampling run the same loop on
-    B's own pattern.
+    This checks the shapes and the symmetry and takes the scale from both
+    halves of B, then gathers each lower triangle into the slot layout of
+    the dense pattern, runs _semidefinite_factor on it and scatters L
+    back.  The Euler-Maruyama step and check's psd-sampling run the same
+    loop on B's own pattern.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.ndim < 2 or b.shape[-1] != b.shape[-2]:
         raise ValueError("expected square matrices on the last two axes")
     n = b.shape[-1]
     m = math.prod(b.shape[:-2])
-    a = b.reshape(m, n, n).transpose(1, 2, 0).copy()
+    full = b.reshape(m, n, n).transpose(1, 2, 0).copy()
+    floor = None        # for n = 1, _semidefinite_factor's own
     if n > 1:
-        floor = _psd_floor(a)
-        asym = np.abs(a - a.transpose(1, 0, 2)).max(axis=(0, 1),
-                                                   initial=0.0)
+        floor = _psd_floor(full.reshape(n * n, m))
+        asym = np.abs(full - full.transpose(1, 0, 2)).max(axis=(0, 1),
+                                                         initial=0.0)
         if np.count_nonzero(asym > floor):
             i = int(np.argmax(asym > floor))
             raise NotSymmetricError(f"matrix asymmetry {asym[i]:.3e} "
                                     f"exceeds tolerance {floor[i]:.3e}")
     dense = _FactorPattern([(i, j) for i in range(n) for j in range(i)], n)
-    factor = _semidefinite_factor(a, dense, b.shape[:-2])
-    return factor.transpose(2, 0, 1).reshape(b.shape)
+    lower = tuple(zip(*dense.slots))
+    out = np.zeros((n, n, m))
+    out[lower] = _semidefinite_factor(full[lower], dense, b.shape[:-2], floor)
+    return out.transpose(2, 0, 1).reshape(b.shape)
+
+
+def _index(positions: Sequence[int]):
+    """positions as a slice when they run consecutively, else an intp
+    array: either indexes rows alike."""
+    start = positions[0]
+    if list(positions) == list(range(start, start + len(positions))):
+        return slice(start, start + len(positions))
+    return np.array(positions, dtype=np.intp)
 
 
 class _FactorPattern:
@@ -268,16 +291,16 @@ class _FactorPattern:
     whose first row is k; elimination in the species' own order makes a
     nonzero nowhere else.
 
-    steps[k] is how _semidefinite_factor reaches column k's rows: None
-    when there are none; else the rows, as a slice when they are
-    contiguous, and the entries that their update changes: None for the
-    whole block of those rows (the upper half too), else (i, j, p, q) for
-    each entry (i, j) on or below the diagonal, with p and q the positions
-    of rows i and j in the column.  floor_at holds the row and column
-    indices of L's pattern on and below the diagonal, which _psd_floor
-    reads, or None for every entry when that pattern is every entry (so
-    matrix_sqrt_psd's floor reads both halves of B, as its symmetry test
-    does)."""
+    B and L are held in one layout, an (len(slots), T) array whose row s
+    is entry slots[s] of every matrix: L's pattern on and below the
+    diagonal, first (k, k) for every k, then the rows of each column in
+    turn, as compressed column storage holds them (Davis, "Direct Methods
+    for Sparse Linear Systems", 2006, ch. 4).  entry_slots[e] is the slot
+    of entries[e].  steps[k] is None for a column with no rows below the
+    diagonal, else (below, target, p, q): the slice of its slots, and
+    a[target] -= col[p] * col[q], with col those rows, is its update of
+    every entry (i, j), i >= j, of two of them.  Each index is a slice
+    when its positions run consecutively, else an intp array."""
 
     def __init__(self, below_diagonal, n: int):
         self.n = n
@@ -293,32 +316,26 @@ class _FactorPattern:
             if rows:
                 below[rows[0]].update(rows[1:])
         self.columns = tuple(columns)
-        self.steps = []
-        for rows in self.columns:
-            if not rows:
-                self.steps.append(None)
-            elif rows[-1] - rows[0] == len(rows) - 1:
-                self.steps.append((slice(rows[0], rows[-1] + 1), None))
-            else:
-                self.steps.append((list(rows), tuple(
-                    (i, j, p, q) for p, i in enumerate(rows)
-                    for q, j in enumerate(rows[:p + 1]))))
-        self.floor_at = None
-        if sum(map(len, self.columns)) < n * (n - 1) // 2:
-            lower = [(k, k) for k in range(n)] + [
-                (i, k) for k, rows in enumerate(self.columns) for i in rows]
-            self.floor_at = tuple(np.array(index, dtype=np.intp)
-                                  for index in zip(*lower))
-
-    def rows(self) -> list[list[int]]:
-        """Each row's columns in L's pattern, ascending, the diagonal
-        last."""
-        out = [[] for _ in range(self.n)]
+        self.slots = tuple((k, k) for k in range(n)) + tuple(
+            (i, k) for k, rows in enumerate(self.columns) for i in rows)
+        slot = {entry: s for s, entry in enumerate(self.slots)}
+        self.entry_slots = tuple(slot[entry] for entry in self.entries)
+        self.steps = [None] * n
         for k, rows in enumerate(self.columns):
-            for i in rows:
-                out[i].append(k)
+            if rows:
+                update = sorted((slot[i, j], p, q) for p, i in enumerate(rows)
+                                for q, j in enumerate(rows[:p + 1]))
+                self.steps[k] = (_index([slot[i, k] for i in rows]),
+                                 *map(_index, zip(*update)))
+
+    def rows(self) -> list[list[tuple[int, int]]]:
+        """Each row's (slot, column) pairs in L's pattern, columns
+        ascending, the diagonal last."""
+        out = [[] for _ in range(self.n)]
+        for s, (i, k) in enumerate(self.slots[self.n:], self.n):
+            out[i].append((s, k))
         for i, row in enumerate(out):
-            row.append(i)
+            row.append((i, i))
         return out
 
 
@@ -331,81 +348,64 @@ def _diffusion_pattern(diffusion) -> _FactorPattern:
                            if diffusion[i][j]], n)
 
 
-def _psd_floor(a: np.ndarray, floor_at=None) -> np.ndarray:
-    """tol * (1 + max|B|) of each matrix of an entry-major (n, n, m)
-    stack: a pivot at or below it counts as zero.  It reads every entry,
-    or only the entries at the rows and columns floor_at (a
-    _FactorPattern's)."""
-    if floor_at is None:
-        floor = np.abs(a).max(axis=(0, 1), initial=0.0)
-    else:
-        floor = np.abs(a[floor_at]).max(axis=0, initial=0.0)
+def _psd_floor(a: np.ndarray) -> np.ndarray:
+    """tol * (1 + max|B|) of each of m matrices, over the rows a (entries,
+    m) of their entries: a pivot at or below it counts as zero."""
+    floor = np.abs(a).max(axis=0, initial=0.0)
     floor += 1.0
     floor *= _PSD_TOL
     return floor
 
 
 def _semidefinite_factor(a: np.ndarray, pattern: _FactorPattern,
-                         batch: tuple[int, ...]) -> np.ndarray:
-    """matrix_sqrt_psd's factor of the symmetric matrices of an
-    entry-major (n, n, m) stack a, whose entry (i, j) of every matrix is
-    the contiguous row a[i, j], so each step below is one operation over
-    the batch.  It reads and updates only pattern's entries of L on and
-    below the diagonal, and the upper halves of blocks that pattern.steps
-    updates whole; a must hold B there and +0.0 at L's other entries.  a
-    is overwritten; L comes back in the same layout, zero outside pattern.
-    NotPsdError's index is the failing matrix's position in batch, a shape
-    of m entries.
+                         batch: tuple[int, ...],
+                         floor: np.ndarray | None = None) -> np.ndarray:
+    """matrix_sqrt_psd's factor of the symmetric matrices B, in pattern's
+    slot layout: a is (len(pattern.slots), m) with row s entry slots[s]
+    of every matrix, so each step below is one operation over the batch.
+    a is overwritten; L comes back in the same layout.  floor is each
+    matrix's scale, _psd_floor(a) by default.  NotPsdError's index is the
+    failing matrix's position in batch, a shape of m entries.
 
     On B's own pattern the factor is the dense loop's, up to the sign of
-    zero entries: every entry outside L's pattern stays +0.0 there too, as
-    0.0 - (+-0.0) is 0.0, and every update it skips subtracts +-0.0 from
-    an entry, which moves no bits but a zero's sign.  This holds while no
-    product overflows: inf * 0.0 is NaN."""
-    n, _, m = a.shape
-    wide = []           # (pivot, the matrices whose column fails there)
-    if n == 1:
+    zero entries: an entry of L's fill is +0.0 in B, and every update the
+    dense loop makes outside L's pattern subtracts +-0.0 from an entry,
+    which moves no bits but a zero's sign.  This holds while no product
+    overflows: inf * 0.0 is NaN."""
+    pivots = a[:pattern.n]      # final when the loop reaches them
+    if pattern.n == 1:
         # one pivot and no column below it, which an Euler-Maruyama step
         # of one species cannot afford to wrap in the loop below.  A pivot
         # below -tol * (1 + |d|) is below _PSD_LONE_FLOOR, a test with no
         # scale to work out, so the scale waits for a pivot that fails it
-        pivots = a.reshape(1, m)
-        factor = np.sqrt(np.maximum(pivots, 0.0)).reshape(a.shape)
+        factor = np.sqrt(np.maximum(pivots, 0.0))
         if not np.count_nonzero(pivots < _PSD_LONE_FLOOR):
             return factor
-    floor = _psd_floor(a, pattern.floor_at)
-    if n > 1:
-        # pivot k ends up in a[k, k]: later steps update only the entries
-        # after it
-        pivots = a.reshape(n * n, m)[::n + 1]
-        factor = np.zeros(a.shape)
-        for k, step in enumerate(pattern.steps):
-            d = pivots[k]
-            root = factor[k, k]
-            np.sqrt(np.maximum(d, 0.0), out=root)
-            if step is None:
-                continue
-            rows, update = step
-            keep = d > floor
-            below = a[rows, k]
-            # (np.count_nonzero is the cheapest test of a mask)
-            if np.count_nonzero(keep) < m:
-                # under a pivot counted as zero a PSD matrix has no
-                # entry beyond sqrt(tol * scale * B_ii), which is at
-                # most sqrt(tol) * scale
-                wide.append((k, ~keep & (np.abs(below).max(axis=0)
-                                         > floor / _PSD_SQRT_TOL)))
-                col = np.divide(below, np.where(keep, root, 1.0))
-                col[:, ~keep] = 0.0
-            else:
-                col = np.divide(below, root)
-            factor[rows, k] = col
-            if update is None:
-                a[rows, rows] -= col[:, None] * col[None, :]
-            else:
-                for i, j, p, q in update:
-                    entry = a[i, j]
-                    entry -= col[p] * col[q]
+    if floor is None:
+        floor = _psd_floor(a)
+    factor = np.empty(a.shape)
+    wide = []           # (pivot, the matrices whose column fails there)
+    for k, step in enumerate(pattern.steps):
+        d = pivots[k]
+        root = factor[k]
+        np.sqrt(np.maximum(d, 0.0), out=root)
+        if step is None:
+            continue
+        below, target, p, q = step
+        keep = d > floor
+        col = factor[below]
+        # (np.count_nonzero is the cheapest test of a mask)
+        if np.count_nonzero(keep) < len(keep):
+            # under a pivot counted as zero a PSD matrix has no entry
+            # beyond sqrt(tol * scale * B_ii), which is at most
+            # sqrt(tol) * scale
+            wide.append((k, ~keep & (np.abs(a[below]).max(axis=0)
+                                     > floor / _PSD_SQRT_TOL)))
+            np.divide(a[below], np.where(keep, root, 1.0), out=col)
+            col[:, ~keep] = 0.0
+        else:
+            np.divide(a[below], root, out=col)
+        a[target] -= col[p] * col[q]
     bad = pivots < -floor               # (pivot, matrix)
     for k, fails in wide:
         bad[k] |= fails
@@ -421,33 +421,30 @@ def _semidefinite_factor(a: np.ndarray, pattern: _FactorPattern,
 
 
 def _entry_rows(values, count: int, pattern: _FactorPattern) -> np.ndarray:
-    """The entry-major (n, n, count) stack of the matrices whose entries
-    pattern.entries take values, in order: entry (i, j) of every matrix is
-    the contiguous row out[i, j].  Every other entry is +0.0, which is
-    what _semidefinite_factor needs at L's fill and in the upper halves of
-    the blocks it updates whole."""
-    n = pattern.n
-    out = np.zeros((n, n, count))
-    for (i, j), v in zip(pattern.entries, values):
-        out[i, j] = v
+    """The (len(pattern.slots), count) array, in pattern's slot layout,
+    of the matrices whose entries pattern.entries take values, in order.
+    The slots of L's fill, where B is zero, hold +0.0."""
+    out = np.zeros((len(pattern.slots), count))
+    for s, v in zip(pattern.entry_slots, values):
+        out[s] = v
     return out
 
 
 def _em_step_source(n: int, wiener_dim: int, per_reaction: bool,
-                    rows: Sequence[Sequence[int]] | None) -> str:
+                    rows: Sequence[Sequence[tuple[int, int]]] | None) -> str:
     """The source of the step that _EmStepper compiles.
 
     It reads the species rows x0, x1, ... of the states and the rows e0,
     e1, ... of the normal draws, and writes row i of the proposal as
     x_i + d_i dt + z_i sqrt_dt.  For --noise sqrt the noise row is
-    z_i = 0.0 + L_ij e_j + ... over the columns j of rows[i], ascending
-    (rows is None for per-reaction noise), added left to right over
-    statements of at most _TERMS_PER_LINE terms, with L the factor of B's
-    entry-major stack.  That is einsum's sum over row i of L: each entry
-    it leaves out is +-0.0, and so is its term, which leaves a sum that
-    starts at 0.0 as it is.  The source holds one term per entry of L's
-    pattern, so it grows with that pattern: as n^2 for a dense B, as n on
-    a ring."""
+    z_i = 0.0 + L_ij e_j + ... over the (slot, column j) pairs of rows[i],
+    columns ascending (rows is None for per-reaction noise), added left to
+    right over statements of at most _TERMS_PER_LINE terms, with L_ij the
+    row f[slot] of B's factor in _FactorPattern's slot layout.  That is
+    einsum's sum over row i of the dense L: each entry it leaves out is
+    +-0.0 there, and so is its term, which leaves a sum that starts at
+    0.0 as it is.  The source holds one term per entry of L's pattern,
+    so it grows with that pattern: as n^2 for a dense B, as n on a ring."""
     xs = "".join(f"x{i}, " for i in range(n))
     ds = "".join(f"d{i}, " for i in range(n))
     lines = ["def em_step(x, e):",
@@ -461,7 +458,7 @@ def _em_step_source(n: int, wiener_dim: int, per_reaction: bool,
                   "    f = factor(entry_rows(rest, x.shape[1], pattern), "
                   "pattern, x.shape[1:])"]
         for i, row in enumerate(rows):
-            terms = [f" + f[{i}, {j}]*e{j}" for j in row]
+            terms = [f" + f[{s}]*e{j}" for s, j in row]
             for k in range(0, len(terms), _TERMS_PER_LINE):
                 head = f"z{i}" if k else "0.0"
                 lines.append(f"    z{i} = {head}"
@@ -499,10 +496,11 @@ class _EmStepper:
     component.  step(states, eps) returns the proposal as a new (n, T)
     array from one function generated per model (_em_step_source): the
     drift and noise polynomials come from one as_function call over the
-    rows, B goes into one entry-major stack (_entry_rows) that
-    _semidefinite_factor factors in place, and each proposal row is
-    formed from its own rows, with no stacked matrices, transposes or
-    einsum.  Per-reaction noise keeps its (T, s) @ change product.
+    rows, B goes into one array in _FactorPattern's slot layout
+    (_entry_rows) that _semidefinite_factor factors in place, and each
+    proposal row is formed from its own rows, with no stacked matrices,
+    transposes or einsum.  Per-reaction noise keeps its (T, s) @ change
+    product.
 
     For --noise sqrt all of it works on B's pattern (_FactorPattern),
     read once from the model: the diagonal and the entries of
@@ -962,6 +960,8 @@ def gillespie_ssa(scheme: InteractionScheme,
     seed = config.base_seed
     waits = trajectory_rng(seed, 0, Stream.SSA_WAITS)  # re-keyed every path
     choices = trajectory_rng(seed, 0, Stream.SSA_CHOICES)
+    rekey_waits = _rekeyer(Stream.SSA_WAITS)
+    rekey_choices = _rekeyer(Stream.SSA_CHOICES)
     budget = _SSA_EVENT_BUDGET
     first = min(_SSA_CHUNK, budget)     # waiting times of the first chunk
     # the head's floats hold the path loop's ints while no count, nor a
@@ -975,8 +975,8 @@ def gillespie_ssa(scheme: InteractionScheme,
         exps = np.empty((count, first))
         unis = np.empty((count, first))
         for j in range(count):
-            _rekey(waits.bit_generator, seed, j, Stream.SSA_WAITS)
-            _rekey(choices.bit_generator, seed, j, Stream.SSA_CHOICES)
+            rekey_waits(waits.bit_generator, seed, j)
+            rekey_choices(choices.bit_generator, seed, j)
             waits.standard_exponential(out=exps[j])
             choices.random(out=unis[j])
         tails = _lockstep_head(
@@ -985,8 +985,8 @@ def gillespie_ssa(scheme: InteractionScheme,
                      dtype=np.float64).T, init, times, exps, unis,
             paths.reshape(-1, n))
     for j, state, t, g, k in tails:
-        _rekey(waits.bit_generator, seed, j, Stream.SSA_WAITS)
-        _rekey(choices.bit_generator, seed, j, Stream.SSA_CHOICES)
+        rekey_waits(waits.bit_generator, seed, j)
+        rekey_choices(choices.bit_generator, seed, j)
         rows[j, g * n:] = sample_path(
             j, state, t, g, k, waits.standard_exponential(first).tolist(),
             choices.random(_SSA_CHUNK).tolist(), grid,

@@ -52,6 +52,15 @@ def reference_stream(base_seed: int, index: int,
         counter=domain << 192, key=base_seed | index << 64))
 
 
+def lower_stack(stack: np.ndarray, pattern) -> np.ndarray:
+    """The (S, n, n) lower-triangular matrices of a (slots, S) array in a
+    sim._FactorPattern's slot layout, zero outside the pattern."""
+    lower = np.zeros((stack.shape[1], pattern.n, pattern.n))
+    for s, (i, j) in enumerate(pattern.slots):
+        lower[:, i, j] = stack[s]
+    return lower
+
+
 _SPECIES_POOL = ("x", "y", "z", "w")
 
 

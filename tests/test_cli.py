@@ -31,8 +31,9 @@ from onestep.cli import (_SAMPLED, MANIFEST_FORMAT, RatesFileError,
                          parse_initial, parse_rates_file, transition_rates)
 from onestep.sim import _diffusion_pattern, _semidefinite_factor
 from helpers import (CHECK_STATES, EM_NORMALS, LOTKA_VOLTERRA, VERHULST,
-                     object_jump_moments, object_moment_mismatches,
-                     per_state_moments, random_scheme_text, reference_stream)
+                     lower_stack, object_jump_moments,
+                     object_moment_mismatches, per_state_moments,
+                     random_scheme_text, reference_stream)
 
 VERHULST_RATES_TEXT = """\
 # logistic growth bindings
@@ -986,12 +987,12 @@ class TestCheckPsd:
 
     @pytest.fixture
     def batches(self, monkeypatch):
-        """Every entry-major (n, n, S) stack check hands to the noise
-        factor, as it was handed over (the factor overwrites it)."""
+        """Every (slots, S) array check hands to the noise factor, as it
+        was handed over (the factor overwrites it), with its pattern."""
         seen = []
 
         def recorded(a, pattern, batch):
-            seen.append(a.copy())
+            seen.append((a.copy(), pattern))
             return _semidefinite_factor(a, pattern, batch)
         monkeypatch.setattr("onestep.cli._semidefinite_factor", recorded)
         return seen
@@ -1002,7 +1003,8 @@ class TestCheckPsd:
             self, box, count, ring3_files, capsys, batches):
         scheme, rates = ring3_files
         main(["check", scheme, "--rates", rates, "--box", box])
-        assert [b.shape for b in batches] == [(3, 3, count)]
+        # ring3's B is dense: six slots on and below the diagonal
+        assert [b.shape for b, _ in batches] == [(6, count)]
         assert f"on {count} states" in capsys.readouterr().out
 
     def test_the_named_state_is_the_first_that_fails(
@@ -1010,8 +1012,8 @@ class TestCheckPsd:
         scheme, rates = ring3_files
         main(["check", scheme, "--rates", rates, "--box", "16"])
         assert "FAIL psd-sampling: B((0, 0, 4))" in capsys.readouterr().out
-        [stack] = batches
-        batch = _dense_stack(stack)
+        [(stack, pattern)] = batches
+        batch = _dense_stack(stack, pattern)
         with pytest.raises(NotPsdError) as failure:
             matrix_sqrt_psd(batch)
         [i] = failure.value.index
@@ -1070,8 +1072,9 @@ class TestCheckPsd:
         for i in range(10):
             for j in range(i, 10):
                 dense[:, i, j] = dense[:, j, i] = next(values)
-        [stack] = batches
-        assert np.array_equal(_dense_stack(stack), dense)
+        [(stack, seen)] = batches
+        assert seen.slots == pattern.slots
+        assert np.array_equal(_dense_stack(stack, pattern), dense)
         try:
             factor = matrix_sqrt_psd(dense)
         except NotPsdError as exc:
@@ -1081,10 +1084,9 @@ class TestCheckPsd:
         else:
             want = ("PASS psd-sampling: B has a semidefinite factor at all "
                     "512 states")
-            # equal up to the sign of zeros
-            assert np.array_equal(
-                _semidefinite_factor(stack, pattern, (len(states),)),
-                factor.transpose(1, 2, 0))
+            # equal up to the sign of zeros, and zero outside L's pattern
+            assert np.array_equal(lower_stack(_semidefinite_factor(
+                stack, pattern, (len(states),)), pattern), factor)
         assert line == want
         assert line.startswith("PASS") == passes
 
@@ -1101,11 +1103,11 @@ class TestCheckPsd:
                                     "range; rescale the rate values")
 
 
-def _dense_stack(stack):
-    """The (S, n, n) symmetric matrices of an entry-major (n, n, S) stack
-    that holds B on and below the diagonal."""
-    lower = stack.transpose(2, 0, 1)
-    return np.tril(lower) + np.tril(lower, -1).transpose(0, 2, 1)
+def _dense_stack(stack, pattern):
+    """The (S, n, n) symmetric matrices of a (slots, S) array in pattern's
+    slot layout that holds B on and below the diagonal."""
+    lower = lower_stack(stack, pattern)
+    return lower + np.tril(lower, -1).transpose(0, 2, 1)
 
 
 RING10 = "".join(f"3 x{i} <-> 3 x{i % 10 + 1} @ a_{i}, b_{i}\n"

@@ -43,7 +43,7 @@ from onestep.cli import _compared_entries
 import onestep.sim as sim_module
 from helpers import (CHECK_STATES, EM_NORMALS, EM_REDRAWS, LOTKA_VOLTERRA,
                      PURE_DEATH, SSA_CHOICES, SSA_WAITS, VERHULST,
-                     random_scheme_text, reference_stream,
+                     lower_stack, random_scheme_text, reference_stream,
                      scalar_gillespie_ssa)
 
 VERHULST_RATES = {rate("lambda"): 1.0, rate("beta"): 0.2, rate("gamma"): 0.05}
@@ -451,13 +451,14 @@ def _pattern_stacks(draw):
 def _pattern_sqrt(lower):
     """The noise factor of a (count, n, n) stack taken as the
     Euler-Maruyama step takes it: only the pattern of lower is written
-    and factored."""
+    and factored, and L's slots are scattered back to dense matrices."""
     def sqrt(b):
         count, n, _ = b.shape
         pattern = _FactorPattern(lower, n)
         a = _entry_rows([b[:, i, j] for i, j in pattern.entries], count,
                         pattern)
-        return _semidefinite_factor(a, pattern, (count,)).transpose(2, 0, 1)
+        return lower_stack(_semidefinite_factor(a, pattern, (count,)),
+                           pattern)
     return sqrt
 
 
@@ -490,17 +491,27 @@ class TestPatternFactor:
             for k in range(n))
         assert sum(map(len, pattern.rows())) == 3 * n - 3
         assert len(pattern.entries) == 2 * n
+        # B and L are held in one row per entry of L's pattern
+        assert len(pattern.slots) == 3 * n - 3
 
-    def test_dense_pattern_updates_whole_blocks(self):
-        # matrix_sqrt_psd's pattern: every column's rows are one slice,
-        # and the floor reads every entry
-        pattern = _FactorPattern([(i, j) for i in range(4)
-                                  for j in range(i)], 4)
-        assert pattern.floor_at is None
-        assert [step and step[1] for step in pattern.steps] == \
-            [None, None, None, None]
-        assert [step and step[0] for step in pattern.steps[:3]] == \
-            [slice(1, 4), slice(2, 4), slice(3, 4)]
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_dense_slots_hold_the_diagonal_then_each_column(self, n):
+        # matrix_sqrt_psd's pattern: n(n+1)/2 slots, the pivots first,
+        # then each column's rows as one slice
+        pattern = _FactorPattern([(i, j) for i in range(n)
+                                  for j in range(i)], n)
+        assert len(pattern.slots) == n * (n + 1) // 2
+        assert pattern.slots == tuple((k, k) for k in range(n)) + tuple(
+            (i, k) for k in range(n) for i in range(k + 1, n))
+        start = n
+        for k, step in enumerate(pattern.steps):
+            if k == n - 1:
+                assert step is None
+                continue
+            assert step[0] == slice(start, start + n - 1 - k)
+            start = step[0].stop
+        assert [pattern.slots[s] for s in pattern.entry_slots] == \
+            list(pattern.entries)
 
     def test_a_zero_sign_is_all_that_can_differ(self):
         # B_21 = -0.0 inside the pattern: the dense loop subtracts
@@ -542,15 +553,20 @@ class TestEmStepSource:
                     outside[i, row] = False
                 signs = np.where(rng.random((count, n, n)) < 0.5, -0.0, 0.0)
                 lower[:, outside] = signs[:, outside]
+            # the factor in slot layout: one row per entry the step reads
+            slots = [(i, j) for i, row in enumerate(rows) for j in row]
+            pairs = [[(slots.index((i, j)), j) for j in row]
+                     for i, row in enumerate(rows)]
+            entries = tuple(zip(*slots))
             eps = rng.standard_normal((n, count))
             namespace = {
                 "polynomials": lambda *x: (-0.0,) * n + (0.0,) * (n * n),
                 "entry_rows": lambda values, count, pattern: None,
                 "factor": lambda a, pattern, batch:
-                    lower.transpose(1, 2, 0).copy(),
+                    np.ascontiguousarray(lower[(slice(None), *entries)].T),
                 "pattern": None, "empty": np.empty, "dt": 0.0,
                 "sqrt_dt": 1.0}
-            exec(_em_step_source(n, n, False, rows), namespace)
+            exec(_em_step_source(n, n, False, pairs), namespace)
             out = namespace["em_step"](np.full((n, count), -0.0), eps)
             want = np.einsum("tij,tj->ti", lower, eps.T)
             assert out.tobytes() == np.ascontiguousarray(want.T).tobytes()
@@ -580,6 +596,30 @@ class TestEmStepSource:
         assert compiled == {16: 2 * 16, 32: 2 * 32}
         assert compared == {16: 2 * 16, 32: 2 * 32}
         assert lines[32] - lines[16] == 2 * 16
+
+    def test_a_ring_step_holds_no_dense_stack(self):
+        # a 100-species ring at 512 paths: B and L take one row per entry
+        # of L's pattern, 297 rows of 4 kB each, where an (n, n, T) stack
+        # takes 41 MB
+        n, count = 100, 512
+        scheme = parse_scheme("".join(
+            f"3 x{i} <-> 3 x{i % n + 1} @ a_{i}, b_{i}\n"
+            for i in range(1, n + 1)))
+        model = build_sde_model(scheme, RateMode.EXACT, DiffusionSign.SUM,
+                                NoiseStrategy.MATRIX_SQRT)
+        config = SimConfig(rates={r: 0.01 for r in model.rate_symbols},
+                           initial_state=(10.0,) * n, t_final=1.0)
+        stepper = _EmStepper(model, config)
+        rng = np.random.default_rng(0)
+        states = rng.uniform(5.0, 20.0, (n, count))
+        eps = rng.standard_normal((n, count))
+        tracemalloc.start()
+        try:
+            stepper.step(states, eps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestEulerMaruyama:
