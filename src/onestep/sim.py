@@ -8,12 +8,11 @@ runs are reproducible in any order and no draw depends on another's.
 The Euler-Maruyama engine holds the states as one row per species and
 takes each step in one function generated for the model, which factors
 B only on its pattern and that pattern's fill.  The jump sampler
-advances all paths together, one event each per numpy step, through
-their first chunk of draws while enough of them are left; each path
+advances all paths together, one event each per numpy step and chunk of
+draws after chunk of draws, while enough of them are left; each path
 that is left then finishes in one function generated for the scheme, on
-two Philox re-keyed to the path's streams, which after each event
-recomputes only the rates that the event changed.  Both give every path
-the same bits.
+the path's own streams, which after each event recomputes only the
+rates that the event changed.  Both give every path the same bits.
 """
 
 from __future__ import annotations
@@ -35,6 +34,10 @@ from .scheme import InteractionScheme
 
 _CHUNK_STEPS = 256      # noise draws are blocked per trajectory in chunks
 _SSA_CHUNK = 64         # jump-sampler draws taken at once, per stream
+_SSA_OWN = 4            # chunks of draws after which a path in the jump
+                        # sampler's lockstep head gets streams of its own
+                        # rather than re-keying the shared pair and reading
+                        # past all its earlier values again
 _SSA_LEAF_RATES = 16    # rates one event may recompute; an event that would
                         # change more recomputes every rate
 _SSA_EVENT_BUDGET = 2 ** 21    # jump events of one path; the most any test,
@@ -441,10 +444,13 @@ def _em_step_source(n: int, wiener_dim: int, per_reaction: bool,
     columns ascending (rows is None for per-reaction noise), added left to
     right over statements of at most _TERMS_PER_LINE terms, with L_ij the
     row f[slot] of B's factor in _FactorPattern's slot layout.  That is
-    einsum's sum over row i of the dense L: each entry it leaves out is
-    +-0.0 there, and so is its term, which leaves a sum that starts at
-    0.0 as it is.  The source holds one term per entry of L's pattern,
-    so it grows with that pattern: as n^2 for a dense B, as n on a ring."""
+    the sum 0.0 + L_i0 e_0 + ... + L_ii e_i over row i of the dense L,
+    added left to right: each entry it leaves out is +-0.0 there, and so
+    is its term, which leaves a sum that starts at 0.0 as it is.  (einsum
+    gives these bits only for some stacks: the order in which it adds
+    depends on their shape and strides.)  The source holds one term per
+    entry of L's pattern, so it grows with that pattern: as n^2 for a
+    dense B, as n on a ring."""
     xs = "".join(f"x{i}, " for i in range(n))
     ds = "".join(f"d{i}, " for i in range(n))
     lines = ["def em_step(x, e):",
@@ -728,13 +734,14 @@ def _choice_tree(leaves: Sequence[Sequence[str]], lo: int, hi: int,
 # The outer loop computes every rate: at the start of the path and after
 # a leaf that breaks; the other leaves recompute the rates they change.
 _SSA_PATH = """\
-def sample_path(j, state, t, g, k, exp_buf, uni_buf, grid, exponential,
-                uniform, budget):
+def sample_path(j, state, t, g, k, drawn, exp_buf, uni_buf, grid,
+                exponential, uniform, budget):
     {row}= state
-    # the next value (ei, ui) of each chunk of draws; drawn counts the
-    # waiting times drawn, ecount those of the last chunk
+    # the next value (ei, ui) of each chunk of draws (ecount, ucount
+    # values); drawn counts the waiting times drawn
     ei = ui = k
-    ecount = drawn = len(exp_buf)
+    ecount = len(exp_buf)
+    ucount = len(uni_buf)
     g_count = len(grid)
     due = grid[g]
     rows = []
@@ -767,8 +774,9 @@ def sample_path(j, state, t, g, k, exp_buf, uni_buf, grid, exponential,
                 if g == g_count:
                     return rows
                 due = grid[g]
-            if ui == {chunk}:
+            if ui == ucount:
                 uni_buf = uniform({chunk}).tolist()
+                ucount = {chunk}
                 ui = 0
             target = uni_buf[ui] * total
             ui += 1
@@ -793,9 +801,9 @@ def _ssa_path_source(channels, n: int) -> str:
 
 def _compile_ssa_path(channels, n: int):
     """Generate the jump sampler's loop over one path as one function
-    sample_path(j, state, t, g, k, exp_buf, uni_buf, grid, exponential,
-    uniform, budget) -> rows, which finishes path j from its k-th event
-    on: at time t, in state (Python ints), with grid times g on stored.
+    sample_path(j, state, t, g, k, drawn, exp_buf, uni_buf, grid,
+    exponential, uniform, budget) -> rows, which finishes path j: at time
+    t, in state (Python ints), with grid times g on stored.
 
     The state is held in the locals x0, ..., x{n-1} and each channel's
     rate in r0, r1, ... (the statements of _ssa_rate_lines).  Each event
@@ -807,8 +815,9 @@ def _compile_ssa_path(channels, n: int):
     bits, so every sum, and so every path, is the one that recomputing
     every rate at every event gives.  At every grid time the path passes,
     the state's coordinates are appended to rows, one flat list.  Waiting
-    times and choices are read from the path's first chunks, exp_buf and
-    uni_buf, from value k on; later chunks of _SSA_CHUNK come from
+    times and choices are read from value k on of the current chunks
+    exp_buf and uni_buf (both empty at a path's start), which end at value
+    drawn of their streams; later chunks of _SSA_CHUNK come from
     exponential(c) and uniform(c) when the path needs the next value (no
     value depends on the chunk size); waiting time budget + 1 raises
     SimulationError.
@@ -817,99 +826,144 @@ def _compile_ssa_path(channels, n: int):
                     {"inf": math.inf, "SimulationError": SimulationError})
 
 
-def _compile_ssa_sums(channels, n: int):
-    """The running sums of _ssa_rate_lines as one function ssa_sums(x0,
-    x1, ...) -> [c0, c1, ...], which the lockstep head calls on rows of
-    states: each statement acts elementwise, in the same order, so every
-    sum has the bits the path loop's sum has at that state."""
-    count = len(channels)
-    source = "\n".join([
-        f"def ssa_sums({''.join(f'x{i}, ' for i in range(n))}):",
-        *("    " + line for line in _ssa_rate_lines(channels)),
-        f"    return [{', '.join(f'c{c}' for c in range(count))}]"])
-    return _compile(source, "ssa_sums", {})
-
-
-def _lockstep_choice(target: np.ndarray, sums, lo: int, hi: int):
-    """_choice_tree's leaf for each path: the tree's own comparisons
-    target < c_mid, taken over all paths at once."""
-    if lo == hi:
-        return lo
-    mid = (lo + hi) // 2
-    return np.where(target < sums[mid],
-                    _lockstep_choice(target, sums, lo, mid),
-                    _lockstep_choice(target, sums, mid + 1, hi))
+def _rate_table(channels, init):
+    """The lockstep head's plan for the rates of _ssa_rate_lines on a bank
+    of factor rows: rows 0 ... n-1 are the states x_i, the next ones the
+    factors x_i - k (k >= 1) that some channel reads, and, when some
+    channel has fewer factors than another, a last row of 1.0.  Returns
+    (bank, change, values, positions): bank the (rows, 1) column at the
+    state init, change the (rows, C) change of every row per channel (x_i
+    - k moves with x_i, and the row of 1.0 stays), values the (C, 1) rate
+    values, and positions one intp array per factor position p giving the
+    bank row of every channel's p-th factor (the row of 1.0 past its
+    last).  Multiplying the rows in that order is each rate line's
+    product, left to right; times 1.0 every value keeps its bits, NaN and
+    inf included."""
+    n = len(init)
+    factors = [[(i, k) for i, m in enumerate(stoich) if m
+                for k in range(m)] for stoich, _, _ in channels]
+    shifted = sorted({f for fs in factors for f in fs if f[1]})
+    depth = max(1, *map(len, factors))
+    rows = [*((i, 0) for i in range(n)), *shifted]
+    if any(len(fs) < depth for fs in factors):
+        rows.append(None)
+    index = {f: r for r, f in enumerate(rows)}
+    positions = [np.array([index[fs[p] if p < len(fs) else None]
+                           for fs in factors], dtype=np.intp)
+                 for p in range(depth)]
+    bank = np.array([[init[f[0]] - f[1] if f else 1.0] for f in rows],
+                    dtype=np.float64)
+    change = np.array([[d[f[0]] if f else 0 for _, d, _ in channels]
+                       for f in rows], dtype=np.float64)
+    values = np.array([[value] for _, _, value in channels],
+                      dtype=np.float64)
+    return bank, change, values, positions
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _lockstep_head(ssa_sums, change: np.ndarray, init, times: np.ndarray,
-                   exps: np.ndarray, unis: np.ndarray,
-                   flat: np.ndarray) -> list[tuple]:
-    """Advance every path through its first chunk of draws together, one
-    event per path and iteration, as the path loop would: the rates and
-    sums of ssa_sums, the waiting time exps[j, k] / total (inf where the
-    total is <= 0: absorbed), the grid rows the path passes, filled with
-    its state, and the channel of _lockstep_choice at unis[j, k] * total.
+def _lockstep_head(channels, init, times: np.ndarray, flat: np.ndarray,
+                   draw, horizon: int) -> list[tuple]:
+    """Advance every path together, one event per path and iteration, as
+    the path loop would: the rates of _rate_table's bank, their running
+    sums, the waiting time e / total (inf where the total is <= 0:
+    absorbed), the grid rows the path passes, filled with its state, and
+    the channel whose running sum first exceeds u * total.
 
-    The states are float64 rows (n, active), which hold the path loop's
-    ints exactly while every count stays below 2**53.  flat is the
-    (trajectories * G, n) view of the paths.  A path leaves once it passes
-    the last grid time; one whose total is not finite leaves at that
-    event for the path loop, as do all paths left when the chunk is used
-    up or fewer than _LOCKSTEP_MIN remain.  Returns each of those as (j,
-    state, t, g, k): its state as Python ints, time, next grid row and
-    count of events taken, in trajectory order."""
+    The head takes at most horizon events: the event budget, or fewer
+    where a count could reach 2**53 (the states are float64 rows (n,
+    active), which hold the path loop's ints exactly below it).  flat is
+    the (trajectories * G, n) view of the paths.  The draws come in
+    chunks of _SSA_CHUNK, the last one cut short at the horizon:
+    draw(ids, start, waits, choices) fills rows ids of the (trajectories,
+    take) arrays waits and choices with values start ... start + take - 1
+    of those paths' streams.  A path leaves once it
+    passes the last grid time; one whose total is not finite leaves at
+    that event for the path loop, as do all paths left when fewer than
+    _LOCKSTEP_MIN remain or the horizon is reached.  Returns each of those
+    as (j, state, t, g, k, drawn, exp_buf, uni_buf): its state as Python
+    ints, time, next grid row, the index k of its next event in the
+    current chunks exp_buf and uni_buf (lists), and drawn, the values of
+    each stream read up to their end, in trajectory order.
+
+    The running sums are nondecreasing: the rate values are >= 0 and a
+    rate with a factor x_i - k < 0 has the factor 0 too, so a finite total
+    leaves no rate negative or NaN.  So the count of sums before the last
+    that are <= u * total is bisect_right's choice and _choice_tree's."""
+    n = len(init)
+    first, change, values, positions = _rate_table(channels, init)
     grid_count = len(times)
-    ids = np.arange(len(exps))
-    x = np.repeat(np.asarray(init, dtype=np.float64)[:, None], len(ids), 1)
+    ids = np.arange(len(flat) // grid_count)
+    bank = first.repeat(len(ids), 1)
     t = np.zeros(len(ids))
-    g = np.zeros(len(ids), dtype=np.intp)
-    at = ids * grid_count           # each path's next row of flat
+    base = ids * grid_count         # each path's first row of flat
+    at = base.copy()                # and its next one
+    written = np.zeros(len(flat), dtype=bool)
+    columns = list(flat.T)          # one strided view per species
     tails = []
+    # the chunk of draws start ... start + take - 1, at its value k
+    start = take = k = 0
+    exps, unis = np.empty((2, len(ids), _SSA_CHUNK))
+    rates = np.empty((0, 0))
 
-    def leave(out, k):
-        tails.extend(zip(ids[out].tolist(), x[:, out].T.astype(np.int64)
-                         .tolist(), t[out].tolist(), g[out].tolist(),
-                         [k] * len(out)))
+    def leave(out):
+        js = ids[out]
+        tails.extend(zip(js.tolist(), bank[:n, out].T.astype(np.int64)
+                         .tolist(), t[out].tolist(),
+                         (at[out] - base[out]).tolist(),
+                         [k] * len(js), [start + take] * len(js),
+                         exps[js, :take].tolist(), unis[js, :take].tolist()))
 
-    for k in range(exps.shape[1]):
-        if len(ids) < max(_LOCKSTEP_MIN, 1):
-            break
-        # a sum of channels that consume nothing is a float, not a row
-        sums = ssa_sums(*x)
-        total = sums[-1]
-        odd = ~np.isfinite(total)
-        if np.count_nonzero(odd):
-            odd = np.broadcast_to(odd, ids.shape)
-            leave(np.flatnonzero(odd), k)
-            keep = ~odd
-            ids, x, t, g, at = ids[keep], x[:, keep], t[keep], g[keep], \
-                at[keep]
-            sums = [c[keep] if np.ndim(c) else c for c in sums]
-            total = sums[-1]
-        t = np.where(total > 0.0, t + exps[ids, k] / total, math.inf)
+    while len(ids) >= max(_LOCKSTEP_MIN, 1):
+        if k == take:
+            following = min(_SSA_CHUNK, horizon - start - take)
+            if following <= 0:
+                break
+            start, take, k = start + take, following, 0
+            draw(ids, start, exps[:, :take], unis[:, :take])
+        if rates.shape[1] != len(ids):      # buffers per active count
+            rates, factor, scale = np.empty((3, len(values), len(ids)))
+            scale[:] = values
+            # c_k = c_{k-1} + r_k, one row after another, in place
+            sums = list(zip(rates[1:], rates[:-1]))
+        bank.take(positions[0], 0, rates, "clip")
+        rates *= scale
+        for factor_rows in positions[1:]:
+            bank.take(factor_rows, 0, factor, "clip")
+            rates *= factor
+        for row, before in sums:
+            row += before
+        total = rates[-1]
+        finite = np.isfinite(total)
+        if np.count_nonzero(finite) < len(ids):
+            leave((~finite).nonzero()[0])
+            ids, bank, t, base, at = ids[finite], bank[:, finite], \
+                t[finite], base[finite], at[finite]
+            partial, total = rates[:-1, finite], total[finite]
+        else:
+            partial = rates[:-1]
+        t = np.where(total > 0.0, t + exps[:, k].take(ids) / total, math.inf)
+        # the state before the event is the path's at each grid time up
+        # to t: it goes to the next grid row, where a later event
+        # overwrites it if t passed none, and to the rows after that when
+        # the head ends, copied from the last row written before them
+        for column, x in zip(columns, bank):
+            column[at] = x
+        written[at] = True
         passed = times.searchsorted(t)
-        # each path that passed grid times fills rows g ... passed - 1
-        step = passed - g
-        moved = np.flatnonzero(step)
-        if len(moved):
-            count = step[moved]
-            ends = np.cumsum(count)
-            flat[np.repeat(at[moved] + count - ends, count)
-                 + np.arange(ends[-1])] = np.repeat(x.T[moved], count, 0)
-            at += step
-        g = passed
+        at = base + passed
         live = passed < grid_count
-        chosen = _lockstep_choice(unis[ids, k] * total, sums, 0,
-                                  len(sums) - 1)
-        # with one channel, chosen is the int 0
-        x += change[:, chosen].reshape(len(x), -1)
+        chosen = (partial <= unis[:, k].take(ids) * total).sum(0)
+        bank += change.take(chosen, 1)
+        k += 1
         if np.count_nonzero(live) < len(ids):
-            ids, x, t, g, at = ids[live], x[:, live], t[live], g[live], \
-                at[live]
-    else:
-        k = exps.shape[1]
-    leave(np.arange(len(ids)), k)
+            ids, bank, t, base, at = ids[live], bank[:, live], t[live], \
+                base[live], at[live]
+    leave(np.arange(len(ids)))
+    # every other row a path passed copies the last row written before it
+    rows = written.nonzero()[0]
+    if len(rows):
+        flat[rows[0]:] = flat.take(rows, 0).repeat(
+            np.diff(rows, append=len(flat)), 0)
     tails.sort()
     return tails
 
@@ -935,12 +989,13 @@ def gillespie_ssa(scheme: InteractionScheme,
     must be integral.  A trajectory that needs more than
     _SSA_EVENT_BUDGET events raises SimulationError.
 
-    With at least _LOCKSTEP_MIN trajectories, and counts that cannot
-    reach 2**53 within a chunk, every path's first chunk of draws is
-    drawn up front and _lockstep_head runs them together; the paths it
-    hands over, or all of them, finish in sample_path in trajectory
-    order, after their streams are re-keyed and the first chunk drawn
-    again.  Only the number of active paths and that bound choose
+    With at least _LOCKSTEP_MIN trajectories, rate values >= 0 and counts
+    that cannot reach 2**53 at the first event, _lockstep_head runs the
+    paths together, chunk of draws after chunk of draws, for as many
+    events as the budget and that bound allow; the paths it hands over,
+    or all of them, finish in sample_path in trajectory order, each on
+    its streams read past the values the head took.  Only the number of
+    active paths, the rate values, the budget and that bound choose
     between the two, and no bit of any path depends on the choice.
     """
     n = len(scheme.species)
@@ -955,46 +1010,64 @@ def gillespie_ssa(scheme: InteractionScheme,
 
     times = config.times
     grid = times.tolist()          # the path loop runs on plain floats
-    paths = np.empty((config.trajectories, len(grid), n))
-    rows = paths.reshape(config.trajectories, -1)     # a view
+    count = config.trajectories
+    paths = np.empty((count, len(grid), n))
+    rows = paths.reshape(count, -1)     # a view
     seed = config.base_seed
     waits = trajectory_rng(seed, 0, Stream.SSA_WAITS)  # re-keyed every path
     choices = trajectory_rng(seed, 0, Stream.SSA_CHOICES)
     rekey_waits = _rekeyer(Stream.SSA_WAITS)
     rekey_choices = _rekeyer(Stream.SSA_CHOICES)
     budget = _SSA_EVENT_BUDGET
-    first = min(_SSA_CHUNK, budget)     # waiting times of the first chunk
-    # the head's floats hold the path loop's ints while no count, nor a
-    # rate's factor count - k, can reach 2**53 within the first chunk
-    moves = max(abs(d) for _, change, _ in channels for d in change)
-    reach = max(init) + first * moves + max(
-        max(stoich) for stoich, _, _ in channels)
-    count = config.trajectories
-    tails = [(j, init, 0.0, 0, 0) for j in range(count)]
-    if count >= _LOCKSTEP_MIN and reach < 2 ** 53:
-        exps = np.empty((count, first))
-        unis = np.empty((count, first))
-        for j in range(count):
+
+    own = {}        # path: its own pair of streams, past _SSA_OWN chunks
+
+    def streams(j, drawn):
+        """Path j's streams of waiting times and choices at their value
+        drawn: the shared pair re-keyed or, from chunk _SSA_OWN on
+        (counting from 0), a pair of its own, read past the values before.
+        Its own pair, once made, is read in order and so is at drawn."""
+        if j in own:
+            return own[j]
+        if drawn < _SSA_OWN * _SSA_CHUNK:
             rekey_waits(waits.bit_generator, seed, j)
             rekey_choices(choices.bit_generator, seed, j)
-            waits.standard_exponential(out=exps[j])
-            choices.random(out=unis[j])
-        tails = _lockstep_head(
-            _compile_ssa_sums(channels, n),
-            np.array([change for _, change, _ in channels],
-                     dtype=np.float64).T, init, times, exps, unis,
-            paths.reshape(-1, n))
-    for j, state, t, g, k in tails:
-        rekey_waits(waits.bit_generator, seed, j)
-        rekey_choices(choices.bit_generator, seed, j)
+            pair = waits, choices
+        else:
+            pair = own[j] = (trajectory_rng(seed, j, Stream.SSA_WAITS),
+                             trajectory_rng(seed, j, Stream.SSA_CHOICES))
+        if drawn:
+            pair[0].standard_exponential(drawn)
+            pair[1].random(drawn)
+        return pair
+
+    def draw(ids, start, exps, unis):
+        """The values from start on of paths ids' streams, into their rows
+        of exps and unis."""
+        for j in ids.tolist():
+            path_waits, path_choices = streams(j, start)
+            path_waits.standard_exponential(out=exps[j])
+            path_choices.random(out=unis[j])
+
+    # the head's floats hold the path loop's ints while no count, nor a
+    # rate's factor count - k, can reach 2**53: for horizon events
+    moves = max(abs(d) for _, change, _ in channels for d in change)
+    slack = 2 ** 53 - 1 - max(init) - max(
+        max(stoich) for stoich, _, _ in channels)
+    horizon = min(budget, slack // max(moves, 1))
+    tails = [(j, init, 0.0, 0, 0, 0, [], []) for j in range(count)]
+    if count >= _LOCKSTEP_MIN and horizon > 0 and all(
+            value >= 0 for _, _, value in channels):
+        tails = _lockstep_head(channels, init, times, paths.reshape(-1, n),
+                               draw, horizon)
+    for j, state, t, g, k, drawn, exp_buf, uni_buf in tails:
+        path_waits, path_choices = streams(j, drawn)
         rows[j, g * n:] = sample_path(
-            j, state, t, g, k, waits.standard_exponential(first).tolist(),
-            choices.random(_SSA_CHUNK).tolist(), grid,
-            waits.standard_exponential, choices.random, budget)
+            j, state, t, g, k, drawn, exp_buf, uni_buf, grid,
+            path_waits.standard_exponential, path_choices.random, budget)
     return TrajectoryEnsemble(engine=Engine.SSA, species=scheme.species,
                               times=times, paths=paths,
-                              clamp_events=np.zeros(config.trajectories,
-                                                    dtype=np.int64))
+                              clamp_events=np.zeros(count, dtype=np.int64))
 
 
 def check_trajectory_count(count: int) -> None:

@@ -37,8 +37,7 @@ from onestep.sim import (_PSD_LONE_FLOOR, _PSD_SQRT_TOL, _PSD_TOL,
                          _em_step_source, _entry_rows, _rekey,
                          _semidefinite_factor, _ssa_leaves,
                          _ssa_path_source, _ssa_rate_lines,
-                         _grid_step_indices, _lockstep_choice,
-                         _require_finite)
+                         _grid_step_indices, _require_finite)
 from onestep.cli import _compared_entries
 import onestep.sim as sim_module
 from helpers import (CHECK_STATES, EM_NORMALS, EM_REDRAWS, LOTKA_VOLTERRA,
@@ -1309,7 +1308,15 @@ class _ReferenceEmStepper:
                               f"positive semidefinite: {exc}") from None
         if self.n == 1:
             return np.sqrt(np.clip(bmat[:, 0], 0.0, None)) * eps
-        return np.einsum("tij,tj->ti", root, eps)
+        # row i is 0.0 + L_i0 e_0 + ... + L_ii e_i, added left to right;
+        # einsum's order depends on the stack's shape and strides
+        out = np.empty(eps.shape)
+        for i in range(self.n):
+            z = 0.0
+            for j in range(i + 1):
+                z = z + root[:, i, j] * eps[:, j]
+            out[:, i] = z
+        return out
 
 
 # overflow is not reported as it happens: it leaves a non-finite state (a
@@ -1596,6 +1603,16 @@ class TestEnginesMatchReference:
            sign=st.sampled_from(list(DiffusionSign)),
            noise=st.sampled_from(list(NoiseStrategy)),
            policy=st.sampled_from(list(NegativePolicy)))
+    # a dense 3-species B whose rejected steps are redrawn one path at a
+    # time: einsum summed those (1, 3, 3) stacks in another order
+    @example(seed=7969, rates=[0.5, 0.5, 0.0, 0.0], initial=[3], base_seed=0,
+             mode=RateMode.FOKKER_PLANCK, sign=DiffusionSign.DIFFERENCE,
+             noise=NoiseStrategy.MATRIX_SQRT,
+             policy=NegativePolicy.REJECT_STEP)
+    @example(seed=1243, rates=[0.5], initial=[3], base_seed=27,
+             mode=RateMode.EXACT, sign=DiffusionSign.DIFFERENCE,
+             noise=NoiseStrategy.MATRIX_SQRT,
+             policy=NegativePolicy.REJECT_STEP)
     def test_euler_maruyama(self, seed, rates, initial, base_seed, mode,
                             sign, noise, policy):
         scheme, values, state = _random_case(seed, rates, initial)
@@ -1677,12 +1694,16 @@ class TestJumpSamplerParts:
         k = bisect.bisect_right(partial, target)
         assert namespace["choose"](target, *partial) == \
             (k if k % 3 else None)
-        # the lockstep head's choice, for three paths at once (one
-        # channel: the leaf 0 for every path); the last sum, the total,
-        # is never compared
-        sums = [np.full(3, c) for c in partial] + [np.zeros(3)]
-        chosen = _lockstep_choice(np.full(3, target), sums, 0, count - 1)
-        assert np.array_equal(np.broadcast_to(chosen, 3), np.full(3, k))
+        # the lockstep head's choice, for three paths at once: the count
+        # of running sums before the total (never compared) that are <=
+        # target, which is bisect_right's on nondecreasing sums, ties,
+        # -0.0 and inf included (one channel: 0 for every path)
+        if math.isnan(target):
+            return
+        ordered = sorted(c for c in partial if not math.isnan(c))
+        sums = np.array([*ordered, 0.0])[:, None].repeat(3, 1)
+        chosen = (sums[:-1] <= np.full(3, target)).sum(0)
+        assert chosen.tolist() == [bisect.bisect_right(ordered, target)] * 3
 
     @pytest.mark.parametrize("stream", list(Stream))
     @pytest.mark.parametrize("base_seed, index", [
@@ -1850,19 +1871,29 @@ def _same_bits(scheme, config) -> bool:
     return np.array_equal(new, old)
 
 
+def _taken(tail) -> int:
+    """The events a path took in the lockstep head: the values drawn
+    before its last chunk, plus its index k in that chunk."""
+    j, state, t, g, k, drawn, exp_buf, uni_buf = tail
+    assert len(exp_buf) == len(uni_buf) and 0 <= k <= len(exp_buf)
+    return drawn - len(exp_buf) + k
+
+
 def _head_stop(tails):
     """Why a lockstep head that handed every path over at one event
-    stopped: the count of events in its chunk, or too few active paths."""
-    [k] = {k for *_, k in tails}
+    stopped: too few active paths, or else the count of events it took
+    (its horizon: the budget, or where a count could reach 2**53)."""
+    [taken] = {_taken(tail) for tail in tails}
     if len(tails) < sim_module._LOCKSTEP_MIN:
         return "too few paths"
-    return k
+    return taken
 
 
 @pytest.fixture
 def heads(monkeypatch):
     """The tails each lockstep head handed to the path loop: (j, state, t,
-    g, k) per path that did not finish in the head."""
+    g, k, drawn, exp_buf, uni_buf) per path that did not finish in the
+    head."""
     calls = []
     head = sim_module._lockstep_head
 
@@ -1874,10 +1905,38 @@ def heads(monkeypatch):
 
 
 class TestLockstepHead:
-    """The lockstep head advances all paths through their first chunk of
-    draws together and hands the rest to the path loop; every path keeps
+    """The lockstep head advances all paths together, chunk of draws after
+    chunk of draws, and hands the rest to the path loop; every path keeps
     the bits of the path loop alone (scalar_gillespie_ssa), and every
     error its message."""
+
+    @given(seed=st.integers(0, 10 ** 9), rates=_rate_values,
+           initial=_initial_values, base_seed=st.integers(0, 2 ** 64 - 1),
+           t_final=st.sampled_from([0.05, 0.5, 2.0]),
+           chunk=st.sampled_from([1, 3, 7, 64]),
+           count=st.integers(1, 6))
+    # 3 x <-> 0 and y -> 0: channels of 3, 0 and 1 factors, two species
+    @example(seed=7, rates=[1.0, 2.0, 0.5], initial=[4, 2], base_seed=1,
+             t_final=2.0, chunk=3, count=4)
+    # eight channels of 0 to 4 factors, one of them consuming nothing
+    @example(seed=63, rates=[0.1, 0.3], initial=[5, 3], base_seed=2,
+             t_final=0.5, chunk=7, count=5)
+    @example(seed=20, rates=[2.0], initial=[6], base_seed=0,  # budget
+             t_final=2.0, chunk=64, count=3)
+    def test_random_schemes_across_chunks(self, seed, rates, initial,
+                                          base_seed, t_final, chunk, count):
+        """Every path runs in the head until it ends, hands over or runs
+        into the budget, through chunks of 1 to 64 draws."""
+        scheme, values, state = _random_case(seed, rates, initial)
+        config = SimConfig(rates=values, initial_state=state,
+                           t_final=t_final, trajectories=count,
+                           base_seed=base_seed, grid_points=7)
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (sim_module, sys.modules["helpers"]):
+                mp.setattr(module, "_SSA_EVENT_BUDGET", 4001)
+            mp.setattr(sim_module, "_LOCKSTEP_MIN", 0)
+            mp.setattr(sim_module, "_SSA_CHUNK", chunk)
+            assert _same_bits(scheme, config)
 
     @pytest.mark.parametrize("least", [None, 0, "more"])
     @pytest.mark.parametrize("name", list(_PERFBENCH))
@@ -1895,7 +1954,7 @@ class TestLockstepHead:
             # with events taken
             [tails] = heads
             assert len(tails) < config.trajectories or \
-                any(k for *_, k in tails)
+                any(map(_taken, tails))
 
     @pytest.mark.parametrize("chunk", [1, 3, 64, 1000])
     @pytest.mark.parametrize("name", list(_PERFBENCH))
@@ -1903,8 +1962,12 @@ class TestLockstepHead:
         monkeypatch.setattr(sim_module, "_SSA_CHUNK", chunk)
         scheme, config = _perfbench_case(name, base_seed=6)
         assert _same_bits(scheme, config)
+        # the head runs chunk after chunk until too few paths are left,
+        # and hands each over within its chunk of draws
         [tails] = heads
-        assert _head_stop(tails) in (chunk, "too few paths")
+        assert _head_stop(tails) == "too few paths"
+        assert all(tail[5] % chunk == 0 and len(tail[6]) == chunk
+                   for tail in tails)
 
     def test_absorbed_in_the_head(self, monkeypatch, heads):
         monkeypatch.setattr(sim_module, "_LOCKSTEP_MIN", 0)
@@ -1937,7 +2000,7 @@ class TestLockstepHead:
                            trajectories=8, base_seed=3, grid_points=20)
         assert _same_bits(scheme, config)
         [tails] = heads
-        assert {k for *_, k in tails} == {taken}
+        assert set(map(_taken, tails)) == {taken}
 
     def test_counts_near_2_53_skip_the_head(self, monkeypatch, heads):
         """Beyond 2**53 the path loop's ints and float64 part: x + 1 from
@@ -1952,15 +2015,20 @@ class TestLockstepHead:
         assert gillespie_ssa(scheme, config).paths[:, -1].max() > 2 ** 53
 
     def test_two_trajectories(self, monkeypatch, heads):
-        # both paths leave the head together, with states of two species
+        """Both paths leave the head together at its horizon, two chunks
+        of draws: x - 1 may reach 2**53 - 2 after 128 events, not after
+        129.  They leave with states of two species, and the path loop
+        takes x on past 2**53 in ints."""
         monkeypatch.setattr(sim_module, "_LOCKSTEP_MIN", 0)
-        scheme, config = _perfbench_case("lotka-volterra")
-        config = SimConfig(rates=config.rates, initial_state=(20, 20),
-                           t_final=5.0, trajectories=2, base_seed=7,
-                           grid_points=10)
+        scheme = parse_scheme("x -> 2 x @ k\ny -> 0 @ d\n")
+        config = SimConfig(rates={rate("k"): 2.0 ** -53, rate("d"): 0.01},
+                           initial_state=(2 ** 53 - 130, 5), t_final=300.0,
+                           trajectories=2, base_seed=7, grid_points=10)
         assert _same_bits(scheme, config)
         [tails] = heads
-        assert [(j, k) for j, *_, k in tails] == [(0, 64), (1, 64)]
+        assert [(j, k, drawn) for j, _, _, _, k, drawn, *_ in tails] == \
+            [(0, 64, 128), (1, 64, 128)]
+        assert gillespie_ssa(scheme, config).paths[:, -1, 0].min() > 2 ** 53
 
     @pytest.mark.parametrize("budget", [1, 10, 63])
     def test_budget_below_the_chunk(self, monkeypatch, heads, budget):
@@ -1974,6 +2042,36 @@ class TestLockstepHead:
         assert new == _bits(scalar_gillespie_ssa, scheme, config)
         [tails] = heads
         assert _head_stop(tails) in (budget, "too few paths")
+
+    def test_budget_past_the_first_chunk(self, monkeypatch, heads):
+        """At a budget of 100 the head takes its second chunk of 64 cut
+        short to 36 draws, stops there, and the path loop raises for the
+        first trajectory that needs more, at the same t."""
+        for module in (sim_module, sys.modules["helpers"]):
+            monkeypatch.setattr(module, "_SSA_EVENT_BUDGET", 100)
+        scheme, config = _perfbench_case("ring8")
+        new = _bits(gillespie_ssa, scheme, config)
+        assert new[0] == "SimulationError"
+        assert new == _bits(scalar_gillespie_ssa, scheme, config)
+        [tails] = heads
+        assert _head_stop(tails) == 100
+        assert {(tail[5], len(tail[6])) for tail in tails} == {(100, 36)}
+
+    def test_negative_rate_values_skip_the_head(self, monkeypatch, heads):
+        """The head's count choice needs nondecreasing sums; rates of -3
+        make them fall (5, 2, 3), where bisect's tree picks channel 2
+        above 2.  A negative rate value, which SimConfig refuses but a
+        mapping changed after it can hold, runs no head iteration."""
+        monkeypatch.setattr(sim_module, "_LOCKSTEP_MIN", 0)
+        scheme = parse_scheme("0 -> x @ a\n0 -> y @ b\n0 -> z @ c\n")
+        values = {rate("a"): 5.0, rate("b"): 3.0, rate("c"): 1.0}
+        config = SimConfig(rates=values, initial_state=(0, 0, 0),
+                           t_final=2.0, trajectories=4, base_seed=3,
+                           grid_points=5)
+        values[rate("b")] = -3.0
+        assert _same_bits(scheme, config)
+        assert heads == []
+        assert gillespie_ssa(scheme, config).paths[:, -1, 2].any()
 
     def test_event_at_the_last_grid_time(self, monkeypatch, heads):
         """An event at exactly a grid time is not stored there (due < t
