@@ -43,9 +43,10 @@ _SSA_LEAF_RATES = 16    # rates one event may recompute; an event that would
 _SSA_EVENT_BUDGET = 2 ** 21    # jump events of one path; the most any test,
                                # demo or benchmark workload takes is 13,412
 _LOCKSTEP_MIN = 96      # active paths below which the jump sampler's
-                        # lockstep head hands its paths to the path loop: on
-                        # three channels a head iteration costs about what
-                        # 90 events of the path loop cost
+                        # lockstep head hands its paths to the path loop, at
+                        # the end of a chunk of draws: on three channels a
+                        # head iteration costs about what 90 events of the
+                        # path loop cost
 _PSD_TOL = 1e-9
 # a lone pivot below this is below -_PSD_TOL * (1 + |pivot|)
 _PSD_LONE_FLOOR = -_PSD_TOL / (1.0 - _PSD_TOL)
@@ -662,6 +663,16 @@ def _retry_step(stepper: _EmStepper, state: np.ndarray,
         "the step size is likely too large for this state")
 
 
+def _rate_factors(channels) -> list[list[tuple[int, int]]]:
+    """Each channel's rate factors x_i - k as (i, k), in the order its rate
+    multiplies them after its value: species by species, k = 0 ... m_i - 1
+    for m_i of species i in the channel's complex.  _ssa_rate_lines and
+    _rate_table both read this order, so the path loop and the lockstep
+    head give each rate the same bits."""
+    return [[(i, k) for i, m in enumerate(stoich) for k in range(m)]
+            for stoich, _, _ in channels]
+
+
 def _ssa_rate_lines(channels) -> list[str]:
     """The jump sampler's rate statements at the state x0, x1, ...: first
     r{c} = <rate product> for each channel c, one statement per channel,
@@ -675,12 +686,11 @@ def _ssa_rate_lines(channels) -> list[str]:
     (one factor is exactly zero), so the rates need no feasibility guards.
     """
     lines = []
-    for c, (stoich, _, value) in enumerate(channels):
-        factors = [repr(float(value))]
-        for i in [i for i, m in enumerate(stoich) if m]:
-            for k in range(stoich[i]):
-                factors.append(f"x{i}" if k == 0 else f"(x{i}-{k})")
-        lines.append(f"r{c} = {'*'.join(factors)}")
+    for c, ((_, _, value), factors) in enumerate(
+            zip(channels, _rate_factors(channels))):
+        terms = [repr(float(value)),
+                 *(f"(x{i}-{k})" if k else f"x{i}" for i, k in factors)]
+        lines.append(f"r{c} = {'*'.join(terms)}")
     lines += [f"c{c} = c{c - 1} + r{c}" if c else "c0 = r0"
               for c in range(len(channels))]
     return lines
@@ -728,20 +738,19 @@ def _choice_tree(leaves: Sequence[Sequence[str]], lo: int, hi: int,
             *_choice_tree(leaves, mid + 1, hi, inner)]
 
 
-# The jump sampler's loop over one path; _ssa_path_source fills in the
-# state's locals x0, x1, ... (row, store), the channels' rates (rates),
-# their running sums (sums, total) and the choice of channel (choice).
+# The jump sampler's loop over one path, from value drawn of its streams
+# on (0 at a path's start, else where the lockstep head handed it over);
+# _ssa_path_source fills in the state's locals x0, x1, ... (row, store),
+# the channels' rates (rates), their running sums (sums, total) and the
+# choice of channel (choice).
 # The outer loop computes every rate: at the start of the path and after
 # a leaf that breaks; the other leaves recompute the rates they change.
 _SSA_PATH = """\
-def sample_path(j, state, t, g, k, drawn, exp_buf, uni_buf, grid,
-                exponential, uniform, budget):
+def sample_path(j, state, t, g, drawn, grid, exponential, uniform, budget):
     {row}= state
-    # the next value (ei, ui) of each chunk of draws (ecount, ucount
-    # values); drawn counts the waiting times drawn
-    ei = ui = k
-    ecount = len(exp_buf)
-    ucount = len(uni_buf)
+    # value i of the current chunks of count waiting times and choices;
+    # drawn counts the values read from each stream
+    i = count = 0
     g_count = len(grid)
     due = grid[g]
     rows = []
@@ -754,18 +763,19 @@ def sample_path(j, state, t, g, k, drawn, exp_buf, uni_buf, grid,
             if total <= 0.0:
                 t = inf             # absorbed: the state holds forever
             else:
-                if ei == ecount:
+                if i == count:
                     if drawn >= budget:
                         raise SimulationError(
                             f"trajectory {{j}} used up its budget of "
                             f"{{budget}} jump events at t = {{t!r}}: "
-                            "the model may blow up in finite time")
-                    ecount = min({chunk}, budget - drawn)
-                    exp_buf = exponential(ecount).tolist()
-                    drawn += ecount
-                    ei = 0
-                t += exp_buf[ei] / total
-                ei += 1
+                            "the model may blow up in finite time, or t_final "
+                            "needs more jump events than the budget")
+                    count = min({chunk}, budget - drawn)
+                    waits = exponential(count).tolist()
+                    choices = uniform(count).tolist()
+                    drawn += count
+                    i = 0
+                t += waits[i] / total
             # the last grid time is t_final, so an event past it ends the
             # path
             while due < t:
@@ -774,12 +784,8 @@ def sample_path(j, state, t, g, k, drawn, exp_buf, uni_buf, grid,
                 if g == g_count:
                     return rows
                 due = grid[g]
-            if ui == ucount:
-                uni_buf = uniform({chunk}).tolist()
-                ucount = {chunk}
-                ui = 0
-            target = uni_buf[ui] * total
-            ui += 1
+            target = choices[i] * total
+            i += 1
 {choice}
 """
 
@@ -801,9 +807,9 @@ def _ssa_path_source(channels, n: int) -> str:
 
 def _compile_ssa_path(channels, n: int):
     """Generate the jump sampler's loop over one path as one function
-    sample_path(j, state, t, g, k, drawn, exp_buf, uni_buf, grid,
-    exponential, uniform, budget) -> rows, which finishes path j: at time
-    t, in state (Python ints), with grid times g on stored.
+    sample_path(j, state, t, g, drawn, grid, exponential, uniform, budget)
+    -> rows, which finishes path j: at time t, in state (Python ints),
+    with grid times g on stored, and its streams read up to value drawn.
 
     The state is held in the locals x0, ..., x{n-1} and each channel's
     rate in r0, r1, ... (the statements of _ssa_rate_lines).  Each event
@@ -815,12 +821,10 @@ def _compile_ssa_path(channels, n: int):
     bits, so every sum, and so every path, is the one that recomputing
     every rate at every event gives.  At every grid time the path passes,
     the state's coordinates are appended to rows, one flat list.  Waiting
-    times and choices are read from value k on of the current chunks
-    exp_buf and uni_buf (both empty at a path's start), which end at value
-    drawn of their streams; later chunks of _SSA_CHUNK come from
-    exponential(c) and uniform(c) when the path needs the next value (no
-    value depends on the chunk size); waiting time budget + 1 raises
-    SimulationError.
+    times and choices come in chunks of min(_SSA_CHUNK, budget - drawn)
+    from exponential(c) and uniform(c), drawn together when the path
+    needs its next waiting time (no value depends on the chunk size);
+    waiting time budget + 1 raises SimulationError.
     """
     return _compile(_ssa_path_source(channels, n), "sample_path",
                     {"inf": math.inf, "SimulationError": SimulationError})
@@ -840,8 +844,7 @@ def _rate_table(channels, init):
     product, left to right; times 1.0 every value keeps its bits, NaN and
     inf included."""
     n = len(init)
-    factors = [[(i, k) for i, m in enumerate(stoich) if m
-                for k in range(m)] for stoich, _, _ in channels]
+    factors = _rate_factors(channels)
     shifted = sorted({f for fs in factors for f in fs if f[1]})
     depth = max(1, *map(len, factors))
     rows = [*((i, 0) for i in range(n)), *shifted]
@@ -862,7 +865,7 @@ def _rate_table(channels, init):
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _lockstep_head(channels, init, times: np.ndarray, flat: np.ndarray,
-                   draw, horizon: int) -> list[tuple]:
+                   draw, horizon: int) -> tuple[list[tuple], int]:
     """Advance every path together, one event per path and iteration, as
     the path loop would: the rates of _rate_table's bank, their running
     sums, the waiting time e / total (inf where the total is <= 0:
@@ -876,14 +879,15 @@ def _lockstep_head(channels, init, times: np.ndarray, flat: np.ndarray,
     chunks of _SSA_CHUNK, the last one cut short at the horizon:
     draw(ids, start, waits, choices) fills rows ids of the (trajectories,
     take) arrays waits and choices with values start ... start + take - 1
-    of those paths' streams.  A path leaves once it
-    passes the last grid time; one whose total is not finite leaves at
-    that event for the path loop, as do all paths left when fewer than
-    _LOCKSTEP_MIN remain or the horizon is reached.  Returns each of those
-    as (j, state, t, g, k, drawn, exp_buf, uni_buf): its state as Python
-    ints, time, next grid row, the index k of its next event in the
-    current chunks exp_buf and uni_buf (lists), and drawn, the values of
-    each stream read up to their end, in trajectory order.
+    of those paths' streams.  A path leaves once it passes the last grid
+    time; one whose total is not finite leaves at that event for the path
+    loop.  The head stops only where a chunk would start: at the horizon,
+    or when fewer than _LOCKSTEP_MIN paths are active, and hands the paths
+    left to the path loop there.  Returns (tails, end): end, the values
+    each stream of a path has read when the last chunk ends, and tails,
+    (j, state, t, g, drawn) per path handed over, in trajectory order: its
+    state as Python ints, time, next grid row and drawn, the values of
+    each stream it has used (end, unless its total was not finite).
 
     The running sums are nondecreasing: the rate values are >= 0 and a
     rate with a factor x_i - k < 0 has the factor 0 too, so a finite total
@@ -906,17 +910,15 @@ def _lockstep_head(channels, init, times: np.ndarray, flat: np.ndarray,
     rates = np.empty((0, 0))
 
     def leave(out):
-        js = ids[out]
-        tails.extend(zip(js.tolist(), bank[:n, out].T.astype(np.int64)
+        tails.extend(zip(ids[out].tolist(), bank[:n, out].T.astype(np.int64)
                          .tolist(), t[out].tolist(),
                          (at[out] - base[out]).tolist(),
-                         [k] * len(js), [start + take] * len(js),
-                         exps[js, :take].tolist(), unis[js, :take].tolist()))
+                         [start + k] * len(out)))
 
-    while len(ids) >= max(_LOCKSTEP_MIN, 1):
+    while len(ids):
         if k == take:
             following = min(_SSA_CHUNK, horizon - start - take)
-            if following <= 0:
+            if following <= 0 or len(ids) < _LOCKSTEP_MIN:
                 break
             start, take, k = start + take, following, 0
             draw(ids, start, exps[:, :take], unis[:, :take])
@@ -965,7 +967,7 @@ def _lockstep_head(channels, init, times: np.ndarray, flat: np.ndarray,
         flat[rows[0]:] = flat.take(rows, 0).repeat(
             np.diff(rows, append=len(flat)), 0)
     tails.sort()
-    return tails
+    return tails, start + take
 
 
 def integer_initial_state(initial_state: Sequence[float]) -> list[int]:
@@ -992,9 +994,10 @@ def gillespie_ssa(scheme: InteractionScheme,
     With at least _LOCKSTEP_MIN trajectories, rate values >= 0 and counts
     that cannot reach 2**53 at the first event, _lockstep_head runs the
     paths together, chunk of draws after chunk of draws, for as many
-    events as the budget and that bound allow; the paths it hands over,
-    or all of them, finish in sample_path in trajectory order, each on
-    its streams read past the values the head took.  Only the number of
+    events as the budget and that bound allow.  The paths it hands over,
+    at the end of a chunk or, where a total is not finite, within one, or
+    all of them, finish in sample_path in trajectory order, each on its
+    streams read past the values it used.  Only the number of
     active paths, the rate values, the budget and that bound choose
     between the two, and no bit of any path depends on the choice.
     """
@@ -1026,7 +1029,8 @@ def gillespie_ssa(scheme: InteractionScheme,
         """Path j's streams of waiting times and choices at their value
         drawn: the shared pair re-keyed or, from chunk _SSA_OWN on
         (counting from 0), a pair of its own, read past the values before.
-        Its own pair, once made, is read in order and so is at drawn."""
+        Its own pair, once made, is read in order and so is at drawn,
+        unless the path left the head within a chunk, which drops it."""
         if j in own:
             return own[j]
         if drawn < _SSA_OWN * _SSA_CHUNK:
@@ -1055,16 +1059,18 @@ def gillespie_ssa(scheme: InteractionScheme,
     slack = 2 ** 53 - 1 - max(init) - max(
         max(stoich) for stoich, _, _ in channels)
     horizon = min(budget, slack // max(moves, 1))
-    tails = [(j, init, 0.0, 0, 0, 0, [], []) for j in range(count)]
+    tails, end = [(j, init, 0.0, 0, 0) for j in range(count)], 0
     if count >= _LOCKSTEP_MIN and horizon > 0 and all(
             value >= 0 for _, _, value in channels):
-        tails = _lockstep_head(channels, init, times, paths.reshape(-1, n),
-                               draw, horizon)
-    for j, state, t, g, k, drawn, exp_buf, uni_buf in tails:
+        tails, end = _lockstep_head(channels, init, times,
+                                    paths.reshape(-1, n), draw, horizon)
+    for j, state, t, g, drawn in tails:
+        if drawn != end:        # it left within a chunk: an own pair
+            own.pop(j, None)    # was read past drawn, to end
         path_waits, path_choices = streams(j, drawn)
         rows[j, g * n:] = sample_path(
-            j, state, t, g, k, drawn, exp_buf, uni_buf, grid,
-            path_waits.standard_exponential, path_choices.random, budget)
+            j, state, t, g, drawn, grid, path_waits.standard_exponential,
+            path_choices.random, budget)
     return TrajectoryEnsemble(engine=Engine.SSA, species=scheme.species,
                               times=times, paths=paths,
                               clamp_events=np.zeros(count, dtype=np.int64))

@@ -579,7 +579,8 @@ def sample_path(j, init, grid, exponential, uniform, budget):
                         raise SimulationError(
                             f"trajectory {{j}} used up its budget of "
                             f"{{budget}} jump events at t = {{t!r}}: "
-                            "the model may blow up in finite time")
+                            "the model may blow up in finite time, or t_final "
+                            "needs more jump events than the budget")
                     ecount = min({chunk}, budget - drawn)
                     exp_buf = exponential(ecount).tolist()
                     drawn += ecount

@@ -1480,7 +1480,8 @@ def _reference_gillespie_ssa(scheme: InteractionScheme,
                 raise SimulationError(
                     f"trajectory {j} used up its budget of "
                     f"{_SSA_EVENT_BUDGET} jump events at t = {t!r}: "
-                    "the model may blow up in finite time")
+                    "the model may blow up in finite time, or t_final "
+                    "needs more jump events than the budget")
             events += 1
             t_next = t + waits.standard_exponential() / total
             while g < g_count and grid[g] < t_next:
@@ -1871,35 +1872,28 @@ def _same_bits(scheme, config) -> bool:
     return np.array_equal(new, old)
 
 
-def _taken(tail) -> int:
-    """The events a path took in the lockstep head: the values drawn
-    before its last chunk, plus its index k in that chunk."""
-    j, state, t, g, k, drawn, exp_buf, uni_buf = tail
-    assert len(exp_buf) == len(uni_buf) and 0 <= k <= len(exp_buf)
-    return drawn - len(exp_buf) + k
-
-
 def _head_stop(tails):
     """Why a lockstep head that handed every path over at one event
-    stopped: too few active paths, or else the count of events it took
-    (its horizon: the budget, or where a count could reach 2**53)."""
-    [taken] = {_taken(tail) for tail in tails}
+    stopped: too few active paths (none, if it finished every path), or
+    else the count of events it took (its horizon: the budget, or where a
+    count could reach 2**53)."""
     if len(tails) < sim_module._LOCKSTEP_MIN:
         return "too few paths"
+    [taken] = {drawn for *_, drawn in tails}
     return taken
 
 
 @pytest.fixture
 def heads(monkeypatch):
     """The tails each lockstep head handed to the path loop: (j, state, t,
-    g, k, drawn, exp_buf, uni_buf) per path that did not finish in the
-    head."""
+    g, drawn) per path that did not finish in the head."""
     calls = []
     head = sim_module._lockstep_head
 
     def spy(*args):
-        calls.append(head(*args))
-        return calls[-1]
+        tails, end = head(*args)
+        calls.append(tails)
+        return tails, end
     monkeypatch.setattr(sim_module, "_lockstep_head", spy)
     return calls
 
@@ -1954,7 +1948,7 @@ class TestLockstepHead:
             # with events taken
             [tails] = heads
             assert len(tails) < config.trajectories or \
-                any(map(_taken, tails))
+                any(drawn for *_, drawn in tails)
 
     @pytest.mark.parametrize("chunk", [1, 3, 64, 1000])
     @pytest.mark.parametrize("name", list(_PERFBENCH))
@@ -1962,12 +1956,12 @@ class TestLockstepHead:
         monkeypatch.setattr(sim_module, "_SSA_CHUNK", chunk)
         scheme, config = _perfbench_case(name, base_seed=6)
         assert _same_bits(scheme, config)
-        # the head runs chunk after chunk until too few paths are left,
-        # and hands each over within its chunk of draws
+        # the head runs chunk after chunk until too few paths are left at
+        # a chunk's start, and hands each over at the end of the chunk
+        # before, or finishes every path
         [tails] = heads
         assert _head_stop(tails) == "too few paths"
-        assert all(tail[5] % chunk == 0 and len(tail[6]) == chunk
-                   for tail in tails)
+        assert all(drawn % chunk == 0 for *_, drawn in tails)
 
     def test_absorbed_in_the_head(self, monkeypatch, heads):
         monkeypatch.setattr(sim_module, "_LOCKSTEP_MIN", 0)
@@ -2000,7 +1994,46 @@ class TestLockstepHead:
                            trajectories=8, base_seed=3, grid_points=20)
         assert _same_bits(scheme, config)
         [tails] = heads
-        assert set(map(_taken, tails)) == {taken}
+        assert {drawn for *_, drawn in tails} == {taken}
+
+    def test_overflow_after_own_streams(self, monkeypatch, heads):
+        """Past _SSA_OWN chunks a path in the head reads a pair of streams
+        of its own, to the end of each chunk.  At y = 64 the rate of
+        64 y -> 0 is inf and the path leaves within its chunk; the path
+        loop takes that last channel, and from y = 0 on its draws count
+        again, read from the value the path left at."""
+        monkeypatch.setattr(sim_module, "_LOCKSTEP_MIN", 0)
+        scheme = parse_scheme("0 -> y @ a\n0 -> x @ c\nx -> 0 @ b\n"
+                              "64 y -> 0 @ h\n")
+        # 1e220 * 63! is below the largest float, 1e220 * 64! above it
+        config = SimConfig(rates={rate("a"): 1.0, rate("c"): 4.0,
+                                  rate("b"): 1.0, rate("h"): 1e220},
+                           initial_state=(0, 0), t_final=100.0,
+                           trajectories=4, base_seed=0, grid_points=20)
+        assert _same_bits(scheme, config)
+        [tails] = heads
+        assert len(tails) == 4 and all(
+            drawn > sim_module._SSA_OWN * sim_module._SSA_CHUNK
+            for *_, drawn in tails)
+
+    def test_tie_in_the_count_choice(self, monkeypatch):
+        """u * total equal to a running sum picks the channel after it
+        (bisect_right, as _choice_tree does): two channels of rate 1.0
+        and every choice 0.5 give u * total = c0, so channel 1 fires at
+        every event."""
+        monkeypatch.setattr(sim_module, "_LOCKSTEP_MIN", 0)
+
+        def draw(ids, start, waits, choices):
+            waits[...] = 1.0
+            choices[...] = 0.5
+        channels = _channels("0 -> x @ a\n0 -> y @ b\n")
+        # events at t = 0.5, 1.0 and 1.5; the one at 1.0 is not stored
+        # at grid time 1.0
+        flat = np.zeros((2 * 3, 2))
+        tails, end = sim_module._lockstep_head(
+            channels, [0, 0], np.linspace(0.0, 1.0, 3), flat, draw, 1000)
+        assert (tails, end) == ([], 64)
+        assert flat.tolist() == [[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]] * 2
 
     def test_counts_near_2_53_skip_the_head(self, monkeypatch, heads):
         """Beyond 2**53 the path loop's ints and float64 part: x + 1 from
@@ -2026,8 +2059,7 @@ class TestLockstepHead:
                            trajectories=2, base_seed=7, grid_points=10)
         assert _same_bits(scheme, config)
         [tails] = heads
-        assert [(j, k, drawn) for j, _, _, _, k, drawn, *_ in tails] == \
-            [(0, 64, 128), (1, 64, 128)]
+        assert [(j, drawn) for j, *_, drawn in tails] == [(0, 128), (1, 128)]
         assert gillespie_ssa(scheme, config).paths[:, -1, 0].min() > 2 ** 53
 
     @pytest.mark.parametrize("budget", [1, 10, 63])
@@ -2045,8 +2077,8 @@ class TestLockstepHead:
 
     def test_budget_past_the_first_chunk(self, monkeypatch, heads):
         """At a budget of 100 the head takes its second chunk of 64 cut
-        short to 36 draws, stops there, and the path loop raises for the
-        first trajectory that needs more, at the same t."""
+        short to 36 draws, stops at its end, and the path loop raises for
+        the first trajectory that needs more, at the same t."""
         for module in (sim_module, sys.modules["helpers"]):
             monkeypatch.setattr(module, "_SSA_EVENT_BUDGET", 100)
         scheme, config = _perfbench_case("ring8")
@@ -2055,7 +2087,7 @@ class TestLockstepHead:
         assert new == _bits(scalar_gillespie_ssa, scheme, config)
         [tails] = heads
         assert _head_stop(tails) == 100
-        assert {(tail[5], len(tail[6])) for tail in tails} == {(100, 36)}
+        assert {drawn for *_, drawn in tails} == {100}
 
     def test_negative_rate_values_skip_the_head(self, monkeypatch, heads):
         """The head's count choice needs nondecreasing sums; rates of -3
