@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import types
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -138,6 +139,10 @@ class SimConfig:
             if _exact(sym, value) < 0:
                 raise SimConfigError(f"rate value for {sym!r} must be "
                                      f"nonnegative, got {value!r}")
+        # a read-only copy of the rates checked: a change to the caller's
+        # mapping reaches no engine
+        object.__setattr__(self, "rates", types.MappingProxyType(
+            dict(self.rates)))
         # -0.0 is read as 0.0, which every engine then writes alike
         object.__setattr__(self, "initial_state", tuple(
             0.0 if x == 0 else x for x in self.initial_state))
@@ -196,9 +201,11 @@ def _fixed_seed():
 
 
 def _rekeyer(domain: Stream):
-    """_rekey for one domain as rekey(bits, base_seed, index), which sets
-    the key of one state dict built here and assigns it: half the cost of
-    building the dict per call.  Each caller keeps its own."""
+    """rekey(bits, base_seed, index), which resets bits to the start of
+    trajectory_rng(base_seed, index, domain), for arguments that it
+    accepts: it sets the key of one state dict built here and assigns it,
+    half the cost of building the dict per call.  Each caller keeps its
+    own."""
     state = {"bit_generator": "Philox",
              "state": {"counter": [0, 0, 0, int(domain)], "key": [0, 0]},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4,
@@ -210,13 +217,6 @@ def _rekeyer(domain: Stream):
     return rekey
 
 
-def _rekey(bits: np.random.Philox, base_seed: int, index: int,
-           domain: Stream) -> None:
-    """Reset bits to the start of trajectory_rng(base_seed, index,
-    domain), for arguments that it accepts."""
-    _rekeyer(domain)(bits, base_seed, index)
-
-
 def trajectory_rng(base_seed: int, index: int,
                    domain: Stream) -> np.random.Generator:
     """The random stream of one consumer (domain) of trajectory index:
@@ -226,7 +226,7 @@ def trajectory_rng(base_seed: int, index: int,
     if not 0 <= index < 2 ** 64:
         raise ValueError("trajectory index must fit in 64 bits")
     bits = np.random.Philox(_fixed_seed())
-    _rekey(bits, base_seed, index, domain)
+    _rekeyer(domain)(bits, base_seed, index)
     return np.random.Generator(bits)
 
 
@@ -865,36 +865,41 @@ def _rate_table(channels, init):
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _lockstep_head(channels, init, times: np.ndarray, flat: np.ndarray,
-                   draw, horizon: int) -> tuple[list[tuple], int]:
+                   draw, budget: int) -> tuple[list[tuple], int]:
     """Advance every path together, one event per path and iteration, as
     the path loop would: the rates of _rate_table's bank, their running
     sums, the waiting time e / total (inf where the total is <= 0:
     absorbed), the grid rows the path passes, filled with its state, and
     the channel whose running sum first exceeds u * total.
 
-    The head takes at most horizon events: the event budget, or fewer
-    where a count could reach 2**53 (the states are float64 rows (n,
-    active), which hold the path loop's ints exactly below it).  flat is
-    the (trajectories * G, n) view of the paths.  The draws come in
-    chunks of _SSA_CHUNK, the last one cut short at the horizon:
+    flat is the (trajectories * G, n) view of the paths.  The draws come
+    in chunks of _SSA_CHUNK, the last one cut short at the event budget:
     draw(ids, start, waits, choices) fills rows ids of the (trajectories,
     take) arrays waits and choices with values start ... start + take - 1
     of those paths' streams.  A path leaves once it passes the last grid
-    time; one whose total is not finite leaves at that event for the path
-    loop.  The head stops only where a chunk would start: at the horizon,
-    or when fewer than _LOCKSTEP_MIN paths are active, and hands the paths
-    left to the path loop there.  Returns (tails, end): end, the values
-    each stream of a path has read when the last chunk ends, and tails,
-    (j, state, t, g, drawn) per path handed over, in trajectory order: its
-    state as Python ints, time, next grid row and drawn, the values of
-    each stream it has used (end, unless its total was not finite).
+    time.  Only where a chunk would start does the head decide whether
+    to run it, from x_i, the active paths' largest count of species i,
+    plus following * max|d| (following, the chunk's events; d, a
+    channel's change).  It runs the chunk unless it is at the budget,
+    fewer than _LOCKSTEP_MIN paths are active, a count could reach 2**53
+    (the states are float64 rows (n, active), which hold the path loop's
+    ints exactly below it), or sum_c value_c * prod_i max(1, x_i,
+    m_i)**m_i (m_i, the count of species i that channel c consumes)
+    reaches 2**1023: that sum bounds every rate and running sum, as
+    |x_i - k| <= max(x_i, m_i), so below it no total is inf or NaN.  Otherwise it hands every path left to the path loop.  Returns
+    (tails, end): end, the values each stream of a path has read when the
+    last chunk ends, and tails, (j, state, t, g) per path handed over, in
+    trajectory order: its state as Python ints, time and next grid row.
 
-    The running sums are nondecreasing: the rate values are >= 0 and a
-    rate with a factor x_i - k < 0 has the factor 0 too, so a finite total
-    leaves no rate negative or NaN.  So the count of sums before the last
-    that are <= u * total is bisect_right's choice and _choice_tree's."""
+    The running sums are nondecreasing and finite: the rate values are
+    >= 0 (SimConfig keeps the rates it checked), a rate with a factor
+    x_i - k < 0 has the factor 0 too, and the bound above holds.  So the
+    count of sums before the last that are <= u * total is bisect_right's
+    choice and _choice_tree's."""
     n = len(init)
     first, change, values, positions = _rate_table(channels, init)
+    stoich = np.array([m for m, _, _ in channels], dtype=np.float64)
+    moves, deepest = np.abs(change).max(), stoich.max()
     grid_count = len(times)
     ids = np.arange(len(flat) // grid_count)
     bank = first.repeat(len(ids), 1)
@@ -903,22 +908,21 @@ def _lockstep_head(channels, init, times: np.ndarray, flat: np.ndarray,
     at = base.copy()                # and its next one
     written = np.zeros(len(flat), dtype=bool)
     columns = list(flat.T)          # one strided view per species
-    tails = []
     # the chunk of draws start ... start + take - 1, at its value k
     start = take = k = 0
     exps, unis = np.empty((2, len(ids), _SSA_CHUNK))
     rates = np.empty((0, 0))
-
-    def leave(out):
-        tails.extend(zip(ids[out].tolist(), bank[:n, out].T.astype(np.int64)
-                         .tolist(), t[out].tolist(),
-                         (at[out] - base[out]).tolist(),
-                         [start + k] * len(out)))
-
     while len(ids):
         if k == take:
-            following = min(_SSA_CHUNK, horizon - start - take)
-            if following <= 0 or len(ids) < _LOCKSTEP_MIN:
+            following = min(_SSA_CHUNK, budget - start - take)
+            # the counts the chunk can reach, and the bound on its rates
+            # (max(x, m)**m is max(1, x, m)**m, as x**0 is 1)
+            reach = bank[:n].max(1) + following * moves
+            bound = values[:, 0] @ (np.maximum(reach, stoich)
+                                    ** stoich).prod(1)
+            if following <= 0 or len(ids) < _LOCKSTEP_MIN or \
+                    reach.max() + deepest >= 2 ** 53 or \
+                    not bound < 2.0 ** 1023:
                 break
             start, take, k = start + take, following, 0
             draw(ids, start, exps[:, :take], unis[:, :take])
@@ -935,14 +939,6 @@ def _lockstep_head(channels, init, times: np.ndarray, flat: np.ndarray,
         for row, before in sums:
             row += before
         total = rates[-1]
-        finite = np.isfinite(total)
-        if np.count_nonzero(finite) < len(ids):
-            leave((~finite).nonzero()[0])
-            ids, bank, t, base, at = ids[finite], bank[:, finite], \
-                t[finite], base[finite], at[finite]
-            partial, total = rates[:-1, finite], total[finite]
-        else:
-            partial = rates[:-1]
         t = np.where(total > 0.0, t + exps[:, k].take(ids) / total, math.inf)
         # the state before the event is the path's at each grid time up
         # to t: it goes to the next grid row, where a later event
@@ -954,20 +950,22 @@ def _lockstep_head(channels, init, times: np.ndarray, flat: np.ndarray,
         passed = times.searchsorted(t)
         at = base + passed
         live = passed < grid_count
-        chosen = (partial <= unis[:, k].take(ids) * total).sum(0)
+        chosen = (rates[:-1] <= unis[:, k].take(ids) * total).sum(0)
         bank += change.take(chosen, 1)
         k += 1
         if np.count_nonzero(live) < len(ids):
             ids, bank, t, base, at = ids[live], bank[:, live], t[live], \
                 base[live], at[live]
-    leave(np.arange(len(ids)))
     # every other row a path passed copies the last row written before it
     rows = written.nonzero()[0]
     if len(rows):
         flat[rows[0]:] = flat.take(rows, 0).repeat(
             np.diff(rows, append=len(flat)), 0)
-    tails.sort()
-    return tails, start + take
+    # before its first chunk the head holds init as floats, maybe rounded
+    states = bank[:n].T.astype(np.int64).tolist() if take else \
+        [init] * len(ids)
+    return list(zip(ids.tolist(), states, t.tolist(),
+                    (at - base).tolist())), start + take
 
 
 def integer_initial_state(initial_state: Sequence[float]) -> list[int]:
@@ -991,15 +989,13 @@ def gillespie_ssa(scheme: InteractionScheme,
     must be integral.  A trajectory that needs more than
     _SSA_EVENT_BUDGET events raises SimulationError.
 
-    With at least _LOCKSTEP_MIN trajectories, rate values >= 0 and counts
-    that cannot reach 2**53 at the first event, _lockstep_head runs the
-    paths together, chunk of draws after chunk of draws, for as many
-    events as the budget and that bound allow.  The paths it hands over,
-    at the end of a chunk or, where a total is not finite, within one, or
-    all of them, finish in sample_path in trajectory order, each on its
-    streams read past the values it used.  Only the number of
-    active paths, the rate values, the budget and that bound choose
-    between the two, and no bit of any path depends on the choice.
+    _lockstep_head runs the paths together, chunk of draws after chunk of
+    draws, while its rule allows; at a chunk's end it hands the paths
+    left, or all of them, to sample_path, which finishes each in
+    trajectory order on its streams read past the values the head used.
+    Only the number of active paths, their counts, the rate values and
+    the budget choose between the two, and no bit of any path depends on
+    the choice.
     """
     n = len(scheme.species)
     if len(config.initial_state) != n:
@@ -1029,8 +1025,7 @@ def gillespie_ssa(scheme: InteractionScheme,
         """Path j's streams of waiting times and choices at their value
         drawn: the shared pair re-keyed or, from chunk _SSA_OWN on
         (counting from 0), a pair of its own, read past the values before.
-        Its own pair, once made, is read in order and so is at drawn,
-        unless the path left the head within a chunk, which drops it."""
+        Its own pair, once made, is read in order and so is at drawn."""
         if j in own:
             return own[j]
         if drawn < _SSA_OWN * _SSA_CHUNK:
@@ -1053,23 +1048,12 @@ def gillespie_ssa(scheme: InteractionScheme,
             path_waits.standard_exponential(out=exps[j])
             path_choices.random(out=unis[j])
 
-    # the head's floats hold the path loop's ints while no count, nor a
-    # rate's factor count - k, can reach 2**53: for horizon events
-    moves = max(abs(d) for _, change, _ in channels for d in change)
-    slack = 2 ** 53 - 1 - max(init) - max(
-        max(stoich) for stoich, _, _ in channels)
-    horizon = min(budget, slack // max(moves, 1))
-    tails, end = [(j, init, 0.0, 0, 0) for j in range(count)], 0
-    if count >= _LOCKSTEP_MIN and horizon > 0 and all(
-            value >= 0 for _, _, value in channels):
-        tails, end = _lockstep_head(channels, init, times,
-                                    paths.reshape(-1, n), draw, horizon)
-    for j, state, t, g, drawn in tails:
-        if drawn != end:        # it left within a chunk: an own pair
-            own.pop(j, None)    # was read past drawn, to end
-        path_waits, path_choices = streams(j, drawn)
+    tails, end = _lockstep_head(channels, init, times, paths.reshape(-1, n),
+                                draw, budget)
+    for j, state, t, g in tails:
+        path_waits, path_choices = streams(j, end)
         rows[j, g * n:] = sample_path(
-            j, state, t, g, drawn, grid, path_waits.standard_exponential,
+            j, state, t, g, end, grid, path_waits.standard_exponential,
             path_choices.random, budget)
     return TrajectoryEnsemble(engine=Engine.SSA, species=scheme.species,
                               times=times, paths=paths,
@@ -1206,6 +1190,10 @@ def mean_band_svg(report: MomentReport, species: Sequence[SymbolId]) -> str:
     def sy(v):
         return mt + (hi - v) / (hi - lo) * ph
 
+    def points(ts, vs):
+        return " ".join(f"{_svg_num(sx(t))},{_svg_num(sy(v))}"
+                        for t, v in zip(ts, vs))
+
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">',
              f'<rect width="{width}" height="{height}" fill="white"/>']
@@ -1231,16 +1219,11 @@ def mean_band_svg(report: MomentReport, species: Sequence[SymbolId]) -> str:
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
         upper = report.mean[:, i] + 2 * report.standard_error[:, i]
         lower = report.mean[:, i] - 2 * report.standard_error[:, i]
-        band = " ".join(f"{_svg_num(sx(t))},{_svg_num(sy(v))}"
-                        for t, v in zip(times, upper))
-        band += " " + " ".join(f"{_svg_num(sx(t))},{_svg_num(sy(v))}"
-                               for t, v in zip(times[::-1], lower[::-1]))
+        band = f"{points(times, upper)} {points(times[::-1], lower[::-1])}"
         parts.append(f'<polygon points="{band}" fill="{color}" '
                      'fill-opacity="0.15" stroke="none"/>')
-        line = " ".join(f"{_svg_num(sx(t))},{_svg_num(sy(v))}"
-                        for t, v in zip(times, report.mean[:, i]))
-        parts.append(f'<polyline points="{line}" fill="none" '
-                     f'stroke="{color}" stroke-width="1.5"/>')
+        parts.append(f'<polyline points="{points(times, report.mean[:, i])}" '
+                     f'fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text x="{_svg_num(ml + pw - 8)}" '
                      f'y="{_svg_num(mt + 16 + 16 * i)}" font-size="12" '
                      f'text-anchor="end" fill="{color}">{sp.name}</text>')

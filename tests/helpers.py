@@ -22,7 +22,7 @@ from onestep.poly import (ExpressionSyntaxError, MissingSymbolError,
 from onestep.scheme import InteractionScheme
 from onestep.sim import (_SSA_CHUNK, _SSA_EVENT_BUDGET, Engine, SimConfig,
                          SimulationError, Stream, TrajectoryEnsemble,
-                         _choice_tree, _rekey, _ssa_leaves, _ssa_rate_lines,
+                         _choice_tree, _rekeyer, _ssa_leaves, _ssa_rate_lines,
                          integer_initial_state, trajectory_rng)
 
 VERHULST = """\
@@ -671,8 +671,8 @@ def scalar_gillespie_ssa(scheme: InteractionScheme,
     choices = trajectory_rng(seed, 0, Stream.SSA_CHOICES)
     budget = _SSA_EVENT_BUDGET
     for j in range(config.trajectories):
-        _rekey(waits.bit_generator, seed, j, Stream.SSA_WAITS)
-        _rekey(choices.bit_generator, seed, j, Stream.SSA_CHOICES)
+        _rekeyer(Stream.SSA_WAITS)(waits.bit_generator, seed, j)
+        _rekeyer(Stream.SSA_CHOICES)(choices.bit_generator, seed, j)
         rows[j] = sample_path(j, init, grid, waits.standard_exponential,
                               choices.random, budget)
     return TrajectoryEnsemble(engine=Engine.SSA, species=scheme.species,

@@ -34,7 +34,7 @@ from onestep.sim import (_PSD_LONE_FLOOR, _PSD_SQRT_TOL, _PSD_TOL,
                          _RATE_TOL, _REJECT_LIMIT, _SSA_EVENT_BUDGET,
                          _SSA_LEAF_RATES, _EmStepper,
                          _FactorPattern, _choice_tree, _diffusion_pattern,
-                         _em_step_source, _entry_rows, _rekey,
+                         _em_step_source, _entry_rows, _rekeyer,
                          _semidefinite_factor, _ssa_leaves,
                          _ssa_path_source, _ssa_rate_lines,
                          _grid_step_indices, _require_finite)
@@ -104,6 +104,24 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=re.escape(
                 f"value for rate:beta must be finite, got {value!r}")):
             _run_verhulst(engine, {**VERHULST_RATES, rate("beta"): value})
+
+    def test_rates_are_a_read_only_copy(self):
+        """SimConfig keeps a read-only copy of the rates it checked: a
+        rate of -2.0 put into the caller's mapping afterwards would make
+        the jump sampler absorb at x = 3 (total -1) and Euler-Maruyama
+        raise NotPsdError, and it changes no bit of either engine."""
+        scheme = parse_scheme("0 -> x @ a\nx -> 0 @ b\n")
+        values = {rate("a"): 5.0, rate("b"): 1.0}
+        config = SimConfig(rates=values, initial_state=(0,), t_final=2.0,
+                           trajectories=4, base_seed=3, grid_points=5)
+        model = build_sde_model(scheme)
+        before = (gillespie_ssa(scheme, config).paths.tobytes(),
+                  euler_maruyama(model, config).paths.tobytes())
+        values[rate("b")] = -2.0
+        assert (gillespie_ssa(scheme, config).paths.tobytes(),
+                euler_maruyama(model, config).paths.tobytes()) == before
+        with pytest.raises(TypeError):
+            config.rates[rate("b")] = -2.0
 
     def test_negative_zero_initial_value_is_read_as_zero(self):
         config = SimConfig(rates={}, initial_state=(-0.0, 2.0, 0),
@@ -1720,7 +1738,7 @@ class TestJumpSamplerParts:
         gen.integers(0, 2 ** 32, dtype=np.uint32)
         assert 0 < bits.state["buffer_pos"] < 4
         assert bits.state["has_uint32"] == 1
-        _rekey(bits, base_seed, index, stream)
+        _rekeyer(stream)(bits, base_seed, index)
         ref = trajectory_rng(base_seed, index, stream)
         for draw in ("standard_exponential", "random", "standard_normal"):
             got = getattr(gen, draw)(300)
@@ -1872,27 +1890,27 @@ def _same_bits(scheme, config) -> bool:
     return np.array_equal(new, old)
 
 
-def _head_stop(tails):
-    """Why a lockstep head that handed every path over at one event
-    stopped: too few active paths (none, if it finished every path), or
-    else the count of events it took (its horizon: the budget, or where a
-    count could reach 2**53)."""
+def _head_stop(tails, end):
+    """Why a lockstep head stopped at a chunk start: too few active paths
+    (none, if it finished every path), or else the count of events it
+    took (the budget, or where a count could reach 2**53 or a rate
+    overflow within the next chunk)."""
     if len(tails) < sim_module._LOCKSTEP_MIN:
         return "too few paths"
-    [taken] = {drawn for *_, drawn in tails}
-    return taken
+    return end
 
 
 @pytest.fixture
 def heads(monkeypatch):
-    """The tails each lockstep head handed to the path loop: (j, state, t,
-    g, drawn) per path that did not finish in the head."""
+    """What each lockstep head returned: (tails, end), tails (j, state, t,
+    g) per path that did not finish in the head, and end the values each
+    of their streams has read."""
     calls = []
     head = sim_module._lockstep_head
 
     def spy(*args):
         tails, end = head(*args)
-        calls.append(tails)
+        calls.append((tails, end))
         return tails, end
     monkeypatch.setattr(sim_module, "_lockstep_head", spy)
     return calls
@@ -1900,9 +1918,9 @@ def heads(monkeypatch):
 
 class TestLockstepHead:
     """The lockstep head advances all paths together, chunk of draws after
-    chunk of draws, and hands the rest to the path loop; every path keeps
-    the bits of the path loop alone (scalar_gillespie_ssa), and every
-    error its message."""
+    chunk of draws, and hands the rest to the path loop at a chunk's end;
+    every path keeps the bits of the path loop alone
+    (scalar_gillespie_ssa), and every error its message."""
 
     @given(seed=st.integers(0, 10 ** 9), rates=_rate_values,
            initial=_initial_values, base_seed=st.integers(0, 2 ** 64 - 1),
@@ -1917,10 +1935,13 @@ class TestLockstepHead:
              t_final=0.5, chunk=7, count=5)
     @example(seed=20, rates=[2.0], initial=[6], base_seed=0,  # budget
              t_final=2.0, chunk=64, count=3)
+    # a rate of 1e300: the rate bound stops the head after 8 chunks
+    @example(seed=16, rates=[1e300, 0.5], initial=[4, 2], base_seed=1,
+             t_final=2.0, chunk=7, count=4)
     def test_random_schemes_across_chunks(self, seed, rates, initial,
                                           base_seed, t_final, chunk, count):
-        """Every path runs in the head until it ends, hands over or runs
-        into the budget, through chunks of 1 to 64 draws."""
+        """Every path runs in the head until it ends or hands over at a
+        chunk's end, through chunks of 1 to 64 draws."""
         scheme, values, state = _random_case(seed, rates, initial)
         config = SimConfig(rates=values, initial_state=state,
                            t_final=t_final, trajectories=count,
@@ -1941,14 +1962,14 @@ class TestLockstepHead:
                 sim_module, "_LOCKSTEP_MIN",
                 config.trajectories + 1 if least == "more" else least)
         assert _same_bits(scheme, config)
+        [(tails, end)] = heads
         if least == "more":
-            assert heads == []
+            # too few paths at the first chunk start: the head takes none
+            assert (len(tails), end) == (config.trajectories, 0)
         else:
             # the head took events: some paths finished in it, or left it
             # with events taken
-            [tails] = heads
-            assert len(tails) < config.trajectories or \
-                any(drawn for *_, drawn in tails)
+            assert len(tails) < config.trajectories or end > 0
 
     @pytest.mark.parametrize("chunk", [1, 3, 64, 1000])
     @pytest.mark.parametrize("name", list(_PERFBENCH))
@@ -1959,9 +1980,9 @@ class TestLockstepHead:
         # the head runs chunk after chunk until too few paths are left at
         # a chunk's start, and hands each over at the end of the chunk
         # before, or finishes every path
-        [tails] = heads
-        assert _head_stop(tails) == "too few paths"
-        assert all(drawn % chunk == 0 for *_, drawn in tails)
+        [(tails, end)] = heads
+        assert _head_stop(tails, end) == "too few paths"
+        assert end % chunk == 0
 
     def test_absorbed_in_the_head(self, monkeypatch, heads):
         monkeypatch.setattr(sim_module, "_LOCKSTEP_MIN", 0)
@@ -1970,21 +1991,22 @@ class TestLockstepHead:
                            t_final=50.0, trajectories=100, base_seed=2,
                            grid_points=30)
         assert _same_bits(scheme, config)
-        assert heads == [[]]        # every path was absorbed in the head
+        assert heads == [([], 64)]  # every path was absorbed in the head
         assert not gillespie_ssa(scheme, config).paths[:, -1].any()
 
-    @pytest.mark.parametrize("text, values, initial, taken", [
+    @pytest.mark.parametrize("text, values, initial", [
         # at x = 2 the second rate is 1e308 * 2 * 1 = inf
-        ("x -> 2 x @ k\n2 x -> 3 x @ h\n", {"k": 1.0, "h": 1e308}, (1,), 1),
+        ("x -> 2 x @ k\n2 x -> 3 x @ h\n", {"k": 1.0, "h": 1e308}, (1,)),
         # at x = 2 the second rate is 1e308 * 2 * 1 * 0 = nan
-        ("x -> 2 x @ k\n3 x -> 0 @ h\n", {"k": 1.0, "h": 1e308}, (1,), 1),
+        ("x -> 2 x @ k\n3 x -> 0 @ h\n", {"k": 1.0, "h": 1e308}, (1,)),
         # rates that consume nothing are floats, and their sum is inf
-        ("0 -> x @ k\n0 -> y @ h\n", {"k": 1e308, "h": 1e308}, (0, 0), 0)])
+        ("0 -> x @ k\n0 -> y @ h\n", {"k": 1e308, "h": 1e308}, (0, 0))])
     def test_rates_that_overflow(self, monkeypatch, heads, text, values,
-                                 initial, taken):
-        """A path whose total is not finite leaves the head at that
-        event; after it the path loop never moves t (inf) or stores NaN
-        times (nan), and runs into its budget or absorbs."""
+                                 initial):
+        """Where a total could be inf or NaN within a chunk the head stops
+        at that chunk's start, here the first; the path loop then never
+        moves t (inf) or stores NaN times (nan), and runs into its budget
+        or absorbs."""
         for module in (sim_module, sys.modules["helpers"]):
             monkeypatch.setattr(module, "_SSA_EVENT_BUDGET", 300)
         monkeypatch.setattr(sim_module, "_LOCKSTEP_MIN", 0)
@@ -1993,28 +2015,45 @@ class TestLockstepHead:
                            initial_state=initial, t_final=1.0,
                            trajectories=8, base_seed=3, grid_points=20)
         assert _same_bits(scheme, config)
-        [tails] = heads
-        assert {drawn for *_, drawn in tails} == {taken}
+        [(tails, end)] = heads
+        assert (len(tails), end) == (8, 0)
+
+    def test_rate_bound_stops_after_one_chunk(self, monkeypatch, heads):
+        """y + z -> z never fires (z = 0), but its bound h * (y + 64) *
+        (z + 64) grows with y, which rises by one each event: 1.5e304 * 64
+        * 64 is below 2**1023, so the head runs its first chunk, and
+        1.5e304 * 128 * 64 is not, so it stops at the second's start."""
+        monkeypatch.setattr(sim_module, "_LOCKSTEP_MIN", 0)
+        scheme = parse_scheme("0 -> y @ a\ny + z -> z @ h\n")
+        config = SimConfig(rates={rate("a"): 1.0, rate("h"): 1.5e304},
+                           initial_state=(0, 0), t_final=1000.0,
+                           trajectories=4, base_seed=0, grid_points=20)
+        assert _same_bits(scheme, config)
+        [(tails, end)] = heads
+        assert (len(tails), end) == (4, 64)
+        assert {tuple(state) for _, state, *_ in tails} == {(64, 0)}
 
     def test_overflow_after_own_streams(self, monkeypatch, heads):
         """Past _SSA_OWN chunks a path in the head reads a pair of streams
-        of its own, to the end of each chunk.  At y = 64 the rate of
-        64 y -> 0 is inf and the path leaves within its chunk; the path
-        loop takes that last channel, and from y = 0 on its draws count
-        again, read from the value the path left at."""
+        of its own, to the end of each chunk.  y + z -> z never fires (z
+        = 0), but its bound 4e303 * (y + 64) * (z + 64) reaches 2**1023
+        once the largest y is about 290, and the head stops at that
+        chunk start; the path loop reads each path's own pair on from
+        there."""
         monkeypatch.setattr(sim_module, "_LOCKSTEP_MIN", 0)
         scheme = parse_scheme("0 -> y @ a\n0 -> x @ c\nx -> 0 @ b\n"
-                              "64 y -> 0 @ h\n")
-        # 1e220 * 63! is below the largest float, 1e220 * 64! above it
+                              "y + z -> z @ h\n")
         config = SimConfig(rates={rate("a"): 1.0, rate("c"): 4.0,
-                                  rate("b"): 1.0, rate("h"): 1e220},
-                           initial_state=(0, 0), t_final=100.0,
+                                  rate("b"): 1.0, rate("h"): 4e303},
+                           initial_state=(0, 0, 0), t_final=1000.0,
                            trajectories=4, base_seed=0, grid_points=20)
         assert _same_bits(scheme, config)
-        [tails] = heads
-        assert len(tails) == 4 and all(
-            drawn > sim_module._SSA_OWN * sim_module._SSA_CHUNK
-            for *_, drawn in tails)
+        [(tails, end)] = heads
+        assert len(tails) == 4
+        assert end > sim_module._SSA_OWN * sim_module._SSA_CHUNK
+        assert end % sim_module._SSA_CHUNK == 0
+        top = max(y for _, (y, _, _), *_ in tails)
+        assert 4e303 * (top + 64) * 64 >= 2.0 ** 1023
 
     def test_tie_in_the_count_choice(self, monkeypatch):
         """u * total equal to a running sum picks the channel after it
@@ -2037,29 +2076,49 @@ class TestLockstepHead:
 
     def test_counts_near_2_53_skip_the_head(self, monkeypatch, heads):
         """Beyond 2**53 the path loop's ints and float64 part: x + 1 from
-        2**53 stays 2**53 in floats, and the head runs no iteration."""
+        2**53 stays 2**53 in floats, and the head stops at its first chunk
+        start."""
         monkeypatch.setattr(sim_module, "_LOCKSTEP_MIN", 0)
         scheme = parse_scheme("x -> 2 x @ k\n")
         config = SimConfig(rates={rate("k"): 2.0 ** -53},
                            initial_state=(2 ** 53 - 1,), t_final=5.0,
                            trajectories=70, base_seed=4, grid_points=11)
         assert _same_bits(scheme, config)
-        assert heads == []
+        [(tails, end)] = heads
+        assert (len(tails), end) == (70, 0)
         assert gillespie_ssa(scheme, config).paths[:, -1].max() > 2 ** 53
 
+    @pytest.mark.parametrize("initial, end", [(2 ** 53 - 66, 64),
+                                              (2 ** 53 - 65, 0)])
+    def test_count_bound_at_a_chunk_start(self, monkeypatch, heads, initial,
+                                          end):
+        """The head runs a chunk while the largest count + chunk * max|d| +
+        the largest stoichiometry stays at 2**53 - 1: here x + 64 + 1.
+        From 2**53 - 66 it takes one chunk, x rising by one each event,
+        and from 2**53 - 65 none."""
+        monkeypatch.setattr(sim_module, "_LOCKSTEP_MIN", 0)
+        scheme = parse_scheme("x -> 2 x @ k\n")
+        config = SimConfig(rates={rate("k"): 2.0 ** -53},
+                           initial_state=(initial,), t_final=300.0,
+                           trajectories=3, base_seed=4, grid_points=11)
+        assert _same_bits(scheme, config)
+        [(tails, stop)] = heads
+        assert (len(tails), stop) == (3, end)
+        assert {tuple(state) for _, state, *_ in tails} == {(initial + end,)}
+
     def test_two_trajectories(self, monkeypatch, heads):
-        """Both paths leave the head together at its horizon, two chunks
-        of draws: x - 1 may reach 2**53 - 2 after 128 events, not after
-        129.  They leave with states of two species, and the path loop
-        takes x on past 2**53 in ints."""
+        """Both paths leave the head together after two chunks of draws:
+        x + 64 + 1 stays below 2**53 at the first two chunk starts, not at
+        the third.  They leave with states of two species, and the path
+        loop takes x on past 2**53 in ints."""
         monkeypatch.setattr(sim_module, "_LOCKSTEP_MIN", 0)
         scheme = parse_scheme("x -> 2 x @ k\ny -> 0 @ d\n")
         config = SimConfig(rates={rate("k"): 2.0 ** -53, rate("d"): 0.01},
                            initial_state=(2 ** 53 - 130, 5), t_final=300.0,
                            trajectories=2, base_seed=7, grid_points=10)
         assert _same_bits(scheme, config)
-        [tails] = heads
-        assert [(j, drawn) for j, *_, drawn in tails] == [(0, 128), (1, 128)]
+        [(tails, end)] = heads
+        assert ([j for j, *_ in tails], end) == ([0, 1], 128)
         assert gillespie_ssa(scheme, config).paths[:, -1, 0].min() > 2 ** 53
 
     @pytest.mark.parametrize("budget", [1, 10, 63])
@@ -2072,8 +2131,8 @@ class TestLockstepHead:
         new = _bits(gillespie_ssa, scheme, config)
         assert new[0] == "SimulationError"
         assert new == _bits(scalar_gillespie_ssa, scheme, config)
-        [tails] = heads
-        assert _head_stop(tails) in (budget, "too few paths")
+        [(tails, end)] = heads
+        assert _head_stop(tails, end) in (budget, "too few paths")
 
     def test_budget_past_the_first_chunk(self, monkeypatch, heads):
         """At a budget of 100 the head takes its second chunk of 64 cut
@@ -2085,25 +2144,8 @@ class TestLockstepHead:
         new = _bits(gillespie_ssa, scheme, config)
         assert new[0] == "SimulationError"
         assert new == _bits(scalar_gillespie_ssa, scheme, config)
-        [tails] = heads
-        assert _head_stop(tails) == 100
-        assert {drawn for *_, drawn in tails} == {100}
-
-    def test_negative_rate_values_skip_the_head(self, monkeypatch, heads):
-        """The head's count choice needs nondecreasing sums; rates of -3
-        make them fall (5, 2, 3), where bisect's tree picks channel 2
-        above 2.  A negative rate value, which SimConfig refuses but a
-        mapping changed after it can hold, runs no head iteration."""
-        monkeypatch.setattr(sim_module, "_LOCKSTEP_MIN", 0)
-        scheme = parse_scheme("0 -> x @ a\n0 -> y @ b\n0 -> z @ c\n")
-        values = {rate("a"): 5.0, rate("b"): 3.0, rate("c"): 1.0}
-        config = SimConfig(rates=values, initial_state=(0, 0, 0),
-                           t_final=2.0, trajectories=4, base_seed=3,
-                           grid_points=5)
-        values[rate("b")] = -3.0
-        assert _same_bits(scheme, config)
-        assert heads == []
-        assert gillespie_ssa(scheme, config).paths[:, -1, 2].any()
+        [(tails, end)] = heads
+        assert _head_stop(tails, end) == 100
 
     def test_event_at_the_last_grid_time(self, monkeypatch, heads):
         """An event at exactly a grid time is not stored there (due < t
