@@ -30,8 +30,9 @@ from onestep import (ComparisonReport, DiffusionSign, Distribution, Engine,
                      rate, species, trajectories_to_csv, trajectory_rng)
 from onestep import (InteractionScheme, NegativeRateError, as_function,
                      bind_values, reaction_channels, transition_rates)
-from onestep.sim import (_PSD_LONE_FLOOR, _PSD_SQRT_TOL, _PSD_TOL,
-                         _RATE_TOL, _REJECT_LIMIT, _SSA_EVENT_BUDGET,
+from onestep.sim import (_CSV_VALUES_PER_COUNT, _PSD_LONE_FLOOR,
+                         _PSD_SQRT_TOL, _PSD_TOL, _RATE_TOL, _REJECT_LIMIT,
+                         _SSA_EVENT_BUDGET,
                          _SSA_LEAF_RATES, _EmStepper,
                          _FactorPattern, _choice_tree, _diffusion_pattern,
                          _em_step_source, _entry_rows, _rekeyer,
@@ -1119,11 +1120,40 @@ def _writer_species(n: int):
     return tuple(species(f"x{i}") for i in range(n))
 
 
-def _ensemble(paths: np.ndarray, times: np.ndarray) -> TrajectoryEnsemble:
+def _ensemble(paths: np.ndarray, times: np.ndarray,
+              engine: Engine = Engine.EULER_MARUYAMA) -> TrajectoryEnsemble:
     return TrajectoryEnsemble(
-        engine=Engine.EULER_MARUYAMA,
+        engine=engine,
         species=_writer_species(paths.shape[2]), times=times, paths=paths,
         clamp_events=np.zeros(paths.shape[0], dtype=np.int64))
+
+
+def _counts(seed: int, shape, top: float) -> np.ndarray:
+    """Counts as the jump sampler records them, each at most top and the
+    table-size limit, and one of them top."""
+    size = int(np.prod(shape))
+    limit = size // _CSV_VALUES_PER_COUNT
+    rng = np.random.default_rng(seed)
+    paths = rng.integers(0, min(top, limit) + 1, size).astype(np.float64)
+    paths[size // 2] = top
+    return paths.reshape(shape)
+
+
+# 1,600 values: the count table takes counts up to 25
+_SHAPE = (10, 20, 8)
+_LIMIT = 1600 // _CSV_VALUES_PER_COUNT
+
+
+def _repr_calls(monkeypatch, ensemble: TrajectoryEnsemble) -> tuple:
+    """The trajectory CSV and how often the writer called repr."""
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(sim_module, "repr", counted, raising=False)
+    return trajectories_to_csv(ensemble), len(calls)
 
 
 def _verhulst_ensemble(engine: Engine) -> TrajectoryEnsemble:
@@ -1175,6 +1205,52 @@ class TestWritersMatchReference:
         ensemble = _ensemble(paths, times)
         assert trajectories_to_csv(ensemble) == \
             _reference_trajectories_to_csv(ensemble)
+
+    @given(n=st.integers(1, 8), count=st.integers(1, 50),
+           grid=st.integers(2, 20), seed=_writer_seeds)
+    @example(n=8, count=50, grid=20, seed=1)
+    def test_jump_sampler_counts(self, n, count, grid, seed):
+        """Counts up to the table-size limit, as the jump sampler records
+        them: the writer takes their strings from its count table."""
+        limit = count * grid * n // _CSV_VALUES_PER_COUNT
+        paths = np.random.default_rng(seed).integers(
+            0, limit + 1, (count, grid, n)).astype(np.float64)
+        ensemble = _ensemble(paths, np.linspace(0.0, 1.0, grid), Engine.SSA)
+        assert trajectories_to_csv(ensemble) == \
+            _reference_trajectories_to_csv(ensemble)
+
+    @pytest.mark.parametrize("top", [0, 1, _LIMIT, _LIMIT + 1, 2 ** 53 - 1,
+                                     1e16, 123456789012345678.0])
+    @pytest.mark.parametrize("engine", [Engine.SSA, Engine.EULER_MARUYAMA])
+    def test_counts_at_the_table_limit(self, monkeypatch, top, engine):
+        """The table holds one repr per count 0 ... top, up to the limit;
+        past it, or for Euler-Maruyama, each value gets its own repr.  A
+        count of 1e16 or more prints in exponent notation either way."""
+        ensemble = _ensemble(_counts(3, _SHAPE, top),
+                             np.linspace(0.0, 1.0, 20), engine)
+        text, calls = _repr_calls(monkeypatch, ensemble)
+        assert text == _reference_trajectories_to_csv(ensemble)
+        table = engine is Engine.SSA and top <= _LIMIT
+        assert calls == (int(top) + 1 if table else 1600)
+        assert (",1e+16" in text) == (top == 1e16)
+
+    @pytest.mark.parametrize("value", [0.5, -0.0, math.nan, math.inf,
+                                       -math.inf, -1.0, 1e300])
+    def test_values_that_are_no_count(self, monkeypatch, value):
+        """An ensemble labelled as the jump sampler's that holds a value
+        other than a count gets repr's bytes, one repr per value."""
+        paths = _counts(3, _SHAPE, 7)
+        paths[4, 11, 2] = value
+        ensemble = _ensemble(paths, np.linspace(0.0, 1.0, 20), Engine.SSA)
+        text, calls = _repr_calls(monkeypatch, ensemble)
+        assert text == _reference_trajectories_to_csv(ensemble)
+        assert calls == 1600
+
+    def test_no_trajectories(self):
+        ensemble = _ensemble(np.empty((0, 5, 2)), np.linspace(0.0, 1.0, 5),
+                             Engine.SSA)
+        assert trajectories_to_csv(ensemble) == \
+            _reference_trajectories_to_csv(ensemble) == "trajectory,t,x0,x1\n"
 
     @given(n=st.integers(1, 8), grid=st.integers(2, 20), kind=_writer_kinds,
            seed=_writer_seeds)
@@ -1243,6 +1319,15 @@ class TestWriterMemory:
         """The same bound on jump-sampler paths, whose values are short,
         and on eight species per row."""
         _assert_csv_peak_near_output(make(engine))
+
+    def test_peak_with_the_largest_count_table(self):
+        """The same bound on ring8's jump-sampler paths with one count
+        raised to the table-size limit, where the table is largest."""
+        ensemble = _ring8_ensemble(Engine.SSA)
+        limit = ensemble.paths.size // _CSV_VALUES_PER_COUNT
+        ensemble.paths[100, 25, 4] = limit
+        assert len(sim_module._count_strings(ensemble)) == limit + 1
+        _assert_csv_peak_near_output(ensemble)
 
 
 # The engines as they were when the jump sampler summed its channel rates
