@@ -20,29 +20,55 @@ from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .cme import UnboundRateError, jump_moments, moved_together
 from .codegen import (ModelFormatError, emit_c_source, emit_latex,
                       emit_model_json, model_from_json)
-from .derive import (DiffusionSign, IncompatibleNoiseError, NoiseStrategy,
-                     RateMode, SdeModel, build_sde_model, diffusion_matrix,
-                     transition_rates)
+from .derive import (DiffusionSign, Engine, IncompatibleNoiseError,
+                     NegativePolicy, NegativeRateError, NoiseStrategy,
+                     NotPsdError, RateMode, SdeModel, SimConfigError,
+                     SimulationError, TooFewTrajectoriesError,
+                     build_sde_model, diffusion_matrix, transition_rates)
 # no longer called here; perfbench's layer hooks still name it in this module
 from .derive import drift_vector  # noqa: F401
-from .cme import StateBox, default_box
-from .poly import (ExpressionSyntaxError, MissingSymbolError, bind_values,
-                   as_function, canonical_string, symbol_ranks,
+from .poly import (ExpressionSyntaxError, MissingSymbolError, UnboundRateError,
+                   bind_values, as_function, canonical_string, symbol_ranks,
                    _fractions_differ)
 from .scheme import SchemeError, format_scheme, parse_scheme
-from .sim import (Engine, NegativePolicy, NegativeRateError, NotPsdError,
-                  SimConfig, SimConfigError, SimulationError, Stream,
-                  TooFewTrajectoriesError, _diffusion_pattern, _entry_rows,
-                  _semidefinite_factor, check_seed, check_trajectory_count,
-                  compare_engines, ensemble_moments, euler_maruyama,
-                  gillespie_ssa, integer_initial_state, mean_band_svg,
-                  moments_to_csv, trajectories_to_csv, trajectory_rng)
+
+# The names this module takes from cme and sim, which import numpy and which
+# derive and codegen never need: _load_numeric binds them, and numpy as np,
+# at first use, so those commands start without importing numpy.
+_NUMERIC = {
+    **dict.fromkeys(("StateBox", "default_box", "jump_moments",
+                     "moved_together"), "cme"),
+    **dict.fromkeys(("SimConfig", "Stream", "_diffusion_pattern",
+                     "_entry_rows", "_semidefinite_factor", "check_em_steps",
+                     "check_seed", "check_trajectory_count",
+                     "compare_engines", "ensemble_moments", "euler_maruyama",
+                     "gillespie_ssa", "integer_initial_state",
+                     "mean_band_svg", "moments_to_csv",
+                     "trajectories_to_csv", "trajectory_rng"), "sim"),
+}
+
+
+def _load_numeric() -> None:
+    """Bind numpy as np and the _NUMERIC names into this module.  A name
+    already bound keeps its value, so a wrapper installed through the
+    module attribute (onestep.cli.<name>) is the one the commands call."""
+    import numpy
+    from . import cme, sim
+    modules = {"cme": cme, "sim": sim}
+    names = globals()
+    names.setdefault("np", numpy)
+    for name, module in _NUMERIC.items():
+        names.setdefault(name, getattr(modules[module], name))
+
+
+def __getattr__(name):
+    if name != "np" and name not in _NUMERIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_numeric()
+    return globals()[name]
 
 
 class RatesFileError(ValueError):
@@ -179,6 +205,7 @@ def initial_state(values: dict, species) -> tuple[float, ...]:
 def parse_box(text: str, species) -> StateBox:
     """One nonnegative integer bound for every species, or one bound per
     species, comma-separated."""
+    _load_numeric()
     parts = text.split(",")
     try:
         bounds = [int(p) for p in parts]
@@ -456,6 +483,7 @@ def execute_manifest(manifest: RunManifest, out_dir: Path,
     model is the manifest's input already loaded, if the caller has it;
     otherwise it is loaded here.  The same manifest always produces
     byte-identical files."""
+    _load_numeric()
     if model is None:
         model = load_model(manifest.input_kind, manifest.input_text,
                            manifest.rate_mode, manifest.diffusion_sign,
@@ -567,6 +595,7 @@ _LARGEST_BOUND = 2 ** 63 - 1    # the largest bound int64 draws can reach
 
 
 def _sample_states(box: StateBox, seed: int):
+    _load_numeric()
     if box.size <= _WHOLE_BOX:
         return list(box.states())
     # each batch draws as many states as are still missing, coordinate by
@@ -589,6 +618,7 @@ def _compared_entries(scheme, diffusion) -> list[tuple[int, int]]:
     other entry both are exactly 0 at every state.  Both sides are
     symmetric, so a mismatch at (j, i) is one at (i, j), which comes first
     in row-major order."""
+    _load_numeric()
     moved = moved_together(np.array([ia.change
                                       for ia in scheme.interactions]))
     return sorted({*((i, j) for i, j in moved if i <= j),
@@ -602,6 +632,8 @@ def _moment_mismatches(moments, drift, diffusion, entries, point):
     boolean arrays.  Each polynomial is evaluated once over all states,
     and values are compared exactly by cross-multiplication
     (poly._fractions_differ)."""
+    _load_numeric()
+
     def differs(numerators, p):
         value = p.evaluate(point)
         if isinstance(value, Fraction):         # p reads no species
@@ -621,6 +653,7 @@ def _moment_mismatches(moments, drift, diffusion, entries, point):
 
 
 def cmd_check(args) -> int:
+    _load_numeric()
     scheme = parse_scheme(_load_text(args.scheme), args.allow_shared_rates)
     rate_table = parse_rates_file(_load_text(args.rates))
     rates = bind_rates(scheme.rate_symbols, rate_table)
@@ -641,6 +674,7 @@ def cmd_check(args) -> int:
         grid_points=args.grid_points)
     if config is not None:
         check_trajectory_count(config.trajectories)
+        check_em_steps(config)
         integer_initial_state(config.initial_state)
     if args.box:
         box = parse_box(args.box, scheme.species)

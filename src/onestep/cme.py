@@ -17,18 +17,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .poly import (SymbolId, _compile, _exact, _int_dtype, as_function,
-                   bind_values)
+from .poly import (SymbolId, UnboundRateError, _compile, _exact, _int_dtype,
+                   as_function, bind_values)
 from .scheme import InteractionScheme
-
-
-class UnboundRateError(KeyError):
-    def __init__(self, symbol: SymbolId):
-        self.symbol = symbol
-        super().__init__(f"no value bound for rate symbol {symbol.name!r}")
-
-    def __str__(self) -> str:
-        return self.args[0]
 
 
 class UnstableStepError(ValueError):

@@ -106,8 +106,26 @@ def _c_number(c: Number) -> str:
         return str(c.numerator)
     # nearest double, printed positionally so the restricted grammar
     # (no exponent notation, no division) can read it back
-    import numpy as np
-    return np.format_float_positional(float(c), unique=True, trim="0")
+    return _positional(float(c))
+
+
+def _positional(x: float) -> str:
+    """x's shortest round-trip digits (repr's) without an exponent, with at
+    least one digit on each side of the point: the text of
+    numpy.format_float_positional(x, unique=True, trim="0")."""
+    text = repr(x)
+    mantissa, _, exponent = text.partition("e")
+    if not exponent:
+        return text
+    sign = "-" if mantissa.startswith("-") else ""
+    whole, _, fraction = mantissa.lstrip("-").partition(".")
+    digits = whole + fraction
+    point = len(whole) + int(exponent)     # digits before the point
+    if point <= 0:
+        return f"{sign}0.{'0' * -point}{digits}"
+    if point >= len(digits):
+        return f"{sign}{digits}{'0' * (point - len(digits))}.0"
+    return f"{sign}{digits[:point]}.{digits[point:]}"
 
 
 def c_expression(p: Polynomial, index: Mapping[SymbolId, str],

@@ -41,6 +41,45 @@ class IncompatibleNoiseError(ValueError):
     pass
 
 
+# The simulation's choices and errors live here rather than in sim, which
+# imports numpy: the command line reads them at import time, to build its
+# parser and to name them in its except clauses.  sim re-imports each.
+
+class Engine(enum.Enum):
+    EULER_MARUYAMA = "em"
+    SSA = "ssa"
+
+
+class NegativePolicy(enum.Enum):
+    CLAMP_ZERO = "clamp"
+    REJECT_STEP = "reject"
+
+
+class SimulationError(RuntimeError):
+    pass
+
+
+class NotPsdError(ValueError):
+    """A matrix that is not positive semidefinite within tolerance; index
+    is its position in the batch, () for a single matrix."""
+
+    def __init__(self, message: str, index: tuple[int, ...] = ()):
+        super().__init__(message)
+        self.index = index
+
+
+class NegativeRateError(ValueError):
+    pass
+
+
+class TooFewTrajectoriesError(ValueError):
+    pass
+
+
+class SimConfigError(ValueError):
+    """A simulation setting out of its allowed range."""
+
+
 @dataclass(frozen=True)
 class TransitionRates:
     """Per-interaction rate polynomials; backward is the zero polynomial

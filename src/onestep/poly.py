@@ -7,6 +7,9 @@ rational it represents.  Floating point only appears when
 polynomials are compiled to a numeric function (as_function).
 Symbols carry a kind (species or rate constant) because model assembly
 and printing treat the two vocabularies differently.
+
+numpy is imported only by the paths that evaluate over arrays, so the
+symbolic layer (poly, scheme, derive, codegen) loads without it.
 """
 
 from __future__ import annotations
@@ -15,11 +18,10 @@ import enum
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
-
-import numpy as np
 
 
 class SymbolKind(enum.Enum):
@@ -72,6 +74,17 @@ class MissingSymbolError(KeyError):
     def __init__(self, symbol: SymbolId):
         self.symbol = symbol
         super().__init__(f"no value bound for symbol {symbol!r}")
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+class UnboundRateError(KeyError):
+    """A rate symbol of a scheme with no value in the bindings."""
+
+    def __init__(self, symbol: SymbolId):
+        self.symbol = symbol
+        super().__init__(f"no value bound for rate symbol {symbol.name!r}")
 
     def __str__(self) -> str:
         return self.args[0]
@@ -241,7 +254,7 @@ class Polynomial:
                 x = point[sym]
             except KeyError:
                 raise MissingSymbolError(sym) from None
-            if isinstance(x, np.ndarray) and x.dtype.kind in "iuO":
+            if _is_ndarray(x) and x.dtype.kind in "iuO":
                 values.append(_int_array(sym, x))
             else:
                 x = _exact(sym, x)
@@ -289,6 +302,7 @@ class Polynomial:
             for i, e in key:
                 product *= top[i] ** e
             bound += product
+        import numpy as np
         dtype = _int_dtype(bound)
         for i in arrays:
             values[i] = values[i].astype(dtype)
@@ -378,13 +392,21 @@ def _exact(sym: SymbolId, value) -> Fraction:
                         f"float, got {type(value).__name__}") from None
 
 
-def _int_array(sym: SymbolId, x: np.ndarray) -> np.ndarray:
+def _is_ndarray(x) -> bool:
+    """isinstance(x, numpy.ndarray), without importing numpy: no ndarray
+    exists before numpy is imported."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(x, np.ndarray)
+
+
+def _int_array(sym: SymbolId, x):
     """x, an integer or object ndarray bound to sym: an integer ndarray as
     it is, an object one as an object ndarray of Python ints; an object
     element that is not an int (operator.index refuses it: a float,
     Fraction or string) is a TypeError naming sym."""
     if x.dtype.kind in "iu":
         return x
+    import numpy as np
     out = np.empty(x.shape, dtype=object)
     for k, v in enumerate(x.flat):
         try:
@@ -399,7 +421,7 @@ def _int_array(sym: SymbolId, x: np.ndarray) -> np.ndarray:
 def _largest(x) -> int:
     """The largest magnitude in x, an int or an integer ndarray of any
     dtype, as a Python int; 0 for an empty array."""
-    if not isinstance(x, np.ndarray):
+    if not _is_ndarray(x):
         return abs(x)
     if not x.size:
         return 0
@@ -413,6 +435,7 @@ def _int_dtype(bound: int):
     2**53 each value is also exact as a float64, so dividing by a
     denominator below 2**53 is one correctly rounded float division, as
     int / int is."""
+    import numpy as np
     return np.int64 if bound < 2 ** 53 else object
 
 
@@ -421,6 +444,7 @@ def _fractions_differ(a, a_den: int, b, b_den: int):
     ndarrays of any dtype over positive int denominators, by
     cross-multiplication: a * b_den != b * a_den.  The products are taken
     in int64 when they are provably below 2**63, else in Python ints."""
+    import numpy as np
     dtype = (np.int64 if max(1, _largest(a)) * b_den < 2 ** 63
              and max(1, _largest(b)) * a_den < 2 ** 63 else object)
     return np.asarray(a, dtype) * b_den != np.asarray(b, dtype) * a_den

@@ -26,11 +26,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cme import UnboundRateError, reaction_channels
-from .derive import (IncompatibleNoiseError, NoiseStrategy, SdeModel,
-                     transition_rates)
-from .poly import (_TERMS_PER_LINE, SymbolId, _compile, _exact,
-                   as_function, bind_values)
+from .cme import reaction_channels
+from .derive import (Engine, IncompatibleNoiseError, NegativePolicy,
+                     NegativeRateError, NoiseStrategy, NotPsdError,
+                     SdeModel, SimConfigError, SimulationError,
+                     TooFewTrajectoriesError, transition_rates)
+from .poly import (_TERMS_PER_LINE, SymbolId, UnboundRateError, _compile,
+                   _exact, as_function, bind_values)
 from .scheme import InteractionScheme
 
 _CHUNK_STEPS = 256      # noise draws are blocked per trajectory in chunks
@@ -43,6 +45,9 @@ _SSA_LEAF_RATES = 16    # rates one event may recompute; an event that would
                         # change more recomputes every rate
 _SSA_EVENT_BUDGET = 2 ** 21    # jump events of one path; the most any test,
                                # demo or benchmark workload takes is 13,412
+_EM_STEP_BUDGET = 2 ** 21      # Euler-Maruyama steps of one path; the most
+                               # any test, demo or benchmark workload takes
+                               # is 10,000
 _LOCKSTEP_MIN = 96      # active paths below which the jump sampler's
                         # lockstep head hands its paths to the path loop, at
                         # the end of a chunk of draws: on three channels a
@@ -62,43 +67,8 @@ _REJECT_LIMIT = 100
 _MAX_STEPS = 2 ** 63 - 1
 
 
-class Engine(enum.Enum):
-    EULER_MARUYAMA = "em"
-    SSA = "ssa"
-
-
-class NegativePolicy(enum.Enum):
-    CLAMP_ZERO = "clamp"
-    REJECT_STEP = "reject"
-
-
-class SimulationError(RuntimeError):
-    pass
-
-
 class NotSymmetricError(ValueError):
     pass
-
-
-class NotPsdError(ValueError):
-    """A matrix that is not positive semidefinite within tolerance; index
-    is its position in the batch, () for a single matrix."""
-
-    def __init__(self, message: str, index: tuple[int, ...] = ()):
-        super().__init__(message)
-        self.index = index
-
-
-class NegativeRateError(ValueError):
-    pass
-
-
-class TooFewTrajectoriesError(ValueError):
-    pass
-
-
-class SimConfigError(ValueError):
-    """A simulation setting out of its allowed range."""
 
 
 def check_seed(base_seed: int) -> None:
@@ -585,15 +555,17 @@ def euler_maruyama(model: SdeModel, config: SimConfig) -> TrajectoryEnsemble:
     noise increment b(phi) eps for standard normal eps.
 
     Negative proposals follow config.negative_policy: clamp to zero (and
-    count the event) or redraw the step's noise up to a retry limit.
+    count the event) or redraw the step's noise up to a retry limit.  A
+    run of more than _EM_STEP_BUDGET steps per path raises SimConfigError
+    before any work.
     """
+    nsteps = check_em_steps(config)
     n = len(model.species)
     if len(config.initial_state) != n:
         raise ValueError("initial state length does not match the model")
     stepper = _EmStepper(model, config)
     t_count = config.trajectories
     times = config.times
-    nsteps = int(math.ceil(config.t_final / config.dt - 1e-9))
     grid_at = _grid_step_indices(times, config.dt, nsteps)
     reject = config.negative_policy is NegativePolicy.REJECT_STEP
 
@@ -1063,6 +1035,17 @@ def gillespie_ssa(scheme: InteractionScheme,
     return TrajectoryEnsemble(engine=Engine.SSA, species=scheme.species,
                               times=times, paths=paths,
                               clamp_events=np.zeros(count, dtype=np.int64))
+
+
+def check_em_steps(config: SimConfig) -> int:
+    """The Euler-Maruyama steps of one path; more than _EM_STEP_BUDGET
+    raises SimConfigError."""
+    steps = int(math.ceil(config.t_final / config.dt - 1e-9))
+    if steps > _EM_STEP_BUDGET:
+        raise SimConfigError(f"t_final / dt asks for {steps} Euler-Maruyama "
+                             f"steps per path, more than the budget of "
+                             f"{_EM_STEP_BUDGET}")
+    return steps
 
 
 def check_trajectory_count(count: int) -> None:

@@ -36,6 +36,12 @@ x + y -> 2 y @ k_2
 y -> 0 @ k_3
 """
 
+RING3 = """\
+2 x1 <-> 2 x2 @ a_1, b_1
+2 x2 <-> 2 x3 @ a_2, b_2
+2 x3 <-> 2 x1 @ a_3, b_3
+"""
+
 PURE_DEATH = "phi -> 0 @ beta\n"
 
 # the random-stream contract of onestep.sim restated: the domain of each

@@ -1402,6 +1402,44 @@ class TestSimulationSettings:
             _assert_usage_error(capsys, "1e+302 steps", "2**63 - 1")
             assert not (tmp_path / "o").exists()
 
+    def test_euler_maruyama_step_budget_exits_2_before_any_work(
+            self, command, tmp_path, verhulst_file, verhulst_rates, capsys,
+            monkeypatch):
+        # 1e9 / 1e-3 = 10**12 steps per path, which would run for months:
+        # check refuses before its exact checks, simulate before the
+        # engine compiles its step
+        def refuse(*args, **kwargs):
+            raise AssertionError("work ran although the run was refused")
+        if command == "check":
+            _refuse_work(monkeypatch)
+        else:
+            monkeypatch.setattr("onestep.sim._EmStepper", refuse)
+        code = _run_command(command, tmp_path, verhulst_file, verhulst_rates,
+                            ("--t-final", "1e9", "--dt", "1e-3"))
+        assert code == 2
+        _assert_usage_error(capsys,
+                            "1000000000000 Euler-Maruyama steps per path",
+                            "budget of 2097152")
+        assert not (tmp_path / "o").exists()
+
+    def test_euler_maruyama_step_budget_is_inclusive(
+            self, command, tmp_path, verhulst_file, verhulst_rates, capsys,
+            monkeypatch):
+        # 0.5 / 0.01 is 50 steps and 0.51 / 0.01 is 51; the jump sampler
+        # has no step budget
+        monkeypatch.setattr("onestep.sim._EM_STEP_BUDGET", 50)
+        assert _run_command(command, tmp_path, verhulst_file, verhulst_rates,
+                            ("--t-final", "0.5")) in (0, 1)
+        capsys.readouterr()
+        assert _run_command(command, tmp_path, verhulst_file, verhulst_rates,
+                            ("--t-final", "0.51")) == 2
+        _assert_usage_error(capsys, "51 Euler-Maruyama steps per path",
+                            "budget of 50")
+        if command == "simulate":
+            assert _run_command(command, tmp_path, verhulst_file,
+                                verhulst_rates,
+                                ("--t-final", "0.51", "--engine", "ssa")) == 0
+
     def test_array_beyond_memory_exits_2(self, command, tmp_path,
                                          verhulst_file, verhulst_rates,
                                          capsys):

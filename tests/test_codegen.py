@@ -7,9 +7,12 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import onestep
 from onestep import (DiffusionSign, ModelFormatError, NoiseStrategy,
@@ -18,8 +21,9 @@ from onestep import (DiffusionSign, ModelFormatError, NoiseStrategy,
                      latex_expression, latex_symbol, model_from_json,
                      parse_expression, parse_scheme, rate, species)
 from onestep.cli import main, model_report
+from onestep.codegen import _c_number
 from onestep.poly import Polynomial
-from helpers import LOTKA_VOLTERRA, VERHULST, random_scheme_text
+from helpers import LOTKA_VOLTERRA, RING3, VERHULST, random_scheme_text
 
 
 def verhulst_model(**kwargs):
@@ -142,6 +146,45 @@ class TestCSource:
         assert "e-" not in body and "E-" not in body
 
 
+# a non-integer rational: num / den times 2**shift, which spans the
+# subnormals, the floats below them that round to 0.0, and the huge ones,
+# where a double holds only integers
+@st.composite
+def non_integer_fractions(draw):
+    c = (Fraction(draw(st.integers(-2 ** 64, 2 ** 64)),
+                  draw(st.integers(1, 2 ** 64)))
+         * Fraction(2) ** draw(st.integers(-1200, 1000)))
+    assume(c.denominator > 1 and abs(c) <= sys.float_info.max)
+    return c
+
+
+class TestDecimalText:
+    """_c_number writes a non-integer coefficient as numpy's
+    format_float_positional(unique=True, trim="0") wrote it, without
+    importing numpy."""
+
+    @settings(max_examples=1000)
+    @given(non_integer_fractions())
+    @example(Fraction(1, 3))
+    @example(Fraction(1, 1024))
+    @example(Fraction(1, 2 ** 1074))                # the least subnormal
+    @example(Fraction(-3, 2 ** 1075))               # rounds to -5e-324
+    @example(Fraction(1, 10 ** 400))                # rounds to 0.0
+    @example(Fraction(-1, 10 ** 400))               # rounds to -0.0
+    @example(Fraction(2 ** 60 + 1, 2))              # an integer-valued float
+    @example(Fraction(10 ** 308 + 1, 3))            # 3.33e307
+    @example(Fraction(2 ** 1025 - 2 ** 972 - 1, 2))  # the largest float
+    @example(Fraction(12345, 10 ** 20))
+    def test_matches_numpy(self, c):
+        import numpy as np
+        assert _c_number(c) == np.format_float_positional(
+            float(c), unique=True, trim="0")
+
+    def test_integers_are_their_digits(self):
+        assert _c_number(3) == "3"
+        assert _c_number(-2 ** 80) == str(-2 ** 80)
+
+
 def _c_bodies(text):
     out = []
     for line in text.splitlines():
@@ -261,12 +304,6 @@ class TestCodegenTargets:
                          "--function-name", "f"]) == 0
             assert capsys.readouterr().out == expected, target
 
-
-RING3 = """\
-2 x1 <-> 2 x2 @ a_1, b_1
-2 x2 <-> 2 x3 @ a_2, b_2
-2 x3 <-> 2 x1 @ a_3, b_3
-"""
 
 GOLDEN = Path(__file__).parent / "golden" / "derive"
 

@@ -85,6 +85,26 @@ class TestSimConfig:
                            t_final=2.0 ** 63 - 1024, dt=1.0)
         assert config.t_final / config.dt <= 2 ** 63 - 1
 
+    def test_euler_maruyama_step_budget(self, monkeypatch):
+        # the steps of one path, refused above _EM_STEP_BUDGET before the
+        # engine builds its step; the jump sampler has no step budget
+        def refuse(*args, **kwargs):
+            raise AssertionError("the step was built")
+        monkeypatch.setattr(sim_module, "_EM_STEP_BUDGET", 50)
+        scheme = parse_scheme(PURE_DEATH)
+        model = build_sde_model(scheme)
+        rates = {rate("beta"): 1.0}
+        at, over = (SimConfig(rates=rates, initial_state=(3.0,),
+                              t_final=t_final, dt=0.01, trajectories=2,
+                              grid_points=3) for t_final in (0.5, 0.51))
+        assert euler_maruyama(model, at).paths.shape == (2, 3, 1)
+        monkeypatch.setattr(sim_module, "_EmStepper", refuse)
+        with pytest.raises(SimConfigError, match=re.escape(
+                "t_final / dt asks for 51 Euler-Maruyama steps per path, "
+                "more than the budget of 50")):
+            euler_maruyama(model, over)
+        assert gillespie_ssa(scheme, over).paths.shape == (2, 3, 1)
+
     @pytest.mark.parametrize("value", [-1, -0.5, Fraction(-1, 3)])
     @pytest.mark.parametrize("engine", list(Engine))
     def test_negative_rate_values_are_refused_by_name(self, engine, value):
