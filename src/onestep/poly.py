@@ -774,6 +774,69 @@ def _compile(source: str, name: str, namespace: dict) -> Callable:
     return namespace.pop(name)
 
 
+class _ProductTrie:
+    """The products of the polynomials' terms as as_function computes
+    them, one node per distinct product.
+
+    A term's parts are |c| as a float literal (c itself when signed; left
+    out when it is 1 and the term has a factor), then the argument name
+    _0, _1, ... of each factor once per power, multiplied left to right,
+    so a signed node is read only by terms of one sign.  Every prefix of a
+    term's parts is a node, numbered in the order first reached: node v
+    is parents[v] (-1 for none, which comes before every node) times
+    parts[v], and readers[v] counts the distinct longer nodes and the
+    terms that read it.  terms[k] holds polynomial k's terms in storage
+    order as (negative, chain), chain the term's (node, part) pairs.
+    All of the polynomials' symbols must appear in args, and every
+    coefficient must round to a finite float: one that does not raises
+    OverflowError."""
+
+    def __init__(self, polys: Sequence[Polynomial], args: Sequence[SymbolId],
+                 signed: bool = False):
+        index = {s: f"_{i}" for i, s in enumerate(args)}
+        parents: list[int] = []
+        parts: list[str] = []
+        readers: list[int] = []
+        below: list[dict[str, int]] = [{}]     # below[v + 1]: part -> node
+        self.parents, self.parts, self.readers = parents, parts, readers
+        self.terms = []
+        for p in polys:
+            row = []
+            for m in p.terms:
+                c = m.coefficient if signed else abs(m.coefficient)
+                factors = [] if c == 1 and m.exponents else [_literal(c)]
+                for sym, e in m.exponents:
+                    name = index.get(sym)
+                    if name is None:
+                        raise MissingSymbolError(sym)
+                    factors += [name] * e
+                chain, node = [], -1
+                for part in factors:
+                    step = below[node + 1]
+                    child = step.get(part)
+                    if child is None:
+                        child = step[part] = len(parents)
+                        parents.append(node)
+                        parts.append(part)
+                        readers.append(0)
+                        below.append({})
+                        if node >= 0:
+                            readers[node] += 1
+                    node = child
+                    chain.append((node, part))
+                readers[node] += 1
+                row.append((m.coefficient < 0, chain))
+            self.terms.append(row)
+
+
+def _literal(c: Number) -> str:
+    try:
+        return repr(float(c))
+    except OverflowError:
+        raise OverflowError("a compiled coefficient is beyond the float "
+                            "range; rescale the rate values") from None
+
+
 def as_function(polys: Sequence[Polynomial],
                 args: Sequence[SymbolId]) -> Callable:
     """Compile to one float function of positional arguments in args
@@ -787,51 +850,15 @@ def as_function(polys: Sequence[Polynomial],
     positions _0, _1, ...: "s0 = 0.0 + c1*_0*_0 - c2*_1 ...", terms in
     storage order, each its sign and then |c| times its factors (powers
     as repeated products) taken left to right, for each polynomial.
-    Each distinct product is computed once for all terms and
-    polynomials: one that two longer products or terms read goes into a
-    local ("p7 = c1*_0", read as "p7*_0"), deleted after its last
-    reader.  Long sums continue over several statements, and a run of
-    _FACTORS_PER_LINE products also goes into a local, which keeps the
-    expressions shallow enough to compile.
+    Each distinct product (a node of _ProductTrie) is computed once for
+    all terms and polynomials: one that two longer products or terms
+    read goes into a local ("p7 = c1*_0", read as "p7*_0"), deleted
+    after its last reader.  Long sums continue over several statements,
+    and a run of _FACTORS_PER_LINE products also goes into a local,
+    which keeps the expressions shallow enough to compile.
     """
-    index = {s: f"_{i}" for i, s in enumerate(args)}
-
-    def literal(c: Number) -> str:
-        try:
-            return repr(float(c))
-        except OverflowError:
-            raise OverflowError("a compiled coefficient is beyond the float "
-                                "range; rescale the rate values") from None
-
-    def parts(m: Monomial) -> list[str]:
-        c = abs(m.coefficient)
-        out = [literal(c)] if c != 1 or not m.exponents else []
-        for sym, e in m.exponents:
-            if sym not in index:
-                raise MissingSymbolError(sym)
-            out += [index[sym]] * e
-        return out
-
-    # every prefix of a term's parts is a node, keyed by the node before
-    # it and its last part; its readers are the distinct longer nodes and
-    # the terms that end at it
-    nodes: dict[tuple[int | None, str], int] = {}
-    readers: dict[int | None, int] = {}
-    rows = []
-    for p in polys:
-        row = []
-        for m in p.terms:
-            chain, node = [], None
-            for part in parts(m):
-                if (node, part) not in nodes:
-                    nodes[node, part] = len(nodes)
-                    readers[node] = readers.get(node, 0) + 1
-                node = nodes[node, part]
-                chain.append((node, part))
-            readers[node] = readers.get(node, 0) + 1
-            row.append((m.coefficient < 0, chain))
-        rows.append(row)
-
+    trie = _ProductTrie(polys, args)
+    readers = trie.readers
     lines: list[str] = []
     # each local's last line, the one that computes it or its last reader
     last_use: dict[str, int] = {}
@@ -853,7 +880,7 @@ def as_function(polys: Sequence[Polynomial],
             inline = 0
         return expr, local
 
-    for k, row in enumerate(rows):
+    for k, row in enumerate(trie.terms):
         for i in range(0, max(len(row), 1), _TERMS_PER_LINE):
             run = [(negative, *product(chain))
                    for negative, chain in row[i:i + _TERMS_PER_LINE]]

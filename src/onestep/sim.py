@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 import types
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,8 +32,10 @@ from .derive import (Engine, IncompatibleNoiseError, NegativePolicy,
                      NegativeRateError, NoiseStrategy, NotPsdError,
                      SdeModel, SimConfigError, SimulationError,
                      TooFewTrajectoriesError, transition_rates)
-from .poly import (_TERMS_PER_LINE, SymbolId, UnboundRateError, _compile,
-                   _exact, as_function, bind_values)
+from .poly import (Polynomial, SymbolId, UnboundRateError, _compile, _exact,
+                   _ProductTrie, bind_values)
+# no longer called here; perfbench's layer hooks still name it in this module
+from .poly import as_function  # noqa: F401
 from .scheme import InteractionScheme
 
 _CHUNK_STEPS = 256      # noise draws are blocked per trajectory in chunks
@@ -58,6 +61,10 @@ _CSV_VALUES_PER_COUNT = 64    # values of a jump-sampler ensemble per
                                # at least: an entry (a str and its pointer,
                                # about 63 bytes) then holds about a byte per
                                # value, against 4 or more in the text
+_BANK_FLOATS = 2 ** 17  # floats of the Euler-Maruyama step's bank of
+                        # products and literals: it takes the states in
+                        # blocks of as many columns as keep it within this
+                        # (1 MB)
 _PSD_TOL = 1e-9
 # a lone pivot below this is below -_PSD_TOL * (1 + |pivot|)
 _PSD_LONE_FLOOR = -_PSD_TOL / (1.0 - _PSD_TOL)
@@ -248,12 +255,15 @@ def matrix_sqrt_psd(b: np.ndarray) -> np.ndarray:
     return out.transpose(2, 0, 1).reshape(b.shape)
 
 
+def _consecutive(rows: Sequence[int]) -> bool:
+    return list(rows) == list(range(rows[0], rows[0] + len(rows)))
+
+
 def _index(positions: Sequence[int]):
     """positions as a slice when they run consecutively, else an intp
     array: either indexes rows alike."""
-    start = positions[0]
-    if list(positions) == list(range(start, start + len(positions))):
-        return slice(start, start + len(positions))
+    if _consecutive(positions):
+        return slice(positions[0], positions[0] + len(positions))
     return np.array(positions, dtype=np.intp)
 
 
@@ -409,65 +419,275 @@ def _entry_rows(values, count: int, pattern: _FactorPattern) -> np.ndarray:
     return out
 
 
-def _em_step_source(n: int, wiener_dim: int, per_reaction: bool,
-                    rows: Sequence[Sequence[tuple[int, int]]] | None) -> str:
-    """The source of the step that _EmStepper compiles.
+def _term_positions(sums: Sequence[Sequence]) -> tuple[list[int], list]:
+    """The sums 0.0 + v[r0] + v[r1] + ... of sums[k] = [r0, r1, ...], left
+    to right, taken one term position at a time: the sums that have a
+    term, most terms first (in order among equals), and each position's
+    terms of those, so that position t adds its terms into the first
+    len(terms[t]) of them."""
+    order = sorted((k for k, terms in enumerate(sums) if terms),
+                   key=lambda k: -len(sums[k]))
+    most = len(sums[order[0]]) if order else 0
+    return order, [[sums[k][t] for k in order if len(sums[k]) > t]
+                   for t in range(most)]
 
-    It reads the species rows x0, x1, ... of the states and the rows e0,
-    e1, ... of the normal draws, and writes row i of the proposal as
-    x_i + d_i dt + z_i sqrt_dt.  For --noise sqrt the noise row is
-    z_i = 0.0 + L_ij e_j + ... over the (slot, column j) pairs of rows[i],
-    columns ascending (rows is None for per-reaction noise), added left to
-    right over statements of at most _TERMS_PER_LINE terms, with L_ij the
-    row f[slot] of B's factor in _FactorPattern's slot layout.  That is
-    the sum 0.0 + L_i0 e_0 + ... + L_ii e_i over row i of the dense L,
-    added left to right: each entry it leaves out is +-0.0 there, and so
-    is its term, which leaves a sum that starts at 0.0 as it is.  (einsum
-    gives these bits only for some stacks: the order in which it adds
-    depends on their shape and strides.)  The source holds one term per
-    entry of L's pattern, so it grows with that pattern: as n^2 for a
-    dense B, as n on a ring."""
-    xs = "".join(f"x{i}, " for i in range(n))
-    ds = "".join(f"d{i}, " for i in range(n))
-    lines = ["def em_step(x, e):",
-             f"    {xs}= x",
-             f"    {ds}*rest = polynomials({xs})"]
-    if per_reaction:
-        lines.append("    z = per_reaction(rest, e, change)")
-        noise = [f"z[:, {i}]" for i in range(n)]
+
+def _runs(rows: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """The maximal runs [i, j) of positions over which each of the row
+    lists rows reads consecutive rows, a slice.  (One row read by many
+    positions is no run: numpy broadcasts it more slowly than it gathers
+    it and runs the product of whole blocks.)"""
+    k = len(rows[0])
+    if all(_consecutive(r) for r in rows):
+        return [(0, k)]
+    cuts = [j for j in range(1, k) if any(r[j] != r[j - 1] + 1 for r in rows)]
+    return list(zip([0, *cuts], [*cuts, k]))
+
+
+class _RowProgram:
+    """Generated statements over arrays of rows, and the constants they
+    read.  op() writes func of its operands' rows into consecutive rows of
+    an array, in one numpy call per run of them that every operand reads
+    as a slice, or in one call over gathered rows where that takes fewer
+    calls (each operand that is no slice then costs a gather)."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.constants = {"empty": np.empty, "multiply": np.multiply,
+                          "add": np.add}
+
+    def const(self, value) -> str:
+        name = f"k{len(self.constants)}"
+        self.constants[name] = value
+        return name
+
+    def op(self, func: str, out: str, start: int, *operands,
+           new: str | None = None) -> None:
+        """out[start:start + k] = func(*operands), each operand an array
+        name and its k rows, or a float literal.  With new, the shape of
+        its columns, out is a new (k, ...) array."""
+        arrays = [rows for arg in operands if not isinstance(arg, str)
+                  for _, rows in [arg]]
+        runs = _runs(arrays)
+        fancy = [rows for rows in arrays if not _consecutive(rows)]
+        if len(runs) > 1 + len(fancy):
+            runs = [(0, len(arrays[0]))]
+        if new is not None and len(runs) > 1:
+            self.lines.append(f"{out} = empty(({len(arrays[0])}, {new}))")
+        whole = new is not None and len(runs) == 1
+        head = operands[0]
+        for i, j in runs:
+            # a call on one row takes its rows as one dimension, which
+            # numpy runs fastest, unless it makes out, which has two
+            flat = j - i == 1 and not whole
+            args = [arg if isinstance(arg, str) else
+                    self.read(arg[0], arg[1][i:j], flat) for arg in operands]
+            if whole and not isinstance(head, str) and \
+                    not _consecutive(head[1]):
+                # the gathered rows are new: out takes their place
+                self.lines += [f"{out} = {args[0]}",
+                               f"{func}({', '.join([out, *args[1:]])}, "
+                               f"out={out})"]
+            elif whole:
+                self.lines.append(f"{out} = {func}({', '.join(args)})")
+            else:
+                target = self.rows(range(start + i, start + j), flat)
+                self.lines.append(f"{func}({', '.join(args)}, "
+                                  f"out={out}[{target}])")
+
+    def read(self, name: str, rows: Sequence[int], flat: bool) -> str:
+        """The rows of the array name: a gather (take, which numpy runs
+        faster than fancy indexing) unless they run as a slice."""
+        if not _consecutive(rows):
+            return f"{name}.take({self.const(np.array(rows, dtype=np.intp))}, 0)"
+        return f"{name}[{self.rows(rows, flat)}]"
+
+    @staticmethod
+    def rows(rows: Sequence[int], flat: bool) -> str:
+        """The index of rows that run as a slice; flat, of one row as one
+        dimension."""
+        return f"{rows[0]}" if flat else f"{rows[0]}:{rows[-1] + 1}"
+
+
+def _position_sums(program: _RowProgram, target: str, positions,
+                   source: str, new: str | None = None) -> None:
+    """The statements of _term_positions' sums into target's rows, one
+    per term position: (first, rows), whose sums are target's rows from
+    first on and whose terms are those rows of source.  The first
+    position writes 0.0 + its terms (into a new target with columns new,
+    if given), each later one adds its terms in place."""
+    for t, (first, rows) in enumerate(positions):
+        sums = range(first, first + len(rows))
+        program.op("add", target, first, "0.0" if t == 0 else (target, sums),
+                   (source, rows), new=new if t == 0 else None)
+
+
+def _row_program(polys: Sequence[Polynomial], args: Sequence[SymbolId]
+                 ) -> Callable:
+    """Compile polys to one function values(x) of the argument rows x, in
+    args order, that returns their values as the rows of a new array,
+    with the bits of as_function(polys, args):
+    - a bank of rows holds the constant terms and the products, the nodes
+      of _ProductTrie with the sign of c folded into its literal: a node
+      is read only by terms of one sign, and s + (-c * ...) has the bits
+      of s - c * ... (a NaN keeps the sign and payload of one operand or
+      the other, as numpy's kernels take them, in either);
+    - one numpy call per product depth computes the products (_RowProgram
+      may split a call into slices, or gather for it): the literals times
+      the argument rows for every product with one factor (1.0 * x, which
+      is x, where c = 1), then each deeper product as the row before it
+      times one more factor row, so a product runs left to right from c;
+    - one numpy call per term position adds the term products, as
+      _term_positions lays them out: a sum starts at 0.0 + and takes its
+      terms in storage order.  A polynomial with no term is 0.0.
+    Each depth's products come first those that the next depth reads, in
+    the order it reads them, then the terms in position order, so that
+    either is a slice where it can be.  The bank takes a block of at most
+    WIDTH columns of x at a time, so that it and the literals, as full
+    rows, hold at most about _BANK_FLOATS floats; both are kept from call
+    to call, one of each per block width (a fresh bank every call would
+    have the allocator return and fault in its pages each time)."""
+    trie = _ProductTrie(polys, args, signed=True)
+    parents, parts = trie.parents, trie.parts
+    order, terms = _term_positions([[chain[-1][0] for _, chain in row]
+                                    for row in trie.terms])
+    level = []          # the factors of each node's product
+    for before, part in zip(parents, parts):
+        level.append(level[before] + 1 if before >= 0 else int(part[0] == "_"))
+    by_level = [[] for _ in range(max(level, default=0) + 1)]
+    for v, d in enumerate(level):
+        by_level[d].append(v)
+    first = {}          # each term product's first (position, sum)
+    for t, ends in enumerate(terms):
+        for r, v in enumerate(ends):
+            first.setdefault(v, (t, r))
+    blocks, read = [], []
+    for d in range(len(by_level) - 1, 0, -1):
+        kept = set(read)
+        blocks.append(read + sorted((v for v in by_level[d] if v not in kept),
+                                    key=first.__getitem__))
+        read = list(dict.fromkeys(parents[v] for v in blocks[-1]))
+    blocks.reverse()
+    held = sorted((v for v in by_level[0] if v in first), key=first.get)
+    row = {v: r for r, v in enumerate([*held, *itertools.chain(*blocks)])}
+    heads = [[float(parts[parents[v]]) if parents[v] >= 0 else 1.0]
+             for v in blocks[0]] if blocks else []
+    width = max(1, _BANK_FLOATS // (len(row) + len(heads) or 1))
+    identity = order == list(range(len(order)))
+
+    program = _RowProgram()
+    const = program.const
+    start = len(held)
+    for d, block in enumerate(blocks, 1):
+        head = ("literals", range(len(block))) if d == 1 else \
+            ("bank", [row[parents[v]] for v in block])
+        program.op("multiply", "bank", start, head,
+                   ("xc", [int(parts[v][1:]) for v in block]))
+        start += len(block)
+    # the sums with terms, most terms first: v's first rows, if they are
+    program.lines.append(f"s = v[:{len(order)}, c:c + {width}]" if identity
+                         else f"s = empty(({len(order)}, w))")
+    _position_sums(program, "s", [(0, [row[v] for v in ends])
+                                  for ends in terms], "bank")
+    if not identity:
+        program.lines.append(f"v[{const(_index(order))}, c:c + {width}] = s")
+
+    lines = ["def values(x):",
+             "    count = x.shape[1]",
+             f"    v = empty(({len(polys)}, count))"]
+    zero = sorted(set(range(len(polys))) - set(order))
+    if zero:
+        lines.append(f"    v[{const(_index(zero))}] = 0.0")
+    lines += [f"    for c in range(0, count, {width}):",
+              f"        xc = x[:, c:c + {width}]",
+              "        w = xc.shape[1]",
+              "        if w not in scratch:",
+              f"            bank = empty(({len(row)}, w))"]
+    if held:
+        values = np.array([[float(parts[v])] for v in held])
+        lines.append(f"            bank[:{len(held)}] = {const(values)}")
+    literals = f"{const(np.array(heads))}.repeat(w, 1)" if heads else "None"
+    lines += [f"            scratch[w] = bank, {literals}",
+              "        bank, literals = scratch[w]"]
+    lines += [f"        {line}" for line in program.lines]
+    lines.append("    return v")
+    return _compile("\n".join(lines), "values",
+                    {**program.constants, "scratch": {}})
+
+
+def _em_step_source(n: int, rows: Sequence[Sequence[tuple[int, int]]] | None
+                    ) -> tuple[str, dict]:
+    """The source of the step that _EmStepper compiles for n species, and
+    the constants it reads.  The step also reads values, the _row_program
+    of the drift and then the noise polynomials, dt and sqrt_dt, and for
+    per-reaction noise (rows None) per_reaction and change, else factor
+    and pattern.
+
+    The step em_step(x, e) reads the species rows x and the rows e of the
+    normal draws.  For --noise sqrt the noise polynomials are B in
+    _FactorPattern's slot layout, zero on L's fill, so the rows of values
+    from n on are what _semidefinite_factor factors in place.  The noise
+    row z_i is then 0.0 + L_ij e_j + ... over the (slot, column j) pairs
+    of rows[i], columns ascending, from the products of the factor and
+    draw rows and one numpy call per term position (_term_positions).
+    That is the sum 0.0 + L_i0 e_0 + ... + L_ii e_i over row i of the
+    dense L, added left to right: each entry it leaves out is +-0.0
+    there, and so is its term, which leaves a sum that starts at 0.0 as
+    it is.  (einsum gives these bits only for some stacks: the order in
+    which it adds depends on their shape and strides.)  Per-reaction
+    noise comes from the rate rows through per_reaction.  The proposal is
+    (x + d dt) + z sqrt_dt, whole arrays, a new array of each call."""
+    program = _RowProgram()
+    program.lines.append("v = values(x)")
+    if rows is None:
+        program.lines.append(f"z = per_reaction(v[{n}:], e, change).T")
     else:
-        lines += [f"    {''.join(f'e{c}, ' for c in range(wiener_dim))}= e",
-                  "    f = factor(entry_rows(rest, x.shape[1], pattern), "
-                  "pattern, x.shape[1:])"]
-        for i, row in enumerate(rows):
-            terms = [f" + f[{s}]*e{j}" for s, j in row]
-            for k in range(0, len(terms), _TERMS_PER_LINE):
-                head = f"z{i}" if k else "0.0"
-                lines.append(f"    z{i} = {head}"
-                             + "".join(terms[k:k + _TERMS_PER_LINE]))
-        noise = [f"z{i}" for i in range(n)]
-    lines.append("    out = empty(x.shape)")
-    lines += [f"    out[{i}] = x{i} + d{i}*dt + {z}*sqrt_dt"
-              for i, z in enumerate(noise)]
-    lines.append("    return out")
-    return "\n".join(lines)
+        # the rows last to first: a pattern's rows have more entries the
+        # later they come, on a ring and for a dense B, so that sum r of
+        # _term_positions is row n - 1 - r, and each position's sums are
+        # the last rows, taken in their order
+        noise, terms = _term_positions([[s for s, _ in pairs]
+                                        for pairs in rows[::-1]])
+        last = noise == list(range(n))
+        column = dict(pair for pairs in rows for pair in pairs)
+        slots, positions = [], []
+        for ends in terms:
+            positions.append((n - len(ends) if last else 0,
+                              range(len(slots), len(slots) + len(ends))))
+            slots += ends[::-1] if last else ends
+        program.lines.append(f"f = factor(v[{n}:], pattern, x.shape[1:])")
+        program.op("multiply", "g", 0, ("f", slots),
+                   ("e", [column[s] for s in slots]), new="count")
+        _position_sums(program, "z", positions, "g", new="count")
+        if not last:
+            back = [noise.index(n - 1 - i) for i in range(n)]
+            program.lines.append(f"z = z[{program.const(_index(back))}]")
+    program.lines += ["multiply(z, sqrt_dt, out=z)",
+                      f"out = multiply(v[:{n}], dt)",
+                      "add(x, out, out=out)",
+                      "add(out, z, out=out)",
+                      "return out"]
+    return "\n".join(["def em_step(x, e):", "    count = x.shape[1]",
+                      *(f"    {line}" for line in program.lines)]), \
+        program.constants
 
 
-def _per_reaction_noise(rates, eps: np.ndarray,
+def _per_reaction_noise(rates: np.ndarray, eps: np.ndarray,
                         change: np.ndarray) -> np.ndarray:
     """The (T, n) noise increments sum_r sqrt(a_r) eps_r change_r from the
-    channels' rates a_r, the draws eps (one row per channel) and the
-    channels' changes (s, n)."""
-    amp = np.empty((eps.shape[1], len(change)))
-    for i, v in enumerate(rates):
-        amp[:, i] = v
-    low = amp.min(initial=0.0)
+    channels' rates a_r and the draws eps, one row per channel each, and
+    the channels' changes (s, n)."""
+    low = rates.min(initial=0.0)
     if low < -_RATE_TOL:
         raise NegativeRateError(
             f"per-reaction rate {low:.6e} is negative beyond "
             f"tolerance {_RATE_TOL:.1e}")
-    root = np.sqrt(np.clip(amp, 0.0, None))
-    return np.multiply(root, eps.T, out=root) @ change
+    # a rate is a sum that starts at 0.0 +, never -0.0, where maximum
+    # and clip can differ
+    root = np.maximum(rates, 0.0)
+    np.sqrt(root, out=root)
+    np.multiply(root, eps, out=root)
+    return root.T.copy() @ change       # a C-contiguous (T, s) operand
 
 
 class _EmStepper:
@@ -476,13 +696,16 @@ class _EmStepper:
     States are held as an (n, T) array, one contiguous row per species,
     and the normal draws of a step as an (m, T) array, one row per Wiener
     component.  step(states, eps) returns the proposal as a new (n, T)
-    array from one function generated per model (_em_step_source): the
-    drift and noise polynomials come from one as_function call over the
-    rows, B goes into one array in _FactorPattern's slot layout
-    (_entry_rows) that _semidefinite_factor factors in place, and each
-    proposal row is formed from its own rows, with no stacked matrices,
-    transposes or einsum.  Per-reaction noise keeps its (T, s) @ change
-    product.
+    array from one function generated per model (_em_step_source): a
+    row program evaluates the drift and noise polynomials into one array
+    of rows with one numpy call per product depth and one per term
+    position, with the bits of as_function; B's entries land in
+    _FactorPattern's slot layout, which _semidefinite_factor factors in
+    place, and the noise rows and the proposal are whole-array
+    operations, with no stacked matrices, transposes or einsum.
+    Per-reaction noise keeps its (T, s) @ change product.  Every call
+    allocates its own arrays, so a proposal shares no buffer with
+    another.
 
     For --noise sqrt all of it works on B's pattern (_FactorPattern),
     read once from the model: the diagonal and the entries of
@@ -496,11 +719,8 @@ class _EmStepper:
         for r in model.rate_symbols:
             if r not in config.rates:
                 raise UnboundRateError(r)
-        n = len(model.species)
-        namespace = {"empty": np.empty, "dt": config.dt,
-                     "sqrt_dt": math.sqrt(config.dt)}
-        per_reaction = model.noise_strategy is NoiseStrategy.PER_REACTION
-        if per_reaction:
+        namespace = {"dt": config.dt, "sqrt_dt": math.sqrt(config.dt)}
+        if model.noise_strategy is NoiseStrategy.PER_REACTION:
             if model.scheme is None:
                 raise IncompatibleNoiseError(
                     "per-reaction noise needs the scheme, but the model "
@@ -517,19 +737,20 @@ class _EmStepper:
             rows = None
         else:
             pattern = _diffusion_pattern(model.diffusion)
-            # the upper triangle's polynomials, which equal the lower's
-            noise = [model.diffusion[j][i] for i, j in pattern.entries]
-            namespace["entry_rows"] = _entry_rows
+            # one polynomial per slot: the upper triangle's entry, which
+            # equals the lower's, and zero on L's fill
+            noise = [Polynomial.zero()] * len(pattern.slots)
+            for (i, j), s in zip(pattern.entries, pattern.entry_slots):
+                noise[s] = model.diffusion[j][i]
             namespace["factor"] = _semidefinite_factor
             namespace["pattern"] = pattern
             rows = pattern.rows()
-            self.wiener_dim = n
-        namespace["polynomials"] = as_function(
+            self.wiener_dim = len(model.species)
+        namespace["values"] = _row_program(
             [bind_values(p, config.rates) for p in (*model.drift, *noise)],
             model.species)
-        self._step = _compile(
-            _em_step_source(n, self.wiener_dim, per_reaction, rows),
-            "em_step", namespace)
+        source, constants = _em_step_source(len(model.species), rows)
+        self._step = _compile(source, "em_step", {**namespace, **constants})
 
     def step(self, states: np.ndarray, eps: np.ndarray) -> np.ndarray:
         """The proposal states + drift dt + b(states) eps sqrt(dt), for

@@ -23,6 +23,9 @@ KEPT = {
     ("cli", "drift_vector"):
         "perfbench's layer hooks wrap onestep.cli.drift_vector, and a "
         "missing hook target is reported as absent",
+    ("sim", "as_function"):
+        "perfbench's layer hooks wrap onestep.sim.as_function, which the "
+        "Euler-Maruyama step no longer calls",
 }
 
 

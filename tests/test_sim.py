@@ -36,10 +36,12 @@ from onestep.sim import (_CSV_VALUES_PER_COUNT, _PSD_LONE_FLOOR,
                          _SSA_LEAF_RATES, _EmStepper,
                          _FactorPattern, _choice_tree, _diffusion_pattern,
                          _em_step_source, _entry_rows, _rekeyer,
+                         _row_program,
                          _semidefinite_factor, _ssa_leaves,
                          _ssa_path_source, _ssa_rate_lines,
                          _grid_step_indices, _require_finite)
 from onestep.cli import _compared_entries
+from onestep.poly import _TERMS_PER_LINE, monomial
 import onestep.sim as sim_module
 from helpers import (CHECK_STATES, EM_NORMALS, EM_REDRAWS, LOTKA_VOLTERRA,
                      PURE_DEATH, SSA_CHOICES, SSA_WAITS, VERHULST,
@@ -573,7 +575,7 @@ class TestEmStepSource:
                                            (3, True), (8, True)])
     def test_noise_rows_have_the_bits_of_einsum(self, n, sparse):
         # the step runs on a factor with zero entries below the diagonal
-        # too; -0.0 states and drift make x + d dt equal -0.0, the identity
+        # too; -0.0 states and dt make x + d dt equal -0.0, the identity
         # of float addition, so each proposal row is the noise row itself.
         # A sparse step sums only its rows' entries: the factor holds
         # +0.0 or -0.0 at every other entry, which einsum adds
@@ -597,14 +599,13 @@ class TestEmStepSource:
                      for i, row in enumerate(rows)]
             entries = tuple(zip(*slots))
             eps = rng.standard_normal((n, count))
-            namespace = {
-                "polynomials": lambda *x: (-0.0,) * n + (0.0,) * (n * n),
-                "entry_rows": lambda values, count, pattern: None,
+            source, namespace = _em_step_source(n, pairs)
+            namespace.update({
+                "values": lambda x: np.zeros((n + len(slots), count)),
                 "factor": lambda a, pattern, batch:
                     np.ascontiguousarray(lower[(slice(None), *entries)].T),
-                "pattern": None, "empty": np.empty, "dt": 0.0,
-                "sqrt_dt": 1.0}
-            exec(_em_step_source(n, n, False, pairs), namespace)
+                "pattern": None, "dt": -0.0, "sqrt_dt": 1.0})
+            exec(source, namespace)
             out = namespace["em_step"](np.full((n, count), -0.0), eps)
             want = np.einsum("tij,tj->ti", lower, eps.T)
             assert out.tobytes() == np.ascontiguousarray(want.T).tobytes()
@@ -614,7 +615,9 @@ class TestEmStepSource:
         # pattern, 3n - 3, and compiles the 2n entries of B's; check
         # compares the n + n entries of B's upper triangle that a channel
         # moves.  Dense, the step held n(n+1)/2 terms and check compared
-        # n^2 entries
+        # n^2 entries.  The step's lines grow by one statement per term
+        # position of the noise row with most entries, the last, which
+        # has n, and by nothing else
         terms, compiled, compared, lines = {}, {}, {}, {}
         for n in (16, 32):
             scheme = parse_scheme("".join(
@@ -624,8 +627,10 @@ class TestEmStepSource:
                                     DiffusionSign.SUM,
                                     NoiseStrategy.MATRIX_SQRT)
             pattern = _diffusion_pattern(model.diffusion)
-            source = _em_step_source(n, n, False, pattern.rows())
-            terms[n] = source.count("]*e")
+            source, constants = _em_step_source(n, pattern.rows())
+            # the noise terms: the factor's rows that the step gathers
+            gather = re.search(r"f\.take\((k\d+), 0\)", source).group(1)
+            terms[n] = len(constants[gather])
             compiled[n] = len(pattern.entries)
             compared[n] = len(_compared_entries(scheme, model.diffusion))
             lines[n] = len(source.splitlines())
@@ -633,7 +638,7 @@ class TestEmStepSource:
         assert terms == {16: 3 * 16 - 3, 32: 3 * 32 - 3}
         assert compiled == {16: 2 * 16, 32: 2 * 32}
         assert compared == {16: 2 * 16, 32: 2 * 32}
-        assert lines[32] - lines[16] == 2 * 16
+        assert lines[32] - lines[16] == 16
 
     def test_a_ring_step_holds_no_dense_stack(self):
         # a 100-species ring at 512 paths: B and L take one row per entry
@@ -658,6 +663,116 @@ class TestEmStepSource:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+_ROW_SYMS = (species("x"), species("y"), species("z"))
+# coefficients from a small set, so that terms and polynomials share
+# products, of either sign, and 1 and -1, which start no product
+_ROW_COEFFICIENTS = [1, -1, 2, -2, Fraction(1, 3), Fraction(-1, 3),
+                     Fraction(7, 2), Fraction(1, 10 ** 400)]
+# +-0.0, subnormals, +-inf, NaN and values whose powers overflow
+_ROW_VALUES = [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan,
+               1e300, -1e300, 1.0, -2.5, 0.1, 3.0]
+
+
+@st.composite
+def _row_polynomials(draw):
+    """Polynomials in x, y, z with powers up to 5, some constant terms,
+    and now and then the zero polynomial or one negated."""
+    polys = []
+    for _ in range(draw(st.integers(1, 5))):
+        terms = draw(st.lists(st.tuples(
+            st.sampled_from(_ROW_COEFFICIENTS),
+            st.lists(st.integers(0, 5), min_size=3, max_size=3)),
+            max_size=8))
+        p = Polynomial.zero()
+        for c, powers in terms:
+            p = p + monomial(c, dict(zip(_ROW_SYMS, powers)))
+        polys.append(p)
+        if draw(st.booleans()):
+            polys.append(-p)
+    return polys
+
+
+def _same_values_as_as_function(polys, rows) -> None:
+    """The row program gives every value as_function gives, bit for bit
+    (compared as int64 views), and NaN where it gives NaN.  Which NaN
+    operand's sign and payload a sum or product keeps is up to the order
+    in which numpy's kernels take their operands, which changes with an
+    array's length and layout: 0.0 + NaN + -NaN is NaN in a row of 7
+    and -NaN in the second of two.  No value of a path is kept past its
+    first non-finite state, so no output depends on those bits."""
+    x = np.array(rows, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        got = _row_program(polys, _ROW_SYMS)(x)
+        want = as_function(polys, _ROW_SYMS)(*x)
+    assert got.shape == (len(polys), x.shape[1])
+    for k, value in enumerate(want):
+        expected = np.broadcast_to(np.float64(value), x.shape[1:])
+        nan = np.isnan(expected)
+        assert np.isnan(got[k]).tolist() == nan.tolist(), k
+        assert got[k][~nan].view(np.int64).tolist() == \
+            expected[~nan].view(np.int64).tolist(), k
+
+
+class TestRowProgram:
+    """The Euler-Maruyama step's row program evaluates polynomials with
+    the bits of as_function: products from c left to right, sums from
+    0.0 in storage order, signs folded only into products of one sign."""
+
+    @given(_row_polynomials(),
+           st.lists(st.lists(st.sampled_from(_ROW_VALUES), min_size=7,
+                             max_size=7), min_size=3, max_size=3))
+    @example(polys=[Polynomial.zero(), parse_expression("x - 2*x*y + 3")],
+             rows=[[-0.0, math.inf, math.nan, 5e-324, 1e300, 1.0, 0.0]] * 3)
+    def test_values_have_the_bits_of_as_function(self, polys, rows):
+        _same_values_as_as_function(polys, rows)
+
+    def test_a_sum_longer_than_a_line(self):
+        # as_function continues a sum this long over several statements;
+        # the row program takes it one term position at a time
+        p = sum((monomial(Fraction((-1) ** (a + b + c), a + 2 * b + 3),
+                          {_ROW_SYMS[0]: a, _ROW_SYMS[1]: b,
+                           _ROW_SYMS[2]: c})
+                 for a in range(7) for b in range(7) for c in range(7)),
+                Polynomial.zero())
+        assert len(p.terms) > _TERMS_PER_LINE
+        rows = [[0.5, -1.25, 1.0, -0.0, 1e300, math.nan, 2.0],
+                [1.0, 0.9, -0.3, 1.1, -1e-300, 3.0, math.inf],
+                [-1.0, 1.1, 0.7, 0.0, 2.0, -2.0, 0.5]]
+        _same_values_as_as_function([p, -p, Polynomial.zero(), p], rows)
+
+    def test_a_sum_that_cancels_to_zero_and_stops(self):
+        # x - y cancels to +0.0 at x = y, and a -0.0 term leaves it +0.0,
+        # while the longer sums go on over later term positions; 2*x at
+        # x = -0.0 is 0.0 + -0.0, which is +0.0
+        polys = [parse_expression("x - y + z", _ROW_SYMS),
+                 parse_expression("x + y + z + x*y + x*z + y*z + x*y*z",
+                                  _ROW_SYMS),
+                 parse_expression("2*x", _ROW_SYMS)]
+        rows = [[1.5, -0.0, 3.0, math.inf], [1.5, -0.0, 3.0, math.inf],
+                [-0.0, -0.0, -0.0, 1.0]]
+        _same_values_as_as_function(polys, rows)
+        with np.errstate(all="ignore"):
+            got = _row_program(polys, _ROW_SYMS)(np.array(rows))
+        assert got[0].view(np.int64).tolist()[:3] == [0, 0, 0]
+        assert got[2].view(np.int64).tolist()[1] == 0
+
+    def test_blocks_of_columns_have_the_bits_of_one(self, monkeypatch):
+        # a bank narrower than the states takes them a block of columns
+        # at a time, into the same bits
+        polys = [parse_expression("x^3 - 2*x*y + z^2 - 1/3", _ROW_SYMS),
+                 parse_expression("-x*y*z + 7/2*y^2", _ROW_SYMS)]
+        rng = np.random.default_rng(5)
+        x = rng.choice(_ROW_VALUES, (3, 37))
+        with np.errstate(all="ignore"):
+            whole = _row_program(polys, _ROW_SYMS)(x)
+            monkeypatch.setattr(sim_module, "_BANK_FLOATS", 64)
+            blocks = _row_program(polys, _ROW_SYMS)
+            assert blocks(x).tobytes() == whole.tobytes()
+            # a second call reuses the block's bank
+            assert blocks(x[:, :5]).tobytes() == whole[:, :5].tobytes()
+            assert blocks(x).tobytes() == whole.tobytes()
 
 
 class TestEulerMaruyama:
@@ -1777,11 +1892,18 @@ class TestEnginesMatchReference:
          1.0, 2e-3),
         (RING8, {**{f"a_{i}": 1e-4 for i in range(1, 9)},
                  **{f"b_{i}": 5e-5 for i in range(1, 9)}}, (100,) * 8, 0.1,
-         1e-3)])
+         1e-3),
+        # long rows of the factor's pattern (its last row has 25 entries)
+        # and slots that do not run consecutively, on a ring whose names
+        # x10 ... x25 sort between x1 and x2
+        pytest.param(_ring_text(25),
+                     {**{f"a_{i}": 1e-4 for i in range(1, 26)},
+                      **{f"b_{i}": 5e-5 for i in range(1, 26)}},
+                     (100,) * 25, 0.05, 1e-3, id="ring25")])
     def test_euler_maruyama_on_benchmark_schemes(self, text, values, initial,
                                                  t_final, dt, policy, noise):
-        """The benchmark's schemes, rates and starts, and the predator-prey
-        model from where its B has zero pivots."""
+        """The benchmark's schemes, rates and starts, the predator-prey
+        model from where its B has zero pivots, and a longer ring."""
         model = build_sde_model(parse_scheme(text), RateMode.EXACT,
                                 DiffusionSign.SUM, noise)
         config = SimConfig(rates={rate(k): v for k, v in values.items()},
