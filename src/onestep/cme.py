@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .floattext import _block_rows, _csv_text, _float_fields
 from .poly import (SymbolId, UnboundRateError, _compile, _exact, _int_dtype,
                    as_function, bind_values)
 from .scheme import InteractionScheme
@@ -407,11 +408,24 @@ def distribution_moments(dist: Distribution):
 
 def distribution_to_csv(dist: Distribution,
                         species: Sequence[SymbolId]) -> str:
+    """One row per state of the box, in its order: the counts, then the
+    probability in its shortest repr, assembled as bytes a block of states
+    at a time (floattext)."""
     names = ",".join(s.name for s in species)
-    lines = [f"{names},probability"]
-    lines += [f"{','.join(map(str, state))},{p!r}" for state, p
-              in zip(dist.box.states(), dist.probabilities.tolist())]
-    return "\n".join(lines) + "\n"
+    size = min(dist.box.size, len(dist.probabilities))
+    dims = [b + 1 for b in dist.box.bounds]
+    top = max(dist.box.bounds)
+    digits = np.arange(top + 1).astype(f"S{len(str(top))}")
+    digits = digits.view(np.uint8).reshape(top + 1, -1)
+    step = _block_rows(len(dims) + 1)
+    chunks = [f"{names},probability\n"]
+    for start in range(0, size, step):
+        states = np.arange(start, min(start + step, size))
+        counts = np.stack(np.unravel_index(states, dims), axis=1)
+        cells = _float_fields(dist.probabilities[states])
+        chunks.append(_csv_text(digits.take(counts, axis=0),
+                                cells.reshape(states.size, 1, -1)))
+    return "".join(chunks)
 
 
 def default_box(scheme: InteractionScheme, rates: Mapping[SymbolId, object],

@@ -32,6 +32,7 @@ from .derive import (Engine, IncompatibleNoiseError, NegativePolicy,
                      NegativeRateError, NoiseStrategy, NotPsdError,
                      SdeModel, SimConfigError, SimulationError,
                      TooFewTrajectoriesError, transition_rates)
+from .floattext import _block_rows, _csv_text, _float_fields
 from .poly import (Polynomial, SymbolId, UnboundRateError, _compile, _exact,
                    _ProductTrie, bind_values)
 # no longer called here; perfbench's layer hooks still name it in this module
@@ -57,10 +58,11 @@ _LOCKSTEP_MIN = 96      # active paths below which the jump sampler's
                         # head iteration costs about what 90 events of the
                         # path loop cost
 _CSV_VALUES_PER_COUNT = 64    # values of a jump-sampler ensemble per
-                               # entry of its CSV's table of count strings,
-                               # at least: an entry (a str and its pointer,
-                               # about 63 bytes) then holds about a byte per
-                               # value, against 4 or more in the text
+                               # entry of its CSV's table of count cells,
+                               # at least: an entry (a row as wide as the
+                               # largest count's text) then holds well
+                               # under a byte per value, against 4 or more
+                               # in the text
 _BANK_FLOATS = 2 ** 17  # floats of the Euler-Maruyama step's bank of
                         # products and literals: it takes the states in
                         # blocks of as many columns as keep it within this
@@ -1327,11 +1329,11 @@ def compare_engines(model: SdeModel, config: SimConfig,
 
 
 def _count_strings(ensemble: TrajectoryEnsemble) -> np.ndarray | None:
-    """repr(float(k)) for k = 0 ... the largest count, as an object array,
-    when ensemble is the jump sampler's and every value is such a count:
-    a float64 k of at most one per _CSV_VALUES_PER_COUNT values that
-    round-trips bit for bit through its index (so never -0.0, a
-    fraction, NaN or inf).  None otherwise."""
+    """The cells of float(k) for k = 0 ... the largest count, one NUL-padded
+    row each (_float_fields), when ensemble is the jump sampler's and every
+    value is such a count: a float64 k of at most one per
+    _CSV_VALUES_PER_COUNT values that round-trips bit for bit through its
+    index (so never -0.0, a fraction, NaN or inf).  None otherwise."""
     paths = ensemble.paths
     if (ensemble.engine is not Engine.SSA or not paths.size
             or paths.dtype != np.float64):
@@ -1342,63 +1344,65 @@ def _count_strings(ensemble: TrajectoryEnsemble) -> np.ndarray | None:
     counts = paths.astype(np.intp).astype(np.float64)
     if not np.array_equal(counts.view(np.int64), paths.view(np.int64)):
         return None
-    return np.array([repr(float(k)) for k in range(int(top) + 1)],
-                    dtype=object)
+    return _float_fields(np.arange(int(top) + 1, dtype=np.float64))
 
 
 def trajectories_to_csv(ensemble: TrajectoryEnsemble) -> str:
     """One row per (trajectory, grid time): "j,t,x_1,...,x_n", every float
     in its shortest repr.
 
-    One template of string slots serves every trajectory: per grid time
-    the slots j, ",t,", x_1, ",", ..., x_n and a newline, with the time
-    stamps and separators filled in once per call.  Each trajectory puts
-    the strings of its values and str(j) into their slots by slice
-    assignment and joins the template into one chunk, which keeps the
-    writer's peak memory near twice its output.
+    The text is assembled as bytes, a block of paths at a time: each
+    value's repr is a NUL-padded cell (floattext), and _csv_text lays out
+    the cells of j, of t and of x_1 ... x_n in rows, drops the NULs and
+    decodes the block once.  A block holds at most _BLOCK_VALUES values
+    (_block_rows), which keeps the writer's peak memory near twice its output.
 
-    The bytes of a value are always its repr.  A jump-sampler path holds
-    counts, so where every value is a count of at most one per
-    _CSV_VALUES_PER_COUNT values (_count_strings), the repr of each count
-    is made once, in a table, and each path takes its strings from the
-    table by one fancy index of its own; otherwise, and always for
-    Euler-Maruyama, each path calls repr on each of its values.  The
-    limit bounds the table's memory: a table of one entry per value held
-    up to ten times the output at the writer's peak on eight-species
-    paths, one per 64 values holds it below 2.25 times."""
+    A jump-sampler path holds counts, so where every value is a count of
+    at most one per _CSV_VALUES_PER_COUNT values (_count_strings), each
+    count's cell is made once, in a table, and a block takes its cells
+    from the table by one take; otherwise, and always for
+    Euler-Maruyama, each value's cell comes from _float_fields.  The limit
+    bounds the table's memory."""
     names = ",".join(s.name for s in ensemble.species)
-    _, grid, n = ensemble.paths.shape
-    width = 2 * n + 2
-    template = (["", ""] + [","] * (2 * n - 1) + ["\n"]) * grid
-    template[1::width] = [f",{t!r}," for t in ensemble.times.tolist()]
+    head = f"trajectory,t,{names}\n"
+    count, grid, n = ensemble.paths.shape
+    if not count:
+        return head
+    labels = np.arange(count).astype(f"S{len(str(count - 1))}")
+    labels = labels.view(np.uint8).reshape(count, 1, 1, -1)
+    times = _float_fields(ensemble.times).reshape(1, grid, 1, -1)
     table = _count_strings(ensemble)
-    chunks = [f"trajectory,t,{names}\n"]
-    for j, path in enumerate(ensemble.paths):
-        template[::width] = [str(j)] * grid
+    step = _block_rows(grid * n)
+    chunks = [head]
+    for j in range(0, count, step):
+        paths = ensemble.paths[j:j + step]
         if table is None:
-            text = list(map(repr, path.ravel().tolist()))
+            cells = _float_fields(paths)
         else:
-            text = table[path.ravel().astype(np.intp)].tolist()
-        for i in range(n):
-            template[2 + 2 * i::width] = text[i::n]
-        chunks.append("".join(template))
+            cells = table.take(paths.astype(np.intp), axis=0)
+        chunks.append(_csv_text(labels[j:j + step], times, cells))
     return "".join(chunks)
 
 
 def moments_to_csv(report: MomentReport,
                    species: Sequence[SymbolId]) -> str:
+    """One row per grid time: t, the means, the covariance row by row and
+    the standard errors, every float in its shortest repr, assembled as
+    bytes a block of rows at a time as trajectories_to_csv does."""
     names = [s.name for s in species]
     header = ["t"]
     header += [f"mean_{n}" for n in names]
     header += [f"cov_{a}_{b}" for a in names for b in names]
     header += [f"stderr_{n}" for n in names]
-    rows = zip(report.times.tolist(), report.mean.tolist(),
-               report.covariance.reshape(len(report.times), -1).tolist(),
-               report.standard_error.tolist())
-    lines = [",".join(header)]
-    lines += [",".join(map(repr, [t, *mean, *cov, *stderr]))
-              for t, mean, cov, stderr in rows]
-    return "\n".join(lines) + "\n"
+    grid = len(report.times)
+    values = np.concatenate(
+        [np.reshape(report.times, (grid, 1)), report.mean,
+         report.covariance.reshape(grid, -1), report.standard_error], axis=1)
+    step = _block_rows(values.shape[1])
+    chunks = [",".join(header) + "\n"]
+    chunks += [_csv_text(_float_fields(values[g:g + step]))
+               for g in range(0, grid, step)]
+    return "".join(chunks)
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",

@@ -259,3 +259,25 @@ print(code, len(calls))
          "--trajectories", "3", "--grid-points", "3",
          "--out", str(tmp_path / "o"))
     assert done.stdout.splitlines()[-1] == "0 1"
+
+
+def test_float_text_tables_wait_for_a_csv_writer(schemes, tmp_path):
+    """Neither importing sim nor check, which writes no CSV, builds the
+    float-text kernel's tables; simulate's first writer call does."""
+    rates = tmp_path / "verhulst.rates"
+    rates.write_text("lambda = 1\nbeta = 1/5\ngamma = 1/20\n")
+    done = fresh("""
+import sys
+import onestep.floattext, onestep.sim
+from onestep.cli import main
+built = onestep.floattext._tables.cache_info
+print("tables", built().currsize)
+main(["check", *sys.argv[2:]])
+print("tables", built().currsize)
+main(["simulate", *sys.argv[2:], "--out", sys.argv[1]])
+print("tables", built().currsize)
+""", str(tmp_path / "out"), str(schemes["verhulst"]), "--rates", str(rates),
+         "--initial", "phi=10", "--t-final", "0.1", "--trajectories", "20",
+         "--grid-points", "3")
+    assert [line for line in done.stdout.splitlines()
+            if line.startswith("tables")] == ["tables 0"] * 2 + ["tables 1"]

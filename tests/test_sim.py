@@ -42,7 +42,9 @@ from onestep.sim import (_CSV_VALUES_PER_COUNT, _PSD_LONE_FLOOR,
                          _grid_step_indices, _require_finite)
 from onestep.cli import _compared_entries
 from onestep.poly import _TERMS_PER_LINE, monomial
+import onestep.floattext as floattext_module
 import onestep.sim as sim_module
+from onestep.floattext import _float_fields
 from helpers import (CHECK_STATES, EM_NORMALS, EM_REDRAWS, LOTKA_VOLTERRA,
                      PURE_DEATH, SSA_CHOICES, SSA_WAITS, VERHULST,
                      lower_stack, random_scheme_text, reference_stream,
@@ -1280,14 +1282,15 @@ _LIMIT = 1600 // _CSV_VALUES_PER_COUNT
 
 
 def _repr_calls(monkeypatch, ensemble: TrajectoryEnsemble) -> tuple:
-    """The trajectory CSV and how often the writer called repr."""
+    """The trajectory CSV and how often the writer's float-text kernel
+    called repr."""
     calls = []
 
     def counted(value):
         calls.append(value)
         return repr(value)
 
-    monkeypatch.setattr(sim_module, "repr", counted, raising=False)
+    monkeypatch.setattr(floattext_module, "repr", counted, raising=False)
     return trajectories_to_csv(ensemble), len(calls)
 
 
@@ -1327,6 +1330,21 @@ def _ring8_ensemble(engine: Engine) -> TrajectoryEnsemble:
                                           DiffusionSign.SUM), config)
 
 
+def _lotka_volterra_ensemble(engine: Engine) -> TrajectoryEnsemble:
+    """An ensemble of the lotka-volterra benchmark's shape: x and y from 20,
+    1,000 paths on 10 grid points to t=1, per-reaction noise."""
+    scheme = parse_scheme(LOTKA_VOLTERRA)
+    rates = {rate("k_1"): 1.0, rate("k_2"): 0.05, rate("k_3"): 1.0}
+    config = SimConfig(rates=rates, initial_state=(20.0, 20.0),
+                       t_final=1.0, dt=2e-3, trajectories=1000, base_seed=3,
+                       grid_points=10)
+    if engine is Engine.SSA:
+        return gillespie_ssa(scheme, config)
+    return euler_maruyama(build_sde_model(
+        scheme, RateMode.EXACT, DiffusionSign.SUM,
+        NoiseStrategy.PER_REACTION), config)
+
+
 class TestWritersMatchReference:
     """The writers give exactly the strings of the reference writers."""
 
@@ -1358,28 +1376,39 @@ class TestWritersMatchReference:
                                      1e16, 123456789012345678.0])
     @pytest.mark.parametrize("engine", [Engine.SSA, Engine.EULER_MARUYAMA])
     def test_counts_at_the_table_limit(self, monkeypatch, top, engine):
-        """The table holds one repr per count 0 ... top, up to the limit;
-        past it, or for Euler-Maruyama, each value gets its own repr.  A
-        count of 1e16 or more prints in exponent notation either way."""
+        """The table holds one cell per count 0 ... top, up to the limit;
+        past it, or for Euler-Maruyama, each value gets its own cell.  A
+        count of 1e16 or more prints in exponent notation either way.  The
+        kernel hands repr only the count top, and only where it is 2**50
+        or more, past the plain-notation range it writes itself."""
         ensemble = _ensemble(_counts(3, _SHAPE, top),
                              np.linspace(0.0, 1.0, 20), engine)
         text, calls = _repr_calls(monkeypatch, ensemble)
         assert text == _reference_trajectories_to_csv(ensemble)
-        table = engine is Engine.SSA and top <= _LIMIT
-        assert calls == (int(top) + 1 if table else 1600)
+        assert calls == (1 if top >= 2 ** 50 else 0)
         assert (",1e+16" in text) == (top == 1e16)
 
-    @pytest.mark.parametrize("value", [0.5, -0.0, math.nan, math.inf,
-                                       -math.inf, -1.0, 1e300])
-    def test_values_that_are_no_count(self, monkeypatch, value):
+    @pytest.mark.parametrize("value, reprs", [
+        (0.5, 0), (-0.0, 0), (math.nan, 1), (math.inf, 1), (-math.inf, 1),
+        (-1.0, 0), (1e300, 1)])
+    def test_values_that_are_no_count(self, monkeypatch, value, reprs):
         """An ensemble labelled as the jump sampler's that holds a value
-        other than a count gets repr's bytes, one repr per value."""
+        other than a count gets repr's bytes, a cell per value; the kernel
+        hands repr NaN, the infinities and exponent notation only."""
         paths = _counts(3, _SHAPE, 7)
         paths[4, 11, 2] = value
         ensemble = _ensemble(paths, np.linspace(0.0, 1.0, 20), Engine.SSA)
         text, calls = _repr_calls(monkeypatch, ensemble)
         assert text == _reference_trajectories_to_csv(ensemble)
-        assert calls == 1600
+        assert calls == reprs
+
+    def test_verhulst_euler_maruyama_values_take_no_repr(self, monkeypatch):
+        """Every value and grid time of the verhulst benchmark's
+        Euler-Maruyama ensemble lies in the kernel's own range."""
+        ensemble = _verhulst_ensemble(Engine.EULER_MARUYAMA)
+        text, calls = _repr_calls(monkeypatch, ensemble)
+        assert calls == 0
+        assert text == _reference_trajectories_to_csv(ensemble)
 
     def test_no_trajectories(self):
         ensemble = _ensemble(np.empty((0, 5, 2)), np.linspace(0.0, 1.0, 5),
@@ -1425,6 +1454,102 @@ class TestWritersMatchReference:
     def test_ring8_benchmark_ensemble(self, engine):
         ensemble = _ring8_ensemble(engine)
         assert ensemble.paths.shape == (200, 50, 8)
+        assert trajectories_to_csv(ensemble) == \
+            _reference_trajectories_to_csv(ensemble)
+
+
+def _field_texts(values) -> list[str]:
+    """The bytes of each row of _float_fields(values), NULs dropped."""
+    return [row.tobytes().replace(b"\0", b"").decode("ascii")
+            for row in _float_fields(values)]
+
+
+def _with_neighbours(values) -> np.ndarray:
+    """values, their negations, and the floats on either side of each."""
+    values = np.asarray(values, dtype=np.float64)
+    values = np.concatenate([values, -values])
+    with np.errstate(over="ignore"):    # past the largest float: inf
+        return np.concatenate([values, np.nextafter(values, -np.inf),
+                               np.nextafter(values, np.inf)])
+
+
+class TestFloatText:
+    """The writers' float-text kernel gives every float the bytes of its
+    repr: Ryu's digits in plain notation for 1e-4 <= |x| < 2**50 and the
+    signed zeros, and repr's own text for everything else."""
+
+    @staticmethod
+    def assert_reprs(values) -> None:
+        values = np.asarray(values, dtype=np.float64).ravel()
+        assert _field_texts(values) == [repr(v) for v in values.tolist()]
+
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+    def test_random_bit_patterns(self, words):
+        """Any 64-bit pattern, of either sign."""
+        self.assert_reprs(np.array(words, dtype=np.uint64).view(np.float64))
+
+    @given(st.lists(st.tuples(st.floats(1e-4, 2.0 ** 50, exclude_max=True),
+                              st.booleans()), min_size=1, max_size=64))
+    def test_random_values_the_kernel_writes(self, values):
+        self.assert_reprs([-v if negative else v for v, negative in values])
+
+    def test_every_exponent_the_kernel_writes(self):
+        """Random mantissas at each exponent from 2**-14 to 2**49, with the
+        extreme mantissas and both signs."""
+        rng = np.random.default_rng(7)
+        exponents = np.repeat(np.arange(1009, 1073, dtype=np.uint64), 500)
+        mantissas = rng.integers(0, 2 ** 52, exponents.size, dtype=np.uint64)
+        mantissas[::500] = 0
+        mantissas[1::500] = 2 ** 52 - 1
+        signs = rng.integers(0, 2, exponents.size, dtype=np.uint64)
+        self.assert_reprs((signs << np.uint64(63) | exponents << np.uint64(52)
+                           | mantissas).view(np.float64))
+
+    def test_subnormals_and_the_extremes(self):
+        subnormals = np.random.default_rng(8).integers(
+            1, 2 ** 52, 1000, dtype=np.uint64).view(np.float64)
+        self.assert_reprs(_with_neighbours(np.concatenate([
+            subnormals, [5e-324, 1e-323, 2.225073858507201e-308,
+                         2.2250738585072014e-308, 1.7976931348623157e308]])))
+
+    def test_powers_of_ten_and_their_multiples(self):
+        """10**e times 1, 2, 5, 9, 25, 125 and 999 over every decade, and
+        one ulp either side of each."""
+        values = [float(f"{m}e{e}") for e in range(-324, 309)
+                  for m in (1, 2, 5, 9, 25, 125, 999)]
+        values = np.array(values)
+        self.assert_reprs(_with_neighbours(values[np.isfinite(values)]))
+
+    def test_halfway_values(self):
+        """k + 0.5, whose shortest digits end in the 5 of a tie."""
+        k = np.concatenate([np.arange(10 ** 5), 2 ** 49 - np.arange(1000),
+                            10 ** np.arange(16) + 3])
+        self.assert_reprs(_with_neighbours(k + 0.5))
+
+    def test_integers_near_the_limits(self):
+        """Integers near 2**50, the kernel's end, and near 2**53, where the
+        spacing of the floats grows past 1."""
+        near = np.arange(-1000, 1001)
+        self.assert_reprs(_with_neighbours(np.concatenate(
+            [2.0 ** 50 + near, 2.0 ** 53 + 2 * near, 10.0 ** 15 + near])))
+
+    def test_both_sides_of_the_notation_switch(self):
+        self.assert_reprs(_with_neighbours([
+            1e-4, 1e-5, 0.00011, 0.00099999999999999999, 0.001, 1e15, 1e16,
+            9999999999999998.0, 123456789012345678.0, 0.0001234567890123456,
+            0.0009876543210987654]))
+
+    def test_signed_zeros_infinities_and_nan(self):
+        self.assert_reprs([0.0, -0.0, math.inf, -math.inf, math.nan,
+                           -math.nan])
+
+    @pytest.mark.parametrize("engine", [Engine.EULER_MARUYAMA, Engine.SSA])
+    @pytest.mark.parametrize("make", [_verhulst_ensemble,
+                                      _lotka_volterra_ensemble,
+                                      _ring8_ensemble])
+    def test_benchmark_ensembles(self, make, engine):
+        """The ensembles of the three benchmark workloads' shapes."""
+        ensemble = make(engine)
         assert trajectories_to_csv(ensemble) == \
             _reference_trajectories_to_csv(ensemble)
 
