@@ -28,10 +28,11 @@ from .derive import (DiffusionSign, Engine, IncompatibleNoiseError,
                      NotPsdError, RateMode, SdeModel, SimConfigError,
                      SimulationError, TooFewTrajectoriesError,
                      build_sde_model, diffusion_matrix, transition_rates)
-# no longer called here; perfbench's layer hooks still name it in this module
+# no longer called here; perfbench's layer hooks still name them in this module
 from .derive import drift_vector  # noqa: F401
+from .poly import as_function  # noqa: F401
 from .poly import (ExpressionSyntaxError, MissingSymbolError, UnboundRateError,
-                   bind_values, as_function, canonical_string, symbol_ranks,
+                   bind_values, canonical_string, symbol_ranks,
                    _fractions_differ)
 from .scheme import SchemeError, format_scheme, parse_scheme
 
@@ -42,7 +43,7 @@ _NUMERIC = {
     **dict.fromkeys(("StateBox", "default_box", "jump_moments",
                      "moved_together"), "cme"),
     **dict.fromkeys(("SimConfig", "Stream", "_diffusion_pattern",
-                     "_entry_rows", "_semidefinite_factor", "check_em_steps",
+                     "_row_program", "_semidefinite_factor", "check_em_steps",
                      "check_seed", "check_trajectory_count",
                      "compare_engines", "ensemble_moments", "euler_maruyama",
                      "gillespie_ssa", "integer_initial_state",
@@ -752,15 +753,15 @@ def cmd_check(args) -> int:
                     else "B is not symmetric"))
 
     # B has the engines' noise factor at every state, requested convention:
-    # the Euler-Maruyama step's factor on B's pattern (_diffusion_pattern),
-    # whose verdict, state and pivot are the dense loop's, as every entry
-    # left out is 0.0 at every state
+    # the Euler-Maruyama step's row program of B's polynomials, one per
+    # slot of its pattern (_diffusion_pattern), and its factor of those
+    # rows, whose verdict, state and pivot are the dense loop's, as every
+    # entry left out is 0.0 at every state
     pattern = _diffusion_pattern(requested_diff)
-    diffusion = as_function([bind_values(requested_diff[j][i], rates)
-                             for i, j in pattern.entries], scheme.species)
+    diffusion = _row_program([bind_values(requested_diff[k][i], rates)
+                              for i, k in pattern.slots], scheme.species)
     with np.errstate(over="ignore", invalid="ignore"):
-        b = _entry_rows(diffusion(*columns.astype(np.float64)),
-                        len(states), pattern)
+        b = diffusion(columns.astype(np.float64))
         for s in np.flatnonzero(~np.isfinite(b).all(axis=0))[:1]:
             raise UsageError(f"B({states[s]}) is beyond the float range; "
                              "rescale the rate values")

@@ -41,7 +41,7 @@ class StateBox:
     bounds: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.bounds or any(b < 0 or not isinstance(b, int)
+        if not self.bounds or any(not isinstance(b, int) or b < 0
                                   for b in self.bounds):
             raise ValueError("box bounds must be nonnegative integers")
 

@@ -15,6 +15,7 @@ complex, and a coefficient may be juxtaposed ("2 phi") or starred
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable
@@ -89,8 +90,10 @@ class Interaction:
                     f"rate symbol {self.forward_rate.name!r} used for both "
                     "directions of one interaction")
 
-    @property
+    @functools.cached_property
     def change(self) -> tuple[int, ...]:
+        # computed once per interaction, in its __dict__, which no field,
+        # comparison or hash reads
         return tuple(f - i for i, f in zip(self.initial, self.final))
 
     @property

@@ -273,11 +273,11 @@ class _FactorPattern:
     """Where B and its noise factor L can be nonzero, read off once from
     the entries (i, j), i > j, below B's diagonal that can be nonzero.
 
-    entries are those and the diagonal, in row-major order.  columns[k]
-    are the rows below the diagonal of column k of L, ascending: the
-    symbolic fill of B's pattern, the elimination-tree closure of sparse
-    Cholesky (George & Liu, "Computer Solution of Large Sparse Positive
-    Definite Systems", 1981; Liu, SIAM J. Matrix Anal. Appl. 11, 1990).
+    columns[k] are the rows below the diagonal of column k of L,
+    ascending: the symbolic fill of B's pattern, the elimination-tree
+    closure of sparse Cholesky (George & Liu, "Computer Solution of Large
+    Sparse Positive Definite Systems", 1981; Liu, SIAM J. Matrix Anal.
+    Appl. 11, 1990).
     Column k's rows are B's own below (k, k), and those of every column
     whose first row is k; elimination in the species' own order makes a
     nonzero nowhere else.
@@ -286,17 +286,16 @@ class _FactorPattern:
     is entry slots[s] of every matrix: L's pattern on and below the
     diagonal, first (k, k) for every k, then the rows of each column in
     turn, as compressed column storage holds them (Davis, "Direct Methods
-    for Sparse Linear Systems", 2006, ch. 4).  entry_slots[e] is the slot
-    of entries[e].  steps[k] is None for a column with no rows below the
-    diagonal, else (below, target, p, q): the slice of its slots, and
+    for Sparse Linear Systems", 2006, ch. 4).  A slot of L's fill is one
+    where B is zero, so B's polynomials in this layout are entry slots[s]
+    of B for every s.  steps[k] is None for a column with no rows below
+    the diagonal, else (below, target, p, q): the slice of its slots, and
     a[target] -= col[p] * col[q], with col those rows, is its update of
     every entry (i, j), i >= j, of two of them.  Each index is a slice
     when its positions run consecutively, else an intp array."""
 
     def __init__(self, below_diagonal, n: int):
         self.n = n
-        self.entries = tuple(sorted({*below_diagonal,
-                                     *((k, k) for k in range(n))}))
         below = [set() for _ in range(n)]
         for i, j in below_diagonal:
             below[j].add(i)
@@ -310,7 +309,6 @@ class _FactorPattern:
         self.slots = tuple((k, k) for k in range(n)) + tuple(
             (i, k) for k, rows in enumerate(self.columns) for i in rows)
         slot = {entry: s for s, entry in enumerate(self.slots)}
-        self.entry_slots = tuple(slot[entry] for entry in self.entries)
         self.steps = [None] * n
         for k, rows in enumerate(self.columns):
             if rows:
@@ -354,7 +352,9 @@ def _semidefinite_factor(a: np.ndarray, pattern: _FactorPattern,
     """matrix_sqrt_psd's factor of the symmetric matrices B, in pattern's
     slot layout: a is (len(pattern.slots), m) with row s entry slots[s]
     of every matrix, so each step below is one operation over the batch.
-    a is overwritten; L comes back in the same layout.  floor is each
+    The Euler-Maruyama step and check's psd-sampling both pass the rows
+    that _row_program gives for B's polynomials in that layout.  a is
+    overwritten; L comes back in the same layout.  floor is each
     matrix's scale, _psd_floor(a) by default.  NotPsdError's index is the
     failing matrix's position in batch, a shape of m entries.
 
@@ -409,16 +409,6 @@ def _semidefinite_factor(a: np.ndarray, pattern: _FactorPattern,
         raise NotPsdError(f"pivot {k} is {d:.6e}, {why}",
                           tuple(int(j) for j in np.unravel_index(i, batch)))
     return factor
-
-
-def _entry_rows(values, count: int, pattern: _FactorPattern) -> np.ndarray:
-    """The (len(pattern.slots), count) array, in pattern's slot layout,
-    of the matrices whose entries pattern.entries take values, in order.
-    The slots of L's fill, where B is zero, hold +0.0."""
-    out = np.zeros((len(pattern.slots), count))
-    for s, v in zip(pattern.entry_slots, values):
-        out[s] = v
-    return out
 
 
 def _term_positions(sums: Sequence[Sequence]) -> tuple[list[int], list]:
@@ -701,10 +691,12 @@ class _EmStepper:
     array from one function generated per model (_em_step_source): a
     row program evaluates the drift and noise polynomials into one array
     of rows with one numpy call per product depth and one per term
-    position, with the bits of as_function; B's entries land in
-    _FactorPattern's slot layout, which _semidefinite_factor factors in
-    place, and the noise rows and the proposal are whole-array
-    operations, with no stacked matrices, transposes or einsum.
+    position, with the bits of as_function; B's polynomials are taken
+    one per slot of _FactorPattern's layout, so its rows land there and
+    _semidefinite_factor factors them in place, and the noise rows and
+    the proposal are whole-array operations, with no stacked matrices,
+    transposes or einsum.  check's psd-sampling compiles the same slot
+    polynomials and factors the same rows.
     Per-reaction noise keeps its (T, s) @ change product.  Every call
     allocates its own arrays, so a proposal shares no buffer with
     another.
@@ -712,10 +704,11 @@ class _EmStepper:
     For --noise sqrt all of it works on B's pattern (_FactorPattern),
     read once from the model: the diagonal and the entries of
     model.diffusion that are not the zero polynomial, so a model input
-    with no scheme has one too.  Only those entries are compiled and
-    written, the factor updates only its symbolic fill, and each noise
-    row sums only its row of that fill.  An entry left out is exactly
-    0.0 at every state, so every proposal has the dense step's bits."""
+    with no scheme has one too.  Only those entries and L's fill, where
+    B is the zero polynomial, are compiled and written, the factor
+    updates only its symbolic fill, and each noise row sums only its row
+    of that fill.  An entry left out is exactly 0.0 at every state, so
+    every proposal has the dense step's bits."""
 
     def __init__(self, model: SdeModel, config: SimConfig):
         for r in model.rate_symbols:
@@ -740,10 +733,8 @@ class _EmStepper:
         else:
             pattern = _diffusion_pattern(model.diffusion)
             # one polynomial per slot: the upper triangle's entry, which
-            # equals the lower's, and zero on L's fill
-            noise = [Polynomial.zero()] * len(pattern.slots)
-            for (i, j), s in zip(pattern.entries, pattern.entry_slots):
-                noise[s] = model.diffusion[j][i]
+            # equals the lower's, and the zero polynomial on L's fill
+            noise = [model.diffusion[k][i] for i, k in pattern.slots]
             namespace["factor"] = _semidefinite_factor
             namespace["pattern"] = pattern
             rows = pattern.rows()

@@ -19,17 +19,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onestep import (DiffusionSign, NotPsdError, Polynomial, RateMode,
-                     StateBox, as_function, bind_values, build_sde_model,
-                     default_box, diffusion_matrix, jump_moments,
-                     matrix_sqrt_psd, model_from_json, monomial,
-                     parse_scheme)
+from onestep import (DiffusionSign, NoiseStrategy, NotPsdError, Polynomial,
+                     RateMode, SimConfig, StateBox, as_function, bind_values,
+                     build_sde_model, default_box, diffusion_matrix,
+                     jump_moments, matrix_sqrt_psd, model_from_json,
+                     monomial, parse_scheme)
 from onestep import __version__
 from onestep.cli import (_SAMPLED, MANIFEST_FORMAT, RatesFileError,
                          _compared_entries, _moment_mismatches,
                          _sample_states, build_parser, main, model_report,
                          parse_initial, parse_rates_file, transition_rates)
-from onestep.sim import _diffusion_pattern, _semidefinite_factor
+from onestep.sim import (_EmStepper, _diffusion_pattern, _row_program,
+                         _semidefinite_factor)
 from helpers import (CHECK_STATES, EM_NORMALS, LOTKA_VOLTERRA, VERHULST,
                      lower_stack, object_jump_moments,
                      object_moment_mismatches, per_state_moments,
@@ -1039,14 +1040,16 @@ class TestCheckPsd:
             self, flags, passes, tmp_path, capsys, batches, monkeypatch):
         # a ring of ten species fills the last row of the factor: 17
         # entries below L's diagonal where B has 10.  check compiles and
-        # factors B's 20 entries on and below the diagonal; the dense loop
-        # takes all 55 and names the same state and pivot
+        # factors B on L's 27 slots, 20 of them B's nonzero entries on and
+        # below the diagonal and 7 the zero polynomial on the fill; the
+        # dense loop takes all 55 entries and names the same state and
+        # pivot
         compiled = []
 
         def counted(polys, args):
-            compiled.append(len(polys))
-            return as_function(polys, args)
-        monkeypatch.setattr("onestep.cli.as_function", counted)
+            compiled.append((len(polys), sum(map(bool, polys))))
+            return _row_program(polys, args)
+        monkeypatch.setattr("onestep.cli._row_program", counted)
         scheme, rates = tmp_path / "ring10.scheme", tmp_path / "ring10.rates"
         scheme.write_text(RING10)
         rates.write_text(RING10_RATES_TEXT)
@@ -1060,7 +1063,7 @@ class TestCheckPsd:
         diffusion = diffusion_matrix(ring, RateMode.FOKKER_PLANCK, sign)
         pattern = _diffusion_pattern(diffusion)
         assert sum(map(len, pattern.columns)) == 17
-        assert compiled == [len(pattern.entries)] == [20]
+        assert compiled == [(len(pattern.slots), 20)] == [(27, 20)]
         states = _sample_states(StateBox((4,) * 10), 0)
         bound = {sym: parse_rates_file(RING10_RATES_TEXT)[sym.name]
                  for sym in ring.rate_symbols}
@@ -1090,6 +1093,43 @@ class TestCheckPsd:
         assert line == want
         assert line.startswith("PASS") == passes
 
+    def test_check_factors_the_euler_maruyama_steps_rows(
+            self, tmp_path, batches, monkeypatch):
+        # ring8 with the benchmark's rates, exact rates and sum
+        # convention, on 512 states of a 401^8 box: check hands the factor
+        # the rows that the step's row program gives from row n on at the
+        # same states, which the step hands to the same factor, and they
+        # are as_function's values of B's polynomials on L's slots
+        scheme, rates = tmp_path / "ring8.scheme", tmp_path / "ring8.rates"
+        scheme.write_text(RING8)
+        rates.write_text(RING8_RATES_TEXT)
+        main(["check", str(scheme), "--rates", str(rates), "--box", "400",
+              "--rate-mode", "exact", "--diffusion-sign", "sum"])
+        [(stack, pattern)] = batches
+
+        ring = parse_scheme(RING8)
+        bound = {sym: parse_rates_file(RING8_RATES_TEXT)[sym.name]
+                 for sym in ring.rate_symbols}
+        model = build_sde_model(ring, RateMode.EXACT, DiffusionSign.SUM,
+                                NoiseStrategy.MATRIX_SQRT)
+        states = np.array(_sample_states(StateBox((400,) * 8), 0),
+                          dtype=np.float64).T
+        stepped = []
+
+        def recorded(a, pattern, batch):
+            stepped.append(a.copy())
+            return _semidefinite_factor(a, pattern, batch)
+        monkeypatch.setattr("onestep.sim._semidefinite_factor", recorded)
+        config = SimConfig(rates=bound, initial_state=(100,) * 8,
+                           t_final=0.1)
+        _EmStepper(model, config).step(states, np.zeros(states.shape))
+        assert stack.shape == (3 * 8 - 3, 512)
+        assert [a.tobytes() for a in stepped] == [stack.tobytes()]
+        values = as_function([bind_values(model.diffusion[k][i], bound)
+                              for i, k in pattern.slots], ring.species)
+        assert np.array([np.broadcast_to(v, 512) for v in values(*states)]
+                        ).tobytes() == stack.tobytes()
+
     @pytest.mark.filterwarnings("error")
     def test_b_beyond_the_float_range_exits_2(self, tmp_path, capsys):
         # B_xx = a x y + b overflows at every state with x, y >= 1
@@ -1110,6 +1150,10 @@ def _dense_stack(stack, pattern):
     return lower + np.tril(lower, -1).transpose(0, 2, 1)
 
 
+RING8 = "".join(f"3 x{i} <-> 3 x{i % 8 + 1} @ a_{i}, b_{i}\n"
+                for i in range(1, 9))
+RING8_RATES_TEXT = "".join(f"a_{i} = 1/10000\nb_{i} = 1/20000\n"
+                           for i in range(1, 9))
 RING10 = "".join(f"3 x{i} <-> 3 x{i % 10 + 1} @ a_{i}, b_{i}\n"
                  for i in range(1, 11))
 RING10_RATES_TEXT = "".join(f"a_{i} = 1/{i + 2}\nb_{i} = 1/{2 * i + 5}\n"

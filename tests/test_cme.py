@@ -53,6 +53,12 @@ class TestStateBox:
         with pytest.raises(ValueError):
             StateBox((2, -1))
 
+    @pytest.mark.parametrize("bound", ["a", 2.0])
+    def test_rejects_bounds_that_are_no_integer(self, bound):
+        with pytest.raises(ValueError, match="^box bounds must be "
+                           "nonnegative integers$"):
+            StateBox((2, bound))
+
     @pytest.mark.parametrize("bounds", [
         (0,), (1,), (7,), (64,), (0, 0), (0, 3), (80, 80),
         (3, 3, 0, 0, 0, 0, 0, 3)],

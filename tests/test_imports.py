@@ -23,6 +23,9 @@ KEPT = {
     ("cli", "drift_vector"):
         "perfbench's layer hooks wrap onestep.cli.drift_vector, and a "
         "missing hook target is reported as absent",
+    ("cli", "as_function"):
+        "perfbench's layer hooks wrap onestep.cli.as_function, which "
+        "check's psd-sampling no longer calls",
     ("sim", "as_function"):
         "perfbench's layer hooks wrap onestep.sim.as_function, which the "
         "Euler-Maruyama step no longer calls",

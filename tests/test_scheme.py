@@ -1,6 +1,8 @@
 """Scheme parsing, validation, formatting, and serialization."""
 
+import dataclasses
 import json
+import pickle
 import random
 
 import pytest
@@ -133,6 +135,17 @@ class TestChangeVectors:
     def test_predator_prey(self):
         assert changes(parse_scheme(LOTKA_VOLTERRA)) == \
             [(1, 0), (-1, 1), (0, -1)]
+
+    def test_computed_once(self):
+        # a cached property: the frozen dataclass's fields, equality,
+        # hash, replace and pickle are those of the fields alone
+        ia = Interaction((1, 0), (0, 2), rate("a"), rate("b"))
+        assert ia.change is ia.change == (-1, 2)
+        twin = Interaction((1, 0), (0, 2), rate("a"), rate("b"))
+        assert ia == twin and hash(ia) == hash(twin)
+        assert dataclasses.replace(ia, final=(0, 1)).change == (-1, 1)
+        restored = pickle.loads(pickle.dumps(ia))
+        assert restored == ia and restored.change == (-1, 2)
 
 
 class TestInteractionValidation:

@@ -35,7 +35,7 @@ from onestep.sim import (_CSV_VALUES_PER_COUNT, _PSD_LONE_FLOOR,
                          _SSA_EVENT_BUDGET,
                          _SSA_LEAF_RATES, _EmStepper,
                          _FactorPattern, _choice_tree, _diffusion_pattern,
-                         _em_step_source, _entry_rows, _rekeyer,
+                         _em_step_source, _per_reaction_noise, _rekeyer,
                          _row_program,
                          _semidefinite_factor, _ssa_leaves,
                          _ssa_path_source, _ssa_rate_lines,
@@ -492,13 +492,14 @@ def _pattern_stacks(draw):
 
 def _pattern_sqrt(lower):
     """The noise factor of a (count, n, n) stack taken as the
-    Euler-Maruyama step takes it: only the pattern of lower is written
-    and factored, and L's slots are scattered back to dense matrices."""
+    Euler-Maruyama step takes it: one row per slot of the pattern of
+    lower and its fill, each slot's entry of the stack (+0.0 on the fill,
+    as every entry outside lower is there), and L's slots are scattered
+    back to dense matrices."""
     def sqrt(b):
         count, n, _ = b.shape
         pattern = _FactorPattern(lower, n)
-        a = _entry_rows([b[:, i, j] for i, j in pattern.entries], count,
-                        pattern)
+        a = np.array([b[:, i, k] for i, k in pattern.slots])
         return lower_stack(_semidefinite_factor(a, pattern, (count,)),
                            pattern)
     return sqrt
@@ -532,9 +533,11 @@ class TestPatternFactor:
             (k + 1, n - 1) if k < n - 2 else tuple(range(k + 1, n))
             for k in range(n))
         assert sum(map(len, pattern.rows())) == 3 * n - 3
-        assert len(pattern.entries) == 2 * n
-        # B and L are held in one row per entry of L's pattern
+        # B and L are held in one row per entry of L's pattern, 2n of
+        # them B's own: the diagonal and the ring's edges
         assert len(pattern.slots) == 3 * n - 3
+        assert sum(i == k or (i, k) in lower for i, k in pattern.slots) == \
+            2 * n
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
     def test_dense_slots_hold_the_diagonal_then_each_column(self, n):
@@ -552,8 +555,6 @@ class TestPatternFactor:
                 continue
             assert step[0] == slice(start, start + n - 1 - k)
             start = step[0].stop
-        assert [pattern.slots[s] for s in pattern.entry_slots] == \
-            list(pattern.entries)
 
     def test_a_zero_sign_is_all_that_can_differ(self):
         # B_21 = -0.0 inside the pattern: the dense loop subtracts
@@ -614,7 +615,8 @@ class TestEmStepSource:
 
     def test_ring_step_and_check_grow_linearly(self):
         # on a ring the step holds one term per entry of the factor's
-        # pattern, 3n - 3, and compiles the 2n entries of B's; check
+        # pattern, 3n - 3, and compiles B on those slots, 2n of them
+        # nonzero and the rest the zero polynomial; check
         # compares the n + n entries of B's upper triangle that a channel
         # moves.  Dense, the step held n(n+1)/2 terms and check compared
         # n^2 entries.  The step's lines grow by one statement per term
@@ -633,12 +635,14 @@ class TestEmStepSource:
             # the noise terms: the factor's rows that the step gathers
             gather = re.search(r"f\.take\((k\d+), 0\)", source).group(1)
             terms[n] = len(constants[gather])
-            compiled[n] = len(pattern.entries)
+            slots = [model.diffusion[k][i] for i, k in pattern.slots]
+            compiled[n] = len(slots), sum(map(bool, slots))
             compared[n] = len(_compared_entries(scheme, model.diffusion))
             lines[n] = len(source.splitlines())
             assert source.count("factor(") == 1
         assert terms == {16: 3 * 16 - 3, 32: 3 * 32 - 3}
-        assert compiled == {16: 2 * 16, 32: 2 * 32}
+        assert compiled == {16: (3 * 16 - 3, 2 * 16),
+                            32: (3 * 32 - 3, 2 * 32)}
         assert compared == {16: 2 * 16, 32: 2 * 32}
         assert lines[32] - lines[16] == 16
 
@@ -2038,6 +2042,45 @@ class TestEnginesMatchReference:
         new = _outcome(euler_maruyama, model, config)
         assert new == _outcome(_reference_euler_maruyama, model, config)
         assert isinstance(new[0], bytes)
+
+
+class TestPerReactionNoise:
+    """Per-reaction noise sums sqrt(a_r) eps_r change_r through a matrix
+    product, whose order of additions, and whether it fuses a multiply
+    into an add, is the BLAS kernel's.  Where every change is +-1 or +-2
+    and at most two channels move a species, each product is exact and
+    each sum has at most two nonzero terms, so any kernel gives the bits
+    of a left-to-right sum."""
+
+    def test_predator_prey_rows_are_a_left_to_right_sum(self, monkeypatch):
+        seen = []
+
+        def recorded(rates, eps, change):
+            out = _per_reaction_noise(rates, eps, change)
+            # (the step scales the rows in place)
+            seen.append((rates.copy(), eps.copy(), change, out.copy()))
+            return out
+        monkeypatch.setattr(sim_module, "_per_reaction_noise", recorded)
+        model = build_sde_model(parse_scheme(LOTKA_VOLTERRA), RateMode.EXACT,
+                                DiffusionSign.SUM, NoiseStrategy.PER_REACTION)
+        config = SimConfig(rates={rate("k_1"): 1.0, rate("k_2"): 0.05,
+                                  rate("k_3"): 1.0},
+                           initial_state=(20.0, 20.0), t_final=1.0, dt=2e-3)
+        rng = np.random.default_rng(37)
+        # every rate is positive, so no row is a sum of zeros alone, whose
+        # sign would be the kernel's too
+        states = rng.integers(1, 60, (2, 1000)).astype(np.float64)
+        _EmStepper(model, config).step(states, rng.standard_normal((3, 1000)))
+        [(rates, eps, change, out)] = seen
+        assert change.tolist() == [[1, 0], [-1, 1], [0, -1]]
+        want = np.empty(out.shape)
+        for t in range(out.shape[0]):
+            for i in range(change.shape[1]):
+                z = 0.0
+                for r in range(change.shape[0]):
+                    z += math.sqrt(rates[r, t]) * eps[r, t] * change[r, i]
+                want[t, i] = z
+        assert out.tobytes() == want.tobytes()
 
 
 class TestJumpSamplerParts:
