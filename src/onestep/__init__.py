@@ -12,7 +12,7 @@ The names of the numeric modules, cme and sim, are bound on first
 access, and only then are those modules and numpy imported.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.3.1"
 
 from .poly import (Monomial, MissingSymbolError, ExpressionSyntaxError,
                    Polynomial, SymbolId, SymbolKind, UnboundRateError,

@@ -607,53 +607,49 @@ def _row_program(polys: Sequence[Polynomial], args: Sequence[SymbolId]
                     {**program.constants, "scratch": {}})
 
 
-def _em_step_source(n: int, rows: Sequence[Sequence[tuple[int, int]]] | None
+def _em_step_source(n: int, rows: Sequence[Sequence[tuple[int, int]]]
                     ) -> tuple[str, dict]:
     """The source of the step that _EmStepper compiles for n species, and
     the constants it reads.  The step also reads values, the _row_program
-    of the drift and then the noise polynomials, dt and sqrt_dt, and for
-    per-reaction noise (rows None) per_reaction and change, else factor
-    and pattern.
+    of the drift and then the noise polynomials, dt, sqrt_dt and factor.
 
     The step em_step(x, e) reads the species rows x and the rows e of the
-    normal draws.  For --noise sqrt the noise polynomials are B in
-    _FactorPattern's slot layout, zero on L's fill, so the rows of values
-    from n on are what _semidefinite_factor factors in place.  The noise
-    row z_i is then 0.0 + L_ij e_j + ... over the (slot, column j) pairs
-    of rows[i], columns ascending, from the products of the factor and
-    draw rows and one numpy call per term position (_term_positions).
-    That is the sum 0.0 + L_i0 e_0 + ... + L_ii e_i over row i of the
+    normal draws.  factor(a) takes the rows of values from n on, the
+    noise polynomials' values, and returns the noise factor in a slot
+    layout, one row per slot: for --noise sqrt B's rows, which
+    _semidefinite_factor factors in place into L, for per-reaction noise
+    the rate rows, from which _reaction_factor makes b = C diag(sqrt(a)).
+    The noise row z_i is then 0.0 + f_ij e_j + ... over the (slot,
+    column j) pairs of rows[i], columns ascending, from the products of
+    the factor and draw rows and one numpy call per term position
+    (_term_positions); a row with no pair is +0.0.  For --noise sqrt
+    that is the sum 0.0 + L_i0 e_0 + ... + L_ii e_i over row i of the
     dense L, added left to right: each entry it leaves out is +-0.0
     there, and so is its term, which leaves a sum that starts at 0.0 as
     it is.  (einsum gives these bits only for some stacks: the order in
-    which it adds depends on their shape and strides.)  Per-reaction
-    noise comes from the rate rows through per_reaction.  The proposal is
+    which it adds depends on their shape and strides.)  The proposal is
     (x + d dt) + z sqrt_dt, whole arrays, a new array of each call."""
     program = _RowProgram()
-    program.lines.append("v = values(x)")
-    if rows is None:
-        program.lines.append(f"z = per_reaction(v[{n}:], e, change).T")
-    else:
-        # the rows last to first: a pattern's rows have more entries the
-        # later they come, on a ring and for a dense B, so that sum r of
-        # _term_positions is row n - 1 - r, and each position's sums are
-        # the last rows, taken in their order
-        noise, terms = _term_positions([[s for s, _ in pairs]
-                                        for pairs in rows[::-1]])
-        last = noise == list(range(n))
-        column = dict(pair for pairs in rows for pair in pairs)
-        slots, positions = [], []
-        for ends in terms:
-            positions.append((n - len(ends) if last else 0,
-                              range(len(slots), len(slots) + len(ends))))
-            slots += ends[::-1] if last else ends
-        program.lines.append(f"f = factor(v[{n}:], pattern, x.shape[1:])")
-        program.op("multiply", "g", 0, ("f", slots),
-                   ("e", [column[s] for s in slots]), new="count")
-        _position_sums(program, "z", positions, "g", new="count")
-        if not last:
-            back = [noise.index(n - 1 - i) for i in range(n)]
-            program.lines.append(f"z = z[{program.const(_index(back))}]")
+    program.lines += ["v = values(x)", f"f = factor(v[{n}:])"]
+    # the rows last to first: a pattern's rows have more entries the
+    # later they come, on a ring and for a dense B, so that sum r of
+    # _term_positions is row n - 1 - r, and each position's sums are the
+    # last rows, taken in their order
+    noise, terms = _term_positions([[s for s, _ in row] for row in rows[::-1]])
+    last = noise == list(range(n))
+    column = dict(pair for pairs in rows for pair in pairs)
+    slots, positions = [], []
+    for ends in terms:
+        positions.append((n - len(ends) if last else 0,
+                          range(len(slots), len(slots) + len(ends))))
+        slots += ends[::-1] if last else ends
+    program.op("multiply", "g", 0, ("f", slots),
+               ("e", [column[s] for s in slots]), new="count")
+    _position_sums(program, "z", positions, "g", new="count")
+    if not last:
+        back = [noise.index(n - 1 - i) if rows[i] else 0 for i in range(n)]
+        program.lines.append(f"z = z[{program.const(_index(back))}]")
+        program.lines += [f"z[{i}] = 0.0" for i in range(n) if not rows[i]]
     program.lines += ["multiply(z, sqrt_dt, out=z)",
                       f"out = multiply(v[:{n}], dt)",
                       "add(x, out, out=out)",
@@ -664,22 +660,35 @@ def _em_step_source(n: int, rows: Sequence[Sequence[tuple[int, int]]] | None
         program.constants
 
 
-def _per_reaction_noise(rates: np.ndarray, eps: np.ndarray,
-                        change: np.ndarray) -> np.ndarray:
-    """The (T, n) noise increments sum_r sqrt(a_r) eps_r change_r from the
-    channels' rates a_r and the draws eps, one row per channel each, and
-    the channels' changes (s, n)."""
-    low = rates.min(initial=0.0)
-    if low < -_RATE_TOL:
-        raise NegativeRateError(
-            f"per-reaction rate {low:.6e} is negative beyond "
-            f"tolerance {_RATE_TOL:.1e}")
-    # a rate is a sum that starts at 0.0 +, never -0.0, where maximum
-    # and clip can differ
-    root = np.maximum(rates, 0.0)
-    np.sqrt(root, out=root)
-    np.multiply(root, eps, out=root)
-    return root.T.copy() @ change       # a C-contiguous (T, s) operand
+def _reaction_factor(changes: Sequence[Sequence[int]], n: int):
+    """Per-reaction noise in the step's slot layout: (rows, factor).
+
+    b = C diag(sqrt(a)) has one slot per species i and channel r whose
+    change changes[r][i] = d_ri is not 0, holding d_ri sqrt(max(a_r, 0)),
+    a_r the channel's summed rate.  The slots are numbered term position
+    by term position, each row's t-th channel before any (t + 1)-th,
+    species ascending, the order in which the step reads them where no
+    row has fewer channels than one before it.  rows[i] are row i's
+    (slot, channel r) pairs, channels ascending, and factor(a) gives the
+    slots' rows at the rate rows a (s, T); a rate below -_RATE_TOL raises
+    NegativeRateError."""
+    moves = [[(i, r) for r, d in enumerate(changes) if d[i]] for i in range(n)]
+    slots = [m for t in itertools.zip_longest(*moves) for m in t if m]
+    number = {m: s for s, m in enumerate(slots)}
+    rows = [[(number[i, r], r) for i, r in row] for row in moves]
+    channels = np.array([r for _, r in slots], dtype=np.intp)
+    scale = np.array([[changes[r][i]] for i, r in slots], dtype=np.float64)
+
+    def factor(rates: np.ndarray) -> np.ndarray:
+        low = rates.min(initial=0.0)
+        if low < -_RATE_TOL:
+            raise NegativeRateError(f"per-reaction rate {low:.6e} is negative "
+                                    f"beyond tolerance {_RATE_TOL:.1e}")
+        # a rate is a sum that starts at 0.0 +, never -0.0, where maximum
+        # and clip can differ
+        root = np.sqrt(np.maximum(rates, 0.0)).take(channels, 0)
+        return np.multiply(root, scale, out=root)
+    return rows, factor
 
 
 class _EmStepper:
@@ -691,30 +700,34 @@ class _EmStepper:
     array from one function generated per model (_em_step_source): a
     row program evaluates the drift and noise polynomials into one array
     of rows with one numpy call per product depth and one per term
-    position, with the bits of as_function; B's polynomials are taken
-    one per slot of _FactorPattern's layout, so its rows land there and
-    _semidefinite_factor factors them in place, and the noise rows and
-    the proposal are whole-array operations, with no stacked matrices,
-    transposes or einsum.  check's psd-sampling compiles the same slot
-    polynomials and factors the same rows.
-    Per-reaction noise keeps its (T, s) @ change product.  Every call
-    allocates its own arrays, so a proposal shares no buffer with
-    another.
+    position, with the bits of as_function; the noise factor is taken in
+    a slot layout, one row per entry it can hold, and each noise row sums
+    its row's slots times their draws left to right, whole-array
+    operations with no stacked matrices, transposes, einsum or matrix
+    products.  Both noise strategies share that path and differ only in
+    the factor.  Every call allocates its own arrays, so a proposal
+    shares no buffer with another.
 
-    For --noise sqrt all of it works on B's pattern (_FactorPattern),
-    read once from the model: the diagonal and the entries of
-    model.diffusion that are not the zero polynomial, so a model input
-    with no scheme has one too.  Only those entries and L's fill, where
-    B is the zero polynomial, are compiled and written, the factor
-    updates only its symbolic fill, and each noise row sums only its row
-    of that fill.  An entry left out is exactly 0.0 at every state, so
-    every proposal has the dense step's bits."""
+    For --noise sqrt the factor is L with L L^T = B, on B's pattern
+    (_FactorPattern), read once from the model: the diagonal and the
+    entries of model.diffusion that are not the zero polynomial, so a
+    model input with no scheme has one too.  B's polynomials are taken
+    one per slot of that pattern, only those entries and L's fill, where
+    B is the zero polynomial, are compiled and written, and
+    _semidefinite_factor factors the rows in place, updating only the
+    symbolic fill.  An entry left out is exactly 0.0 at every state, so
+    every proposal has the dense step's bits.  check's psd-sampling
+    compiles the same slot polynomials and factors the same rows.  For
+    per-reaction noise the noise polynomials are the channels' summed
+    rates and the factor b = C diag(sqrt(a)), one Wiener component per
+    interaction (_reaction_factor)."""
 
     def __init__(self, model: SdeModel, config: SimConfig):
         for r in model.rate_symbols:
             if r not in config.rates:
                 raise UnboundRateError(r)
         namespace = {"dt": config.dt, "sqrt_dt": math.sqrt(config.dt)}
+        n = len(model.species)
         if model.noise_strategy is NoiseStrategy.PER_REACTION:
             if model.scheme is None:
                 raise IncompatibleNoiseError(
@@ -724,25 +737,22 @@ class _EmStepper:
             if tr is None:          # a model restored from JSON
                 tr = transition_rates(model.scheme, model.rate_mode)
             noise = [f + g for f, g in zip(tr.forward, tr.backward)]
-            namespace["per_reaction"] = _per_reaction_noise
-            namespace["change"] = np.array(
-                [ia.change for ia in model.scheme.interactions],
-                dtype=np.float64)                       # (s, n)
+            rows, namespace["factor"] = _reaction_factor(
+                [ia.change for ia in model.scheme.interactions], n)
             self.wiener_dim = len(model.scheme.interactions)
-            rows = None
         else:
             pattern = _diffusion_pattern(model.diffusion)
             # one polynomial per slot: the upper triangle's entry, which
             # equals the lower's, and the zero polynomial on L's fill
             noise = [model.diffusion[k][i] for i, k in pattern.slots]
-            namespace["factor"] = _semidefinite_factor
-            namespace["pattern"] = pattern
+            namespace["factor"] = lambda a: _semidefinite_factor(
+                a, pattern, a.shape[1:])
             rows = pattern.rows()
-            self.wiener_dim = len(model.species)
+            self.wiener_dim = n
         namespace["values"] = _row_program(
             [bind_values(p, config.rates) for p in (*model.drift, *noise)],
             model.species)
-        source, constants = _em_step_source(len(model.species), rows)
+        source, constants = _em_step_source(n, rows)
         self._step = _compile(source, "em_step", {**namespace, **constants})
 
     def step(self, states: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -770,8 +780,9 @@ def euler_maruyama(model: SdeModel, config: SimConfig) -> TrajectoryEnsemble:
 
     Negative proposals follow config.negative_policy: clamp to zero (and
     count the event) or redraw the step's noise up to a retry limit.  A
-    run of more than _EM_STEP_BUDGET steps per path raises SimConfigError
-    before any work.
+    path whose proposal is not finite is neither clamped nor redrawn; the
+    next grid time raises SimulationError for it.  A run of more than
+    _EM_STEP_BUDGET steps per path raises SimConfigError before any work.
     """
     nsteps = check_em_steps(config)
     n = len(model.species)
@@ -809,6 +820,10 @@ def euler_maruyama(model: SdeModel, config: SimConfig) -> TrajectoryEnsemble:
             proposal = stepper.step(states, eps[s])
             bad = proposal < 0
             if np.count_nonzero(bad):
+                # a path that overflowed (to -inf, +inf or NaN) is neither
+                # clamped nor redrawn: it stops the run at the next grid
+                # time, as a state once not finite stays so
+                bad &= np.isfinite(proposal).all(axis=0)
                 if reject:
                     for j in np.nonzero(bad.any(axis=0))[0].tolist():
                         gen = redraws.get(j) or redraws.setdefault(
@@ -817,7 +832,7 @@ def euler_maruyama(model: SdeModel, config: SimConfig) -> TrajectoryEnsemble:
                                                      gen)
                 else:
                     clamps += bad.any(axis=0)
-                    np.clip(proposal, 0.0, None, out=proposal)
+                    proposal[bad] = 0.0
             states = proposal
             step += 1
             while g < len(times) and grid_at[g] == step:
@@ -1272,15 +1287,21 @@ def check_trajectory_count(count: int) -> None:
 
 def ensemble_moments(ensemble: TrajectoryEnsemble) -> MomentReport:
     """Per-grid-time mean, sample covariance, and standard error of the
-    mean across trajectories."""
+    mean across trajectories.  Finite paths can have moments beyond the
+    float range: the first grid time with one raises SimulationError."""
     paths = ensemble.paths
     t_count = paths.shape[0]
     check_trajectory_count(t_count)
-    mean = paths.mean(axis=0)
-    centered = paths - mean
-    cov = np.einsum("tgi,tgj->gij", centered, centered) / (t_count - 1)
-    variances = np.diagonal(cov, axis1=1, axis2=2)
-    stderr = np.sqrt(np.clip(variances, 0.0, None) / t_count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = paths.mean(axis=0)
+        centered = paths - mean
+        cov = np.einsum("tgi,tgj->gij", centered, centered) / (t_count - 1)
+        variances = np.diagonal(cov, axis1=1, axis2=2)
+        stderr = np.sqrt(np.clip(variances, 0.0, None) / t_count)
+    # a mean beyond the range leaves its covariance so too, and each
+    # standard error is the root of a variance
+    for t in ensemble.times[~np.isfinite(cov).all(axis=(1, 2))][:1].tolist():
+        raise SimulationError(f"moments beyond the float range at t = {t!r}")
     return MomentReport(times=ensemble.times, mean=mean, covariance=cov,
                         standard_error=stderr, trajectories=t_count)
 

@@ -11,6 +11,7 @@ import random
 import sys
 import textwrap
 import time
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -479,14 +480,16 @@ class TestSimulate:
 # while simulate still derived the model once for the manifest and once
 # to run it; from a scheme, and from the model JSON that derive writes
 # under the same flags, simulated with the default flags, which a model
-# input ignores; re-recorded for tool_version 0.3.0, its only change
+# input ignores; re-recorded for tool_version 0.3.0 and again for 0.3.1,
+# each time its only change (0.3.1 sums per-reaction noise in a written
+# order, which leaves this run's outputs as they were)
 DERIVATION_FLAGS = ("--rate-mode", "exact", "--diffusion-sign", "sum",
                     "--noise", "per-reaction")
 MANIFEST_GOLDEN = {
     "scheme":
-        "671b0f2a484b59ed9a99e3c637b72257582d82bc0b2dbb625051b0e95ed098eb",
+        "8386cf84e64489011cf1c5c1b5c745ce4fe2a9f782b3b2f0c3f01694b6940bc7",
     "model":
-        "1c4fe66720732100e63fc9509aacbb25120202fc25721c0fccf295a45712e0b7",
+        "11c85bc7988ae50c80a9663bd1c11582ededcdb876b8feb4e217dda0c2b06b9e",
 }
 
 
@@ -1610,6 +1613,10 @@ class TestManifestReplay:
                        data.pop("format_version")),
          f"manifest tool_version '0.1.0' is not this onestep's "
          f"'{__version__}'"),
+        # a manifest of 0.3.0, whose per-reaction noise a BLAS kernel summed
+        (lambda data: data.update(tool_version="0.3.0"),
+         f"manifest tool_version '0.3.0' is not this onestep's "
+         f"'{__version__}'"),
         (lambda data: data.update(format_version=MANIFEST_FORMAT + 1),
          f"manifest format_version {MANIFEST_FORMAT + 1} is not this "
          f"onestep's {MANIFEST_FORMAT}"),
@@ -1665,11 +1672,16 @@ class TestManifestReplay:
 class TestSimulationFailures:
     """A simulation the settings cannot carry out exits 2 with one line."""
 
-    def _simulate(self, tmp_path, scheme, rates, *flags):
+    @staticmethod
+    def _files(tmp_path, scheme, rates):
         scheme_path = tmp_path / "s.scheme"
         scheme_path.write_text(scheme)
         rates_path = tmp_path / "s.rates"
         rates_path.write_text(rates)
+        return scheme_path, rates_path
+
+    def _simulate(self, tmp_path, scheme, rates, *flags):
+        scheme_path, rates_path = self._files(tmp_path, scheme, rates)
         return main(["simulate", str(scheme_path), "--rates", str(rates_path),
                      "--trajectories", "5", "--grid-points", "2",
                      "--out", str(tmp_path / "o"), *flags])
@@ -1698,6 +1710,39 @@ class TestSimulationFailures:
         assert code == 2
         _assert_usage_error(capsys, "no nonnegative step")
 
+    @pytest.mark.parametrize("policy", ["clamp", "reject"])
+    def test_overflow_to_minus_inf_exits_2(self, policy, tmp_path, capsys):
+        # -gamma phi^2 overflows to -inf in the first step: clamped, it
+        # went extinct and exited 0; redrawn, it ran out of redraws
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = self._simulate(tmp_path, VERHULST, VERHULST_RATES_TEXT,
+                                  "--initial", "phi=1e200",
+                                  "--negative-policy", policy)
+        assert code == 2
+        _assert_usage_error(capsys, "trajectory 0 is not finite at t = 1.0",
+                            "the state overflowed")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["em", "ssa", "check"])
+    def test_moments_beyond_the_float_range_exit_2(self, command, tmp_path,
+                                                   capsys):
+        # every path holds 1e308, whose mean over two or more overflows
+        scheme, rates = "phi -> 0 @ beta\n", "beta = 0\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if command == "check":
+                paths = self._files(tmp_path, scheme, rates)
+                code = main(["check", str(paths[0]), "--rates",
+                             str(paths[1]), "--box", "3",
+                             "--initial", "phi=1e308"])
+            else:
+                code = self._simulate(tmp_path, scheme, rates, "--engine",
+                                      command, "--initial", "phi=1e308")
+        assert code == 2
+        _assert_usage_error(capsys,
+                            "moments beyond the float range at t = 0.0")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "check"])
     def test_state_that_blows_up_exits_2(self, command, tmp_path, capsys):

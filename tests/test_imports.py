@@ -183,7 +183,7 @@ def test_codegen_c_of_a_fractional_coefficient_loads_no_numpy(tmp_path):
 
 def test_version_loads_no_numpy():
     done = fresh(_MAIN, "--version")
-    assert done.stdout.splitlines() == ["onestep 0.3.0",
+    assert done.stdout.splitlines() == ["onestep 0.3.1",
                                         "exit=0 numpy=False"]
 
 

@@ -8,6 +8,7 @@ import random
 import re
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +36,7 @@ from onestep.sim import (_CSV_VALUES_PER_COUNT, _PSD_LONE_FLOOR,
                          _SSA_EVENT_BUDGET,
                          _SSA_LEAF_RATES, _EmStepper,
                          _FactorPattern, _choice_tree, _diffusion_pattern,
-                         _em_step_source, _per_reaction_noise, _rekeyer,
+                         _em_step_source, _rekeyer,
                          _row_program,
                          _semidefinite_factor, _ssa_leaves,
                          _ssa_path_source, _ssa_rate_lines,
@@ -575,13 +576,16 @@ class TestEmStepSource:
 
     @pytest.mark.parametrize("n, sparse", [(1, False), (2, False),
                                            (3, False), (8, False),
-                                           (3, True), (8, True)])
+                                           (3, True), (8, True),
+                                           (4, "empty"), (8, "empty")])
     def test_noise_rows_have_the_bits_of_einsum(self, n, sparse):
         # the step runs on a factor with zero entries below the diagonal
         # too; -0.0 states and dt make x + d dt equal -0.0, the identity
         # of float addition, so each proposal row is the noise row itself.
         # A sparse step sums only its rows' entries: the factor holds
-        # +0.0 or -0.0 at every other entry, which einsum adds
+        # +0.0 or -0.0 at every other entry, which einsum adds.  Without
+        # their diagonal, row 0 and maybe others but the last have no
+        # entry, as the row of a species that no channel moves: +0.0
         rng = np.random.default_rng(n)
         for _ in range(20):
             count = int(rng.integers(200, 1001))
@@ -591,6 +595,8 @@ class TestEmStepSource:
             if sparse:
                 rows = [sorted({*np.flatnonzero(rng.random(i) < 0.5).tolist(),
                                 i}) for i in range(n)]
+                if sparse == "empty":
+                    rows = [row[:-1] for row in rows[:-1]] + rows[-1:]
                 outside = np.tril(np.ones((n, n), dtype=bool))
                 for i, row in enumerate(rows):
                     outside[i, row] = False
@@ -605,9 +611,9 @@ class TestEmStepSource:
             source, namespace = _em_step_source(n, pairs)
             namespace.update({
                 "values": lambda x: np.zeros((n + len(slots), count)),
-                "factor": lambda a, pattern, batch:
+                "factor": lambda a:
                     np.ascontiguousarray(lower[(slice(None), *entries)].T),
-                "pattern": None, "dt": -0.0, "sqrt_dt": 1.0})
+                "dt": -0.0, "sqrt_dt": 1.0})
             exec(source, namespace)
             out = namespace["em_step"](np.full((n, count), -0.0), eps)
             want = np.einsum("tij,tj->ti", lower, eps.T)
@@ -871,6 +877,11 @@ class TestEulerMaruyama:
         # are still finite when trajectory 7 has overflowed
         ("x -> 2 x @ k_1\n2 x -> 3 x @ k_2\nx -> 0 @ k_3\n", (1, 1, 3),
          (1.0,), NegativePolicy.CLAMP_ZERO, "trajectory 7 .* t = 0\\.5:"),
+        # y dies out while x has overflowed to NaN: that path is not
+        # redrawn, which could only fail for want of a nonnegative step
+        ("x -> 2 x @ k_1\n2 x -> 3 x @ k_2\ny -> 0 @ k_3\n", (1, 1, 5),
+         (5.0, 1.0), NegativePolicy.REJECT_STEP,
+         "trajectory 0 .* t = 0\\.5:"),
     ])
     def test_state_that_blows_up_is_named(self, scheme, rates, initial,
                                           policy, named):
@@ -883,6 +894,23 @@ class TestEulerMaruyama:
                            negative_policy=policy)
         with pytest.raises(SimulationError, match=named):
             euler_maruyama(model, config)
+
+    @pytest.mark.parametrize("policy", list(NegativePolicy))
+    def test_an_overflow_to_minus_inf_is_not_clamped(self, policy):
+        # -gamma phi^2 overflows to -inf from phi = 1e200: no redraw and
+        # no clamp to 0.0, but the overflow error at the first grid time
+        model = build_sde_model(parse_scheme(VERHULST))
+        config = SimConfig(rates=VERHULST_RATES, initial_state=(1e200,),
+                           t_final=1.0, trajectories=3, grid_points=5,
+                           negative_policy=policy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationError,
+                               match="trajectory 0 is not finite at "
+                                     "t = 0\\.25: the state overflowed"):
+                euler_maruyama(model, config)
+        assert _outcome(euler_maruyama, model, config) == \
+            _outcome(_reference_euler_maruyama, model, config)
 
     def test_logistic_mean_agrees_with_the_master_equation(self):
         scheme = parse_scheme(VERHULST)
@@ -1110,6 +1138,21 @@ class TestMomentEstimates:
         with pytest.raises(TooFewTrajectoriesError):
             ensemble_moments(self._constant_ensemble([1.0]))
 
+    @pytest.mark.parametrize("start, late, named", [
+        # the mean of 1e308 and 1e308 overflows
+        (1e308, 1e308, "t = 0.0"),
+        # the means are finite, the covariance from t = 2/3 on is not
+        (1e200, -1e200, "t = 0.6666666666666666")])
+    def test_moments_beyond_the_float_range_are_refused(self, start, late,
+                                                        named):
+        ensemble = self._constant_ensemble([start, start])
+        ensemble.paths[1, 2:] = late
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationError) as err:
+                ensemble_moments(ensemble)
+        assert str(err.value) == f"moments beyond the float range at {named}"
+
     def test_covariance_stays_psd(self):
         model = build_sde_model(parse_scheme(LOTKA_VOLTERRA))
         config = SimConfig(rates=LV_RATES, initial_state=(1000.0, 1000.0),
@@ -1317,6 +1360,8 @@ def _ring_text(count: int) -> str:
 
 
 RING8 = _ring_text(8)
+# x grows with the catalyst c, which no channel moves
+CATALYST = "x + c -> 2 x + c @ k\nx -> 0 @ d\n"
 
 
 def _ring8_ensemble(engine: Engine) -> TrajectoryEnsemble:
@@ -1662,7 +1707,17 @@ class _ReferenceEmStepper:
                 raise NegativeRateError(
                     f"per-reaction rate {low:.6e} is negative beyond "
                     f"tolerance {_RATE_TOL:.1e}")
-            return (np.sqrt(np.clip(amp, 0.0, None)) * eps) @ self.change
+            # row i is 0.0 + (d_ri sqrt(a_r)) e_r + ... over the channels
+            # r that move species i, added left to right
+            root = np.sqrt(np.clip(amp, 0.0, None))
+            out = np.empty((count, self.n))
+            for i in range(self.n):
+                z = 0.0
+                for r, d in enumerate(self.change[:, i]):
+                    if d:
+                        z = z + (d * root[:, r]) * eps[:, r]
+                out[:, i] = z
+            return out
         bmat = _reference_symmetric_matrices(self.diffusion_fn(*states.T),
                                              count, self.n)
         # the PSD check and its message are those of 0.2.0; the noise of
@@ -1731,7 +1786,8 @@ def _reference_euler_maruyama(model: SdeModel,
         drift = stepper.drift(states)
         noise = stepper.noise(states, eps)
         proposal = states + drift * dt + noise * sqrt_dt
-        bad = proposal < 0
+        # a path that overflowed is not negative: it stops the run
+        bad = (proposal < 0) & np.isfinite(proposal).all(axis=1)[:, None]
         if bad.any():
             if reject:
                 for j in np.nonzero(bad.any(axis=1))[0]:
@@ -1739,7 +1795,7 @@ def _reference_euler_maruyama(model: SdeModel,
                         stepper, states[j], redraws[j], dt, sqrt_dt)
             else:
                 clamps += bad.any(axis=1)
-                np.clip(proposal, 0.0, None, out=proposal)
+                proposal = np.where(bad, 0.0, proposal)
         states = proposal
         step += 1
         while g < len(times) and grid_at[g] == step:
@@ -2045,42 +2101,70 @@ class TestEnginesMatchReference:
 
 
 class TestPerReactionNoise:
-    """Per-reaction noise sums sqrt(a_r) eps_r change_r through a matrix
-    product, whose order of additions, and whether it fuses a multiply
-    into an add, is the BLAS kernel's.  Where every change is +-1 or +-2
-    and at most two channels move a species, each product is exact and
-    each sum has at most two nonzero terms, so any kernel gives the bits
-    of a left-to-right sum."""
+    """Per-reaction noise takes the noise path of --noise sqrt: the factor
+    b = C diag(sqrt(a)) in a slot layout, and each noise row summed left
+    to right over its slots, 0.0 + (d_ri sqrt(a_r)) e_r + ... over the
+    channels r that move species i, ascending.  No matrix product, and so
+    no BLAS kernel, decides a bit."""
 
-    def test_predator_prey_rows_are_a_left_to_right_sum(self, monkeypatch):
+    def test_ring_rows_are_a_left_to_right_sum(self, monkeypatch):
+        # ring8's changes are +-3, so d sqrt(a) e and (sqrt(a) e) d can
+        # round apart, and a matrix product's bits were its kernel's.
+        # The step's rows of values (drift, then channel rates) are
+        # recorded, and its proposal is compared with one built from
+        # them with a pure-Python sum
         seen = []
 
-        def recorded(rates, eps, change):
-            out = _per_reaction_noise(rates, eps, change)
-            # (the step scales the rows in place)
-            seen.append((rates.copy(), eps.copy(), change, out.copy()))
-            return out
-        monkeypatch.setattr(sim_module, "_per_reaction_noise", recorded)
-        model = build_sde_model(parse_scheme(LOTKA_VOLTERRA), RateMode.EXACT,
+        def recorded(polys, args):
+            values = _row_program(polys, args)
+
+            def record(x):
+                seen.append(values(x))
+                return seen[-1].copy()
+            return record
+        monkeypatch.setattr(sim_module, "_row_program", recorded)
+        model = build_sde_model(parse_scheme(RING8), RateMode.EXACT,
                                 DiffusionSign.SUM, NoiseStrategy.PER_REACTION)
-        config = SimConfig(rates={rate("k_1"): 1.0, rate("k_2"): 0.05,
-                                  rate("k_3"): 1.0},
-                           initial_state=(20.0, 20.0), t_final=1.0, dt=2e-3)
-        rng = np.random.default_rng(37)
-        # every rate is positive, so no row is a sum of zeros alone, whose
-        # sign would be the kernel's too
-        states = rng.integers(1, 60, (2, 1000)).astype(np.float64)
-        _EmStepper(model, config).step(states, rng.standard_normal((3, 1000)))
-        [(rates, eps, change, out)] = seen
-        assert change.tolist() == [[1, 0], [-1, 1], [0, -1]]
+        rates = {rate(f"{k}_{i}"): v for k, v in (("a", 1e-4), ("b", 5e-5))
+                 for i in range(1, 9)}
+        config = SimConfig(rates=rates, initial_state=(100.0,) * 8,
+                           t_final=1.0, dt=2e-3)
+        rng = np.random.default_rng(38)
+        states = rng.integers(1, 200, (8, 1000)).astype(np.float64)
+        eps = rng.standard_normal((8, 1000))
+        out = _EmStepper(model, config).step(states, eps)
+        [v] = seen
+        change = [ia.change for ia in model.scheme.interactions]
+        assert {abs(d) for c in change for d in c} == {0, 3}
+        n, dt = len(model.species), config.dt
         want = np.empty(out.shape)
-        for t in range(out.shape[0]):
-            for i in range(change.shape[1]):
+        for t in range(out.shape[1]):
+            for i in range(n):
                 z = 0.0
-                for r in range(change.shape[0]):
-                    z += math.sqrt(rates[r, t]) * eps[r, t] * change[r, i]
-                want[t, i] = z
+                for r, c in enumerate(change):
+                    if c[i]:
+                        a = float(v[n + r, t])
+                        z += (c[i] * math.sqrt(max(a, 0.0))) * eps[r, t]
+                want[i, t] = (states[i, t] + v[i, t] * dt) + \
+                    z * math.sqrt(dt)
         assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("policy", list(NegativePolicy))
+    def test_a_catalyst_matches_the_reference(self, policy):
+        # the catalyst c has an empty noise row, +0.0, and keeps its value
+        model = build_sde_model(parse_scheme(CATALYST), RateMode.EXACT,
+                                DiffusionSign.SUM, NoiseStrategy.PER_REACTION)
+        # x dies out: steps from near 0 go negative, clamped or redrawn
+        config = SimConfig(rates={rate("k"): 0.1, rate("d"): 1.0},
+                           initial_state=(3.0, 2.0), t_final=2.0, dt=2e-2,
+                           trajectories=20, base_seed=6,
+                           negative_policy=policy, grid_points=11)
+        new = _outcome(euler_maruyama, model, config)
+        assert new == _outcome(_reference_euler_maruyama, model, config)
+        ensemble = euler_maruyama(model, config)
+        assert (ensemble.paths[:, :, 1] == 2.0).all()
+        assert ensemble.clamp_events.any() or \
+            policy is NegativePolicy.REJECT_STEP
 
 
 class TestJumpSamplerParts:
